@@ -2,8 +2,7 @@
 
 from .errors import (BreakdownError, ConfigurationError, ConstraintError,
                      DatasetError, LapseBoundError, NonConvergenceError,
-                     NullfoliateError, OutOfDomainError, UnsupportedMetricError,
-                     UnsupportedSpinError)
+                     NullfoliateError, OutOfDomainError, UnsupportedSpinError)
 from .geodesic import (GeodesicNullData, MmsSpec, gen_manufactured,
                        gen_minkowski, gen_schwarzschild, load, save, validate)
 from .reports import NormReport, ResidualReport

@@ -8,9 +8,11 @@ The projections are component-identities in the shared Fermi-free dyad, so
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
+from . import container
 from .geodesic import GeodesicNullData
 from .sphere import SpinField
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, contract2,
@@ -49,9 +51,6 @@ class CanonicalCoefficients:
     def trchib(self):
         return self.chib.trace
 
-    def omega_minus_one(self):
-        return self.logOmega.apply(lambda x: np.exp(x) - 1.0)
-
 
 def upsilon(s: SpinField, metric: MetricRep) -> OneForm:
     """Tilt 1-form between the foliations: the graph-metric gradient of s."""
@@ -65,8 +64,7 @@ def upsilon_transport(Ups: OneForm, chi: SymTwoTensor, logOmega: SpinField,
 
 
 def canonical_connection(data: GeodesicNullData, s: SpinField,
-                         logOmega: SpinField, metric: MetricRep = None,
-                         dLUps: OneForm = None):
+                         logOmega: SpinField, metric: MetricRep = None):
     """Connection coefficients of the canonical foliation at one leaf.
 
         chi  = chi'
@@ -75,8 +73,7 @@ def canonical_connection(data: GeodesicNullData, s: SpinField,
         chib = chib' - 2 (Upsilon zeta' + zeta' Upsilon) + 2 Hess s
                - |Upsilon|^2 chi'
 
-    nabla_L Upsilon defaults to the exact algebraic transport identity; pass
-    dLUps to override (e.g. with a v-differenced value for cross-checks).
+    nabla_L Upsilon is the exact algebraic transport identity.
     """
     sv = np.real(s.samples)
     if metric is None:
@@ -85,8 +82,7 @@ def canonical_connection(data: GeodesicNullData, s: SpinField,
     chi = data.chi_at(sv)
     zeta_g = data.zeta_at(sv)
     zeta = zeta_g + contract(chi, Ups)
-    if dLUps is None:
-        dLUps = upsilon_transport(Ups, chi, logOmega, metric)
+    dLUps = upsilon_transport(Ups, chi, logOmega, metric)
     etab = -1.0 * zeta_g + dLUps
     hess = hessian(s, metric)
     ups2 = Ups.norm2()
@@ -149,11 +145,11 @@ def mass_aspect(rho_check: SpinField, zeta: OneForm,
 
 
 def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
-                v: float, dLUps: OneForm = None) -> CanonicalCoefficients:
+                v: float) -> CanonicalCoefficients:
     """Full canonical geometry of one leaf from the solved graph state."""
     metric = data.metric_at(np.real(s.samples))
     chi, chib, zeta, etab, Ups, dLUps = canonical_connection(
-        data, s, logOmega, metric, dLUps=dLUps)
+        data, s, logOmega, metric)
     alpha, beta, rho, sigma, betab = canonical_curvature(data, s, metric)
     rho_check, sigma_check, betab_check = renormalized(
         rho, sigma, betab, chi.hat(), chib.hat(), zeta)
@@ -167,80 +163,28 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
 
 
 def save_coefficients(foliation, path, stride=1):
-    """Serialise reconstructed coefficient sets in the dataset directory format.
+    """Write reconstructed coefficient sets as a "coefficients" container.
 
-    One array per named coefficient, shaped (n_levels, ntheta, nphi); spin-1
-    and spin-2 quantities store their plus components.
+    One array per named coefficient, shaped (n_levels, ntheta, nphi), taken
+    from the attribute path in `paths`: scalars (no component in the path)
+    are stored real, spin-1 and spin-2 quantities as their plus components.
     """
-    import json
-    import os
-
-    from .geodesic import FORMAT_VERSION
-
     idx = range(0, foliation.n_levels, stride)
     levels = [reconstruct(foliation.data, foliation.s_field(i),
                           foliation.logOmega_field(i), foliation.v_nodes[i])
               for i in idx]
-    arrays = {
-        "trchi": (0, np.stack([np.real(c.trchi.samples) for c in levels])),
-        "chihat": (2, np.stack([c.chi.hat_plus.samples for c in levels])),
-        "trchib": (0, np.stack([np.real(c.trchib.samples) for c in levels])),
-        "chibhat": (2, np.stack([c.chib.hat_plus.samples for c in levels])),
-        "zeta": (1, np.stack([c.zeta.plus.samples for c in levels])),
-        "etab": (1, np.stack([c.etab.plus.samples for c in levels])),
-        "Upsilon": (1, np.stack([c.Upsilon.plus.samples for c in levels])),
-        "mu": (0, np.stack([np.real(c.mu.samples) for c in levels])),
-        "rho_check": (0, np.stack([np.real(c.rho_check.samples)
-                                   for c in levels])),
-        "sigma_check": (0, np.stack([np.real(c.sigma_check.samples)
-                                     for c in levels])),
-        "betab_check": (1, np.stack([c.betab_check.plus.samples
-                                     for c in levels])),
-        "rho": (0, np.stack([np.real(c.rho.samples) for c in levels])),
-        "sigma": (0, np.stack([np.real(c.sigma.samples) for c in levels])),
-        "alpha": (2, np.stack([c.alpha.hat_plus.samples for c in levels])),
-        "beta": (1, np.stack([c.beta.plus.samples for c in levels])),
-        "betab": (1, np.stack([c.betab.plus.samples for c in levels])),
+
+    paths = {
+        "trchi": "trchi", "chihat": "chi.hat_plus", "trchib": "trchib",
+        "chibhat": "chib.hat_plus", "zeta": "zeta.plus", "etab": "etab.plus",
+        "Upsilon": "Upsilon.plus", "mu": "mu", "rho_check": "rho_check",
+        "sigma_check": "sigma_check", "betab_check": "betab_check.plus",
+        "rho": "rho", "sigma": "sigma", "alpha": "alpha.hat_plus",
+        "beta": "beta.plus", "betab": "betab.plus",
     }
-    os.makedirs(path, exist_ok=True)
-    fields = []
-    for name, (spin, arr) in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dtype = "c128le" if np.iscomplexobj(arr) else "f64le"
-        arr.astype("<c16" if dtype == "c128le" else "<f8").tofile(
-            os.path.join(path, f"{name}.bin"))
-        fields.append({"name": name, "spin": spin, "shape": list(arr.shape),
-                       "dtype": dtype, "file": f"{name}.bin"})
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "coefficients",
-        "Lmax": foliation.grid.Lmax,
-        "v_nodes": [float(foliation.v_nodes[i]) for i in idx],
-        "fields": fields,
-    }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def reconstruct_foliation(foliation, dLUps_mode="algebraic"):
-    """CanonicalCoefficients at every level of a solved foliation.
-
-    dLUps_mode 'fd' replaces the algebraic transport value of nabla_L Upsilon
-    by a v-differenced one (the diagnostic toggle for cross-path checks).
-    """
-    levels = []
-    for i in range(foliation.n_levels):
-        levels.append(reconstruct(foliation.data, foliation.s_field(i),
-                                  foliation.logOmega_field(i),
-                                  foliation.v_nodes[i]))
-    if dLUps_mode == "fd":
-        from .diagnostics import dLUpsilon_fd
-        dl = dLUpsilon_fd(foliation, levels)
-        levels = [
-            reconstruct(foliation.data, foliation.s_field(i),
-                        foliation.logOmega_field(i), foliation.v_nodes[i],
-                        dLUps=dl[i])
-            for i in range(foliation.n_levels)
-        ]
-    return levels
+    arrays = {}
+    for name, attr in paths.items():
+        arr = np.stack([attrgetter(attr)(c).samples for c in levels])
+        arrays[name] = arr if "." in attr else np.real(arr)
+    container.write(path, "coefficients", foliation.grid.Lmax,
+                    [foliation.v_nodes[i] for i in idx], arrays)

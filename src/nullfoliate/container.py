@@ -1,0 +1,170 @@
+"""On-disk container: manifest.json plus one raw little-endian array per field.
+
+The kinds "geodesic_data", "foliation" and "coefficients" share the format.
+read() validates everything and raises DatasetError; write() refuses
+non-finite arrays and is atomic: the old manifest goes first, every file is
+moved into place with os.replace, and the manifest comes last.
+"""
+
+import json
+import os
+from collections import namedtuple
+
+import numpy as np
+
+from .errors import ConfigurationError, DatasetError
+from .sphere import build_grid
+
+FORMAT_VERSION = 1
+MANIFEST = "manifest.json"
+
+_DTYPES = {"f64le": np.dtype("<f8"), "c128le": np.dtype("<c16")}
+
+# kind -> (manifest key of the node list, {field: spin}, optional fields)
+_KINDS = {
+    "geodesic_data": ("s_nodes", {
+        "psi": 0, "trchi": 0, "chihat": 2, "zeta": 1, "trchib": 0,
+        "chibhat": 2, "alpha": 2, "beta": 1, "rho": 0, "sigma": 0,
+        "betab": 1, "forcing_F1": 0, "mms_G": 0}, {"forcing_F1", "mms_G"}),
+    "foliation": ("v_nodes", {"s": 0, "logOmega": 0}, set()),
+    "coefficients": ("v_nodes", {
+        "trchi": 0, "chihat": 2, "trchib": 0, "chibhat": 2, "zeta": 1,
+        "etab": 1, "Upsilon": 1, "mu": 0, "rho_check": 0, "sigma_check": 0,
+        "betab_check": 1, "rho": 0, "sigma": 0, "alpha": 2, "beta": 1,
+        "betab": 1}, set()),
+}
+
+# fields tabulated on one sphere; all others are (n_nodes, ntheta, nphi)
+_SPHERE_FIELDS = {"mms_G"}
+
+
+Contents = namedtuple("Contents", "grid nodes fields meta")
+
+
+def _finite(arr):
+    return bool(np.all(np.isfinite(arr.view(float) if np.iscomplexobj(arr)
+                                   else arr)))
+
+
+def _replace_into(path, name, write):
+    """Create `name` under `path` by write(file) on a temporary file."""
+    tmp = os.path.join(path, name + ".tmp")
+    with open(tmp, "wb") as fh:
+        write(fh)
+    os.replace(tmp, os.path.join(path, name))
+
+
+def write(path, kind, Lmax, nodes, arrays, meta=None):
+    """Write a container of `kind` from {field: array}, in that field order.
+
+    DatasetError, before anything is written, for an unknown or missing
+    field or an array holding NaN or infinity.
+    """
+    node_key, spins, optional = _KINDS[kind]
+    if set(arrays) - set(spins) or set(spins) - optional - set(arrays):
+        raise DatasetError(f"{kind} container needs the fields "
+                           f"{sorted(set(spins) - optional)}, got "
+                           f"{sorted(arrays)}")
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    for name, arr in arrays.items():
+        if not _finite(arr):
+            raise DatasetError(f"field {name!r} contains non-finite values")
+
+    os.makedirs(path, exist_ok=True)
+    if os.path.exists(os.path.join(path, MANIFEST)):
+        os.remove(os.path.join(path, MANIFEST))
+    fields = []
+    for name, arr in arrays.items():
+        tag = "c128le" if np.iscomplexobj(arr) else "f64le"
+        _replace_into(path, f"{name}.bin",
+                      arr.astype(_DTYPES[tag], copy=False).tofile)
+        fields.append({"name": name, "spin": spins[name],
+                       "shape": list(arr.shape), "dtype": tag,
+                       "file": f"{name}.bin"})
+    manifest = {"format_version": FORMAT_VERSION, "kind": kind,
+                "Lmax": int(Lmax), node_key: list(map(float, nodes)),
+                "fields": fields}
+    if meta is not None:
+        manifest["meta"] = meta
+    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    _replace_into(path, MANIFEST, lambda fh: fh.write(text.encode()))
+
+
+def _read_field(path, entry, want):
+    """One array file, checked against its manifest entry and shape `want`."""
+    name, tag, fname = entry["name"], entry.get("dtype"), entry.get("file")
+    shape = entry.get("shape")
+    if tag not in _DTYPES:
+        raise DatasetError(f"field {name!r}: unknown dtype tag {tag!r}")
+    if not isinstance(fname, str) or os.path.basename(fname) != fname:
+        raise DatasetError(f"field {name!r}: bad file name {fname!r}")
+    if shape != list(want):
+        raise DatasetError(f"field {name!r} has shape {shape}, "
+                           f"manifest implies {list(want)}")
+    fpath = os.path.join(path, fname)
+    if not os.path.exists(fpath):
+        raise DatasetError(f"missing array file for field {name!r}")
+    arr = np.fromfile(fpath, dtype=_DTYPES[tag])
+    if arr.size != int(np.prod(want)):
+        raise DatasetError(f"field {name!r}: expected {int(np.prod(want))} "
+                           f"values, file holds {arr.size}")
+    if not _finite(arr):
+        raise DatasetError(f"field {name!r} contains non-finite values")
+    return arr.reshape(want)
+
+
+def read(path, kind, Lmax=None) -> Contents:
+    """Load a container of `kind`, and of band limit `Lmax` if given.
+
+    Checks format_version, kind, Lmax, the node list, that every required
+    field is present and no unknown one is, each field's shape against the
+    node count and the grid, and finiteness; DatasetError otherwise.
+    """
+    node_key, spins, optional = _KINDS[kind]
+    try:
+        with open(os.path.join(path, MANIFEST)) as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        raise DatasetError(f"no {MANIFEST} under {str(path)!r}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DatasetError(f"malformed manifest: {e}")
+    if not isinstance(manifest, dict):
+        raise DatasetError("malformed manifest: not a JSON object")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise DatasetError(f"unsupported format_version {version!r}")
+    if manifest.get("kind") != kind:
+        raise DatasetError(f"not a {kind} container: "
+                           f"kind={manifest.get('kind')!r}")
+    L = manifest.get("Lmax")
+    if type(L) is not int:
+        raise DatasetError(f"manifest Lmax = {L!r} is not an integer")
+    if Lmax is not None and L != Lmax:
+        raise DatasetError(f"{kind} band limit {L} differs from {Lmax}")
+    try:
+        grid = build_grid(L)
+    except ConfigurationError as err:
+        raise DatasetError(f"manifest Lmax: {err}")
+    try:
+        nodes = np.asarray(manifest[node_key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise DatasetError(f"manifest lacks a numeric {node_key} list")
+    if nodes.ndim != 1 or nodes.size == 0 or not _finite(nodes):
+        raise DatasetError(f"manifest {node_key} is not a finite 1-d list")
+    entries = manifest.get("fields")
+    if not isinstance(entries, list):
+        raise DatasetError("manifest lacks a fields list")
+
+    fields = {}
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name not in spins:
+            raise DatasetError(f"field {name!r} does not belong in a {kind} "
+                               "container")
+        want = grid.shape if name in _SPHERE_FIELDS \
+            else (len(nodes),) + grid.shape
+        fields[name] = _read_field(path, entry, want)
+    missing = sorted(set(spins) - optional - set(fields))
+    if missing:
+        raise DatasetError(f"{kind} container misses fields {missing}")
+    return Contents(grid, nodes, fields, manifest.get("meta", {}))

@@ -12,7 +12,7 @@ from . import _cheb
 from .comparison import reconstruct
 from .errors import ConfigurationError
 from .reports import NormReport, ResidualReport
-from .sphere import SpinField, eth, ethbar
+from .sphere import SpinField
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, contract2,
                       curl, div, div2, dot, dual, eth_g, ethbar_g, grad,
                       hessian, laplacian, mean, multiply,
@@ -651,10 +651,8 @@ def norm_suite(foliation, data=None) -> NormReport:
 
     op = {
         "Oprime.trchi_dev_infinf": float(np.max(np.abs(trchi_dev))),
-        "Oprime.chihat_LinfL2s": _geo_trace_norm(data, data.chihat, 2,
-                                                 node_metrics, wcc),
-        "Oprime.zeta_LinfL2s": _geo_trace_norm(data, data.zeta, 1,
-                                               node_metrics, wcc),
+        "Oprime.chihat_LinfL2s": _geo_trace_norm(data.chihat, wcc),
+        "Oprime.zeta_LinfL2s": _geo_trace_norm(data.zeta, wcc),
         "Oprime.N1_trchi_dev": geo_n1(trchi_dev, dst_dev, 0),
         "Oprime.N1_chihat": geo_n1(data.chihat, dsh, 2),
         "Oprime.N1_zeta": geo_n1(data.zeta, dsz, 1),
@@ -787,14 +785,12 @@ def norm_suite(foliation, data=None) -> NormReport:
     return rep
 
 
-def _geo_trace_norm(data, table, spin, node_metrics, wcc):
-    """L^inf L^2_s norm of a geodesic table via generator-wise CC weights."""
-    if spin == 0:
-        stack = np.abs(table)
-    elif spin == 1:
-        stack = np.sqrt(2.0) * np.abs(table)
-    else:
-        stack = np.sqrt(2.0) * np.abs(table)
+def _geo_trace_norm(table, wcc):
+    """L^inf L^2_s norm of a spin-1 or spin-2 geodesic table via CC weights.
+
+    The table holds plus components, whose dyad norm is sqrt(2) |plus|.
+    """
+    stack = np.sqrt(2.0) * np.abs(table)
     gen = np.sqrt(np.tensordot(wcc, stack ** 2, axes=(0, 0)))
     return float(np.max(gen))
 

@@ -17,10 +17,6 @@ class UnsupportedSpinError(NullfoliateError):
     """An operation would create or consume a spin weight outside {-2..2}."""
 
 
-class UnsupportedMetricError(NullfoliateError):
-    """A general (non conformal-round) metric reached a conformal-only code path."""
-
-
 class OutOfDomainError(NullfoliateError):
     """An evaluation height left the data slab [1, s*]."""
 

@@ -5,25 +5,21 @@ Lobatto nodes in s.  The geodesic lapse is identically 1, so the transversal
 torsion is etab' = -zeta' throughout.
 """
 
-import json
-import os
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
 
 import numpy as np
 
-from . import _cheb
-from .errors import ConfigurationError, DatasetError
+from . import _cheb, container
+from .errors import ConfigurationError
 from .reports import ResidualReport
 from .sphere import Grid, SpinField, build_grid, eth, interp_generator
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, curl, div,
                       div2, dot, grad, multiply, wedge)
 
-FORMAT_VERSION = 1
-
 
 # --------------------------------------------------------------------------
-# container
+# dataset
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -214,6 +210,8 @@ class GeodesicNullData:
         }
         if self.forcing_F1 is not None:
             out["forcing_F1"] = self.forcing_F1
+        if self.exact is not None:
+            out["mms_G"] = self.exact.G
         return out
 
 
@@ -544,108 +542,18 @@ def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
 # persistence
 # --------------------------------------------------------------------------
 
-_FIELD_SPINS = {
-    "psi": 0, "trchi": 0, "trchib": 0, "rho": 0, "sigma": 0,
-    "chihat": 2, "chibhat": 2, "alpha": 2,
-    "zeta": 1, "beta": 1, "betab": 1,
-    "forcing_F1": 0, "mms_G": 0,
-}
-
-
-def _dtype_tag(arr):
-    return "c128le" if np.iscomplexobj(arr) else "f64le"
-
-
-def _np_dtype(tag):
-    if tag == "f64le":
-        return np.dtype("<f8")
-    if tag == "c128le":
-        return np.dtype("<c16")
-    raise DatasetError(f"unknown dtype tag {tag!r}")
-
-
 def save(data: GeodesicNullData, path):
-    """Write the dataset directory: manifest.json plus raw little-endian arrays."""
-    os.makedirs(path, exist_ok=True)
-    fields = []
-    arrays = data.arrays()
-    if data.exact is not None:
-        arrays["mms_G"] = data.exact.G
-    for name, arr in arrays.items():
-        fname = f"{name}.bin"
-        arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr.view(float) if np.iscomplexobj(arr)
-                                  else arr)):
-            raise DatasetError(f"field {name!r} contains non-finite values")
-        arr.astype(_np_dtype(_dtype_tag(arr))).tofile(os.path.join(path, fname))
-        fields.append({"name": name, "spin": _FIELD_SPINS.get(name, 0),
-                       "shape": list(arr.shape), "dtype": _dtype_tag(arr),
-                       "file": fname})
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "geodesic_data",
-        "Lmax": data.grid.Lmax,
-        "s_nodes": list(map(float, data.s_nodes)),
-        "meta": data.meta,
-        "fields": fields,
-    }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_field(path, entry):
-    fpath = os.path.join(path, entry["file"])
-    if not os.path.exists(fpath):
-        raise DatasetError(f"missing array file for field {entry['name']!r}")
-    arr = np.fromfile(fpath, dtype=_np_dtype(entry["dtype"]))
-    expect = int(np.prod(entry["shape"]))
-    if arr.size != expect:
-        raise DatasetError(
-            f"field {entry['name']!r}: expected {expect} values, "
-            f"file holds {arr.size}")
-    arr = arr.reshape(entry["shape"])
-    if not np.all(np.isfinite(arr.view(float) if np.iscomplexobj(arr) else arr)):
-        raise DatasetError(f"field {entry['name']!r} contains non-finite values")
-    return arr
+    """Write the dataset as a "geodesic_data" container (see container)."""
+    container.write(path, "geodesic_data", data.grid.Lmax, data.s_nodes,
+                    data.arrays(), meta=data.meta)
 
 
 def load(path) -> GeodesicNullData:
-    """Read a dataset directory written by save(); bit-exact roundtrip."""
-    mpath = os.path.join(path, "manifest.json")
-    try:
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise DatasetError(f"no manifest.json under {path!r}")
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"malformed manifest: {e}")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DatasetError("unsupported format_version")
-    if manifest.get("kind") != "geodesic_data":
-        raise DatasetError(f"not a geodesic dataset: kind={manifest.get('kind')!r}")
-    grid = build_grid(int(manifest["Lmax"]))
-    s_nodes = np.asarray(manifest["s_nodes"], dtype=float)
-    raw = {}
-    for entry in manifest["fields"]:
-        arr = _read_field(path, entry)
-        want = [len(s_nodes), grid.shape[0], grid.shape[1]]
-        if entry["name"] != "mms_G" and list(entry["shape"]) != want:
-            raise DatasetError(
-                f"field {entry['name']!r} has shape {entry['shape']}, "
-                f"manifest implies {want}")
-        raw[entry["name"]] = arr
-    required = ["psi", "trchi", "chihat", "zeta", "trchib", "chibhat",
-                "alpha", "beta", "rho", "sigma", "betab"]
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise DatasetError(f"dataset misses required fields: {missing}")
-    data = GeodesicNullData(
-        grid=grid, s_nodes=s_nodes,
-        **{k: raw[k] for k in required},
-        forcing_F1=raw.get("forcing_F1"),
-        meta=manifest.get("meta", {}),
-    )
-    if "mms" in data.meta and "mms_G" in raw:
-        data.exact = MmsExact.from_meta(grid, data.meta["mms"], raw["mms_G"])
+    """Read a dataset written by save(); validated, bit-exact roundtrip."""
+    c = container.read(path, "geodesic_data")
+    G = c.fields.pop("mms_G", None)
+    data = GeodesicNullData(grid=c.grid, s_nodes=c.nodes, meta=c.meta,
+                            **c.fields)
+    if "mms" in data.meta and G is not None:
+        data.exact = MmsExact.from_meta(c.grid, data.meta["mms"], G)
     return data

@@ -43,11 +43,6 @@ class ResidualReport:
         flags = self.pass_flags(tol)
         return all(flags.values()) if flags else True
 
-    def merged(self, other):
-        out = ResidualReport(self.tolerance_used)
-        out.rows = self.rows + other.rows
-        return out
-
     def to_csv(self, path):
         tol = self.tolerance_used
         flags = self.pass_flags() if tol is not None else {}

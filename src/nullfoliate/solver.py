@@ -21,21 +21,20 @@ iterate must be finite: the first non-finite seed, graph or lapse raises
 NonFiniteIterateError.
 """
 
-import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BreakdownError, ConfigurationError, DatasetError,
-                     LapseBoundError, NonConvergenceError,
-                     NonFiniteIterateError, OutOfDomainError)
-from .geodesic import FORMAT_VERSION, GeodesicNullData
+from . import container
+from .errors import (BreakdownError, ConfigurationError, LapseBoundError,
+                     NonConvergenceError, NonFiniteIterateError,
+                     OutOfDomainError)
+from .geodesic import GeodesicNullData
 from .reports import _fmt
 from .sphere import SpinField
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract2, dot, grad,
-                      hessian, invert_laplacian, mean)
+                      hessian, invert_laplacian)
 
 
 @dataclass
@@ -48,7 +47,6 @@ class SolverConfig:
                                  # monitor's roundoff floor a stalled Delta_n
                                  # is accepted instead (see roundoff_floor)
     max_iter: int = 30
-    Lmax: int = None             # defaults to the dataset band limit
     shrink_factor: float = 0.5
     delta_min: float = None      # defaults to 2*dv
     kappa_max: float = 0.9       # acceptance bound on the observed contraction
@@ -82,9 +80,6 @@ class GraphState:
     s: SpinField
     logOmega: SpinField
     metric: MetricRep
-
-    def omega_inv_samples(self):
-        return np.exp(-np.real(self.logOmega.samples))
 
 
 @dataclass
@@ -126,9 +121,6 @@ class Foliation:
     def logOmega_field(self, i) -> SpinField:
         return SpinField.from_samples(self.grid, 0, self.logOmega[i])
 
-    def omega_samples(self, i):
-        return np.exp(self.logOmega[i])
-
     def metric(self, i) -> MetricRep:
         if i not in self._metrics:
             self._metrics[i] = induced_metric(self.data, self.s[i])
@@ -155,44 +147,15 @@ class Foliation:
                 fh.write(f"{w},{n},{_fmt(M)},{_fmt(D)},{_fmt(k)}\n")
 
     def save(self, path):
-        """Foliation directory in the dataset format (manifest + raw arrays)."""
-        os.makedirs(path, exist_ok=True)
-        fields = []
-        for name, arr in (("s", self.s), ("logOmega", self.logOmega)):
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            if not np.all(np.isfinite(arr)):
-                raise DatasetError(f"foliation field {name!r} is not finite")
-            arr.tofile(os.path.join(path, f"{name}.bin"))
-            fields.append({"name": name, "spin": 0, "shape": list(arr.shape),
-                           "dtype": "f64le", "file": f"{name}.bin"})
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "kind": "foliation",
-            "Lmax": self.grid.Lmax,
-            "v_nodes": list(map(float, self.v_nodes)),
-            "fields": fields,
-        }
-        with open(os.path.join(path, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        """Write the foliation as a "foliation" container (see container)."""
+        container.write(path, "foliation", self.grid.Lmax, self.v_nodes,
+                        {"s": self.s, "logOmega": self.logOmega})
 
     @classmethod
     def load(cls, path, data: GeodesicNullData):
-        from .geodesic import _read_field
-        try:
-            with open(os.path.join(path, "manifest.json")) as fh:
-                manifest = json.load(fh)
-        except FileNotFoundError:
-            raise DatasetError(f"no manifest.json under {path!r}")
-        except json.JSONDecodeError as e:
-            raise DatasetError(f"malformed manifest: {e}")
-        if manifest.get("kind") != "foliation":
-            raise DatasetError("not a foliation directory")
-        if int(manifest["Lmax"]) != data.grid.Lmax:
-            raise DatasetError("foliation and dataset band limits differ")
-        v_nodes = np.asarray(manifest["v_nodes"], dtype=float)
-        arrs = {e["name"]: _read_field(path, e) for e in manifest["fields"]}
-        return cls(data, v_nodes, arrs["s"], arrs["logOmega"])
+        """Read a foliation of `data` written by save(); validated."""
+        c = container.read(path, "foliation", Lmax=data.grid.Lmax)
+        return cls(data, c.nodes, c.fields["s"], c.fields["logOmega"])
 
 
 # --------------------------------------------------------------------------
@@ -312,9 +275,7 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
     """One Picard window starting from the leaf s0 at level v0."""
     grid = data.grid
     delta = cfg.delta if delta is None else delta
-    steps = max(2, int(round(delta / cfg.dv)))
-    if steps % 2:
-        steps += 1
+    steps = _even_steps(delta, cfg.dv)
     dv = delta / steps
     v_nodes = v0 + dv * np.arange(steps + 1)
 
@@ -419,9 +380,25 @@ def _observed_kappa(deltas, floor):
     return max(ratios) if ratios else 0.0
 
 
+def _even_steps(delta, dv):
+    """Whole even number (>= 2) of dv steps nearest delta; odd counts round up."""
+    steps = max(2, int(round(delta / dv)))
+    return steps + steps % 2
+
+
 def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
                        v_end=2.0) -> Foliation:
-    """March accepted windows from v = 1 to v_end; halve on non-contraction."""
+    """March accepted windows from v = 1 to v_end; halve on non-contraction.
+
+    The v-grid is uniform by construction: v_end - 1 must be a whole even
+    number of dv steps, and every window, halved or not, spans a whole even
+    number of them.
+    """
+    total = (v_end - 1.0) / cfg.dv
+    n_total = int(round(total))
+    if n_total < 2 or n_total % 2 or abs(total - n_total) > 1e-9 * n_total:
+        raise ConfigurationError(f"v_end - 1 = {v_end - 1.0:g} is not a "
+                                 f"whole even number of dv = {cfg.dv:g}")
     grid = data.grid
     v0 = 1.0
     s0 = np.ones(grid.shape)
@@ -430,16 +407,17 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
     logOm_first, _ = _lapse_at(data, s0)
     all_log = [logOm_first[None, ...]]
     windows = []
-    delta = cfg.delta
+    steps = _even_steps(cfg.delta, cfg.dv)
+    done = 0
 
-    while v0 < v_end - 1e-12:
-        step = min(delta, v_end - v0)
+    while done < n_total:
+        n = min(steps, n_total - done)
         try:
-            win = picard_window(data, v0, s0, cfg, delta=step)
+            win = picard_window(data, v0, s0, cfg, delta=n * cfg.dv)
         except (NonConvergenceError, LapseBoundError, OutOfDomainError) as err:
-            shrunk = delta * cfg.shrink_factor
-            if shrunk >= cfg.delta_min - 1e-15:
-                delta = shrunk
+            shrunk = 2 * int(n * cfg.shrink_factor / 2 + 1e-9)
+            if shrunk >= 2 and shrunk * cfg.dv >= cfg.delta_min - 1e-15:
+                steps = shrunk
                 continue
             raise BreakdownError(
                 f"foliation breaks down at v = {v0:.6f}: {err}", v0) from err
@@ -451,7 +429,7 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
                                  for st in win.states[1:]]))
         s0 = np.real(win.states[-1].s.samples)
         v0 = float(win.v_nodes[-1])
+        done += n
 
-    fol = Foliation(data, np.concatenate(all_v), np.concatenate(all_s),
-                    np.concatenate(all_log), windows)
-    return fol
+    return Foliation(data, np.concatenate(all_v), np.concatenate(all_s),
+                     np.concatenate(all_log), windows)

@@ -11,42 +11,29 @@ All covariant operators reduce to the round eth ladder with conformal weights,
     eth_g eta = e^{(s-1) psi} eth( e^{-s psi} eta ),
 
 which keeps Laplace inversion exact: Delta_g f = e^{-2 psi} Delta_ring f.
+Every leaf metric of a graph foliation has this form, so MetricRep holds
+nothing but the conformal factor psi.
 """
 
 import numpy as np
 
-from .errors import ConstraintError, UnsupportedMetricError, UnsupportedSpinError
+from .errors import ConstraintError, UnsupportedSpinError
 from .sphere import SpinField, eth, ethbar, laplacian_round, multiply
 
 SQRT2 = np.sqrt(2.0)
 
 
 class MetricRep:
-    """Induced metric of a leaf: conformal-round e^{2 psi} gring, or general."""
+    """Induced metric e^{2 psi} gring of a leaf, conformal to the unit round sphere."""
 
-    def __init__(self, grid, psi=None, components=None, kind="conformal-round",
-                 enable_general_backend=False):
+    def __init__(self, grid, psi=None):
         self.grid = grid
-        self.kind = kind
-        self.enable_general_backend = enable_general_backend
-        if kind == "conformal-round":
-            if psi is None:
-                psi = SpinField.zero(grid, 0)
-            elif not isinstance(psi, SpinField):
-                psi = SpinField.from_samples(grid, 0, psi)
-            self.psi = psi
-            self.components = None
-            self._conf = {}
-        elif kind == "general":
-            if components is None:
-                raise ValueError("general metric needs coordinate components")
-            self.psi = None
-            # components relative to the round orthonormal co-frame
-            # (d theta, sin theta d phi)
-            self.components = {k: np.asarray(v, dtype=float)
-                               for k, v in components.items()}
-        else:
-            raise ValueError(f"unknown metric kind {kind!r}")
+        if psi is None:
+            psi = SpinField.zero(grid, 0)
+        elif not isinstance(psi, SpinField):
+            psi = SpinField.from_samples(grid, 0, psi)
+        self.psi = psi
+        self._conf = {}
 
     @classmethod
     def round_sphere(cls, grid, radius=1.0):
@@ -54,8 +41,6 @@ class MetricRep:
 
     def conformal_factor(self, power):
         """Cached sample-backed e^{power * psi} as a spin-0 field."""
-        if self.kind != "conformal-round":
-            raise UnsupportedMetricError("conformal factors need conformal-round kind")
         key = float(power)
         if key not in self._conf:
             self._conf[key] = self.psi.apply(lambda x: np.exp(power * x))
@@ -63,11 +48,7 @@ class MetricRep:
 
     def sqrt_det(self):
         """Area density relative to the round measure dOmega."""
-        if self.kind == "conformal-round":
-            return np.real(self.conformal_factor(2.0).samples)
-        g = self.components
-        det = g["tt"] * g["pp"] - g["tp"] ** 2
-        return np.sqrt(np.maximum(det, 0.0))
+        return np.real(self.conformal_factor(2.0).samples)
 
     @property
     def area(self):
@@ -75,15 +56,8 @@ class MetricRep:
 
     def gauss_curvature(self):
         """Gauss curvature K = e^{-2 psi}(1 - Delta_ring psi)."""
-        self._require_conformal()
         one_minus = SpinField.constant(self.grid, 1.0) - laplacian_round(self.psi)
         return multiply(self.conformal_factor(-2.0), one_minus)
-
-    def _require_conformal(self):
-        if self.kind != "conformal-round":
-            raise UnsupportedMetricError(
-                "operation requires a conformal-round metric "
-                "(general kind is experimental; see laplacian/invert_laplacian)")
 
 
 class OneForm:
@@ -128,10 +102,6 @@ class OneForm:
     def max_abs(self):
         return float(np.max(np.sqrt(np.abs(self.norm2().samples))))
 
-    def l2_g(self, g):
-        return float(np.sqrt(abs(g.grid.integrate(
-            np.real(self.norm2().samples) * g.sqrt_det()))))
-
     def is_finite(self):
         return self.plus.is_finite() and self.minus.is_finite()
 
@@ -157,11 +127,6 @@ class SymTwoTensor:
     def zero(cls, grid):
         return cls(SpinField.zero(grid, 0), SpinField.zero(grid, 2),
                    SpinField.zero(grid, -2))
-
-    @classmethod
-    def pure_trace(cls, trace: SpinField):
-        g = trace.grid
-        return cls(trace, SpinField.zero(g, 2), SpinField.zero(g, -2))
 
     def __add__(self, other):
         return SymTwoTensor(self.trace + other.trace,
@@ -279,15 +244,6 @@ def contract2(T: SymTwoTensor, a: OneForm, b: OneForm) -> SpinField:
         + multiply(T.hat_minus, a.plus, b.plus)
 
 
-def matmul_sym(T: SymTwoTensor, S: SymTwoTensor) -> SymTwoTensor:
-    """Symmetric part of the matrix product T_AC S_CB."""
-    tr = 0.5 * multiply(T.trace, S.trace) + multiply(T.hat_plus, S.hat_minus) \
-        + multiply(T.hat_minus, S.hat_plus)
-    hat_p = 0.5 * (multiply(T.trace, S.hat_plus) + multiply(S.trace, T.hat_plus))
-    hat_m = 0.5 * (multiply(T.trace, S.hat_minus) + multiply(S.trace, T.hat_minus))
-    return SymTwoTensor(tr, hat_p, hat_m)
-
-
 # --------------------------------------------------------------------------
 # covariant operators for conformally-round metrics
 # --------------------------------------------------------------------------
@@ -295,7 +251,6 @@ def matmul_sym(T: SymTwoTensor, S: SymTwoTensor) -> SymTwoTensor:
 def eth_g(eta: SpinField, g: MetricRep) -> SpinField:
     """Conformal eth: e^{(s-1) psi} eth(e^{-s psi} eta)."""
     from .sphere import eth_any
-    g._require_conformal()
     s = eta.spin
     inner = eth_any(multiply(g.conformal_factor(-s), eta)) if s != 0 \
         else eth_any(eta)
@@ -305,7 +260,6 @@ def eth_g(eta: SpinField, g: MetricRep) -> SpinField:
 def ethbar_g(eta: SpinField, g: MetricRep) -> SpinField:
     """Conformal ethbar: e^{-(s+1) psi} ethbar(e^{s psi} eta)."""
     from .sphere import ethbar_any
-    g._require_conformal()
     s = eta.spin
     inner = ethbar_any(multiply(g.conformal_factor(s), eta)) if s != 0 \
         else ethbar_any(eta)
@@ -313,7 +267,6 @@ def ethbar_g(eta: SpinField, g: MetricRep) -> SpinField:
 
 
 def grad(f: SpinField, g: MetricRep) -> OneForm:
-    g._require_conformal()
     w = g.conformal_factor(-1.0)
     return OneForm(multiply(w, eth(f)) * (1.0 / SQRT2),
                    multiply(w, ethbar(f)) * (1.0 / SQRT2))
@@ -336,11 +289,6 @@ def div2(T: SymTwoTensor, g: MetricRep) -> OneForm:
 
 def laplacian(f: SpinField, g: MetricRep) -> SpinField:
     """Scalar Laplace-Beltrami; exact conformal covariance in 2D."""
-    if g.kind == "general":
-        if not g.enable_general_backend:
-            raise UnsupportedMetricError(
-                "general metric without the experimental backend enabled")
-        return SpinField.from_samples(g.grid, 0, laplacian_general(f.samples, g))
     if f.spin != 0:
         raise UnsupportedSpinError("laplacian acts on spin-0 fields")
     return multiply(g.conformal_factor(-2.0), laplacian_round(f))
@@ -348,7 +296,6 @@ def laplacian(f: SpinField, g: MetricRep) -> SpinField:
 
 def hessian(f: SpinField, g: MetricRep) -> SymTwoTensor:
     """Covariant Hessian of a scalar, split into trace (= Delta_g f) and hat."""
-    g._require_conformal()
     w2 = g.conformal_factor(-2.0)
     return SymTwoTensor(laplacian(f, g),
                         0.5 * eth(multiply(w2, eth(f))),
@@ -383,7 +330,6 @@ def hodge_D1(X: OneForm, g: MetricRep):
 
 def hodge_D1_star(f: SpinField, h: SpinField, g: MetricRep) -> OneForm:
     """D1* (f,h) = -grad f + dual grad h."""
-    g._require_conformal()
     w = g.conformal_factor(-1.0)
     return OneForm(multiply(w, eth(f + 1j * h)) * (-1.0 / SQRT2),
                    multiply(w, ethbar(f - 1j * h)) * (-1.0 / SQRT2))
@@ -397,7 +343,6 @@ def hodge_D2(T: SymTwoTensor, g: MetricRep) -> OneForm:
 
 def hodge_D2_star(X: OneForm, g: MetricRep) -> SymTwoTensor:
     """D2* X = -(1/2) grad otimes-hat X."""
-    g._require_conformal()
     w = g.conformal_factor(-1.0)
     return SymTwoTensor(SpinField.zero(X.plus.grid, 0),
                         eth(multiply(w, X.plus)) * (-1.0 / SQRT2),
@@ -407,13 +352,8 @@ def hodge_D2_star(X: OneForm, g: MetricRep) -> SymTwoTensor:
 def invert_laplacian(f: SpinField, g: MetricRep) -> SpinField:
     """Mean-free u with Delta_g u = f - mean_g(f).
 
-    Exact for conformal-round metrics: Delta_ring u = e^{2 psi}(f - mean f).
+    Exact by conformal covariance: Delta_ring u = e^{2 psi}(f - mean f).
     """
-    if g.kind == "general":
-        if not g.enable_general_backend:
-            raise UnsupportedMetricError(
-                "general metric without the experimental backend enabled")
-        return invert_laplacian_general(f, g)
     fm = mean(f, g)
     rhs = multiply(g.conformal_factor(2.0), f - SpinField.constant(g.grid, fm))
     ls = np.arange(g.grid.Lmax + 1, dtype=float)
@@ -432,112 +372,3 @@ def invert_D1(f: SpinField, h: SpinField, g: MetricRep,
     a = -1.0 * invert_laplacian(f, g)
     b = -1.0 * invert_laplacian(h, g)
     return hodge_D1_star(a, b, g)
-
-
-# --------------------------------------------------------------------------
-# experimental general-metric backend
-# --------------------------------------------------------------------------
-
-def _round_frame_gradient(f_samples, grid):
-    """Round orthonormal-frame gradient components (G1, G2) of a scalar."""
-    f = SpinField.from_samples(grid, 0, f_samples)
-    ef = eth(f).samples
-    ebf = ethbar(f).samples
-    # eth f = -(G1 + i G2) with the reference dyad m = -(e_th + i e_ph)/sqrt(2)
-    G1 = -0.5 * (ef + ebf)
-    G2 = 0.5j * (ef - ebf)
-    return G1, G2
-
-
-def laplacian_general(f_samples, g: MetricRep):
-    """Divergence-form Laplacian from coordinate components (experimental).
-
-    The flux vector is assembled in round orthonormal-frame components on the
-    3/2-padded grid (the metric split into its spin-0 and spin-2 parts first),
-    and its divergence taken spectrally, so no bare coordinate derivatives of
-    non-scalars appear and quadratic aliasing is suppressed.
-    """
-    from .sphere import build_grid, ladder_lower, ladder_raise, pad_Lmax, \
-        raw_analyze, raw_synthesize
-
-    grid = g.grid
-    L = grid.Lmax
-    Lp = pad_Lmax(L)
-    pgrid = build_grid(Lp)
-
-    def to_pad(samples, spin):
-        c = raw_analyze(grid, samples, spin)
-        big = np.zeros((Lp + 1, 2 * Lp + 1), dtype=np.complex128)
-        big[: L + 1, Lp - L: Lp + L + 1] = c
-        return raw_synthesize(pgrid, big, spin)
-
-    # metric in frame components -> smooth spin pieces, then padded samples
-    gtt = g.components["tt"]
-    gtp = g.components["tp"]
-    gpp = g.components["pp"]
-    a = to_pad(0.5 * (gtt + gpp), 0)
-    b = to_pad(0.5 * (gtt - gpp) + 1j * gtp, 2)
-    tt = np.real(a) + np.real(b)
-    pp = np.real(a) - np.real(b)
-    tp = np.imag(b)
-    det = tt * pp - tp ** 2
-    sq = np.sqrt(np.maximum(det, 1e-300))
-
-    f = SpinField.from_samples(grid, 0, f_samples)
-    ef = to_pad(eth(f).samples, 1)
-    ebf = to_pad(ethbar(f).samples, -1)
-    G1 = -0.5 * (ef + ebf)
-    G2 = 0.5j * (ef - ebf)
-    V1 = (pp * G1 - tp * G2) / det * sq
-    V2 = (-tp * G1 + tt * G2) / det * sq
-    cp = raw_analyze(pgrid, -(V1 + 1j * V2) / SQRT2, 1)
-    cm = raw_analyze(pgrid, -(V1 - 1j * V2) / SQRT2, -1)
-    dc = (ladder_lower(cp, 1, Lp) + ladder_raise(cm, -1, Lp)) / SQRT2
-    divV = raw_synthesize(pgrid, dc, 0)
-    out = divV / sq
-    c_out = raw_analyze(pgrid, out, 0)[: L + 1, Lp - L: Lp + L + 1]
-    return raw_synthesize(grid, c_out, 0)
-
-
-def invert_laplacian_general(f: SpinField, g: MetricRep,
-                             rtol: float = 1e-11) -> SpinField:
-    """Round-Laplacian-preconditioned Krylov solve of the general-kind Laplacian."""
-    from scipy.sparse.linalg import LinearOperator, lgmres
-
-    grid = g.grid
-    sq = g.sqrt_det()
-    area = grid.integrate(sq)
-
-    def project(u):
-        return u - grid.integrate(u * sq) / area
-
-    shape = grid.shape
-    n = shape[0] * shape[1]
-
-    def matvec(x):
-        return project(laplacian_general(x.reshape(shape), g)).ravel()
-
-    ls = np.arange(grid.Lmax + 1, dtype=float)
-    pre = np.zeros_like(ls)
-    pre[1:] = -1.0 / (ls[1:] * (ls[1:] + 1.0))
-
-    def psolve(x):
-        u = SpinField.from_samples(grid, 0, x.reshape(shape))
-        v = SpinField.from_coeffs(grid, 0, u.coeffs * pre[:, None])
-        return project(v.samples).ravel()
-
-    A = LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
-    M = LinearOperator((n, n), matvec=psolve, dtype=np.complex128)
-    rhs = project(np.asarray(f.samples, dtype=np.complex128)).ravel()
-    x, info = lgmres(A, rhs, M=M, rtol=rtol, atol=0.0, maxiter=400)
-    if info != 0:
-        raise UnsupportedMetricError(f"general-metric Krylov solve failed ({info})")
-    return SpinField.from_samples(grid, 0, project(x.reshape(shape)))
-
-
-def conformal_to_general(g: MetricRep) -> MetricRep:
-    """Re-express a conformal-round metric through coordinate components."""
-    e2 = np.real(g.conformal_factor(2.0).samples)
-    comps = {"tt": e2, "tp": np.zeros_like(e2), "pp": e2}
-    return MetricRep(g.grid, components=comps, kind="general",
-                     enable_general_backend=True)

@@ -77,6 +77,14 @@ class TestSolve:
                     "--dv", str(1.0 / 16.0)]) == 3
         assert not (out / "manifest.json").exists()
 
+    def test_v_end_off_the_grid_exits_2(self, tmp_path, monkeypatch):
+        from nullfoliate import geodesic
+        data = geodesic.gen_schwarzschild(0.1, Lmax=6, n_s=24)
+        monkeypatch.setattr(cli.geodesic, "load", lambda path: data)
+        assert run(["solve", "--data", "unused", "--out",
+                    str(tmp_path / "fol"), "--delta", "0.3",
+                    "--dv", "0.03"]) == 2
+
     def test_missing_dataset_exits_5(self, tmp_path):
         assert run(["solve", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "fol")]) == 5

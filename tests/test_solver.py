@@ -5,8 +5,8 @@ import pytest
 
 from nullfoliate import geodesic, solver
 from nullfoliate.errors import (BreakdownError, ConfigurationError,
-                                LapseBoundError, NonFiniteIterateError,
-                                OutOfDomainError)
+                                LapseBoundError, NonConvergenceError,
+                                NonFiniteIterateError, OutOfDomainError)
 from nullfoliate.sphere import SpinField
 from nullfoliate.tensors import grad, hessian, mean
 
@@ -65,7 +65,7 @@ class TestConfig:
 class TestPicardWindow:
     def test_minkowski_exact_fixed_point(self, mink):
         """The flat cone converges at the first corrected iterate."""
-        cfg = solver.SolverConfig(delta=0.5, dv=1.0 / 32.0, tol=1e-12, Lmax=8)
+        cfg = solver.SolverConfig(delta=0.5, dv=1.0 / 32.0, tol=1e-12)
         win = solver.picard_window(mink, 1.0, np.ones(mink.grid.shape), cfg)
         assert win.iterations <= 2
         assert win.Delta_trace[-1] <= 1e-13
@@ -168,6 +168,44 @@ class TestContinueFoliation:
         for i in range(0, fol.n_levels, 9):
             met = fol.metric(i)
             assert abs(mean(fol.logOmega_field(i), met)) < 1e-11
+
+    def test_v_end_off_the_grid_rejected(self):
+        """delta = 0.3, dv = 0.03 used to mix spacings 0.025 and 0.03: v_end
+        - 1 must be a whole even number of dv steps."""
+        data = geodesic.gen_schwarzschild(0.1, Lmax=6, n_s=24)
+        cfg = solver.SolverConfig(delta=0.3, dv=0.03)
+        with pytest.raises(ConfigurationError):
+            solver.continue_foliation(data, cfg, v_end=2.0)
+        with pytest.raises(ConfigurationError):
+            solver.continue_foliation(
+                data, solver.SolverConfig(dv=0.05), v_end=1.15)
+
+    def test_uniform_grid_when_delta_is_no_even_multiple(self):
+        """delta = 5 dv: windows span 6 steps of dv, not 6 steps of delta/6."""
+        data = geodesic.gen_schwarzschild(0.1, Lmax=6, n_s=24)
+        cfg = solver.SolverConfig(delta=0.25, dv=0.05)
+        fol = solver.continue_foliation(data, cfg, v_end=2.0)
+        assert fol.n_levels == 21
+        assert np.max(np.abs(np.diff(fol.v_nodes) - 0.05)) <= 1e-14
+        assert abs(fol.v_nodes[-1] - 2.0) < 1e-12
+
+    def test_halved_windows_stay_on_the_grid(self, schw, monkeypatch):
+        """A rejected window is halved to a whole even number of dv steps."""
+        real = solver.picard_window
+        attempts = []
+
+        def flaky(data, v0, s0, cfg, delta=None):
+            attempts.append(delta)
+            if len(attempts) == 1:
+                raise NonConvergenceError("forced rejection")
+            return real(data, v0, s0, cfg, delta=delta)
+
+        monkeypatch.setattr(solver, "picard_window", flaky)
+        cfg = solver.SolverConfig(delta=0.3, dv=0.05)
+        fol = solver.continue_foliation(schw, cfg, v_end=1.5)
+        assert attempts[:2] == [6 * 0.05, 2 * 0.05]
+        assert np.max(np.abs(np.diff(fol.v_nodes) - 0.05)) <= 1e-14
+        assert abs(fol.v_nodes[-1] - 1.5) < 1e-12
 
     def test_breakdown_on_short_slab(self):
         data = geodesic.gen_minkowski(s_star=1.2, Lmax=8, n_s=24)

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from nullfoliate.errors import ConstraintError, UnsupportedMetricError
+from nullfoliate.errors import ConstraintError
 from nullfoliate.sphere import SpinField, multiply
-from nullfoliate.tensors import (MetricRep, SymTwoTensor,
-                                 conformal_to_general, curl, div, dot, dual,
-                                 grad, hat_otimes, hodge_D1, hodge_D1_star,
-                                 hodge_D2, hodge_D2_star, invert_D1,
-                                 invert_laplacian, laplacian, mean,
+from nullfoliate.tensors import (MetricRep, SymTwoTensor, curl, div, dot,
+                                 dual, grad, hat_otimes, hodge_D1,
+                                 hodge_D1_star, hodge_D2, hodge_D2_star,
+                                 invert_D1, invert_laplacian, laplacian, mean,
                                  trace_split, wedge)
 
 from conftest import harmonic, random_real_scalar, random_spin_field
@@ -216,31 +215,3 @@ class TestMean:
 
         gbig = MetricRep(big, psi=embed(psi12))
         assert abs(mean(f12, g12) - mean(embed(f12), gbig)) < 1e-11
-
-
-class TestGeneralBackend:
-    def test_matches_conformal_laplacian(self, conformal):
-        gg = conformal_to_general(conformal)
-        f = random_real_scalar(conformal.grid, seed=50, lmax=6)
-        lhs = laplacian(f, gg)
-        rhs = laplacian(f, conformal)
-        assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-9
-
-    def test_matches_conformal_inverse(self, conformal):
-        gg = conformal_to_general(conformal)
-        f = random_real_scalar(conformal.grid, seed=51, lmax=6)
-        rhs = laplacian(f, conformal)
-        u_gen = invert_laplacian(rhs, gg)
-        u_conf = invert_laplacian(rhs, conformal)
-        assert (u_gen - u_conf).max_abs() < 1e-9
-
-    def test_disabled_backend_raises(self, conformal):
-        gg = conformal_to_general(conformal)
-        gg.enable_general_backend = False
-        with pytest.raises(UnsupportedMetricError):
-            laplacian(random_real_scalar(conformal.grid, seed=52), gg)
-
-    def test_conformal_only_operations_guarded(self, conformal):
-        gg = conformal_to_general(conformal)
-        with pytest.raises(UnsupportedMetricError):
-            grad(random_real_scalar(conformal.grid, seed=53), gg)
