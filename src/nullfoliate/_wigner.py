@@ -76,13 +76,14 @@ def spin_lambda_tables(lmax, spin, theta):
     makes eth act as the +sqrt((l-s)(l+s+1)) ladder and reduces to orthonormal
     scalar harmonics with Condon-Shortley phase at spin 0.
 
-    Returns array of shape (lmax+1, 2*lmax+1, len(theta)), m-index offset by lmax.
+    Returns array of shape (2*lmax+1, len(theta), lmax+1) laid out as
+    lam[m+lmax, theta, l], so that each m is one contiguous (theta, l) matrix.
     """
     theta = np.asarray(theta, dtype=float)
-    out = np.zeros((lmax + 1, 2 * lmax + 1, theta.size))
+    out = np.zeros((2 * lmax + 1, theta.size, lmax + 1))
     ls = np.arange(lmax + 1)
     norm = np.sqrt((2.0 * ls + 1.0) / (4.0 * np.pi))
     for m in range(-lmax, lmax + 1):
         col = wigner_d_column(lmax, -m, spin, theta)
-        out[:, m + lmax, :] = ((-1.0) ** m) * norm[:, None] * col
+        out[m + lmax] = (((-1.0) ** m) * norm[:, None] * col).T
     return out

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, geodesic, solver
+from . import container, diagnostics, geodesic, solver
 from .errors import (BreakdownError, ConfigurationError, DatasetError,
                      NonConvergenceError, NonFiniteIterateError,
                      NullfoliateError)
@@ -111,6 +111,12 @@ def cmd_solve(args):
     data = geodesic.load(args.data)
     cfg = _solver_config(args)
     os.makedirs(args.out, exist_ok=True)
+    # whatever this solve ends in, no earlier run's foliation, trace or
+    # breakdown report may stay behind to be read as its result
+    container.discard(args.out)
+    for name in ("trace.csv", "breakdown.json"):
+        if os.path.exists(os.path.join(args.out, name)):
+            os.remove(os.path.join(args.out, name))
     try:
         fol = solver.continue_foliation(data, cfg, v_end=args.v_end)
     except BreakdownError as err:

@@ -54,6 +54,14 @@ def _replace_into(path, name, write):
     os.replace(tmp, os.path.join(path, name))
 
 
+def discard(path):
+    """Make any container under `path` unloadable by removing its manifest."""
+    try:
+        os.remove(os.path.join(path, MANIFEST))
+    except FileNotFoundError:
+        pass
+
+
 def write(path, kind, Lmax, nodes, arrays, meta=None):
     """Write a container of `kind` from {field: array}, in that field order.
 
@@ -71,8 +79,7 @@ def write(path, kind, Lmax, nodes, arrays, meta=None):
             raise DatasetError(f"field {name!r} contains non-finite values")
 
     os.makedirs(path, exist_ok=True)
-    if os.path.exists(os.path.join(path, MANIFEST)):
-        os.remove(os.path.join(path, MANIFEST))
+    discard(path)
     fields = []
     for name, arr in arrays.items():
         tag = "c128le" if np.iscomplexobj(arr) else "f64le"

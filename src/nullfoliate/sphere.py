@@ -10,6 +10,16 @@ of the round sphere, for which the spectral ladder
 realises the covariant derivative components (grad f)_m = eth f / sqrt(2) on
 the unit round sphere.  Pointwise products are formed on a 3/2-padded grid and
 truncated back to Lmax, so quadratic nonlinearities never alias.
+
+A transform is two dense stages.  The Legendre stage contracts the real
+Wigner table lam[m, theta, l] with the coefficients, one real matrix per m,
+all m in one batched np.matmul on the (real, imaginary) pairs of a real view;
+complex data never meets the real table in one product.  The Fourier stage is
+a complex matrix product with E[m, k] = exp(i m phi_k), or with its scaled
+conjugate for analysis.  nphi = 2 Lmax + 1 is odd and often prime (31, 47,
+71 at Lmax = 15, 23, 35), where an FFT falls back to Bluestein's algorithm;
+at these sizes the dense product is faster.  The table is cached once per
+(Lmax, spin) and the two DFT matrices once per Lmax.
 """
 
 from dataclasses import dataclass, field
@@ -54,7 +64,8 @@ class Grid:
 
 
 _GRIDS: dict = {}
-_TABLES: dict = {}
+_LEGENDRE: dict = {}  # (Lmax, spin) -> real table lam[m+Lmax, theta, l]
+_FOURIER: dict = {}  # Lmax -> (E, Einv), E[m+Lmax, k] = exp(i m phi_k)
 
 
 def build_grid(Lmax: int) -> Grid:
@@ -75,36 +86,51 @@ def build_grid(Lmax: int) -> Grid:
     return _GRIDS[Lmax]
 
 
-def _tables(Lmax, spin):
+def _legendre(Lmax, spin):
+    """The cached table lam[m+Lmax, theta, l] of one (Lmax, spin)."""
     key = (Lmax, spin)
-    if key not in _TABLES:
+    if key not in _LEGENDRE:
         grid = build_grid(Lmax)
-        _TABLES[key] = spin_lambda_tables(Lmax, spin, grid.theta_nodes)
-    return _TABLES[key]
+        _LEGENDRE[key] = spin_lambda_tables(Lmax, spin, grid.theta_nodes)
+    return _LEGENDRE[key]
+
+
+def _tables(Lmax, spin):
+    """lam[l, m+Lmax, theta]: a transposed view of the cached table."""
+    return _legendre(Lmax, spin).transpose(2, 0, 1)
+
+
+def _fourier(Lmax):
+    """(E, Einv) with E[m+Lmax, k] = exp(i m phi_k), Einv = conj(E).T 2pi/nphi."""
+    if Lmax not in _FOURIER:
+        grid = build_grid(Lmax)
+        ms = np.arange(-Lmax, Lmax + 1)
+        E = np.exp(1j * np.outer(ms, grid.phi_nodes))
+        _FOURIER[Lmax] = (E, E.conj().T * (2.0 * np.pi / grid.nphi))
+    return _FOURIER[Lmax]
 
 
 def raw_analyze(grid: Grid, samples, spin: int):
     """Coefficients a[l, m+Lmax] of a spin-weighted field; no spin-range check."""
     L = grid.Lmax
-    lam = _tables(L, spin)
-    fm = np.fft.fft(np.asarray(samples, dtype=np.complex128), axis=1)
-    fm *= 2.0 * np.pi / grid.nphi
-    # reorder FFT bins to m = -L..L
-    order = np.concatenate([np.arange(L + 1, 2 * L + 1), np.arange(L + 1)])
-    F = fm[:, order]  # (ntheta, 2L+1), column m+L
-    wF = (grid.weights[:, None] / (2.0 * np.pi)) * F
-    return np.einsum("lmt,tm->lm", lam, wF)
+    lam = _legendre(L, spin)
+    _, Einv = _fourier(L)
+    F = np.asarray(samples, dtype=np.complex128) @ Einv  # (theta, m)
+    F *= (grid.weights / (2.0 * np.pi))[:, None]
+    Fr = F.view(np.float64).reshape(L + 1, 2 * L + 1, 2).transpose(1, 0, 2)
+    a = np.matmul(lam.transpose(0, 2, 1), Fr)  # (m, l, re/im)
+    # Fortran-ordered (l, m): raw_synthesize takes its transpose without a copy
+    return a.view(np.complex128)[..., 0].T
 
 
 def raw_synthesize(grid: Grid, coeffs, spin: int):
     """Samples of a spin-weighted field from coefficients; no spin-range check."""
     L = grid.Lmax
-    lam = _tables(L, spin)
-    G = np.einsum("lmt,lm->tm", lam, np.asarray(coeffs, dtype=np.complex128))
-    X = np.zeros((grid.shape[0], grid.nphi), dtype=np.complex128)
-    ms = np.arange(-L, L + 1)
-    X[:, ms % grid.nphi] = G
-    return np.fft.ifft(X, axis=1) * grid.nphi
+    lam = _legendre(L, spin)
+    E, _ = _fourier(L)
+    cm = np.ascontiguousarray(np.asarray(coeffs, dtype=np.complex128).T)
+    G = np.matmul(lam, cm.view(np.float64).reshape(2 * L + 1, L + 1, 2))
+    return G.view(np.complex128)[..., 0].T @ E  # (theta, m) @ (m, k)
 
 
 def ladder_raise(coeffs, spin, Lmax):

@@ -65,6 +65,28 @@ class TestSolve:
                 arr = np.fromfile(os.path.join(out, name), dtype="<f8")
                 assert np.all(np.isfinite(arr))
 
+    def test_breakdown_leaves_no_earlier_foliation(self, workspace, tmp_path):
+        """A breakdown in a directory that held a foliation leaves nothing
+        loadable there: verify exits 5, not with the old foliation."""
+        root, ds, _ = workspace
+        out = str(tmp_path / "fol")
+        assert run(["solve", "--data", ds, "--out", out, "--v-end", "1.5",
+                    "--dv", str(1.0 / 32.0)]) == 0
+        cut = str(tmp_path / "cut")
+        assert run(["generate", "--model", "minkowski", "--lmax", "8",
+                    "--n-s", "24", "--s-star", "1.2", "--out", cut]) == 0
+        assert run(["solve", "--data", cut, "--out", out,
+                    "--dv", str(1.0 / 32.0)]) == 3
+        names = set(os.listdir(out))
+        assert "breakdown.json" in names
+        assert not names & {"manifest.json", "trace.csv"}
+        assert run(["verify", "--data", ds, "--foliation", out,
+                    "--out", str(tmp_path / "rep")]) == 5
+        # a later good solve does not keep the stale breakdown report
+        assert run(["solve", "--data", ds, "--out", out, "--v-end", "1.5",
+                    "--dv", str(1.0 / 32.0)]) == 0
+        assert "breakdown.json" not in os.listdir(out)
+
     def test_non_finite_iterate_exits_3(self, tmp_path, monkeypatch):
         """A dataset whose lapse turns NaN is a solver failure, not a
         converged foliation."""

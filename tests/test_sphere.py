@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nullfoliate.errors import (ConfigurationError, OutOfDomainError,
                                 UnsupportedSpinError)
-from nullfoliate.sphere import (SpinField, analyze, build_grid, eth, ethbar,
-                                interp_generator, laplacian_round, multiply,
+from nullfoliate.sphere import (SpinField, _tables, analyze, build_grid, eth,
+                                ethbar, interp_generator, laplacian_round,
+                                multiply, raw_analyze, raw_synthesize,
                                 synthesize)
 
 from conftest import harmonic, random_spin_field
@@ -97,6 +100,104 @@ class TestTransforms:
             for m in range(-l, l + 1):
                 lhs = lam_p[l, m + L] * (-1.0) ** (2 + m)
                 assert np.max(np.abs(lhs - lam_m[l, -m + L])) < 1e-12
+
+
+def _reference_synthesize(grid, coeffs, spin):
+    """The complex einsum + FFT synthesis the matmul plan replaced."""
+    L = grid.Lmax
+    lam = _tables(L, spin)
+    X = np.zeros(grid.shape, dtype=complex)
+    X[:, np.arange(-L, L + 1) % grid.nphi] = np.einsum("lmt,lm->tm", lam,
+                                                       coeffs)
+    return np.fft.ifft(X, axis=1) * grid.nphi
+
+
+def _reference_analyze(grid, samples, spin):
+    """The complex einsum + FFT analysis the matmul plan replaced."""
+    L = grid.Lmax
+    F = np.fft.fft(samples, axis=1) * (2.0 * np.pi / grid.nphi)
+    F = F[:, np.arange(-L, L + 1) % grid.nphi]
+    wF = (grid.weights[:, None] / (2.0 * np.pi)) * F
+    return np.einsum("lmt,tm->lm", _tables(L, spin), wF)
+
+
+def _band_limited(rng, Lmax, spin):
+    """Random coefficients, zero where l < max(|m|, |spin|)."""
+    c = rng.normal(size=(Lmax + 1, 2 * Lmax + 1)) \
+        + 1j * rng.normal(size=(Lmax + 1, 2 * Lmax + 1))
+    ls = np.arange(Lmax + 1)[:, None]
+    ms = np.arange(-Lmax, Lmax + 1)[None, :]
+    c[ls < np.maximum(abs(ms), abs(spin))] = 0.0
+    return c
+
+
+class TestTransformKernels:
+    @pytest.mark.parametrize("Lmax", [8, 15, 23, 35])
+    def test_match_einsum_fft_reference(self, Lmax):
+        """Samples and coefficients agree with the reference formula to
+        1e-13 relative, for every spin the derivative chains reach."""
+        grid = build_grid(Lmax)
+        rng = np.random.default_rng(Lmax)
+        for spin in range(-3, 4):
+            c = _band_limited(rng, Lmax, spin)
+            ref = _reference_synthesize(grid, c, spin)
+            x = raw_synthesize(grid, c, spin)
+            assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+            samples = rng.normal(size=grid.shape) \
+                + 1j * rng.normal(size=grid.shape)
+            ref = _reference_analyze(grid, samples, spin)
+            a = raw_analyze(grid, samples, spin)
+            assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(Lmax=st.integers(4, 30), spin=st.integers(-3, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_roundtrip_property(self, Lmax, spin, seed):
+        grid = build_grid(Lmax)
+        c = _band_limited(np.random.default_rng(seed), Lmax, spin)
+        back = raw_analyze(grid, raw_synthesize(grid, c, spin), spin)
+        assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(Lmax=st.integers(4, 24), spin_f=st.integers(-2, 2),
+           spin_g=st.integers(-2, 2), split=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_product_property(self, Lmax, spin_f, spin_g, split, seed):
+        """Degrees summing to <= Lmax: the padded product is the pointwise
+        product of the samples, with nothing aliased or truncated."""
+        grid = build_grid(Lmax)
+        lf = max(abs(spin_f), int(split * Lmax))
+        lg = max(abs(spin_g), Lmax - lf)
+        rng = np.random.default_rng(seed)
+        cf = _band_limited(rng, Lmax, spin_f)
+        cg = _band_limited(rng, Lmax, spin_g)
+        assume(lf + lg <= Lmax)
+        cf[lf + 1:] = 0.0
+        cg[lg + 1:] = 0.0
+        f = SpinField.from_coeffs(grid, spin_f, cf)
+        g = SpinField.from_coeffs(grid, spin_g, cg)
+        exact = f.samples * g.samples
+        p = multiply(f, g)
+        assert np.max(np.abs(p.samples - exact)) \
+            <= 1e-12 * max(np.max(np.abs(exact)), 1.0)
+
+    def test_one_table_per_spin_and_one_dft_pair_per_lmax(self, grid8):
+        """_tables is a view of the one stored table; nothing else is
+        cached beside it."""
+        from nullfoliate import sphere
+
+        for spin in range(-3, 4):
+            raw_synthesize(grid8, _band_limited(
+                np.random.default_rng(spin + 3), 8, spin), spin)
+        for (L, spin), lam in sphere._LEGENDRE.items():
+            assert lam.shape == (2 * L + 1, L + 1, L + 1)
+            assert lam.flags.c_contiguous and lam.base is None
+            assert np.shares_memory(_tables(L, spin), lam)
+        for L, pair in sphere._FOURIER.items():
+            E, Einv = pair
+            assert E.shape == Einv.shape == (2 * L + 1, 2 * L + 1)
+            assert any(key[0] == L for key in sphere._LEGENDRE)
+        assert {(8, s) for s in range(-3, 4)} <= set(sphere._LEGENDRE)
 
 
 class TestEth:
