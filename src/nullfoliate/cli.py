@@ -66,7 +66,7 @@ def _threads(args):
     env = os.environ.get("NULLFOLIATE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise ConfigurationError(
                 f"NULLFOLIATE_THREADS = {env!r} is not an integer")

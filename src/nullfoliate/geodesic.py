@@ -13,7 +13,8 @@ import numpy as np
 from . import _cheb, container
 from .errors import ConfigurationError
 from .reports import ResidualReport
-from .sphere import Grid, SpinField, build_grid, eth, interp_generator
+from .sphere import (GeneratorPack, Grid, SpinField, build_grid, eth,
+                     interp_generator)
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, curl, div,
                       div2, dot, grad, multiply, wedge)
 
@@ -66,17 +67,45 @@ class GeodesicNullData:
     def scalar_at(self, table, s_eval) -> SpinField:
         return SpinField.from_samples(self.grid, 0, self._interp(table, s_eval))
 
-    def oneform_at(self, table_plus, s_eval) -> OneForm:
-        plus = self._interp(table_plus, s_eval)
+    def _oneform(self, plus) -> OneForm:
         return OneForm(SpinField.from_samples(self.grid, 1, plus),
                        SpinField.from_samples(self.grid, -1, np.conj(plus)))
 
-    def symtensor_at(self, trace_table, hat_table, s_eval) -> SymTwoTensor:
-        tr = self._interp(trace_table, s_eval)
-        hat = self._interp(hat_table, s_eval)
+    def _symtensor(self, tr, hat) -> SymTwoTensor:
         return SymTwoTensor(SpinField.from_samples(self.grid, 0, tr),
                             SpinField.from_samples(self.grid, 2, hat),
                             SpinField.from_samples(self.grid, -2, np.conj(hat)))
+
+    def oneform_at(self, table_plus, s_eval) -> OneForm:
+        return self._oneform(self._interp(table_plus, s_eval))
+
+    def symtensor_at(self, trace_table, hat_table, s_eval) -> SymTwoTensor:
+        return self._symtensor(self._interp(trace_table, s_eval),
+                               self._interp(hat_table, s_eval))
+
+    @cached_property
+    def _source_pack(self):
+        tables = [self.psi, self.F1_table]
+        if not self.has_prescribed_forcing:
+            tables += [self.F2_table, *self.F3_tables, *self.F4_tables]
+        return GeneratorPack(self.s_nodes, tables)
+
+    def source_at(self, s_eval):
+        """(psi, F1, F2, F3, F4) of the lapse equation at heights s_eval.
+
+        s_eval is one leaf (ntheta, nphi) or a stack of leaves.  One set of
+        barycentric weights serves every table (see GeneratorPack).  psi is
+        returned as real samples, F1 as a spin-0 field, F2 as a 1-form and
+        F3, F4 as symmetric 2-tensors; F2..F4 are None under prescribed
+        forcing, where the source is F1 alone.
+        """
+        vals = self._source_pack(s_eval)
+        F1 = SpinField.from_samples(self.grid, 0, vals[1])
+        if self.has_prescribed_forcing:
+            return vals[0], F1, None, None, None
+        _, _, F2, tr3, hat3, tr4, hat4 = vals
+        return (vals[0], F1, self._oneform(F2), self._symtensor(tr3, hat3),
+                self._symtensor(tr4, hat4))
 
     def chi_at(self, s_eval) -> SymTwoTensor:
         return self.symtensor_at(self.trchi, self.chihat, s_eval)
@@ -107,15 +136,10 @@ class GeodesicNullData:
             self.grid, 0, np.real(self.psi[i])))
 
     def _node_oneform(self, table, i):
-        plus = SpinField.from_samples(self.grid, 1, table[i])
-        return OneForm(plus, SpinField.from_samples(self.grid, -1,
-                                                    np.conj(table[i])))
+        return self._oneform(table[i])
 
     def _node_sym(self, tr_table, hat_table, i):
-        return SymTwoTensor(
-            SpinField.from_samples(self.grid, 0, tr_table[i]),
-            SpinField.from_samples(self.grid, 2, hat_table[i]),
-            SpinField.from_samples(self.grid, -2, np.conj(hat_table[i])))
+        return self._symtensor(tr_table[i], hat_table[i])
 
     @cached_property
     def _dds(self):

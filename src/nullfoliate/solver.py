@@ -10,6 +10,12 @@ every node, monitoring boundedness (M_n) and contraction (Delta_n) until the
 fixed point is reached.  Accepted windows are concatenated; on
 non-contraction the window is halved down to delta_min before giving up.
 
+The elliptic updates of one sweep are independent.  They are solved in fixed
+blocks of LAPSE_BLOCK v-levels, each block as one stack of leaves (leading
+axis of every sample array, see sphere): one call per transform and one set
+of barycentric weights per block.  `threads` > 1 solves blocks concurrently;
+the blocks do not depend on the thread count, so neither do the results.
+
 Stopping rule.  A sweep is accepted when Delta_n <= tol.  The order-p monitor
 weights coefficient roundoff by (l(l+1))^{p/2}, so Delta_n cannot fall below
 roundoff_floor(p, Lmax, sup|iterate|); when that floor lies above tol the
@@ -32,9 +38,13 @@ from .errors import (BreakdownError, ConfigurationError, LapseBoundError,
                      OutOfDomainError)
 from .geodesic import GeodesicNullData
 from .reports import _fmt
-from .sphere import SpinField
+from .sphere import SpinField, raw_analyze
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract2, dot, grad,
                       hessian, invert_laplacian)
+
+# v-levels per stacked lapse solve: larger blocks amortise per-call overhead,
+# smaller ones bound the memory of the stacked temporaries
+LAPSE_BLOCK = 8
 
 
 @dataclass
@@ -64,6 +74,8 @@ class SolverConfig:
             raise ConfigurationError("tolerance must be positive")
         if self.dv <= 0.0:
             raise ConfigurationError("dv must be positive")
+        if self.threads < 1:
+            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
         if self.delta_min is None:
             self.delta_min = 2.0 * self.dv
 
@@ -79,7 +91,6 @@ class GraphState:
     v: float
     s: SpinField
     logOmega: SpinField
-    metric: MetricRep
 
 
 @dataclass
@@ -168,19 +179,20 @@ def induced_metric(data: GeodesicNullData, s_samples) -> MetricRep:
 
 
 def assemble_F(data: GeodesicNullData, s_samples, metric: MetricRep,
-               gradient: OneForm, hess: SymTwoTensor) -> SpinField:
-    """Elliptic source F = F1(s) + F2(s).grad s + F3(s).grad s.grad s + F4(s).Hess s."""
-    g = data.grid
-    s = np.real(s_samples)
-    F = data.scalar_at(data.F1_table, s)
+               gradient: OneForm, hess: SymTwoTensor,
+               source=None) -> SpinField:
+    """Elliptic source F = F1(s) + F2(s).grad s + F3(s).grad s.grad s + F4(s).Hess s.
+
+    s_samples is one leaf or a stack of leaves.  `source` is
+    data.source_at(s_samples) when the caller has it already.  Under
+    prescribed forcing F = F1, and gradient and hess are not read.
+    """
+    if source is None:
+        source = data.source_at(np.real(s_samples))
+    _, F, F2, F3, F4 = source
     if not data.has_prescribed_forcing:
-        F2 = data.oneform_at(data.F2_table, s)
         F = F + dot(F2, gradient)
-        tr3, hat3 = data.F3_tables
-        F3 = data.symtensor_at(tr3, hat3, s)
         F = F + contract2(F3, gradient, gradient)
-        tr4, hat4 = data.F4_tables
-        F4 = data.symtensor_at(tr4, hat4, s)
         F = F + dot(F4, hess)
     return F
 
@@ -191,13 +203,21 @@ def solve_lapse(metric: MetricRep, F: SpinField) -> SpinField:
 
 
 def _lapse_at(data, s_samples):
-    metric = induced_metric(data, s_samples)
-    sf = SpinField.from_samples(data.grid, 0, np.real(s_samples))
-    gradient = grad(sf, metric)
-    hess = hessian(sf, metric)
-    F = assemble_F(data, s_samples, metric, gradient, hess)
-    logOm = solve_lapse(metric, F)
-    return np.real(logOm.samples), metric
+    """log Omega samples on one leaf (ntheta, nphi) or a stack of leaves.
+
+    The leaves of a stack are independent; they share every transform call
+    and one set of barycentric weights.  grad s and Hess s are only formed
+    when the source reads them (not under prescribed forcing).
+    """
+    s = np.real(s_samples)
+    source = data.source_at(s)
+    metric = MetricRep(data.grid, psi=source[0])
+    gradient = hess = None
+    if not data.has_prescribed_forcing:
+        sf = SpinField.from_samples(data.grid, 0, s)
+        gradient, hess = grad(sf, metric), hessian(sf, metric)
+    F = assemble_F(data, s, metric, gradient, hess, source)
+    return np.real(solve_lapse(metric, F).samples)
 
 
 def cumulative_integral(values, dv):
@@ -242,16 +262,14 @@ def cumulative_integral(values, dv):
     return out
 
 
-def _sobolev_sum(field: SpinField, order):
-    """sum_{l <= order} ||grad_ring^l f||_{L2(round)} from the coefficients."""
-    c = field.coeffs
-    lam = np.arange(field.grid.Lmax + 1, dtype=float)
+def _sobolev_sum(coeffs, order):
+    """sum_{p <= order} ||grad_ring^p f||_{L2(round)} per field of a stack of
+    spin-0 coefficients (..., l, m)."""
+    lam = np.arange(coeffs.shape[-2], dtype=float)
     lam = lam * (lam + 1.0)
-    total = 0.0
-    power = np.abs(c) ** 2
-    for p in range(order + 1):
-        total += float(np.sqrt(np.sum(lam[:, None] ** p * power)))
-    return total
+    power = np.abs(coeffs) ** 2
+    return sum(np.sqrt(np.sum(lam[:, None] ** p * power, axis=(-2, -1)))
+               for p in range(order + 1))
 
 
 def roundoff_floor(order, Lmax, sup):
@@ -286,7 +304,7 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
         raise OutOfDomainError(
             f"initial leaf within {cfg.margin} of the slab end s* = {data.s_star}")
 
-    logOm0, metric0 = _lapse_at(data, s0)
+    logOm0 = _lapse_at(data, s0)
     _require_finite(logOm0, "seed lapse", v0, 0)
     if np.max(np.abs(logOm0)) > cfg.seed_bound:
         raise LapseBoundError(
@@ -296,18 +314,17 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
     nshape = (steps + 1,) + grid.shape
     s_n = np.broadcast_to(s0, nshape).copy()
     logOm_n = np.broadcast_to(logOm0, nshape).copy()
-    metrics = [metric0] * (steps + 1)
+    # level 0 is the seed leaf in every sweep (the quadrature starts at 0
+    # there), so its lapse is logOm0; the other levels go in fixed blocks
+    blocks = [slice(j, min(j + LAPSE_BLOCK, steps + 1))
+              for j in range(1, steps + 1, LAPSE_BLOCK)]
 
     def monitor(sa, la, sb, lb):
-        worst = 0.0
-        for j in range(steps + 1):
-            ds = SpinField.from_samples(grid, 0, sa[j] - sb[j])
-            dl = SpinField.from_samples(grid, 0, la[j] - lb[j])
-            val = _sobolev_sum(ds, order) + _sobolev_sum(dl, order) \
-                + float(np.max(np.abs(sa[j] - sb[j]))) \
-                + float(np.max(np.abs(la[j] - lb[j])))
-            worst = max(worst, val)
-        return worst
+        """Largest per-level order-p Sobolev sum plus sup of the differences."""
+        d = np.stack([sa - sb, la - lb])  # (2, levels, ntheta, nphi)
+        sob = _sobolev_sum(raw_analyze(grid, d, 0), order)
+        sup = np.max(np.abs(d), axis=(-2, -1))
+        return float(np.max(sob[0] + sob[1] + sup[0] + sup[1]))
 
     M_trace, Delta_trace = [], []
     pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
@@ -319,15 +336,11 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
             if np.min(s_next) < 1.0 - 1e-12:
                 raise OutOfDomainError("graph left the slab from below")
 
-            def solve_node(j):
-                return _lapse_at(data, s_next[j])
+            def solve_block(b):
+                return _lapse_at(data, s_next[b])
 
-            if pool is not None:
-                results = list(pool.map(solve_node, range(steps + 1)))
-            else:
-                results = [solve_node(j) for j in range(steps + 1)]
-            logOm_next = np.stack([r[0] for r in results])
-            metrics = [r[1] for r in results]
+            lapses = (pool.map if pool is not None else map)(solve_block, blocks)
+            logOm_next = np.concatenate([logOm0[None]] + list(lapses))
             _require_finite(logOm_next, "lapse iterate", v0, n)
 
             if np.max(np.abs(logOm_next)) >= cfg.lapse_bound:
@@ -348,8 +361,7 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
                     states = [GraphState(v_nodes[j],
                                          SpinField.from_samples(grid, 0, s_n[j]),
                                          SpinField.from_samples(grid, 0,
-                                                                logOm_n[j]),
-                                         metrics[j])
+                                                                logOm_n[j]))
                               for j in range(steps + 1)]
                     return WindowSolution(v_nodes, states, M_trace, Delta_trace,
                                           kappa, n)
@@ -404,7 +416,7 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
     s0 = np.ones(grid.shape)
     all_v = [np.array([1.0])]
     all_s = [s0[None, ...].copy()]
-    logOm_first, _ = _lapse_at(data, s0)
+    logOm_first = _lapse_at(data, s0)
     all_log = [logOm_first[None, ...]]
     windows = []
     steps = _even_steps(cfg.delta, cfg.dv)

@@ -20,13 +20,20 @@ conjugate for analysis.  nphi = 2 Lmax + 1 is odd and often prime (31, 47,
 71 at Lmax = 15, 23, 35), where an FFT falls back to Bluestein's algorithm;
 at these sizes the dense product is faster.  The table is cached once per
 (Lmax, spin) and the two DFT matrices once per Lmax.
+
+Stacks.  Samples (..., ntheta, nphi) and coefficients (..., Lmax+1, 2Lmax+1)
+may carry leading stack axes, e.g. the v-levels of a Picard window.  A
+transform folds the stack into the columns of its one Legendre matmul and its
+one Fourier matmul, so a stack costs two matrix products, not one pair per
+field.  SpinField, multiply and Grid.integrate broadcast over the stack; a
+2-D field takes the same arithmetic as before the stack axis existed.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cheb import barycentric_interp
+from ._cheb import barycentric_interp, barycentric_weights
 from ._wigner import spin_lambda_tables
 from .errors import ConfigurationError, OutOfDomainError, UnsupportedSpinError
 
@@ -51,9 +58,14 @@ class Grid:
         return 2 * self.Lmax + 1
 
     def integrate(self, samples):
-        """Quadrature of samples against the round measure dOmega."""
+        """Quadrature of samples against the round measure dOmega.
+
+        A stack (..., ntheta, nphi) gives an array, one value per field.
+        """
         samples = np.asarray(samples)
-        val = np.sum(self.weights * samples.mean(axis=1))
+        val = np.sum(self.weights * samples.mean(axis=-1), axis=-1)
+        if samples.ndim > 2:
+            return val
         if np.iscomplexobj(samples):
             return complex(val) if abs(val.imag) > 1e-13 * (abs(val.real) + 1.0) \
                 else float(val.real)
@@ -111,26 +123,47 @@ def _fourier(Lmax):
 
 
 def raw_analyze(grid: Grid, samples, spin: int):
-    """Coefficients a[l, m+Lmax] of a spin-weighted field; no spin-range check."""
+    """Coefficients a[..., l, m+Lmax] of a spin-weighted field or a stack of
+    them (samples (..., ntheta, nphi)); no spin-range check."""
     L = grid.Lmax
     lam = _legendre(L, spin)
     _, Einv = _fourier(L)
-    F = np.asarray(samples, dtype=np.complex128) @ Einv  # (theta, m)
-    F *= (grid.weights / (2.0 * np.pi))[:, None]
-    Fr = F.view(np.float64).reshape(L + 1, 2 * L + 1, 2).transpose(1, 0, 2)
-    a = np.matmul(lam.transpose(0, 2, 1), Fr)  # (m, l, re/im)
-    # Fortran-ordered (l, m): raw_synthesize takes its transpose without a copy
-    return a.view(np.complex128)[..., 0].T
+    s = np.asarray(samples, dtype=np.complex128)
+    if s.ndim == 2:
+        F = s @ Einv  # (theta, m)
+        F *= (grid.weights / (2.0 * np.pi))[:, None]
+        Fr = F.view(np.float64).reshape(L + 1, 2 * L + 1, 2).transpose(1, 0, 2)
+    else:  # (m, theta, stack re/im pairs in reversed stack order)
+        F = (s.reshape(-1, grid.nphi) @ Einv).reshape(s.shape)
+        F *= (grid.weights / (2.0 * np.pi))[:, None]
+        Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(
+            2 * L + 1, L + 1, -1)
+    a = np.matmul(lam.transpose(0, 2, 1), Fr)  # (m, l, 2 * stack)
+    # Fortran-ordered (..., l, m): raw_synthesize takes its transpose without
+    # a copy
+    return a.view(np.complex128).reshape(
+        (2 * L + 1, L + 1) + F.shape[-3::-1]).T
 
 
 def raw_synthesize(grid: Grid, coeffs, spin: int):
-    """Samples of a spin-weighted field from coefficients; no spin-range check."""
+    """Samples (..., ntheta, nphi) of a spin-weighted field or a stack of
+    them from coefficients (..., l, m+Lmax); no spin-range check.
+
+    Reads the coefficients through their full transpose (m, l, reversed
+    stack), so a Fortran-ordered array is used without a copy.
+    """
     L = grid.Lmax
     lam = _legendre(L, spin)
     E, _ = _fourier(L)
-    cm = np.ascontiguousarray(np.asarray(coeffs, dtype=np.complex128).T)
-    G = np.matmul(lam, cm.view(np.float64).reshape(2 * L + 1, L + 1, 2))
-    return G.view(np.complex128)[..., 0].T @ E  # (theta, m) @ (m, k)
+    c = np.asarray(coeffs, dtype=np.complex128)
+    cm = np.ascontiguousarray(c.T)
+    G = np.matmul(lam, cm.view(np.float64).reshape(2 * L + 1, L + 1, -1))
+    S = G.view(np.complex128).reshape(2 * L + 1, -1).T @ E  # (theta, m) @ (m, k)
+    if c.ndim == 2:
+        return S
+    n = c.ndim - 2  # rows of S run over (theta, reversed stack)
+    return S.reshape((L + 1,) + c.shape[:n][::-1] + (grid.nphi,)).transpose(
+        tuple(range(n, 0, -1)) + (0, n + 1))
 
 
 def ladder_raise(coeffs, spin, Lmax):
@@ -162,15 +195,17 @@ class SpinField:
 
     @classmethod
     def from_coeffs(cls, grid, spin, coeffs):
+        """Field (or stack of fields) from coefficients (..., l, m+Lmax)."""
         c = np.asarray(coeffs, dtype=np.complex128)
-        if c.shape != (grid.Lmax + 1, 2 * grid.Lmax + 1):
+        if c.shape[-2:] != (grid.Lmax + 1, 2 * grid.Lmax + 1):
             raise ValueError("coefficient array has wrong shape")
         return cls(grid, spin, coeffs=c)
 
     @classmethod
     def from_samples(cls, grid, spin, samples):
+        """Field (or stack of fields) from samples (..., ntheta, nphi)."""
         s = np.asarray(samples, dtype=np.complex128)
-        if s.shape != (grid.Lmax + 1, 2 * grid.Lmax + 1):
+        if s.shape[-2:] != (grid.Lmax + 1, 2 * grid.Lmax + 1):
             raise ValueError("sample array has wrong shape")
         return cls(grid, spin, samples=s)
 
@@ -181,8 +216,11 @@ class SpinField:
 
     @classmethod
     def constant(cls, grid, value):
-        return cls.from_samples(grid, 0, np.full(grid.shape, value,
-                                                 dtype=np.complex128))
+        """Spin-0 constant; an array of values gives a stack of constants."""
+        value = np.asarray(value, dtype=np.complex128)
+        samples = np.empty(value.shape + grid.shape, dtype=np.complex128)
+        samples[...] = value[..., None, None]
+        return cls.from_samples(grid, 0, samples)
 
     @property
     def coeffs(self):
@@ -321,7 +359,9 @@ def multiply(*fields: SpinField) -> SpinField:
     """Pointwise product evaluated on the 3/2-padded grid, truncated to Lmax.
 
     Factors beyond the second are folded in pairwise, re-truncating between,
-    so each step stays alias-free.
+    so each step stays alias-free.  Stacked factors broadcast against each
+    other.  The padded coefficients are allocated Fortran-ordered, the layout
+    raw_synthesize reads without a copy.
     """
     if len(fields) < 2:
         return fields[0]
@@ -332,17 +372,39 @@ def multiply(*fields: SpinField) -> SpinField:
     spin = f.spin + g.spin
     Lp = pad_Lmax(grid.Lmax)
     pgrid = build_grid(Lp)
-    fa = np.zeros((Lp + 1, 2 * Lp + 1), dtype=np.complex128)
-    ga = np.zeros_like(fa)
     L = grid.Lmax
-    fa[: L + 1, Lp - L: Lp + L + 1] = f.coeffs
-    ga[: L + 1, Lp - L: Lp + L + 1] = g.coeffs
-    prod = raw_synthesize(pgrid, fa, f.spin) * raw_synthesize(pgrid, ga, g.spin)
+    padded = []
+    for h in (f, g):
+        c = h.coeffs
+        a = np.zeros(c.shape[:-2] + (Lp + 1, 2 * Lp + 1), dtype=np.complex128,
+                     order="F")
+        a[..., : L + 1, Lp - L: Lp + L + 1] = c
+        padded.append(a)
+    prod = raw_synthesize(pgrid, padded[0], f.spin) \
+        * raw_synthesize(pgrid, padded[1], g.spin)
     big = raw_analyze(pgrid, prod, spin)
-    out = SpinField(grid, spin, coeffs=big[: L + 1, Lp - L: Lp + L + 1].copy())
+    out = SpinField(grid, spin,
+                    coeffs=big[..., : L + 1, Lp - L: Lp + L + 1].copy())
     if len(fields) > 2:
         return multiply(out, *fields[2:])
     return out
+
+
+def _heights(s_nodes, s_eval, domain):
+    """Real heights s_eval, checked against the data slab and clipped to it.
+
+    Raises OutOfDomainError if any height leaves [lo, hi] (default: the node
+    range) by more than roundoff.
+    """
+    lo = s_nodes[0] if domain is None else domain[0]
+    hi = s_nodes[-1] if domain is None else domain[1]
+    sv = np.asarray(np.real(s_eval), dtype=float)
+    slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
+    if np.min(sv) < lo - slack or np.max(sv) > hi + slack:
+        raise OutOfDomainError(
+            f"evaluation height range [{np.min(sv):.6g}, {np.max(sv):.6g}] "
+            f"leaves the data slab [{lo:.6g}, {hi:.6g}]")
+    return np.clip(sv, lo, hi)
 
 
 def interp_generator(table, s_nodes, s_eval, domain=None):
@@ -354,15 +416,57 @@ def interp_generator(table, s_nodes, s_eval, domain=None):
     any evaluation height leaves [s_nodes[0], s_nodes[-1]] (the data slab).
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
-    lo = s_nodes[0] if domain is None else domain[0]
-    hi = s_nodes[-1] if domain is None else domain[1]
-    sv = np.asarray(np.real(s_eval), dtype=float)
-    slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
-    if np.min(sv) < lo - slack or np.max(sv) > hi + slack:
-        raise OutOfDomainError(
-            f"evaluation height range [{np.min(sv):.6g}, {np.max(sv):.6g}] "
-            f"leaves the data slab [{lo:.6g}, {hi:.6g}]")
-    sv = np.clip(sv, lo, hi)
+    sv = _heights(s_nodes, s_eval, domain)
     if sv.ndim == 0:
         sv = np.full(table.shape[1:], float(sv))
     return barycentric_interp(s_nodes, table, sv)
+
+
+class GeneratorPack:
+    """Several generator tables read together at shared heights.
+
+    The tables, each (n_s, ntheta, nphi) on the CGL nodes s_nodes and real or
+    complex, are stored once in a real point-major layout
+    (ntheta*nphi, n_s, columns): one column per real table, a (re, im) pair
+    per complex one, and a last column of ones.  A call computes the
+    barycentric weights of its heights once, as (ntheta*nphi, stack, n_s),
+    and reads every table with one batched matmul (points x stack x n_s
+    against points x n_s x columns); the column of ones gives the weight
+    sums.  Same domain rule and exact-node handling as
+    interp_generator.
+    """
+
+    def __init__(self, s_nodes, tables):
+        self.s_nodes = np.asarray(s_nodes, dtype=float)
+        n = self.s_nodes.size
+        cols, self._slots = [], []
+        for t in tables:
+            self._slots.append((len(cols), np.iscomplexobj(t)))
+            cols += [t.real, t.imag] if np.iscomplexobj(t) else [t]
+        cols.append(np.ones_like(cols[0]))
+        self.packed = np.stack([c.reshape(n, -1) for c in cols],
+                               axis=-1).transpose(1, 0, 2).copy()
+        self._w = barycentric_weights(n)
+
+    def __call__(self, s_eval):
+        """Every table at the heights s_eval (..., ntheta, nphi), in order."""
+        x = _heights(self.s_nodes, s_eval, None)
+        xp = np.ascontiguousarray(x.reshape(-1, self.packed.shape[0]).T)
+        # weights stored node-major, (n_s, points, stack), for long inner
+        # loops; the matmul reads them as (points, stack, n_s)
+        diff = xp - self.s_nodes[:, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.divide(self._w[:, None, None], diff, out=diff)
+            vals = np.matmul(c.transpose(1, 2, 0), self.packed)
+        # an exact node hit has an infinite weight; it reads that node's row
+        hit = np.isinf(vals[..., -1])
+        if hit.any():
+            node = np.argmax(xp[hit][:, None] == self.s_nodes, axis=-1)
+            vals[hit] = self.packed[np.nonzero(hit)[0], node]
+        vals /= vals[..., -1:]
+        out = []
+        for k, cplx in self._slots:
+            v = vals[..., k:k + 2].view(np.complex128)[..., 0] if cplx \
+                else vals[..., k]
+            out.append(v.T.reshape(x.shape))
+        return out

@@ -12,7 +12,8 @@ All covariant operators reduce to the round eth ladder with conformal weights,
 
 which keeps Laplace inversion exact: Delta_g f = e^{-2 psi} Delta_ring f.
 Every leaf metric of a graph foliation has this form, so MetricRep holds
-nothing but the conformal factor psi.
+nothing but the conformal factor psi.  Fields and metrics may be stacks of
+leaves (see sphere); every operation here acts leaf by leaf.
 """
 
 import numpy as np
@@ -52,7 +53,7 @@ class MetricRep:
 
     @property
     def area(self):
-        return float(self.grid.integrate(self.sqrt_det()))
+        return self.grid.integrate(self.sqrt_det())
 
     def gauss_curvature(self):
         """Gauss curvature K = e^{-2 psi}(1 - Delta_ring psi)."""
@@ -310,13 +311,13 @@ def rough_laplacian_oneform(X: OneForm, g: MetricRep) -> OneForm:
 
 
 def mean(f: SpinField, g: MetricRep):
-    """Average of f against the g-measure."""
+    """Average of f against the g-measure; one value per field of a stack."""
     dens = g.sqrt_det()
     re = g.grid.integrate(np.real(f.samples) * dens)
     im = g.grid.integrate(np.imag(f.samples) * dens)
-    if abs(im) > 1e-13 * (abs(re) + 1.0):
+    if np.any(np.abs(im) > 1e-13 * (np.abs(re) + 1.0)):
         return (re + 1j * im) / g.area
-    return float(re / g.area)
+    return re / g.area
 
 
 # --------------------------------------------------------------------------
@@ -353,6 +354,7 @@ def invert_laplacian(f: SpinField, g: MetricRep) -> SpinField:
     """Mean-free u with Delta_g u = f - mean_g(f).
 
     Exact by conformal covariance: Delta_ring u = e^{2 psi}(f - mean f).
+    A stack of fields over a stack of metrics is solved field by field.
     """
     fm = mean(f, g)
     rhs = multiply(g.conformal_factor(2.0), f - SpinField.constant(g.grid, fm))

@@ -107,6 +107,17 @@ class TestSolve:
                     str(tmp_path / "fol"), "--delta", "0.3",
                     "--dv", "0.03"]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_bad_thread_count_exits_2(self, workspace, tmp_path, monkeypatch,
+                                      threads):
+        _, ds, _ = workspace
+        out = tmp_path / "fol"
+        assert run(["solve", "--data", ds, "--out", str(out),
+                    "--threads", threads]) == 2
+        monkeypatch.setenv("NULLFOLIATE_THREADS", threads)
+        assert run(["solve", "--data", ds, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_dataset_exits_5(self, tmp_path):
         assert run(["solve", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "fol")]) == 5

@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             solver.SolverConfig(tol=-1e-10)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_invalid_threads(self, threads):
+        with pytest.raises(ConfigurationError):
+            solver.SolverConfig(threads=threads)
+
 
 class TestPicardWindow:
     def test_minkowski_exact_fixed_point(self, mink):
@@ -214,6 +219,20 @@ class TestContinueFoliation:
             solver.continue_foliation(data, cfg, v_end=2.0)
         assert abs(err.value.last_good_v - 1.2) < 0.1
 
+    def test_threads_split_blocks_identically(self, mms_small):
+        """A window of several lapse blocks, so the pool really splits the
+        sweep: the foliation is bitwise independent of the thread count."""
+        data, _ = mms_small
+        assert solver._even_steps(0.25, 1.0 / 128.0) >= 2 * solver.LAPSE_BLOCK
+        fols = [solver.continue_foliation(
+                    data, solver.SolverConfig(delta=0.25, dv=1.0 / 128.0,
+                                              threads=t), v_end=1.25)
+                for t in (1, 2)]
+        assert fols[0].n_levels == 33
+        assert np.array_equal(fols[0].s, fols[1].s)
+        assert np.array_equal(fols[0].logOmega, fols[1].logOmega)
+        assert fols[0].trace_rows() == fols[1].trace_rows()
+
     def test_threads_give_identical_results(self, mms_small):
         data, _ = mms_small
         f1 = solver.continue_foliation(
@@ -224,6 +243,43 @@ class TestContinueFoliation:
             v_end=1.5)
         assert np.array_equal(f1.s, f2.s)
         assert np.array_equal(f1.logOmega, f2.logOmega)
+
+
+class TestStackedLapse:
+    """_lapse_at on a stack of leaves equals it leaf by leaf."""
+
+    @staticmethod
+    def _leaves(grid, heights, seed):
+        from conftest import random_real_scalar
+
+        bumps = [np.real(random_real_scalar(grid, seed + k, lmax=4).samples)
+                 for k in range(len(heights))]
+        return np.stack([h + 0.02 * b / np.max(np.abs(b))
+                         for h, b in zip(heights, bumps)])
+
+    @pytest.mark.parametrize("name", ["schw", "mms_small"])
+    def test_stack_matches_levels(self, name, request):
+        data = request.getfixturevalue(name)
+        data = data[0] if isinstance(data, tuple) else data
+        leaves = self._leaves(data.grid, [1.05, 1.2, 1.2, 1.4, 1.7], seed=11)
+        stacked = solver._lapse_at(data, leaves)
+        assert stacked.shape == leaves.shape
+        for leaf, got in zip(leaves, stacked):
+            ref = solver._lapse_at(data, leaf)
+            assert np.max(np.abs(ref)) > 1e-6  # a non-trivial lapse
+            assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_prescribed_forcing_forms_no_derivatives(self, mms_small,
+                                                     monkeypatch):
+        data, _ = mms_small
+
+        def unused(*args):
+            raise AssertionError("grad s / Hess s formed for a prescribed F")
+
+        monkeypatch.setattr(solver, "grad", unused)
+        monkeypatch.setattr(solver, "hessian", unused)
+        leaves = self._leaves(data.grid, [1.1, 1.3], seed=2)
+        assert np.all(np.isfinite(solver._lapse_at(data, leaves)))
 
 
 class TestFoliationIO:

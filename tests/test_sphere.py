@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from nullfoliate.errors import (ConfigurationError, OutOfDomainError,
                                 UnsupportedSpinError)
-from nullfoliate.sphere import (SpinField, _tables, analyze, build_grid, eth,
-                                ethbar, interp_generator, laplacian_round,
-                                multiply, raw_analyze, raw_synthesize,
-                                synthesize)
+from nullfoliate.sphere import (GeneratorPack, SpinField, _tables, analyze,
+                                build_grid, eth, ethbar, interp_generator,
+                                laplacian_round, multiply, raw_analyze,
+                                raw_synthesize, synthesize)
 
 from conftest import harmonic, random_spin_field
 
@@ -260,6 +260,135 @@ def _embed(coeffs, L, Lbig):
     out = np.zeros((Lbig + 1, 2 * Lbig + 1), dtype=complex)
     out[:L + 1, Lbig - L:Lbig + L + 1] = coeffs
     return out
+
+
+class TestStacks:
+    """A leading stack axis gives the per-field results of 2-D calls."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(Lmax=st.sampled_from([8, 15, 23]), spin=st.integers(-2, 2),
+           depth=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_transforms_match_slices(self, Lmax, spin, depth, seed):
+        grid = build_grid(Lmax)
+        rng = np.random.default_rng(seed)
+        c = np.stack([_band_limited(rng, Lmax, spin) for _ in range(depth)])
+        x = raw_synthesize(grid, c, spin)
+        ref = np.stack([raw_synthesize(grid, ci, spin) for ci in c])
+        assert x.shape == (depth,) + grid.shape
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+        samples = rng.normal(size=(depth,) + grid.shape) \
+            + 1j * rng.normal(size=(depth,) + grid.shape)
+        a = raw_analyze(grid, samples, spin)
+        ref = np.stack([raw_analyze(grid, si, spin) for si in samples])
+        assert a.shape == (depth,) + c.shape[1:]
+        assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_two_stack_axes(self, grid8):
+        rng = np.random.default_rng(5)
+        c = np.stack([[_band_limited(rng, 8, 1) for _ in range(3)]
+                      for _ in range(2)])
+        x = raw_synthesize(grid8, c, 1)
+        assert x.shape == (2, 3) + grid8.shape
+        for i in range(2):
+            for j in range(3):
+                ref = raw_synthesize(grid8, c[i, j], 1)
+                assert np.max(np.abs(x[i, j] - ref)) \
+                    <= 1e-13 * np.max(np.abs(ref))
+        back = raw_analyze(grid8, x, 1)
+        assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+
+    def test_multiply_and_integrate_broadcast(self, grid8):
+        fs = [random_spin_field(grid8, 1, seed=k) for k in range(4)]
+        gs = [random_spin_field(grid8, -1, seed=10 + k) for k in range(4)]
+        f = SpinField.from_coeffs(grid8, 1, np.stack([x.coeffs for x in fs]))
+        g = SpinField.from_coeffs(grid8, -1, np.stack([x.coeffs for x in gs]))
+        p = multiply(f, g)
+        for k in range(4):
+            ref = multiply(fs[k], gs[k])
+            assert np.max(np.abs(p.coeffs[k] - ref.coeffs)) \
+                <= 1e-13 * np.max(np.abs(ref.coeffs))
+        # a single field broadcasts against the stack
+        q = multiply(fs[0], g)
+        assert np.max(np.abs(q.coeffs[2] - multiply(fs[0], gs[2]).coeffs)) \
+            <= 1e-13 * np.max(np.abs(q.coeffs[2]))
+        vals = grid8.integrate(p.samples)
+        assert vals.shape == (4,)
+        for k in range(4):
+            assert abs(vals[k] - grid8.integrate(p.samples[k])) <= 1e-13 * (
+                abs(vals[k]) + 1.0)
+
+    def test_padded_operands_are_read_without_a_copy(self, grid8,
+                                                      monkeypatch):
+        """multiply hands raw_synthesize Fortran-ordered padded arrays, whose
+        full transpose is already the (m, l) layout it reads."""
+        from nullfoliate import sphere
+
+        seen = []
+        real = sphere.raw_synthesize
+
+        def spy(grid, coeffs, spin):
+            seen.append(np.asarray(coeffs).T.flags.c_contiguous)
+            return real(grid, coeffs, spin)
+
+        monkeypatch.setattr(sphere, "raw_synthesize", spy)
+        f = random_spin_field(grid8, 0, seed=1)
+        stack = SpinField.from_coeffs(
+            grid8, 0, np.stack([f.coeffs, 2.0 * f.coeffs]))
+        multiply(f, f)
+        multiply(stack, stack)
+        assert seen == [True] * 4
+
+
+class TestGeneratorPack:
+    """Shared-weight reads equal per-table interp_generator reads."""
+
+    def _tables(self, grid, s_nodes, seed):
+        rng = np.random.default_rng(seed)
+        shape = (len(s_nodes),) + grid.shape
+        real = np.cos(s_nodes)[:, None, None] * rng.normal(size=shape)
+        cplx = (s_nodes ** 2)[:, None, None] * (
+            rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        return [real, cplx, 2.0 * real]
+
+    def test_matches_interp_generator_with_node_hits(self, grid8):
+        from nullfoliate._cheb import cgl_nodes
+
+        s_nodes = cgl_nodes(24, 1.0, 2.5)
+        tables = self._tables(grid8, s_nodes, seed=3)
+        pack = GeneratorPack(s_nodes, tables)
+        rng = np.random.default_rng(4)
+        heights = rng.uniform(1.0, 2.5, size=(5,) + grid8.shape)
+        heights[1] = s_nodes[7]                # a whole leaf on a node
+        heights[3, 2, 5] = s_nodes[0]          # single points on nodes,
+        heights[4, 0, 0] = s_nodes[-1]         # the slab ends included
+        heights[2, 4, :3] = s_nodes[11]
+        out = pack(heights)
+        assert [o.dtype.kind for o in out] == ["f", "c", "f"]
+        for table, got in zip(tables, out):
+            assert got.shape == heights.shape
+            for k in range(len(heights)):
+                ref = interp_generator(table, s_nodes, heights[k])
+                assert np.max(np.abs(got[k] - ref)) \
+                    <= 1e-13 * np.max(np.abs(table))
+        # an exact node hit reads the tabulated value itself
+        assert np.array_equal(out[1][1], tables[1][7])
+        assert out[0][3, 2, 5] == tables[0][0, 2, 5]
+        assert out[0][4, 0, 0] == tables[0][-1, 0, 0]
+        assert np.array_equal(out[2][2, 4, :3], tables[2][11, 4, :3])
+
+    def test_single_leaf_and_domain(self, grid8):
+        from nullfoliate._cheb import cgl_nodes
+
+        s_nodes = cgl_nodes(16, 1.0, 2.5)
+        tables = self._tables(grid8, s_nodes, seed=8)
+        pack = GeneratorPack(s_nodes, tables)
+        leaf = np.random.default_rng(9).uniform(1.0, 2.5, size=grid8.shape)
+        for table, got in zip(tables, pack(leaf)):
+            ref = interp_generator(table, s_nodes, leaf)
+            assert got.shape == grid8.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(table))
+        with pytest.raises(OutOfDomainError):
+            pack(np.full((2,) + grid8.shape, 2.6))
 
 
 class TestGeneratorInterpolation:
