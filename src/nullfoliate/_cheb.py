@@ -29,28 +29,38 @@ def barycentric_weights(n):
 def barycentric_interp(nodes, values, x):
     """Barycentric interpolation of tabulated values along axis 0.
 
-    values has shape (n_nodes,) + x.shape, sampled per trailing index; x may
-    be a scalar or array.  Exact node hits are returned without division.
+    values has shape (n_nodes,) + T, sampled per trailing index, and x has
+    shape S + T: every index of the leading stack axes S reads the same
+    table.  values may also be one column (n_nodes,) read at any x.  Exact
+    node hits are returned without division.  The weights are real and a
+    complex table is read as its real and imaginary parts; beyond the
+    weights themselves no temporary of the stacked size is formed.
     """
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
     w = barycentric_weights(n)
     x = np.asarray(x, dtype=float)
     values = np.asarray(values)
-    if values.ndim == 1:
-        values = np.broadcast_to(values.reshape((n,) + (1,) * x.ndim),
-                                 (n,) + x.shape)
+    # align the table's trailing axes with those of x
+    values = values.reshape((n,) + (1,) * (x.ndim + 1 - values.ndim)
+                            + values.shape[1:])
     diff = x[None, ...] - nodes.reshape((n,) + (1,) * x.ndim)
     exact = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = w.reshape((n,) + (1,) * x.ndim) / diff
-        num = np.sum(c * values, axis=0)
+        c = np.divide(w.reshape((n,) + (1,) * x.ndim), diff, out=diff)
+        # sum over the nodes without a product temporary of the stacked size
+        if np.iscomplexobj(values):
+            num = np.einsum("k...,k...->...", c, values.real) \
+                + 1j * np.einsum("k...,k...->...", c, values.imag)
+        else:
+            num = np.einsum("k...,k...->...", c, values)
         den = np.sum(c, axis=0)
         out = num / den
     if exact.any():
         idx = np.argmax(exact, axis=0)
         hit = exact.any(axis=0)
-        picked = np.take_along_axis(values, idx[None, ...], axis=0)[0]
+        picked = np.take_along_axis(
+            np.broadcast_to(values, (n,) + x.shape), idx[None, ...], axis=0)[0]
         out = np.where(hit, picked, out)
     return out
 

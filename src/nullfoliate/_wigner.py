@@ -6,8 +6,9 @@ symmetries and the normalisation assembled in log space so large band limits
 do not overflow.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 
 def _jacobi_column(kmax, a, b, x):
@@ -60,9 +61,10 @@ def wigner_d_column(lmax, m1, m2, theta):
     log_c = np.log(np.cos(half))
     jac = _jacobi_column(lmax - lmin, a, b, np.cos(theta))
     ls = np.arange(lmin, lmax + 1)
-    # N_l = sqrt((l+mp)!(l-mp)! / ((l+mm)!(l-mm)!))
-    logN = 0.5 * (gammaln(ls + mp + 1.0) + gammaln(ls - mp + 1.0)
-                  - gammaln(ls + mm + 1.0) - gammaln(ls - mm + 1.0))
+    # N_l = sqrt((l+mp)!(l-mp)! / ((l+mm)!(l-mm)!)) from logf[k] = log k!
+    logf = np.array([math.lgamma(k + 1.0) for k in range(2 * lmax + 1)])
+    logN = 0.5 * (logf[ls + mp] + logf[ls - mp]
+                  - logf[ls + mm] - logf[ls - mm])
     phase = sign * (-1.0) ** a  # (-sin)^a factor
     mag = np.exp(logN[:, None] + a * log_s[None, :] + b * log_c[None, :])
     out[lmin:] = phase * mag * jac

@@ -5,9 +5,13 @@ connection coefficient and curvature component follows algebraically from the
 projected geodesic quantities, the tilt Upsilon = grad s, and its transport.
 The projections are component-identities in the shared Fermi-free dyad, so
 "evaluating a table at height s" realises the dagger map directly.
+
+A leaf may be one leaf or a stack of them: reconstruct takes a whole
+foliation, or any set of its levels, as one stack and returns stacked
+coefficients; indexing them takes one level or a slice.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -21,9 +25,9 @@ from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, contract2,
 
 @dataclass
 class CanonicalCoefficients:
-    """Canonical-foliation geometry of one leaf."""
+    """Canonical-foliation geometry of one leaf or of a stack of leaves."""
 
-    v: float
+    v: np.ndarray  # the level (0-d), or the levels of a stack
     s: SpinField
     logOmega: SpinField
     metric: MetricRep
@@ -50,6 +54,11 @@ class CanonicalCoefficients:
     @property
     def trchib(self):
         return self.chib.trace
+
+    def __getitem__(self, idx):
+        """Level(s) idx of a stack."""
+        return CanonicalCoefficients(**{f.name: getattr(self, f.name)[idx]
+                                        for f in fields(self)})
 
 
 def upsilon(s: SpinField, metric: MetricRep) -> OneForm:
@@ -145,8 +154,11 @@ def mass_aspect(rho_check: SpinField, zeta: OneForm,
 
 
 def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
-                v: float) -> CanonicalCoefficients:
-    """Full canonical geometry of one leaf from the solved graph state."""
+                v) -> CanonicalCoefficients:
+    """Full canonical geometry of one leaf from the solved graph state.
+
+    s and logOmega may be stacks of leaves, with v the array of their levels.
+    """
     metric = data.metric_at(np.real(s.samples))
     chi, chib, zeta, etab, Ups, dLUps = canonical_connection(
         data, s, logOmega, metric)
@@ -155,8 +167,8 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
         rho, sigma, betab, chi.hat(), chib.hat(), zeta)
     mu = mass_aspect(rho_check, zeta, metric)
     return CanonicalCoefficients(
-        v=float(v), s=s, logOmega=logOmega, metric=metric, Upsilon=Ups,
-        dLUpsilon=dLUps, chi=chi, chib=chib, zeta=zeta, etab=etab,
+        v=np.asarray(v, dtype=float), s=s, logOmega=logOmega, metric=metric,
+        Upsilon=Ups, dLUpsilon=dLUps, chi=chi, chib=chib, zeta=zeta, etab=etab,
         alpha=alpha, beta=beta, rho=rho, sigma=sigma, betab=betab,
         rho_check=rho_check, sigma_check=sigma_check,
         betab_check=betab_check, mu=mu)
@@ -165,14 +177,14 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
 def save_coefficients(foliation, path, stride=1):
     """Write reconstructed coefficient sets as a "coefficients" container.
 
-    One array per named coefficient, shaped (n_levels, ntheta, nphi), taken
+    Every stride-th level is reconstructed in one stacked call.  One array
+    per named coefficient, shaped (n_levels, ntheta, nphi), taken
     from the attribute path in `paths`: scalars (no component in the path)
     are stored real, spin-1 and spin-2 quantities as their plus components.
     """
-    idx = range(0, foliation.n_levels, stride)
-    levels = [reconstruct(foliation.data, foliation.s_field(i),
-                          foliation.logOmega_field(i), foliation.v_nodes[i])
-              for i in idx]
+    idx = slice(0, foliation.n_levels, stride)
+    co = reconstruct(foliation.data, foliation.s_field(idx),
+                     foliation.logOmega_field(idx), foliation.v_nodes[idx])
 
     paths = {
         "trchi": "trchi", "chihat": "chi.hat_plus", "trchib": "trchib",
@@ -184,7 +196,6 @@ def save_coefficients(foliation, path, stride=1):
     }
     arrays = {}
     for name, attr in paths.items():
-        arr = np.stack([attrgetter(attr)(c).samples for c in levels])
+        arr = attrgetter(attr)(co).samples
         arrays[name] = arr if "." in attr else np.real(arr)
-    container.write(path, "coefficients", foliation.grid.Lmax,
-                    [foliation.v_nodes[i] for i in idx], arrays)
+    container.write(path, "coefficients", foliation.grid.Lmax, co.v, arrays)

@@ -1,5 +1,11 @@
 """Residual suites, commutation checks, Littlewood-Paley/Besov/Sobolev norms.
 
+Every suite takes the foliation as one stack: it makes one reconstruct call
+on the levels it reports, and its residuals are stack expressions over those
+levels (see sphere and tensors), reported one row per level.  The geodesic-
+side norms take the s-node leaves of the dataset as one stack in the same
+way.
+
 Transport residuals differentiate the reconstructed spin components along the
 generators, nabla_L = Omega d/dv at fixed angle, with centered finite
 differences (8th order when enough levels exist); levels inside the stencil
@@ -14,7 +20,7 @@ from .errors import ConfigurationError
 from .reports import NormReport, ResidualReport
 from .sphere import SpinField
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, contract2,
-                      curl, div, div2, dot, dual, eth_g, ethbar_g, grad,
+                      curl, div, div2, dot, eth_g, ethbar_g, grad,
                       hessian, laplacian, mean, multiply,
                       rough_laplacian_oneform)
 
@@ -67,14 +73,27 @@ def _field_abs(x):
     return np.sqrt(np.abs(np.real(x.norm2().samples)))
 
 
+def _sizes(x, metric):
+    """(max |x|, L2_g norm of x), one value per leaf of a stack."""
+    a = _field_abs(x)
+    l2 = np.sqrt(np.maximum(metric.grid.integrate(a ** 2 * metric.sqrt_det()),
+                            0.0))
+    return np.max(a, axis=(-2, -1)), l2
+
+
 def _l2_g(x, metric):
-    dens = metric.sqrt_det()
-    return float(np.sqrt(max(metric.grid.integrate(
-        _field_abs(x) ** 2 * dens), 0.0)))
+    return _sizes(x, metric)[1]
 
 
 def _record(rep, name, v, x, metric):
-    rep.add(name, v, float(np.max(_field_abs(x))), _l2_g(x, metric))
+    """One row per level of the stacked residual x."""
+    rep.add_levels(v, {name: _sizes(x, metric)})
+
+
+def _levels(foliation, idx=slice(None)):
+    """The canonical geometry of levels idx of a foliation, as one stack."""
+    return reconstruct(foliation.data, foliation.s_field(idx),
+                       foliation.logOmega_field(idx), foliation.v_nodes[idx])
 
 
 def _sym_grad(X: OneForm, g: MetricRep) -> SymTwoTensor:
@@ -82,12 +101,6 @@ def _sym_grad(X: OneForm, g: MetricRep) -> SymTwoTensor:
     return SymTwoTensor(div(X, g),
                         eth_g(X.plus, g) * (1.0 / SQRT2),
                         ethbar_g(X.minus, g) * (1.0 / SQRT2))
-
-
-def _oneform(grid, plus_samples):
-    plus = SpinField.from_samples(grid, 1, plus_samples)
-    return OneForm(plus, SpinField.from_samples(grid, -1,
-                                                np.conj(plus_samples)))
 
 
 # --------------------------------------------------------------------------
@@ -98,51 +111,49 @@ def constraint_residuals(foliation, tolerance=1e-10, levels=None) -> ResidualRep
     """Residuals of the elliptic/Hodge-type canonical structure equations."""
     rep = ResidualReport(tolerance_used=tolerance)
     data = foliation.data
-    idx = range(foliation.n_levels) if levels is None else levels
-    for i in idx:
-        v = float(foliation.v_nodes[i])
-        co = reconstruct(data, foliation.s_field(i),
-                         foliation.logOmega_field(i), v)
-        g = co.metric
-        chihat, chibhat = co.chi.hat(), co.chib.hat()
+    co = _levels(foliation, slice(None) if levels is None else list(levels))
+    g = co.metric
+    chihat, chibhat = co.chi.hat(), co.chib.hat()
+    sizes = {}
 
-        # canonical lapse equation; manufactured datasets satisfy their
-        # prescribed forcing instead of the geometric right-hand side
-        lap = laplacian(co.logOmega, g)
-        if data.has_prescribed_forcing:
-            F = data.scalar_at(data.F1_table, np.real(co.s.samples))
-            res = lap - (F - SpinField.constant(g.grid, mean(F, g)))
-        else:
-            res = lap + div(co.zeta, g) - co.rho_check \
-                + SpinField.constant(g.grid, mean(co.rho_check, g))
-        _record(rep, "lapse_equation", v, res, g)
+    # canonical lapse equation; manufactured datasets satisfy their
+    # prescribed forcing instead of the geometric right-hand side
+    lap = laplacian(co.logOmega, g)
+    if data.has_prescribed_forcing:
+        F = data.scalar_at(data.F1_table, np.real(co.s.samples))
+        forcing = F - SpinField.constant(g.grid, mean(F, g))
+        sizes["lapse_equation"] = _sizes(lap - forcing, g)
+    else:
+        sizes["lapse_equation"] = _sizes(
+            lap + div(co.zeta, g) - co.rho_check
+            + SpinField.constant(g.grid, mean(co.rho_check, g)), g)
 
-        K = g.gauss_curvature()
-        gauss = K + 0.25 * multiply(co.trchi, co.trchib) + co.rho_check
-        _record(rep, "gauss", v, gauss, g)
+    K = g.gauss_curvature()
+    sizes["gauss"] = _sizes(
+        K + 0.25 * multiply(co.trchi, co.trchib) + co.rho_check, g)
 
-        cod1 = div2(chihat, g) - 0.5 * grad(co.trchi, g) \
-            + contract(chihat, co.zeta) - 0.5 * (co.trchi * co.zeta) + co.beta
-        _record(rep, "codazzi_chi", v, cod1, g)
+    sizes["codazzi_chi"] = _sizes(
+        div2(chihat, g) - 0.5 * grad(co.trchi, g) + contract(chihat, co.zeta)
+        - 0.5 * (co.trchi * co.zeta) + co.beta, g)
 
-        cod2 = div2(chibhat, g) - 0.5 * grad(co.trchib, g) \
-            - contract(chibhat, co.zeta) + 0.5 * (co.trchib * co.zeta) \
-            - co.betab
-        _record(rep, "codazzi_chib", v, cod2, g)
+    sizes["codazzi_chib"] = _sizes(
+        div2(chibhat, g) - 0.5 * grad(co.trchib, g)
+        - contract(chibhat, co.zeta) + 0.5 * (co.trchib * co.zeta)
+        - co.betab, g)
 
-        _record(rep, "torsion", v, curl(co.zeta, g) - co.sigma_check, g)
+    sizes["torsion"] = _sizes(curl(co.zeta, g) - co.sigma_check, g)
 
-        if data.has_prescribed_forcing:
-            F = data.scalar_at(data.F1_table, np.real(co.s.samples))
-            res = div(co.etab, g) + div(co.zeta, g) \
-                + (F - SpinField.constant(g.grid, mean(F, g)))
-        else:
-            res = div(co.etab, g) + co.rho_check \
-                - SpinField.constant(g.grid, mean(co.rho_check, g))
-        _record(rep, "div_etab", v, res, g)
+    if data.has_prescribed_forcing:
+        sizes["div_etab"] = _sizes(
+            div(co.etab, g) + div(co.zeta, g) + forcing, g)
+    else:
+        sizes["div_etab"] = _sizes(
+            div(co.etab, g) + co.rho_check
+            - SpinField.constant(g.grid, mean(co.rho_check, g)), g)
 
-        _record(rep, "etab_relation", v,
-                co.etab + co.zeta + grad(co.logOmega, g), g)
+    sizes["etab_relation"] = _sizes(
+        co.etab + co.zeta + grad(co.logOmega, g), g)
+    rep.add_levels(co.v, sizes)
     return rep
 
 
@@ -150,13 +161,15 @@ def constraint_residuals(foliation, tolerance=1e-10, levels=None) -> ResidualRep
 # transport residuals
 # --------------------------------------------------------------------------
 
-def dLUpsilon_fd(foliation, levels):
-    """nabla_L Upsilon by v-differencing (the cross-path diagnostic value)."""
-    n = foliation.n_levels
-    ups = np.stack([lv.Upsilon.plus.samples for lv in levels])
-    dups, _ = v_derivative(ups, foliation.dv, n)
-    return [_oneform(foliation.grid, np.exp(foliation.logOmega[i]) * dups[i])
-            for i in range(n)]
+def dLUpsilon_fd(foliation, co):
+    """nabla_L Upsilon by v-differencing (the cross-path diagnostic value).
+
+    co is the reconstruction of every level of the foliation, as one stack.
+    """
+    dups, _ = v_derivative(co.Upsilon.plus.samples, foliation.dv,
+                           foliation.n_levels)
+    return OneForm.from_plus(foliation.grid,
+                             np.exp(foliation.logOmega) * dups)
 
 
 def transport_residuals(foliation, tolerance=1e-8) -> ResidualReport:
@@ -166,117 +179,105 @@ def transport_residuals(foliation, tolerance=1e-8) -> ResidualReport:
     grid = foliation.grid
     n = foliation.n_levels
     _, margin = _fd_stencil(n)
+    inner = slice(margin, n - margin)
     dv = foliation.dv
 
-    levels = [reconstruct(data, foliation.s_field(i),
-                          foliation.logOmega_field(i), foliation.v_nodes[i])
-              for i in range(n)]
+    every = _levels(foliation)
+    fbar = mean(every.trchi, every.metric)
 
-    omega = np.exp(foliation.logOmega)
-    trchi = np.stack([np.real(lv.trchi.samples) for lv in levels])
-    trchib = np.stack([np.real(lv.trchib.samples) for lv in levels])
-    mu_t = np.stack([np.real(lv.mu.samples) for lv in levels])
-    rho_t = np.stack([np.real(lv.rho.samples) for lv in levels])
-    zeta_p = np.stack([lv.zeta.plus.samples for lv in levels])
-    chihat_p = np.stack([lv.chi.hat_plus.samples for lv in levels])
-    fbar = np.array([float(mean(lv.trchi, lv.metric)) for lv in levels])
+    def d_dv(table):
+        """v-derivative on the reported (interior) levels."""
+        return v_derivative(table, dv, n)[0][inner]
 
-    d_trchi, _ = v_derivative(trchi, dv, n)
-    d_trchib, _ = v_derivative(trchib, dv, n)
-    d_mu, _ = v_derivative(mu_t, dv, n)
-    d_rho, _ = v_derivative(rho_t, dv, n)
-    d_zeta, _ = v_derivative(zeta_p, dv, n)
-    d_chihat, _ = v_derivative(chihat_p, dv, n)
-    d_fbar, _ = v_derivative(fbar, dv, n)
+    d_trchi = d_dv(np.real(every.trchi.samples))
+    d_trchib = d_dv(np.real(every.trchib.samples))
+    d_mu = d_dv(np.real(every.mu.samples))
+    d_rho = d_dv(np.real(every.rho.samples))
+    d_zeta = d_dv(every.zeta.plus.samples)
+    d_chihat = d_dv(every.chi.hat_plus.samples)
+    d_fbar = d_dv(fbar)
 
-    for i in range(margin, n - margin):
-        co = levels[i]
-        g = co.metric
-        v = float(foliation.v_nodes[i])
-        om = SpinField.from_samples(grid, 0, omega[i])
-        chihat, chibhat = co.chi.hat(), co.chib.hat()
+    co = every[inner]
+    g = co.metric
+    omega = np.exp(foliation.logOmega[inner])
+    om = SpinField.from_samples(grid, 0, omega)
+    chihat, chibhat = co.chi.hat(), co.chib.hat()
+    mean_rc = mean(co.rho_check, g)
 
-        def dL_scalar(darr):
-            return multiply(om, SpinField.from_samples(grid, 0, darr[i]))
+    def dL_scalar(darr):
+        return multiply(om, SpinField.from_samples(grid, 0, darr))
 
-        def dL_oneform(darr):
-            return OneForm(multiply(om, SpinField.from_samples(grid, 1, darr[i])),
-                           multiply(om, SpinField.from_samples(
-                               grid, -1, np.conj(darr[i]))))
+    sizes = {}
+    # Raychaudhuri: nabla_L trchi + trchi^2/2 + |chihat|^2 = 0
+    sizes["raychaudhuri"] = _sizes(
+        dL_scalar(d_trchi) + 0.5 * multiply(co.trchi, co.trchi)
+        + dot(chihat, chihat), g)
 
-        def dL_hat(darr):
-            return SymTwoTensor(SpinField.zero(grid, 0),
-                                multiply(om, SpinField.from_samples(
-                                    grid, 2, darr[i])),
-                                multiply(om, SpinField.from_samples(
-                                    grid, -2, np.conj(darr[i]))))
+    # chihat transport: nabla_L chihat + trchi chihat + alpha = 0
+    sizes["chihat_transport"] = _sizes(
+        SymTwoTensor.from_parts(grid, None, d_chihat) * om
+        + co.trchi * chihat + co.alpha, g)
 
-        # Raychaudhuri: nabla_L trchi + trchi^2/2 + |chihat|^2 = 0
-        res = dL_scalar(d_trchi) + 0.5 * multiply(co.trchi, co.trchi) \
-            + dot(chihat, chihat)
-        _record(rep, "raychaudhuri", v, res, g)
+    # zeta transport: nabla_L zeta + trchi zeta/2
+    #                 = trchi etab/2 + chihat.(etab - zeta) - beta
+    sizes["zeta_transport"] = _sizes(
+        OneForm.from_plus(grid, d_zeta) * om
+        + 0.5 * (co.trchi * (co.zeta - co.etab))
+        - contract(chihat, co.etab - co.zeta) + co.beta, g)
 
-        # chihat transport: nabla_L chihat + trchi chihat + alpha = 0
-        res2 = dL_hat(d_chihat) + co.trchi * chihat + co.alpha
-        _record(rep, "chihat_transport", v, res2, g)
+    # trchib transport; canonical right-hand side 2 mean(rho_check)
+    # + 2|etab|^2 (general Div etab + rho_check form for manufactured data)
+    lhs = dL_scalar(d_trchib) + 0.5 * multiply(co.trchi, co.trchib)
+    if data.has_prescribed_forcing:
+        rhs = 2.0 * div(co.etab, g) + 2.0 * co.rho_check \
+            + 2.0 * dot(co.etab, co.etab)
+    else:
+        rhs = SpinField.constant(grid, 2.0 * mean_rc) \
+            + 2.0 * dot(co.etab, co.etab)
+    sizes["trchib_transport"] = _sizes(lhs - rhs, g)
 
-        # zeta transport: nabla_L zeta + trchi zeta/2
-        #                 = trchi etab/2 + chihat.(etab - zeta) - beta
-        res3 = dL_oneform(d_zeta) + 0.5 * (co.trchi * (co.zeta - co.etab)) \
-            - contract(chihat, co.etab - co.zeta) + co.beta
-        _record(rep, "zeta_transport", v, res3, g)
+    # mass-aspect transport: the common nonlinear block plus the linear
+    # terms, which read trchi rho_check - trchi mean(rho_check)/2 in a
+    # canonical foliation and trchi rho_check/2 - trchi Div etab/2 in
+    # general (the manufactured foliations are not canonical)
+    lhs = dL_scalar(d_mu) + multiply(co.trchi, co.mu)
+    rhs = -2.0 * dot(co.zeta, co.beta) \
+        + dot(co.zeta - co.etab, grad(co.trchi, g)) \
+        + dot(chihat, _sym_grad(co.zeta, g)) \
+        + 0.5 * dot(chihat, _sym_grad(co.etab, g)) \
+        + multiply(co.trchi, dot(co.zeta, co.zeta)
+                   - dot(co.zeta, co.etab)
+                   - 0.5 * dot(co.etab, co.etab)) \
+        - 0.25 * multiply(co.trchib, dot(chihat, chihat)) \
+        + 2.0 * contract2(chihat, co.zeta, co.etab) \
+        - 0.5 * contract2(chihat, co.etab, co.etab)
+    if data.has_prescribed_forcing:
+        rhs = rhs + 0.5 * multiply(co.trchi, co.rho_check) \
+            - 0.5 * multiply(co.trchi, div(co.etab, g))
+    else:
+        rhs = rhs + multiply(co.trchi, co.rho_check) \
+            - SpinField.from_samples(
+                grid, 0, co.trchi.samples * (0.5 * mean_rc)[:, None, None])
+    sizes["mu_transport"] = _sizes(lhs - rhs, g)
 
-        # trchib transport; canonical right-hand side 2 mean(rho_check)
-        # + 2|etab|^2 (general Div etab + rho_check form for manufactured data)
-        lhs = dL_scalar(d_trchib) + 0.5 * multiply(co.trchi, co.trchib)
-        if data.has_prescribed_forcing:
-            rhs = 2.0 * div(co.etab, g) + 2.0 * co.rho_check \
-                + 2.0 * dot(co.etab, co.etab)
-        else:
-            rhs = SpinField.constant(grid, 2.0 * float(mean(co.rho_check, g))) \
-                + 2.0 * dot(co.etab, co.etab)
-        _record(rep, "trchib_transport", v, lhs - rhs, g)
+    # L-of-average identity for f = trchi, in the v-parametrisation:
+    # d_v mean(f) = mean(Omega^{-1} L f) + mean(Omega^{-1} trchi f)
+    #               - mean(Omega^{-1} trchi) mean(f)
+    om_inv = SpinField.from_samples(grid, 0, 1.0 / omega)
+    t1 = mean(SpinField.from_samples(grid, 0, d_trchi), g)
+    t2 = mean(multiply(om_inv, co.trchi, co.trchi), g)
+    t3 = mean(multiply(om_inv, co.trchi), g) * fbar[inner]
+    err = np.abs(d_fbar - (t1 + t2 - t3))
+    sizes["loverline"] = (err, err * np.sqrt(g.area))
 
-        # mass-aspect transport: the common nonlinear block plus the linear
-        # terms, which read trchi rho_check - trchi mean(rho_check)/2 in a
-        # canonical foliation and trchi rho_check/2 - trchi Div etab/2 in
-        # general (the manufactured foliations are not canonical)
-        lhs = dL_scalar(d_mu) + multiply(co.trchi, co.mu)
-        rhs = -2.0 * dot(co.zeta, co.beta) \
-            + dot(co.zeta - co.etab, grad(co.trchi, g)) \
-            + dot(chihat, _sym_grad(co.zeta, g)) \
-            + 0.5 * dot(chihat, _sym_grad(co.etab, g)) \
-            + multiply(co.trchi, dot(co.zeta, co.zeta)
-                       - dot(co.zeta, co.etab)
-                       - 0.5 * dot(co.etab, co.etab)) \
-            - 0.25 * multiply(co.trchib, dot(chihat, chihat)) \
-            + 2.0 * contract2(chihat, co.zeta, co.etab) \
-            - 0.5 * contract2(chihat, co.etab, co.etab)
-        if data.has_prescribed_forcing:
-            rhs = rhs + 0.5 * multiply(co.trchi, co.rho_check) \
-                - 0.5 * multiply(co.trchi, div(co.etab, g))
-        else:
-            rhs = rhs + multiply(co.trchi, co.rho_check) \
-                - 0.5 * float(mean(co.rho_check, g)) * co.trchi
-        _record(rep, "mu_transport", v, lhs - rhs, g)
-
-        # L-of-average identity for f = trchi, in the v-parametrisation:
-        # d_v mean(f) = mean(Omega^{-1} L f) + mean(Omega^{-1} trchi f)
-        #               - mean(Omega^{-1} trchi) mean(f)
-        om_inv = SpinField.from_samples(grid, 0, 1.0 / omega[i])
-        t1 = float(mean(SpinField.from_samples(grid, 0, d_trchi[i]), g))
-        t2 = float(mean(multiply(om_inv, co.trchi, co.trchi), g))
-        t3 = float(mean(multiply(om_inv, co.trchi), g)) * fbar[i]
-        err = abs(d_fbar[i] - (t1 + t2 - t3))
-        rep.add("loverline", v, err, err * np.sqrt(g.area))
-
-        # Bianchi rho transport:
-        # nabla_L rho + (3/2) trchi rho = Div beta - chibhat.alpha/2
-        #                                 + zeta.beta + 2 etab.beta
-        res6 = dL_scalar(d_rho) + 1.5 * multiply(co.trchi, co.rho) \
-            - div(co.beta, g) + 0.5 * dot(chibhat, co.alpha) \
-            - dot(co.zeta, co.beta) - 2.0 * dot(co.etab, co.beta)
-        _record(rep, "rho_bianchi", v, res6, g)
+    # Bianchi rho transport:
+    # nabla_L rho + (3/2) trchi rho = Div beta - chibhat.alpha/2
+    #                                 + zeta.beta + 2 etab.beta
+    sizes["rho_bianchi"] = _sizes(
+        dL_scalar(d_rho) + 1.5 * multiply(co.trchi, co.rho)
+        - div(co.beta, g) + 0.5 * dot(chibhat, co.alpha)
+        - dot(co.zeta, co.beta) - 2.0 * dot(co.etab, co.beta), g)
+    rep.add_levels(co.v, sizes)
     return rep
 
 
@@ -301,29 +302,24 @@ def commutation_check(foliation, f: SpinField, tolerance=1e-10) -> ResidualRepor
     """
     rep = ResidualReport(tolerance_used=tolerance)
     n = foliation.n_levels
-    grid = foliation.grid
-    metrics = [foliation.metric(i) for i in range(n)]
-    for i in range(n):
-        _record(rep, "comm_grad_laplacian", float(foliation.v_nodes[i]),
-                commutation_grad_laplacian(f, metrics[i]), metrics[i])
+    metric = foliation.data.metric_at(foliation.s)
+    _record(rep, "comm_grad_laplacian", foliation.v_nodes,
+            commutation_grad_laplacian(f, metric), metric)
 
-    grads_p = np.stack([grad(f, metrics[i]).plus.samples for i in range(n)])
-    grads_m = np.stack([grad(f, metrics[i]).minus.samples for i in range(n)])
-    dgp, margin = v_derivative(grads_p, foliation.dv, n)
-    dgm, _ = v_derivative(grads_m, foliation.dv, n)
-    for i in range(margin, n - margin):
-        g = metrics[i]
-        v = float(foliation.v_nodes[i])
-        co = reconstruct(foliation.data, foliation.s_field(i),
-                         foliation.logOmega_field(i), v)
-        om = np.exp(foliation.logOmega[i])
-        dLgrad = OneForm(SpinField.from_samples(grid, 1, om * dgp[i]),
-                         SpinField.from_samples(grid, -1, om * dgm[i]))
-        gf = grad(f, g)
-        # [nabla_L, grad] f = -trchi grad f / 2 - chihat . grad f
-        #                     + (etab + zeta) L f  with L f = 0 here
-        res = dLgrad + 0.5 * (co.trchi * gf) + contract(co.chi.hat(), gf)
-        _record(rep, "comm_L_grad", v, res, g)
+    gf = grad(f, metric)
+    dgp, margin = v_derivative(gf.plus.samples, foliation.dv, n)
+    dgm, _ = v_derivative(gf.minus.samples, foliation.dv, n)
+    inner = slice(margin, n - margin)
+    co = _levels(foliation, inner)
+    om = np.exp(foliation.logOmega[inner])
+    grid = foliation.grid
+    dLgrad = OneForm(SpinField.from_samples(grid, 1, om * dgp[inner]),
+                     SpinField.from_samples(grid, -1, om * dgm[inner]))
+    gf = gf[inner]
+    # [nabla_L, grad] f = -trchi grad f / 2 - chihat . grad f
+    #                     + (etab + zeta) L f  with L f = 0 here
+    res = dLgrad + 0.5 * (co.trchi * gf) + contract(co.chi.hat(), gf)
+    _record(rep, "comm_L_grad", co.v, res, co.metric)
     return rep
 
 
@@ -448,26 +444,29 @@ def _simpson(vals, dv):
 
 
 def _lq_level(x, metric, q):
+    """Leafwise L^q_g norm, one value per leaf of a stack."""
     a = _field_abs(x)
     if np.isinf(q):
-        return float(np.max(a))
+        return np.max(a, axis=(-2, -1))
     dens = metric.sqrt_det()
-    return float(metric.grid.integrate(a ** q * dens)) ** (1.0 / q)
+    return metric.grid.integrate(a ** q * dens) ** (1.0 / q)
 
 
-def mixed_norm(fields, metrics, v_nodes, p, q) -> float:
-    """|| F ||_{L^p_v L^q}: leafwise L^q then L^p in v (Simpson)."""
-    per = np.array([_lq_level(fields[i], metrics[i], q)
-                    for i in range(len(fields))])
+def mixed_norm(field, metric, v_nodes, p, q) -> float:
+    """|| F ||_{L^p_v L^q}: leafwise L^q then L^p in v (Simpson).
+
+    field and metric are stacks over the v-levels v_nodes.
+    """
+    per = _lq_level(field, metric, q)
     if np.isinf(p):
         return float(np.max(per))
     dv = float(v_nodes[1] - v_nodes[0])
     return float(_simpson(per ** p, dv) ** (1.0 / p))
 
 
-def trace_norm(fields, metrics, v_nodes, q, p) -> float:
+def trace_norm(field, metric, v_nodes, q, p) -> float:
     """|| F ||_{L^q L^p_v}: generator-wise L^p in v, then L^q on the first leaf."""
-    stack = np.stack([_field_abs(fields[i]) for i in range(len(fields))])
+    stack = _field_abs(field)
     dv = float(v_nodes[1] - v_nodes[0])
     if np.isinf(p):
         gen = np.max(stack, axis=0)
@@ -483,32 +482,28 @@ def trace_norm(fields, metrics, v_nodes, q, p) -> float:
             w[0] *= 0.5
             w[-1] *= 0.5
         gen = (np.tensordot(w, stack ** p, axes=(0, 0))) ** (1.0 / p)
-    g0 = metrics[0]
     if np.isinf(q):
         return float(np.max(gen))
+    g0 = metric[0]
     dens = g0.sqrt_det()
     return float(g0.grid.integrate(gen ** q * dens)) ** (1.0 / q)
 
 
-def P0v_norm(fields, metrics, v_nodes) -> float:
+def P0v_norm(field, metric, v_nodes) -> float:
     """P^0_v norm: sum_k ||P_k F||_{L^2_v L^2} + ||P_{<0} F||_{L^2_v L^2}."""
-    grid = metrics[0].grid
-    total = mixed_norm([lp_project(f, "minus") for f in fields],
-                       metrics, v_nodes, 2, 2)
-    for k in range(lp_kmax(grid) + 1):
-        total += mixed_norm([lp_project(f, k) for f in fields],
-                            metrics, v_nodes, 2, 2)
+    total = mixed_norm(lp_project(field, "minus"), metric, v_nodes, 2, 2)
+    for k in range(lp_kmax(metric.grid) + 1):
+        total += mixed_norm(lp_project(field, k), metric, v_nodes, 2, 2)
     return float(total)
 
 
-def Q12v_norm(fields, metrics, v_nodes) -> float:
+def Q12v_norm(field, metric, v_nodes) -> float:
     """Q^{1/2}_v norm: (sum_k 2^k ||P_k F||^2_{Linf_v L2} + ||P_<0 F||^2)^{1/2}."""
-    grid = metrics[0].grid
-    total = mixed_norm([lp_project(f, "minus") for f in fields],
-                       metrics, v_nodes, np.inf, 2) ** 2
-    for k in range(lp_kmax(grid) + 1):
-        total += 2.0 ** k * mixed_norm([lp_project(f, k) for f in fields],
-                                       metrics, v_nodes, np.inf, 2) ** 2
+    total = mixed_norm(lp_project(field, "minus"), metric, v_nodes,
+                       np.inf, 2) ** 2
+    for k in range(lp_kmax(metric.grid) + 1):
+        total += 2.0 ** k * mixed_norm(lp_project(field, k), metric,
+                                       v_nodes, np.inf, 2) ** 2
     return float(np.sqrt(total))
 
 
@@ -516,14 +511,14 @@ def Q12v_norm(fields, metrics, v_nodes) -> float:
 # the norm hierarchy
 # --------------------------------------------------------------------------
 
-def _n1_norm(fields, dL_fields, metrics, v_nodes) -> float:
+def _n1_norm(field, dL_field, metric, v_nodes) -> float:
     """N_1 = ||.||_{H^{1/2}(S_1)} + L^2_v L^2 of the field, its gradient and
     its L-derivative."""
-    grads = [_grad_any(fields[i], metrics[i]) for i in range(len(fields))]
-    return (Hs_norm(fields[0], 0.5)
-            + mixed_norm(fields, metrics, v_nodes, 2, 2)
-            + mixed_norm(grads, metrics, v_nodes, 2, 2)
-            + mixed_norm(dL_fields, metrics, v_nodes, 2, 2))
+    grads = _grad_any(field, metric)
+    return (Hs_norm(field[0], 0.5)
+            + mixed_norm(field, metric, v_nodes, 2, 2)
+            + mixed_norm(grads, metric, v_nodes, 2, 2)
+            + mixed_norm(dL_field, metric, v_nodes, 2, 2))
 
 
 def _grad_any(x, g):
@@ -547,40 +542,34 @@ def _grad_any(x, g):
     raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
 
 
-def norm_suite(foliation, data=None) -> NormReport:
-    """Every constituent of the I', I, O', O, R', R norm functionals."""
-    data = foliation.data if data is None else data
+def norm_suite(foliation) -> NormReport:
+    """Every constituent of the I', I, O', O, R', R norm functionals.
+
+    The geodesic side reads the dataset's s-node leaves as one stack, the
+    canonical side one reconstruction of every v-level as one stack.
+    """
+    data = foliation.data
     rep = NormReport()
     grid = foliation.grid
     n = foliation.n_levels
     v_nodes = foliation.v_nodes
 
-    levels = [reconstruct(data, foliation.s_field(i),
-                          foliation.logOmega_field(i), v_nodes[i])
-              for i in range(n)]
-    metrics = [lv.metric for lv in levels]
-
     # ---- geodesic-side norms (I'_{S1}, O', R') over the s-slab -----------
     s_nodes = data.s_nodes
     wcc = _cheb.cc_weights(s_nodes)
-    node_metrics = [data.node_metric(i) for i in range(len(s_nodes))]
+    gs = data.slab_metric
 
-    def geo_oneform(table, i):
-        return _oneform(grid, table[i])
-
-    def geo_hat(table, i):
-        return SymTwoTensor(SpinField.zero(grid, 0),
-                            SpinField.from_samples(grid, 2, table[i]),
-                            SpinField.from_samples(grid, -2,
-                                                   np.conj(table[i])))
+    def slab_l2(x):
+        """L^2 over the slab (Clenshaw-Curtis in s) of a stack over s-nodes."""
+        return float(np.sqrt(np.sum(wcc * _l2_g(x, gs) ** 2)))
 
     # I'_{S1}: the first s-node is the initial sphere
-    g1 = node_metrics[0]
+    g1 = gs[0]
     trchi1 = SpinField.from_samples(grid, 0, np.real(data.trchi[0]))
     trchib1 = SpinField.from_samples(grid, 0, np.real(data.trchib[0]))
-    zeta1 = geo_oneform(data.zeta, 0)
-    chihat1 = geo_hat(data.chihat, 0)
-    chibhat1 = geo_hat(data.chibhat, 0)
+    zeta1 = OneForm.from_plus(grid, data.zeta[0])
+    chihat1 = SymTwoTensor.from_parts(grid, None, data.chihat[0])
+    chibhat1 = SymTwoTensor.from_parts(grid, None, data.chibhat[0])
     rho_check1 = SpinField.from_samples(
         grid, 0, data.rho[0]) - 0.5 * dot(chihat1, chibhat1)
     mu1 = -1.0 * rho_check1 - div(zeta1, g1)
@@ -600,70 +589,51 @@ def norm_suite(foliation, data=None) -> NormReport:
     for k, val in entries.items():
         rep.set(k, val)
 
-    # R' over the geodesic slab (Clenshaw-Curtis in s)
-    def slab_l2(table, spin):
-        per = np.empty(len(s_nodes))
-        for i in range(len(s_nodes)):
-            if spin == 0:
-                x = SpinField.from_samples(grid, 0, table[i])
-            elif spin == 1:
-                x = geo_oneform(table, i)
-            else:
-                x = geo_hat(table, i)
-            per[i] = _l2_g(x, node_metrics[i]) ** 2
-        return float(np.sqrt(np.sum(wcc * per)))
-
+    # R' over the geodesic slab
     rp = {
-        "Rprime.alpha": slab_l2(data.alpha, 2),
-        "Rprime.beta": slab_l2(data.beta, 1),
-        "Rprime.rho": slab_l2(data.rho, 0),
-        "Rprime.sigma": slab_l2(data.sigma, 0),
-        "Rprime.betab": slab_l2(data.betab, 1),
+        "Rprime.alpha": slab_l2(SymTwoTensor.from_parts(grid, None,
+                                                        data.alpha)),
+        "Rprime.beta": slab_l2(OneForm.from_plus(grid, data.beta)),
+        "Rprime.rho": slab_l2(SpinField.from_samples(grid, 0, data.rho)),
+        "Rprime.sigma": slab_l2(SpinField.from_samples(grid, 0, data.sigma)),
+        "Rprime.betab": slab_l2(OneForm.from_plus(grid, data.betab)),
     }
     rp["Rprime"] = sum(rp.values())
     for k, val in rp.items():
         rep.set(k, val)
 
     # O' over the geodesic slab
-    dsz = data.d_ds(data.zeta)
-    dst = data.d_ds(data.trchi)
-    dsh = data.d_ds(data.chihat)
     s3 = s_nodes[:, None, None]
     trchi_dev = data.trchi - 2.0 / s3
-    dst_dev = dst + 2.0 / s3 ** 2
+    dst_dev = data.d_ds(data.trchi) + 2.0 / s3 ** 2
 
-    def geo_n1(table, dtable, spin):
-        f0 = [SpinField.from_samples(grid, 0, table[i]) if spin == 0
-              else (geo_oneform(table, i) if spin == 1 else geo_hat(table, i))
-              for i in range(len(s_nodes))]
-        fL = [SpinField.from_samples(grid, 0, dtable[i]) if spin == 0
-              else (geo_oneform(dtable, i) if spin == 1
-                    else geo_hat(dtable, i))
-              for i in range(len(s_nodes))]
-        grads = [_grad_any(f0[i], node_metrics[i]) for i in range(len(s_nodes))]
-
-        def cc_l2(fams):
-            per = np.array([_l2_g(fams[i], node_metrics[i]) ** 2
-                            for i in range(len(s_nodes))])
-            return float(np.sqrt(np.sum(wcc * per)))
-
-        return Hs_norm(f0[0], 0.5) + cc_l2(f0) + cc_l2(grads) + cc_l2(fL)
+    def geo_n1(f0, fL):
+        grads = _grad_any(f0, gs)
+        return Hs_norm(f0[0], 0.5) + slab_l2(f0) + slab_l2(grads) \
+            + slab_l2(fL)
 
     op = {
         "Oprime.trchi_dev_infinf": float(np.max(np.abs(trchi_dev))),
         "Oprime.chihat_LinfL2s": _geo_trace_norm(data.chihat, wcc),
         "Oprime.zeta_LinfL2s": _geo_trace_norm(data.zeta, wcc),
-        "Oprime.N1_trchi_dev": geo_n1(trchi_dev, dst_dev, 0),
-        "Oprime.N1_chihat": geo_n1(data.chihat, dsh, 2),
-        "Oprime.N1_zeta": geo_n1(data.zeta, dsz, 1),
+        "Oprime.N1_trchi_dev": geo_n1(
+            SpinField.from_samples(grid, 0, trchi_dev),
+            SpinField.from_samples(grid, 0, dst_dev)),
+        "Oprime.N1_chihat": geo_n1(
+            SymTwoTensor.from_parts(grid, None, data.chihat),
+            SymTwoTensor.from_parts(grid, None, data.d_ds(data.chihat))),
+        "Oprime.N1_zeta": geo_n1(
+            OneForm.from_plus(grid, data.zeta),
+            OneForm.from_plus(grid, data.d_ds(data.zeta))),
     }
     op["Oprime"] = sum(op.values())
     for k, val in op.items():
         rep.set(k, val)
 
     # ---- canonical-side norms (I_{S1}, O, R) over the v-levels -----------
-    co1 = levels[0]
-    g1c = metrics[0]
+    co = _levels(foliation)
+    g = co.metric
+    co1, g1c = co[0], g[0]
     i_entries = {
         "I_S1.trchi_dev_inf": float(np.max(np.abs(
             np.real(co1.trchi.samples) - 2.0))),
@@ -687,16 +657,12 @@ def norm_suite(foliation, data=None) -> NormReport:
         rep.set(k, val)
 
     # R over the canonical foliation
-    def can_l2(get):
-        fields = [get(lv) for lv in levels]
-        return mixed_norm(fields, metrics, v_nodes, 2, 2)
-
     r_entries = {
-        "R.alpha": can_l2(lambda c: c.alpha),
-        "R.beta": can_l2(lambda c: c.beta),
-        "R.rho": can_l2(lambda c: c.rho),
-        "R.sigma": can_l2(lambda c: c.sigma),
-        "R.betab": can_l2(lambda c: c.betab),
+        "R.alpha": mixed_norm(co.alpha, g, v_nodes, 2, 2),
+        "R.beta": mixed_norm(co.beta, g, v_nodes, 2, 2),
+        "R.rho": mixed_norm(co.rho, g, v_nodes, 2, 2),
+        "R.sigma": mixed_norm(co.sigma, g, v_nodes, 2, 2),
+        "R.betab": mixed_norm(co.betab, g, v_nodes, 2, 2),
     }
     r_entries["R"] = sum(r_entries.values())
     for k, val in r_entries.items():
@@ -706,82 +672,56 @@ def norm_suite(foliation, data=None) -> NormReport:
     omega = np.exp(foliation.logOmega)
     dv = foliation.dv
 
-    def dev_fields(get, shift):
-        return [get(levels[i]) + SpinField.constant(
-            grid, shift(v_nodes[i])) for i in range(n)]
+    def dL(samples):
+        """Omega d_v of a per-level array; the stencil margin takes the
+        nearest interior value."""
+        d, margin = v_derivative(samples, dv, n)
+        d[:margin] = d[margin]
+        d[n - margin:] = d[n - 1 - margin]
+        return omega * d
 
-    def dL_family(get_samples, spin):
-        arr = np.stack([get_samples(i) for i in range(n)])
-        darr, margin = v_derivative(arr, dv, n)
-        # one-sided closure at the ends: reuse nearest interior value scale
-        for j in range(margin):
-            darr[j] = darr[margin]
-            darr[n - 1 - j] = darr[n - 1 - margin]
-        out = []
-        for i in range(n):
-            d = omega[i] * darr[i]
-            if spin == 0:
-                out.append(SpinField.from_samples(grid, 0, d))
-            elif spin == 1:
-                out.append(_oneform(grid, d))
-            else:
-                out.append(SymTwoTensor(
-                    SpinField.zero(grid, 0),
-                    SpinField.from_samples(grid, 2, d),
-                    SpinField.from_samples(grid, -2, np.conj(d))))
-        return out
-
-    trchi_dev_f = dev_fields(lambda c: c.trchi, lambda v: -2.0 / v)
-    trchib_dev_f = dev_fields(lambda c: c.trchib, lambda v: 2.0 / v)
-    zeta_f = [lv.zeta for lv in levels]
-    etab_f = [lv.etab for lv in levels]
-    chihat_f = [lv.chi.hat() for lv in levels]
-    chibhat_f = [lv.chib.hat() for lv in levels]
-    logom_f = [lv.logOmega for lv in levels]
-    gradlog_f = [grad(levels[i].logOmega, metrics[i]) for i in range(n)]
-    mu_f = [lv.mu for lv in levels]
-
-    dL_trchi_dev = dL_family(
-        lambda i: np.real(levels[i].trchi.samples) - 2.0 / v_nodes[i], 0)
-    dL_trchib_dev = dL_family(
-        lambda i: np.real(levels[i].trchib.samples) + 2.0 / v_nodes[i], 0)
-    dL_zeta = dL_family(lambda i: levels[i].zeta.plus.samples, 1)
-    dL_etab = dL_family(lambda i: levels[i].etab.plus.samples, 1)
-    dL_chihat = dL_family(lambda i: levels[i].chi.hat_plus.samples, 2)
-    dL_chibhat = dL_family(lambda i: levels[i].chib.hat_plus.samples, 2)
-    dL_gradlog = dL_family(lambda i: gradlog_f[i].plus.samples, 1)
-    dL_logom = dL_family(lambda i: foliation.logOmega[i], 0)
+    v3 = v_nodes[:, None, None]
+    trchi_dev_f = co.trchi + SpinField.constant(grid, -2.0 / v_nodes)
+    trchib_dev_f = co.trchib + SpinField.constant(grid, 2.0 / v_nodes)
+    chihat_f, chibhat_f = co.chi.hat(), co.chib.hat()
+    gradlog_f = grad(co.logOmega, g)
 
     o_entries = {
-        "O.N1_trchi_dev": _n1_norm(trchi_dev_f, dL_trchi_dev, metrics, v_nodes),
-        "O.N1_chihat": _n1_norm(chihat_f, dL_chihat, metrics, v_nodes),
-        "O.N1_zeta": _n1_norm(zeta_f, dL_zeta, metrics, v_nodes),
-        "O.N1_etab": _n1_norm(etab_f, dL_etab, metrics, v_nodes),
-        "O.N1_trchib_dev": _n1_norm(trchib_dev_f, dL_trchib_dev, metrics,
-                                    v_nodes),
-        "O.N1_chibhat": _n1_norm(chibhat_f, dL_chibhat, metrics, v_nodes),
+        "O.N1_trchi_dev": _n1_norm(trchi_dev_f, SpinField.from_samples(
+            grid, 0, dL(np.real(co.trchi.samples) - 2.0 / v3)), g, v_nodes),
+        "O.N1_chihat": _n1_norm(chihat_f, SymTwoTensor.from_parts(
+            grid, None, dL(co.chi.hat_plus.samples)), g, v_nodes),
+        "O.N1_zeta": _n1_norm(co.zeta, OneForm.from_plus(
+            grid, dL(co.zeta.plus.samples)), g, v_nodes),
+        "O.N1_etab": _n1_norm(co.etab, OneForm.from_plus(
+            grid, dL(co.etab.plus.samples)), g, v_nodes),
+        "O.N1_trchib_dev": _n1_norm(trchib_dev_f, SpinField.from_samples(
+            grid, 0, dL(np.real(co.trchib.samples) + 2.0 / v3)), g, v_nodes),
+        "O.N1_chibhat": _n1_norm(chibhat_f, SymTwoTensor.from_parts(
+            grid, None, dL(co.chib.hat_plus.samples)), g, v_nodes),
         "O.omega_dev_infinf": float(np.max(np.abs(omega - 1.0))),
-        "O.L_logOmega_L2L4": mixed_norm(dL_logom, metrics, v_nodes, 2, 4),
-        "O.N1_grad_logOmega": _n1_norm(gradlog_f, dL_gradlog, metrics, v_nodes),
-        "O.trchi_dev_infinf": mixed_norm(trchi_dev_f, metrics, v_nodes,
+        "O.L_logOmega_L2L4": mixed_norm(SpinField.from_samples(
+            grid, 0, dL(foliation.logOmega)), g, v_nodes, 2, 4),
+        "O.N1_grad_logOmega": _n1_norm(gradlog_f, OneForm.from_plus(
+            grid, dL(gradlog_f.plus.samples)), g, v_nodes),
+        "O.trchi_dev_infinf": mixed_norm(trchi_dev_f, g, v_nodes,
                                          np.inf, np.inf),
-        "O.chihat_LinfL2v": trace_norm(chihat_f, metrics, v_nodes, np.inf, 2),
-        "O.zeta_LinfL2v": trace_norm(zeta_f, metrics, v_nodes, np.inf, 2),
-        "O.etab_LinfL2v": trace_norm(etab_f, metrics, v_nodes, np.inf, 2),
-        "O.trchib_dev_infinf": mixed_norm(trchib_dev_f, metrics, v_nodes,
+        "O.chihat_LinfL2v": trace_norm(chihat_f, g, v_nodes, np.inf, 2),
+        "O.zeta_LinfL2v": trace_norm(co.zeta, g, v_nodes, np.inf, 2),
+        "O.etab_LinfL2v": trace_norm(co.etab, g, v_nodes, np.inf, 2),
+        "O.trchib_dev_infinf": mixed_norm(trchib_dev_f, g, v_nodes,
                                           np.inf, np.inf),
-        "O.grad_trchib_L2Linfv": trace_norm(
-            [grad(levels[i].trchib, metrics[i]) for i in range(n)],
-            metrics, v_nodes, 2, np.inf),
-        "O.mu_L2Linfv": trace_norm(mu_f, metrics, v_nodes, 2, np.inf),
+        "O.grad_trchib_L2Linfv": trace_norm(grad(co.trchib, g), g, v_nodes,
+                                            2, np.inf),
+        "O.mu_L2Linfv": trace_norm(co.mu, g, v_nodes, 2, np.inf),
     }
     o_entries["O"] = sum(o_entries.values())
     for k, val in o_entries.items():
         rep.set(k, val)
 
     # representative v-integrated Besov constituents
-    rep.set("O.P0v_zeta", P0v_norm(zeta_f, metrics, v_nodes))
-    rep.set("O.Q12v_zeta", Q12v_norm(zeta_f, metrics, v_nodes))
+    rep.set("O.P0v_zeta", P0v_norm(co.zeta, g, v_nodes))
+    rep.set("O.Q12v_zeta", Q12v_norm(co.zeta, g, v_nodes))
     return rep
 
 
@@ -806,26 +746,18 @@ def sphericality_report(foliation):
     the mass-aspect definition.  Returns (rows, identity_report) where rows
     are dicts {v, Psi, Theta, psi_H12, theta_L2}.
     """
-    rows = []
     rep = ResidualReport(tolerance_used=1e-9)
-    data = foliation.data
-    for i in range(foliation.n_levels):
-        v = float(foliation.v_nodes[i])
-        co = reconstruct(data, foliation.s_field(i),
-                         foliation.logOmega_field(i), v)
-        g = co.metric
-        Theta = -0.25 * multiply(co.trchi, co.trchib) \
-            + SpinField.constant(g.grid, -1.0 / v ** 2) + co.mu
-        Psi = co.zeta
-        K = g.gauss_curvature()
-        resid = K + SpinField.constant(g.grid, -1.0 / v ** 2) \
-            - div(Psi, g) - Theta
-        _record(rep, "sphericality_split", v, resid, g)
-        rows.append({
-            "v": v, "Psi": Psi, "Theta": Theta,
-            "psi_H12": Hs_norm(Psi, 0.5),
-            "theta_L2": _l2_g(Theta, g),
-        })
+    co = _levels(foliation)
+    g = co.metric
+    inv_v2 = SpinField.constant(g.grid, -1.0 / co.v ** 2)
+    Theta = -0.25 * multiply(co.trchi, co.trchib) + inv_v2 + co.mu
+    Psi = co.zeta
+    resid = g.gauss_curvature() + inv_v2 - div(Psi, g) - Theta
+    _record(rep, "sphericality_split", co.v, resid, g)
+    theta_l2 = _l2_g(Theta, g)
+    rows = [{"v": float(v), "Psi": Psi[i], "Theta": Theta[i],
+             "psi_H12": Hs_norm(Psi[i], 0.5), "theta_L2": float(theta_l2[i])}
+            for i, v in enumerate(co.v)]
     return rows, rep
 
 

@@ -53,35 +53,18 @@ class GeodesicNullData:
         return self.forcing_F1 is not None
 
     # ---- evaluation at a graph height -----------------------------------
+    # s_eval is one leaf of heights (ntheta, nphi) or a stack of leaves; a
+    # stack gives stacked fields, tensors and metrics
 
     def _interp(self, table, s_eval):
         return interp_generator(table, self.s_nodes, s_eval)
 
-    def psi_at(self, s_eval):
-        return np.real(self._interp(self.psi, s_eval))
-
     def metric_at(self, s_eval) -> MetricRep:
-        return MetricRep(self.grid, psi=SpinField.from_samples(
-            self.grid, 0, self.psi_at(s_eval)))
+        return MetricRep(self.grid,
+                         psi=np.real(self._interp(self.psi, s_eval)))
 
     def scalar_at(self, table, s_eval) -> SpinField:
         return SpinField.from_samples(self.grid, 0, self._interp(table, s_eval))
-
-    def _oneform(self, plus) -> OneForm:
-        return OneForm(SpinField.from_samples(self.grid, 1, plus),
-                       SpinField.from_samples(self.grid, -1, np.conj(plus)))
-
-    def _symtensor(self, tr, hat) -> SymTwoTensor:
-        return SymTwoTensor(SpinField.from_samples(self.grid, 0, tr),
-                            SpinField.from_samples(self.grid, 2, hat),
-                            SpinField.from_samples(self.grid, -2, np.conj(hat)))
-
-    def oneform_at(self, table_plus, s_eval) -> OneForm:
-        return self._oneform(self._interp(table_plus, s_eval))
-
-    def symtensor_at(self, trace_table, hat_table, s_eval) -> SymTwoTensor:
-        return self._symtensor(self._interp(trace_table, s_eval),
-                               self._interp(hat_table, s_eval))
 
     @cached_property
     def _source_pack(self):
@@ -104,42 +87,41 @@ class GeodesicNullData:
         if self.has_prescribed_forcing:
             return vals[0], F1, None, None, None
         _, _, F2, tr3, hat3, tr4, hat4 = vals
-        return (vals[0], F1, self._oneform(F2), self._symtensor(tr3, hat3),
-                self._symtensor(tr4, hat4))
+        g = self.grid
+        return (vals[0], F1, OneForm.from_plus(g, F2),
+                SymTwoTensor.from_parts(g, tr3, hat3),
+                SymTwoTensor.from_parts(g, tr4, hat4))
 
     def chi_at(self, s_eval) -> SymTwoTensor:
-        return self.symtensor_at(self.trchi, self.chihat, s_eval)
+        return SymTwoTensor.from_parts(self.grid,
+                                       self._interp(self.trchi, s_eval),
+                                       self._interp(self.chihat, s_eval))
 
     def chib_at(self, s_eval) -> SymTwoTensor:
-        return self.symtensor_at(self.trchib, self.chibhat, s_eval)
+        return SymTwoTensor.from_parts(self.grid,
+                                       self._interp(self.trchib, s_eval),
+                                       self._interp(self.chibhat, s_eval))
 
     def zeta_at(self, s_eval) -> OneForm:
-        return self.oneform_at(self.zeta, s_eval)
+        return OneForm.from_plus(self.grid, self._interp(self.zeta, s_eval))
 
     def curvature_at(self, s_eval):
         """(alpha, beta, rho, sigma, betab) at height s."""
         g = self.grid
-        alpha_p = self._interp(self.alpha, s_eval)
-        alpha = SymTwoTensor(SpinField.zero(g, 0),
-                             SpinField.from_samples(g, 2, alpha_p),
-                             SpinField.from_samples(g, -2, np.conj(alpha_p)))
-        beta = self.oneform_at(self.beta, s_eval)
-        rho = self.scalar_at(self.rho, s_eval)
-        sigma = self.scalar_at(self.sigma, s_eval)
-        betab = self.oneform_at(self.betab, s_eval)
-        return alpha, beta, rho, sigma, betab
+        return (SymTwoTensor.from_parts(g, None,
+                                        self._interp(self.alpha, s_eval)),
+                OneForm.from_plus(g, self._interp(self.beta, s_eval)),
+                self.scalar_at(self.rho, s_eval),
+                self.scalar_at(self.sigma, s_eval),
+                OneForm.from_plus(g, self._interp(self.betab, s_eval)))
 
-    # ---- per-node geometry and derived tables ---------------------------
+    # ---- geometry of the s-node leaves and derived tables ----------------
+    # every s-node leaf at once, as one stack
 
-    def node_metric(self, i) -> MetricRep:
-        return MetricRep(self.grid, psi=SpinField.from_samples(
-            self.grid, 0, np.real(self.psi[i])))
-
-    def _node_oneform(self, table, i):
-        return self._oneform(table[i])
-
-    def _node_sym(self, tr_table, hat_table, i):
-        return self._symtensor(tr_table[i], hat_table[i])
+    @cached_property
+    def slab_metric(self) -> MetricRep:
+        """Metric of every s-node leaf, stacked along the nodes."""
+        return MetricRep(self.grid, psi=np.real(self.psi))
 
     @cached_property
     def _dds(self):
@@ -151,34 +133,23 @@ class GeodesicNullData:
 
     @cached_property
     def div_zeta_table(self):
-        out = np.empty_like(self.zeta[..., :], dtype=np.complex128)
-        for i in range(len(self.s_nodes)):
-            g = self.node_metric(i)
-            out[i] = div(self._node_oneform(self.zeta, i), g).samples
-        return out
+        return div(OneForm.from_plus(self.grid, self.zeta),
+                   self.slab_metric).samples
 
     @cached_property
     def div_chi_table(self):
         """Plus component of Div' chi' (full tensor) per node."""
-        out = np.empty_like(self.zeta)
-        for i in range(len(self.s_nodes)):
-            g = self.node_metric(i)
-            chi = self._node_sym(self.trchi, self.chihat, i)
-            out[i] = div2(chi, g).plus.samples
-        return out
+        chi = SymTwoTensor.from_parts(self.grid, self.trchi, self.chihat)
+        return div2(chi, self.slab_metric).plus.samples
 
     @cached_property
     def F1_table(self):
         """F'_1 = -Div' zeta' + rho' - (1/2) chihat' . chibhat' per node."""
         if self.has_prescribed_forcing:
             return np.asarray(self.forcing_F1, dtype=np.complex128)
-        out = np.empty_like(self.rho, dtype=np.complex128)
-        for i in range(len(self.s_nodes)):
-            hdot = self._node_sym(np.zeros_like(self.trchi), self.chihat, i)
-            hbdot = self._node_sym(np.zeros_like(self.trchib), self.chibhat, i)
-            quad = dot(hdot, hbdot).samples
-            out[i] = -self.div_zeta_table[i] + self.rho[i] - 0.5 * quad
-        return out
+        quad = dot(SymTwoTensor.from_parts(self.grid, None, self.chihat),
+                   SymTwoTensor.from_parts(self.grid, None, self.chibhat))
+        return -self.div_zeta_table + self.rho - 0.5 * quad.samples
 
     @cached_property
     def F2_table(self):
@@ -190,15 +161,12 @@ class GeodesicNullData:
         if self.has_prescribed_forcing:
             return np.zeros_like(self.zeta)
         dz = self.d_ds(self.zeta)
-        out = np.empty_like(self.zeta)
-        for i in range(len(self.s_nodes)):
-            chi = self._node_sym(self.trchi, self.chihat, i)
-            ze = self._node_oneform(self.zeta, i)
-            chi_ze = contract(chi, ze).plus.samples
-            hat_ze = contract(chi.hat(), ze).plus.samples
-            out[i] = (-dz[i] - self.trchi[i] * self.zeta[i] + chi_ze
-                      - self.div_chi_table[i] + self.beta[i] + 2.0 * hat_ze)
-        return out
+        chi = SymTwoTensor.from_parts(self.grid, self.trchi, self.chihat)
+        ze = OneForm.from_plus(self.grid, self.zeta)
+        chi_ze = contract(chi, ze).plus.samples
+        hat_ze = contract(chi.hat(), ze).plus.samples
+        return (-dz - self.trchi * self.zeta + chi_ze - self.div_chi_table
+                + self.beta + 2.0 * hat_ze)
 
     @cached_property
     def F3_tables(self):
@@ -478,87 +446,70 @@ def gen_manufactured(spec: MmsSpec):
 def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
     """Residuals of the geodesic null structure equations over the slab.
 
-    s-derivatives are spectral (Chebyshev); each equation is reported per
-    s-node with max and L2(round) norms.
+    s-derivatives are spectral (Chebyshev); every s-node leaf is checked at
+    once, as one stack, and each equation is reported per s-node with max
+    and L2(round) norms.
     """
     rep = ResidualReport(tolerance_used=tolerance)
     g = data.grid
-    n = len(data.s_nodes)
+    met = data.slab_metric
+    chi = SymTwoTensor.from_parts(g, data.trchi, data.chihat)
+    chib = SymTwoTensor.from_parts(g, data.trchib, data.chibhat)
+    chihat, chibhat = chi.hat(), chib.hat()
+    trchi_f, trchib_f = chi.trace, chib.trace
+    ze = OneForm.from_plus(g, data.zeta)
+    be = OneForm.from_plus(g, data.beta)
+    al = SymTwoTensor.from_parts(g, None, data.alpha)
+    rho = SpinField.from_samples(g, 0, data.rho)
 
-    d_e2psi = data.d_ds(np.exp(2.0 * data.psi))
-    d_trchi = data.d_ds(data.trchi)
-    d_chihat = data.d_ds(data.chihat)
-    d_trchib = data.d_ds(data.trchib)
-    d_rho = data.d_ds(data.rho)
+    sizes = {}
 
-    def record(name, i, samples):
-        f = np.asarray(samples)
-        mx = float(np.max(np.abs(f)))
-        l2 = float(np.sqrt(max(g.integrate(np.abs(f) ** 2), 0.0)))
-        rep.add(name, data.s_nodes[i], mx, l2)
+    def record(name, f):
+        f = np.abs(f.samples if isinstance(f, SpinField) else f)
+        sizes[name] = (np.max(f, axis=(-2, -1)),
+                       np.sqrt(np.maximum(g.integrate(f ** 2), 0.0)))
 
-    for i in range(n):
-        met = data.node_metric(i)
-        chi = data._node_sym(data.trchi, data.chihat, i)
-        chib = data._node_sym(data.trchib, data.chibhat, i)
-        chihat = chi.hat()
-        chibhat = chib.hat()
-        ze = data._node_oneform(data.zeta, i)
-        be = data._node_oneform(data.beta, i)
-        bb = data._node_oneform(data.betab, i)
-        al = SymTwoTensor(SpinField.zero(g, 0),
-                          SpinField.from_samples(g, 2, data.alpha[i]),
-                          SpinField.from_samples(g, -2, np.conj(data.alpha[i])))
-        rho = SpinField.from_samples(g, 0, data.rho[i])
-        sig = SpinField.from_samples(g, 0, data.sigma[i])
+    # first variation (trace part; the conformal representation is exact
+    # only for shear-free coordinate flows)
+    e2psi = np.exp(2.0 * data.psi)
+    record("first_variation", data.d_ds(e2psi) - data.trchi * e2psi)
+    # Raychaudhuri
+    record("raychaudhuri", data.d_ds(data.trchi) + 0.5 * data.trchi ** 2
+           + np.real(chihat.norm2().samples))
+    # chihat transport: d_s chihat + trchi chihat = -alpha
+    record("chihat_transport", data.d_ds(data.chihat)
+           + data.trchi * data.chihat + data.alpha)
+    # Codazzi (chi): Div chihat - grad trchi/2 + zeta.chihat - zeta trchi/2
+    #                + beta
+    record("codazzi_chi", div2(chihat, met).plus
+           - 0.5 * grad(trchi_f, met).plus + contract(chihat, ze).plus
+           - 0.5 * multiply(trchi_f, ze.plus) + be.plus)
+    # Codazzi (chib): Div chibhat - grad trchib/2 - zeta.chibhat
+    #                 + zeta trchib/2 - betab
+    record("codazzi_chib", div2(chibhat, met).plus
+           - 0.5 * grad(trchib_f, met).plus - contract(chibhat, ze).plus
+           + 0.5 * multiply(trchib_f, ze.plus)
+           - SpinField.from_samples(g, 1, data.betab))
+    # Gauss: K + trchi trchib/4 + rho - chihat.chibhat/2 = 0
+    record("gauss", met.gauss_curvature() + 0.25 * multiply(trchi_f, trchib_f)
+           + rho - 0.5 * dot(chihat, chibhat))
+    # torsion: curl zeta = sigma - chihat ^ chibhat / 2
+    record("torsion", curl(ze, met) - SpinField.from_samples(g, 0, data.sigma)
+           + 0.5 * wedge(chihat, chibhat))
+    # Bianchi rho-transport (geodesic, etab' = -zeta'):
+    # d_s rho + (3/2) trchi rho = Div beta - chibhat.alpha/2 - zeta.beta
+    record("bianchi_rho", SpinField.from_samples(g, 0, data.d_ds(data.rho))
+           + 1.5 * multiply(trchi_f, rho) - div(be, met)
+           + 0.5 * dot(chibhat, al) + dot(ze, be))
+    # trchib transport (geodesic form):
+    # d_s trchib + trchi trchib/2 = -2 Div zeta + 2(rho - chihat.chibhat/2)
+    #                               + 2|zeta|^2
+    record("trchib_transport",
+           SpinField.from_samples(g, 0, data.d_ds(data.trchib))
+           + 0.5 * multiply(trchi_f, trchib_f) + 2.0 * div(ze, met)
+           - 2.0 * rho + dot(chihat, chibhat) - 2.0 * dot(ze, ze))
 
-        # first variation (trace part; the conformal representation is exact
-        # only for shear-free coordinate flows)
-        record("first_variation", i,
-               d_e2psi[i] - data.trchi[i] * np.exp(2.0 * data.psi[i]))
-        # Raychaudhuri
-        ray = d_trchi[i] + 0.5 * data.trchi[i] ** 2 \
-            + np.real(chihat.norm2().samples)
-        record("raychaudhuri", i, ray)
-        # chihat transport: d_s chihat + trchi chihat = -alpha
-        record("chihat_transport", i,
-               d_chihat[i] + data.trchi[i] * data.chihat[i] + data.alpha[i])
-        # Codazzi (chi): Div chihat - grad trchi/2 + zeta.chihat - zeta trchi/2 + beta
-        trchi_f = SpinField.from_samples(g, 0, data.trchi[i])
-        cod1 = div2(chihat, met).plus - 0.5 * grad(trchi_f, met).plus \
-            + contract(chihat, ze).plus - 0.5 * multiply(trchi_f, ze.plus) \
-            + be.plus
-        record("codazzi_chi", i, cod1.samples)
-        # Codazzi (chib): Div chibhat - grad trchib/2 - zeta.chibhat
-        #                 + zeta trchib/2 - betab
-        trchib_f = SpinField.from_samples(g, 0, data.trchib[i])
-        cod2 = div2(chibhat, met).plus - 0.5 * grad(trchib_f, met).plus \
-            - contract(chibhat, ze).plus + 0.5 * multiply(trchib_f, ze.plus) \
-            - bb.plus
-        record("codazzi_chib", i, cod2.samples)
-        # Gauss: K + trchi trchib/4 + rho - chihat.chibhat/2 = 0
-        K = met.gauss_curvature()
-        gauss = K + 0.25 * multiply(trchi_f, trchib_f) + rho \
-            - 0.5 * dot(chihat, chibhat)
-        record("gauss", i, gauss.samples)
-        # torsion: curl zeta = sigma - chihat ^ chibhat / 2
-        torsion = curl(ze, met) - sig + 0.5 * wedge(chihat, chibhat)
-        record("torsion", i, torsion.samples)
-        # Bianchi rho-transport (geodesic, etab' = -zeta'):
-        # d_s rho + (3/2) trchi rho = Div beta - chibhat.alpha/2 - zeta.beta
-        bianchi = SpinField.from_samples(g, 0, d_rho[i]) \
-            + 1.5 * multiply(trchi_f, rho) \
-            - div(be, met) + 0.5 * dot(chibhat, al) + dot(ze, be)
-        record("bianchi_rho", i, bianchi.samples)
-        # trchib transport (geodesic form):
-        # d_s trchib + trchi trchib/2 = -2 Div zeta + 2(rho - chihat.chibhat/2)
-        #                               + 2|zeta|^2
-        tb = SpinField.from_samples(g, 0, d_trchib[i]) \
-            + 0.5 * multiply(trchi_f, trchib_f) \
-            + 2.0 * div(ze, met) - 2.0 * rho + dot(chihat, chibhat) \
-            - 2.0 * dot(ze, ze)
-        record("trchib_transport", i, tb.samples)
-
+    rep.add_levels(data.s_nodes, sizes)
     return rep
 
 

@@ -24,6 +24,13 @@ class ResidualReport:
             raise ValueError(f"non-finite residual for {name!r}")
         self.rows.append((str(name), float(level), max_norm, l2_norm))
 
+    def add_levels(self, levels, sizes):
+        """Rows level by level, equations in the order of `sizes`, which maps
+        each name to (max_norms, l2_norms) with one value per level."""
+        for i, level in enumerate(levels):
+            for name, (max_norm, l2_norm) in sizes.items():
+                self.add(name, level, max_norm[i], l2_norm[i])
+
     def equations(self):
         seen = []
         for name, *_ in self.rows:

@@ -116,7 +116,6 @@ class Foliation:
         self.s = np.asarray(s_table, dtype=float)
         self.logOmega = np.asarray(logOm_table, dtype=float)
         self.windows = windows or []
-        self._metrics = {}
 
     @property
     def n_levels(self):
@@ -126,16 +125,13 @@ class Foliation:
     def dv(self):
         return float(self.v_nodes[1] - self.v_nodes[0])
 
-    def s_field(self, i) -> SpinField:
+    def s_field(self, i=slice(None)) -> SpinField:
+        """The graph at level i, or at a stack of levels (slice or array)."""
         return SpinField.from_samples(self.grid, 0, self.s[i])
 
-    def logOmega_field(self, i) -> SpinField:
+    def logOmega_field(self, i=slice(None)) -> SpinField:
+        """log Omega at level i, or at a stack of levels."""
         return SpinField.from_samples(self.grid, 0, self.logOmega[i])
-
-    def metric(self, i) -> MetricRep:
-        if i not in self._metrics:
-            self._metrics[i] = induced_metric(self.data, self.s[i])
-        return self._metrics[i]
 
     def max_omega_dev(self):
         return float(np.max(np.abs(np.exp(self.logOmega) - 1.0)))
@@ -172,11 +168,6 @@ class Foliation:
 # --------------------------------------------------------------------------
 # building blocks
 # --------------------------------------------------------------------------
-
-def induced_metric(data: GeodesicNullData, s_samples) -> MetricRep:
-    """Graph-sphere metric: conformal factor psi'(s(w), w) of the slab."""
-    return data.metric_at(np.real(s_samples))
-
 
 def assemble_F(data: GeodesicNullData, s_samples, metric: MetricRep,
                gradient: OneForm, hess: SymTwoTensor,

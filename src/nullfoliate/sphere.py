@@ -237,6 +237,13 @@ class SpinField:
     def coeff(self, l, m):
         return complex(self.coeffs[l, m + self.grid.Lmax])
 
+    def __getitem__(self, idx):
+        """Field(s) idx of a stack (an index, slice or index array)."""
+        return SpinField(
+            self.grid, self.spin,
+            coeffs=None if self._coeffs is None else self._coeffs[idx],
+            samples=None if self._samples is None else self._samples[idx])
+
     # ---- algebra ----------------------------------------------------------
 
     def _like(self, spin=None, coeffs=None, samples=None):
@@ -411,9 +418,11 @@ def interp_generator(table, s_nodes, s_eval, domain=None):
     """Evaluate per-generator tabulated data at height s_eval.
 
     table has shape (n_s, ntheta, nphi) on CGL nodes s_nodes; s_eval is an
-    angular array (or scalar).  Barycentric interpolation per angular node;
-    spectrally accurate for analytic generators.  Raises OutOfDomainError if
-    any evaluation height leaves [s_nodes[0], s_nodes[-1]] (the data slab).
+    angular array, a stack of them (..., ntheta, nphi), or a scalar.  Each
+    leaf of a stack reads the same table, bitwise as a call of its own.
+    Barycentric interpolation per angular node; spectrally accurate for
+    analytic generators.  Raises OutOfDomainError if any evaluation height
+    leaves [s_nodes[0], s_nodes[-1]] (the data slab).
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     sv = _heights(s_nodes, s_eval, domain)

@@ -13,7 +13,8 @@ All covariant operators reduce to the round eth ladder with conformal weights,
 which keeps Laplace inversion exact: Delta_g f = e^{-2 psi} Delta_ring f.
 Every leaf metric of a graph foliation has this form, so MetricRep holds
 nothing but the conformal factor psi.  Fields and metrics may be stacks of
-leaves (see sphere); every operation here acts leaf by leaf.
+leaves (see sphere); every operation here acts leaf by leaf, and indexing a
+stacked field, tensor or metric takes one leaf or a slice of them.
 """
 
 import numpy as np
@@ -39,6 +40,12 @@ class MetricRep:
     @classmethod
     def round_sphere(cls, grid, radius=1.0):
         return cls(grid, psi=SpinField.constant(grid, np.log(radius)))
+
+    def __getitem__(self, idx):
+        """Metric(s) idx of a stack, keeping the conformal factors made."""
+        sub = MetricRep(self.grid, psi=self.psi[idx])
+        sub._conf = {k: f[idx] for k, f in self._conf.items()}
+        return sub
 
     def conformal_factor(self, power):
         """Cached sample-backed e^{power * psi} as a spin-0 field."""
@@ -79,6 +86,15 @@ class OneForm:
     @classmethod
     def zero(cls, grid):
         return cls(SpinField.zero(grid, 1), SpinField.zero(grid, -1))
+
+    @classmethod
+    def from_plus(cls, grid, plus):
+        """Real 1-form from samples (..., ntheta, nphi) of its plus part."""
+        return cls(SpinField.from_samples(grid, 1, plus),
+                   SpinField.from_samples(grid, -1, np.conj(plus)))
+
+    def __getitem__(self, idx):
+        return OneForm(self.plus[idx], self.minus[idx])
 
     def __add__(self, other):
         return OneForm(self.plus + other.plus, self.minus + other.minus)
@@ -128,6 +144,20 @@ class SymTwoTensor:
     def zero(cls, grid):
         return cls(SpinField.zero(grid, 0), SpinField.zero(grid, 2),
                    SpinField.zero(grid, -2))
+
+    @classmethod
+    def from_parts(cls, grid, trace, hat_plus):
+        """Real tensor from samples of its trace and hat_plus component
+        (..., ntheta, nphi); trace None is a zero trace of the same shape."""
+        hat_plus = np.asarray(hat_plus)
+        tr = SpinField.from_coeffs(grid, 0, np.zeros(hat_plus.shape)) \
+            if trace is None else SpinField.from_samples(grid, 0, trace)
+        return cls(tr, SpinField.from_samples(grid, 2, hat_plus),
+                   SpinField.from_samples(grid, -2, np.conj(hat_plus)))
+
+    def __getitem__(self, idx):
+        return SymTwoTensor(self.trace[idx], self.hat_plus[idx],
+                            self.hat_minus[idx])
 
     def __add__(self, other):
         return SymTwoTensor(self.trace + other.trace,

@@ -184,9 +184,8 @@ def test_criterion_6_cross_path_coefficients(mms23):
     data, _ = mms23
     cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 128.0, tol=1e-13)
     fol = solver.continue_foliation(data, cfg, v_end=2.0)
-    levels = [comparison.reconstruct(data, fol.s_field(i),
-                                     fol.logOmega_field(i), fol.v_nodes[i])
-              for i in range(fol.n_levels)]
+    levels = comparison.reconstruct(data, fol.s_field(),
+                                    fol.logOmega_field(), fol.v_nodes)
     dl = diagnostics.dLUpsilon_fd(fol, levels)
     _, margin = diagnostics._fd_stencil(fol.n_levels)
     worst = 0.0

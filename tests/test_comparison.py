@@ -1,11 +1,14 @@
 """Foliation-comparison (reconstruction) tests."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from nullfoliate import comparison, geodesic, solver
 from nullfoliate.sphere import SpinField
-from nullfoliate.tensors import MetricRep, OneForm, contract, dual, grad
+from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, contract,
+                                 dual, grad)
 
 from conftest import random_real_scalar, random_spin_field
 
@@ -56,6 +59,46 @@ class TestMinkowskiCanonical:
         co = comparison.reconstruct(data, fol.s_field(0),
                                     fol.logOmega_field(0), 1.0)
         assert co.Upsilon.max_abs() < 1e-13
+
+
+def _parts(x):
+    """Sample arrays of every component of a coefficient."""
+    if isinstance(x, SpinField):
+        return [x.samples]
+    if isinstance(x, OneForm):
+        return [x.plus.samples, x.minus.samples]
+    if isinstance(x, SymTwoTensor):
+        return [x.trace.samples, x.hat_plus.samples, x.hat_minus.samples]
+    if isinstance(x, MetricRep):
+        return [x.psi.samples]
+    return [np.asarray(x)]
+
+
+class TestStackedReconstruct:
+    @pytest.mark.parametrize("case", ["schw_foliation", "mms_foliation"])
+    def test_stack_equals_per_level_calls(self, case, request):
+        """One stacked call on every level gives each coefficient of the
+        per-level calls, to 1e-13 of that coefficient's largest value."""
+        value = request.getfixturevalue(case)
+        data, fol = value[0], value[-1]
+        stacked = comparison.reconstruct(data, fol.s_field(),
+                                         fol.logOmega_field(), fol.v_nodes)
+        per_level = [comparison.reconstruct(data, fol.s_field(i),
+                                            fol.logOmega_field(i),
+                                            fol.v_nodes[i])
+                     for i in range(fol.n_levels)]
+        for f in fields(comparison.CanonicalCoefficients):
+            got = _parts(getattr(stacked, f.name))
+            for k, part in enumerate(got):
+                ref = np.stack([_parts(getattr(co, f.name))[k]
+                                for co in per_level])
+                assert part.shape == ref.shape, f.name
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(part - ref)) <= 1e-13 * scale, \
+                    (f.name, k, np.max(np.abs(part - ref)), scale)
+        one = stacked[fol.n_levels // 2]
+        assert float(one.v) == fol.v_nodes[fol.n_levels // 2]
+        assert one.mu.samples.shape == data.grid.shape
 
 
 class TestSchwarzschildCanonical:
@@ -149,10 +192,8 @@ class TestCrossPaths:
         nabla_L Upsilon against etab = -zeta - grad log Omega."""
         from nullfoliate.diagnostics import _fd_stencil, dLUpsilon_fd
         data, exact, fol = mms_foliation
-        levels = [comparison.reconstruct(data, fol.s_field(i),
-                                         fol.logOmega_field(i),
-                                         fol.v_nodes[i])
-                  for i in range(fol.n_levels)]
+        levels = comparison.reconstruct(data, fol.s_field(),
+                                        fol.logOmega_field(), fol.v_nodes)
         dl = dLUpsilon_fd(fol, levels)
         _, margin = _fd_stencil(fol.n_levels)
         worst = 0.0
@@ -169,10 +210,8 @@ class TestCrossPaths:
         transport equation through the solver's truncation."""
         from nullfoliate.diagnostics import _fd_stencil, dLUpsilon_fd
         data, exact, fol = mms_foliation
-        levels = [comparison.reconstruct(data, fol.s_field(i),
-                                         fol.logOmega_field(i),
-                                         fol.v_nodes[i])
-                  for i in range(fol.n_levels)]
+        levels = comparison.reconstruct(data, fol.s_field(),
+                                        fol.logOmega_field(), fol.v_nodes)
         dl = dLUpsilon_fd(fol, levels)
         _, margin = _fd_stencil(fol.n_levels)
         worst = 0.0

@@ -157,7 +157,7 @@ class TestContinueFoliation:
         fol = solver.continue_foliation(data, cfg, v_end=2.0)
         worst = 0.0
         for i in range(0, fol.n_levels, 7):
-            metric = solver.induced_metric(data, fol.s[i])
+            metric = data.metric_at(fol.s[i])
             sf = fol.s_field(i)
             F = solver.assemble_F(data, fol.s[i], metric, grad(sf, metric),
                                   hessian(sf, metric))
@@ -171,7 +171,7 @@ class TestContinueFoliation:
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0)
         fol = solver.continue_foliation(data, cfg, v_end=2.0)
         for i in range(0, fol.n_levels, 9):
-            met = fol.metric(i)
+            met = data.metric_at(fol.s[i])
             assert abs(mean(fol.logOmega_field(i), met)) < 1e-11
 
     def test_v_end_off_the_grid_rejected(self):
@@ -219,16 +219,35 @@ class TestContinueFoliation:
             solver.continue_foliation(data, cfg, v_end=2.0)
         assert abs(err.value.last_good_v - 1.2) < 0.1
 
-    def test_threads_split_blocks_identically(self, mms_small):
+    def test_threads_split_blocks_identically(self, mms_small, monkeypatch):
         """A window of several lapse blocks, so the pool really splits the
-        sweep: the foliation is bitwise independent of the thread count."""
+        sweep: every sweep solves the same LAPSE_BLOCK partition of levels
+        1..steps whatever the thread count, and the foliation is bitwise
+        independent of it."""
         data, _ = mms_small
-        assert solver._even_steps(0.25, 1.0 / 128.0) >= 2 * solver.LAPSE_BLOCK
-        fols = [solver.continue_foliation(
-                    data, solver.SolverConfig(delta=0.25, dv=1.0 / 128.0,
-                                              threads=t), v_end=1.25)
-                for t in (1, 2)]
+        lapse_at = solver._lapse_at
+        blocks = {}
+
+        def recording(data, s_samples):
+            if np.ndim(s_samples) == 3:
+                blocks[threads].append(len(s_samples))
+            return lapse_at(data, s_samples)
+
+        monkeypatch.setattr(solver, "_lapse_at", recording)
+        fols = []
+        for threads in (1, 2):
+            blocks[threads] = []
+            fols.append(solver.continue_foliation(
+                data, solver.SolverConfig(delta=0.25, dv=1.0 / 128.0,
+                                          threads=threads), v_end=1.25))
         assert fols[0].n_levels == 33
+        (win,) = fols[0].windows
+        steps = len(win.v_nodes) - 1
+        assert steps >= 2 * solver.LAPSE_BLOCK
+        partition = [len(range(j, min(j + solver.LAPSE_BLOCK, steps + 1)))
+                     for j in range(1, steps + 1, solver.LAPSE_BLOCK)]
+        assert blocks[1] == partition * win.iterations
+        assert sorted(blocks[2]) == sorted(blocks[1])
         assert np.array_equal(fols[0].s, fols[1].s)
         assert np.array_equal(fols[0].logOmega, fols[1].logOmega)
         assert fols[0].trace_rows() == fols[1].trace_rows()
@@ -306,20 +325,20 @@ class TestBuildingBlocks:
     def test_induced_metric_composition(self, mink):
         """psi(w) = psi'(s(w), w) = log s(w) pointwise on the flat cone."""
         g = mink.grid
-        met = solver.induced_metric(mink, np.full(g.shape, 1.5))
+        met = mink.metric_at(np.full(g.shape, 1.5))
         assert np.max(np.abs(np.real(met.psi.samples) - np.log(1.5))) < 1e-12
         y20 = np.zeros((9, 17), dtype=complex)
         y20[2, 8] = 1.0
         prof = np.real(SpinField.from_coeffs(g, 0, y20).samples)
         s = 1.5 + 0.01 * prof
-        met2 = solver.induced_metric(mink, s)
+        met2 = mink.metric_at(s)
         assert np.max(np.abs(np.real(met2.psi.samples) - np.log(s))) < 1e-12
 
     def test_assemble_F_minkowski_flat_graph(self, mink):
         """Angularly constant graphs feed zero gradients: F vanishes."""
         g = mink.grid
         s = np.full(g.shape, 1.3)
-        met = solver.induced_metric(mink, s)
+        met = mink.metric_at(s)
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(mink, s, met, grad(sf, met), hessian(sf, met))
         assert F.max_abs() < 1e-12
@@ -328,7 +347,7 @@ class TestBuildingBlocks:
         """At s = 1.5 with no tilt, F reduces to rho'(1.5) = -2M/1.5^3."""
         g = schw.grid
         s = np.full(g.shape, 1.5)
-        met = solver.induced_metric(schw, s)
+        met = schw.metric_at(s)
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(schw, s, met, grad(sf, met), hessian(sf, met))
         expect = -2.0 * 0.1 / 1.5 ** 3
@@ -349,7 +368,7 @@ class TestBuildingBlocks:
         y21[2, 8 - 1] = -np.conj(0.04)
         prof = np.real(SpinField.from_coeffs(g, 0, y21).samples)
         s = 1.6 + prof
-        met = solver.induced_metric(schw, s)
+        met = schw.metric_at(s)
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(schw, s, met, grad(sf, met), hessian(sf, met))
 

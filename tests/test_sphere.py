@@ -416,6 +416,35 @@ class TestGeneratorInterpolation:
         with pytest.raises(OutOfDomainError):
             interp_generator(table, s_nodes, np.full(grid8.shape, 2.6))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_s=st.integers(4, 24),
+           extra=st.sampled_from([None, 1, 3]), cplx=st.booleans(),
+           hits=st.integers(0, 20))
+    def test_stacked_heights_match_leaf_reads_bitwise(self, grid8, seed, n_s,
+                                                      extra, cplx, hits):
+        """A stack of leaves reads one table exactly as per-leaf calls do,
+        node hits included.  A stack as long as the table (extra None)
+        would also pass a broadcast along the wrong axis, were the shapes
+        the only check."""
+        from nullfoliate._cheb import cgl_nodes
+        rng = np.random.default_rng(seed)
+        s_nodes = cgl_nodes(n_s, 1.0, 2.5)
+        shape = (n_s,) + grid8.shape
+        table = rng.normal(size=shape)
+        if cplx:
+            table = table + 1j * rng.normal(size=shape)
+        k = n_s if extra is None else extra
+        heights = rng.uniform(1.0, 2.5, size=(k,) + grid8.shape)
+        for _ in range(hits):
+            j, t, p = (rng.integers(n) for n in heights.shape)
+            heights[j, t, p] = s_nodes[rng.integers(n_s)]
+        heights[0] = s_nodes[rng.integers(n_s)]  # a whole leaf on a node
+        out = interp_generator(table, s_nodes, heights)
+        assert out.shape == heights.shape
+        for j in range(k):
+            assert np.array_equal(out[j],
+                                  interp_generator(table, s_nodes, heights[j]))
+
     def test_geometric_decay_in_node_count(self, grid8):
         """Error on an analytic generator decays geometrically when the
         node count doubles (slope well below -0.5 per doubling)."""
