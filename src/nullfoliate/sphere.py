@@ -18,11 +18,18 @@ complex data never meets the real table in one product.  The Fourier stage is
 a complex matrix product with E[m, k] = exp(i m phi_k), or with its scaled
 conjugate for analysis.  nphi = 2 Lmax + 1 is odd and often prime (31, 47,
 71 at Lmax = 15, 23, 35), where an FFT falls back to Bluestein's algorithm;
-at these sizes the dense product is faster.  The table is cached once per
-(Lmax, spin) and the two DFT matrices once per Lmax.
+at these sizes the dense product is faster.
 
-Stacks.  Samples (..., ntheta, nphi) and coefficients (..., Lmax+1, 2Lmax+1)
-may carry leading stack axes, e.g. the v-levels of a Picard window.  A
+Bands.  Coefficients (..., L+1, 2L+1) may have a band L up to the grid's
+Lmax: synthesis reads L from their shape, analysis takes it as an argument.
+A band-L transform works on 2L+1 m-matrices of (ntheta x (L+1)) and on the
+2L+1 rows of E, never on coefficients known to be zero.  The table is
+cached once per (grid Lmax, band, spin); a band reads a slice of the DFT
+pair stored once per grid.  A padded product synthesises band-Lmax factors
+onto the grid of pad_Lmax(Lmax) and analyses their product back to Lmax.
+
+Stacks.  Samples (..., ntheta, nphi) and coefficients (..., L+1, 2L+1) may
+carry leading stack axes, e.g. the v-levels of a Picard window.  A
 transform folds the stack into the columns of its one Legendre matmul and its
 one Fourier matmul, so a stack costs two matrix products, not one pair per
 field.  SpinField, multiply and Grid.integrate broadcast over the stack; a
@@ -76,7 +83,7 @@ class Grid:
 
 
 _GRIDS: dict = {}
-_LEGENDRE: dict = {}  # (Lmax, spin) -> real table lam[m+Lmax, theta, l]
+_LEGENDRE: dict = {}  # (Lmax, band L, spin) -> real table lam[m+L, theta, l]
 _FOURIER: dict = {}  # Lmax -> (E, Einv), E[m+Lmax, k] = exp(i m phi_k)
 
 
@@ -98,46 +105,46 @@ def build_grid(Lmax: int) -> Grid:
     return _GRIDS[Lmax]
 
 
-def _legendre(Lmax, spin):
-    """The cached table lam[m+Lmax, theta, l] of one (Lmax, spin)."""
-    key = (Lmax, spin)
+def _plan(grid, L, spin):
+    """(lam, E, Einv) of band L on grid: the cached table lam[m+L, theta, l],
+    and the 2L+1 rows E[m+L, k] = exp(i m phi_k) and columns of
+    Einv = conj(E).T 2pi/nphi, slices of the one DFT pair stored per grid."""
+    if not 0 <= L <= grid.Lmax:
+        raise ValueError(f"band {L} outside 0..{grid.Lmax} of the grid")
+    key = (grid.Lmax, L, spin)
     if key not in _LEGENDRE:
-        grid = build_grid(Lmax)
-        _LEGENDRE[key] = spin_lambda_tables(Lmax, spin, grid.theta_nodes)
-    return _LEGENDRE[key]
+        _LEGENDRE[key] = spin_lambda_tables(L, spin, grid.theta_nodes)
+    if grid.Lmax not in _FOURIER:
+        ms = np.arange(-grid.Lmax, grid.Lmax + 1)
+        E = np.exp(1j * np.outer(ms, grid.phi_nodes))
+        _FOURIER[grid.Lmax] = (E, E.conj().T * (2.0 * np.pi / grid.nphi))
+    E, Einv = _FOURIER[grid.Lmax]
+    band = slice(grid.Lmax - L, grid.Lmax + L + 1)
+    return _LEGENDRE[key], E[band], Einv[:, band]
 
 
 def _tables(Lmax, spin):
-    """lam[l, m+Lmax, theta]: a transposed view of the cached table."""
-    return _legendre(Lmax, spin).transpose(2, 0, 1)
+    """lam[l, m+Lmax, theta]: a view of the cached full-band table."""
+    return _plan(build_grid(Lmax), Lmax, spin)[0].transpose(2, 0, 1)
 
 
-def _fourier(Lmax):
-    """(E, Einv) with E[m+Lmax, k] = exp(i m phi_k), Einv = conj(E).T 2pi/nphi."""
-    if Lmax not in _FOURIER:
-        grid = build_grid(Lmax)
-        ms = np.arange(-Lmax, Lmax + 1)
-        E = np.exp(1j * np.outer(ms, grid.phi_nodes))
-        _FOURIER[Lmax] = (E, E.conj().T * (2.0 * np.pi / grid.nphi))
-    return _FOURIER[Lmax]
-
-
-def raw_analyze(grid: Grid, samples, spin: int):
-    """Coefficients a[..., l, m+Lmax] of a spin-weighted field or a stack of
-    them (samples (..., ntheta, nphi)); no spin-range check."""
-    L = grid.Lmax
-    lam = _legendre(L, spin)
-    _, Einv = _fourier(L)
+def raw_analyze(grid: Grid, samples, spin: int, L=None):
+    """Coefficients a[..., l, m+L] up to band L (default grid.Lmax) of a
+    spin-weighted field or a stack of them (samples (..., ntheta, nphi));
+    no spin-range check."""
+    L = grid.Lmax if L is None else L
+    lam, _, Einv = _plan(grid, L, spin)
+    nt = grid.Lmax + 1
     s = np.asarray(samples, dtype=np.complex128)
     if s.ndim == 2:
         F = s @ Einv  # (theta, m)
         F *= (grid.weights / (2.0 * np.pi))[:, None]
-        Fr = F.view(np.float64).reshape(L + 1, 2 * L + 1, 2).transpose(1, 0, 2)
+        Fr = F.view(np.float64).reshape(nt, 2 * L + 1, 2).transpose(1, 0, 2)
     else:  # (m, theta, stack re/im pairs in reversed stack order)
-        F = (s.reshape(-1, grid.nphi) @ Einv).reshape(s.shape)
+        F = (s.reshape(-1, grid.nphi) @ Einv).reshape(s.shape[:-1] + (-1,))
         F *= (grid.weights / (2.0 * np.pi))[:, None]
         Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(
-            2 * L + 1, L + 1, -1)
+            2 * L + 1, nt, -1)
     a = np.matmul(lam.transpose(0, 2, 1), Fr)  # (m, l, 2 * stack)
     # Fortran-ordered (..., l, m): raw_synthesize takes its transpose without
     # a copy
@@ -147,23 +154,26 @@ def raw_analyze(grid: Grid, samples, spin: int):
 
 def raw_synthesize(grid: Grid, coeffs, spin: int):
     """Samples (..., ntheta, nphi) of a spin-weighted field or a stack of
-    them from coefficients (..., l, m+Lmax); no spin-range check.
+    them from coefficients (..., l, m+L) of any band L <= grid.Lmax, read
+    from their shape (..., L+1, 2L+1); no spin-range check.
 
     Reads the coefficients through their full transpose (m, l, reversed
     stack), so a Fortran-ordered array is used without a copy.
     """
-    L = grid.Lmax
-    lam = _legendre(L, spin)
-    E, _ = _fourier(L)
     c = np.asarray(coeffs, dtype=np.complex128)
+    L = c.shape[-2] - 1 if c.ndim >= 2 else -1
+    if c.shape[-1:] != (2 * L + 1,):
+        raise ValueError(
+            f"coefficient shape {c.shape} is not (..., L+1, 2L+1)")
+    lam, E, _ = _plan(grid, L, spin)
     cm = np.ascontiguousarray(c.T)
     G = np.matmul(lam, cm.view(np.float64).reshape(2 * L + 1, L + 1, -1))
     S = G.view(np.complex128).reshape(2 * L + 1, -1).T @ E  # (theta, m) @ (m, k)
     if c.ndim == 2:
         return S
     n = c.ndim - 2  # rows of S run over (theta, reversed stack)
-    return S.reshape((L + 1,) + c.shape[:n][::-1] + (grid.nphi,)).transpose(
-        tuple(range(n, 0, -1)) + (0, n + 1))
+    return S.reshape((grid.Lmax + 1,) + c.shape[:n][::-1] + (grid.nphi,)
+                     ).transpose(tuple(range(n, 0, -1)) + (0, n + 1))
 
 
 def ladder_raise(coeffs, spin, Lmax):
@@ -365,10 +375,12 @@ def pad_Lmax(Lmax: int) -> int:
 def multiply(*fields: SpinField) -> SpinField:
     """Pointwise product evaluated on the 3/2-padded grid, truncated to Lmax.
 
+    Each factor is synthesised from its band-Lmax coefficients straight onto
+    the padded grid and the product is analysed straight back to band Lmax;
+    the padded coefficients above Lmax are zero, so they are never formed.
     Factors beyond the second are folded in pairwise, re-truncating between,
     so each step stays alias-free.  Stacked factors broadcast against each
-    other.  The padded coefficients are allocated Fortran-ordered, the layout
-    raw_synthesize reads without a copy.
+    other.
     """
     if len(fields) < 2:
         return fields[0]
@@ -377,21 +389,11 @@ def multiply(*fields: SpinField) -> SpinField:
     if g.grid is not grid:
         raise ValueError("operands live on different grids")
     spin = f.spin + g.spin
-    Lp = pad_Lmax(grid.Lmax)
-    pgrid = build_grid(Lp)
-    L = grid.Lmax
-    padded = []
-    for h in (f, g):
-        c = h.coeffs
-        a = np.zeros(c.shape[:-2] + (Lp + 1, 2 * Lp + 1), dtype=np.complex128,
-                     order="F")
-        a[..., : L + 1, Lp - L: Lp + L + 1] = c
-        padded.append(a)
-    prod = raw_synthesize(pgrid, padded[0], f.spin) \
-        * raw_synthesize(pgrid, padded[1], g.spin)
-    big = raw_analyze(pgrid, prod, spin)
+    pgrid = build_grid(pad_Lmax(grid.Lmax))
+    prod = raw_synthesize(pgrid, f.coeffs, f.spin) \
+        * raw_synthesize(pgrid, g.coeffs, g.spin)
     out = SpinField(grid, spin,
-                    coeffs=big[..., : L + 1, Lp - L: Lp + L + 1].copy())
+                    coeffs=raw_analyze(pgrid, prod, spin, grid.Lmax))
     if len(fields) > 2:
         return multiply(out, *fields[2:])
     return out

@@ -1,16 +1,19 @@
 """Grid, transform and eth-operator tests for the spectral layer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nullfoliate._wigner import spin_lambda_tables
 from nullfoliate.errors import (ConfigurationError, OutOfDomainError,
                                 UnsupportedSpinError)
 from nullfoliate.sphere import (GeneratorPack, SpinField, _tables, analyze,
                                 build_grid, eth, ethbar, interp_generator,
-                                laplacian_round, multiply, raw_analyze,
-                                raw_synthesize, synthesize)
+                                laplacian_round, multiply, pad_Lmax,
+                                raw_analyze, raw_synthesize, synthesize)
 
 from conftest import harmonic, random_spin_field
 
@@ -89,6 +92,16 @@ class TestTransforms:
             expect = (-1.0) ** m * np.sqrt((2 * l + 1) / (4 * np.pi)) * d
             assert abs(lam[l, m + grid8.Lmax, 3] - expect) < 1e-12
 
+    @pytest.mark.parametrize("Lmax", [8, 15, 22, 23, 31, 35])
+    def test_wigner_tables_match_per_m_loop_bitwise(self, Lmax):
+        """The one recurrence over all m gives the per-m tables bit for bit,
+        on the plain and on the padded theta nodes."""
+        for grid in (build_grid(Lmax), build_grid(pad_Lmax(Lmax))):
+            for spin in range(-4, 5):
+                ref = _per_m_lambda_tables(Lmax, spin, grid.theta_nodes)
+                assert np.array_equal(
+                    spin_lambda_tables(Lmax, spin, grid.theta_nodes), ref)
+
     def test_conjugation_symmetry(self, grid8):
         """conj(sYlm) = (-1)^{s+m} (-s)Y(l,-m) holds for the tables."""
         from nullfoliate.sphere import _tables
@@ -100,6 +113,54 @@ class TestTransforms:
             for m in range(-l, l + 1):
                 lhs = lam_p[l, m + L] * (-1.0) ** (2 + m)
                 assert np.max(np.abs(lhs - lam_m[l, -m + L])) < 1e-12
+
+
+def _per_m_lambda_tables(lmax, spin, theta):
+    """The per-m Jacobi-column loop the vectorised table replaced."""
+    def jacobi(kmax, a, b, x):
+        out = np.empty((kmax + 1, x.size))
+        out[0] = 1.0
+        if kmax == 0:
+            return out
+        out[1] = 0.5 * (a - b + (a + b + 2.0) * x)
+        for n in range(1, kmax):
+            c1 = 2.0 * (n + 1.0) * (n + a + b + 1.0) * (2.0 * n + a + b)
+            c2 = (2.0 * n + a + b + 1.0) * (a * a - b * b)
+            c3 = (2.0 * n + a + b) * (2.0 * n + a + b + 1.0) \
+                * (2.0 * n + a + b + 2.0)
+            c4 = 2.0 * (n + a) * (n + b) * (2.0 * n + a + b + 2.0)
+            out[n + 1] = ((c2 + c3 * x) * out[n] - c4 * out[n - 1]) / c1
+        return out
+
+    def wigner_d(m1, m2):
+        lmin = max(abs(m1), abs(m2))
+        out = np.zeros((lmax + 1, theta.size))
+        if lmin > lmax:
+            return out
+        if m1 >= abs(m2):
+            mp, mm, sign = m1, m2, 1.0
+        elif m2 >= abs(m1):
+            mp, mm, sign = m2, m1, (-1.0) ** abs(m2 - m1)
+        elif -m2 >= abs(m1):
+            mp, mm, sign = -m2, -m1, 1.0
+        else:
+            mp, mm, sign = -m1, -m2, (-1.0) ** abs(m2 - m1)
+        a, b = mp - mm, mp + mm
+        jac = jacobi(lmax - lmin, a, b, np.cos(theta))
+        ls = np.arange(lmin, lmax + 1)
+        logf = np.array([math.lgamma(k + 1.0) for k in range(2 * lmax + 1)])
+        logN = 0.5 * (logf[ls + mp] + logf[ls - mp]
+                      - logf[ls + mm] - logf[ls - mm])
+        mag = np.exp(logN[:, None] + a * np.log(np.sin(theta / 2.0))[None, :]
+                     + b * np.log(np.cos(theta / 2.0))[None, :])
+        out[lmin:] = sign * (-1.0) ** a * mag * jac
+        return out
+
+    out = np.zeros((2 * lmax + 1, theta.size, lmax + 1))
+    norm = np.sqrt((2.0 * np.arange(lmax + 1) + 1.0) / (4.0 * np.pi))
+    for m in range(-lmax, lmax + 1):
+        out[m + lmax] = (((-1.0) ** m) * norm[:, None] * wigner_d(-m, spin)).T
+    return out
 
 
 def _reference_synthesize(grid, coeffs, spin):
@@ -181,23 +242,55 @@ class TestTransformKernels:
         assert np.max(np.abs(p.samples - exact)) \
             <= 1e-12 * max(np.max(np.abs(exact)), 1.0)
 
-    def test_one_table_per_spin_and_one_dft_pair_per_lmax(self, grid8):
-        """_tables is a view of the one stored table; nothing else is
-        cached beside it."""
+    def test_one_table_per_band_and_one_dft_pair_per_lmax(self, grid8,
+                                                           monkeypatch):
+        """Tables are stored once per (grid Lmax, band, spin); a product on
+        grid8 stores band-8 tables of the padded grid, never a full padded
+        one, and its DFT matrices are slices of the one stored pair."""
         from nullfoliate import sphere
 
+        monkeypatch.setattr(sphere, "_LEGENDRE", {})
+        monkeypatch.setattr(sphere, "_FOURIER", {})
+        Lp = pad_Lmax(8)
+        f = random_spin_field(grid8, 1, seed=1)
+        g = random_spin_field(grid8, -2, seed=2)
+        multiply(f, g)
+        multiply(f, g)
+        assert set(sphere._LEGENDRE) == {(Lp, 8, 1), (Lp, 8, -2), (Lp, 8, -1)}
         for spin in range(-3, 4):
             raw_synthesize(grid8, _band_limited(
                 np.random.default_rng(spin + 3), 8, spin), spin)
-        for (L, spin), lam in sphere._LEGENDRE.items():
-            assert lam.shape == (2 * L + 1, L + 1, L + 1)
+            assert np.shares_memory(_tables(8, spin),
+                                    sphere._LEGENDRE[(8, 8, spin)])
+        for (Lg, L, spin), lam in sphere._LEGENDRE.items():
+            assert lam.shape == (2 * L + 1, Lg + 1, L + 1)
             assert lam.flags.c_contiguous and lam.base is None
-            assert np.shares_memory(_tables(L, spin), lam)
-        for L, pair in sphere._FOURIER.items():
-            E, Einv = pair
-            assert E.shape == Einv.shape == (2 * L + 1, 2 * L + 1)
-            assert any(key[0] == L for key in sphere._LEGENDRE)
-        assert {(8, s) for s in range(-3, 4)} <= set(sphere._LEGENDRE)
+        assert set(sphere._FOURIER) == {8, Lp}
+        for Lg, (E, Einv) in sphere._FOURIER.items():
+            assert E.shape == Einv.shape == (2 * Lg + 1, 2 * Lg + 1)
+        _, E, Einv = sphere._plan(build_grid(Lp), 8, 0)
+        assert E.shape == (17, 2 * Lp + 1) and Einv.shape == (2 * Lp + 1, 17)
+        assert np.shares_memory(E, sphere._FOURIER[Lp][0])
+        assert np.shares_memory(Einv, sphere._FOURIER[Lp][1])
+        assert np.array_equal(E, sphere._FOURIER[Lp][0][Lp - 8:Lp + 9])
+
+    def test_band_is_read_from_the_coefficient_shape(self, grid8):
+        """A band-L field synthesised on a finer grid is the zero-padded
+        full-band field; an inconsistent shape or a band above the grid's
+        Lmax raises ValueError."""
+        big = build_grid(12)
+        c = _band_limited(np.random.default_rng(6), 8, 1)
+        x = raw_synthesize(big, c, 1)
+        ref = raw_synthesize(big, _embed(c, 8, 12), 1)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+        back = raw_analyze(big, x, 1, 8)
+        assert back.shape == c.shape
+        assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+        for shape in [(9, 15), (9,), (13, 25)]:
+            with pytest.raises(ValueError):
+                raw_synthesize(grid8, np.zeros(shape, dtype=complex), 0)
+        with pytest.raises(ValueError):
+            raw_analyze(grid8, np.zeros(grid8.shape, dtype=complex), 0, 9)
 
 
 class TestEth:
@@ -257,8 +350,8 @@ class TestProducts:
 
 
 def _embed(coeffs, L, Lbig):
-    out = np.zeros((Lbig + 1, 2 * Lbig + 1), dtype=complex)
-    out[:L + 1, Lbig - L:Lbig + L + 1] = coeffs
+    out = np.zeros(coeffs.shape[:-2] + (Lbig + 1, 2 * Lbig + 1), dtype=complex)
+    out[..., :L + 1, Lbig - L:Lbig + L + 1] = coeffs
     return out
 
 
@@ -317,26 +410,63 @@ class TestStacks:
             assert abs(vals[k] - grid8.integrate(p.samples[k])) <= 1e-13 * (
                 abs(vals[k]) + 1.0)
 
-    def test_padded_operands_are_read_without_a_copy(self, grid8,
-                                                      monkeypatch):
-        """multiply hands raw_synthesize Fortran-ordered padded arrays, whose
-        full transpose is already the (m, l) layout it reads."""
+    def test_multiply_synthesises_band_coefficients(self, grid8,
+                                                     monkeypatch):
+        """multiply hands raw_synthesize the band-Lmax coefficients of its
+        factors, (..., Lmax+1, 2Lmax+1), and analyses back to that band."""
         from nullfoliate import sphere
 
-        seen = []
-        real = sphere.raw_synthesize
+        seen, bands = [], []
+        synth, analyze_ = sphere.raw_synthesize, sphere.raw_analyze
 
-        def spy(grid, coeffs, spin):
-            seen.append(np.asarray(coeffs).T.flags.c_contiguous)
-            return real(grid, coeffs, spin)
+        def spy_synth(grid, coeffs, spin):
+            seen.append((grid.Lmax, np.shape(coeffs)))
+            return synth(grid, coeffs, spin)
 
-        monkeypatch.setattr(sphere, "raw_synthesize", spy)
+        def spy_analyze(grid, samples, spin, L=None):
+            bands.append((grid.Lmax, L))
+            return analyze_(grid, samples, spin, L)
+
+        monkeypatch.setattr(sphere, "raw_synthesize", spy_synth)
+        monkeypatch.setattr(sphere, "raw_analyze", spy_analyze)
         f = random_spin_field(grid8, 0, seed=1)
         stack = SpinField.from_coeffs(
             grid8, 0, np.stack([f.coeffs, 2.0 * f.coeffs]))
-        multiply(f, f)
-        multiply(stack, stack)
-        assert seen == [True] * 4
+        assert multiply(f, f).coeffs.shape == (9, 17)
+        assert multiply(stack, f).coeffs.shape == (2, 9, 17)
+        Lp = pad_Lmax(8)
+        assert seen == [(Lp, (9, 17))] * 2 + [(Lp, (2, 9, 17)), (Lp, (9, 17))]
+        assert bands == [(Lp, 8)] * 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(Lmax=st.sampled_from([8, 15, 23]), spin_f=st.integers(-2, 2),
+           spin_g=st.integers(-2, 2),
+           stacks=st.sampled_from([((), ()), ((), (3,)), ((2,), (2,)),
+                                   ((2, 3), (2, 3)), ((1, 3), (2, 1))]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_band_product_matches_zero_padded_product(self, Lmax, spin_f,
+                                                      spin_g, stacks, seed):
+        """The band product equals the zero-padded one: both factors padded
+        to pad_Lmax, transformed at the full padded band, the product
+        truncated back to Lmax."""
+        grid = build_grid(Lmax)
+        Lp = pad_Lmax(Lmax)
+        pgrid = build_grid(Lp)
+        rng = np.random.default_rng(seed)
+        factors = []
+        for spin, stack in zip((spin_f, spin_g), stacks):
+            c = np.zeros(stack + grid.shape, dtype=complex)
+            for idx in np.ndindex(*stack):
+                c[idx] = _band_limited(rng, Lmax, spin)
+            factors.append(SpinField.from_coeffs(grid, spin, c))
+        p = multiply(*factors)
+        padded = [_embed(h.coeffs, Lmax, Lp) for h in factors]
+        prod = raw_synthesize(pgrid, padded[0], spin_f) \
+            * raw_synthesize(pgrid, padded[1], spin_g)
+        big = raw_analyze(pgrid, prod, spin_f + spin_g)
+        ref = big[..., :Lmax + 1, Lp - Lmax:Lp + Lmax + 1]
+        assert p.spin == spin_f + spin_g and p.coeffs.shape == ref.shape
+        assert np.max(np.abs(p.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestGeneratorPack:
