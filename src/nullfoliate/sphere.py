@@ -34,8 +34,22 @@ transform folds the stack into the columns of its one Legendre matmul and its
 one Fourier matmul, so a stack costs two matrix products, not one pair per
 field.  SpinField, multiply and Grid.integrate broadcast over the stack; a
 2-D field takes the same arithmetic as before the stack axis existed.
+
+Zeros.  Spherically symmetric data carry identically zero fields (the
+tracefree parts of chi and chib, zeta, alpha, beta, sigma, betab), and the
+tracefree parts built from them stay zero.  A transform whose input has no
+nonzero entry returns exact zeros without its Legendre and Fourier stages,
+and multiply returns a coefficient-backed zero, synthesising neither factor,
+when one factor is all zero and the other is finite.  The zeros keep the
+layout of a computed result (Fortran-ordered coefficients; samples in the
+(theta, reversed stack, phi) row order of a synthesis), because later numpy
+reductions choose their summation order from the layout of their operands:
+a C-ordered zero moves downstream sums at roundoff.  NaN and inf count as
+nonzero, and a zero times a non-finite factor takes the full product, so
+non-finite input is never skipped and still propagates.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +150,12 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
     lam, _, Einv = _plan(grid, L, spin)
     nt = grid.Lmax + 1
     s = np.asarray(samples, dtype=np.complex128)
+    if s.shape[-2:] != grid.shape:
+        raise ValueError(f"sample shape {s.shape} is not (..., {nt}, "
+                         f"{grid.nphi})")
+    if not s.any():
+        return np.zeros(s.shape[:-2] + (L + 1, 2 * L + 1),
+                        dtype=np.complex128, order="F")
     if s.ndim == 2:
         F = s @ Einv  # (theta, m)
         F *= (grid.weights / (2.0 * np.pi))[:, None]
@@ -166,9 +186,14 @@ def raw_synthesize(grid: Grid, coeffs, spin: int):
         raise ValueError(
             f"coefficient shape {c.shape} is not (..., L+1, 2L+1)")
     lam, E, _ = _plan(grid, L, spin)
-    cm = np.ascontiguousarray(c.T)
-    G = np.matmul(lam, cm.view(np.float64).reshape(2 * L + 1, L + 1, -1))
-    S = G.view(np.complex128).reshape(2 * L + 1, -1).T @ E  # (theta, m) @ (m, k)
+    if c.any():
+        cm = np.ascontiguousarray(c.T)
+        G = np.matmul(lam, cm.view(np.float64).reshape(2 * L + 1, L + 1, -1))
+        # (theta, m) @ (m, k)
+        S = G.view(np.complex128).reshape(2 * L + 1, -1).T @ E
+    else:  # exact zeros in the row order of a computed S
+        S = np.zeros(((grid.Lmax + 1) * math.prod(c.shape[:-2]), grid.nphi),
+                     dtype=np.complex128)
     if c.ndim == 2:
         return S
     n = c.ndim - 2  # rows of S run over (theta, reversed stack)
@@ -243,6 +268,11 @@ class SpinField:
         if self._samples is None:
             self._samples = raw_synthesize(self.grid, self._coeffs, self.spin)
         return self._samples
+
+    @property
+    def stack_shape(self):
+        """Leading stack axes; () for a single field."""
+        return _held(self).shape[:-2]
 
     def coeff(self, l, m):
         return complex(self.coeffs[l, m + self.grid.Lmax])
@@ -372,6 +402,11 @@ def pad_Lmax(Lmax: int) -> int:
     return (3 * Lmax + 1) // 2
 
 
+def _held(f: SpinField):
+    """The array a field holds: its coefficients, else its samples."""
+    return f._samples if f._coeffs is None else f._coeffs
+
+
 def multiply(*fields: SpinField) -> SpinField:
     """Pointwise product evaluated on the 3/2-padded grid, truncated to Lmax.
 
@@ -380,7 +415,8 @@ def multiply(*fields: SpinField) -> SpinField:
     the padded coefficients above Lmax are zero, so they are never formed.
     Factors beyond the second are folded in pairwise, re-truncating between,
     so each step stays alias-free.  Stacked factors broadcast against each
-    other.
+    other.  An all-zero factor times a finite one is a coefficient-backed
+    zero, made without a transform (see Zeros in the module docstring).
     """
     if len(fields) < 2:
         return fields[0]
@@ -389,11 +425,18 @@ def multiply(*fields: SpinField) -> SpinField:
     if g.grid is not grid:
         raise ValueError("operands live on different grids")
     spin = f.spin + g.spin
-    pgrid = build_grid(pad_Lmax(grid.Lmax))
-    prod = raw_synthesize(pgrid, f.coeffs, f.spin) \
-        * raw_synthesize(pgrid, g.coeffs, g.spin)
-    out = SpinField(grid, spin,
-                    coeffs=raw_analyze(pgrid, prod, spin, grid.Lmax))
+    a, b = _held(f), _held(g)
+    if (not a.any() and np.isfinite(b).all()) \
+            or (not b.any() and np.isfinite(a).all()):
+        stack = np.broadcast_shapes(f.stack_shape, g.stack_shape)
+        out = SpinField(grid, spin, coeffs=np.zeros(
+            stack + grid.shape, dtype=np.complex128, order="F"))
+    else:
+        pgrid = build_grid(pad_Lmax(grid.Lmax))
+        prod = raw_synthesize(pgrid, f.coeffs, f.spin) \
+            * raw_synthesize(pgrid, g.coeffs, g.spin)
+        out = SpinField(grid, spin,
+                        coeffs=raw_analyze(pgrid, prod, spin, grid.Lmax))
     if len(fields) > 2:
         return multiply(out, *fields[2:])
     return out

@@ -146,14 +146,22 @@ class SymTwoTensor:
                    SpinField.zero(grid, -2))
 
     @classmethod
+    def tracefree(cls, hat_plus: SpinField, hat_minus: SpinField):
+        """Tracefree tensor: a zero trace with the stack shape of hat_plus."""
+        grid = hat_plus.grid
+        zero = np.zeros(hat_plus.stack_shape + grid.shape)
+        return cls(SpinField.from_coeffs(grid, 0, zero), hat_plus, hat_minus)
+
+    @classmethod
     def from_parts(cls, grid, trace, hat_plus):
         """Real tensor from samples of its trace and hat_plus component
         (..., ntheta, nphi); trace None is a zero trace of the same shape."""
         hat_plus = np.asarray(hat_plus)
-        tr = SpinField.from_coeffs(grid, 0, np.zeros(hat_plus.shape)) \
-            if trace is None else SpinField.from_samples(grid, 0, trace)
-        return cls(tr, SpinField.from_samples(grid, 2, hat_plus),
-                   SpinField.from_samples(grid, -2, np.conj(hat_plus)))
+        hp = SpinField.from_samples(grid, 2, hat_plus)
+        hm = SpinField.from_samples(grid, -2, np.conj(hat_plus))
+        if trace is None:
+            return cls.tracefree(hp, hm)
+        return cls(SpinField.from_samples(grid, 0, trace), hp, hm)
 
     def __getitem__(self, idx):
         return SymTwoTensor(self.trace[idx], self.hat_plus[idx],
@@ -183,8 +191,7 @@ class SymTwoTensor:
         return self * (-1.0)
 
     def hat(self):
-        return SymTwoTensor(SpinField.zero(self.trace.grid, 0),
-                            self.hat_plus, self.hat_minus)
+        return SymTwoTensor.tracefree(self.hat_plus, self.hat_minus)
 
     def norm2(self):
         """|T|^2 = tr^2/2 + 2 T_mm T_mbmb (spin-0)."""
@@ -239,9 +246,8 @@ def wedge(a, b, g: MetricRep = None) -> SpinField:
 
 def hat_otimes(a: OneForm, b: OneForm, g: MetricRep = None) -> SymTwoTensor:
     """Tracefree symmetric product a otimes-hat b."""
-    return SymTwoTensor(SpinField.zero(a.plus.grid, 0),
-                        2.0 * multiply(a.plus, b.plus),
-                        2.0 * multiply(a.minus, b.minus))
+    return SymTwoTensor.tracefree(2.0 * multiply(a.plus, b.plus),
+                                  2.0 * multiply(a.minus, b.minus))
 
 
 def sym_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:
@@ -257,8 +263,7 @@ def dual(x):
         return OneForm(-1j * x.plus, 1j * x.minus)
     if isinstance(x, SymTwoTensor):
         # defined on the tracefree part (its only use in the structure equations)
-        return SymTwoTensor(SpinField.zero(x.trace.grid, 0),
-                            -1j * x.hat_plus, 1j * x.hat_minus)
+        return SymTwoTensor.tracefree(-1j * x.hat_plus, 1j * x.hat_minus)
     raise TypeError("dual expects a OneForm or SymTwoTensor")
 
 
@@ -375,9 +380,8 @@ def hodge_D2(T: SymTwoTensor, g: MetricRep) -> OneForm:
 def hodge_D2_star(X: OneForm, g: MetricRep) -> SymTwoTensor:
     """D2* X = -(1/2) grad otimes-hat X."""
     w = g.conformal_factor(-1.0)
-    return SymTwoTensor(SpinField.zero(X.plus.grid, 0),
-                        eth(multiply(w, X.plus)) * (-1.0 / SQRT2),
-                        ethbar(multiply(w, X.minus)) * (-1.0 / SQRT2))
+    return SymTwoTensor.tracefree(eth(multiply(w, X.plus)) * (-1.0 / SQRT2),
+                                  ethbar(multiply(w, X.minus)) * (-1.0 / SQRT2))
 
 
 def invert_laplacian(f: SpinField, g: MetricRep) -> SpinField:

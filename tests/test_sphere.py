@@ -277,7 +277,7 @@ class TestTransformKernels:
     def test_band_is_read_from_the_coefficient_shape(self, grid8):
         """A band-L field synthesised on a finer grid is the zero-padded
         full-band field; an inconsistent shape or a band above the grid's
-        Lmax raises ValueError."""
+        Lmax raises ValueError, also for all-zero input."""
         big = build_grid(12)
         c = _band_limited(np.random.default_rng(6), 8, 1)
         x = raw_synthesize(big, c, 1)
@@ -286,9 +286,12 @@ class TestTransformKernels:
         back = raw_analyze(big, x, 1, 8)
         assert back.shape == c.shape
         assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
-        for shape in [(9, 15), (9,), (13, 25)]:
+        for shape in [(9, 15), (9,), (13, 25), (2, 10, 19)]:
             with pytest.raises(ValueError):
                 raw_synthesize(grid8, np.zeros(shape, dtype=complex), 0)
+        for shape in [(9, 16), (17,), (2, 10, 17)]:
+            with pytest.raises(ValueError):
+                raw_analyze(grid8, np.zeros(shape, dtype=complex), 0)
         with pytest.raises(ValueError):
             raw_analyze(grid8, np.zeros(grid8.shape, dtype=complex), 0, 9)
 
@@ -467,6 +470,90 @@ class TestStacks:
         ref = big[..., :Lmax + 1, Lp - Lmax:Lp + Lmax + 1]
         assert p.spin == spin_f + spin_g and p.coeffs.shape == ref.shape
         assert np.max(np.abs(p.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestZeros:
+    """All-zero input skips the transform stages and the padded product, and
+    gives what the computed path would: exact zeros in the same layout."""
+
+    CASES = [(8, 8, ()), (8, 8, (3,)), (8, 8, (2, 3)), (12, 8, ()),
+             (12, 8, (3,)), (pad_Lmax(8), 8, ()), (pad_Lmax(8), 8, (2, 3))]
+
+    @pytest.mark.parametrize("Lmax,L,stack", CASES)
+    def test_zero_transforms_match_computed_layout(self, Lmax, L, stack):
+        grid = build_grid(Lmax)
+        rng = np.random.default_rng(L + len(stack))
+        c = np.stack([_band_limited(rng, L, 1) for _ in range(
+            math.prod(stack))]).reshape(stack + (L + 1, 2 * L + 1))
+        samples = rng.normal(size=stack + grid.shape) + 0j
+        for ref, zero in [
+                (raw_synthesize(grid, c, 1),
+                 raw_synthesize(grid, np.zeros_like(c), 1)),
+                (raw_analyze(grid, samples, 1, L),
+                 raw_analyze(grid, np.zeros(stack + grid.shape), 1, L))]:
+            assert not zero.any()
+            assert zero.shape == ref.shape and zero.dtype == ref.dtype
+            assert zero.strides == ref.strides
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_input_takes_the_full_transform(self, grid8):
+        c = np.zeros(grid8.shape, dtype=complex)
+        c[3, 8] = np.nan
+        assert np.isnan(raw_synthesize(grid8, c, 0)).all()
+        s = np.zeros((2,) + grid8.shape, dtype=complex)
+        s[1, 4, 5] = np.inf
+        a = raw_analyze(grid8, s, 0)
+        assert not a[0].any() and not np.isfinite(a[1]).all()
+
+    def test_multiply_by_zero_broadcasts_without_transforms(self, grid8,
+                                                            monkeypatch):
+        """A 2-D zero trace times a stacked field is a coefficient-backed
+        zero of the stack's shape; neither factor is transformed."""
+        from nullfoliate import sphere
+
+        calls = []
+        monkeypatch.setattr(sphere, "raw_synthesize",
+                            lambda *a: calls.append("synthesize"))
+        monkeypatch.setattr(sphere, "raw_analyze",
+                            lambda *a: calls.append("analyze"))
+        zero = SpinField.zero(grid8, 0)
+        h = SpinField.from_samples(grid8, 2, np.ones((3,) + grid8.shape))
+        for p in (multiply(zero, h), multiply(h, zero)):
+            assert p.spin == 2 and p._samples is None
+            assert p.coeffs.shape == (3,) + grid8.shape
+            assert not p.coeffs.any() and p.coeffs.flags.f_contiguous
+        assert calls == []
+
+    def test_multiply_folds_three_factors(self, grid8):
+        f = random_spin_field(grid8, 1, seed=1)
+        g = random_spin_field(grid8, -1, seed=2)
+        h = SpinField.from_coeffs(grid8, 0, np.stack(
+            [random_spin_field(grid8, 0, seed=3 + k).coeffs for k in range(2)]))
+        assert np.array_equal(multiply(f, g, h).coeffs,
+                              multiply(multiply(f, g), h).coeffs)
+        zero = SpinField.zero(grid8, 0)
+        for factors in [(zero, f, h), (f, zero, h), (h, f, zero)]:
+            p = multiply(*factors)
+            assert p.spin == sum(x.spin for x in factors)
+            assert p.coeffs.shape == (2,) + grid8.shape
+            assert not p.coeffs.any()
+        # a non-zero product still folds in the last factor
+        p = multiply(zero, f, SpinField.from_coeffs(grid8, 0, np.full(
+            grid8.shape, np.nan)))
+        assert np.isnan(p.coeffs).all()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_zero_times_nonfinite_is_nonfinite(self, grid8, bad):
+        zero = SpinField.zero(grid8, 0)
+        c = random_spin_field(grid8, 1, seed=4).coeffs.copy()
+        c[2, 8] = bad
+        for held in ("coeffs", "samples"):
+            f = SpinField.from_coeffs(grid8, 1, c)
+            if held == "samples":
+                f = SpinField.from_samples(grid8, 1, f.samples)
+            for p in (multiply(zero, f), multiply(f, zero)):
+                assert not np.isfinite(p.coeffs).all()
 
 
 class TestGeneratorPack:

@@ -5,8 +5,8 @@ import pytest
 
 from nullfoliate.errors import ConstraintError
 from nullfoliate.sphere import SpinField, multiply
-from nullfoliate.tensors import (MetricRep, SymTwoTensor, curl, div, dot,
-                                 dual, grad, hat_otimes, hodge_D1,
+from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, curl, div,
+                                 dot, dual, grad, hat_otimes, hodge_D1,
                                  hodge_D1_star, hodge_D2, hodge_D2_star,
                                  invert_D1, invert_laplacian, laplacian, mean,
                                  trace_split, wedge)
@@ -74,6 +74,44 @@ class TestAlgebra:
     def test_dual_rejects_scalars(self, grid12):
         with pytest.raises(TypeError):
             dual(harmonic(grid12, 2, 0))
+
+
+class TestStackedTracefree:
+    """Tracefree tensors of a stack carry a zero trace of the stack's shape,
+    so indexing one takes a level, never a row of a 2-D zero."""
+
+    @staticmethod
+    def stacked(grid, depth=3):
+        tr = np.stack([random_real_scalar(grid, seed=k).coeffs
+                       for k in range(depth)])
+        hp = np.stack([random_spin_field(grid, 2, seed=10 + k).coeffs
+                       for k in range(depth)])
+        return SymTwoTensor(SpinField.from_coeffs(grid, 0, tr),
+                            SpinField.from_coeffs(grid, 2, hp))
+
+    @pytest.mark.parametrize("op", [SymTwoTensor.hat, dual],
+                             ids=["hat", "dual"])
+    def test_level_of_stack_is_op_of_level(self, grid12, op):
+        T = self.stacked(grid12)
+        out = op(T)
+        assert out.trace.stack_shape == (3,)
+        for i in range(3):
+            got, ref = out[i], op(T[i])
+            assert got.trace.coeffs.shape == grid12.shape
+            assert np.array_equal(got.trace.samples, ref.trace.samples)
+            assert not got.trace.samples.any()
+            assert np.array_equal(got.hat_plus.samples, ref.hat_plus.samples)
+            assert np.array_equal(got.hat_minus.samples,
+                                  ref.hat_minus.samples)
+
+    def test_every_zero_trace_has_the_stack_shape(self, grid12, round1):
+        a = OneForm(SpinField.from_coeffs(grid12, 1, np.stack(
+            [random_spin_field(grid12, 1, seed=k).coeffs for k in range(3)])))
+        assert hat_otimes(a, a).trace.stack_shape == (3,)
+        assert hodge_D2_star(a, round1).trace.stack_shape == (3,)
+        T = SymTwoTensor.from_parts(grid12, None, a.plus.samples[:, None])
+        assert T.trace.stack_shape == (3, 1)
+        assert T[2, 0].trace.coeffs.shape == grid12.shape
 
 
 class TestConformalCalculus:
