@@ -60,23 +60,32 @@ def _merge(args, config, casts):
     return args
 
 
-def _threads(args):
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("NULLFOLIATE_THREADS")
-    if env:
+def _deprecated_threads(args):
+    """Check the deprecated thread count and warn that it is ignored.
+
+    --threads, NULLFOLIATE_THREADS and the config key `threads` are still
+    accepted; a count below 1 or not an integer is a configuration error.
+    """
+    threads = getattr(args, "threads", None)
+    if threads is None:
+        env = os.environ.get("NULLFOLIATE_THREADS")
+        if not env:
+            return
         try:
-            return int(env)
+            threads = int(env)
         except ValueError:
             raise ConfigurationError(
                 f"NULLFOLIATE_THREADS = {env!r} is not an integer")
-    return 1
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    print("warning: --threads / NULLFOLIATE_THREADS is deprecated and has "
+          "no effect; the solver runs on one thread", file=sys.stderr)
 
 
 def _solver_config(args):
+    _deprecated_threads(args)
     return solver.SolverConfig(
-        delta=args.delta, dv=args.dv, tol=args.tol, max_iter=args.max_iter,
-        threads=_threads(args))
+        delta=args.delta, dv=args.dv, tol=args.tol, max_iter=args.max_iter)
 
 
 # --------------------------------------------------------------------------
@@ -180,10 +189,11 @@ def cmd_norms(args):
 
 
 def cmd_convergence(args):
+    _deprecated_threads(args)
     spec = geodesic.MmsSpec(epsilon=args.epsilon, Lmax=args.lmax, n_s=args.n_s)
     data, exact = geodesic.gen_manufactured(spec)
     base = solver.SolverConfig(delta=args.delta, dv=args.dv0, tol=args.tol,
-                               max_iter=args.max_iter, threads=_threads(args))
+                               max_iter=args.max_iter)
     dvs = [args.dv0 / 2 ** i for i in range(args.levels)]
     rows, orders, slope = diagnostics.convergence_study(
         data, exact, base, dvs, v_end=args.v_end)
@@ -237,7 +247,8 @@ def _build_parser():
     s.add_argument("--tol", type=float, default=None)
     s.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     s.add_argument("--v-end", dest="v_end", type=float, default=None)
-    s.add_argument("--threads", type=int, default=None)
+    s.add_argument("--threads", type=int, default=None,
+                   help="deprecated; has no effect")
     s.set_defaults(func=cmd_solve, casts={
         "data": str, "out": str, "delta": float, "dv": float, "tol": float,
         "max_iter": int, "v_end": float, "threads": int,
@@ -281,7 +292,8 @@ def _build_parser():
     c.add_argument("--tol", type=float, default=None)
     c.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     c.add_argument("--v-end", dest="v_end", type=float, default=None)
-    c.add_argument("--threads", type=int, default=None)
+    c.add_argument("--threads", type=int, default=None,
+                   help="deprecated; has no effect")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_convergence, casts={
         "levels": int, "epsilon": float, "lmax": int, "n_s": int,

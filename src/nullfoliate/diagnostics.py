@@ -818,21 +818,11 @@ def bochner_oneform(F: OneForm, grid):
     met = MetricRep.round_sphere(grid, 1.0)
     lapF = rough_laplacian_oneform(F, met)
     rhs = grid.integrate(np.real(lapF.norm2().samples)) \
-        - 2.0 * grid.integrate(np.real(_gradsq_oneform(F, met).samples)) \
+        - 2.0 * grid.integrate(np.real(_grad_any(F, met).norm2().samples)) \
         + grid.integrate(np.abs(div(F, met).samples) ** 2) \
         + grid.integrate(np.abs(curl(F, met).samples) ** 2) \
         + grid.integrate(np.real(F.norm2().samples))
     return float(lhs), float(rhs)
-
-
-def _gradsq_oneform(F: OneForm, g: MetricRep) -> SpinField:
-    """|grad F|^2 = sum of squared first covariant derivative components."""
-    a = eth_g(F.plus, g) * (1.0 / SQRT2)
-    b = ethbar_g(F.plus, g) * (1.0 / SQRT2)
-    c = eth_g(F.minus, g) * (1.0 / SQRT2)
-    d = ethbar_g(F.minus, g) * (1.0 / SQRT2)
-    return multiply(a, a.conj()) + multiply(b, b.conj()) \
-        + multiply(c, c.conj()) + multiply(d, d.conj())
 
 
 # --------------------------------------------------------------------------
@@ -846,8 +836,7 @@ def convergence_study(data, exact, base_cfg, dvs, v_end=2.0):
     rows = []
     for dv in dvs:
         cfg = SolverConfig(delta=base_cfg.delta, dv=dv, tol=base_cfg.tol,
-                           max_iter=base_cfg.max_iter,
-                           threads=base_cfg.threads)
+                           max_iter=base_cfg.max_iter)
         fol = continue_foliation(data, cfg, v_end=v_end)
         err = max(np.max(np.abs(fol.s[i] - exact.s_exact(v)))
                   for i, v in enumerate(fol.v_nodes))

@@ -34,7 +34,7 @@ class NonConvergenceError(NullfoliateError):
 
     Raised when max_iter sweeps pass without Delta_n <= tol or a stall of
     Delta_n at or below the monitor's roundoff floor, or when a window
-    converges with an observed contraction kappa above kappa_max.
+    converges with an observed contraction kappa >= solver.KAPPA_MAX.
     """
 
     def __init__(self, message, delta_trace=None):

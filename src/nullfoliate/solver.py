@@ -8,26 +8,24 @@ On each window [v0, v0+delta] the iteration alternates the transport update
 elliptic update log Omega_{n+1} = Delta^{-1} F(s_{n+1}, grad s, Hess s) at
 every node, monitoring boundedness (M_n) and contraction (Delta_n) until the
 fixed point is reached.  Accepted windows are concatenated; on
-non-contraction the window is halved down to delta_min before giving up.
+non-contraction the window is halved, down to two dv steps, before giving up.
 
-The elliptic updates of one sweep are independent.  They are solved in fixed
-blocks of LAPSE_BLOCK v-levels, each block as one stack of leaves (leading
-axis of every sample array, see sphere): one call per transform and one set
-of barycentric weights per block.  `threads` > 1 solves blocks concurrently;
-the blocks do not depend on the thread count, so neither do the results.
+The elliptic updates of one sweep are independent.  They are solved one after
+another in fixed blocks of LAPSE_BLOCK v-levels, each block as one stack of
+leaves (leading axis of every sample array, see sphere): one call per
+transform and one set of barycentric weights per block.
 
 Stopping rule.  A sweep is accepted when Delta_n <= tol.  The order-p monitor
 weights coefficient roundoff by (l(l+1))^{p/2}, so Delta_n cannot fall below
 roundoff_floor(p, Lmax, sup|iterate|); when that floor lies above tol the
 sweep is also accepted once Delta_{n-1} and Delta_n are both at or below the
-floor and Delta_n >= kappa_max Delta_{n-1}, i.e. the iteration has stopped
+floor and Delta_n >= KAPPA_MAX Delta_{n-1}, i.e. the iteration has stopped
 contracting because only roundoff is left.  The observed contraction kappa
 ignores ratios whose denominator is at or below max(10 tol, floor).  Every
 iterate must be finite: the first non-finite seed, graph or lapse raises
 NonFiniteIterateError.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +43,11 @@ from .tensors import (MetricRep, OneForm, SymTwoTensor, contract2, dot, grad,
 # v-levels per stacked lapse solve: larger blocks amortise per-call overhead,
 # smaller ones bound the memory of the stacked temporaries
 LAPSE_BLOCK = 8
+KAPPA_MAX = 0.9       # acceptance bound on the observed contraction
+LAPSE_BOUND = 0.1     # |log Omega| < 1/10 on accepted windows
+SEED_BOUND = 0.01     # |log Omega_0| <= 1/100 at the window start
+MARGIN = 0.05         # refuse to start this close to s*
+SHRINK_FACTOR = 0.5   # a rejected window is retried this much shorter
 
 
 @dataclass
@@ -57,15 +60,8 @@ class SolverConfig:
                                  # monitor's roundoff floor a stalled Delta_n
                                  # is accepted instead (see roundoff_floor)
     max_iter: int = 30
-    shrink_factor: float = 0.5
-    delta_min: float = None      # defaults to 2*dv
-    kappa_max: float = 0.9       # acceptance bound on the observed contraction
     monitor_order: int = 2       # derivatives tracked by M_n / Delta_n
-    full_monitors: bool = False  # order-5 monitoring (diagnostic)
-    lapse_bound: float = 0.1     # |log Omega| < 1/10 on accepted windows
-    seed_bound: float = 0.01     # |log Omega_0| <= 1/100 at the window start
-    margin: float = 0.05         # refuse to start this close to s*
-    threads: int = 1
+                                 # (5 is the full diagnostic monitoring)
 
     def __post_init__(self):
         if not (0.0 < self.delta <= 1.0):
@@ -74,31 +70,16 @@ class SolverConfig:
             raise ConfigurationError("tolerance must be positive")
         if self.dv <= 0.0:
             raise ConfigurationError("dv must be positive")
-        if self.threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
-        if self.delta_min is None:
-            self.delta_min = 2.0 * self.dv
-
-    @property
-    def effective_monitor_order(self):
-        return 5 if self.full_monitors else self.monitor_order
-
-
-@dataclass
-class GraphState:
-    """One leaf of the graph foliation."""
-
-    v: float
-    s: SpinField
-    logOmega: SpinField
 
 
 @dataclass
 class WindowSolution:
-    """Accepted Picard window with its iteration trace."""
+    """Accepted Picard window with its iteration trace; s and logOmega are
+    (steps+1, ntheta, nphi) sample stacks on v_nodes."""
 
     v_nodes: np.ndarray
-    states: list
+    s: np.ndarray
+    logOmega: np.ndarray
     M_trace: list
     Delta_trace: list
     kappa: float
@@ -291,17 +272,17 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
     s0 = np.real(np.asarray(s0)) if not isinstance(s0, SpinField) \
         else np.real(s0.samples)
     _require_finite(s0, "seed leaf", v0, 0)
-    if np.max(s0) > data.s_star - cfg.margin:
+    if np.max(s0) > data.s_star - MARGIN:
         raise OutOfDomainError(
-            f"initial leaf within {cfg.margin} of the slab end s* = {data.s_star}")
+            f"initial leaf within {MARGIN} of the slab end s* = {data.s_star}")
 
     logOm0 = _lapse_at(data, s0)
     _require_finite(logOm0, "seed lapse", v0, 0)
-    if np.max(np.abs(logOm0)) > cfg.seed_bound:
+    if np.max(np.abs(logOm0)) > SEED_BOUND:
         raise LapseBoundError(
-            f"seed lapse violates |log Omega_0| <= {cfg.seed_bound}")
+            f"seed lapse violates |log Omega_0| <= {SEED_BOUND}")
 
-    order = cfg.effective_monitor_order
+    order = cfg.monitor_order
     nshape = (steps + 1,) + grid.shape
     s_n = np.broadcast_to(s0, nshape).copy()
     logOm_n = np.broadcast_to(logOm0, nshape).copy()
@@ -318,61 +299,48 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
         return float(np.max(sob[0] + sob[1] + sup[0] + sup[1]))
 
     M_trace, Delta_trace = [], []
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        for n in range(1, cfg.max_iter + 1):
-            omega_inv = np.exp(-logOm_n)
-            s_next = s0[None, ...] + cumulative_integral(omega_inv, dv)
-            _require_finite(s_next, "graph iterate", v0, n)
-            if np.min(s_next) < 1.0 - 1e-12:
-                raise OutOfDomainError("graph left the slab from below")
+    for n in range(1, cfg.max_iter + 1):
+        omega_inv = np.exp(-logOm_n)
+        s_next = s0[None, ...] + cumulative_integral(omega_inv, dv)
+        _require_finite(s_next, "graph iterate", v0, n)
+        if np.min(s_next) < 1.0 - 1e-12:
+            raise OutOfDomainError("graph left the slab from below")
 
-            def solve_block(b):
-                return _lapse_at(data, s_next[b])
+        logOm_next = np.concatenate(
+            [logOm0[None]] + [_lapse_at(data, s_next[b]) for b in blocks])
+        _require_finite(logOm_next, "lapse iterate", v0, n)
 
-            lapses = (pool.map if pool is not None else map)(solve_block, blocks)
-            logOm_next = np.concatenate([logOm0[None]] + list(lapses))
-            _require_finite(logOm_next, "lapse iterate", v0, n)
+        if np.max(np.abs(logOm_next)) >= LAPSE_BOUND:
+            raise LapseBoundError(
+                f"|log Omega| reached {np.max(np.abs(logOm_next)):.3e} "
+                f">= {LAPSE_BOUND}")
 
-            if np.max(np.abs(logOm_next)) >= cfg.lapse_bound:
-                raise LapseBoundError(
-                    f"|log Omega| reached {np.max(np.abs(logOm_next)):.3e} "
-                    f">= {cfg.lapse_bound}")
+        M_trace.append(monitor(s_next, logOm_next,
+                               np.broadcast_to(s0, nshape), 0.0 * logOm_next))
+        Delta_trace.append(monitor(s_next, logOm_next, s_n, logOm_n))
+        s_n, logOm_n = s_next, logOm_next
 
-            M_trace.append(monitor(s_next, logOm_next,
-                                   np.broadcast_to(s0, nshape), 0.0 * logOm_next))
-            Delta_trace.append(monitor(s_next, logOm_next, s_n, logOm_n))
-            s_n, logOm_n = s_next, logOm_next
-
-            # s >= 1 > |log Omega| here, so max(s) is the iterate's sup-norm
-            floor = roundoff_floor(order, grid.Lmax, np.max(s_n))
-            if _stopped(Delta_trace, cfg.tol, floor, cfg.kappa_max):
-                kappa = _observed_kappa(Delta_trace, max(10.0 * cfg.tol, floor))
-                if kappa < cfg.kappa_max:
-                    states = [GraphState(v_nodes[j],
-                                         SpinField.from_samples(grid, 0, s_n[j]),
-                                         SpinField.from_samples(grid, 0,
-                                                                logOm_n[j]))
-                              for j in range(steps + 1)]
-                    return WindowSolution(v_nodes, states, M_trace, Delta_trace,
-                                          kappa, n)
-                raise NonConvergenceError(
-                    f"window converged but contraction kappa = {kappa:.3f} "
-                    f"exceeds {cfg.kappa_max}", Delta_trace)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        # s >= 1 > |log Omega| here, so max(s) is the iterate's sup-norm
+        floor = roundoff_floor(order, grid.Lmax, np.max(s_n))
+        if _stopped(Delta_trace, cfg.tol, floor):
+            kappa = _observed_kappa(Delta_trace, max(10.0 * cfg.tol, floor))
+            if kappa < KAPPA_MAX:
+                return WindowSolution(v_nodes, s_n, logOm_n, M_trace,
+                                      Delta_trace, kappa, n)
+            raise NonConvergenceError(
+                f"window converged but contraction kappa = {kappa:.3f} "
+                f"exceeds {KAPPA_MAX}", Delta_trace)
     raise NonConvergenceError(
         f"no fixed point within {cfg.max_iter} iterations "
         f"(Delta_n = {Delta_trace[-1]:.3e})", Delta_trace)
 
 
-def _stopped(deltas, tol, floor, kappa_max):
+def _stopped(deltas, tol, floor):
     """Delta_n <= tol, or Delta_n has stalled at or below the roundoff floor."""
     if deltas[-1] <= tol:
         return True
     return (len(deltas) >= 2 and max(deltas[-2:]) <= floor
-            and deltas[-1] >= kappa_max * deltas[-2])
+            and deltas[-1] >= KAPPA_MAX * deltas[-2])
 
 
 def _observed_kappa(deltas, floor):
@@ -418,19 +386,17 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
         try:
             win = picard_window(data, v0, s0, cfg, delta=n * cfg.dv)
         except (NonConvergenceError, LapseBoundError, OutOfDomainError) as err:
-            shrunk = 2 * int(n * cfg.shrink_factor / 2 + 1e-9)
-            if shrunk >= 2 and shrunk * cfg.dv >= cfg.delta_min - 1e-15:
+            shrunk = 2 * int(n * SHRINK_FACTOR / 2 + 1e-9)
+            if shrunk >= 2:
                 steps = shrunk
                 continue
             raise BreakdownError(
                 f"foliation breaks down at v = {v0:.6f}: {err}", v0) from err
         windows.append(win)
         all_v.append(win.v_nodes[1:])
-        all_s.append(np.stack([np.real(st.s.samples)
-                               for st in win.states[1:]]))
-        all_log.append(np.stack([np.real(st.logOmega.samples)
-                                 for st in win.states[1:]]))
-        s0 = np.real(win.states[-1].s.samples)
+        all_s.append(win.s[1:])
+        all_log.append(win.logOmega[1:])
+        s0 = win.s[-1]
         v0 = float(win.v_nodes[-1])
         done += n
 

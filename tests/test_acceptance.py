@@ -46,7 +46,7 @@ def test_criterion_1_minkowski_end_to_end():
     residual suite at 1e-10, single-threaded runtime within 30 s."""
     t0 = time.time()
     data = geodesic.gen_minkowski(s_star=2.5, Lmax=15, n_s=32)
-    cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 64.0, tol=1e-13, threads=1)
+    cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 64.0, tol=1e-13)
     fol = solver.continue_foliation(data, cfg, v_end=2.0)
     om_dev = fol.max_omega_dev()
     s_dev = fol.max_graph_dev()

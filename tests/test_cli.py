@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,13 @@ def workspace(tmp_path_factory):
     assert run(["solve", "--data", ds, "--out", fol,
                 "--dv", str(1.0 / 32.0)]) == 0
     return root, ds, fol
+
+
+def test_import_loads_no_executor():
+    """The solver is serial: importing the CLI loads no concurrent.futures."""
+    code = ("import sys, nullfoliate.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestGenerate:
@@ -200,19 +209,32 @@ class TestConfigFile:
         cfg.write_text("[generate]\nwarp_factor = 9\n")
         assert run(["--config", str(cfg), "generate"]) == 2
 
-    def test_threads_env_honoured(self, workspace, tmp_path, monkeypatch):
-        root, ds, fol = workspace
-        out = str(tmp_path / "fol_env")
+    def test_threads_deprecated_and_ignored(self, workspace, tmp_path,
+                                            monkeypatch, capsys):
+        """--threads, NULLFOLIATE_THREADS and the config key each print one
+        deprecation line on stderr and change nothing the solve writes."""
+        _, ds, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[solve]\nthreads = 2\n")
+        monkeypatch.delenv("NULLFOLIATE_THREADS", raising=False)
+
+        def solve(name, top=(), extra=()):
+            out = tmp_path / name
+            assert run([*top, "solve", "--data", ds, "--out", str(out),
+                        "--dv", str(1.0 / 16.0), *extra]) == 0
+            files = [(out / f).read_bytes() for f in ("s.bin", "logOmega.bin")]
+            return files, capsys.readouterr().err.splitlines()
+
+        plain, err = solve("plain")
+        assert err == []
+        runs = [solve("flag", extra=("--threads", "2"))]
         monkeypatch.setenv("NULLFOLIATE_THREADS", "2")
-        assert run(["solve", "--data", ds, "--out", out,
-                    "--dv", str(1.0 / 16.0)]) == 0
-        s_env = np.fromfile(tmp_path / "fol_env" / "s.bin", dtype="<f8")
+        runs.append(solve("env"))
         monkeypatch.delenv("NULLFOLIATE_THREADS")
-        out2 = str(tmp_path / "fol_noenv")
-        assert run(["solve", "--data", ds, "--out", out2,
-                    "--dv", str(1.0 / 16.0)]) == 0
-        s_plain = np.fromfile(tmp_path / "fol_noenv" / "s.bin", dtype="<f8")
-        assert np.array_equal(s_env, s_plain)
+        runs.append(solve("ini", top=("--config", str(cfg))))
+        for files, err in runs:
+            assert files == plain
+            assert len(err) == 1 and "deprecated" in err[0]
 
 
 class TestConvergence:
@@ -225,3 +247,21 @@ class TestConvergence:
         assert lines[0] == "dv,error,order"
         order = float(lines[2].split(",")[2])
         assert 3.0 < order < 5.0
+
+    def test_threads_deprecated_and_ignored(self, tmp_path, capsys):
+        """--threads on convergence warns once and changes no number; a
+        count below 1 still exits 2."""
+        study = ["convergence", "--levels", "2", "--lmax", "8", "--n-s", "24",
+                 "--dv0", "0.25", "--v-end", "1.5"]
+        assert run(study + ["--threads", "0",
+                            "--out", str(tmp_path / "bad")]) == 2
+        assert not (tmp_path / "bad").exists()
+        capsys.readouterr()
+        csv = []
+        for name, extra in (("plain", []), ("flag", ["--threads", "2"])):
+            assert run(study + extra + ["--out", str(tmp_path / name)]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == len(extra) // 2
+            assert all("deprecated" in line for line in err)
+            csv.append((tmp_path / name / "convergence.csv").read_bytes())
+        assert csv[0] == csv[1]

@@ -1,5 +1,7 @@
 """Picard-window and foliation-marching tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,10 +63,9 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             solver.SolverConfig(tol=-1e-10)
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_invalid_threads(self, threads):
-        with pytest.raises(ConfigurationError):
-            solver.SolverConfig(threads=threads)
+    def test_only_the_settings_a_caller_sets(self):
+        assert [f.name for f in dataclasses.fields(solver.SolverConfig)] \
+            == ["delta", "dv", "tol", "max_iter", "monitor_order"]
 
 
 class TestPicardWindow:
@@ -74,18 +75,16 @@ class TestPicardWindow:
         win = solver.picard_window(mink, 1.0, np.ones(mink.grid.shape), cfg)
         assert win.iterations <= 2
         assert win.Delta_trace[-1] <= 1e-13
-        for st in win.states:
-            assert np.max(np.abs(np.real(st.s.samples) - st.v)) < 1e-13
-            assert np.max(np.abs(np.real(st.logOmega.samples))) < 1e-13
+        assert np.max(np.abs(win.s - win.v_nodes[:, None, None])) < 1e-13
+        assert np.max(np.abs(win.logOmega)) < 1e-13
 
     def test_schwarzschild_symmetry(self, schw):
         """Spherical symmetry keeps the mean-free source zero: Omega = 1,
         s = v through the window."""
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0, tol=1e-12)
         win = solver.picard_window(schw, 1.0, np.ones(schw.grid.shape), cfg)
-        for st in win.states:
-            assert np.max(np.abs(np.real(st.s.samples) - st.v)) < 1e-10
-            assert np.max(np.abs(np.real(st.logOmega.samples))) < 1e-10
+        assert np.max(np.abs(win.s - win.v_nodes[:, None, None])) < 1e-10
+        assert np.max(np.abs(win.logOmega)) < 1e-10
 
     def test_margin_refusal(self, mink):
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
@@ -212,6 +211,22 @@ class TestContinueFoliation:
         assert np.max(np.abs(np.diff(fol.v_nodes) - 0.05)) <= 1e-14
         assert abs(fol.v_nodes[-1] - 1.5) < 1e-12
 
+    def test_halving_stops_at_two_steps(self, schw, monkeypatch):
+        """A window rejected at two dv steps is not halved again: the march
+        breaks down at its start."""
+        attempts = []
+
+        def rejecting(data, v0, s0, cfg, delta=None):
+            attempts.append(delta)
+            raise NonConvergenceError("forced rejection")
+
+        monkeypatch.setattr(solver, "picard_window", rejecting)
+        cfg = solver.SolverConfig(delta=0.3, dv=0.05)
+        with pytest.raises(BreakdownError) as err:
+            solver.continue_foliation(schw, cfg, v_end=1.5)
+        assert attempts == [6 * 0.05, 2 * 0.05]
+        assert err.value.last_good_v == 1.0
+
     def test_breakdown_on_short_slab(self):
         data = geodesic.gen_minkowski(s_star=1.2, Lmax=8, n_s=24)
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0)
@@ -219,49 +234,36 @@ class TestContinueFoliation:
             solver.continue_foliation(data, cfg, v_end=2.0)
         assert abs(err.value.last_good_v - 1.2) < 0.1
 
-    def test_threads_split_blocks_identically(self, mms_small, monkeypatch):
-        """A window of several lapse blocks, so the pool really splits the
-        sweep: every sweep solves the same LAPSE_BLOCK partition of levels
-        1..steps whatever the thread count, and the foliation is bitwise
-        independent of it."""
+    def test_sweeps_solve_the_lapse_block_partition(self, mms_small,
+                                                     monkeypatch):
+        """A window of several lapse blocks: every sweep solves levels
+        1..steps as the LAPSE_BLOCK partition, one block after another, and
+        the window and the foliation hold the stacks of the last sweep."""
         data, _ = mms_small
         lapse_at = solver._lapse_at
-        blocks = {}
+        blocks = []
 
         def recording(data, s_samples):
             if np.ndim(s_samples) == 3:
-                blocks[threads].append(len(s_samples))
+                blocks.append(np.array(s_samples))
             return lapse_at(data, s_samples)
 
         monkeypatch.setattr(solver, "_lapse_at", recording)
-        fols = []
-        for threads in (1, 2):
-            blocks[threads] = []
-            fols.append(solver.continue_foliation(
-                data, solver.SolverConfig(delta=0.25, dv=1.0 / 128.0,
-                                          threads=threads), v_end=1.25))
-        assert fols[0].n_levels == 33
-        (win,) = fols[0].windows
+        fol = solver.continue_foliation(
+            data, solver.SolverConfig(delta=0.25, dv=1.0 / 128.0), v_end=1.25)
+        assert fol.n_levels == 33
+        (win,) = fol.windows
         steps = len(win.v_nodes) - 1
         assert steps >= 2 * solver.LAPSE_BLOCK
         partition = [len(range(j, min(j + solver.LAPSE_BLOCK, steps + 1)))
                      for j in range(1, steps + 1, solver.LAPSE_BLOCK)]
-        assert blocks[1] == partition * win.iterations
-        assert sorted(blocks[2]) == sorted(blocks[1])
-        assert np.array_equal(fols[0].s, fols[1].s)
-        assert np.array_equal(fols[0].logOmega, fols[1].logOmega)
-        assert fols[0].trace_rows() == fols[1].trace_rows()
-
-    def test_threads_give_identical_results(self, mms_small):
-        data, _ = mms_small
-        f1 = solver.continue_foliation(
-            data, solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, threads=1),
-            v_end=1.5)
-        f2 = solver.continue_foliation(
-            data, solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, threads=4),
-            v_end=1.5)
-        assert np.array_equal(f1.s, f2.s)
-        assert np.array_equal(f1.logOmega, f2.logOmega)
+        assert [len(b) for b in blocks] == partition * win.iterations
+        last = np.concatenate(blocks[-len(partition):])
+        assert np.array_equal(last, win.s[1:])
+        assert win.s.shape == win.logOmega.shape \
+            == (steps + 1,) + data.grid.shape
+        assert np.array_equal(fol.s, win.s)
+        assert np.array_equal(fol.logOmega, win.logOmega)
 
 
 class TestStackedLapse:
@@ -400,16 +402,14 @@ class TestBuildingBlocks:
 
 class TestMonitors:
     def test_order_five_monitoring_flag(self, mink):
-        """The diagnostic flag widens the monitor to five derivatives without
+        """monitor_order = 5 widens the monitor to five derivatives without
         changing the accepted fixed point."""
         base = solver.SolverConfig(delta=0.5, dv=1.0 / 16.0, tol=1e-12)
         full = solver.SolverConfig(delta=0.5, dv=1.0 / 16.0, tol=1e-12,
-                                   full_monitors=True)
+                                   monitor_order=5)
         w1 = solver.picard_window(mink, 1.0, np.ones(mink.grid.shape), base)
         w2 = solver.picard_window(mink, 1.0, np.ones(mink.grid.shape), full)
-        assert full.effective_monitor_order == 5
-        s1 = np.stack([np.real(st.s.samples) for st in w1.states])
-        s2 = np.stack([np.real(st.s.samples) for st in w2.states])
+        s1, s2 = w1.s, w2.s
         # order 5 weights roundoff by (l(l+1))^{5/2}, so its Delta_n stalls
         # near the roundoff floor rather than below tol; the rule accepts the
         # stall and promises Delta_n <= max(tol, floor) at acceptance
@@ -422,12 +422,11 @@ class TestMonitors:
         the window is accepted with the contraction seen above the floor."""
         mink15 = geodesic.gen_minkowski(Lmax=15, n_s=32)
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, tol=1e-12,
-                                  full_monitors=True)
+                                  monitor_order=5)
         win = solver.picard_window(mink15, 1.0, np.ones(mink15.grid.shape),
                                    cfg)
-        assert win.kappa < cfg.kappa_max
-        for st in win.states:
-            assert np.max(np.abs(np.real(st.s.samples) - st.v)) < 1e-12
+        assert win.kappa < solver.KAPPA_MAX
+        assert np.max(np.abs(win.s - win.v_nodes[:, None, None])) < 1e-12
 
 
 class TestFiniteIterates:
