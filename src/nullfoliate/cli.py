@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import container, diagnostics, geodesic, solver
 from .errors import (BreakdownError, ConfigurationError, DatasetError,
                      NonConvergenceError, NonFiniteIterateError,
@@ -144,8 +142,7 @@ def cmd_solve(args):
     print(f"foliation covers v in [1, {args.v_end}] with {fol.n_levels} "
           f"levels; max|Omega-1| = {dev:.3e}")
     if data.exact is not None:
-        err = max(np.max(np.abs(fol.s[i] - data.exact.s_exact(v)))
-                  for i, v in enumerate(fol.v_nodes))
+        err = data.exact.max_error(fol.v_nodes, fol.s)
         print(f"error against the exact sidecar: {err:.3e}")
     return EXIT_OK
 
@@ -154,8 +151,11 @@ def cmd_verify(args):
     data = geodesic.load(args.data)
     fol = solver.Foliation.load(args.foliation, data)
     os.makedirs(args.out, exist_ok=True)
-    crep = diagnostics.constraint_residuals(fol, tolerance=args.tol_constraint)
-    trep = diagnostics.transport_residuals(fol, tolerance=args.tol_transport)
+    co = diagnostics.canonical(fol)
+    crep = diagnostics.constraint_residuals(data, co,
+                                            tolerance=args.tol_constraint)
+    trep = diagnostics.transport_residuals(data, co,
+                                           tolerance=args.tol_transport)
     crep.to_csv(os.path.join(args.out, "constraint_residuals.csv"))
     trep.to_csv(os.path.join(args.out, "transport_residuals.csv"))
     merged = {
@@ -180,7 +180,7 @@ def cmd_norms(args):
     data = geodesic.load(args.data)
     fol = solver.Foliation.load(args.foliation, data)
     os.makedirs(args.out, exist_ok=True)
-    rep = diagnostics.norm_suite(fol)
+    rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
     rep.to_csv(os.path.join(args.out, "norms.csv"))
     rep.to_json(os.path.join(args.out, "norms.json"))
     print(f"norm suite written: O = {rep.get('O'):.6e}, "

@@ -73,7 +73,8 @@ def upsilon_transport(Ups: OneForm, chi: SymTwoTensor, logOmega: SpinField,
 
 
 def canonical_connection(data: GeodesicNullData, s: SpinField,
-                         logOmega: SpinField, metric: MetricRep = None):
+                         logOmega: SpinField, metric: MetricRep,
+                         Ups: OneForm, ups2: SpinField):
     """Connection coefficients of the canonical foliation at one leaf.
 
         chi  = chi'
@@ -82,26 +83,23 @@ def canonical_connection(data: GeodesicNullData, s: SpinField,
         chib = chib' - 2 (Upsilon zeta' + zeta' Upsilon) + 2 Hess s
                - |Upsilon|^2 chi'
 
-    nabla_L Upsilon is the exact algebraic transport identity.
+    Ups = upsilon(s, metric) and ups2 = |Upsilon|^2.  nabla_L Upsilon is
+    the exact algebraic transport identity.
     """
     sv = np.real(s.samples)
-    if metric is None:
-        metric = data.metric_at(sv)
-    Ups = upsilon(s, metric)
     chi = data.chi_at(sv)
     zeta_g = data.zeta_at(sv)
     zeta = zeta_g + contract(chi, Ups)
     dLUps = upsilon_transport(Ups, chi, logOmega, metric)
     etab = -1.0 * zeta_g + dLUps
     hess = hessian(s, metric)
-    ups2 = Ups.norm2()
     chib = data.chib_at(sv) - 2.0 * sym_otimes(Ups, zeta_g) + 2.0 * hess \
         - ups2 * chi
-    return chi, chib, zeta, etab, Ups, dLUps
+    return chi, chib, zeta, etab, dLUps
 
 
-def canonical_curvature(data: GeodesicNullData, s: SpinField,
-                        metric: MetricRep = None):
+def canonical_curvature(data: GeodesicNullData, s: SpinField, Ups: OneForm,
+                        ups2: SpinField):
     """Null curvature components of the canonical frame, exact through cubic order.
 
         alpha = alpha'
@@ -112,22 +110,21 @@ def canonical_curvature(data: GeodesicNullData, s: SpinField,
                 - 2 ((*beta') . Upsilon) (*Upsilon) + |Upsilon|^2 beta'
                 - 2 (alpha' . Upsilon . Upsilon) Upsilon
                 + |Upsilon|^2 (alpha' . Upsilon)
+
+    Ups is the tilt of the leaf s and ups2 = |Upsilon|^2.
     """
-    sv = np.real(s.samples)
-    if metric is None:
-        metric = data.metric_at(sv)
-    Ups = upsilon(s, metric)
-    alpha_g, beta_g, rho_g, sigma_g, betab_g = data.curvature_at(sv)
+    alpha_g, beta_g, rho_g, sigma_g, betab_g = data.curvature_at(
+        np.real(s.samples))
 
     alpha = alpha_g
     a_ups = contract(alpha_g, Ups)
     beta = beta_g + a_ups
     a_upsups = contract2(alpha_g, Ups, Ups)
     rho = rho_g + dot(beta_g, Ups) + a_upsups
-    sigma = sigma_g - dot(dual(beta_g), Ups) - contract2(dual(alpha_g), Ups, Ups)
-    ups2 = Ups.norm2()
+    dbeta_ups = dot(dual(beta_g), Ups)
+    sigma = sigma_g - dbeta_ups - contract2(dual(alpha_g), Ups, Ups)
     betab = betab_g - 3.0 * (rho_g * Ups) + 3.0 * (sigma_g * dual(Ups)) \
-        - 2.0 * (dot(dual(beta_g), Ups) * dual(Ups)) + ups2 * beta_g \
+        - 2.0 * (dbeta_ups * dual(Ups)) + ups2 * beta_g \
         - 2.0 * (a_upsups * Ups) + ups2 * a_ups
     return alpha, beta, rho, sigma, betab
 
@@ -160,9 +157,11 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
     s and logOmega may be stacks of leaves, with v the array of their levels.
     """
     metric = data.metric_at(np.real(s.samples))
-    chi, chib, zeta, etab, Ups, dLUps = canonical_connection(
-        data, s, logOmega, metric)
-    alpha, beta, rho, sigma, betab = canonical_curvature(data, s, metric)
+    Ups = upsilon(s, metric)
+    ups2 = Ups.norm2()
+    chi, chib, zeta, etab, dLUps = canonical_connection(
+        data, s, logOmega, metric, Ups, ups2)
+    alpha, beta, rho, sigma, betab = canonical_curvature(data, s, Ups, ups2)
     rho_check, sigma_check, betab_check = renormalized(
         rho, sigma, betab, chi.hat(), chib.hat(), zeta)
     mu = mass_aspect(rho_check, zeta, metric)
@@ -174,18 +173,13 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
         betab_check=betab_check, mu=mu)
 
 
-def save_coefficients(foliation, path, stride=1):
-    """Write reconstructed coefficient sets as a "coefficients" container.
+def save_coefficients(co: CanonicalCoefficients, path):
+    """Write a reconstruction as a "coefficients" container.
 
-    Every stride-th level is reconstructed in one stacked call.  One array
-    per named coefficient, shaped (n_levels, ntheta, nphi), taken
+    One array per named coefficient, shaped (n_levels, ntheta, nphi), taken
     from the attribute path in `paths`: scalars (no component in the path)
     are stored real, spin-1 and spin-2 quantities as their plus components.
     """
-    idx = slice(0, foliation.n_levels, stride)
-    co = reconstruct(foliation.data, foliation.s_field(idx),
-                     foliation.logOmega_field(idx), foliation.v_nodes[idx])
-
     paths = {
         "trchi": "trchi", "chihat": "chi.hat_plus", "trchib": "trchib",
         "chibhat": "chib.hat_plus", "zeta": "zeta.plus", "etab": "etab.plus",
@@ -198,4 +192,4 @@ def save_coefficients(foliation, path, stride=1):
     for name, attr in paths.items():
         arr = attrgetter(attr)(co).samples
         arrays[name] = arr if "." in attr else np.real(arr)
-    container.write(path, "coefficients", foliation.grid.Lmax, co.v, arrays)
+    container.write(path, "coefficients", co.metric.grid.Lmax, co.v, arrays)

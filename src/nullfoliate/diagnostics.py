@@ -1,16 +1,23 @@
 """Residual suites, commutation checks, Littlewood-Paley/Besov/Sobolev norms.
 
-Every suite takes the foliation as one stack: it makes one reconstruct call
-on the levels it reports, and its residuals are stack expressions over those
-levels (see sphere and tensors), reported one row per level.  The geodesic-
-side norms take the s-node leaves of the dataset as one stack in the same
-way.
+canonical() is the one place that turns a foliation into its canonical
+geometry: one reconstruct call on the chosen levels, as one stack.  Every
+suite takes that reconstruction (and the dataset where it reads it) instead
+of the foliation, so a run builds it once and hands it to all its suites;
+the levels, dv and the lapse come from co.v and co.logOmega.  Residuals are
+stack expressions over the levels (see sphere and tensors), reported one
+row per level.  The geodesic-side norms take the s-node leaves of the
+dataset as one stack in the same way.
 
 Transport residuals differentiate the reconstructed spin components along the
 generators, nabla_L = Omega d/dv at fixed angle, with centered finite
 differences (8th order when enough levels exist); levels inside the stencil
 margin are excluded from the reported rows.  Everything else is spectral.
 """
+
+from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -53,16 +60,17 @@ def v_derivative(table, dv, n_levels):
 
 
 class FieldBundle:
-    """Weighted collection of spin components standing in for a tensor norm."""
+    """Weighted spin components standing in for a tensor norm; comps()
+    yields the (SpinField, weight) pairs, formed one at a time by norm2."""
 
     def __init__(self, comps):
-        self.comps = comps  # list of (SpinField, weight)
+        self.comps = comps
 
     def norm2(self):
-        f0, w0 = self.comps[0]
-        acc = w0 * multiply(f0, f0.conj())
-        for f, w in self.comps[1:]:
-            acc = acc + w * multiply(f, f.conj())
+        acc = None
+        for f, w in self.comps():
+            term = w * multiply(f, f.conj())
+            acc = term if acc is None else acc + term
         return acc
 
 
@@ -90,10 +98,22 @@ def _record(rep, name, v, x, metric):
     rep.add_levels(v, {name: _sizes(x, metric)})
 
 
-def _levels(foliation, idx=slice(None)):
-    """The canonical geometry of levels idx of a foliation, as one stack."""
-    return reconstruct(foliation.data, foliation.s_field(idx),
-                       foliation.logOmega_field(idx), foliation.v_nodes[idx])
+def canonical(foliation, levels=slice(None)):
+    """The canonical geometry of the given levels (a slice or an index list)
+    of a foliation, as one stack: the reconstruction every suite takes."""
+    return reconstruct(foliation.data, foliation.s_field(levels),
+                       foliation.logOmega_field(levels),
+                       foliation.v_nodes[levels])
+
+
+def _dv(co):
+    """The v-step of a reconstruction on uniform levels."""
+    return float(co.v[1] - co.v[0])
+
+
+def _omega(co):
+    """Omega on every level of a reconstruction."""
+    return np.exp(np.real(co.logOmega.samples))
 
 
 def _sym_grad(X: OneForm, g: MetricRep) -> SymTwoTensor:
@@ -107,11 +127,10 @@ def _sym_grad(X: OneForm, g: MetricRep) -> SymTwoTensor:
 # constraint residuals (per-level, no v-differencing)
 # --------------------------------------------------------------------------
 
-def constraint_residuals(foliation, tolerance=1e-10, levels=None) -> ResidualReport:
-    """Residuals of the elliptic/Hodge-type canonical structure equations."""
+def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
+    """Residuals of the elliptic/Hodge-type canonical structure equations
+    on every level of the reconstruction co of a foliation of data."""
     rep = ResidualReport(tolerance_used=tolerance)
-    data = foliation.data
-    co = _levels(foliation, slice(None) if levels is None else list(levels))
     g = co.metric
     chihat, chibhat = co.chi.hat(), co.chib.hat()
     sizes = {}
@@ -161,45 +180,41 @@ def constraint_residuals(foliation, tolerance=1e-10, levels=None) -> ResidualRep
 # transport residuals
 # --------------------------------------------------------------------------
 
-def dLUpsilon_fd(foliation, co):
+def dLUpsilon_fd(co):
     """nabla_L Upsilon by v-differencing (the cross-path diagnostic value).
 
-    co is the reconstruction of every level of the foliation, as one stack.
+    co is the reconstruction of every level of a foliation, as one stack.
     """
-    dups, _ = v_derivative(co.Upsilon.plus.samples, foliation.dv,
-                           foliation.n_levels)
-    return OneForm.from_plus(foliation.grid,
-                             np.exp(foliation.logOmega) * dups)
+    dups, _ = v_derivative(co.Upsilon.plus.samples, _dv(co), len(co.v))
+    return OneForm.from_plus(co.metric.grid, _omega(co) * dups)
 
 
-def transport_residuals(foliation, tolerance=1e-8) -> ResidualReport:
-    """Residuals of the null transport equations on the solved foliation."""
+def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
+    """Residuals of the null transport equations on the reconstruction co
+    of every level of a foliation of data."""
     rep = ResidualReport(tolerance_used=tolerance)
-    data = foliation.data
-    grid = foliation.grid
-    n = foliation.n_levels
+    grid = co.metric.grid
+    n = len(co.v)
     _, margin = _fd_stencil(n)
     inner = slice(margin, n - margin)
-    dv = foliation.dv
-
-    every = _levels(foliation)
-    fbar = mean(every.trchi, every.metric)
+    dv = _dv(co)
+    fbar = mean(co.trchi, co.metric)
 
     def d_dv(table):
         """v-derivative on the reported (interior) levels."""
         return v_derivative(table, dv, n)[0][inner]
 
-    d_trchi = d_dv(np.real(every.trchi.samples))
-    d_trchib = d_dv(np.real(every.trchib.samples))
-    d_mu = d_dv(np.real(every.mu.samples))
-    d_rho = d_dv(np.real(every.rho.samples))
-    d_zeta = d_dv(every.zeta.plus.samples)
-    d_chihat = d_dv(every.chi.hat_plus.samples)
+    d_trchi = d_dv(np.real(co.trchi.samples))
+    d_trchib = d_dv(np.real(co.trchib.samples))
+    d_mu = d_dv(np.real(co.mu.samples))
+    d_rho = d_dv(np.real(co.rho.samples))
+    d_zeta = d_dv(co.zeta.plus.samples)
+    d_chihat = d_dv(co.chi.hat_plus.samples)
     d_fbar = d_dv(fbar)
 
-    co = every[inner]
+    co = co[inner]
     g = co.metric
-    omega = np.exp(foliation.logOmega[inner])
+    omega = _omega(co)
     om = SpinField.from_samples(grid, 0, omega)
     chihat, chibhat = co.chi.hat(), co.chib.hat()
     mean_rc = mean(co.rho_check, g)
@@ -293,26 +308,26 @@ def commutation_grad_laplacian(f: SpinField, metric: MetricRep) -> OneForm:
     return lhs + K * grad(f, metric)
 
 
-def commutation_check(foliation, f: SpinField, tolerance=1e-10) -> ResidualReport:
-    """Scalar commutation identities along the foliation.
+def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
+    """Scalar commutation identities along a foliation.
 
-    Checks [grad, Delta] f = -K grad f per level (spectral) and the
-    [nabla_L, grad] f identity by v-differencing the gradient of a
-    v-independent test profile.
+    co is the reconstruction of every level.  Checks [grad, Delta] f =
+    -K grad f per level (spectral) and the [nabla_L, grad] f identity by
+    v-differencing the gradient of a v-independent test profile.
     """
     rep = ResidualReport(tolerance_used=tolerance)
-    n = foliation.n_levels
-    metric = foliation.data.metric_at(foliation.s)
-    _record(rep, "comm_grad_laplacian", foliation.v_nodes,
+    n = len(co.v)
+    metric = co.metric
+    _record(rep, "comm_grad_laplacian", co.v,
             commutation_grad_laplacian(f, metric), metric)
 
     gf = grad(f, metric)
-    dgp, margin = v_derivative(gf.plus.samples, foliation.dv, n)
-    dgm, _ = v_derivative(gf.minus.samples, foliation.dv, n)
+    dgp, margin = v_derivative(gf.plus.samples, _dv(co), n)
+    dgm, _ = v_derivative(gf.minus.samples, _dv(co), n)
     inner = slice(margin, n - margin)
-    co = _levels(foliation, inner)
-    om = np.exp(foliation.logOmega[inner])
-    grid = foliation.grid
+    co = co[inner]
+    om = _omega(co)
+    grid = metric.grid
     dLgrad = OneForm(SpinField.from_samples(grid, 1, om * dgp[inner]),
                      SpinField.from_samples(grid, -1, om * dgm[inner]))
     gf = gf[inner]
@@ -392,13 +407,16 @@ def _l2_round(x):
     return np.sqrt(total)
 
 
+def _dyadic(f):
+    """(k, P_k f) for k = 'minus' (P_{<0}), then k = 0 .. lp_kmax."""
+    yield "minus", lp_project(f, "minus")
+    for k in range(lp_kmax(_components(f)[0][0].grid) + 1):
+        yield k, lp_project(f, k)
+
+
 def besov_B0(f) -> float:
     """B^0 norm: sum_k ||P_k f||_{L2} + ||P_{<0} f||_{L2} (round reference)."""
-    grid = _components(f)[0][0].grid
-    total = _l2_round(lp_project(f, "minus"))
-    for k in range(lp_kmax(grid) + 1):
-        total += _l2_round(lp_project(f, k))
-    return float(total)
+    return float(sum(_l2_round(p) for _, p in _dyadic(f)))
 
 
 def Hs_norm(f, s_exp) -> float:
@@ -413,11 +431,7 @@ def Hs_norm(f, s_exp) -> float:
 
 def lp_partition_residual(f) -> float:
     """|| (P_{<0} + sum_k P_k) f - f || on a band-limited field."""
-    grid = _components(f)[0][0].grid
-    acc = lp_project(f, "minus")
-    for k in range(lp_kmax(grid) + 1):
-        acc = acc + lp_project(f, k)
-    return _l2_round(acc - f)
+    return _l2_round(reduce(add, (p for _, p in _dyadic(f))) - f)
 
 
 # --------------------------------------------------------------------------
@@ -491,19 +505,15 @@ def trace_norm(field, metric, v_nodes, q, p) -> float:
 
 def P0v_norm(field, metric, v_nodes) -> float:
     """P^0_v norm: sum_k ||P_k F||_{L^2_v L^2} + ||P_{<0} F||_{L^2_v L^2}."""
-    total = mixed_norm(lp_project(field, "minus"), metric, v_nodes, 2, 2)
-    for k in range(lp_kmax(metric.grid) + 1):
-        total += mixed_norm(lp_project(field, k), metric, v_nodes, 2, 2)
-    return float(total)
+    return float(sum(mixed_norm(p, metric, v_nodes, 2, 2)
+                     for _, p in _dyadic(field)))
 
 
 def Q12v_norm(field, metric, v_nodes) -> float:
     """Q^{1/2}_v norm: (sum_k 2^k ||P_k F||^2_{Linf_v L2} + ||P_<0 F||^2)^{1/2}."""
-    total = mixed_norm(lp_project(field, "minus"), metric, v_nodes,
-                       np.inf, 2) ** 2
-    for k in range(lp_kmax(metric.grid) + 1):
-        total += 2.0 ** k * mixed_norm(lp_project(field, k), metric,
-                                       v_nodes, np.inf, 2) ** 2
+    total = sum((1.0 if k == "minus" else 2.0 ** k)
+                * mixed_norm(p, metric, v_nodes, np.inf, 2) ** 2
+                for k, p in _dyadic(field))
     return float(np.sqrt(total))
 
 
@@ -511,48 +521,52 @@ def Q12v_norm(field, metric, v_nodes) -> float:
 # the norm hierarchy
 # --------------------------------------------------------------------------
 
-def _n1_norm(field, dL_field, metric, v_nodes) -> float:
-    """N_1 = ||.||_{H^{1/2}(S_1)} + L^2_v L^2 of the field, its gradient and
-    its L-derivative."""
-    grads = _grad_any(field, metric)
-    return (Hs_norm(field[0], 0.5)
-            + mixed_norm(field, metric, v_nodes, 2, 2)
-            + mixed_norm(grads, metric, v_nodes, 2, 2)
-            + mixed_norm(dL_field, metric, v_nodes, 2, 2))
+def _n1_norm(field, dL_field, metric, l2) -> float:
+    """N_1 = ||.||_{H^{1/2}} on the first leaf + the L^2 over the stack
+    (l2: over the geodesic s-slab, or L^2_v L^2 over the v-levels) of the
+    field, its gradient and its L-derivative."""
+    return (Hs_norm(field[0], 0.5) + l2(field)
+            + l2(_grad_any(field, metric)) + l2(dL_field))
 
 
 def _grad_any(x, g):
     """Covariant gradient with the full componentwise L2 magnitude."""
     if isinstance(x, SpinField):
         return grad(x, g)
+    if not isinstance(x, (OneForm, SymTwoTensor)):
+        raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
     h = 1.0 / SQRT2
-    if isinstance(x, OneForm):
-        return FieldBundle([
-            (eth_g(x.plus, g) * h, 1.0), (ethbar_g(x.plus, g) * h, 1.0),
-            (eth_g(x.minus, g) * h, 1.0), (ethbar_g(x.minus, g) * h, 1.0),
-        ])
-    if isinstance(x, SymTwoTensor):
-        gt = grad(x.trace, g)
-        return FieldBundle([
-            (eth_g(x.hat_plus, g) * h, 1.0), (ethbar_g(x.hat_plus, g) * h, 1.0),
-            (eth_g(x.hat_minus, g) * h, 1.0),
-            (ethbar_g(x.hat_minus, g) * h, 1.0),
-            (gt.plus, 0.5), (gt.minus, 0.5),
-        ])
-    raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
+
+    def comps():
+        parts = (x.plus, x.minus) if isinstance(x, OneForm) \
+            else (x.hat_plus, x.hat_minus)
+        for c in parts:
+            yield eth_g(c, g) * h, 1.0
+            yield ethbar_g(c, g) * h, 1.0
+        if isinstance(x, SymTwoTensor):
+            gt = grad(x.trace, g)
+            yield gt.plus, 0.5
+            yield gt.minus, 0.5
+    return FieldBundle(comps)
 
 
-def norm_suite(foliation) -> NormReport:
+def _set_total(rep, total, entries):
+    """Record each entry, and their sum under the name `total`."""
+    entries[total] = sum(entries.values())
+    for k, val in entries.items():
+        rep.set(k, val)
+
+
+def norm_suite(data, co) -> NormReport:
     """Every constituent of the I', I, O', O, R', R norm functionals.
 
     The geodesic side reads the dataset's s-node leaves as one stack, the
-    canonical side one reconstruction of every v-level as one stack.
+    canonical side the reconstruction co of every v-level of a foliation.
     """
-    data = foliation.data
     rep = NormReport()
-    grid = foliation.grid
-    n = foliation.n_levels
-    v_nodes = foliation.v_nodes
+    grid = data.grid
+    n = len(co.v)
+    v_nodes = co.v
 
     # ---- geodesic-side norms (I'_{S1}, O', R') over the s-slab -----------
     s_nodes = data.s_nodes
@@ -573,7 +587,7 @@ def norm_suite(foliation) -> NormReport:
     rho_check1 = SpinField.from_samples(
         grid, 0, data.rho[0]) - 0.5 * dot(chihat1, chibhat1)
     mu1 = -1.0 * rho_check1 - div(zeta1, g1)
-    entries = {
+    _set_total(rep, "Iprime_S1", {
         "Iprime_S1.trchi_dev_inf": float(np.max(np.abs(
             np.real(data.trchi[0]) - 2.0))),
         "Iprime_S1.grad_trchi_B0": besov_B0(grad(trchi1, g1)),
@@ -584,57 +598,43 @@ def norm_suite(foliation) -> NormReport:
         "Iprime_S1.zeta_H12": Hs_norm(zeta1, 0.5),
         "Iprime_S1.chihat_H12": Hs_norm(chihat1, 0.5),
         "Iprime_S1.chibhat_H12": Hs_norm(chibhat1, 0.5),
-    }
-    entries["Iprime_S1"] = sum(entries.values())
-    for k, val in entries.items():
-        rep.set(k, val)
+    })
 
     # R' over the geodesic slab
-    rp = {
+    _set_total(rep, "Rprime", {
         "Rprime.alpha": slab_l2(SymTwoTensor.from_parts(grid, None,
                                                         data.alpha)),
         "Rprime.beta": slab_l2(OneForm.from_plus(grid, data.beta)),
         "Rprime.rho": slab_l2(SpinField.from_samples(grid, 0, data.rho)),
         "Rprime.sigma": slab_l2(SpinField.from_samples(grid, 0, data.sigma)),
         "Rprime.betab": slab_l2(OneForm.from_plus(grid, data.betab)),
-    }
-    rp["Rprime"] = sum(rp.values())
-    for k, val in rp.items():
-        rep.set(k, val)
+    })
 
     # O' over the geodesic slab
     s3 = s_nodes[:, None, None]
     trchi_dev = data.trchi - 2.0 / s3
     dst_dev = data.d_ds(data.trchi) + 2.0 / s3 ** 2
-
-    def geo_n1(f0, fL):
-        grads = _grad_any(f0, gs)
-        return Hs_norm(f0[0], 0.5) + slab_l2(f0) + slab_l2(grads) \
-            + slab_l2(fL)
-
-    op = {
+    _set_total(rep, "Oprime", {
         "Oprime.trchi_dev_infinf": float(np.max(np.abs(trchi_dev))),
         "Oprime.chihat_LinfL2s": _geo_trace_norm(data.chihat, wcc),
         "Oprime.zeta_LinfL2s": _geo_trace_norm(data.zeta, wcc),
-        "Oprime.N1_trchi_dev": geo_n1(
+        "Oprime.N1_trchi_dev": _n1_norm(
             SpinField.from_samples(grid, 0, trchi_dev),
-            SpinField.from_samples(grid, 0, dst_dev)),
-        "Oprime.N1_chihat": geo_n1(
+            SpinField.from_samples(grid, 0, dst_dev), gs, slab_l2),
+        "Oprime.N1_chihat": _n1_norm(
             SymTwoTensor.from_parts(grid, None, data.chihat),
-            SymTwoTensor.from_parts(grid, None, data.d_ds(data.chihat))),
-        "Oprime.N1_zeta": geo_n1(
+            SymTwoTensor.from_parts(grid, None, data.d_ds(data.chihat)),
+            gs, slab_l2),
+        "Oprime.N1_zeta": _n1_norm(
             OneForm.from_plus(grid, data.zeta),
-            OneForm.from_plus(grid, data.d_ds(data.zeta))),
-    }
-    op["Oprime"] = sum(op.values())
-    for k, val in op.items():
-        rep.set(k, val)
+            OneForm.from_plus(grid, data.d_ds(data.zeta)), gs, slab_l2),
+    })
 
     # ---- canonical-side norms (I_{S1}, O, R) over the v-levels -----------
-    co = _levels(foliation)
     g = co.metric
     co1, g1c = co[0], g[0]
-    i_entries = {
+    omega = _omega(co)
+    _set_total(rep, "I_S1", {
         "I_S1.trchi_dev_inf": float(np.max(np.abs(
             np.real(co1.trchi.samples) - 2.0))),
         "I_S1.trchib_dev_inf": float(np.max(np.abs(
@@ -648,29 +648,25 @@ def norm_suite(foliation) -> NormReport:
         "I_S1.grad_logOmega_H12": Hs_norm(grad(co1.logOmega, g1c), 0.5),
         "I_S1.etab_H12": Hs_norm(co1.etab, 0.5),
         "I_S1.logOmega_L2": _l2_g(co1.logOmega, g1c),
-        "I_S1.omega_dev_inf": float(np.max(np.abs(
-            np.exp(foliation.logOmega[0]) - 1.0))),
+        "I_S1.omega_dev_inf": float(np.max(np.abs(omega[0] - 1.0))),
         "I_S1.mu_L2": _l2_g(co1.mu, g1c),
-    }
-    i_entries["I_S1"] = sum(i_entries.values())
-    for k, val in i_entries.items():
-        rep.set(k, val)
+    })
+
+    def v_l2(x):
+        """L^2_v L^2 of a stack over the v-levels."""
+        return mixed_norm(x, g, v_nodes, 2, 2)
 
     # R over the canonical foliation
-    r_entries = {
-        "R.alpha": mixed_norm(co.alpha, g, v_nodes, 2, 2),
-        "R.beta": mixed_norm(co.beta, g, v_nodes, 2, 2),
-        "R.rho": mixed_norm(co.rho, g, v_nodes, 2, 2),
-        "R.sigma": mixed_norm(co.sigma, g, v_nodes, 2, 2),
-        "R.betab": mixed_norm(co.betab, g, v_nodes, 2, 2),
-    }
-    r_entries["R"] = sum(r_entries.values())
-    for k, val in r_entries.items():
-        rep.set(k, val)
+    _set_total(rep, "R", {
+        "R.alpha": v_l2(co.alpha),
+        "R.beta": v_l2(co.beta),
+        "R.rho": v_l2(co.rho),
+        "R.sigma": v_l2(co.sigma),
+        "R.betab": v_l2(co.betab),
+    })
 
     # O over the canonical foliation
-    omega = np.exp(foliation.logOmega)
-    dv = foliation.dv
+    dv = _dv(co)
 
     def dL(samples):
         """Omega d_v of a per-level array; the stencil margin takes the
@@ -686,24 +682,24 @@ def norm_suite(foliation) -> NormReport:
     chihat_f, chibhat_f = co.chi.hat(), co.chib.hat()
     gradlog_f = grad(co.logOmega, g)
 
-    o_entries = {
+    _set_total(rep, "O", {
         "O.N1_trchi_dev": _n1_norm(trchi_dev_f, SpinField.from_samples(
-            grid, 0, dL(np.real(co.trchi.samples) - 2.0 / v3)), g, v_nodes),
+            grid, 0, dL(np.real(co.trchi.samples) - 2.0 / v3)), g, v_l2),
         "O.N1_chihat": _n1_norm(chihat_f, SymTwoTensor.from_parts(
-            grid, None, dL(co.chi.hat_plus.samples)), g, v_nodes),
+            grid, None, dL(co.chi.hat_plus.samples)), g, v_l2),
         "O.N1_zeta": _n1_norm(co.zeta, OneForm.from_plus(
-            grid, dL(co.zeta.plus.samples)), g, v_nodes),
+            grid, dL(co.zeta.plus.samples)), g, v_l2),
         "O.N1_etab": _n1_norm(co.etab, OneForm.from_plus(
-            grid, dL(co.etab.plus.samples)), g, v_nodes),
+            grid, dL(co.etab.plus.samples)), g, v_l2),
         "O.N1_trchib_dev": _n1_norm(trchib_dev_f, SpinField.from_samples(
-            grid, 0, dL(np.real(co.trchib.samples) + 2.0 / v3)), g, v_nodes),
+            grid, 0, dL(np.real(co.trchib.samples) + 2.0 / v3)), g, v_l2),
         "O.N1_chibhat": _n1_norm(chibhat_f, SymTwoTensor.from_parts(
-            grid, None, dL(co.chib.hat_plus.samples)), g, v_nodes),
+            grid, None, dL(co.chib.hat_plus.samples)), g, v_l2),
         "O.omega_dev_infinf": float(np.max(np.abs(omega - 1.0))),
         "O.L_logOmega_L2L4": mixed_norm(SpinField.from_samples(
-            grid, 0, dL(foliation.logOmega)), g, v_nodes, 2, 4),
+            grid, 0, dL(np.real(co.logOmega.samples))), g, v_nodes, 2, 4),
         "O.N1_grad_logOmega": _n1_norm(gradlog_f, OneForm.from_plus(
-            grid, dL(gradlog_f.plus.samples)), g, v_nodes),
+            grid, dL(gradlog_f.plus.samples)), g, v_l2),
         "O.trchi_dev_infinf": mixed_norm(trchi_dev_f, g, v_nodes,
                                          np.inf, np.inf),
         "O.chihat_LinfL2v": trace_norm(chihat_f, g, v_nodes, np.inf, 2),
@@ -714,10 +710,7 @@ def norm_suite(foliation) -> NormReport:
         "O.grad_trchib_L2Linfv": trace_norm(grad(co.trchib, g), g, v_nodes,
                                             2, np.inf),
         "O.mu_L2Linfv": trace_norm(co.mu, g, v_nodes, 2, np.inf),
-    }
-    o_entries["O"] = sum(o_entries.values())
-    for k, val in o_entries.items():
-        rep.set(k, val)
+    })
 
     # representative v-integrated Besov constituents
     rep.set("O.P0v_zeta", P0v_norm(co.zeta, g, v_nodes))
@@ -739,15 +732,15 @@ def _geo_trace_norm(table, wcc):
 # weak sphericality
 # --------------------------------------------------------------------------
 
-def sphericality_report(foliation):
-    """Per-level split K - 1/v^2 = Div Psi + Theta with Psi = zeta.
+def sphericality_report(co):
+    """Per-level split K - 1/v^2 = Div Psi + Theta with Psi = zeta, on the
+    reconstruction co of a foliation.
 
     Theta = -trchi trchib/4 - 1/v^2 + mu follows from the Gauss equation and
     the mass-aspect definition.  Returns (rows, identity_report) where rows
     are dicts {v, Psi, Theta, psi_H12, theta_L2}.
     """
     rep = ResidualReport(tolerance_used=1e-9)
-    co = _levels(foliation)
     g = co.metric
     inv_v2 = SpinField.constant(g.grid, -1.0 / co.v ** 2)
     Theta = -0.25 * multiply(co.trchi, co.trchib) + inv_v2 + co.mu
@@ -831,16 +824,12 @@ def bochner_oneform(F: OneForm, grid):
 
 def convergence_study(data, exact, base_cfg, dvs, v_end=2.0):
     """Solve at several v-resolutions and report errors and observed orders."""
-    from .solver import SolverConfig, continue_foliation
+    from .solver import continue_foliation
 
     rows = []
     for dv in dvs:
-        cfg = SolverConfig(delta=base_cfg.delta, dv=dv, tol=base_cfg.tol,
-                           max_iter=base_cfg.max_iter)
-        fol = continue_foliation(data, cfg, v_end=v_end)
-        err = max(np.max(np.abs(fol.s[i] - exact.s_exact(v)))
-                  for i, v in enumerate(fol.v_nodes))
-        rows.append((dv, err))
+        fol = continue_foliation(data, replace(base_cfg, dv=dv), v_end=v_end)
+        rows.append((dv, exact.max_error(fol.v_nodes, fol.s)))
     orders = [float(np.log2(rows[i][1] / rows[i + 1][1])
                     / np.log2(rows[i][0] / rows[i + 1][0]))
               for i in range(len(rows) - 1)]

@@ -311,6 +311,11 @@ class MmsExact:
     def s_exact(self, v):
         return 1.0 + self.A(v) + self.epsilon * self.B(v) * self.G
 
+    def max_error(self, v_nodes, s):
+        """Sup over the levels v_nodes of |s - s_exact(v)|; s per level."""
+        return max(np.max(np.abs(s[i] - self.s_exact(v)))
+                   for i, v in enumerate(v_nodes))
+
     def dvs_exact(self, v):
         ec = np.exp(self.c(v))
         return ec * (1.0 + self.epsilon * self.p(v) * self.G)

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import (BreakdownError, ConfigurationError, LapseBoundError,
-                     NonConvergenceError, NonFiniteIterateError,
-                     OutOfDomainError)
+from .errors import (BreakdownError, ConfigurationError, DatasetError,
+                     LapseBoundError, NonConvergenceError,
+                     NonFiniteIterateError, OutOfDomainError)
 from .geodesic import GeodesicNullData
 from .reports import _fmt
 from .sphere import SpinField, raw_analyze
@@ -141,8 +141,15 @@ class Foliation:
 
     @classmethod
     def load(cls, path, data: GeodesicNullData):
-        """Read a foliation of `data` written by save(); validated."""
+        """Read a foliation of `data` written by save(); validated, and its
+        v-grid must be uniform: at least 3 strictly ascending nodes whose
+        steps agree to 1e-9 relative."""
         c = container.read(path, "foliation", Lmax=data.grid.Lmax)
+        steps = np.diff(c.nodes)
+        if len(c.nodes) < 3 or np.min(steps) <= 0.0 \
+                or np.ptp(steps) > 1e-9 * steps[0]:
+            raise DatasetError(f"{path}: the foliation's v-nodes are not a "
+                               "uniform ascending grid of at least 3 nodes")
         return cls(data, c.nodes, c.fields["s"], c.fields["logOmega"])
 
 

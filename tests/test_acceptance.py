@@ -36,9 +36,7 @@ def mms15():
 def solve_error(data, exact, dv, delta=0.5, v_end=2.0):
     cfg = solver.SolverConfig(delta=delta, dv=dv, tol=1e-13)
     fol = solver.continue_foliation(data, cfg, v_end=v_end)
-    err = max(np.max(np.abs(fol.s[i] - exact.s_exact(v)))
-              for i, v in enumerate(fol.v_nodes))
-    return fol, err
+    return fol, exact.max_error(fol.v_nodes, fol.s)
 
 
 def test_criterion_1_minkowski_end_to_end():
@@ -50,10 +48,11 @@ def test_criterion_1_minkowski_end_to_end():
     fol = solver.continue_foliation(data, cfg, v_end=2.0)
     om_dev = fol.max_omega_dev()
     s_dev = fol.max_graph_dev()
-    crep = diagnostics.constraint_residuals(fol)
-    trep = diagnostics.transport_residuals(fol)
+    co = diagnostics.canonical(fol)
+    crep = diagnostics.constraint_residuals(data, co)
+    trep = diagnostics.transport_residuals(data, co)
     comm = diagnostics.commutation_check(
-        fol, SpinField.from_coeffs(data.grid, 0, _unit_coeff(data.grid, 3, 1)))
+        co, SpinField.from_coeffs(data.grid, 0, _unit_coeff(data.grid, 3, 1)))
     runtime = time.time() - t0
     worst = max(crep.worst(), trep.worst(), comm.worst())
     ok = om_dev <= 1e-12 and s_dev <= 1e-12 and worst <= 1e-10 \
@@ -78,9 +77,9 @@ def test_criterion_2_schwarzschild():
     cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 64.0, tol=1e-13)
     fol = solver.continue_foliation(data, cfg, v_end=2.0)
     om_dev = fol.max_omega_dev()
-    crep = diagnostics.constraint_residuals(fol,
-                                            levels=range(0, fol.n_levels, 4))
-    trep = diagnostics.transport_residuals(fol)
+    crep = diagnostics.constraint_residuals(
+        data, diagnostics.canonical(fol, slice(0, None, 4)))
+    trep = diagnostics.transport_residuals(data, diagnostics.canonical(fol))
     gauss = crep.worst("gauss")
     trchib = trep.worst("trchib_transport")
     mu_rel = 0.0
@@ -184,9 +183,8 @@ def test_criterion_6_cross_path_coefficients(mms23):
     data, _ = mms23
     cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 128.0, tol=1e-13)
     fol = solver.continue_foliation(data, cfg, v_end=2.0)
-    levels = comparison.reconstruct(data, fol.s_field(),
-                                    fol.logOmega_field(), fol.v_nodes)
-    dl = diagnostics.dLUpsilon_fd(fol, levels)
+    levels = diagnostics.canonical(fol)
+    dl = diagnostics.dLUpsilon_fd(levels)
     _, margin = diagnostics._fd_stencil(fol.n_levels)
     worst = 0.0
     for i in range(margin, fol.n_levels - margin):
@@ -210,7 +208,7 @@ def test_criterion_7_smallness_propagation():
         data, exact = geodesic.gen_manufactured(spec)
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0, tol=1e-13)
         fol = solver.continue_foliation(data, cfg, v_end=2.0)
-        rep = diagnostics.norm_suite(fol)
+        rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
         o_norms[eps] = rep.get("O")
         om_ratios[eps] = fol.max_omega_dev() / eps
     eps_arr = np.array([1e-2, 1e-3, 1e-4])

@@ -176,6 +176,49 @@ class TestVerifyAndNorms:
         assert run(["verify", "--data", ds, "--foliation", bad,
                     "--out", out]) == 0  # non-strict only reports
 
+    def test_one_reconstruction_per_run(self, workspace, tmp_path,
+                                        monkeypatch):
+        """verify and norms each reconstruct every level once and hand
+        that one reconstruction to all the suites they run."""
+        from nullfoliate import diagnostics
+        _, ds, fol = workspace
+        real = diagnostics.reconstruct
+        levels = []
+
+        def counting(data, s, logOmega, v):
+            levels.append(len(v))
+            return real(data, s, logOmega, v)
+
+        monkeypatch.setattr(diagnostics, "reconstruct", counting)
+        for command in ("verify", "norms"):
+            levels.clear()
+            assert run([command, "--data", ds, "--foliation", fol,
+                        "--out", str(tmp_path / command)]) == 0
+            assert levels == [33], command  # dv = 1/32 over v in [1, 2]
+
+    @pytest.mark.parametrize("bend", ["one_level", "two_levels",
+                                      "moved_node", "descending"])
+    def test_bad_v_grid_exits_5(self, workspace, tmp_path, bend):
+        """A foliation whose v-grid is not uniform and ascending with at
+        least 3 nodes is refused at load by verify and norms (exit 5)."""
+        from nullfoliate import geodesic, solver
+        _, ds, fol = workspace
+        f = solver.Foliation.load(fol, geodesic.load(ds))
+        v, s, logom = f.v_nodes.copy(), f.s, f.logOmega
+        if bend == "one_level":
+            v, s, logom = v[:1], s[:1], logom[:1]
+        elif bend == "two_levels":
+            v, s, logom = v[:2], s[:2], logom[:2]
+        elif bend == "moved_node":
+            v[5] += 0.004
+        else:
+            v, s, logom = v[::-1], s[::-1], logom[::-1]
+        bad = str(tmp_path / "bad")
+        solver.Foliation(f.data, v, s, logom).save(bad)
+        for command in ("verify", "norms"):
+            assert run([command, "--data", ds, "--foliation", bad,
+                        "--out", str(tmp_path / command)]) == 5
+
     def test_norms_deterministic(self, workspace, tmp_path):
         root, ds, fol = workspace
         out1 = str(tmp_path / "n1")

@@ -121,8 +121,9 @@ class TestCurvatureComparison:
         g = data.grid
         s = SpinField.from_samples(g, 0, np.full(g.shape, 1.7))
         met = data.metric_at(np.real(s.samples))
+        U = comparison.upsilon(s, met)
         alpha, beta, rho, sigma, betab = comparison.canonical_curvature(
-            data, s, met)
+            data, s, U, U.norm2())
         assert np.max(np.abs(rho.samples - (-0.2 / 1.7 ** 3))) < 1e-12
         assert beta.max_abs() < 1e-13
         assert betab.max_abs() < 1e-13
@@ -136,9 +137,9 @@ class TestCurvatureComparison:
         prof = 0.03 * random_real_scalar(g, seed=11, lmax=2)
         s = SpinField.from_samples(g, 0, 1.5 + np.real(prof.samples))
         met = data.metric_at(np.real(s.samples))
-        alpha, beta, rho, sigma, betab = comparison.canonical_curvature(
-            data, s, met)
         U = comparison.upsilon(s, met)
+        alpha, beta, rho, sigma, betab = comparison.canonical_curvature(
+            data, s, U, U.norm2())
         assert (betab + 3.0 * U).max_abs() < 1e-12
         assert np.max(np.abs(rho.samples - 1.0)) < 1e-12
         assert sigma.max_abs() < 1e-12
@@ -190,11 +191,11 @@ class TestCrossPaths:
     def test_etab_two_paths_agree(self, mms_foliation):
         """etab via the comparison proposition with a v-differenced
         nabla_L Upsilon against etab = -zeta - grad log Omega."""
-        from nullfoliate.diagnostics import _fd_stencil, dLUpsilon_fd
+        from nullfoliate.diagnostics import (_fd_stencil, canonical,
+                                             dLUpsilon_fd)
         data, exact, fol = mms_foliation
-        levels = comparison.reconstruct(data, fol.s_field(),
-                                        fol.logOmega_field(), fol.v_nodes)
-        dl = dLUpsilon_fd(fol, levels)
+        levels = canonical(fol)
+        dl = dLUpsilon_fd(levels)
         _, margin = _fd_stencil(fol.n_levels)
         worst = 0.0
         for i in range(margin, fol.n_levels - margin, 8):
@@ -208,11 +209,11 @@ class TestCrossPaths:
     def test_upsilon_transport_identity(self, mms_foliation):
         """nabla_L Upsilon from v-differencing satisfies the algebraic
         transport equation through the solver's truncation."""
-        from nullfoliate.diagnostics import _fd_stencil, dLUpsilon_fd
+        from nullfoliate.diagnostics import (_fd_stencil, canonical,
+                                             dLUpsilon_fd)
         data, exact, fol = mms_foliation
-        levels = comparison.reconstruct(data, fol.s_field(),
-                                        fol.logOmega_field(), fol.v_nodes)
-        dl = dLUpsilon_fd(fol, levels)
+        levels = canonical(fol)
+        dl = dLUpsilon_fd(levels)
         _, margin = _fd_stencil(fol.n_levels)
         worst = 0.0
         for i in range(margin, fol.n_levels - margin, 8):

@@ -29,15 +29,15 @@ def schw_foliation():
 
 class TestConstraintResiduals:
     def test_minkowski_all_below_tolerance(self, mink_foliation):
-        _, fol = mink_foliation
+        data, fol = mink_foliation
         rep = diagnostics.constraint_residuals(
-            fol, levels=range(0, fol.n_levels, 8))
+            data, diagnostics.canonical(fol, slice(0, None, 8)))
         assert rep.worst() < 1e-11
 
     def test_schwarzschild_gauss(self, schw_foliation):
-        _, fol = schw_foliation
+        data, fol = schw_foliation
         rep = diagnostics.constraint_residuals(
-            fol, levels=range(0, fol.n_levels, 8))
+            data, diagnostics.canonical(fol, slice(0, None, 8)))
         assert rep.worst("gauss") < 1e-9
         assert rep.worst() < 1e-9
 
@@ -49,21 +49,22 @@ class TestConstraintResiduals:
         g = data.grid
         y20 = np.real(harmonic(g, 2, 0).samples)
         bent.logOmega = bent.logOmega + 1e-3 * y20[None, :, :]
-        rep = diagnostics.constraint_residuals(bent, levels=[5])
+        rep = diagnostics.constraint_residuals(
+            data, diagnostics.canonical(bent, [5]))
         row = [r for r in rep.rows if r[0] == "lapse_equation"][0]
         assert row[3] >= 5e-3  # L2 norm
 
 
 class TestTransportResiduals:
     def test_minkowski(self, mink_foliation):
-        _, fol = mink_foliation
-        rep = diagnostics.transport_residuals(fol)
+        data, fol = mink_foliation
+        rep = diagnostics.transport_residuals(data, diagnostics.canonical(fol))
         assert rep.worst() < 1e-10
 
     def test_schwarzschild_trchib_transport(self, schw_foliation):
         """Closed form: d_s[-(2/s)(1-2M/s)] + (1/s) trchib = 2 rho_check."""
-        _, fol = schw_foliation
-        rep = diagnostics.transport_residuals(fol)
+        data, fol = schw_foliation
+        rep = diagnostics.transport_residuals(data, diagnostics.canonical(fol))
         assert rep.worst("trchib_transport") < 1e-8
         assert rep.worst() < 1e-8
 
@@ -72,7 +73,8 @@ class TestTransportResiduals:
         short = solver.Foliation(data, fol.v_nodes[:3], fol.s[:3],
                                  fol.logOmega[:3])
         with pytest.raises(ConfigurationError):
-            diagnostics.transport_residuals(short)
+            diagnostics.transport_residuals(data,
+                                            diagnostics.canonical(short))
 
 
 class TestCommutation:
@@ -95,7 +97,7 @@ class TestCommutation:
         on the flat cone (chihat = 0, grad log Omega = 0)."""
         data, fol = mink_foliation
         f = harmonic(data.grid, 3, 1)
-        rep = diagnostics.commutation_check(fol, f)
+        rep = diagnostics.commutation_check(diagnostics.canonical(fol), f)
         assert rep.worst("comm_L_grad") < 1e-10
         assert rep.worst("comm_grad_laplacian") < 1e-10
 
@@ -158,15 +160,15 @@ class TestBochner:
 class TestNormSuite:
     def test_minkowski_all_vanish(self, mink_foliation):
         """Every deviation-from-flat norm entry vanishes on the exact cone."""
-        _, fol = mink_foliation
-        rep = diagnostics.norm_suite(fol)
+        data, fol = mink_foliation
+        rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
         assert all(v < 1e-10 for v in rep.values.values())
 
     def test_schwarzschild_rho_oracle(self, schw_foliation):
         """|| rho ||_{L2(H)}^2 = int_1^2 4 pi s^2 (2M/s^3)^2 ds in closed
         form; Simpson at dv = 1/64 resolves it to ~1e-6 relative."""
-        _, fol = schw_foliation
-        rep = diagnostics.norm_suite(fol)
+        data, fol = schw_foliation
+        rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
         M = 0.1
         oracle = np.sqrt(16.0 * np.pi * M ** 2 * (1.0 - 1.0 / 8.0) / 3.0)
         assert abs(rep.get("R.rho") - oracle) < 1e-5 * oracle
@@ -177,8 +179,8 @@ class TestNormSuite:
         half = solver.Foliation(data, fol.v_nodes[:fol.n_levels // 2 + 1],
                                 fol.s[:fol.n_levels // 2 + 1],
                                 fol.logOmega[:fol.n_levels // 2 + 1])
-        full_rep = diagnostics.norm_suite(fol)
-        half_rep = diagnostics.norm_suite(half)
+        full_rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
+        half_rep = diagnostics.norm_suite(data, diagnostics.canonical(half))
         for key in ["R.rho", "R", "O.trchi_dev_infinf"]:
             assert half_rep.get(key) <= full_rep.get(key) + 1e-12
 
@@ -186,7 +188,8 @@ class TestNormSuite:
 class TestSphericality:
     def test_minkowski_split_vanishes(self, mink_foliation):
         _, fol = mink_foliation
-        rows, rep = diagnostics.sphericality_report(fol)
+        rows, rep = diagnostics.sphericality_report(
+            diagnostics.canonical(fol))
         assert all(r["theta_L2"] < 1e-10 for r in rows)
         assert all(r["psi_H12"] < 1e-10 for r in rows)
         assert rep.worst() < 1e-10
@@ -195,7 +198,8 @@ class TestSphericality:
         """s = v makes K = 1/s^2 match the 1/v^2 reference exactly, so both
         split pieces vanish."""
         _, fol = schw_foliation
-        rows, rep = diagnostics.sphericality_report(fol)
+        rows, rep = diagnostics.sphericality_report(
+            diagnostics.canonical(fol))
         assert rows[-1]["theta_L2"] < 1e-9
         assert rows[-1]["psi_H12"] < 1e-10
         assert rep.worst() < 1e-9
@@ -213,7 +217,8 @@ class TestMmsResiduals:
             fol = solver.continue_foliation(
                 data, solver.SolverConfig(delta=0.5, dv=dv, tol=1e-13),
                 v_end=2.0)
-            rep = diagnostics.transport_residuals(fol)
+            rep = diagnostics.transport_residuals(
+                data, diagnostics.canonical(fol))
             worst.append(rep.worst("trchib_transport"))
         factor = worst[0] / worst[1]
         assert factor > 8.0
@@ -227,7 +232,7 @@ class TestNormOracle:
         fol = solver.continue_foliation(
             data, solver.SolverConfig(delta=0.25, dv=1.0 / 128.0, tol=1e-13),
             v_end=2.0)
-        rep = diagnostics.norm_suite(fol)
+        rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
         M = 0.1
         oracle = np.sqrt(16.0 * np.pi * M ** 2 * (1.0 - 1.0 / 8.0) / 3.0)
         assert abs(rep.get("R.rho") - oracle) / oracle < 1e-8
@@ -245,7 +250,8 @@ class TestSphericalityScaling:
             fol = solver.continue_foliation(
                 data, solver.SolverConfig(delta=0.5, dv=1.0 / 16.0),
                 v_end=2.0)
-            rows, _ = diagnostics.sphericality_report(fol)
+            rows, _ = diagnostics.sphericality_report(
+                diagnostics.canonical(fol))
             sizes[eps] = max(r["theta_L2"] + r["psi_H12"] for r in rows)
         slope = np.log(sizes[1e-2] / sizes[5e-3]) / np.log(2.0)
         assert abs(slope - 1.0) < 0.15
@@ -257,7 +263,8 @@ class TestCoefficientSerialization:
         from nullfoliate import comparison
         _, fol = schw_foliation
         out = tmp_path / "coeffs"
-        comparison.save_coefficients(fol, out, stride=16)
+        comparison.save_coefficients(
+            diagnostics.canonical(fol, slice(0, None, 16)), out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["kind"] == "coefficients"
         mu = np.fromfile(out / "mu.bin", dtype="<f8").reshape(
@@ -265,3 +272,26 @@ class TestCoefficientSerialization:
         v_last = manifest["v_nodes"][-1]
         s_expect = v_last  # Schwarzschild graph has s = v
         assert np.max(np.abs(mu[-1] - 2.0 * 0.1 / s_expect ** 3)) < 1e-9
+
+
+class TestConvergenceStudy:
+    def test_every_solve_keeps_the_base_config(self, monkeypatch):
+        """Each solve of a study runs with the base config (here order-5
+        monitoring) at its own dv."""
+        spec = geodesic.MmsSpec(epsilon=1e-2, Lmax=8, n_s=24,
+                                profile_l=2, profile_m=2)
+        data, exact = geodesic.gen_manufactured(spec)
+        base = solver.SolverConfig(delta=0.5, dv=0.25, tol=1e-13,
+                                   monitor_order=5)
+        real = solver.continue_foliation
+        seen = []
+
+        def recording(data, cfg, **kwargs):
+            seen.append((cfg.dv, cfg.monitor_order))
+            return real(data, cfg, **kwargs)
+
+        monkeypatch.setattr(solver, "continue_foliation", recording)
+        rows, _, _ = diagnostics.convergence_study(data, exact, base,
+                                                   [0.25, 0.125], v_end=1.5)
+        assert seen == [(0.25, 5), (0.125, 5)]
+        assert rows[1][1] < rows[0][1]

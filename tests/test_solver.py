@@ -375,9 +375,11 @@ class TestBuildingBlocks:
         F = solver.assemble_F(schw, s, met, grad(sf, met), hessian(sf, met))
 
         logom = SpinField.zero(g, 0)  # source assembly is lapse-independent
-        chi, chib, zeta, etab, ups, _ = comparison.canonical_connection(
-            schw, sf, logom, met)
-        _, _, rho, _, _ = comparison.canonical_curvature(schw, sf, met)
+        ups = comparison.upsilon(sf, met)
+        chi, chib, zeta, etab, _ = comparison.canonical_connection(
+            schw, sf, logom, met, ups, ups.norm2())
+        _, _, rho, _, _ = comparison.canonical_curvature(
+            schw, sf, ups, ups.norm2())
         direct = -1.0 * div(zeta, met) + rho \
             - 0.5 * dot(chi.hat(), chib.hat())
         assert (F - direct).max_abs() < 1e-9
