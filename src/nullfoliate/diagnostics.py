@@ -61,7 +61,9 @@ def v_derivative(table, dv, n_levels):
 
 class FieldBundle:
     """Weighted spin components standing in for a tensor norm; comps()
-    yields the (SpinField, weight) pairs, formed one at a time by norm2."""
+    yields the (SpinField, weight) pairs, formed one at a time by norm2.
+    A component whose conjugate also enters the norm comes once, at twice
+    the weight."""
 
     def __init__(self, comps):
         self.comps = comps
@@ -118,9 +120,7 @@ def _omega(co):
 
 def _sym_grad(X: OneForm, g: MetricRep) -> SymTwoTensor:
     """Symmetrised covariant gradient of a 1-form (trace = div X)."""
-    return SymTwoTensor(div(X, g),
-                        eth_g(X.plus, g) * (1.0 / SQRT2),
-                        ethbar_g(X.minus, g) * (1.0 / SQRT2))
+    return SymTwoTensor(div(X, g), eth_g(X.plus, g) * (1.0 / SQRT2))
 
 
 # --------------------------------------------------------------------------
@@ -323,13 +323,9 @@ def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
 
     gf = grad(f, metric)
     dgp, margin = v_derivative(gf.plus.samples, _dv(co), n)
-    dgm, _ = v_derivative(gf.minus.samples, _dv(co), n)
     inner = slice(margin, n - margin)
     co = co[inner]
-    om = _omega(co)
-    grid = metric.grid
-    dLgrad = OneForm(SpinField.from_samples(grid, 1, om * dgp[inner]),
-                     SpinField.from_samples(grid, -1, om * dgm[inner]))
+    dLgrad = OneForm.from_plus(metric.grid, _omega(co) * dgp[inner])
     gf = gf[inner]
     # [nabla_L, grad] f = -trchi grad f / 2 - chihat . grad f
     #                     + (etab + zeta) L f  with L f = 0 here
@@ -360,13 +356,14 @@ def lp_phi(t):
 
 
 def _components(x):
-    """(SpinField, weight) pairs whose weighted L2 squares sum to int |x|^2."""
+    """(SpinField, weight) pairs whose weighted L2 squares sum to int |x|^2;
+    a plus component stands for its conjugate minus component too."""
     if isinstance(x, SpinField):
         return [(x, 1.0)]
     if isinstance(x, OneForm):
-        return [(x.plus, 1.0), (x.minus, 1.0)]
+        return [(x.plus, 2.0)]
     if isinstance(x, SymTwoTensor):
-        return [(x.trace, 0.5), (x.hat_plus, 1.0), (x.hat_minus, 1.0)]
+        return [(x.trace, 0.5), (x.hat_plus, 2.0)]
     raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
 
 
@@ -389,9 +386,9 @@ def lp_project(f, k):
     if isinstance(f, SpinField):
         return proj(f)
     if isinstance(f, OneForm):
-        return OneForm(proj(f.plus), proj(f.minus))
+        return OneForm(proj(f.plus))
     if isinstance(f, SymTwoTensor):
-        return SymTwoTensor(proj(f.trace), proj(f.hat_plus), proj(f.hat_minus))
+        return SymTwoTensor(proj(f.trace), proj(f.hat_plus))
     raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
 
 
@@ -538,15 +535,12 @@ def _grad_any(x, g):
     h = 1.0 / SQRT2
 
     def comps():
-        parts = (x.plus, x.minus) if isinstance(x, OneForm) \
-            else (x.hat_plus, x.hat_minus)
-        for c in parts:
-            yield eth_g(c, g) * h, 1.0
-            yield ethbar_g(c, g) * h, 1.0
+        # the derivatives of the minus component are the conjugates of these
+        c = x.plus if isinstance(x, OneForm) else x.hat_plus
+        yield eth_g(c, g) * h, 2.0
+        yield ethbar_g(c, g) * h, 2.0
         if isinstance(x, SymTwoTensor):
-            gt = grad(x.trace, g)
-            yield gt.plus, 0.5
-            yield gt.minus, 0.5
+            yield grad(x.trace, g).plus, 1.0
     return FieldBundle(comps)
 
 

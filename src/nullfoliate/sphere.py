@@ -215,6 +215,14 @@ def ladder_lower(coeffs, spin, Lmax):
     return coeffs * fac[:, None]
 
 
+def _conj_coeffs(coeffs, spin):
+    """Coefficients (..., l, m+L) of conj(f) for a spin-s field f of any
+    band L: (-1)^(m+s) conj(a[..., l, -m])."""
+    L = coeffs.shape[-1] // 2
+    sign = 1.0 - 2.0 * ((np.arange(-L, L + 1) + spin) % 2)
+    return np.conj(coeffs[..., ::-1]) * sign
+
+
 class SpinField:
     """Band-limited field of definite spin weight with lazy sample/coeff sync."""
 
@@ -320,7 +328,34 @@ class SpinField:
     __rmul__ = __mul__
 
     def conj(self):
-        return SpinField(self.grid, -self.spin, samples=np.conj(self.samples))
+        """Complex conjugate (spin -s) in each representation the field
+        holds: samples pointwise, coefficients by the rule
+        conj(sY_lm) = (-1)^(m+s) (-s)Y_l(-m), so it makes no transform."""
+        return SpinField(
+            self.grid, -self.spin,
+            coeffs=None if self._coeffs is None
+            else _conj_coeffs(self._coeffs, self.spin),
+            samples=None if self._samples is None
+            else np.conj(self._samples))
+
+    def real(self):
+        """Real part (f + conj f)/2 of a spin-0 field, without a transform."""
+        return self._with_conj(0.5, 0.5)
+
+    def imag(self):
+        """Imaginary part (f - conj f)/2i of a spin-0 field, likewise."""
+        return self._with_conj(-0.5j, 0.5j)
+
+    def _with_conj(self, a, b):
+        """a f + b conj(f) of a spin-0 field, in each representation held."""
+        if self.spin != 0:
+            raise UnsupportedSpinError("real and imaginary parts need spin 0")
+        c = self.conj()
+        return self._like(
+            coeffs=None if c._coeffs is None
+            else a * self._coeffs + b * c._coeffs,
+            samples=None if c._samples is None
+            else a * self._samples + b * c._samples)
 
     def apply(self, fn):
         """Pointwise function of a spin-0 field (exp, log, reciprocal, ...).

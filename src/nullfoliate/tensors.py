@@ -1,10 +1,13 @@
 """Algebra and calculus of sphere-tangent tensors over conformally-round metrics.
 
-Tensors are stored through spin-weighted components in the orthonormal dyad of
-the metric g = e^{2 psi} gring: a 1-form X by (X_m, X_mbar) with spins (+1,-1),
-a symmetric 2-tensor T by its g-trace and tracefree components (T_mm, T_mbmb)
-with spins (0, +2, -2).  For real tensors the opposite-spin components are
-complex conjugates; they are stored explicitly so complex test fields work too.
+Tensors are real and stored through spin-weighted components in the
+orthonormal dyad of the metric g = e^{2 psi} gring: a 1-form X by X_m (spin
++1), a symmetric 2-tensor T by its real g-trace (spin 0) and its tracefree
+component T_mm (spin +2).  The opposite-spin components are derived, not
+stored: X_mbar = conj(X_m) and T_mbmb = conj(T_mm) (the `minus` and
+`hat_minus` properties, which SpinField.conj forms without a transform).  So
+each contraction forms one product and takes its real or imaginary part,
+e.g. a.b = 2 Re(a_m conj(b_m)), and each derivative is one conformal eth.
 
 All covariant operators reduce to the round eth ladder with conformal weights,
 
@@ -17,10 +20,12 @@ leaves (see sphere); every operation here acts leaf by leaf, and indexing a
 stacked field, tensor or metric takes one leaf or a slice of them.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import ConstraintError, UnsupportedSpinError
-from .sphere import SpinField, eth, ethbar, laplacian_round, multiply
+from .sphere import SpinField, eth, laplacian_round, multiply
 
 SQRT2 = np.sqrt(2.0)
 
@@ -68,216 +73,174 @@ class MetricRep:
         return multiply(self.conformal_factor(-2.0), one_minus)
 
 
-class OneForm:
-    """Sphere-tangent 1-form; minus defaults to conj(plus) for real forms."""
+class _RealTensor:
+    """Arithmetic shared by OneForm and SymTwoTensor, applied to the
+    components each stores (named by its __slots__)."""
 
-    __slots__ = ("plus", "minus")
+    __slots__ = ()
 
-    def __init__(self, plus: SpinField, minus: SpinField = None):
+    def _map(self, fn, *others):
+        parts = [[getattr(x, k) for k in self.__slots__]
+                 for x in (self,) + others]
+        return type(self)(*map(fn, *parts))
+
+    def __getitem__(self, idx):
+        return self._map(lambda f: f[idx])
+
+    def __add__(self, other):
+        return self._map(operator.add, other)
+
+    def __sub__(self, other):
+        return self._map(operator.sub, other)
+
+    def __mul__(self, scalar):
+        """Product with a real scalar: a number or a spin-0 field."""
+        if isinstance(scalar, SpinField):
+            return self._map(lambda f: multiply(scalar, f))
+        return self._map(lambda f: f * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (-1.0)
+
+    def norm2(self):
+        """|x|^2 = dot(x, x) (spin-0)."""
+        return dot(self, self)
+
+    def max_abs(self):
+        return float(np.max(np.sqrt(np.abs(self.norm2().samples))))
+
+    def is_finite(self):
+        return all(getattr(self, k).is_finite() for k in self.__slots__)
+
+
+class OneForm(_RealTensor):
+    """Real sphere-tangent 1-form, held by its spin +1 component X_m."""
+
+    __slots__ = ("plus",)
+
+    def __init__(self, plus: SpinField):
         if plus.spin != 1:
             raise UnsupportedSpinError("OneForm needs a spin +1 component")
-        if minus is None:
-            minus = plus.conj()
-        if minus.spin != -1:
-            raise UnsupportedSpinError("OneForm minus component must have spin -1")
         self.plus = plus
-        self.minus = minus
+
+    @property
+    def minus(self):
+        """The spin -1 component X_mbar = conj(X_m)."""
+        return self.plus.conj()
 
     @classmethod
     def zero(cls, grid):
-        return cls(SpinField.zero(grid, 1), SpinField.zero(grid, -1))
+        return cls(SpinField.zero(grid, 1))
 
     @classmethod
     def from_plus(cls, grid, plus):
-        """Real 1-form from samples (..., ntheta, nphi) of its plus part."""
-        return cls(SpinField.from_samples(grid, 1, plus),
-                   SpinField.from_samples(grid, -1, np.conj(plus)))
-
-    def __getitem__(self, idx):
-        return OneForm(self.plus[idx], self.minus[idx])
-
-    def __add__(self, other):
-        return OneForm(self.plus + other.plus, self.minus + other.minus)
-
-    def __sub__(self, other):
-        return OneForm(self.plus - other.plus, self.minus - other.minus)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, SpinField):
-            return OneForm(multiply(scalar, self.plus), multiply(scalar, self.minus))
-        return OneForm(self.plus * scalar, self.minus * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def norm2(self):
-        """|X|^2 = X_m X_mb + X_mb X_m (spin-0; positive for real X)."""
-        return 2.0 * multiply(self.plus, self.minus)
-
-    def max_abs(self):
-        return float(np.max(np.sqrt(np.abs(self.norm2().samples))))
-
-    def is_finite(self):
-        return self.plus.is_finite() and self.minus.is_finite()
+        """1-form from samples (..., ntheta, nphi) of its plus part."""
+        return cls(SpinField.from_samples(grid, 1, plus))
 
 
-class SymTwoTensor:
-    """Symmetric 2-tensor split into g-trace and tracefree dyad components."""
+class SymTwoTensor(_RealTensor):
+    """Real symmetric 2-tensor: its g-trace and its spin +2 tracefree
+    component T_mm."""
 
-    __slots__ = ("trace", "hat_plus", "hat_minus")
+    __slots__ = ("trace", "hat_plus")
 
-    def __init__(self, trace: SpinField, hat_plus: SpinField,
-                 hat_minus: SpinField = None):
+    def __init__(self, trace: SpinField, hat_plus: SpinField):
         if trace.spin != 0 or hat_plus.spin != 2:
             raise UnsupportedSpinError("SymTwoTensor needs spins (0, +2)")
-        if hat_minus is None:
-            hat_minus = hat_plus.conj()
-        if hat_minus.spin != -2:
-            raise UnsupportedSpinError("hat_minus component must have spin -2")
         self.trace = trace
         self.hat_plus = hat_plus
-        self.hat_minus = hat_minus
+
+    @property
+    def hat_minus(self):
+        """The spin -2 component T_mbmb = conj(T_mm)."""
+        return self.hat_plus.conj()
 
     @classmethod
     def zero(cls, grid):
-        return cls(SpinField.zero(grid, 0), SpinField.zero(grid, 2),
-                   SpinField.zero(grid, -2))
+        return cls(SpinField.zero(grid, 0), SpinField.zero(grid, 2))
 
     @classmethod
-    def tracefree(cls, hat_plus: SpinField, hat_minus: SpinField):
+    def tracefree(cls, hat_plus: SpinField):
         """Tracefree tensor: a zero trace with the stack shape of hat_plus."""
         grid = hat_plus.grid
         zero = np.zeros(hat_plus.stack_shape + grid.shape)
-        return cls(SpinField.from_coeffs(grid, 0, zero), hat_plus, hat_minus)
+        return cls(SpinField.from_coeffs(grid, 0, zero), hat_plus)
 
     @classmethod
     def from_parts(cls, grid, trace, hat_plus):
-        """Real tensor from samples of its trace and hat_plus component
+        """Tensor from samples of its trace and hat_plus component
         (..., ntheta, nphi); trace None is a zero trace of the same shape."""
-        hat_plus = np.asarray(hat_plus)
         hp = SpinField.from_samples(grid, 2, hat_plus)
-        hm = SpinField.from_samples(grid, -2, np.conj(hat_plus))
         if trace is None:
-            return cls.tracefree(hp, hm)
-        return cls(SpinField.from_samples(grid, 0, trace), hp, hm)
-
-    def __getitem__(self, idx):
-        return SymTwoTensor(self.trace[idx], self.hat_plus[idx],
-                            self.hat_minus[idx])
-
-    def __add__(self, other):
-        return SymTwoTensor(self.trace + other.trace,
-                            self.hat_plus + other.hat_plus,
-                            self.hat_minus + other.hat_minus)
-
-    def __sub__(self, other):
-        return SymTwoTensor(self.trace - other.trace,
-                            self.hat_plus - other.hat_plus,
-                            self.hat_minus - other.hat_minus)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, SpinField):
-            return SymTwoTensor(multiply(scalar, self.trace),
-                                multiply(scalar, self.hat_plus),
-                                multiply(scalar, self.hat_minus))
-        return SymTwoTensor(self.trace * scalar, self.hat_plus * scalar,
-                            self.hat_minus * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
+            return cls.tracefree(hp)
+        return cls(SpinField.from_samples(grid, 0, trace), hp)
 
     def hat(self):
-        return SymTwoTensor.tracefree(self.hat_plus, self.hat_minus)
-
-    def norm2(self):
-        """|T|^2 = tr^2/2 + 2 T_mm T_mbmb (spin-0)."""
-        return 0.5 * multiply(self.trace, self.trace) \
-            + 2.0 * multiply(self.hat_plus, self.hat_minus)
-
-    def max_abs(self):
-        return float(np.max(np.sqrt(np.abs(self.norm2().samples))))
-
-    def is_finite(self):
-        return (self.trace.is_finite() and self.hat_plus.is_finite()
-                and self.hat_minus.is_finite())
+        return SymTwoTensor.tracefree(self.hat_plus)
 
 
 # --------------------------------------------------------------------------
 # pointwise tensor algebra
 # --------------------------------------------------------------------------
 
-def trace_split(T_mm: SpinField, T_mmbar: SpinField, g: MetricRep,
-                T_mbmb: SpinField = None) -> SymTwoTensor:
-    """Split a full symmetric tensor given by dyad components.
-
-    The g-trace is 2 T_mmbar; the tracefree part keeps the (mm, mbmb)
-    components, so T = (trace/2) g + hat with tr_g(hat) = 0 exactly.
-    """
-    return SymTwoTensor(2.0 * T_mmbar, T_mm, T_mbmb)
-
-
-def dot(a, b, g: MetricRep = None) -> SpinField:
-    """Full contraction of same-rank tensors (spin-0 result)."""
+def _cross(a, b):
+    """a_m conj(b_m) of two 1-forms, or of the tracefree parts of two
+    symmetric 2-tensors: the one product of dot and wedge."""
     if isinstance(a, OneForm) and isinstance(b, OneForm):
-        return multiply(a.plus, b.minus) + multiply(a.minus, b.plus)
+        return multiply(a.plus, b.minus)
     if isinstance(a, SymTwoTensor) and isinstance(b, SymTwoTensor):
-        return 0.5 * multiply(a.trace, b.trace) \
-            + multiply(a.hat_plus, b.hat_minus) \
-            + multiply(a.hat_minus, b.hat_plus)
+        return multiply(a.hat_plus, b.hat_minus)
+    raise TypeError("expected two 1-forms or two symmetric 2-tensors")
+
+
+def dot(a, b) -> SpinField:
+    """Full contraction of same-rank tensors (spin-0): 2 Re(a_m conj(b_m)),
+    plus tr(a) tr(b)/2 for symmetric 2-tensors."""
     if isinstance(a, SpinField) and isinstance(b, SpinField):
         return multiply(a, b)
-    raise TypeError("dot expects two tensors of equal rank")
+    out = 2.0 * _cross(a, b).real()
+    if isinstance(a, SymTwoTensor):
+        return 0.5 * multiply(a.trace, b.trace) + out
+    return out
 
 
-def wedge(a, b, g: MetricRep = None) -> SpinField:
-    """Antisymmetric contraction; vanishes identically for a == b."""
-    if isinstance(a, OneForm) and isinstance(b, OneForm):
-        z = multiply(a.plus, b.minus) - multiply(a.minus, b.plus)
-    elif isinstance(a, SymTwoTensor) and isinstance(b, SymTwoTensor):
-        z = multiply(a.hat_plus, b.hat_minus) - multiply(a.hat_minus, b.hat_plus)
-    else:
-        raise TypeError("wedge expects two 1-forms or two symmetric 2-tensors")
-    return 1j * z
+def wedge(a, b) -> SpinField:
+    """Antisymmetric contraction -2 Im(a_m conj(b_m)); zero for a == b."""
+    return -2.0 * _cross(a, b).imag()
 
 
-def hat_otimes(a: OneForm, b: OneForm, g: MetricRep = None) -> SymTwoTensor:
+def hat_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:
     """Tracefree symmetric product a otimes-hat b."""
-    return SymTwoTensor.tracefree(2.0 * multiply(a.plus, b.plus),
-                                  2.0 * multiply(a.minus, b.minus))
+    return SymTwoTensor.tracefree(2.0 * multiply(a.plus, b.plus))
 
 
 def sym_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:
     """Symmetrised tensor product a b + b a (carries its trace 2 a.b)."""
-    return SymTwoTensor(2.0 * dot(a, b),
-                        2.0 * multiply(a.plus, b.plus),
-                        2.0 * multiply(a.minus, b.minus))
+    return SymTwoTensor(2.0 * dot(a, b), 2.0 * multiply(a.plus, b.plus))
 
 
 def dual(x):
     """Left Hodge dual; dual(dual(X)) = -X on 1-forms."""
     if isinstance(x, OneForm):
-        return OneForm(-1j * x.plus, 1j * x.minus)
+        return OneForm(-1j * x.plus)
     if isinstance(x, SymTwoTensor):
         # defined on the tracefree part (its only use in the structure equations)
-        return SymTwoTensor.tracefree(-1j * x.hat_plus, 1j * x.hat_minus)
+        return SymTwoTensor.tracefree(-1j * x.hat_plus)
     raise TypeError("dual expects a OneForm or SymTwoTensor")
 
 
 def contract(T: SymTwoTensor, a: OneForm) -> OneForm:
-    """(T . a)_A = T_AB a_B."""
-    return OneForm(0.5 * multiply(T.trace, a.plus) + multiply(T.hat_plus, a.minus),
-                   0.5 * multiply(T.trace, a.minus) + multiply(T.hat_minus, a.plus))
+    """(T . a)_A = T_AB a_B, of plus part tr(T) a_m/2 + T_mm conj(a_m)."""
+    return OneForm(0.5 * multiply(T.trace, a.plus)
+                   + multiply(T.hat_plus, a.minus))
 
 
 def contract2(T: SymTwoTensor, a: OneForm, b: OneForm) -> SpinField:
-    """T_AB a_A b_B."""
+    """T_AB a_A b_B = tr(T) a.b/2 + 2 Re(T_mm conj(a_m) conj(b_m))."""
     return 0.5 * multiply(T.trace, dot(a, b)) \
-        + multiply(T.hat_plus, a.minus, b.minus) \
-        + multiply(T.hat_minus, a.plus, b.plus)
+        + 2.0 * multiply(T.hat_plus, a.minus, b.minus).real()
 
 
 # --------------------------------------------------------------------------
@@ -303,24 +266,24 @@ def ethbar_g(eta: SpinField, g: MetricRep) -> SpinField:
 
 
 def grad(f: SpinField, g: MetricRep) -> OneForm:
-    w = g.conformal_factor(-1.0)
-    return OneForm(multiply(w, eth(f)) * (1.0 / SQRT2),
-                   multiply(w, ethbar(f)) * (1.0 / SQRT2))
+    """Gradient of a real scalar, (grad f)_m = e^{-psi} eth f / sqrt(2)."""
+    return OneForm(multiply(g.conformal_factor(-1.0), eth(f)) * (1.0 / SQRT2))
 
 
 def div(X: OneForm, g: MetricRep) -> SpinField:
-    return (ethbar_g(X.plus, g) + eth_g(X.minus, g)) * (1.0 / SQRT2)
+    """Div X = sqrt(2) Re ethbar_g X_m."""
+    return SQRT2 * ethbar_g(X.plus, g).real()
 
 
 def curl(X: OneForm, g: MetricRep) -> SpinField:
-    return (eth_g(X.minus, g) - ethbar_g(X.plus, g)) * (1j / SQRT2)
+    """Curl X = sqrt(2) Im ethbar_g X_m."""
+    return SQRT2 * ethbar_g(X.plus, g).imag()
 
 
 def div2(T: SymTwoTensor, g: MetricRep) -> OneForm:
     """Divergence of a symmetric 2-tensor."""
-    plus = ethbar_g(T.hat_plus, g) + 0.5 * eth_g(T.trace, g)
-    minus = eth_g(T.hat_minus, g) + 0.5 * ethbar_g(T.trace, g)
-    return OneForm(plus * (1.0 / SQRT2), minus * (1.0 / SQRT2))
+    return OneForm((ethbar_g(T.hat_plus, g) + 0.5 * eth_g(T.trace, g))
+                   * (1.0 / SQRT2))
 
 
 def laplacian(f: SpinField, g: MetricRep) -> SpinField:
@@ -333,16 +296,13 @@ def laplacian(f: SpinField, g: MetricRep) -> SpinField:
 def hessian(f: SpinField, g: MetricRep) -> SymTwoTensor:
     """Covariant Hessian of a scalar, split into trace (= Delta_g f) and hat."""
     w2 = g.conformal_factor(-2.0)
-    return SymTwoTensor(laplacian(f, g),
-                        0.5 * eth(multiply(w2, eth(f))),
-                        0.5 * ethbar(multiply(w2, ethbar(f))))
+    return SymTwoTensor(laplacian(f, g), 0.5 * eth(multiply(w2, eth(f))))
 
 
 def rough_laplacian_oneform(X: OneForm, g: MetricRep) -> OneForm:
     """Trace of the second covariant derivative on a 1-form."""
-    plus = 0.5 * (eth_g(ethbar_g(X.plus, g), g) + ethbar_g(eth_g(X.plus, g), g))
-    minus = 0.5 * (eth_g(ethbar_g(X.minus, g), g) + ethbar_g(eth_g(X.minus, g), g))
-    return OneForm(plus, minus)
+    p = X.plus
+    return OneForm(0.5 * (eth_g(ethbar_g(p, g), g) + ethbar_g(eth_g(p, g), g)))
 
 
 def mean(f: SpinField, g: MetricRep):
@@ -366,22 +326,19 @@ def hodge_D1(X: OneForm, g: MetricRep):
 
 def hodge_D1_star(f: SpinField, h: SpinField, g: MetricRep) -> OneForm:
     """D1* (f,h) = -grad f + dual grad h."""
-    w = g.conformal_factor(-1.0)
-    return OneForm(multiply(w, eth(f + 1j * h)) * (-1.0 / SQRT2),
-                   multiply(w, ethbar(f - 1j * h)) * (-1.0 / SQRT2))
+    return OneForm(multiply(g.conformal_factor(-1.0), eth(f + 1j * h))
+                   * (-1.0 / SQRT2))
 
 
 def hodge_D2(T: SymTwoTensor, g: MetricRep) -> OneForm:
     """D2 T = div of the tracefree part."""
-    return OneForm(ethbar_g(T.hat_plus, g) * (1.0 / SQRT2),
-                   eth_g(T.hat_minus, g) * (1.0 / SQRT2))
+    return OneForm(ethbar_g(T.hat_plus, g) * (1.0 / SQRT2))
 
 
 def hodge_D2_star(X: OneForm, g: MetricRep) -> SymTwoTensor:
     """D2* X = -(1/2) grad otimes-hat X."""
-    w = g.conformal_factor(-1.0)
-    return SymTwoTensor.tracefree(eth(multiply(w, X.plus)) * (-1.0 / SQRT2),
-                                  ethbar(multiply(w, X.minus)) * (-1.0 / SQRT2))
+    return SymTwoTensor.tracefree(
+        eth(multiply(g.conformal_factor(-1.0), X.plus)) * (-1.0 / SQRT2))
 
 
 def invert_laplacian(f: SpinField, g: MetricRep) -> SpinField:

@@ -163,8 +163,8 @@ class TestRenormalised:
         from nullfoliate.tensors import SymTwoTensor
         A = random_spin_field(grid8, 2, 21, lmax=3)
         B = random_spin_field(grid8, 2, 22, lmax=3)
-        ch = SymTwoTensor(SpinField.zero(grid8, 0), A, A.conj())
-        cbh = SymTwoTensor(SpinField.zero(grid8, 0), B, B.conj())
+        ch = SymTwoTensor(SpinField.zero(grid8, 0), A)
+        cbh = SymTwoTensor(SpinField.zero(grid8, 0), B)
         rho = random_real_scalar(grid8, 23, lmax=3)
         sig = random_real_scalar(grid8, 24, lmax=3)
         bb = OneForm(random_spin_field(grid8, 1, 25, lmax=3))

@@ -6,7 +6,7 @@ import pytest
 from nullfoliate import diagnostics, geodesic, solver
 from nullfoliate.errors import ConfigurationError
 from nullfoliate.sphere import SpinField
-from nullfoliate.tensors import MetricRep, OneForm, dual, grad
+from nullfoliate.tensors import MetricRep, OneForm, SymTwoTensor, dual, grad
 
 from conftest import harmonic, random_real_scalar, random_spin_field
 
@@ -132,6 +132,23 @@ class TestLittlewoodPaley:
         expect = sum(vals)
         assert abs(diagnostics.besov_B0(harmonic(grid12, 4, 0))
                    - expect) < 1e-12
+
+    @pytest.mark.parametrize("s_exp", [0.0, 0.5])
+    def test_tensor_norms_count_the_minus_components(self, grid12, s_exp):
+        """A stored plus component stands for its conjugate as well: the
+        H^s norm of a tensor sums the squares of every dyad component, each
+        formed explicitly here."""
+        X = OneForm(random_spin_field(grid12, 1, seed=5))
+        T = SymTwoTensor(random_real_scalar(grid12, seed=6),
+                         random_spin_field(grid12, 2, seed=7))
+        cases = ((X, [(X.plus, 1.0), (X.minus, 1.0)]),
+                 (T, [(T.trace, 0.5), (T.hat_plus, 1.0), (T.hat_minus, 1.0)]))
+        for x, parts in cases:
+            want = np.sqrt(sum(
+                w * diagnostics.Hs_norm(SpinField.from_samples(
+                    grid12, c.spin, c.samples), s_exp) ** 2
+                for c, w in parts))
+            assert abs(diagnostics.Hs_norm(x, s_exp) - want) <= 1e-12 * want
 
     def test_phi_support(self):
         ts = np.linspace(1e-3, 8.0, 1000)

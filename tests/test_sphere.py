@@ -472,6 +472,61 @@ class TestStacks:
         assert np.max(np.abs(p.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+class TestConj:
+    """conj, real and imag work in the representation a field holds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(Lmax=st.sampled_from([8, 15, 23]), spin=st.integers(-2, 2),
+           below=st.integers(0, 8),
+           stack=st.sampled_from([(), (3,), (2, 2)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_coefficient_conj_makes_no_transform(self, Lmax, spin, below,
+                                                 stack, seed):
+        """conj() of a coefficient-backed field of band L <= Lmax is a
+        coefficient-backed field equal to np.conj of the samples, made
+        without a transform; a sample-backed field conjugates its samples."""
+        from nullfoliate import sphere
+
+        grid, L = build_grid(Lmax), Lmax - below
+        rng = np.random.default_rng(seed)
+        c = np.zeros(stack + (L + 1, 2 * L + 1), dtype=complex)
+        for idx in np.ndindex(*stack):
+            c[idx] = _band_limited(rng, L, spin)
+        samples = SpinField(grid, spin, coeffs=c).samples
+        f = SpinField(grid, spin, coeffs=c)
+        h = SpinField.from_samples(grid, spin, samples)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sphere, "raw_synthesize", lambda *a: calls.append(a))
+            mp.setattr(sphere, "raw_analyze", lambda *a: calls.append(a))
+            fc, hc = f.conj(), h.conj()
+        assert calls == []
+        assert fc.spin == hc.spin == -spin
+        assert fc._samples is None and fc.coeffs.shape == c.shape
+        ref = np.conj(samples)
+        assert np.max(np.abs(fc.samples - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
+        assert hc._coeffs is None and np.array_equal(hc.samples, ref)
+
+    @pytest.mark.parametrize("backing", ["coeffs", "samples"])
+    def test_real_and_imag_of_spin0(self, grid8, backing, monkeypatch):
+        from nullfoliate import sphere
+
+        f = random_spin_field(grid8, 0, seed=3)
+        ref = f.samples
+        if backing == "samples":
+            f = SpinField.from_samples(grid8, 0, ref)
+        monkeypatch.setattr(sphere, "raw_synthesize", None)
+        monkeypatch.setattr(sphere, "raw_analyze", None)
+        re, im = f.real(), f.imag()
+        monkeypatch.undo()
+        for part, want in ((re, ref.real), (im, ref.imag)):
+            assert np.max(np.abs(part.samples - want)) \
+                <= 1e-13 * np.max(np.abs(ref))
+        with pytest.raises(UnsupportedSpinError):
+            random_spin_field(grid8, 1, seed=4).real()
+
+
 class TestZeros:
     """All-zero input skips the transform stages and the padded product, and
     gives what the computed path would: exact zeros in the same layout."""

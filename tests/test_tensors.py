@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from nullfoliate.errors import ConstraintError
-from nullfoliate.sphere import SpinField, multiply
-from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, curl, div,
-                                 dot, dual, grad, hat_otimes, hodge_D1,
-                                 hodge_D1_star, hodge_D2, hodge_D2_star,
-                                 invert_D1, invert_laplacian, laplacian, mean,
-                                 trace_split, wedge)
+from nullfoliate.sphere import SpinField, eth, ethbar, multiply
+from nullfoliate.tensors import (SQRT2, MetricRep, OneForm, SymTwoTensor,
+                                 contract, contract2, curl, div, div2, dot,
+                                 dual, eth_g, ethbar_g, grad, hat_otimes,
+                                 hessian, hodge_D1, hodge_D1_star, hodge_D2,
+                                 hodge_D2_star, invert_D1, invert_laplacian,
+                                 laplacian, mean, sym_otimes, wedge)
 
 from conftest import harmonic, random_real_scalar, random_spin_field
 
@@ -34,20 +35,6 @@ def real_oneform(grid, seed, lmax=None):
 
 
 class TestAlgebra:
-    def test_trace_split_of_metric(self, grid12, round1):
-        """T = g has g-trace 2 and no tracefree part."""
-        T_mm = SpinField.zero(grid12, 2)
-        T_mmbar = SpinField.constant(grid12, 1.0)
-        out = trace_split(T_mm, T_mmbar, round1)
-        assert np.max(np.abs(out.trace.samples - 2.0)) < 1e-13
-        assert out.hat_plus.max_abs() < 1e-14
-
-    def test_trace_split_idempotent_on_tracefree(self, grid12, round1):
-        hat = random_spin_field(grid12, 2, seed=9)
-        out = trace_split(hat, SpinField.zero(grid12, 0), round1)
-        assert out.trace.max_abs() < 1e-13
-        assert np.max(np.abs(out.hat_plus.coeffs - hat.coeffs)) < 1e-13
-
     def test_dot_positive(self, grid12):
         a = real_oneform(grid12, 1)
         vals = np.real(dot(a, a).samples)
@@ -57,10 +44,10 @@ class TestAlgebra:
         a = real_oneform(grid12, 2)
         assert wedge(a, a).max_abs() < 1e-12
 
-    def test_hat_otimes_tracefree(self, grid12, round1):
+    def test_hat_otimes_tracefree(self, grid12):
         a = real_oneform(grid12, 3)
         b = real_oneform(grid12, 4)
-        out = hat_otimes(a, b, round1)
+        out = hat_otimes(a, b)
         assert out.trace.max_abs() == 0.0
         # brute-force pointwise check of the mm component
         expect = 2.0 * multiply(a.plus, b.plus).samples
@@ -114,6 +101,164 @@ class TestStackedTracefree:
         assert T[2, 0].trace.coeffs.shape == grid12.shape
 
 
+class TwoComponent:
+    """The tensor algebra with both spin components explicit and every
+    product formed: a 1-form is (X_m, X_mbar), a symmetric 2-tensor
+    (trace, T_mm, T_mbmb), with each minus component the conjugate of the
+    plus samples."""
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, OneForm):
+            return (x.plus, SpinField.from_samples(
+                x.plus.grid, -1, np.conj(x.plus.samples)))
+        return (x.trace, x.hat_plus, SpinField.from_samples(
+            x.hat_plus.grid, -2, np.conj(x.hat_plus.samples)))
+
+    @staticmethod
+    def dot(a, b):
+        if len(a) == 2:
+            return multiply(a[0], b[1]) + multiply(a[1], b[0])
+        return 0.5 * multiply(a[0], b[0]) + multiply(a[1], b[2]) \
+            + multiply(a[2], b[1])
+
+    @staticmethod
+    def wedge(a, b):
+        return 1j * (multiply(a[-2], b[-1]) - multiply(a[-1], b[-2]))
+
+    @staticmethod
+    def contract(T, a):
+        return (0.5 * multiply(T[0], a[0]) + multiply(T[1], a[1]),
+                0.5 * multiply(T[0], a[1]) + multiply(T[2], a[0]))
+
+    @classmethod
+    def contract2(cls, T, a, b):
+        return 0.5 * multiply(T[0], cls.dot(a, b)) \
+            + multiply(T[1], a[1], b[1]) + multiply(T[2], a[0], b[0])
+
+    @classmethod
+    def norm2(cls, x):
+        return cls.dot(x, x)
+
+    @staticmethod
+    def grad(f, g):
+        w = g.conformal_factor(-1.0)
+        return (multiply(w, eth(f)) * (1.0 / SQRT2),
+                multiply(w, ethbar(f)) * (1.0 / SQRT2))
+
+    @staticmethod
+    def div(X, g):
+        return (ethbar_g(X[0], g) + eth_g(X[1], g)) * (1.0 / SQRT2)
+
+    @staticmethod
+    def curl(X, g):
+        return (eth_g(X[1], g) - ethbar_g(X[0], g)) * (1j / SQRT2)
+
+    @staticmethod
+    def div2(T, g):
+        return ((ethbar_g(T[1], g) + 0.5 * eth_g(T[0], g)) * (1.0 / SQRT2),
+                (eth_g(T[2], g) + 0.5 * ethbar_g(T[0], g)) * (1.0 / SQRT2))
+
+    @staticmethod
+    def hessian(f, g):
+        w2 = g.conformal_factor(-2.0)
+        return (laplacian(f, g), 0.5 * eth(multiply(w2, eth(f))),
+                0.5 * ethbar(multiply(w2, ethbar(f))))
+
+    @classmethod
+    def sym_otimes(cls, a, b):
+        return (2.0 * cls.dot(a, b), 2.0 * multiply(a[0], b[0]),
+                2.0 * multiply(a[1], b[1]))
+
+
+def _stacked(grid, spin, seed, lmax=8, depth=3):
+    """A stack of random band-limited fields; those of spin 0 are real."""
+    def make(k):
+        if spin == 0:
+            return random_real_scalar(grid, seed + k, lmax=lmax)
+        return random_spin_field(grid, spin, seed + k, lmax=lmax)
+    return SpinField.from_coeffs(
+        grid, spin, np.stack([make(k).coeffs for k in range(depth)]))
+
+
+class TestOneComponent:
+    """Real tensors hold one component; every operation agrees with the
+    two-component algebra on random real stacked tensors, coefficient- and
+    sample-backed, under a stacked conformal metric."""
+
+    @pytest.fixture(scope="class")
+    def case(self, grid16):
+        g = MetricRep(grid16, psi=0.05 * _stacked(grid16, 0, 60, lmax=3))
+        f = _stacked(grid16, 0, 70)
+        a = OneForm(_stacked(grid16, 1, 80))
+        b = OneForm.from_plus(grid16, _stacked(grid16, 1, 90).samples)
+        T = SymTwoTensor(_stacked(grid16, 0, 100), _stacked(grid16, 2, 110))
+        S = SymTwoTensor.from_parts(grid16, _stacked(grid16, 0, 120).samples,
+                                    _stacked(grid16, 2, 130).samples)
+        return g, f, a, b, T, S
+
+    @staticmethod
+    def close(got, ref):
+        """got (a field or tensor) against a reference field or tuple."""
+        if isinstance(got, OneForm):
+            got = (got.plus, got.minus)
+        elif isinstance(got, SymTwoTensor):
+            got = (got.trace, got.hat_plus, got.hat_minus)
+        else:
+            got, ref = (got,), (ref,)
+        assert len(got) == len(ref)
+        for x, y in zip(got, ref):
+            assert x.spin == y.spin
+            assert np.max(np.abs(x.samples - y.samples)) \
+                <= 1e-12 * np.max(np.abs(y.samples))
+
+    def test_algebra(self, case):
+        g, f, a, b, T, S = case
+        R = TwoComponent
+        ra, rb, rT, rS = map(R.of, (a, b, T, S))
+        self.close(dot(a, b), R.dot(ra, rb))
+        self.close(dot(T, S), R.dot(rT, rS))
+        self.close(wedge(a, b), R.wedge(ra, rb))
+        self.close(wedge(T, S), R.wedge(rT, rS))
+        self.close(contract(T, a), R.contract(rT, ra))
+        self.close(contract2(T, a, b), R.contract2(rT, ra, rb))
+        self.close(a.norm2(), R.norm2(ra))
+        self.close(T.norm2(), R.norm2(rT))
+        self.close(sym_otimes(a, b), R.sym_otimes(ra, rb))
+
+    def test_calculus(self, case):
+        g, f, a, b, T, S = case
+        R = TwoComponent
+        ra, rT = R.of(a), R.of(T)
+        self.close(grad(f, g), R.grad(f, g))
+        self.close(div(a, g), R.div(ra, g))
+        self.close(curl(a, g), R.curl(ra, g))
+        self.close(div2(T, g), R.div2(rT, g))
+        self.close(hessian(f, g), R.hessian(f, g))
+
+    @pytest.mark.parametrize("op,want", [
+        ("dot", ["multiply"]), ("contract", ["multiply"] * 2),
+        ("div", ["ethbar_g"]), ("curl", ["ethbar_g"])])
+    def test_one_product_or_derivative(self, case, op, want, monkeypatch):
+        """dot forms one product and contract two; div and curl take one
+        conformal ethbar and no eth."""
+        from nullfoliate import tensors
+
+        g, f, a, b, T, S = case
+        args = {"dot": (a, b), "contract": (T, a), "div": (a, g),
+                "curl": (a, g)}[op]
+        calls = []
+        for name in ("multiply", "eth_g", "ethbar_g"):
+            def spy(*x, _name=name, _fn=getattr(tensors, name)):
+                calls.append(_name)
+                return _fn(*x)
+            monkeypatch.setattr(tensors, name, spy)
+        getattr(tensors, op)(*args)
+        if op in ("div", "curl"):
+            calls = [c for c in calls if c != "multiply"]
+        assert calls == want
+
+
 class TestConformalCalculus:
     def test_grad_of_constant(self, conformal):
         c = SpinField.constant(conformal.grid, 3.3)
@@ -126,7 +271,7 @@ class TestConformalCalculus:
         assert abs(out.coeff(2, 0) + 1.5) < 1e-12
 
     def test_curl_grad_vanishes(self, grid12, round1):
-        f = harmonic(grid12, 3, 1)
+        f = harmonic(grid12, 3, 1).real()
         assert curl(grad(f, round1), round1).max_abs() < 1e-11
 
     def test_curl_grad_vanishes_conformal(self, conformal):
@@ -184,8 +329,7 @@ class TestHodge:
         """D2* D2 = (-Delta/2 + K) acts as l(l+1)/2 - 1 on unit-sphere
         tracefree tensors (spin-2 eigenvalue algebra)."""
         T = SymTwoTensor(SpinField.zero(grid12, 0),
-                         random_spin_field(grid12, 2, seed=21),
-                         random_spin_field(grid12, -2, seed=22))
+                         random_spin_field(grid12, 2, seed=21))
         out = hodge_D2_star(hodge_D2(T, round1), round1)
         ls = np.arange(grid12.Lmax + 1, dtype=float)
         eig = (ls * (ls + 1.0) / 2.0 - 1.0)[:, None]

@@ -9,9 +9,17 @@ its own `python -m nullfoliate.cli` process with BLAS and OpenMP at one
 thread.  Every file the stages write is then compared byte for byte, and so
 are each stage's standard output and exit code (kept as `<stage>.out`).
 Each file that differs, or exists on one side only, is printed; the exit
-code is 1 if any does and 0 if none.  Standard library only.
+code is 1 if any does and 0 if none.  For a differing numeric file (a
+container's .bin array, read with the dtype its manifest.json gives, or a
+CSV or JSON report) the largest absolute and relative difference of its
+numbers is printed too, relative to the parent's value.  Standard library
+only.
 """
 
+import array
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -79,6 +87,70 @@ def differing(a, b):
     return out
 
 
+def _number(x):
+    """x as a float where it is a number or a numeric string, else x."""
+    if isinstance(x, bool):
+        return x
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return x
+
+
+def _leaves(x):
+    """Keys and values of a JSON document, depth first in key order."""
+    if isinstance(x, dict):
+        for k in sorted(x):
+            yield k
+            yield from _leaves(x[k])
+    elif isinstance(x, list):
+        for v in x:
+            yield from _leaves(v)
+    else:
+        yield x
+
+
+def _values(path):
+    """The values a numeric file holds, in order; None for another kind."""
+    if path.suffix == ".bin":
+        manifest = json.loads((path.parent / "manifest.json").read_text())
+        tag = next(f["dtype"] for f in manifest["fields"]
+                   if f["file"] == path.name)
+        vals = array.array("d", path.read_bytes())
+        if sys.byteorder == "big":
+            vals.byteswap()
+        if tag == "c128le":
+            return [complex(re, im) for re, im in zip(vals[::2], vals[1::2])]
+        return list(vals)
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return [_number(c) for row in csv.reader(fh) for c in row]
+    if path.suffix == ".json":
+        return [_number(v) for v in _leaves(json.loads(path.read_text()))]
+    return None
+
+
+def shift(pa, pb):
+    """' max abs ..., max rel ...' for two numeric files of the same layout,
+    with a note where a non-numeric value differs; '' otherwise."""
+    va, vb = _values(pa), _values(pb)
+    if va is None or vb is None or len(va) != len(vb):
+        return ""
+    big_abs = big_rel = 0.0
+    other = False
+    for x, y in zip(va, vb):
+        if isinstance(x, (float, complex)) and isinstance(y, (float, complex)):
+            d = abs(x - y)
+            d = math.inf if d != d else d  # NaN on one side
+            big_abs = max(big_abs, d)
+            big_rel = max(big_rel, d / abs(x) if x else
+                          (math.inf if d else 0.0))
+        elif x != y:
+            other = True
+    note = ", a non-numeric value differs" if other else ""
+    return f"  max abs {big_abs:.3g}, max rel {big_rel:.3g}{note}"
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit("usage: same_outputs.py PARENT_SRC CHANGE_SRC")
@@ -96,7 +168,9 @@ def main(argv):
             n_files += sum(1 for p in a.rglob("*") if p.is_file())
             n_diff += len(diff)
             for rel in diff:
-                print(f"differs: {case}/{rel}")
+                size = shift(a / rel, b / rel) \
+                    if (a / rel).is_file() and (b / rel).is_file() else ""
+                print(f"differs: {case}/{rel}{size}")
     print(f"{n_diff} of {n_files} files differ")
     return 1 if n_diff else 0
 
