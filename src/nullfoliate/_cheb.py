@@ -2,7 +2,9 @@
 
 Geodesic data is tabulated on CGL nodes; barycentric interpolation and the
 spectral differentiation matrix give machine-accurate evaluation and
-s-derivatives for analytic generators.
+s-derivatives for analytic generators.  barycentric_interp is the one
+interpolation kernel: it reads many tables, packed point-major, at shared
+heights (Berrut & Trefethen, SIAM Review 46, 2004).
 """
 
 import numpy as np
@@ -26,43 +28,29 @@ def barycentric_weights(n):
     return w
 
 
-def barycentric_interp(nodes, values, x):
-    """Barycentric interpolation of tabulated values along axis 0.
+def barycentric_interp(nodes, packed, x):
+    """Barycentric interpolation of packed tables at heights x.
 
-    values has shape (n_nodes,) + T, sampled per trailing index, and x has
-    shape S + T: every index of the leading stack axes S reads the same
-    table.  values may also be one column (n_nodes,) read at any x.  Exact
-    node hits are returned without division.  The weights are real and a
-    complex table is read as its real and imaginary parts; beyond the
-    weights themselves no temporary of the stacked size is formed.
+    packed is (points, n_nodes, columns): at each point the node values of
+    every column, the last column all ones; x is (points, stack).  The
+    weights of the heights are formed once, stored node-major as (n_nodes,
+    points, stack) for long inner loops, and one batched matmul (points x
+    stack x n_nodes against points x n_nodes x columns) reads every column;
+    the column of ones gives the weight sums.  An exact node hit has an
+    infinite weight sum and reads that node's row.  Returns the values,
+    (points, stack, columns).
     """
-    nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    w = barycentric_weights(n)
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values)
-    # align the table's trailing axes with those of x
-    values = values.reshape((n,) + (1,) * (x.ndim + 1 - values.ndim)
-                            + values.shape[1:])
-    diff = x[None, ...] - nodes.reshape((n,) + (1,) * x.ndim)
-    exact = diff == 0.0
+    diff = x - nodes[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.divide(w.reshape((n,) + (1,) * x.ndim), diff, out=diff)
-        # sum over the nodes without a product temporary of the stacked size
-        if np.iscomplexobj(values):
-            num = np.einsum("k...,k...->...", c, values.real) \
-                + 1j * np.einsum("k...,k...->...", c, values.imag)
-        else:
-            num = np.einsum("k...,k...->...", c, values)
-        den = np.sum(c, axis=0)
-        out = num / den
-    if exact.any():
-        idx = np.argmax(exact, axis=0)
-        hit = exact.any(axis=0)
-        picked = np.take_along_axis(
-            np.broadcast_to(values, (n,) + x.shape), idx[None, ...], axis=0)[0]
-        out = np.where(hit, picked, out)
-    return out
+        c = np.divide(barycentric_weights(nodes.size)[:, None, None], diff,
+                      out=diff)
+        vals = np.matmul(c.transpose(1, 2, 0), packed)
+    hit = np.isinf(vals[..., -1])
+    if hit.any():
+        node = np.argmax(x[hit][:, None] == nodes, axis=-1)
+        vals[hit] = packed[np.nonzero(hit)[0], node]
+    vals /= vals[..., -1:]
+    return vals
 
 
 def diff_matrix(nodes):

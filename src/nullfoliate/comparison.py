@@ -12,11 +12,9 @@ coefficients; indexing them takes one level or a slice.
 """
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
-from . import container
 from .geodesic import GeodesicNullData
 from .sphere import SpinField
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, contract2,
@@ -72,7 +70,7 @@ def upsilon_transport(Ups: OneForm, chi: SymTwoTensor, logOmega: SpinField,
     return -1.0 * grad(logOmega, metric) - contract(chi, Ups)
 
 
-def canonical_connection(data: GeodesicNullData, s: SpinField,
+def canonical_connection(geodesic_connection, s: SpinField,
                          logOmega: SpinField, metric: MetricRep,
                          Ups: OneForm, ups2: SpinField):
     """Connection coefficients of the canonical foliation at one leaf.
@@ -83,23 +81,22 @@ def canonical_connection(data: GeodesicNullData, s: SpinField,
         chib = chib' - 2 (Upsilon zeta' + zeta' Upsilon) + 2 Hess s
                - |Upsilon|^2 chi'
 
-    Ups = upsilon(s, metric) and ups2 = |Upsilon|^2.  nabla_L Upsilon is
-    the exact algebraic transport identity.
+    geodesic_connection is (chi', chib', zeta') at the heights s, as
+    GeodesicNullData.geometry_at reads them.  Ups = upsilon(s, metric) and
+    ups2 = |Upsilon|^2.  nabla_L Upsilon is the exact algebraic transport
+    identity.
     """
-    sv = np.real(s.samples)
-    chi = data.chi_at(sv)
-    zeta_g = data.zeta_at(sv)
+    chi, chib_g, zeta_g = geodesic_connection
     zeta = zeta_g + contract(chi, Ups)
     dLUps = upsilon_transport(Ups, chi, logOmega, metric)
     etab = -1.0 * zeta_g + dLUps
     hess = hessian(s, metric)
-    chib = data.chib_at(sv) - 2.0 * sym_otimes(Ups, zeta_g) + 2.0 * hess \
+    chib = chib_g - 2.0 * sym_otimes(Ups, zeta_g) + 2.0 * hess \
         - ups2 * chi
     return chi, chib, zeta, etab, dLUps
 
 
-def canonical_curvature(data: GeodesicNullData, s: SpinField, Ups: OneForm,
-                        ups2: SpinField):
+def canonical_curvature(geodesic_curvature, Ups: OneForm, ups2: SpinField):
     """Null curvature components of the canonical frame, exact through cubic order.
 
         alpha = alpha'
@@ -111,10 +108,11 @@ def canonical_curvature(data: GeodesicNullData, s: SpinField, Ups: OneForm,
                 - 2 (alpha' . Upsilon . Upsilon) Upsilon
                 + |Upsilon|^2 (alpha' . Upsilon)
 
-    Ups is the tilt of the leaf s and ups2 = |Upsilon|^2.
+    geodesic_curvature is (alpha', beta', rho', sigma', betab') at the
+    heights of the leaf, as GeodesicNullData.geometry_at reads them; Ups is
+    the tilt of the leaf and ups2 = |Upsilon|^2.
     """
-    alpha_g, beta_g, rho_g, sigma_g, betab_g = data.curvature_at(
-        np.real(s.samples))
+    alpha_g, beta_g, rho_g, sigma_g, betab_g = geodesic_curvature
 
     alpha = alpha_g
     a_ups = contract(alpha_g, Ups)
@@ -155,13 +153,15 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
     """Full canonical geometry of one leaf from the solved graph state.
 
     s and logOmega may be stacks of leaves, with v the array of their levels.
+    The geodesic tables are read once, at the heights s.
     """
-    metric = data.metric_at(np.real(s.samples))
+    metric, connection_g, curvature_g = data.geometry_at(np.real(s.samples))
     Ups = upsilon(s, metric)
     ups2 = Ups.norm2()
     chi, chib, zeta, etab, dLUps = canonical_connection(
-        data, s, logOmega, metric, Ups, ups2)
-    alpha, beta, rho, sigma, betab = canonical_curvature(data, s, Ups, ups2)
+        connection_g, s, logOmega, metric, Ups, ups2)
+    alpha, beta, rho, sigma, betab = canonical_curvature(curvature_g, Ups,
+                                                         ups2)
     rho_check, sigma_check, betab_check = renormalized(
         rho, sigma, betab, chi.hat(), chib.hat(), zeta)
     mu = mass_aspect(rho_check, zeta, metric)
@@ -172,24 +172,3 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
         rho_check=rho_check, sigma_check=sigma_check,
         betab_check=betab_check, mu=mu)
 
-
-def save_coefficients(co: CanonicalCoefficients, path):
-    """Write a reconstruction as a "coefficients" container.
-
-    One array per named coefficient, shaped (n_levels, ntheta, nphi), taken
-    from the attribute path in `paths`: scalars (no component in the path)
-    are stored real, spin-1 and spin-2 quantities as their plus components.
-    """
-    paths = {
-        "trchi": "trchi", "chihat": "chi.hat_plus", "trchib": "trchib",
-        "chibhat": "chib.hat_plus", "zeta": "zeta.plus", "etab": "etab.plus",
-        "Upsilon": "Upsilon.plus", "mu": "mu", "rho_check": "rho_check",
-        "sigma_check": "sigma_check", "betab_check": "betab_check.plus",
-        "rho": "rho", "sigma": "sigma", "alpha": "alpha.hat_plus",
-        "beta": "beta.plus", "betab": "betab.plus",
-    }
-    arrays = {}
-    for name, attr in paths.items():
-        arr = attrgetter(attr)(co).samples
-        arrays[name] = arr if "." in attr else np.real(arr)
-    container.write(path, "coefficients", co.metric.grid.Lmax, co.v, arrays)

@@ -1,6 +1,6 @@
 """On-disk container: manifest.json plus one raw little-endian array per field.
 
-The kinds "geodesic_data", "foliation" and "coefficients" share the format.
+The kinds "geodesic_data" and "foliation" share the format.
 read() validates everything and raises DatasetError; write() refuses
 non-finite arrays and is atomic: the old manifest goes first, every file is
 moved into place with os.replace, and the manifest comes last.
@@ -27,11 +27,6 @@ _KINDS = {
         "chibhat": 2, "alpha": 2, "beta": 1, "rho": 0, "sigma": 0,
         "betab": 1, "forcing_F1": 0, "mms_G": 0}, {"forcing_F1", "mms_G"}),
     "foliation": ("v_nodes", {"s": 0, "logOmega": 0}, set()),
-    "coefficients": ("v_nodes", {
-        "trchi": 0, "chihat": 2, "trchib": 0, "chibhat": 2, "zeta": 1,
-        "etab": 1, "Upsilon": 1, "mu": 0, "rho_check": 0, "sigma_check": 0,
-        "betab_check": 1, "rho": 0, "sigma": 0, "alpha": 2, "beta": 1,
-        "betab": 1}, set()),
 }
 
 # fields tabulated on one sphere; all others are (n_nodes, ntheta, nphi)

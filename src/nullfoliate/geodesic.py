@@ -56,16 +56,6 @@ class GeodesicNullData:
     # s_eval is one leaf of heights (ntheta, nphi) or a stack of leaves; a
     # stack gives stacked fields, tensors and metrics
 
-    def _interp(self, table, s_eval):
-        return interp_generator(table, self.s_nodes, s_eval)
-
-    def metric_at(self, s_eval) -> MetricRep:
-        return MetricRep(self.grid,
-                         psi=np.real(self._interp(self.psi, s_eval)))
-
-    def scalar_at(self, table, s_eval) -> SpinField:
-        return SpinField.from_samples(self.grid, 0, self._interp(table, s_eval))
-
     @cached_property
     def _source_pack(self):
         tables = [self.psi, self.F1_table]
@@ -76,13 +66,12 @@ class GeodesicNullData:
     def source_at(self, s_eval):
         """(psi, F1, F2, F3, F4) of the lapse equation at heights s_eval.
 
-        s_eval is one leaf (ntheta, nphi) or a stack of leaves.  One set of
-        barycentric weights serves every table (see GeneratorPack).  psi is
-        returned as real samples, F1 as a spin-0 field, F2 as a 1-form and
-        F3, F4 as symmetric 2-tensors; F2..F4 are None under prescribed
-        forcing, where the source is F1 alone.
+        One read of the tables packed once per dataset.  psi is returned as
+        real samples, F1 as a spin-0 field, F2 as a 1-form and F3, F4 as
+        symmetric 2-tensors; F2..F4 are None under prescribed forcing,
+        where the source is F1 alone.
         """
-        vals = self._source_pack(s_eval)
+        vals = interp_generator(self._source_pack, s_eval)
         F1 = SpinField.from_samples(self.grid, 0, vals[1])
         if self.has_prescribed_forcing:
             return vals[0], F1, None, None, None
@@ -92,28 +81,36 @@ class GeodesicNullData:
                 SymTwoTensor.from_parts(g, tr3, hat3),
                 SymTwoTensor.from_parts(g, tr4, hat4))
 
-    def chi_at(self, s_eval) -> SymTwoTensor:
-        return SymTwoTensor.from_parts(self.grid,
-                                       self._interp(self.trchi, s_eval),
-                                       self._interp(self.chihat, s_eval))
+    def geometry_at(self, s_eval):
+        """The geodesic geometry at heights s_eval, in one read:
+        (metric, (chi', chib', zeta'), (alpha', beta', rho', sigma', betab')).
 
-    def chib_at(self, s_eval) -> SymTwoTensor:
-        return SymTwoTensor.from_parts(self.grid,
-                                       self._interp(self.trchib, s_eval),
-                                       self._interp(self.chibhat, s_eval))
-
-    def zeta_at(self, s_eval) -> OneForm:
-        return OneForm.from_plus(self.grid, self._interp(self.zeta, s_eval))
-
-    def curvature_at(self, s_eval):
-        """(alpha, beta, rho, sigma, betab) at height s."""
+        The eleven tables are packed per call and not kept, so a dataset
+        holds no second copy of them between reconstructions; each field
+        is copied out of the read, which is then freed.  numpy hands the
+        product of a lone leaf to gemv, whose sums round apart from the
+        gemm of a stack, so a lone leaf is read as a stack of two: every
+        leaf then reads the same geometry in any stack.
+        """
+        pack = GeneratorPack(self.s_nodes, [
+            self.psi, self.trchi, self.chihat, self.zeta, self.trchib,
+            self.chibhat, self.alpha, self.beta, self.rho, self.sigma,
+            self.betab])
+        sv = np.asarray(s_eval)
+        lone = sv.size == self.psi[0].size
+        reads = interp_generator(pack, np.stack([sv, sv]) if lone else sv)
+        (psi, trchi, chihat, zeta, trchib, chibhat, alpha, beta, rho, sigma,
+         betab) = [(r[0] if lone else r).copy() for r in reads]
         g = self.grid
-        return (SymTwoTensor.from_parts(g, None,
-                                        self._interp(self.alpha, s_eval)),
-                OneForm.from_plus(g, self._interp(self.beta, s_eval)),
-                self.scalar_at(self.rho, s_eval),
-                self.scalar_at(self.sigma, s_eval),
-                OneForm.from_plus(g, self._interp(self.betab, s_eval)))
+        return (MetricRep(g, psi=np.real(psi)),
+                (SymTwoTensor.from_parts(g, trchi, chihat),
+                 SymTwoTensor.from_parts(g, trchib, chibhat),
+                 OneForm.from_plus(g, zeta)),
+                (SymTwoTensor.from_parts(g, None, alpha),
+                 OneForm.from_plus(g, beta),
+                 SpinField.from_samples(g, 0, rho),
+                 SpinField.from_samples(g, 0, sigma),
+                 OneForm.from_plus(g, betab)))
 
     # ---- geometry of the s-node leaves and derived tables ----------------
     # every s-node leaf at once, as one stack

@@ -47,6 +47,13 @@ reductions choose their summation order from the layout of their operands:
 a C-ordered zero moves downstream sums at roundoff.  NaN and inf count as
 nonzero, and a zero times a non-finite factor takes the full product, so
 non-finite input is never skipped and still propagates.
+
+Generators.  Geodesic data is tabulated along each generator on CGL nodes
+in s.  A GeneratorPack holds several such tables in one real layout, and
+interp_generator reads all of them at shared heights with one barycentric
+read (_cheb.barycentric_interp): the weights of the heights are formed once
+for every table.  The solver's lapse source and the reconstruction's
+geometry each take one read per stack of leaves.
 """
 
 import math
@@ -54,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cheb import barycentric_interp, barycentric_weights
+from ._cheb import barycentric_interp
 from ._wigner import spin_lambda_tables
 from .errors import ConfigurationError, OutOfDomainError, UnsupportedSpinError
 
@@ -477,14 +484,13 @@ def multiply(*fields: SpinField) -> SpinField:
     return out
 
 
-def _heights(s_nodes, s_eval, domain):
+def _heights(s_nodes, s_eval):
     """Real heights s_eval, checked against the data slab and clipped to it.
 
-    Raises OutOfDomainError if any height leaves [lo, hi] (default: the node
-    range) by more than roundoff.
+    Raises OutOfDomainError if any height leaves [s_nodes[0], s_nodes[-1]]
+    by more than roundoff.
     """
-    lo = s_nodes[0] if domain is None else domain[0]
-    hi = s_nodes[-1] if domain is None else domain[1]
+    lo, hi = s_nodes[0], s_nodes[-1]
     sv = np.asarray(np.real(s_eval), dtype=float)
     slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
     if np.min(sv) < lo - slack or np.max(sv) > hi + slack:
@@ -494,68 +500,42 @@ def _heights(s_nodes, s_eval, domain):
     return np.clip(sv, lo, hi)
 
 
-def interp_generator(table, s_nodes, s_eval, domain=None):
-    """Evaluate per-generator tabulated data at height s_eval.
-
-    table has shape (n_s, ntheta, nphi) on CGL nodes s_nodes; s_eval is an
-    angular array, a stack of them (..., ntheta, nphi), or a scalar.  Each
-    leaf of a stack reads the same table, bitwise as a call of its own.
-    Barycentric interpolation per angular node; spectrally accurate for
-    analytic generators.  Raises OutOfDomainError if any evaluation height
-    leaves [s_nodes[0], s_nodes[-1]] (the data slab).
-    """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    sv = _heights(s_nodes, s_eval, domain)
-    if sv.ndim == 0:
-        sv = np.full(table.shape[1:], float(sv))
-    return barycentric_interp(s_nodes, table, sv)
-
-
 class GeneratorPack:
-    """Several generator tables read together at shared heights.
+    """Generator tables in the packed layout that interp_generator reads.
 
     The tables, each (n_s, ntheta, nphi) on the CGL nodes s_nodes and real or
     complex, are stored once in a real point-major layout
     (ntheta*nphi, n_s, columns): one column per real table, a (re, im) pair
-    per complex one, and a last column of ones.  A call computes the
-    barycentric weights of its heights once, as (ntheta*nphi, stack, n_s),
-    and reads every table with one batched matmul (points x stack x n_s
-    against points x n_s x columns); the column of ones gives the weight
-    sums.  Same domain rule and exact-node handling as
-    interp_generator.
+    per complex one, and a last column of ones.
     """
 
     def __init__(self, s_nodes, tables):
         self.s_nodes = np.asarray(s_nodes, dtype=float)
         n = self.s_nodes.size
-        cols, self._slots = [], []
+        cols, self.slots = [], []
         for t in tables:
-            self._slots.append((len(cols), np.iscomplexobj(t)))
+            self.slots.append((len(cols), np.iscomplexobj(t)))
             cols += [t.real, t.imag] if np.iscomplexobj(t) else [t]
         cols.append(np.ones_like(cols[0]))
         self.packed = np.stack([c.reshape(n, -1) for c in cols],
                                axis=-1).transpose(1, 0, 2).copy()
-        self._w = barycentric_weights(n)
 
-    def __call__(self, s_eval):
-        """Every table at the heights s_eval (..., ntheta, nphi), in order."""
-        x = _heights(self.s_nodes, s_eval, None)
-        xp = np.ascontiguousarray(x.reshape(-1, self.packed.shape[0]).T)
-        # weights stored node-major, (n_s, points, stack), for long inner
-        # loops; the matmul reads them as (points, stack, n_s)
-        diff = xp - self.s_nodes[:, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.divide(self._w[:, None, None], diff, out=diff)
-            vals = np.matmul(c.transpose(1, 2, 0), self.packed)
-        # an exact node hit has an infinite weight; it reads that node's row
-        hit = np.isinf(vals[..., -1])
-        if hit.any():
-            node = np.argmax(xp[hit][:, None] == self.s_nodes, axis=-1)
-            vals[hit] = self.packed[np.nonzero(hit)[0], node]
-        vals /= vals[..., -1:]
-        out = []
-        for k, cplx in self._slots:
-            v = vals[..., k:k + 2].view(np.complex128)[..., 0] if cplx \
-                else vals[..., k]
-            out.append(v.T.reshape(x.shape))
-        return out
+
+def interp_generator(pack, s_eval):
+    """Every table of a GeneratorPack at the heights s_eval, in order.
+
+    s_eval is one leaf of heights (ntheta, nphi) or a stack of leaves
+    (..., ntheta, nphi); each table comes back in that shape, real or
+    complex as it was packed.  One barycentric read serves every table;
+    spectrally accurate for analytic generators.  Raises OutOfDomainError
+    if any height leaves [s_nodes[0], s_nodes[-1]] (the data slab).
+    """
+    x = _heights(pack.s_nodes, s_eval)
+    xp = np.ascontiguousarray(x.reshape(-1, pack.packed.shape[0]).T)
+    vals = barycentric_interp(pack.s_nodes, pack.packed, xp)
+    out = []
+    for k, cplx in pack.slots:
+        v = vals[..., k:k + 2].view(np.complex128)[..., 0] if cplx \
+            else vals[..., k]
+        out.append(v.T.reshape(x.shape))
+    return out

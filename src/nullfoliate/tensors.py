@@ -320,8 +320,9 @@ def mean(f: SpinField, g: MetricRep):
 # --------------------------------------------------------------------------
 
 def hodge_D1(X: OneForm, g: MetricRep):
-    """D1 X = (div X, curl X)."""
-    return div(X, g), curl(X, g)
+    """D1 X = (div X, curl X), from one conformal ethbar of X_m."""
+    e = ethbar_g(X.plus, g)
+    return SQRT2 * e.real(), SQRT2 * e.imag()
 
 
 def hodge_D1_star(f: SpinField, h: SpinField, g: MetricRep) -> OneForm:

@@ -189,7 +189,7 @@ def test_criterion_6_cross_path_coefficients(mms23):
     worst = 0.0
     for i in range(margin, fol.n_levels - margin):
         co = levels[i]
-        zg = data.zeta_at(np.real(co.s.samples))
+        _, (_, _, zg), _ = data.geometry_at(np.real(co.s.samples))
         path_a = -1.0 * zg + dl[i]
         path_b = -1.0 * co.zeta - grad(co.logOmega, co.metric)
         worst = max(worst, (path_a - path_b).max_abs())

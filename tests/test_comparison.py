@@ -100,6 +100,23 @@ class TestStackedReconstruct:
         assert float(one.v) == fol.v_nodes[fol.n_levels // 2]
         assert one.mu.samples.shape == data.grid.shape
 
+    def test_one_generator_read_per_reconstruction(self, schw_foliation,
+                                                   monkeypatch):
+        """reconstruct reads all its geodesic tables in one generator read."""
+        from nullfoliate import sphere
+        real, calls = sphere.interp_generator, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sphere, "interp_generator", counting)
+        monkeypatch.setattr(geodesic, "interp_generator", counting)
+        data, fol = schw_foliation
+        comparison.reconstruct(data, fol.s_field(), fol.logOmega_field(),
+                               fol.v_nodes)
+        assert len(calls) == 1
+
 
 class TestSchwarzschildCanonical:
     def test_values_at_v2(self, schw_foliation):
@@ -120,10 +137,10 @@ class TestCurvatureComparison:
         data, fol = schw_foliation
         g = data.grid
         s = SpinField.from_samples(g, 0, np.full(g.shape, 1.7))
-        met = data.metric_at(np.real(s.samples))
+        met, _, curvature = data.geometry_at(np.real(s.samples))
         U = comparison.upsilon(s, met)
         alpha, beta, rho, sigma, betab = comparison.canonical_curvature(
-            data, s, U, U.norm2())
+            curvature, U, U.norm2())
         assert np.max(np.abs(rho.samples - (-0.2 / 1.7 ** 3))) < 1e-12
         assert beta.max_abs() < 1e-13
         assert betab.max_abs() < 1e-13
@@ -136,10 +153,10 @@ class TestCurvatureComparison:
         g = data.grid
         prof = 0.03 * random_real_scalar(g, seed=11, lmax=2)
         s = SpinField.from_samples(g, 0, 1.5 + np.real(prof.samples))
-        met = data.metric_at(np.real(s.samples))
+        met, _, curvature = data.geometry_at(np.real(s.samples))
         U = comparison.upsilon(s, met)
         alpha, beta, rho, sigma, betab = comparison.canonical_curvature(
-            data, s, U, U.norm2())
+            curvature, U, U.norm2())
         assert (betab + 3.0 * U).max_abs() < 1e-12
         assert np.max(np.abs(rho.samples - 1.0)) < 1e-12
         assert sigma.max_abs() < 1e-12
@@ -200,7 +217,7 @@ class TestCrossPaths:
         worst = 0.0
         for i in range(margin, fol.n_levels - margin, 8):
             co = levels[i]
-            zg = data.zeta_at(np.real(co.s.samples))
+            _, (_, _, zg), _ = data.geometry_at(np.real(co.s.samples))
             path_a = -1.0 * zg + dl[i]
             path_b = -1.0 * co.zeta - grad(co.logOmega, co.metric)
             worst = max(worst, (path_a - path_b).max_abs())
@@ -254,7 +271,7 @@ class TestProjectionIdentities:
         co = comparison.reconstruct(data, fol.s_field(i),
                                     fol.logOmega_field(i), fol.v_nodes[i])
         s = np.real(fol.s_field(i).samples)
-        chi_proj = data.chi_at(s)
+        _, (chi_proj, _, _), _ = data.geometry_at(s)
         assert np.array_equal(co.chi.trace.samples, chi_proj.trace.samples)
         assert np.array_equal(co.chi.hat_plus.samples,
                               chi_proj.hat_plus.samples)

@@ -274,23 +274,6 @@ class TestSphericalityScaling:
         assert abs(slope - 1.0) < 0.15
 
 
-class TestCoefficientSerialization:
-    def test_save_coefficients_roundtrip(self, schw_foliation, tmp_path):
-        import json
-        from nullfoliate import comparison
-        _, fol = schw_foliation
-        out = tmp_path / "coeffs"
-        comparison.save_coefficients(
-            diagnostics.canonical(fol, slice(0, None, 16)), out)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["kind"] == "coefficients"
-        mu = np.fromfile(out / "mu.bin", dtype="<f8").reshape(
-            [len(manifest["v_nodes"])] + manifest["fields"][0]["shape"][1:])
-        v_last = manifest["v_nodes"][-1]
-        s_expect = v_last  # Schwarzschild graph has s = v
-        assert np.max(np.abs(mu[-1] - 2.0 * 0.1 / s_expect ** 3)) < 1e-9
-
-
 class TestConvergenceStudy:
     def test_every_solve_keeps_the_base_config(self, monkeypatch):
         """Each solve of a study runs with the base config (here order-5

@@ -7,7 +7,7 @@ import pytest
 
 from nullfoliate import geodesic
 from nullfoliate.errors import ConfigurationError, DatasetError
-from nullfoliate.sphere import SpinField
+from nullfoliate.sphere import GeneratorPack, SpinField, interp_generator
 from nullfoliate.tensors import MetricRep, laplacian, mean
 
 
@@ -22,7 +22,8 @@ def schw():
 
 
 def at_height(data, table, s):
-    return data._interp(table, np.full(data.grid.shape, s))[0, 0]
+    pack = GeneratorPack(data.s_nodes, [table])
+    return interp_generator(pack, np.full(data.grid.shape, s))[0][0, 0]
 
 
 class TestMinkowski:
@@ -151,7 +152,7 @@ class TestManufactured:
         worst = 0.0
         for v in [1.05, 1.4, 1.75, 1.95]:
             s = exact.s_exact(v)
-            F = data._interp(data.F1_table, s)
+            F = data.source_at(s)[1].samples
             met = MetricRep(data.grid,
                             psi=SpinField.from_samples(data.grid, 0, np.log(s)))
             lof = SpinField.from_samples(data.grid, 0,

@@ -156,7 +156,7 @@ class TestContinueFoliation:
         fol = solver.continue_foliation(data, cfg, v_end=2.0)
         worst = 0.0
         for i in range(0, fol.n_levels, 7):
-            metric = data.metric_at(fol.s[i])
+            metric = data.geometry_at(fol.s[i])[0]
             sf = fol.s_field(i)
             F = solver.assemble_F(data, fol.s[i], metric, grad(sf, metric),
                                   hessian(sf, metric))
@@ -170,7 +170,7 @@ class TestContinueFoliation:
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0)
         fol = solver.continue_foliation(data, cfg, v_end=2.0)
         for i in range(0, fol.n_levels, 9):
-            met = data.metric_at(fol.s[i])
+            met = data.geometry_at(fol.s[i])[0]
             assert abs(mean(fol.logOmega_field(i), met)) < 1e-11
 
     def test_v_end_off_the_grid_rejected(self):
@@ -327,20 +327,20 @@ class TestBuildingBlocks:
     def test_induced_metric_composition(self, mink):
         """psi(w) = psi'(s(w), w) = log s(w) pointwise on the flat cone."""
         g = mink.grid
-        met = mink.metric_at(np.full(g.shape, 1.5))
+        met = mink.geometry_at(np.full(g.shape, 1.5))[0]
         assert np.max(np.abs(np.real(met.psi.samples) - np.log(1.5))) < 1e-12
         y20 = np.zeros((9, 17), dtype=complex)
         y20[2, 8] = 1.0
         prof = np.real(SpinField.from_coeffs(g, 0, y20).samples)
         s = 1.5 + 0.01 * prof
-        met2 = mink.metric_at(s)
+        met2 = mink.geometry_at(s)[0]
         assert np.max(np.abs(np.real(met2.psi.samples) - np.log(s))) < 1e-12
 
     def test_assemble_F_minkowski_flat_graph(self, mink):
         """Angularly constant graphs feed zero gradients: F vanishes."""
         g = mink.grid
         s = np.full(g.shape, 1.3)
-        met = mink.metric_at(s)
+        met = mink.geometry_at(s)[0]
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(mink, s, met, grad(sf, met), hessian(sf, met))
         assert F.max_abs() < 1e-12
@@ -349,7 +349,7 @@ class TestBuildingBlocks:
         """At s = 1.5 with no tilt, F reduces to rho'(1.5) = -2M/1.5^3."""
         g = schw.grid
         s = np.full(g.shape, 1.5)
-        met = schw.metric_at(s)
+        met = schw.geometry_at(s)[0]
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(schw, s, met, grad(sf, met), hessian(sf, met))
         expect = -2.0 * 0.1 / 1.5 ** 3
@@ -370,16 +370,16 @@ class TestBuildingBlocks:
         y21[2, 8 - 1] = -np.conj(0.04)
         prof = np.real(SpinField.from_coeffs(g, 0, y21).samples)
         s = 1.6 + prof
-        met = schw.metric_at(s)
+        met, connection, curvature = schw.geometry_at(s)
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(schw, s, met, grad(sf, met), hessian(sf, met))
 
         logom = SpinField.zero(g, 0)  # source assembly is lapse-independent
         ups = comparison.upsilon(sf, met)
         chi, chib, zeta, etab, _ = comparison.canonical_connection(
-            schw, sf, logom, met, ups, ups.norm2())
+            connection, sf, logom, met, ups, ups.norm2())
         _, _, rho, _, _ = comparison.canonical_curvature(
-            schw, sf, ups, ups.norm2())
+            curvature, ups, ups.norm2())
         direct = -1.0 * div(zeta, met) + rho \
             - 0.5 * dot(chi.hat(), chib.hat())
         assert (F - direct).max_abs() < 1e-9
