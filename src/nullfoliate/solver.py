@@ -13,7 +13,11 @@ non-contraction the window is halved, down to two dv steps, before giving up.
 The elliptic updates of one sweep are independent.  They are solved one after
 another in fixed blocks of LAPSE_BLOCK v-levels, each block as one stack of
 leaves (leading axis of every sample array, see sphere): one call per
-transform and one set of barycentric weights per block.
+transform and one set of barycentric weights per block.  M_n and Delta_n are
+formed per LAPSE_BLOCK levels too, one analysis of four differences each: a
+whole-window analysis makes full-size temporaries that cost more than its
+arithmetic and set the solve's peak memory, while a stacked analysis gives
+each field the same bits at any stack size of 2 or more.
 
 Stopping rule.  A sweep is accepted when Delta_n <= tol.  The order-p monitor
 weights coefficient roundoff by (l(l+1))^{p/2}, so Delta_n cannot fall below
@@ -298,12 +302,19 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
     blocks = [slice(j, min(j + LAPSE_BLOCK, steps + 1))
               for j in range(1, steps + 1, LAPSE_BLOCK)]
 
-    def monitor(sa, la, sb, lb):
-        """Largest per-level order-p Sobolev sum plus sup of the differences."""
-        d = np.stack([sa - sb, la - lb])  # (2, levels, ntheta, nphi)
-        sob = _sobolev_sum(raw_analyze(grid, d, 0), order)
-        sup = np.max(np.abs(d), axis=(-2, -1))
-        return float(np.max(sob[0] + sob[1] + sup[0] + sup[1]))
+    def monitor(s, logOm, s_prev, logOm_prev):
+        """(M_n, Delta_n): largest per-level order-p Sobolev sum plus sup of
+        the differences from the seed and from the previous sweep."""
+        per_block = []
+        for j in range(0, steps + 1, LAPSE_BLOCK):
+            b = slice(j, j + LAPSE_BLOCK)
+            d = np.stack([s[b] - s0, logOm[b], s[b] - s_prev[b],
+                          logOm[b] - logOm_prev[b]])  # (4, levels, ...)
+            sob = _sobolev_sum(raw_analyze(grid, d, 0), order)
+            sup = np.max(np.abs(d), axis=(-2, -1))
+            per_block.append([np.max(sob[k] + sob[k + 1] + sup[k]
+                                     + sup[k + 1]) for k in (0, 2)])
+        return np.max(per_block, axis=0).tolist()
 
     M_trace, Delta_trace = [], []
     for n in range(1, cfg.max_iter + 1):
@@ -322,9 +333,9 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
                 f"|log Omega| reached {np.max(np.abs(logOm_next)):.3e} "
                 f">= {LAPSE_BOUND}")
 
-        M_trace.append(monitor(s_next, logOm_next,
-                               np.broadcast_to(s0, nshape), 0.0 * logOm_next))
-        Delta_trace.append(monitor(s_next, logOm_next, s_n, logOm_n))
+        M, Delta = monitor(s_next, logOm_next, s_n, logOm_n)
+        M_trace.append(M)
+        Delta_trace.append(Delta)
         s_n, logOm_n = s_next, logOm_next
 
         # s >= 1 > |log Omega| here, so max(s) is the iterate's sup-norm
@@ -380,11 +391,7 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
     grid = data.grid
     v0 = 1.0
     s0 = np.ones(grid.shape)
-    all_v = [np.array([1.0])]
-    all_s = [s0[None, ...].copy()]
-    logOm_first = _lapse_at(data, s0)
-    all_log = [logOm_first[None, ...]]
-    windows = []
+    all_v, all_s, all_log, windows = [], [], [], []
     steps = _even_steps(cfg.delta, cfg.dv)
     done = 0
 
@@ -399,10 +406,12 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
                 continue
             raise BreakdownError(
                 f"foliation breaks down at v = {v0:.6f}: {err}", v0) from err
+        # level 0 of a later window is the last level of the one before
+        head = 1 if windows else 0
         windows.append(win)
-        all_v.append(win.v_nodes[1:])
-        all_s.append(win.s[1:])
-        all_log.append(win.logOmega[1:])
+        all_v.append(win.v_nodes[head:])
+        all_s.append(win.s[head:])
+        all_log.append(win.logOmega[head:])
         s0 = win.s[-1]
         v0 = float(win.v_nodes[-1])
         done += n

@@ -9,7 +9,7 @@ from nullfoliate import geodesic, solver
 from nullfoliate.errors import (BreakdownError, ConfigurationError,
                                 LapseBoundError, NonConvergenceError,
                                 NonFiniteIterateError, OutOfDomainError)
-from nullfoliate.sphere import SpinField
+from nullfoliate.sphere import SpinField, raw_analyze
 from nullfoliate.tensors import grad, hessian, mean
 
 
@@ -237,15 +237,16 @@ class TestContinueFoliation:
     def test_sweeps_solve_the_lapse_block_partition(self, mms_small,
                                                      monkeypatch):
         """A window of several lapse blocks: every sweep solves levels
-        1..steps as the LAPSE_BLOCK partition, one block after another, and
-        the window and the foliation hold the stacks of the last sweep."""
+        1..steps as the LAPSE_BLOCK partition, one block after another, the
+        lone seed leaf is solved once, and the window and the foliation hold
+        the stacks of the last sweep."""
         data, _ = mms_small
         lapse_at = solver._lapse_at
-        blocks = []
+        blocks, lone = [], []
 
         def recording(data, s_samples):
-            if np.ndim(s_samples) == 3:
-                blocks.append(np.array(s_samples))
+            (blocks if np.ndim(s_samples) == 3 else lone).append(
+                np.array(s_samples))
             return lapse_at(data, s_samples)
 
         monkeypatch.setattr(solver, "_lapse_at", recording)
@@ -258,6 +259,7 @@ class TestContinueFoliation:
         partition = [len(range(j, min(j + solver.LAPSE_BLOCK, steps + 1)))
                      for j in range(1, steps + 1, solver.LAPSE_BLOCK)]
         assert [len(b) for b in blocks] == partition * win.iterations
+        assert len(lone) == 1  # the seed leaf v = 1, solved once
         last = np.concatenate(blocks[-len(partition):])
         assert np.array_equal(last, win.s[1:])
         assert win.s.shape == win.logOmega.shape \
@@ -402,7 +404,73 @@ class TestBuildingBlocks:
         assert np.max(np.abs(out.coeffs - y20.coeffs)) < 1e-12
 
 
+def whole_window_monitor(grid, order, sa, la, sb, lb):
+    """Largest per-level order-p Sobolev sum plus sup of the differences, in
+    one analysis of the whole window: the reference for picard_window's
+    per-block monitor."""
+    d = np.stack([sa - sb, la - lb])  # (2, levels, ntheta, nphi)
+    sob = solver._sobolev_sum(raw_analyze(grid, d, 0), order)
+    sup = np.max(np.abs(d), axis=(-2, -1))
+    return float(np.max(sob[0] + sob[1] + sup[0] + sup[1]))
+
+
 class TestMonitors:
+    @staticmethod
+    def _window(data):
+        """A 32-step window: levels 0..32, four lapse blocks."""
+        cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 128.0)
+        return solver.picard_window(data, 1.0, np.ones(data.grid.shape), cfg)
+
+    def test_monitor_analyses_one_block_at_a_time(self, mms_small,
+                                                  monkeypatch):
+        data, _ = mms_small
+        fields = []
+
+        def recording(grid, samples, spin, L=None):
+            fields.append(int(np.prod(np.shape(samples)[:-2])))
+            return raw_analyze(grid, samples, spin, L)
+
+        monkeypatch.setattr(solver, "raw_analyze", recording)
+        win = self._window(data)
+        assert len(win.v_nodes) == 33
+        assert fields and max(fields) <= 4 * solver.LAPSE_BLOCK
+
+    def test_monitor_equals_the_whole_window_formula(self, mms_small,
+                                                     monkeypatch):
+        """M_n and Delta_n, rebuilt from each sweep's iterates, equal the
+        whole-window monitor bit for bit."""
+        data, _ = mms_small
+        lapse_at = solver._lapse_at
+        calls = []
+
+        def recording(data, s_samples):
+            out = lapse_at(data, s_samples)
+            calls.append((np.array(s_samples), out.copy()))
+            return out
+
+        monkeypatch.setattr(solver, "_lapse_at", recording)
+        win = self._window(data)
+        (s0, logOm0), sweeps = calls[0], calls[1:]
+        steps = len(win.v_nodes) - 1
+        per_sweep = -(-steps // solver.LAPSE_BLOCK)
+        assert len(sweeps) == per_sweep * win.iterations
+        s_prev = np.broadcast_to(s0, win.s.shape)
+        logOm_prev = np.broadcast_to(logOm0, win.s.shape)
+        M_ref, Delta_ref = [], []
+        for n in range(win.iterations):
+            sweep = sweeps[n * per_sweep:(n + 1) * per_sweep]
+            s = np.concatenate([s0[None]] + [c[0] for c in sweep])
+            logOm = np.concatenate([logOm0[None]] + [c[1] for c in sweep])
+            M_ref.append(whole_window_monitor(
+                data.grid, 2, s, logOm, np.broadcast_to(s0, s.shape),
+                0.0 * logOm))
+            Delta_ref.append(whole_window_monitor(
+                data.grid, 2, s, logOm, s_prev, logOm_prev))
+            s_prev, logOm_prev = s, logOm
+        assert np.array_equal(s_prev, win.s)
+        assert win.M_trace == M_ref
+        assert win.Delta_trace == Delta_ref
+
     def test_order_five_monitoring_flag(self, mink):
         """monitor_order = 5 widens the monitor to five derivatives without
         changing the accepted fixed point."""

@@ -3,7 +3,9 @@
     python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory holding the `nullfoliate` package (the `src/` of a
-checkout).  Every reference case runs generate -> solve -> verify -> norms
+checkout).  Every reference case (the four dv = 1/64 cases below, and the
+MMS solve of the benchmark's `mms-L23-march`: eps = 0.01, L = 23, n_s = 40,
+dv = 1/256, v in [1, 1.25]) runs generate -> solve -> verify -> norms
 once with PARENT_SRC and once with CHANGE_SRC on PYTHONPATH, each stage as
 its own `python -m nullfoliate.cli` process with BLAS and OpenMP at one
 thread.  Every file the stages write is then compared byte for byte, and so
@@ -44,6 +46,11 @@ CASES = {
         ["--dv", DV, "--v-end", "2"]),
     "mms-L23": (["--model", "mms", "--lmax", "23", "--n-s", "40"],
                 ["--dv", DV, "--v-end", "2"]),
+    # the benchmark's solve: one 64-step window, so 9 blocks of LAPSE_BLOCK
+    # levels per sweep, where the other cases have at most 2
+    "mms-L23-march": (["--model", "mms", "--epsilon", "0.01", "--lmax", "23",
+                       "--n-s", "40"],
+                      ["--dv", str(1.0 / 256.0), "--v-end", "1.25"]),
 }
 
 
