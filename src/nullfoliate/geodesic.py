@@ -141,9 +141,10 @@ class GeodesicNullData:
 
     @cached_property
     def F1_table(self):
-        """F'_1 = -Div' zeta' + rho' - (1/2) chihat' . chibhat' per node."""
+        """F'_1 = -Div' zeta' + rho' - (1/2) chihat' . chibhat' per node, or
+        the real prescribed forcing itself on manufactured data."""
         if self.has_prescribed_forcing:
-            return np.asarray(self.forcing_F1, dtype=np.complex128)
+            return self.forcing_F1
         quad = dot(SymTwoTensor.from_parts(self.grid, None, self.chihat),
                    SymTwoTensor.from_parts(self.grid, None, self.chibhat))
         return -self.div_zeta_table + self.rho - 0.5 * quad.samples
