@@ -304,7 +304,7 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
 
     def monitor(s, logOm, s_prev, logOm_prev):
         """(M_n, Delta_n): largest per-level order-p Sobolev sum plus sup of
-        the differences from the seed and from the previous sweep."""
+        the differences of (s, logOm) from (s0, 0) and from the last sweep."""
         per_block = []
         for j in range(0, steps + 1, LAPSE_BLOCK):
             b = slice(j, j + LAPSE_BLOCK)
