@@ -1,4 +1,6 @@
-"""Residual suites, commutation checks, Littlewood-Paley/Besov/Sobolev norms.
+"""What verify and norms compute: the constraint and transport residual
+suites, the Littlewood-Paley/Besov/Sobolev norms of the norm suite, and the
+v-convergence study.
 
 canonical() is the one place that turns a foliation into its canonical
 geometry: one reconstruct call on the chosen levels, as one stack.  Every
@@ -16,8 +18,6 @@ margin are excluded from the reported rows.  Everything else is spectral.
 """
 
 from dataclasses import replace
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .errors import ConfigurationError
 from .reports import NormReport, ResidualReport
 from .sphere import SpinField
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, contract2,
-                      curl, div, div2, dot, eth_g, ethbar_g, grad,
-                      hessian, hodge_D1, laplacian, mean, multiply,
-                      rough_laplacian_oneform)
+                      div, div2, dot, eth_g, ethbar_g, grad, hodge_D1,
+                      laplacian, mean, multiply)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -93,11 +92,6 @@ def _sizes(x, metric):
 
 def _l2_g(x, metric):
     return _sizes(x, metric)[1]
-
-
-def _record(rep, name, v, x, metric):
-    """One row per level of the stacked residual x."""
-    rep.add_levels(v, {name: _sizes(x, metric)})
 
 
 def canonical(foliation, levels=slice(None)):
@@ -180,15 +174,6 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
 # --------------------------------------------------------------------------
 # transport residuals
 # --------------------------------------------------------------------------
-
-def dLUpsilon_fd(co):
-    """nabla_L Upsilon by v-differencing (the cross-path diagnostic value).
-
-    co is the reconstruction of every level of a foliation, as one stack.
-    """
-    dups, _ = v_derivative(co.Upsilon.plus.samples, _dv(co), len(co.v))
-    return OneForm.from_plus(co.metric.grid, _omega(co) * dups)
-
 
 def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
     """Residuals of the null transport equations on the reconstruction co
@@ -299,44 +284,6 @@ def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
 
 
 # --------------------------------------------------------------------------
-# commutation identities
-# --------------------------------------------------------------------------
-
-def commutation_grad_laplacian(f: SpinField, metric: MetricRep) -> OneForm:
-    """[grad, Delta] f + K grad f (vanishes identically on the continuum)."""
-    lhs = grad(laplacian(f, metric), metric) \
-        - rough_laplacian_oneform(grad(f, metric), metric)
-    K = metric.gauss_curvature()
-    return lhs + K * grad(f, metric)
-
-
-def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
-    """Scalar commutation identities along a foliation.
-
-    co is the reconstruction of every level.  Checks [grad, Delta] f =
-    -K grad f per level (spectral) and the [nabla_L, grad] f identity by
-    v-differencing the gradient of a v-independent test profile.
-    """
-    rep = ResidualReport(tolerance_used=tolerance)
-    n = len(co.v)
-    metric = co.metric
-    _record(rep, "comm_grad_laplacian", co.v,
-            commutation_grad_laplacian(f, metric), metric)
-
-    gf = grad(f, metric)
-    dgp, margin = v_derivative(gf.plus.samples, _dv(co), n)
-    inner = slice(margin, n - margin)
-    co = co[inner]
-    dLgrad = OneForm.from_plus(metric.grid, _omega(co) * dgp[inner])
-    gf = gf[inner]
-    # [nabla_L, grad] f = -trchi grad f / 2 - chihat . grad f
-    #                     + (etab + zeta) L f  with L f = 0 here
-    res = dLgrad + 0.5 * (co.trchi * gf) + contract(co.chi.hat(), gf)
-    _record(rep, "comm_L_grad", co.v, res, co.metric)
-    return rep
-
-
-# --------------------------------------------------------------------------
 # Littlewood-Paley, Besov, Sobolev machinery
 # --------------------------------------------------------------------------
 
@@ -426,11 +373,6 @@ def Hs_norm(f, s_exp) -> float:
         mult = (1.0 + ls * (ls + 1.0)) ** s_exp
         total += w * float(np.sum(mult[:, None] * np.abs(comp.coeffs) ** 2))
     return float(np.sqrt(total))
-
-
-def lp_partition_residual(f) -> float:
-    """|| (P_{<0} + sum_k P_k) f - f || on a band-limited field."""
-    return _l2_round(reduce(add, (p for _, p in _dyadic(f))) - f)
 
 
 # --------------------------------------------------------------------------
@@ -722,96 +664,6 @@ def _geo_trace_norm(table, wcc):
     stack = np.sqrt(2.0) * np.abs(table)
     gen = np.sqrt(np.tensordot(wcc, stack ** 2, axes=(0, 0)))
     return float(np.max(gen))
-
-
-# --------------------------------------------------------------------------
-# weak sphericality
-# --------------------------------------------------------------------------
-
-def sphericality_report(co):
-    """Per-level split K - 1/v^2 = Div Psi + Theta with Psi = zeta, on the
-    reconstruction co of a foliation.
-
-    Theta = -trchi trchib/4 - 1/v^2 + mu follows from the Gauss equation and
-    the mass-aspect definition.  Returns (rows, identity_report) where rows
-    are dicts {v, Psi, Theta, psi_H12, theta_L2}.
-    """
-    rep = ResidualReport(tolerance_used=1e-9)
-    g = co.metric
-    inv_v2 = SpinField.constant(g.grid, -1.0 / co.v ** 2)
-    Theta = -0.25 * multiply(co.trchi, co.trchib) + inv_v2 + co.mu
-    Psi = co.zeta
-    resid = g.gauss_curvature() + inv_v2 - div(Psi, g) - Theta
-    _record(rep, "sphericality_split", co.v, resid, g)
-    theta_l2 = _l2_g(Theta, g)
-    rows = [{"v": float(v), "Psi": Psi[i], "Theta": Theta[i],
-             "psi_H12": Hs_norm(Psi[i], 0.5), "theta_L2": float(theta_l2[i])}
-            for i, v in enumerate(co.v)]
-    return rows, rep
-
-
-# --------------------------------------------------------------------------
-# Bochner identities (round reference; used by the identity suites)
-# --------------------------------------------------------------------------
-
-def bochner_scalar(f: SpinField, metric: MetricRep):
-    """(int |Hess f|^2, int |Delta f|^2 - int K |grad f|^2) under g."""
-    g = metric
-    H = hessian(f, g)
-    dens = g.sqrt_det()
-    lhs = g.grid.integrate(np.real(H.norm2().samples) * dens)
-    lap2 = g.grid.integrate(np.abs(laplacian(f, g).samples) ** 2 * dens)
-    K = g.gauss_curvature()
-    kg = g.grid.integrate(np.real(
-        multiply(K, grad(f, g).norm2()).samples) * dens)
-    return float(lhs), float(lap2 - kg)
-
-
-def bochner_oneform(F: OneForm, grid):
-    """(int |Hess F|^2, RHS) of the 1-form Bochner identity on the unit sphere.
-
-    Uses raw spin ladders up to |s| = 3 internally for the second-derivative
-    components; only defined on the round reference (K = 1), where
-
-        RHS = int |Delta F|^2 - 2 int |grad F|^2
-              + int (|Div F|^2 + |Curl F|^2) + int |F|^2
-
-    (both first-order squares appear; checked mode-by-mode on gradient and
-    curl eigenfields).
-    """
-    from .sphere import ladder_lower, ladder_raise, raw_synthesize
-
-    L = grid.Lmax
-
-    def up(c, s):
-        return ladder_raise(c, s, L)
-
-    def dn(c, s):
-        return ladder_lower(c, s, L)
-
-    cp = F.plus.coeffs
-    cm = F.minus.coeffs
-    # second covariant derivative components: T_abc = eth_a eth_b F_c / 2,
-    # four independent classes for a real 1-form (conjugates pair up)
-    pieces = [
-        (up(up(cp, 1), 2), 3),   # (m, m, m)
-        (up(up(cm, -1), 0), 1),  # (m, m, mbar)
-        (up(dn(cp, 1), 0), 1),   # (m, mbar, m)
-        (dn(up(cp, 1), 2), 1),   # (mbar, m, m)
-    ]
-    lhs = 0.0
-    for coeffs, spin in pieces:
-        samp = raw_synthesize(grid, coeffs / 2.0, spin)
-        lhs += 2.0 * grid.integrate(np.abs(samp) ** 2)
-
-    met = MetricRep.round_sphere(grid, 1.0)
-    lapF = rough_laplacian_oneform(F, met)
-    rhs = grid.integrate(np.real(lapF.norm2().samples)) \
-        - 2.0 * grid.integrate(np.real(_grad_any(F, met).norm2().samples)) \
-        + grid.integrate(np.abs(div(F, met).samples) ** 2) \
-        + grid.integrate(np.abs(curl(F, met).samples) ** 2) \
-        + grid.integrate(np.real(F.norm2().samples))
-    return float(lhs), float(rhs)
 
 
 # --------------------------------------------------------------------------

@@ -14,15 +14,13 @@ class ConfigurationError(NullfoliateError):
 
 
 class UnsupportedSpinError(NullfoliateError):
-    """An operation would create or consume a spin weight outside {-2..2}."""
+    """An operand has a spin weight the operation does not take: a tensor
+    component of the wrong spin, a spin-weighted field where spin 0 is
+    needed, or a sum of two different spins."""
 
 
 class OutOfDomainError(NullfoliateError):
     """An evaluation height left the data slab [1, s*]."""
-
-
-class ConstraintError(NullfoliateError):
-    """An input violates a mathematical precondition (e.g. non-mean-free source)."""
 
 
 class DatasetError(NullfoliateError):

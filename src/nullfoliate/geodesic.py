@@ -156,8 +156,6 @@ class GeodesicNullData:
         F'_2 = -nabla'_L zeta' - trchi' zeta' + chi'.zeta' - Div'chi' + beta'
                + 2 chihat'.zeta'.
         """
-        if self.has_prescribed_forcing:
-            return np.zeros_like(self.zeta)
         dz = self.d_ds(self.zeta)
         chi = SymTwoTensor.from_parts(self.grid, self.trchi, self.chihat)
         ze = OneForm.from_plus(self.grid, self.zeta)
@@ -173,8 +171,6 @@ class GeodesicNullData:
         Derived from the projection calculus with the geodesic transport
         equations substituted: F'_3 = 2 alpha' + [trchi'^2/4 + 2|chihat'|^2] g'.
         """
-        if self.has_prescribed_forcing:
-            return np.zeros_like(self.rho), np.zeros_like(self.alpha)
         chihat_sq = 2.0 * np.abs(self.chihat) ** 2  # |chihat'|^2 pointwise
         iso = 0.25 * self.trchi ** 2 + 2.0 * chihat_sq
         return 2.0 * iso, 2.0 * self.alpha
@@ -185,8 +181,6 @@ class GeodesicNullData:
 
         F'_4 = -(1/2) trchi' g' - 2 chihat', so the g-trace is -trchi'.
         """
-        if self.has_prescribed_forcing:
-            return np.zeros_like(self.rho), np.zeros_like(self.alpha)
         return -self.trchi, -2.0 * self.chihat
 
     # ---- summary ---------------------------------------------------------
@@ -317,9 +311,6 @@ class MmsExact:
     def dvs_exact(self, v):
         ec = np.exp(self.c(v))
         return ec * (1.0 + self.epsilon * self.p(v) * self.G)
-
-    def log_omega_exact(self, v):
-        return -np.log1p(self.epsilon * self.p(v) * self.G) - self.c(v)
 
     def v_of_s(self, s_samples):
         """Invert the graph map per angular node (Newton, machine precision)."""

@@ -121,9 +121,6 @@ class Foliation:
     def max_omega_dev(self):
         return float(np.max(np.abs(np.exp(self.logOmega) - 1.0)))
 
-    def max_graph_dev(self):
-        return float(np.max(np.abs(self.s - self.v_nodes[:, None, None])))
-
     def trace_rows(self):
         rows = []
         for w, win in enumerate(self.windows):

@@ -65,8 +65,6 @@ from ._cheb import barycentric_interp
 from ._wigner import spin_lambda_tables
 from .errors import ConfigurationError, OutOfDomainError, UnsupportedSpinError
 
-MAX_SPIN = 2
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -144,15 +142,9 @@ def _plan(grid, L, spin):
     return _LEGENDRE[key], E[band], Einv[:, band]
 
 
-def _tables(Lmax, spin):
-    """lam[l, m+Lmax, theta]: a view of the cached full-band table."""
-    return _plan(build_grid(Lmax), Lmax, spin)[0].transpose(2, 0, 1)
-
-
 def raw_analyze(grid: Grid, samples, spin: int, L=None):
     """Coefficients a[..., l, m+L] up to band L (default grid.Lmax) of a
-    spin-weighted field or a stack of them (samples (..., ntheta, nphi));
-    no spin-range check."""
+    spin-weighted field or a stack of them (samples (..., ntheta, nphi))."""
     L = grid.Lmax if L is None else L
     lam, _, Einv = _plan(grid, L, spin)
     nt = grid.Lmax + 1
@@ -182,7 +174,7 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
 def raw_synthesize(grid: Grid, coeffs, spin: int):
     """Samples (..., ntheta, nphi) of a spin-weighted field or a stack of
     them from coefficients (..., l, m+L) of any band L <= grid.Lmax, read
-    from their shape (..., L+1, 2L+1); no spin-range check.
+    from their shape (..., L+1, 2L+1).
 
     Reads the coefficients through their full transpose (m, l, reversed
     stack), so a Fortran-ordered array is used without a copy.
@@ -236,8 +228,6 @@ class SpinField:
     __slots__ = ("grid", "spin", "_coeffs", "_samples")
 
     def __init__(self, grid: Grid, spin: int, coeffs=None, samples=None):
-        # the public transform/derivative entry points enforce |spin| <= 2;
-        # higher weights appear only as internal derivative components
         self.grid = grid
         self.spin = spin
         self._coeffs = coeffs
@@ -391,44 +381,16 @@ class SpinField:
         return bool(np.all(np.isfinite(self.samples)))
 
 
-def analyze(samples, spin: int, grid: Grid) -> np.ndarray:
-    """Forward transform; raises UnsupportedSpinError outside {-2..2}."""
-    if abs(spin) > MAX_SPIN:
-        raise UnsupportedSpinError(f"spin {spin} outside supported range")
-    return raw_analyze(grid, samples, spin)
-
-
-def synthesize(coeffs, spin: int, grid: Grid) -> np.ndarray:
-    """Inverse transform; raises UnsupportedSpinError outside {-2..2}."""
-    if abs(spin) > MAX_SPIN:
-        raise UnsupportedSpinError(f"spin {spin} outside supported range")
-    return raw_synthesize(grid, coeffs, spin)
-
-
-def eth_any(f: SpinField) -> SpinField:
-    """Spin-raising derivative without the public spin-range guard."""
+def eth(f: SpinField) -> SpinField:
+    """Spin-raising derivative on the unit round sphere."""
     return SpinField(f.grid, f.spin + 1,
                      coeffs=ladder_raise(f.coeffs, f.spin, f.grid.Lmax))
 
 
-def ethbar_any(f: SpinField) -> SpinField:
-    """Spin-lowering derivative without the public spin-range guard."""
-    return SpinField(f.grid, f.spin - 1,
-                     coeffs=ladder_lower(f.coeffs, f.spin, f.grid.Lmax))
-
-
-def eth(f: SpinField) -> SpinField:
-    """Spin-raising derivative on the unit round sphere."""
-    if abs(f.spin + 1) > MAX_SPIN:
-        raise UnsupportedSpinError("eth would leave the supported spin range")
-    return eth_any(f)
-
-
 def ethbar(f: SpinField) -> SpinField:
     """Spin-lowering derivative on the unit round sphere."""
-    if abs(f.spin - 1) > MAX_SPIN:
-        raise UnsupportedSpinError("ethbar would leave the supported spin range")
-    return ethbar_any(f)
+    return SpinField(f.grid, f.spin - 1,
+                     coeffs=ladder_lower(f.coeffs, f.spin, f.grid.Lmax))
 
 
 def laplacian_round(f: SpinField, R: float = 1.0) -> SpinField:

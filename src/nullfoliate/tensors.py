@@ -24,8 +24,8 @@ import operator
 
 import numpy as np
 
-from .errors import ConstraintError, UnsupportedSpinError
-from .sphere import SpinField, eth, laplacian_round, multiply
+from .errors import UnsupportedSpinError
+from .sphere import SpinField, eth, ethbar, laplacian_round, multiply
 
 SQRT2 = np.sqrt(2.0)
 
@@ -211,11 +211,6 @@ def wedge(a, b) -> SpinField:
     return -2.0 * _cross(a, b).imag()
 
 
-def hat_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:
-    """Tracefree symmetric product a otimes-hat b."""
-    return SymTwoTensor.tracefree(2.0 * multiply(a.plus, b.plus))
-
-
 def sym_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:
     """Symmetrised tensor product a b + b a (carries its trace 2 a.b)."""
     return SymTwoTensor(2.0 * dot(a, b), 2.0 * multiply(a.plus, b.plus))
@@ -249,19 +244,16 @@ def contract2(T: SymTwoTensor, a: OneForm, b: OneForm) -> SpinField:
 
 def eth_g(eta: SpinField, g: MetricRep) -> SpinField:
     """Conformal eth: e^{(s-1) psi} eth(e^{-s psi} eta)."""
-    from .sphere import eth_any
     s = eta.spin
-    inner = eth_any(multiply(g.conformal_factor(-s), eta)) if s != 0 \
-        else eth_any(eta)
+    inner = eth(multiply(g.conformal_factor(-s), eta)) if s != 0 else eth(eta)
     return multiply(g.conformal_factor(s - 1.0), inner)
 
 
 def ethbar_g(eta: SpinField, g: MetricRep) -> SpinField:
     """Conformal ethbar: e^{-(s+1) psi} ethbar(e^{s psi} eta)."""
-    from .sphere import ethbar_any
     s = eta.spin
-    inner = ethbar_any(multiply(g.conformal_factor(s), eta)) if s != 0 \
-        else ethbar_any(eta)
+    inner = ethbar(multiply(g.conformal_factor(s), eta)) if s != 0 \
+        else ethbar(eta)
     return multiply(g.conformal_factor(-(s + 1.0)), inner)
 
 
@@ -299,12 +291,6 @@ def hessian(f: SpinField, g: MetricRep) -> SymTwoTensor:
     return SymTwoTensor(laplacian(f, g), 0.5 * eth(multiply(w2, eth(f))))
 
 
-def rough_laplacian_oneform(X: OneForm, g: MetricRep) -> OneForm:
-    """Trace of the second covariant derivative on a 1-form."""
-    p = X.plus
-    return OneForm(0.5 * (eth_g(ethbar_g(p, g), g) + ethbar_g(eth_g(p, g), g)))
-
-
 def mean(f: SpinField, g: MetricRep):
     """Average of f against the g-measure; one value per field of a stack."""
     dens = g.sqrt_det()
@@ -316,30 +302,13 @@ def mean(f: SpinField, g: MetricRep):
 
 
 # --------------------------------------------------------------------------
-# Hodge systems
+# Hodge system and Laplace inversion
 # --------------------------------------------------------------------------
 
 def hodge_D1(X: OneForm, g: MetricRep):
     """D1 X = (div X, curl X), from one conformal ethbar of X_m."""
     e = ethbar_g(X.plus, g)
     return SQRT2 * e.real(), SQRT2 * e.imag()
-
-
-def hodge_D1_star(f: SpinField, h: SpinField, g: MetricRep) -> OneForm:
-    """D1* (f,h) = -grad f + dual grad h."""
-    return OneForm(multiply(g.conformal_factor(-1.0), eth(f + 1j * h))
-                   * (-1.0 / SQRT2))
-
-
-def hodge_D2(T: SymTwoTensor, g: MetricRep) -> OneForm:
-    """D2 T = div of the tracefree part."""
-    return OneForm(ethbar_g(T.hat_plus, g) * (1.0 / SQRT2))
-
-
-def hodge_D2_star(X: OneForm, g: MetricRep) -> SymTwoTensor:
-    """D2* X = -(1/2) grad otimes-hat X."""
-    return SymTwoTensor.tracefree(
-        eth(multiply(g.conformal_factor(-1.0), X.plus)) * (-1.0 / SQRT2))
 
 
 def invert_laplacian(f: SpinField, g: MetricRep) -> SpinField:
@@ -355,14 +324,3 @@ def invert_laplacian(f: SpinField, g: MetricRep) -> SpinField:
     inv[1:] = -1.0 / (ls[1:] * (ls[1:] + 1.0))
     u = SpinField.from_coeffs(g.grid, 0, rhs.coeffs * inv[:, None])
     return u - SpinField.constant(g.grid, mean(u, g))
-
-
-def invert_D1(f: SpinField, h: SpinField, g: MetricRep,
-              tol: float = 1e-10) -> OneForm:
-    """Solve D1 X = (f, h) for mean-free scalars f, h."""
-    scale = max(f.max_abs(), h.max_abs(), 1.0)
-    if abs(mean(f, g)) > tol * scale or abs(mean(h, g)) > tol * scale:
-        raise ConstraintError("invert_D1 requires mean-free scalars")
-    a = -1.0 * invert_laplacian(f, g)
-    b = -1.0 * invert_laplacian(h, g)
-    return hodge_D1_star(a, b, g)

@@ -1,7 +1,21 @@
+"""Fixtures, random fields and the helpers the tests measure with.
+
+The helpers below the fixtures check identities (commutators, Bochner, the
+Littlewood-Paley partition, the weak-sphericality split) on the package's
+operators; the package itself runs none of them.
+"""
+
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
-from nullfoliate.sphere import SpinField, build_grid
+from nullfoliate import diagnostics, sphere
+from nullfoliate.reports import ResidualReport
+from nullfoliate.sphere import SpinField, build_grid, multiply
+from nullfoliate.tensors import (MetricRep, OneForm, contract, curl, div,
+                                 eth_g, ethbar_g, grad, hessian, laplacian)
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +63,162 @@ def random_spin_field(grid, spin, seed, lmax=None):
         for m in range(-l, l + 1):
             c[l, grid.Lmax + m] = rng.normal() + 1j * rng.normal()
     return SpinField.from_coeffs(grid, spin, c)
+
+
+def log_omega_exact(exact, v):
+    """log Omega* at level v of a manufactured solution (MmsExact)."""
+    return -np.log1p(exact.epsilon * exact.p(v) * exact.G) - exact.c(v)
+
+
+def sphere_tables(Lmax, spin):
+    """lam[l, m+Lmax, theta]: a view of the cached full-band table."""
+    return sphere._plan(build_grid(Lmax), Lmax, spin)[0].transpose(2, 0, 1)
+
+
+# --------------------------------------------------------------------------
+# identities checked on the package's operators
+# --------------------------------------------------------------------------
+
+def _record(rep, name, v, x, metric):
+    """One row per level of the stacked residual x."""
+    rep.add_levels(v, {name: diagnostics._sizes(x, metric)})
+
+
+def rough_laplacian_oneform(X: OneForm, g: MetricRep) -> OneForm:
+    """Trace of the second covariant derivative on a 1-form."""
+    p = X.plus
+    return OneForm(0.5 * (eth_g(ethbar_g(p, g), g) + ethbar_g(eth_g(p, g), g)))
+
+
+def commutation_grad_laplacian(f: SpinField, metric: MetricRep) -> OneForm:
+    """[grad, Delta] f + K grad f (vanishes identically on the continuum)."""
+    lhs = grad(laplacian(f, metric), metric) \
+        - rough_laplacian_oneform(grad(f, metric), metric)
+    K = metric.gauss_curvature()
+    return lhs + K * grad(f, metric)
+
+
+def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
+    """Scalar commutation identities along a foliation.
+
+    co is the reconstruction of every level.  Checks [grad, Delta] f =
+    -K grad f per level (spectral) and the [nabla_L, grad] f identity by
+    v-differencing the gradient of a v-independent test profile.
+    """
+    rep = ResidualReport(tolerance_used=tolerance)
+    n = len(co.v)
+    metric = co.metric
+    _record(rep, "comm_grad_laplacian", co.v,
+            commutation_grad_laplacian(f, metric), metric)
+
+    gf = grad(f, metric)
+    dgp, margin = diagnostics.v_derivative(gf.plus.samples,
+                                           diagnostics._dv(co), n)
+    inner = slice(margin, n - margin)
+    co = co[inner]
+    dLgrad = OneForm.from_plus(metric.grid,
+                               diagnostics._omega(co) * dgp[inner])
+    gf = gf[inner]
+    # [nabla_L, grad] f = -trchi grad f / 2 - chihat . grad f
+    #                     + (etab + zeta) L f  with L f = 0 here
+    res = dLgrad + 0.5 * (co.trchi * gf) + contract(co.chi.hat(), gf)
+    _record(rep, "comm_L_grad", co.v, res, co.metric)
+    return rep
+
+
+def dLUpsilon_fd(co):
+    """nabla_L Upsilon by v-differencing (the cross-path diagnostic value).
+
+    co is the reconstruction of every level of a foliation, as one stack.
+    """
+    dups, _ = diagnostics.v_derivative(co.Upsilon.plus.samples,
+                                       diagnostics._dv(co), len(co.v))
+    return OneForm.from_plus(co.metric.grid, diagnostics._omega(co) * dups)
+
+
+def lp_partition_residual(f) -> float:
+    """|| (P_{<0} + sum_k P_k) f - f || on a band-limited field."""
+    return diagnostics._l2_round(
+        reduce(add, (p for _, p in diagnostics._dyadic(f))) - f)
+
+
+def sphericality_report(co):
+    """Per-level split K - 1/v^2 = Div Psi + Theta with Psi = zeta, on the
+    reconstruction co of a foliation.
+
+    Theta = -trchi trchib/4 - 1/v^2 + mu follows from the Gauss equation and
+    the mass-aspect definition.  Returns (rows, identity_report) where rows
+    are dicts {v, Psi, Theta, psi_H12, theta_L2}.
+    """
+    rep = ResidualReport(tolerance_used=1e-9)
+    g = co.metric
+    inv_v2 = SpinField.constant(g.grid, -1.0 / co.v ** 2)
+    Theta = -0.25 * multiply(co.trchi, co.trchib) + inv_v2 + co.mu
+    Psi = co.zeta
+    resid = g.gauss_curvature() + inv_v2 - div(Psi, g) - Theta
+    _record(rep, "sphericality_split", co.v, resid, g)
+    theta_l2 = diagnostics._l2_g(Theta, g)
+    rows = [{"v": float(v), "Psi": Psi[i], "Theta": Theta[i],
+             "psi_H12": diagnostics.Hs_norm(Psi[i], 0.5),
+             "theta_L2": float(theta_l2[i])}
+            for i, v in enumerate(co.v)]
+    return rows, rep
+
+
+def bochner_scalar(f: SpinField, metric: MetricRep):
+    """(int |Hess f|^2, int |Delta f|^2 - int K |grad f|^2) under g."""
+    g = metric
+    H = hessian(f, g)
+    dens = g.sqrt_det()
+    lhs = g.grid.integrate(np.real(H.norm2().samples) * dens)
+    lap2 = g.grid.integrate(np.abs(laplacian(f, g).samples) ** 2 * dens)
+    K = g.gauss_curvature()
+    kg = g.grid.integrate(np.real(
+        multiply(K, grad(f, g).norm2()).samples) * dens)
+    return float(lhs), float(lap2 - kg)
+
+
+def bochner_oneform(F: OneForm, grid):
+    """(int |Hess F|^2, RHS) of the 1-form Bochner identity on the unit sphere.
+
+    Uses raw spin ladders up to |s| = 3 internally for the second-derivative
+    components; only defined on the round reference (K = 1), where
+
+        RHS = int |Delta F|^2 - 2 int |grad F|^2
+              + int (|Div F|^2 + |Curl F|^2) + int |F|^2
+
+    (both first-order squares appear; checked mode-by-mode on gradient and
+    curl eigenfields).
+    """
+    L = grid.Lmax
+
+    def up(c, s):
+        return sphere.ladder_raise(c, s, L)
+
+    def dn(c, s):
+        return sphere.ladder_lower(c, s, L)
+
+    cp = F.plus.coeffs
+    cm = F.minus.coeffs
+    # second covariant derivative components: T_abc = eth_a eth_b F_c / 2,
+    # four independent classes for a real 1-form (conjugates pair up)
+    pieces = [
+        (up(up(cp, 1), 2), 3),   # (m, m, m)
+        (up(up(cm, -1), 0), 1),  # (m, m, mbar)
+        (up(dn(cp, 1), 0), 1),   # (m, mbar, m)
+        (dn(up(cp, 1), 2), 1),   # (mbar, m, m)
+    ]
+    lhs = 0.0
+    for coeffs, spin in pieces:
+        samp = sphere.raw_synthesize(grid, coeffs / 2.0, spin)
+        lhs += 2.0 * grid.integrate(np.abs(samp) ** 2)
+
+    met = MetricRep.round_sphere(grid, 1.0)
+    lapF = rough_laplacian_oneform(F, met)
+    rhs = grid.integrate(np.real(lapF.norm2().samples)) \
+        - 2.0 * grid.integrate(
+            np.real(diagnostics._grad_any(F, met).norm2().samples)) \
+        + grid.integrate(np.abs(div(F, met).samples) ** 2) \
+        + grid.integrate(np.abs(curl(F, met).samples) ** 2) \
+        + grid.integrate(np.real(F.norm2().samples))
+    return float(lhs), float(rhs)

@@ -10,7 +10,7 @@ from nullfoliate.sphere import SpinField
 from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, contract,
                                  dual, grad)
 
-from conftest import random_real_scalar, random_spin_field
+from conftest import dLUpsilon_fd, random_real_scalar, random_spin_field
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +208,7 @@ class TestCrossPaths:
     def test_etab_two_paths_agree(self, mms_foliation):
         """etab via the comparison proposition with a v-differenced
         nabla_L Upsilon against etab = -zeta - grad log Omega."""
-        from nullfoliate.diagnostics import (_fd_stencil, canonical,
-                                             dLUpsilon_fd)
+        from nullfoliate.diagnostics import _fd_stencil, canonical
         data, exact, fol = mms_foliation
         levels = canonical(fol)
         dl = dLUpsilon_fd(levels)
@@ -226,8 +225,7 @@ class TestCrossPaths:
     def test_upsilon_transport_identity(self, mms_foliation):
         """nabla_L Upsilon from v-differencing satisfies the algebraic
         transport equation through the solver's truncation."""
-        from nullfoliate.diagnostics import (_fd_stencil, canonical,
-                                             dLUpsilon_fd)
+        from nullfoliate.diagnostics import _fd_stencil, canonical
         data, exact, fol = mms_foliation
         levels = canonical(fol)
         dl = dLUpsilon_fd(levels)

@@ -1,4 +1,5 @@
-"""Residual suites, commutation checks, LP/Besov/Sobolev norm tests."""
+"""Residual suites, LP/Besov/Sobolev norms, and the identities (commutation,
+Bochner, weak sphericality) checked on the reconstructed geometry."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from nullfoliate.errors import ConfigurationError
 from nullfoliate.sphere import SpinField
 from nullfoliate.tensors import MetricRep, OneForm, SymTwoTensor, dual, grad
 
-from conftest import harmonic, random_real_scalar, random_spin_field
+from conftest import (bochner_oneform, bochner_scalar, commutation_check,
+                      commutation_grad_laplacian, harmonic,
+                      lp_partition_residual, random_real_scalar,
+                      random_spin_field, sphericality_report)
 
 
 @pytest.fixture(scope="module")
@@ -81,15 +85,13 @@ class TestCommutation:
     def test_round_unit_sphere(self, grid12):
         """[grad, Delta] f = -K grad f with K = 1 on the unit sphere."""
         met = MetricRep.round_sphere(grid12, 1.0)
-        res = diagnostics.commutation_grad_laplacian(harmonic(grid12, 3, 1),
-                                                     met)
+        res = commutation_grad_laplacian(harmonic(grid12, 3, 1), met)
         assert res.max_abs() < 1e-11
 
     def test_radius_two_sphere(self, grid12):
         """K = 1/4 version on the radius-2 sphere."""
         met = MetricRep.round_sphere(grid12, 2.0)
-        res = diagnostics.commutation_grad_laplacian(harmonic(grid12, 2, 0),
-                                                     met)
+        res = commutation_grad_laplacian(harmonic(grid12, 2, 0), met)
         assert res.max_abs() < 1e-11
 
     def test_minkowski_foliation_L_grad(self, mink_foliation):
@@ -97,7 +99,7 @@ class TestCommutation:
         on the flat cone (chihat = 0, grad log Omega = 0)."""
         data, fol = mink_foliation
         f = harmonic(data.grid, 3, 1)
-        rep = diagnostics.commutation_check(diagnostics.canonical(fol), f)
+        rep = commutation_check(diagnostics.canonical(fol), f)
         assert rep.worst("comm_L_grad") < 1e-10
         assert rep.worst("comm_grad_laplacian") < 1e-10
 
@@ -105,11 +107,11 @@ class TestCommutation:
 class TestLittlewoodPaley:
     def test_partition_of_unity(self, grid12):
         f = random_spin_field(grid12, 0, seed=3)
-        assert diagnostics.lp_partition_residual(f) < 1e-10
+        assert lp_partition_residual(f) < 1e-10
 
     def test_partition_on_tensor(self, grid12):
         X = OneForm(random_spin_field(grid12, 1, seed=4))
-        assert diagnostics.lp_partition_residual(X) < 1e-10
+        assert lp_partition_residual(X) < 1e-10
 
     def test_h12_of_y20(self, grid12):
         """H^{1/2}(Y20) = (1 + 6)^{1/4}."""
@@ -163,14 +165,14 @@ class TestBochner:
     def test_scalar_identity_random(self, grid12):
         met = MetricRep.round_sphere(grid12, 1.0)
         f = random_real_scalar(grid12, seed=8, lmax=5)
-        lhs, rhs = diagnostics.bochner_scalar(f, met)
+        lhs, rhs = bochner_scalar(f, met)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
     def test_oneform_identity_random(self, grid12):
         met = MetricRep.round_sphere(grid12, 1.0)
         F = grad(random_real_scalar(grid12, seed=9, lmax=5), met) \
             + dual(grad(random_real_scalar(grid12, seed=10, lmax=5), met))
-        lhs, rhs = diagnostics.bochner_oneform(F, grid12)
+        lhs, rhs = bochner_oneform(F, grid12)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -205,8 +207,7 @@ class TestNormSuite:
 class TestSphericality:
     def test_minkowski_split_vanishes(self, mink_foliation):
         _, fol = mink_foliation
-        rows, rep = diagnostics.sphericality_report(
-            diagnostics.canonical(fol))
+        rows, rep = sphericality_report(diagnostics.canonical(fol))
         assert all(r["theta_L2"] < 1e-10 for r in rows)
         assert all(r["psi_H12"] < 1e-10 for r in rows)
         assert rep.worst() < 1e-10
@@ -215,8 +216,7 @@ class TestSphericality:
         """s = v makes K = 1/s^2 match the 1/v^2 reference exactly, so both
         split pieces vanish."""
         _, fol = schw_foliation
-        rows, rep = diagnostics.sphericality_report(
-            diagnostics.canonical(fol))
+        rows, rep = sphericality_report(diagnostics.canonical(fol))
         assert rows[-1]["theta_L2"] < 1e-9
         assert rows[-1]["psi_H12"] < 1e-10
         assert rep.worst() < 1e-9
@@ -267,8 +267,7 @@ class TestSphericalityScaling:
             fol = solver.continue_foliation(
                 data, solver.SolverConfig(delta=0.5, dv=1.0 / 16.0),
                 v_end=2.0)
-            rows, _ = diagnostics.sphericality_report(
-                diagnostics.canonical(fol))
+            rows, _ = sphericality_report(diagnostics.canonical(fol))
             sizes[eps] = max(r["theta_L2"] + r["psi_H12"] for r in rows)
         slope = np.log(sizes[1e-2] / sizes[5e-3]) / np.log(2.0)
         assert abs(slope - 1.0) < 0.15

@@ -11,12 +11,12 @@ from nullfoliate._cheb import barycentric_weights
 from nullfoliate._wigner import spin_lambda_tables
 from nullfoliate.errors import (ConfigurationError, OutOfDomainError,
                                 UnsupportedSpinError)
-from nullfoliate.sphere import (GeneratorPack, SpinField, _tables, analyze,
-                                build_grid, eth, ethbar, interp_generator,
-                                laplacian_round, multiply, pad_Lmax,
-                                raw_analyze, raw_synthesize, synthesize)
+from nullfoliate.sphere import (GeneratorPack, SpinField, build_grid, eth,
+                                ethbar, interp_generator, laplacian_round,
+                                multiply, pad_Lmax, raw_analyze,
+                                raw_synthesize)
 
-from conftest import harmonic, random_spin_field
+from conftest import harmonic, random_spin_field, sphere_tables
 
 
 class TestGrid:
@@ -50,7 +50,7 @@ class TestTransforms:
     def test_y00_single_coefficient(self, grid8):
         samples = np.full(grid8.shape, np.sqrt(1.0 / (4.0 * np.pi)),
                           dtype=complex)
-        a = analyze(samples, 0, grid8)
+        a = raw_analyze(grid8, samples, 0)
         assert abs(a[0, grid8.Lmax] - 1.0) < 1e-13
         a[0, grid8.Lmax] = 0.0
         assert np.max(np.abs(a)) < 1e-13
@@ -58,7 +58,7 @@ class TestTransforms:
     @pytest.mark.parametrize("spin", [-2, -1, 0, 1, 2])
     def test_roundtrip_band_limited(self, grid12, spin):
         f = random_spin_field(grid12, spin, seed=42 + spin)
-        back = analyze(f.samples, spin, grid12)
+        back = raw_analyze(grid12, f.samples, spin)
         assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_spin1_eth_y20_convention(self, grid8):
@@ -67,25 +67,17 @@ class TestTransforms:
         # eth Y20 = -d/dtheta Y20 for the m = 0 harmonic
         dY20 = np.sqrt(5.0 / (16.0 * np.pi)) * 6.0 * np.cos(th) * np.sin(th)
         samples = np.repeat(dY20[:, None], grid8.nphi, axis=1) / np.sqrt(6.0)
-        a = analyze(samples.astype(complex), 1, grid8)
+        a = raw_analyze(grid8, samples.astype(complex), 1)
         assert abs(a[2, grid8.Lmax] - 1.0) < 1e-12
         a[2, grid8.Lmax] = 0.0
         assert np.max(np.abs(a)) < 1e-12
-
-    def test_unsupported_spin_rejected(self, grid8):
-        with pytest.raises(UnsupportedSpinError):
-            analyze(np.zeros(grid8.shape, dtype=complex), 3, grid8)
-        with pytest.raises(UnsupportedSpinError):
-            synthesize(np.zeros((9, 17), dtype=complex), -3, grid8)
 
     def test_wigner_tables_match_sympy(self, grid8):
         """Spot-check the theta tables against exact Wigner-d values."""
         sympy = pytest.importorskip("sympy")
         from sympy.physics.quantum.spin import Rotation
 
-        from nullfoliate.sphere import _tables
-
-        lam = _tables(grid8.Lmax, -1)
+        lam = sphere_tables(grid8.Lmax, -1)
         theta = grid8.theta_nodes[3]
         for (l, m) in [(1, 0), (2, 1), (3, -2), (4, 4)]:
             d = complex(Rotation.d(l, -m, -1,
@@ -105,10 +97,8 @@ class TestTransforms:
 
     def test_conjugation_symmetry(self, grid8):
         """conj(sYlm) = (-1)^{s+m} (-s)Y(l,-m) holds for the tables."""
-        from nullfoliate.sphere import _tables
-
-        lam_p = _tables(grid8.Lmax, 2)
-        lam_m = _tables(grid8.Lmax, -2)
+        lam_p = sphere_tables(grid8.Lmax, 2)
+        lam_m = sphere_tables(grid8.Lmax, -2)
         L = grid8.Lmax
         for l in range(2, L + 1):
             for m in range(-l, l + 1):
@@ -167,7 +157,7 @@ def _per_m_lambda_tables(lmax, spin, theta):
 def _reference_synthesize(grid, coeffs, spin):
     """The complex einsum + FFT synthesis the matmul plan replaced."""
     L = grid.Lmax
-    lam = _tables(L, spin)
+    lam = sphere_tables(L, spin)
     X = np.zeros(grid.shape, dtype=complex)
     X[:, np.arange(-L, L + 1) % grid.nphi] = np.einsum("lmt,lm->tm", lam,
                                                        coeffs)
@@ -180,7 +170,7 @@ def _reference_analyze(grid, samples, spin):
     F = np.fft.fft(samples, axis=1) * (2.0 * np.pi / grid.nphi)
     F = F[:, np.arange(-L, L + 1) % grid.nphi]
     wF = (grid.weights[:, None] / (2.0 * np.pi)) * F
-    return np.einsum("lmt,tm->lm", _tables(L, spin), wF)
+    return np.einsum("lmt,tm->lm", sphere_tables(L, spin), wF)
 
 
 def _band_limited(rng, Lmax, spin):
@@ -261,7 +251,7 @@ class TestTransformKernels:
         for spin in range(-3, 4):
             raw_synthesize(grid8, _band_limited(
                 np.random.default_rng(spin + 3), 8, spin), spin)
-            assert np.shares_memory(_tables(8, spin),
+            assert np.shares_memory(sphere_tables(8, spin),
                                     sphere._LEGENDRE[(8, 8, spin)])
         for (Lg, L, spin), lam in sphere._LEGENDRE.items():
             assert lam.shape == (2 * L + 1, Lg + 1, L + 1)
@@ -312,12 +302,13 @@ class TestEth:
         comm = ethbar(eth(eta)).coeffs - eth(ethbar(eta)).coeffs
         assert np.max(np.abs(comm - 2.0 * eta.coeffs)) < 1e-11
 
-    def test_eth_spin_range_guard(self, grid8):
-        f = random_spin_field(grid8, 2, seed=1)
-        with pytest.raises(UnsupportedSpinError):
-            eth(f)
-        with pytest.raises(UnsupportedSpinError):
-            ethbar(random_spin_field(grid8, -2, seed=1))
+    def test_ladder_passes_spin_two(self, grid12):
+        """eth and ethbar take spin +-2 fields to spin +-3, as the second
+        derivatives of 2-tensors need: [ethbar, eth] = 2s at s = +-2."""
+        for spin in (2, -2):
+            eta = random_spin_field(grid12, spin, seed=8)
+            comm = ethbar(eth(eta)).coeffs - eth(ethbar(eta)).coeffs
+            assert np.max(np.abs(comm - 2.0 * spin * eta.coeffs)) < 1e-11
 
     def test_laplacian_round_eigenvalues(self, grid8):
         f = harmonic(grid8, 2, 0)
@@ -347,7 +338,7 @@ class TestProducts:
             big, 1, _embed(f.coeffs, grid12.Lmax, big.Lmax))
         gb = SpinField.from_coeffs(
             big, -1, _embed(g.coeffs, grid12.Lmax, big.Lmax))
-        exact = analyze(fb.samples * gb.samples, 0, big)
+        exact = raw_analyze(big, fb.samples * gb.samples, 0)
         L, Lb = grid12.Lmax, big.Lmax
         assert np.max(np.abs(p.coeffs
                              - exact[:L + 1, Lb - L:Lb + L + 1])) < 1e-12
@@ -766,7 +757,7 @@ class TestReality:
         """Analysing real samples yields a_(l,-m) = (-1)^m conj(a_(l,m))."""
         rng = np.random.default_rng(5)
         samples = rng.normal(size=grid8.shape).astype(complex)
-        a = analyze(samples, 0, grid8)
+        a = raw_analyze(grid8, samples, 0)
         L = grid8.Lmax
         for l in range(L + 1):
             for m in range(1, l + 1):

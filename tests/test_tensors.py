@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from nullfoliate.errors import ConstraintError
 from nullfoliate.sphere import SpinField, eth, ethbar, multiply
 from nullfoliate.tensors import (SQRT2, MetricRep, OneForm, SymTwoTensor,
                                  contract, contract2, curl, div, div2, dot,
-                                 dual, eth_g, ethbar_g, grad, hat_otimes,
-                                 hessian, hodge_D1, hodge_D1_star, hodge_D2,
-                                 hodge_D2_star, invert_D1, invert_laplacian,
-                                 laplacian, mean, sym_otimes, wedge)
+                                 dual, eth_g, ethbar_g, grad, hessian,
+                                 hodge_D1, invert_laplacian, laplacian, mean,
+                                 sym_otimes, wedge)
 
-from conftest import harmonic, random_real_scalar, random_spin_field
+from conftest import (bochner_scalar, harmonic, random_real_scalar,
+                      random_spin_field)
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +42,6 @@ class TestAlgebra:
     def test_wedge_antisymmetry(self, grid12):
         a = real_oneform(grid12, 2)
         assert wedge(a, a).max_abs() < 1e-12
-
-    def test_hat_otimes_tracefree(self, grid12):
-        a = real_oneform(grid12, 3)
-        b = real_oneform(grid12, 4)
-        out = hat_otimes(a, b)
-        assert out.trace.max_abs() == 0.0
-        # brute-force pointwise check of the mm component
-        expect = 2.0 * multiply(a.plus, b.plus).samples
-        assert np.max(np.abs(out.hat_plus.samples - expect)) < 1e-12
 
     def test_dual_squares_to_minus_identity(self, grid12):
         a = real_oneform(grid12, 5)
@@ -91,11 +81,12 @@ class TestStackedTracefree:
             assert np.array_equal(got.hat_minus.samples,
                                   ref.hat_minus.samples)
 
-    def test_every_zero_trace_has_the_stack_shape(self, grid12, round1):
+    def test_every_zero_trace_has_the_stack_shape(self, grid12):
         a = OneForm(SpinField.from_coeffs(grid12, 1, np.stack(
             [random_spin_field(grid12, 1, seed=k).coeffs for k in range(3)])))
-        assert hat_otimes(a, a).trace.stack_shape == (3,)
-        assert hodge_D2_star(a, round1).trace.stack_shape == (3,)
+        hp = multiply(a.plus, a.plus)
+        assert SymTwoTensor.tracefree(hp).trace.stack_shape == (3,)
+        assert dual(sym_otimes(a, a)).trace.stack_shape == (3,)
         T = SymTwoTensor.from_parts(grid12, None, a.plus.samples[:, None])
         assert T.trace.stack_shape == (3, 1)
         assert T[2, 0].trace.coeffs.shape == grid12.shape
@@ -303,8 +294,6 @@ class TestConformalCalculus:
     def test_bochner_scalar_y10(self, grid12, round1):
         """For f = Y10: int |Delta f|^2 = 4, int K |grad f|^2 = 2, so the
         Hessian square integrates to 2."""
-        from nullfoliate.diagnostics import bochner_scalar
-        from nullfoliate.sphere import multiply as mult
         f = harmonic(grid12, 1, 0)
         lhs, rhs = bochner_scalar(f, round1)
         assert abs(lhs - 2.0) < 1e-10
@@ -312,7 +301,7 @@ class TestConformalCalculus:
         lap2 = grid12.integrate(np.abs(laplacian(f, round1).samples) ** 2)
         K = round1.gauss_curvature()
         kgrad = grid12.integrate(np.real(
-            mult(K, grad(f, round1).norm2()).samples))
+            multiply(K, grad(f, round1).norm2()).samples))
         assert abs(lap2 - 4.0) < 1e-10
         assert abs(kgrad - 2.0) < 1e-10
 
@@ -320,23 +309,10 @@ class TestConformalCalculus:
 class TestHodge:
     def test_D1_D1star_is_minus_laplacian(self, grid12, round1):
         a, b = harmonic(grid12, 2, 0), harmonic(grid12, 3, 0)
-        X = hodge_D1_star(a, b, round1)
+        X = -1.0 * grad(a, round1) + dual(grad(b, round1))  # D1* (a, b)
         f, h = hodge_D1(X, round1)
         assert np.max(np.abs(f.coeffs + laplacian(a, round1).coeffs)) < 1e-11
         assert np.max(np.abs(h.coeffs + laplacian(b, round1).coeffs)) < 1e-11
-
-    def test_D2star_D2_spectral_oracle(self, grid12, round1):
-        """D2* D2 = (-Delta/2 + K) acts as l(l+1)/2 - 1 on unit-sphere
-        tracefree tensors (spin-2 eigenvalue algebra)."""
-        T = SymTwoTensor(SpinField.zero(grid12, 0),
-                         random_spin_field(grid12, 2, seed=21))
-        out = hodge_D2_star(hodge_D2(T, round1), round1)
-        ls = np.arange(grid12.Lmax + 1, dtype=float)
-        eig = (ls * (ls + 1.0) / 2.0 - 1.0)[:, None]
-        assert np.max(np.abs(out.hat_plus.coeffs
-                             - eig * T.hat_plus.coeffs)) < 1e-10
-        assert np.max(np.abs(out.hat_minus.coeffs
-                             - eig * T.hat_minus.coeffs)) < 1e-10
 
     def test_invert_laplacian_eigenfunction(self, grid12, round1):
         f = harmonic(grid12, 2, 0)
@@ -356,21 +332,6 @@ class TestHodge:
         expect = f - SpinField.constant(conformal.grid, mean(f, conformal))
         assert (u - expect).max_abs() < 1e-11
         assert abs(mean(u, conformal)) < 1e-12
-
-    def test_invert_D1_roundtrip(self, grid12, round1):
-        f = random_real_scalar(grid12, seed=31)
-        f = f - SpinField.constant(grid12, mean(f, round1))
-        h = random_real_scalar(grid12, seed=32)
-        h = h - SpinField.constant(grid12, mean(h, round1))
-        X = invert_D1(f, h, round1)
-        df, dh = hodge_D1(X, round1)
-        assert np.max(np.abs(df.coeffs - f.coeffs)) < 1e-11
-        assert np.max(np.abs(dh.coeffs - h.coeffs)) < 1e-11
-
-    def test_invert_D1_rejects_nonzero_mean(self, grid12, round1):
-        f = SpinField.constant(grid12, 1.0)
-        with pytest.raises(ConstraintError):
-            invert_D1(f, harmonic(grid12, 2, 0), round1)
 
 
 class TestMean:
