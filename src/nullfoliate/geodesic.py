@@ -87,20 +87,14 @@ class GeodesicNullData:
 
         The eleven tables are packed per call and not kept, so a dataset
         holds no second copy of them between reconstructions; each field
-        is copied out of the read, which is then freed.  numpy hands the
-        product of a lone leaf to gemv, whose sums round apart from the
-        gemm of a stack, so a lone leaf is read as a stack of two: every
-        leaf then reads the same geometry in any stack.
+        is copied out of the read, which is then freed.
         """
         pack = GeneratorPack(self.s_nodes, [
             self.psi, self.trchi, self.chihat, self.zeta, self.trchib,
             self.chibhat, self.alpha, self.beta, self.rho, self.sigma,
             self.betab])
-        sv = np.asarray(s_eval)
-        lone = sv.size == self.psi[0].size
-        reads = interp_generator(pack, np.stack([sv, sv]) if lone else sv)
         (psi, trchi, chihat, zeta, trchib, chibhat, alpha, beta, rho, sigma,
-         betab) = [(r[0] if lone else r).copy() for r in reads]
+         betab) = [r.copy() for r in interp_generator(pack, s_eval)]
         g = self.grid
         return (MetricRep(g, psi=np.real(psi)),
                 (SymTwoTensor.from_parts(g, trchi, chihat),

@@ -491,10 +491,18 @@ def interp_generator(pack, s_eval):
     complex as it was packed.  One barycentric read serves every table;
     spectrally accurate for analytic generators.  Raises OutOfDomainError
     if any height leaves [s_nodes[0], s_nodes[-1]] (the data slab).
+
+    numpy hands the product of a lone leaf to gemv, whose sums round apart
+    from the gemm of a stack, so a lone leaf is read as a stack of two:
+    every leaf then reads the same values alone and in any stack.
     """
     x = _heights(pack.s_nodes, s_eval)
-    xp = np.ascontiguousarray(x.reshape(-1, pack.packed.shape[0]).T)
-    vals = barycentric_interp(pack.s_nodes, pack.packed, xp)
+    xp = x.reshape(-1, pack.packed.shape[0]).T
+    lone = xp.shape[1] == 1
+    vals = barycentric_interp(pack.s_nodes, pack.packed, np.ascontiguousarray(
+        np.repeat(xp, 2, axis=1) if lone else xp))
+    if lone:
+        vals = vals[:, :1]
     out = []
     for k, cplx in pack.slots:
         v = vals[..., k:k + 2].view(np.complex128)[..., 0] if cplx \

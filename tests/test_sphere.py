@@ -676,6 +676,25 @@ class TestGeneratorPack:
         with pytest.raises(OutOfDomainError):
             interp_generator(pack, np.full((2,) + grid8.shape, 2.6))
 
+    @pytest.mark.parametrize("depth", [2, 5, 8])
+    def test_lone_leaf_reads_as_in_a_stack_bitwise(self, grid8, depth):
+        """A leaf read alone gives the bits that leaf reads in a stack, for
+        every table of the pack, so a level's value does not depend on how
+        the levels were batched."""
+        from nullfoliate._cheb import cgl_nodes
+
+        s_nodes = cgl_nodes(32, 1.0, 2.5)
+        tables = self._tables(grid8, s_nodes, seed=12) * 2
+        pack = GeneratorPack(s_nodes, tables)
+        heights = np.random.default_rng(13).uniform(
+            1.0, 2.5, size=(depth,) + grid8.shape)
+        stacked = interp_generator(pack, heights)
+        for j in range(depth):
+            for alone, inside in zip(interp_generator(pack, heights[j]),
+                                     stacked):
+                assert alone.shape == grid8.shape
+                assert np.array_equal(alone, inside[j])
+
 
 class TestGeneratorInterpolation:
     def _table(self, grid, fn, s_nodes):
@@ -708,12 +727,11 @@ class TestGeneratorInterpolation:
            hits=st.integers(0, 20))
     def test_stacked_heights_match_leaf_reads_bitwise(self, grid8, seed, n_s,
                                                       extra, cplx, hits):
-        """Every leaf of a stack reads one table as the per-leaf reference
-        formula does, to 1e-13 of the table, and node hits exactly.  A stack
-        as long as the table (extra None) would also pass a broadcast along
-        the wrong axis, were the shapes the only check.  (Bitwise equality
-        with single-leaf reads is not kept: a one-leaf matmul may round
-        differently from a stacked one, by about an ulp.)"""
+        """Every leaf of a stack reads one table exactly as a single-leaf
+        read does, and as the per-leaf reference formula does to 1e-13 of
+        the table; node hits read the tabulated value.  A stack as long as
+        the table (extra None) would also pass a broadcast along the wrong
+        axis, were the shapes the only check."""
         from nullfoliate._cheb import cgl_nodes
         rng = np.random.default_rng(seed)
         s_nodes = cgl_nodes(n_s, 1.0, 2.5)
@@ -735,6 +753,7 @@ class TestGeneratorInterpolation:
         assert np.array_equal(out[j, t, p],
                               table[np.argmax(on_node, axis=-1)[j, t, p], t, p])
         for j in range(k):
+            assert np.array_equal(out[j], read_one(table, s_nodes, heights[j]))
             ref = reference_interp(s_nodes, table, heights[j])
             assert np.max(np.abs(out[j] - ref)) <= 1e-13 * np.max(np.abs(table))
 
