@@ -201,40 +201,33 @@ def _lapse_at(data, s_samples):
 
 
 def cumulative_integral(values, dv):
-    """4th-order cumulative quadrature at every node of a uniform grid.
+    """4th-order cumulative quadrature at every node of a uniform grid of an
+    even number k >= 2 of steps, as picard_window's windows have; any other
+    k raises ValueError.
 
     Integrates the local cubic through the four nearest nodes over each
     subinterval (Simpson's pairwise rule is only 3rd-order at odd nodes).
     """
     values = np.asarray(values)
     k = values.shape[0] - 1
+    if k < 2 or k % 2:
+        raise ValueError(f"need an even number of steps >= 2, got {k}")
     out = np.zeros_like(values, dtype=float)
-    if k == 0:
-        return out
-    if k == 1:
-        out[1] = 0.5 * dv * (values[0] + values[1])
-        return out
     if k == 2:
         out[1] = dv * (5.0 * values[0] + 8.0 * values[1] - values[2]) / 12.0
         out[2] = out[1] + dv * (-values[0] + 8.0 * values[1]
                                 + 5.0 * values[2]) / 12.0
         return out
     inc = np.empty_like(values, dtype=float)[:k]
-    if k >= 4:
-        # 5-point end rules tuned so the one-sided intervals carry the same
-        # one-signed 11/720 h^5 f'''' error as the interior rule; the composite
-        # error is then a clean C h^4 with no O(h^5) boundary pollution
-        inc[0] = dv * (8.0 * values[0] + 23.0 * values[1]
-                       - 11.0 * values[2] + 5.0 * values[3]
-                       - values[4]) / 24.0
-        inc[k - 1] = dv * (8.0 * values[k] + 23.0 * values[k - 1]
-                           - 11.0 * values[k - 2] + 5.0 * values[k - 3]
-                           - values[k - 4]) / 24.0
-    else:
-        inc[0] = dv * (9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2]
-                       + values[3]) / 24.0
-        inc[k - 1] = dv * (values[k - 3] - 5.0 * values[k - 2]
-                           + 19.0 * values[k - 1] + 9.0 * values[k]) / 24.0
+    # 5-point end rules tuned so the one-sided intervals carry the same
+    # one-signed 11/720 h^5 f'''' error as the interior rule; the composite
+    # error is then a clean C h^4 with no O(h^5) boundary pollution
+    inc[0] = dv * (8.0 * values[0] + 23.0 * values[1]
+                   - 11.0 * values[2] + 5.0 * values[3]
+                   - values[4]) / 24.0
+    inc[k - 1] = dv * (8.0 * values[k] + 23.0 * values[k - 1]
+                       - 11.0 * values[k - 2] + 5.0 * values[k - 3]
+                       - values[k - 4]) / 24.0
     for j in range(1, k - 1):
         inc[j] = dv * (-values[j - 1] + 13.0 * values[j] + 13.0 * values[j + 1]
                        - values[j + 2]) / 24.0

@@ -39,6 +39,18 @@ class TestQuadrature:
         exact = v + v ** 2 - v ** 3 / 3 + v ** 4 / 8
         assert np.max(np.abs(out[:, 0, 0] - exact)) < 1e-14
 
+    def test_two_steps_exact_on_quadratics(self):
+        v = np.array([0.0, 0.5, 1.0])
+        out = solver.cumulative_integral((1.0 + v - 3 * v ** 2)[:, None], 0.5)
+        assert np.max(np.abs(out[:, 0] - (v + v ** 2 / 2 - v ** 3))) < 1e-15
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 5])
+    def test_odd_or_short_step_counts_rejected(self, k):
+        """Windows span an even number >= 2 of steps; any other count
+        raises instead of reading past the end rules."""
+        with pytest.raises(ValueError):
+            solver.cumulative_integral(np.ones((k + 1, 2, 2)), 0.1)
+
     def test_fourth_order_on_quartics(self):
         """One-signed h^4 error with matched end rules: the pairwise order
         is 4.000 on a pure quartic."""
