@@ -106,10 +106,6 @@ class Foliation:
     def n_levels(self):
         return len(self.v_nodes)
 
-    @property
-    def dv(self):
-        return float(self.v_nodes[1] - self.v_nodes[0])
-
     def s_field(self, i=slice(None)) -> SpinField:
         """The graph at level i, or at a stack of levels (slice or array)."""
         return SpinField.from_samples(self.grid, 0, self.s[i])

@@ -97,9 +97,6 @@ class Grid:
                 else float(val.real)
         return float(val)
 
-    def zeros(self):
-        return np.zeros(self.shape, dtype=np.complex128)
-
 
 _GRIDS: dict = {}
 _LEGENDRE: dict = {}  # (Lmax, band L, spin) -> real table lam[m+L, theta, l]
@@ -366,9 +363,6 @@ class SpinField:
 
     # ---- measurements ------------------------------------------------------
 
-    def integrate(self):
-        return complex(self.grid.integrate(self.samples))
-
     def l2_round(self):
         """L2 norm against the round measure."""
         return float(np.sqrt(max(self.grid.integrate(
@@ -376,9 +370,6 @@ class SpinField:
 
     def max_abs(self):
         return float(np.max(np.abs(self.samples)))
-
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.samples)))
 
 
 def eth(f: SpinField) -> SpinField:

@@ -111,9 +111,6 @@ class _RealTensor:
     def max_abs(self):
         return float(np.max(np.sqrt(np.abs(self.norm2().samples))))
 
-    def is_finite(self):
-        return all(getattr(self, k).is_finite() for k in self.__slots__)
-
 
 class OneForm(_RealTensor):
     """Real sphere-tangent 1-form, held by its spin +1 component X_m."""
@@ -129,10 +126,6 @@ class OneForm(_RealTensor):
     def minus(self):
         """The spin -1 component X_mbar = conj(X_m)."""
         return self.plus.conj()
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(SpinField.zero(grid, 1))
 
     @classmethod
     def from_plus(cls, grid, plus):
@@ -156,10 +149,6 @@ class SymTwoTensor(_RealTensor):
     def hat_minus(self):
         """The spin -2 component T_mbmb = conj(T_mm)."""
         return self.hat_plus.conj()
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(SpinField.zero(grid, 0), SpinField.zero(grid, 2))
 
     @classmethod
     def tracefree(cls, hat_plus: SpinField):

@@ -1,9 +1,6 @@
-"""Fixtures, random fields and the helpers the tests measure with.
-
-The helpers below the fixtures check identities (commutators, Bochner, the
-Littlewood-Paley partition, the weak-sphericality split) on the package's
-operators; the package itself runs none of them.
-"""
+"""Fixtures, random fields, and identities (commutators, Bochner, the
+Littlewood-Paley partition, the weak-sphericality split) that the tests
+check on the package's operators; the package itself runs none of them."""
 
 from functools import reduce
 from operator import add
@@ -13,7 +10,7 @@ import pytest
 
 from nullfoliate import diagnostics, sphere
 from nullfoliate.reports import ResidualReport
-from nullfoliate.sphere import SpinField, build_grid, multiply
+from nullfoliate.sphere import SpinField, build_grid, eth, ethbar, multiply
 from nullfoliate.tensors import (MetricRep, OneForm, contract, curl, div,
                                  eth_g, ethbar_g, grad, hessian, laplacian)
 
@@ -79,11 +76,6 @@ def sphere_tables(Lmax, spin):
 # identities checked on the package's operators
 # --------------------------------------------------------------------------
 
-def _record(rep, name, v, x, metric):
-    """One row per level of the stacked residual x."""
-    rep.add_levels(v, {name: diagnostics._sizes(x, metric)})
-
-
 def rough_laplacian_oneform(X: OneForm, g: MetricRep) -> OneForm:
     """Trace of the second covariant derivative on a 1-form."""
     p = X.plus
@@ -108,8 +100,8 @@ def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
     rep = ResidualReport(tolerance_used=tolerance)
     n = len(co.v)
     metric = co.metric
-    _record(rep, "comm_grad_laplacian", co.v,
-            commutation_grad_laplacian(f, metric), metric)
+    rep.add_levels(co.v, {"comm_grad_laplacian": diagnostics._sizes(
+        commutation_grad_laplacian(f, metric), metric)})
 
     gf = grad(f, metric)
     dgp, margin = diagnostics.v_derivative(gf.plus.samples,
@@ -122,7 +114,7 @@ def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
     # [nabla_L, grad] f = -trchi grad f / 2 - chihat . grad f
     #                     + (etab + zeta) L f  with L f = 0 here
     res = dLgrad + 0.5 * (co.trchi * gf) + contract(co.chi.hat(), gf)
-    _record(rep, "comm_L_grad", co.v, res, co.metric)
+    rep.add_levels(co.v, {"comm_L_grad": diagnostics._sizes(res, co.metric)})
     return rep
 
 
@@ -147,8 +139,8 @@ def sphericality_report(co):
     reconstruction co of a foliation.
 
     Theta = -trchi trchib/4 - 1/v^2 + mu follows from the Gauss equation and
-    the mass-aspect definition.  Returns (rows, identity_report) where rows
-    are dicts {v, Psi, Theta, psi_H12, theta_L2}.
+    the mass-aspect definition.  Returns (rows, identity_report), one row
+    {psi_H12, theta_L2} per level.
     """
     rep = ResidualReport(tolerance_used=1e-9)
     g = co.metric
@@ -156,12 +148,9 @@ def sphericality_report(co):
     Theta = -0.25 * multiply(co.trchi, co.trchib) + inv_v2 + co.mu
     Psi = co.zeta
     resid = g.gauss_curvature() + inv_v2 - div(Psi, g) - Theta
-    _record(rep, "sphericality_split", co.v, resid, g)
-    theta_l2 = diagnostics._l2_g(Theta, g)
-    rows = [{"v": float(v), "Psi": Psi[i], "Theta": Theta[i],
-             "psi_H12": diagnostics.Hs_norm(Psi[i], 0.5),
-             "theta_L2": float(theta_l2[i])}
-            for i, v in enumerate(co.v)]
+    rep.add_levels(co.v, {"sphericality_split": diagnostics._sizes(resid, g)})
+    rows = [{"psi_H12": diagnostics.Hs_norm(Psi[i], 0.5), "theta_L2": t}
+            for i, t in enumerate(diagnostics._l2_g(Theta, g))]
     return rows, rep
 
 
@@ -179,39 +168,22 @@ def bochner_scalar(f: SpinField, metric: MetricRep):
 
 
 def bochner_oneform(F: OneForm, grid):
-    """(int |Hess F|^2, RHS) of the 1-form Bochner identity on the unit sphere.
-
-    Uses raw spin ladders up to |s| = 3 internally for the second-derivative
-    components; only defined on the round reference (K = 1), where
+    """(int |Hess F|^2, RHS) of the 1-form Bochner identity on the unit
+    sphere (K = 1), where
 
         RHS = int |Delta F|^2 - 2 int |grad F|^2
               + int (|Div F|^2 + |Curl F|^2) + int |F|^2
 
     (both first-order squares appear; checked mode-by-mode on gradient and
-    curl eigenfields).
+    curl eigenfields).  The Hessian components T_abc = eth_a eth_b F_c / 2
+    reach spin 3; a real 1-form has four independent classes, (m, m, m),
+    (m, m, mbar), (m, mbar, m) and (mbar, m, m), and the conjugates of
+    these, so each counts twice.
     """
-    L = grid.Lmax
-
-    def up(c, s):
-        return sphere.ladder_raise(c, s, L)
-
-    def dn(c, s):
-        return sphere.ladder_lower(c, s, L)
-
-    cp = F.plus.coeffs
-    cm = F.minus.coeffs
-    # second covariant derivative components: T_abc = eth_a eth_b F_c / 2,
-    # four independent classes for a real 1-form (conjugates pair up)
-    pieces = [
-        (up(up(cp, 1), 2), 3),   # (m, m, m)
-        (up(up(cm, -1), 0), 1),  # (m, m, mbar)
-        (up(dn(cp, 1), 0), 1),   # (m, mbar, m)
-        (dn(up(cp, 1), 2), 1),   # (mbar, m, m)
-    ]
-    lhs = 0.0
-    for coeffs, spin in pieces:
-        samp = sphere.raw_synthesize(grid, coeffs / 2.0, spin)
-        lhs += 2.0 * grid.integrate(np.abs(samp) ** 2)
+    p, m = F.plus, F.minus
+    lhs = sum(2.0 * grid.integrate(np.abs((0.5 * T).samples) ** 2)
+              for T in (eth(eth(p)), eth(eth(m)), eth(ethbar(p)),
+                        ethbar(eth(p))))
 
     met = MetricRep.round_sphere(grid, 1.0)
     lapF = rough_laplacian_oneform(F, met)

@@ -15,7 +15,7 @@ from nullfoliate.sphere import SpinField, build_grid
 from nullfoliate.tensors import (MetricRep, dual, grad, hessian, hodge_D1,
                                  laplacian)
 
-from conftest import commutation_check, dLUpsilon_fd
+from conftest import commutation_check, dLUpsilon_fd, lp_partition_residual
 
 
 def _report(name, ok, detail):
@@ -163,9 +163,7 @@ def test_criterion_5_identity_suites():
     for l in range(grid.Lmax - 1):
         for m in range(-l, l + 1):
             rand[l, m + grid.Lmax] = rng.normal() + 1j * rng.normal()
-    f = SpinField.from_coeffs(grid, 0, rand)
-    parts = [p for _, p in diagnostics._dyadic(f)]  # P_{<0} f, P_0 f, ...
-    lp_err = diagnostics._l2_round(sum(parts[1:], parts[0]) - f)
+    lp_err = lp_partition_residual(SpinField.from_coeffs(grid, 0, rand))
 
     h12 = diagnostics.Hs_norm(a, 0.5)
     h12_err = abs(h12 - 7.0 ** 0.25)

@@ -168,7 +168,7 @@ class TestRenormalised:
         rho = random_real_scalar(grid8, 1)
         sigma = random_real_scalar(grid8, 2)
         bb = OneForm(random_spin_field(grid8, 1, 3))
-        zero2 = SymTwoTensor.zero(grid8)
+        zero2 = SymTwoTensor.tracefree(SpinField.zero(grid8, 2))
         ze = OneForm(random_spin_field(grid8, 1, 4))
         rc, sc, bbc = comparison.renormalized(rho, sigma, bb, zero2, zero2, ze)
         assert (rc - rho).max_abs() < 1e-14

@@ -1,7 +1,5 @@
 """Generator, validation, manufactured-solution and persistence tests."""
 
-import os
-
 import numpy as np
 import pytest
 

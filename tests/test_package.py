@@ -5,50 +5,40 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nullfoliate"
+MODULES = {p.stem: ast.parse(p.read_text())
+           for p in sorted(PACKAGE.glob("*.py"))}
 
 # methods the tests measure with; the package itself never calls them
 MEASURING = {"sphere.SpinField.max_abs", "sphere.SpinField.coeff",
              "tensors.MetricRep.round_sphere", "tensors._RealTensor.max_abs"}
 
 
-def _modules():
-    return {p.stem: ast.parse(p.read_text(), filename=str(p))
-            for p in sorted(PACKAGE.glob("*.py"))}
-
-
 def _definitions(node, prefix):
     """(qualified name, name) of every function, class and method below
     node, nested ones included."""
     for child in ast.iter_child_nodes(node):
+        qual = prefix
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             qual = f"{prefix}.{child.name}"
             yield qual, child.name
-            yield from _definitions(child, qual)
-        else:
-            yield from _definitions(child, prefix)
-
-
-def _referenced(tree):
-    """Every name a module reads, as a name, an attribute or an import."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names
+        yield from _definitions(child, qual)
 
 
 def test_every_definition_has_a_reference_in_the_package():
-    modules = _modules()
-    referenced = set().union(*map(_referenced, modules.values()))
-    unused = [qual for mod, tree in modules.items()
+    """A name, an attribute or a `from ... import` of the name counts;
+    dunder methods are called by the language itself."""
+    read = set()
+    for node in (n for tree in MODULES.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    unused = [qual for mod, tree in MODULES.items()
               for qual, name in _definitions(tree, mod)
-              if name not in referenced and qual not in MEASURING
-              # dunder methods are called by the language itself
+              if name not in read and qual not in MEASURING
               and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
 
@@ -56,14 +46,11 @@ def test_every_definition_has_a_reference_in_the_package():
 def test_every_import_is_used():
     """__init__ only re-exports, so its imports are exempt."""
     unused = []
-    for mod, tree in _modules().items():
-        if mod == "__init__":
-            continue
+    for mod, tree in MODULES.items():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in read:
-                        unused.append(f"{mod}: {bound}")
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                unused += [f"{mod}: {b}" for b in bound
+                           if b not in read and mod != "__init__"]
     assert unused == []

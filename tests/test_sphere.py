@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nullfoliate._cheb import barycentric_weights
+from nullfoliate._cheb import barycentric_weights, cgl_nodes
 from nullfoliate._wigner import spin_lambda_tables
 from nullfoliate.errors import (ConfigurationError, OutOfDomainError,
                                 UnsupportedSpinError)
@@ -637,8 +637,6 @@ class TestGeneratorPack:
         return [real, cplx, 2.0 * real]
 
     def test_matches_interp_generator_with_node_hits(self, grid8):
-        from nullfoliate._cheb import cgl_nodes
-
         s_nodes = cgl_nodes(24, 1.0, 2.5)
         tables = self._tables(grid8, s_nodes, seed=3)
         pack = GeneratorPack(s_nodes, tables)
@@ -663,8 +661,6 @@ class TestGeneratorPack:
         assert np.array_equal(out[2][2, 4, :3], tables[2][11, 4, :3])
 
     def test_single_leaf_and_domain(self, grid8):
-        from nullfoliate._cheb import cgl_nodes
-
         s_nodes = cgl_nodes(16, 1.0, 2.5)
         tables = self._tables(grid8, s_nodes, seed=8)
         pack = GeneratorPack(s_nodes, tables)
@@ -678,22 +674,16 @@ class TestGeneratorPack:
 
     @pytest.mark.parametrize("depth", [2, 5, 8])
     def test_lone_leaf_reads_as_in_a_stack_bitwise(self, grid8, depth):
-        """A leaf read alone gives the bits that leaf reads in a stack, for
-        every table of the pack, so a level's value does not depend on how
-        the levels were batched."""
-        from nullfoliate._cheb import cgl_nodes
-
+        """A leaf read alone gives the bits it reads in a stack, for every
+        table, so a level's value does not depend on how levels batch."""
         s_nodes = cgl_nodes(32, 1.0, 2.5)
-        tables = self._tables(grid8, s_nodes, seed=12) * 2
-        pack = GeneratorPack(s_nodes, tables)
+        pack = GeneratorPack(s_nodes, self._tables(grid8, s_nodes, 12) * 2)
         heights = np.random.default_rng(13).uniform(
             1.0, 2.5, size=(depth,) + grid8.shape)
         stacked = interp_generator(pack, heights)
         for j in range(depth):
-            for alone, inside in zip(interp_generator(pack, heights[j]),
-                                     stacked):
-                assert alone.shape == grid8.shape
-                assert np.array_equal(alone, inside[j])
+            alone = interp_generator(pack, heights[j])
+            assert all(np.array_equal(a, s[j]) for a, s in zip(alone, stacked))
 
 
 class TestGeneratorInterpolation:
@@ -701,21 +691,18 @@ class TestGeneratorInterpolation:
         return np.stack([np.full(grid.shape, fn(s)) for s in s_nodes])
 
     def test_polynomial_reproduced_exactly(self, grid8):
-        from nullfoliate._cheb import cgl_nodes
         s_nodes = cgl_nodes(32, 1.0, 2.5)
         table = self._table(grid8, lambda s: s ** 2, s_nodes)
         out = read_one(table, s_nodes, np.full(grid8.shape, 1.5))
         assert np.max(np.abs(out - 2.25)) < 1e-13
 
     def test_rational_generator(self, grid8):
-        from nullfoliate._cheb import cgl_nodes
         s_nodes = cgl_nodes(32, 1.0, 2.5)
         table = self._table(grid8, lambda s: 2.0 / s, s_nodes)
         out = read_one(table, s_nodes, np.full(grid8.shape, 1.7))
         assert np.max(np.abs(out - 2.0 / 1.7)) < 1e-12
 
     def test_out_of_domain_raises(self, grid8):
-        from nullfoliate._cheb import cgl_nodes
         s_nodes = cgl_nodes(16, 1.0, 2.5)
         table = self._table(grid8, lambda s: s, s_nodes)
         with pytest.raises(OutOfDomainError):
@@ -732,7 +719,6 @@ class TestGeneratorInterpolation:
         the table; node hits read the tabulated value.  A stack as long as
         the table (extra None) would also pass a broadcast along the wrong
         axis, were the shapes the only check."""
-        from nullfoliate._cheb import cgl_nodes
         rng = np.random.default_rng(seed)
         s_nodes = cgl_nodes(n_s, 1.0, 2.5)
         shape = (n_s,) + grid8.shape
@@ -760,7 +746,6 @@ class TestGeneratorInterpolation:
     def test_geometric_decay_in_node_count(self, grid8):
         """Error on an analytic generator decays geometrically when the
         node count doubles (slope well below -0.5 per doubling)."""
-        from nullfoliate._cheb import cgl_nodes
         errs = []
         for n in [6, 12, 24]:
             s_nodes = cgl_nodes(n, 1.0, 2.5)
