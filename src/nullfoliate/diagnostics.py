@@ -8,8 +8,12 @@ suite takes that reconstruction (and the dataset where it reads it) instead
 of the foliation, so a run builds it once and hands it to all its suites;
 the levels, dv and the lapse come from co.v and co.logOmega.  Residuals are
 stack expressions over the levels (see sphere and tensors), reported one
-row per level.  The geodesic-side norms take the s-node leaves of the
-dataset as one stack in the same way.
+row per level.
+
+The norm suite measures both foliations with one recipe: one function each
+forms their I_S1 and R entries, and along the generators both integrate a
+stack of leaves with one quadrature, Clenshaw-Curtis on the s-nodes of the
+dataset and Simpson on the v-levels of the reconstruction.
 
 Transport residuals differentiate the reconstructed spin components along the
 generators, nabla_L = Omega d/dv at fixed angle, with centered finite
@@ -82,16 +86,17 @@ def _field_abs(x):
     return np.sqrt(np.abs(np.real(x.norm2().samples)))
 
 
+def _lq_level(a, metric, q):
+    """Leafwise L^q_g norm of the magnitudes a, one value per leaf."""
+    if np.isinf(q):
+        return np.max(a, axis=(-2, -1))
+    return metric.grid.integrate(a ** q * metric.sqrt_det()) ** (1.0 / q)
+
+
 def _sizes(x, metric):
     """(max |x|, L2_g norm of x), one value per leaf of a stack."""
     a = _field_abs(x)
-    l2 = np.sqrt(np.maximum(metric.grid.integrate(a ** 2 * metric.sqrt_det()),
-                            0.0))
-    return np.max(a, axis=(-2, -1)), l2
-
-
-def _l2_g(x, metric):
-    return _sizes(x, metric)[1]
+    return np.max(a, axis=(-2, -1)), _lq_level(a, metric, 2)
 
 
 def canonical(foliation, levels=slice(None)):
@@ -332,13 +337,7 @@ def lp_project(f, k):
         m = _lp_multiplier(comp.grid, k)
         return SpinField.from_coeffs(comp.grid, comp.spin,
                                      comp.coeffs * m[:, None])
-    if isinstance(f, SpinField):
-        return proj(f)
-    if isinstance(f, OneForm):
-        return OneForm(proj(f.plus))
-    if isinstance(f, SymTwoTensor):
-        return SymTwoTensor(proj(f.trace), proj(f.hat_plus))
-    raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
+    return proj(f) if isinstance(f, SpinField) else f._map(proj)
 
 
 def lp_kmax(grid):
@@ -376,84 +375,53 @@ def Hs_norm(f, s_exp) -> float:
 
 
 # --------------------------------------------------------------------------
-# mixed and v-integrated norms
+# mixed norms along the generators
 # --------------------------------------------------------------------------
 
-def _simpson(vals, dv):
-    vals = np.asarray(vals, dtype=float)
-    n = vals.shape[0] - 1
-    if n <= 0:
-        return 0.0
-    total = 0.0
-    if n % 2 == 1 and n >= 3:
-        # odd interval count: trapezoid on the first interval
-        total += 0.5 * dv * (vals[0] + vals[1])
-        vals = vals[1:]
-        n -= 1
-    elif n == 1:
-        return float(0.5 * dv * (vals[0] + vals[1]))
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(total + dv / 3.0 * np.sum(w * vals, axis=0))
+def simpson_weights(v_nodes):
+    """Composite Simpson weights on the uniform levels v_nodes; an odd
+    interval count takes the trapezoid rule on its first interval."""
+    n = len(v_nodes) - 1
+    dv = float(v_nodes[1] - v_nodes[0])
+    first = n % 2
+    w = np.zeros(n + 1)
+    w[:2 * first] = 0.5 * dv  # the trapezoid, on an odd count
+    w[first:-1:2] += dv / 3.0  # the two ends of each Simpson panel
+    w[first + 2::2] += dv / 3.0
+    w[first + 1::2] += 4.0 * dv / 3.0
+    return w
 
 
-def _lq_level(x, metric, q):
-    """Leafwise L^q_g norm, one value per leaf of a stack."""
-    a = _field_abs(x)
-    if np.isinf(q):
-        return np.max(a, axis=(-2, -1))
-    dens = metric.sqrt_det()
-    return metric.grid.integrate(a ** q * dens) ** (1.0 / q)
-
-
-def mixed_norm(field, metric, v_nodes, p, q) -> float:
-    """|| F ||_{L^p_v L^q}: leafwise L^q then L^p in v (Simpson).
-
-    field and metric are stacks over the v-levels v_nodes.
-    """
-    per = _lq_level(field, metric, q)
+def mixed_norm(field, metric, w, p, q) -> float:
+    """|| F ||_{L^p L^q} of a stack of leaves: leafwise L^q, then L^p along
+    the generators with the quadrature weights w at the leaves."""
+    per = _lq_level(_field_abs(field), metric, q)
     if np.isinf(p):
         return float(np.max(per))
-    dv = float(v_nodes[1] - v_nodes[0])
-    return float(_simpson(per ** p, dv) ** (1.0 / p))
+    return float(np.sum(w * per ** p) ** (1.0 / p))
 
 
-def trace_norm(field, metric, v_nodes, q, p) -> float:
-    """|| F ||_{L^q L^p_v}: generator-wise L^p in v, then L^q on the first leaf."""
-    stack = _field_abs(field)
-    dv = float(v_nodes[1] - v_nodes[0])
+def trace_norm(field, metric, w, q, p) -> float:
+    """|| F ||_{L^q L^p}: L^p along each generator (quadrature weights w at
+    the leaves of the stack), then L^q on the first leaf."""
+    a = _field_abs(field)
     if np.isinf(p):
-        gen = np.max(stack, axis=0)
+        gen = np.max(a, axis=0)
     else:
-        n = stack.shape[0] - 1
-        w = np.ones(n + 1)
-        if n % 2 == 0 and n >= 2:
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            w *= dv / 3.0
-        else:
-            w *= dv
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        gen = (np.tensordot(w, stack ** p, axes=(0, 0))) ** (1.0 / p)
-    if np.isinf(q):
-        return float(np.max(gen))
-    g0 = metric[0]
-    dens = g0.sqrt_det()
-    return float(g0.grid.integrate(gen ** q * dens)) ** (1.0 / q)
+        gen = np.tensordot(w, a ** p, axes=(0, 0)) ** (1.0 / p)
+    return float(_lq_level(gen, metric[0], q))
 
 
-def P0v_norm(field, metric, v_nodes) -> float:
+def P0v_norm(field, metric, w) -> float:
     """P^0_v norm: sum_k ||P_k F||_{L^2_v L^2} + ||P_{<0} F||_{L^2_v L^2}."""
-    return float(sum(mixed_norm(p, metric, v_nodes, 2, 2)
+    return float(sum(mixed_norm(p, metric, w, 2, 2)
                      for _, p in _dyadic(field)))
 
 
-def Q12v_norm(field, metric, v_nodes) -> float:
+def Q12v_norm(field, metric, w) -> float:
     """Q^{1/2}_v norm: (sum_k 2^k ||P_k F||^2_{Linf_v L2} + ||P_<0 F||^2)^{1/2}."""
     total = sum((1.0 if k == "minus" else 2.0 ** k)
-                * mixed_norm(p, metric, v_nodes, np.inf, 2) ** 2
+                * mixed_norm(p, metric, w, np.inf, 2) ** 2
                 for k, p in _dyadic(field))
     return float(np.sqrt(total))
 
@@ -462,10 +430,12 @@ def Q12v_norm(field, metric, v_nodes) -> float:
 # the norm hierarchy
 # --------------------------------------------------------------------------
 
-def _n1_norm(field, dL_field, metric, l2) -> float:
+def _n1_norm(field, dL_field, metric, w) -> float:
     """N_1 = ||.||_{H^{1/2}} on the first leaf + the L^2 over the stack
-    (l2: over the geodesic s-slab, or L^2_v L^2 over the v-levels) of the
-    field, its gradient and its L-derivative."""
+    (quadrature weights w along the generators) of the field, its gradient
+    and its L-derivative."""
+    def l2(x):
+        return mixed_norm(x, metric, w, 2, 2)
     return (Hs_norm(field[0], 0.5) + l2(field)
             + l2(_grad_any(field, metric)) + l2(dL_field))
 
@@ -488,182 +458,155 @@ def _grad_any(x, g):
     return FieldBundle(comps)
 
 
-def _set_total(rep, total, entries):
-    """Record each entry, and their sum under the name `total`."""
-    entries[total] = sum(entries.values())
+def _initial_sphere(g, trchi, trchib, mu, zeta, chihat, chibhat):
+    """The I_S1 entries both foliations share, on their first leaf g."""
+    return {
+        "trchi_dev_inf": float(np.max(np.abs(np.real(trchi.samples) - 2.0))),
+        "grad_trchi_B0": besov_B0(grad(trchi, g)),
+        "trchib_dev_inf": float(np.max(np.abs(
+            np.real(trchib.samples) + 2.0))),
+        "grad_trchib_L2": _sizes(grad(trchib, g), g)[1],
+        "mu_B0": besov_B0(mu),
+        "zeta_H12": Hs_norm(zeta, 0.5),
+        "chihat_H12": Hs_norm(chihat, 0.5),
+        "chibhat_H12": Hs_norm(chibhat, 0.5),
+    }
+
+
+def _flux(metric, w, **curvature):
+    """The R entries: the L^2 over the stack of each curvature component."""
+    return {k: mixed_norm(x, metric, w, 2, 2) for k, x in curvature.items()}
+
+
+def _set_total(rep, prefix, entries):
+    """Record each entry as prefix.name, and their sum as prefix."""
     for k, val in entries.items():
-        rep.set(k, val)
+        rep.set(f"{prefix}.{k}", val)
+    rep.set(prefix, sum(entries.values()))
 
 
 def norm_suite(data, co) -> NormReport:
     """Every constituent of the I', I, O', O, R', R norm functionals.
 
     The geodesic side reads the dataset's s-node leaves as one stack, the
-    canonical side the reconstruction co of every v-level of a foliation.
+    canonical side the reconstruction co of every v-level of a foliation;
+    along the generators the one takes Clenshaw-Curtis weights on the
+    s-nodes, the other Simpson weights on the v-levels.
     """
     rep = NormReport()
     grid = data.grid
-    n = len(co.v)
-    v_nodes = co.v
 
     # ---- geodesic-side norms (I'_{S1}, O', R') over the s-slab -----------
-    s_nodes = data.s_nodes
-    wcc = _cheb.cc_weights(s_nodes)
+    wcc = _cheb.cc_weights(data.s_nodes)
     gs = data.slab_metric
-
-    def slab_l2(x):
-        """L^2 over the slab (Clenshaw-Curtis in s) of a stack over s-nodes."""
-        return float(np.sqrt(np.sum(wcc * _l2_g(x, gs) ** 2)))
 
     # I'_{S1}: the first s-node is the initial sphere
     g1 = gs[0]
-    trchi1 = SpinField.from_samples(grid, 0, np.real(data.trchi[0]))
-    trchib1 = SpinField.from_samples(grid, 0, np.real(data.trchib[0]))
     zeta1 = OneForm.from_plus(grid, data.zeta[0])
     chihat1 = SymTwoTensor.from_parts(grid, None, data.chihat[0])
     chibhat1 = SymTwoTensor.from_parts(grid, None, data.chibhat[0])
     rho_check1 = SpinField.from_samples(
         grid, 0, data.rho[0]) - 0.5 * dot(chihat1, chibhat1)
     mu1 = -1.0 * rho_check1 - div(zeta1, g1)
-    _set_total(rep, "Iprime_S1", {
-        "Iprime_S1.trchi_dev_inf": float(np.max(np.abs(
-            np.real(data.trchi[0]) - 2.0))),
-        "Iprime_S1.grad_trchi_B0": besov_B0(grad(trchi1, g1)),
-        "Iprime_S1.trchib_dev_inf": float(np.max(np.abs(
-            np.real(data.trchib[0]) + 2.0))),
-        "Iprime_S1.grad_trchib_L2": _l2_g(grad(trchib1, g1), g1),
-        "Iprime_S1.mu_B0": besov_B0(mu1),
-        "Iprime_S1.zeta_H12": Hs_norm(zeta1, 0.5),
-        "Iprime_S1.chihat_H12": Hs_norm(chihat1, 0.5),
-        "Iprime_S1.chibhat_H12": Hs_norm(chibhat1, 0.5),
-    })
+    _set_total(rep, "Iprime_S1", _initial_sphere(
+        g1, SpinField.from_samples(grid, 0, np.real(data.trchi[0])),
+        SpinField.from_samples(grid, 0, np.real(data.trchib[0])),
+        mu1, zeta1, chihat1, chibhat1))
 
-    # R' over the geodesic slab
-    _set_total(rep, "Rprime", {
-        "Rprime.alpha": slab_l2(SymTwoTensor.from_parts(grid, None,
-                                                        data.alpha)),
-        "Rprime.beta": slab_l2(OneForm.from_plus(grid, data.beta)),
-        "Rprime.rho": slab_l2(SpinField.from_samples(grid, 0, data.rho)),
-        "Rprime.sigma": slab_l2(SpinField.from_samples(grid, 0, data.sigma)),
-        "Rprime.betab": slab_l2(OneForm.from_plus(grid, data.betab)),
-    })
+    _set_total(rep, "Rprime", _flux(
+        gs, wcc, alpha=SymTwoTensor.from_parts(grid, None, data.alpha),
+        beta=OneForm.from_plus(grid, data.beta),
+        rho=SpinField.from_samples(grid, 0, data.rho),
+        sigma=SpinField.from_samples(grid, 0, data.sigma),
+        betab=OneForm.from_plus(grid, data.betab)))
 
     # O' over the geodesic slab
-    s3 = s_nodes[:, None, None]
+    s3 = data.s_nodes[:, None, None]
     trchi_dev = data.trchi - 2.0 / s3
     dst_dev = data.d_ds(data.trchi) + 2.0 / s3 ** 2
+    chihat = SymTwoTensor.from_parts(grid, None, data.chihat)
+    zeta = OneForm.from_plus(grid, data.zeta)
     _set_total(rep, "Oprime", {
-        "Oprime.trchi_dev_infinf": float(np.max(np.abs(trchi_dev))),
-        "Oprime.chihat_LinfL2s": _geo_trace_norm(data.chihat, wcc),
-        "Oprime.zeta_LinfL2s": _geo_trace_norm(data.zeta, wcc),
-        "Oprime.N1_trchi_dev": _n1_norm(
+        "trchi_dev_infinf": float(np.max(np.abs(trchi_dev))),
+        "chihat_LinfL2s": trace_norm(chihat, gs, wcc, np.inf, 2),
+        "zeta_LinfL2s": trace_norm(zeta, gs, wcc, np.inf, 2),
+        "N1_trchi_dev": _n1_norm(
             SpinField.from_samples(grid, 0, trchi_dev),
-            SpinField.from_samples(grid, 0, dst_dev), gs, slab_l2),
-        "Oprime.N1_chihat": _n1_norm(
-            SymTwoTensor.from_parts(grid, None, data.chihat),
-            SymTwoTensor.from_parts(grid, None, data.d_ds(data.chihat)),
-            gs, slab_l2),
-        "Oprime.N1_zeta": _n1_norm(
-            OneForm.from_plus(grid, data.zeta),
-            OneForm.from_plus(grid, data.d_ds(data.zeta)), gs, slab_l2),
+            SpinField.from_samples(grid, 0, dst_dev), gs, wcc),
+        "N1_chihat": _n1_norm(chihat, SymTwoTensor.from_parts(
+            grid, None, data.d_ds(data.chihat)), gs, wcc),
+        "N1_zeta": _n1_norm(zeta, OneForm.from_plus(
+            grid, data.d_ds(data.zeta)), gs, wcc),
     })
 
     # ---- canonical-side norms (I_{S1}, O, R) over the v-levels -----------
     g = co.metric
+    wv = simpson_weights(co.v)
     co1, g1c = co[0], g[0]
     omega = _omega(co)
     _set_total(rep, "I_S1", {
-        "I_S1.trchi_dev_inf": float(np.max(np.abs(
-            np.real(co1.trchi.samples) - 2.0))),
-        "I_S1.trchib_dev_inf": float(np.max(np.abs(
-            np.real(co1.trchib.samples) + 2.0))),
-        "I_S1.grad_trchi_B0": besov_B0(grad(co1.trchi, g1c)),
-        "I_S1.grad_trchib_L2": _l2_g(grad(co1.trchib, g1c), g1c),
-        "I_S1.mu_B0": besov_B0(co1.mu),
-        "I_S1.zeta_H12": Hs_norm(co1.zeta, 0.5),
-        "I_S1.chihat_H12": Hs_norm(co1.chi.hat(), 0.5),
-        "I_S1.chibhat_H12": Hs_norm(co1.chib.hat(), 0.5),
-        "I_S1.grad_logOmega_H12": Hs_norm(grad(co1.logOmega, g1c), 0.5),
-        "I_S1.etab_H12": Hs_norm(co1.etab, 0.5),
-        "I_S1.logOmega_L2": _l2_g(co1.logOmega, g1c),
-        "I_S1.omega_dev_inf": float(np.max(np.abs(omega[0] - 1.0))),
-        "I_S1.mu_L2": _l2_g(co1.mu, g1c),
+        **_initial_sphere(g1c, co1.trchi, co1.trchib, co1.mu, co1.zeta,
+                          co1.chi.hat(), co1.chib.hat()),
+        "grad_logOmega_H12": Hs_norm(grad(co1.logOmega, g1c), 0.5),
+        "etab_H12": Hs_norm(co1.etab, 0.5),
+        "logOmega_L2": _sizes(co1.logOmega, g1c)[1],
+        "omega_dev_inf": float(np.max(np.abs(omega[0] - 1.0))),
+        "mu_L2": _sizes(co1.mu, g1c)[1],
     })
 
-    def v_l2(x):
-        """L^2_v L^2 of a stack over the v-levels."""
-        return mixed_norm(x, g, v_nodes, 2, 2)
-
-    # R over the canonical foliation
-    _set_total(rep, "R", {
-        "R.alpha": v_l2(co.alpha),
-        "R.beta": v_l2(co.beta),
-        "R.rho": v_l2(co.rho),
-        "R.sigma": v_l2(co.sigma),
-        "R.betab": v_l2(co.betab),
-    })
+    _set_total(rep, "R", _flux(g, wv, alpha=co.alpha, beta=co.beta,
+                               rho=co.rho, sigma=co.sigma, betab=co.betab))
 
     # O over the canonical foliation
-    dv = _dv(co)
+    n = len(co.v)
 
     def dL(samples):
         """Omega d_v of a per-level array; the stencil margin takes the
         nearest interior value."""
-        d, margin = v_derivative(samples, dv, n)
+        d, margin = v_derivative(samples, _dv(co), n)
         d[:margin] = d[margin]
         d[n - margin:] = d[n - 1 - margin]
         return omega * d
 
-    v3 = v_nodes[:, None, None]
-    trchi_dev_f = co.trchi + SpinField.constant(grid, -2.0 / v_nodes)
-    trchib_dev_f = co.trchib + SpinField.constant(grid, 2.0 / v_nodes)
+    v3 = co.v[:, None, None]
+    trchi_dev_f = co.trchi + SpinField.constant(grid, -2.0 / co.v)
+    trchib_dev_f = co.trchib + SpinField.constant(grid, 2.0 / co.v)
     chihat_f, chibhat_f = co.chi.hat(), co.chib.hat()
     gradlog_f = grad(co.logOmega, g)
 
     _set_total(rep, "O", {
-        "O.N1_trchi_dev": _n1_norm(trchi_dev_f, SpinField.from_samples(
-            grid, 0, dL(np.real(co.trchi.samples) - 2.0 / v3)), g, v_l2),
-        "O.N1_chihat": _n1_norm(chihat_f, SymTwoTensor.from_parts(
-            grid, None, dL(co.chi.hat_plus.samples)), g, v_l2),
-        "O.N1_zeta": _n1_norm(co.zeta, OneForm.from_plus(
-            grid, dL(co.zeta.plus.samples)), g, v_l2),
-        "O.N1_etab": _n1_norm(co.etab, OneForm.from_plus(
-            grid, dL(co.etab.plus.samples)), g, v_l2),
-        "O.N1_trchib_dev": _n1_norm(trchib_dev_f, SpinField.from_samples(
-            grid, 0, dL(np.real(co.trchib.samples) + 2.0 / v3)), g, v_l2),
-        "O.N1_chibhat": _n1_norm(chibhat_f, SymTwoTensor.from_parts(
-            grid, None, dL(co.chib.hat_plus.samples)), g, v_l2),
-        "O.omega_dev_infinf": float(np.max(np.abs(omega - 1.0))),
-        "O.L_logOmega_L2L4": mixed_norm(SpinField.from_samples(
-            grid, 0, dL(np.real(co.logOmega.samples))), g, v_nodes, 2, 4),
-        "O.N1_grad_logOmega": _n1_norm(gradlog_f, OneForm.from_plus(
-            grid, dL(gradlog_f.plus.samples)), g, v_l2),
-        "O.trchi_dev_infinf": mixed_norm(trchi_dev_f, g, v_nodes,
-                                         np.inf, np.inf),
-        "O.chihat_LinfL2v": trace_norm(chihat_f, g, v_nodes, np.inf, 2),
-        "O.zeta_LinfL2v": trace_norm(co.zeta, g, v_nodes, np.inf, 2),
-        "O.etab_LinfL2v": trace_norm(co.etab, g, v_nodes, np.inf, 2),
-        "O.trchib_dev_infinf": mixed_norm(trchib_dev_f, g, v_nodes,
-                                          np.inf, np.inf),
-        "O.grad_trchib_L2Linfv": trace_norm(grad(co.trchib, g), g, v_nodes,
-                                            2, np.inf),
-        "O.mu_L2Linfv": trace_norm(co.mu, g, v_nodes, 2, np.inf),
+        "N1_trchi_dev": _n1_norm(trchi_dev_f, SpinField.from_samples(
+            grid, 0, dL(np.real(co.trchi.samples) - 2.0 / v3)), g, wv),
+        "N1_chihat": _n1_norm(chihat_f, SymTwoTensor.from_parts(
+            grid, None, dL(co.chi.hat_plus.samples)), g, wv),
+        "N1_zeta": _n1_norm(co.zeta, OneForm.from_plus(
+            grid, dL(co.zeta.plus.samples)), g, wv),
+        "N1_etab": _n1_norm(co.etab, OneForm.from_plus(
+            grid, dL(co.etab.plus.samples)), g, wv),
+        "N1_trchib_dev": _n1_norm(trchib_dev_f, SpinField.from_samples(
+            grid, 0, dL(np.real(co.trchib.samples) + 2.0 / v3)), g, wv),
+        "N1_chibhat": _n1_norm(chibhat_f, SymTwoTensor.from_parts(
+            grid, None, dL(co.chib.hat_plus.samples)), g, wv),
+        "omega_dev_infinf": float(np.max(np.abs(omega - 1.0))),
+        "L_logOmega_L2L4": mixed_norm(SpinField.from_samples(
+            grid, 0, dL(np.real(co.logOmega.samples))), g, wv, 2, 4),
+        "N1_grad_logOmega": _n1_norm(gradlog_f, OneForm.from_plus(
+            grid, dL(gradlog_f.plus.samples)), g, wv),
+        "trchi_dev_infinf": mixed_norm(trchi_dev_f, g, wv, np.inf, np.inf),
+        "chihat_LinfL2v": trace_norm(chihat_f, g, wv, np.inf, 2),
+        "zeta_LinfL2v": trace_norm(co.zeta, g, wv, np.inf, 2),
+        "etab_LinfL2v": trace_norm(co.etab, g, wv, np.inf, 2),
+        "trchib_dev_infinf": mixed_norm(trchib_dev_f, g, wv,
+                                        np.inf, np.inf),
+        "grad_trchib_L2Linfv": trace_norm(grad(co.trchib, g), g, wv,
+                                          2, np.inf),
+        "mu_L2Linfv": trace_norm(co.mu, g, wv, 2, np.inf),
     })
 
     # representative v-integrated Besov constituents
-    rep.set("O.P0v_zeta", P0v_norm(co.zeta, g, v_nodes))
-    rep.set("O.Q12v_zeta", Q12v_norm(co.zeta, g, v_nodes))
+    rep.set("O.P0v_zeta", P0v_norm(co.zeta, g, wv))
+    rep.set("O.Q12v_zeta", Q12v_norm(co.zeta, g, wv))
     return rep
-
-
-def _geo_trace_norm(table, wcc):
-    """L^inf L^2_s norm of a spin-1 or spin-2 geodesic table via CC weights.
-
-    The table holds plus components, whose dyad norm is sqrt(2) |plus|.
-    """
-    stack = np.sqrt(2.0) * np.abs(table)
-    gen = np.sqrt(np.tensordot(wcc, stack ** 2, axes=(0, 0)))
-    return float(np.max(gen))
 
 
 # --------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def sphericality_report(co):
     resid = g.gauss_curvature() + inv_v2 - div(Psi, g) - Theta
     rep.add_levels(co.v, {"sphericality_split": diagnostics._sizes(resid, g)})
     rows = [{"psi_H12": diagnostics.Hs_norm(Psi[i], 0.5), "theta_L2": t}
-            for i, t in enumerate(diagnostics._l2_g(Theta, g))]
+            for i, t in enumerate(diagnostics._sizes(Theta, g)[1])]
     return rows, rep
 
 

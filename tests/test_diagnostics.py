@@ -204,6 +204,26 @@ class TestNormSuite:
             assert half_rep.get(key) <= full_rep.get(key) + 1e-12
 
 
+class TestGeneratorQuadrature:
+    def test_odd_interval_count_one_rule(self, grid8):
+        """On 10 round leaves (9 intervals) with |F| = v^2 constant in angle,
+        L^2 over each leaf then along the generators equals L^2 along each
+        generator then over the first leaf: both norms take one rule."""
+        v = np.linspace(1.0, 2.0, 10)
+        g = MetricRep(grid8, np.zeros((10,) + grid8.shape))
+        F = SpinField.from_samples(
+            grid8, 0, v[:, None, None] ** 2 * np.ones(grid8.shape))
+        w = diagnostics.simpson_weights(v)
+        mixed = diagnostics.mixed_norm(F, g, w, 2, 2)
+        assert abs(diagnostics.trace_norm(F, g, w, 2, 2) - mixed) \
+            <= 1e-14 * mixed
+
+    def test_simpson_weights_exact_on_cubics(self):
+        v = np.linspace(1.0, 2.0, 9)
+        w = diagnostics.simpson_weights(v)
+        assert abs(np.sum(w * v ** 3) - 3.75) <= 1e-14
+
+
 class TestSphericality:
     def test_minkowski_split_vanishes(self, mink_foliation):
         _, fol = mink_foliation
