@@ -67,6 +67,22 @@ def diff_matrix(nodes):
     return D
 
 
+def _cheb_matrix(n):
+    """The DCT-I map from values at the n Lobatto points x_j = cos(pi j / m),
+    m = n - 1 (descending), to the coefficients of their Chebyshev
+    interpolant."""
+    m = n - 1
+    j = np.arange(n)
+    cosmat = np.cos(np.pi * np.outer(j, j) / m)
+    wj = np.ones(n)
+    wj[0] = 0.5
+    wj[-1] = 0.5
+    M = (2.0 / m) * (cosmat * wj[None, :])
+    M[0] *= 0.5
+    M[-1] *= 0.5
+    return M
+
+
 def cc_weights(nodes):
     """Clenshaw-Curtis weights for CGL nodes (ascending) on their interval.
 
@@ -76,40 +92,20 @@ def cc_weights(nodes):
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
     a, b = nodes[0], nodes[-1]
-    m = n - 1
-    j = np.arange(n)
-    k = np.arange(n)
-    cosmat = np.cos(np.pi * np.outer(k, j) / m)
-    wj = np.ones(n)
-    wj[0] = 0.5
-    wj[-1] = 0.5
-    M = (2.0 / m) * (cosmat * wj[None, :])
-    M[0] *= 0.5
-    M[-1] *= 0.5
     e = np.zeros(n)
     ks = np.arange(0, n, 2)
     e[ks] = 2.0 / (1.0 - ks.astype(float) ** 2)
-    w_desc = M.T @ e
+    w_desc = _cheb_matrix(n).T @ e
     return (b - a) / 2.0 * w_desc[::-1]
 
 
 def values_to_cheb(values, a, b):
     """Chebyshev series (numpy Chebyshev object) interpolating values at CGL nodes.
 
-    values are given at cgl_nodes(n, a, b) in ascending order.  Uses the DCT-I
-    relation for the Lobatto points; exact for the interpolant.
+    values are given at cgl_nodes(n, a, b) in ascending order; reversed, they
+    sit at the descending points of the DCT-I relation, exact for the
+    interpolant.
     """
     v = np.asarray(values, dtype=float)
-    n = v.size
-    m = n - 1
-    vd = v[::-1]  # reorder to x_j = cos(pi j / m), j = 0..m
-    j = np.arange(n)
-    k = np.arange(n)
-    cosmat = np.cos(np.pi * np.outer(k, j) / m)
-    wj = np.ones(n)
-    wj[0] = 0.5
-    wj[-1] = 0.5
-    coeffs = (2.0 / m) * (cosmat * wj[None, :]) @ vd
-    coeffs[0] *= 0.5
-    coeffs[-1] *= 0.5
-    return np.polynomial.chebyshev.Chebyshev(coeffs, domain=[a, b])
+    return np.polynomial.chebyshev.Chebyshev(_cheb_matrix(v.size) @ v[::-1],
+                                             domain=[a, b])
