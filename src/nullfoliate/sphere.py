@@ -247,11 +247,6 @@ class SpinField:
         return cls(grid, spin, samples=s)
 
     @classmethod
-    def zero(cls, grid, spin):
-        return cls(grid, spin, coeffs=np.zeros((grid.Lmax + 1, 2 * grid.Lmax + 1),
-                                               dtype=np.complex128))
-
-    @classmethod
     def constant(cls, grid, value):
         """Spin-0 constant; an array of values gives a stack of constants."""
         value = np.asarray(value, dtype=np.complex128)

@@ -33,11 +33,9 @@ SQRT2 = np.sqrt(2.0)
 class MetricRep:
     """Induced metric e^{2 psi} gring of a leaf, conformal to the unit round sphere."""
 
-    def __init__(self, grid, psi=None):
+    def __init__(self, grid, psi):
         self.grid = grid
-        if psi is None:
-            psi = SpinField.zero(grid, 0)
-        elif not isinstance(psi, SpinField):
+        if not isinstance(psi, SpinField):
             psi = SpinField.from_samples(grid, 0, psi)
         self.psi = psi
         self._conf = {}

@@ -168,7 +168,8 @@ class TestRenormalised:
         rho = random_real_scalar(grid8, 1)
         sigma = random_real_scalar(grid8, 2)
         bb = OneForm(random_spin_field(grid8, 1, 3))
-        zero2 = SymTwoTensor.tracefree(SpinField.zero(grid8, 2))
+        zero2 = SymTwoTensor.tracefree(
+            SpinField.from_coeffs(grid8, 2, np.zeros(grid8.shape)))
         ze = OneForm(random_spin_field(grid8, 1, 4))
         rc, sc, bbc = comparison.renormalized(rho, sigma, bb, zero2, zero2, ze)
         assert (rc - rho).max_abs() < 1e-14
@@ -180,8 +181,9 @@ class TestRenormalised:
         from nullfoliate.tensors import SymTwoTensor
         A = random_spin_field(grid8, 2, 21, lmax=3)
         B = random_spin_field(grid8, 2, 22, lmax=3)
-        ch = SymTwoTensor(SpinField.zero(grid8, 0), A)
-        cbh = SymTwoTensor(SpinField.zero(grid8, 0), B)
+        zero = SpinField.from_coeffs(grid8, 0, np.zeros(grid8.shape))
+        ch = SymTwoTensor(zero, A)
+        cbh = SymTwoTensor(zero, B)
         rho = random_real_scalar(grid8, 23, lmax=3)
         sig = random_real_scalar(grid8, 24, lmax=3)
         bb = OneForm(random_spin_field(grid8, 1, 25, lmax=3))

@@ -1,8 +1,12 @@
 """The package holds what its commands run: every definition in
-src/nullfoliate has a reference there, and every import is used."""
+src/nullfoliate has a reference there and runs under a command, and every
+import is used."""
 
 import ast
+import sys
 from pathlib import Path
+
+from nullfoliate import cli, sphere
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nullfoliate"
 MODULES = {p.stem: ast.parse(p.read_text())
@@ -14,15 +18,25 @@ MEASURING = {"sphere.SpinField.max_abs", "sphere.SpinField.coeff",
 
 
 def _definitions(node, prefix):
-    """(qualified name, name) of every function, class and method below
+    """(qualified name, node) of every function, class and method below
     node, nested ones included."""
     for child in ast.iter_child_nodes(node):
         qual = prefix
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             qual = f"{prefix}.{child.name}"
-            yield qual, child.name
+            yield qual, child
         yield from _definitions(child, qual)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _first_line(node):
+    """The first line of a definition's code object: that of its first
+    decorator, if it has one."""
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
 
 
 def test_every_definition_has_a_reference_in_the_package():
@@ -37,10 +51,59 @@ def test_every_definition_has_a_reference_in_the_package():
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
     unused = [qual for mod, tree in MODULES.items()
-              for qual, name in _definitions(tree, mod)
-              if name not in read and qual not in MEASURING
-              and not (name.startswith("__") and name.endswith("__"))]
+              for qual, node in _definitions(tree, mod)
+              if node.name not in read and qual not in MEASURING
+              and not _is_dunder(node.name)]
     assert unused == []
+
+
+def test_every_function_runs_under_a_command(tmp_path, monkeypatch):
+    """Every function and method of the package is entered while the
+    commands below run, so a dead method cannot pass for the live one whose
+    name it shares.  A code object is known by its file and first line.
+    Exempt: dunder methods, the measuring methods, and
+    ResidualReport.to_json, which no command calls (`verify` writes one
+    summary of both reports).  The Legendre tables start empty, so their
+    builder runs whatever test ran before."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sphere, "_LEGENDRE", {})
+    sizes = ["--lmax", "8", "--n-s", "32"]
+    solve = ["--dv", "0.0625", "--v-end", "1.5"]
+    commands = [
+        ["generate", "--model", "schwarzschild", *sizes, "--out", "schw"],
+        ["generate", "--model", "mms", *sizes, "--out", "mms"],
+        ["solve", "--data", "schw", "--out", "schw_fol", *solve],
+        ["solve", "--data", "mms", "--out", "mms_fol", *solve,
+         "--threads", "2"],
+    ]
+    for case in ("schw", "mms"):
+        for stage in ("verify", "norms"):
+            commands.append([stage, "--data", case, "--foliation",
+                             f"{case}_fol", "--out", f"{case}_{stage}"])
+    commands.append(["convergence", "--levels", "2", *sizes, "--dv0",
+                     "0.125", "--v-end", "1.5", "--out", "conv"])
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename,
+                         frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(commands)
+    entered = {(Path(f).resolve(), line) for f, line in entered}
+    exempt = MEASURING | {"reports.ResidualReport.to_json"}
+    never = [qual for mod, tree in MODULES.items()
+             for qual, node in _definitions(tree, mod)
+             if not isinstance(node, ast.ClassDef)
+             and (PACKAGE / f"{mod}.py", _first_line(node)) not in entered
+             and qual not in exempt and not _is_dunder(node.name)]
+    assert never == []
 
 
 def test_every_import_is_used():

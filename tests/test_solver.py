@@ -388,7 +388,8 @@ class TestBuildingBlocks:
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(schw, s, met, grad(sf, met), hessian(sf, met))
 
-        logom = SpinField.zero(g, 0)  # source assembly is lapse-independent
+        # source assembly is lapse-independent
+        logom = SpinField.from_coeffs(g, 0, np.zeros(g.shape))
         ups = comparison.upsilon(sf, met)
         chi, chib, zeta, etab, _ = comparison.canonical_connection(
             connection, sf, logom, met, ups, ups.norm2())

@@ -563,7 +563,7 @@ class TestZeros:
                             lambda *a: calls.append("synthesize"))
         monkeypatch.setattr(sphere, "raw_analyze",
                             lambda *a: calls.append("analyze"))
-        zero = SpinField.zero(grid8, 0)
+        zero = SpinField.from_coeffs(grid8, 0, np.zeros(grid8.shape))
         h = SpinField.from_samples(grid8, 2, np.ones((3,) + grid8.shape))
         for p in (multiply(zero, h), multiply(h, zero)):
             assert p.spin == 2 and p._samples is None
@@ -578,7 +578,7 @@ class TestZeros:
             [random_spin_field(grid8, 0, seed=3 + k).coeffs for k in range(2)]))
         assert np.array_equal(multiply(f, g, h).coeffs,
                               multiply(multiply(f, g), h).coeffs)
-        zero = SpinField.zero(grid8, 0)
+        zero = SpinField.from_coeffs(grid8, 0, np.zeros(grid8.shape))
         for factors in [(zero, f, h), (f, zero, h), (h, f, zero)]:
             p = multiply(*factors)
             assert p.spin == sum(x.spin for x in factors)
@@ -592,7 +592,7 @@ class TestZeros:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_zero_times_nonfinite_is_nonfinite(self, grid8, bad):
-        zero = SpinField.zero(grid8, 0)
+        zero = SpinField.from_coeffs(grid8, 0, np.zeros(grid8.shape))
         c = random_spin_field(grid8, 1, seed=4).coeffs.copy()
         c[2, 8] = bad
         for held in ("coeffs", "samples"):
