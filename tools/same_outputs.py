@@ -14,8 +14,9 @@ Each file that differs, or exists on one side only, is printed; the exit
 code is 1 if any does and 0 if none.  For a differing numeric file (a
 container's .bin array, read with the dtype its manifest.json gives, or a
 CSV or JSON report) the largest absolute and relative difference of its
-numbers is printed too, relative to the parent's value.  Standard library
-only.
+numbers is printed too, relative to the parent's value, and for a JSON
+report one more line for each key whose number moved, with its shift.
+Standard library only.
 """
 
 import array
@@ -104,17 +105,18 @@ def _number(x):
         return x
 
 
-def _leaves(x):
-    """Keys and values of a JSON document, depth first in key order."""
+def _entries(x, key=""):
+    """(key path, value) of every leaf of a JSON document, depth first in
+    key order; a list item is keyed by its index."""
     if isinstance(x, dict):
-        for k in sorted(x):
-            yield k
-            yield from _leaves(x[k])
+        items = sorted(x.items())
     elif isinstance(x, list):
-        for v in x:
-            yield from _leaves(v)
+        items = enumerate(x)
     else:
-        yield x
+        yield key, x
+        return
+    for k, v in items:
+        yield from _entries(v, f"{key}.{k}" if key else str(k))
 
 
 def _values(path):
@@ -133,8 +135,16 @@ def _values(path):
         with open(path, newline="") as fh:
             return [_number(c) for row in csv.reader(fh) for c in row]
     if path.suffix == ".json":
-        return [_number(v) for v in _leaves(json.loads(path.read_text()))]
+        return [x for key, v in _entries(json.loads(path.read_text()))
+                for x in (key, _number(v))]
     return None
+
+
+def _gap(x, y):
+    """Absolute and relative (to x) difference of two numbers."""
+    d = abs(x - y)
+    d = math.inf if d != d else d  # NaN on one side
+    return d, d / abs(x) if x else (math.inf if d else 0.0)
 
 
 def shift(pa, pb):
@@ -147,15 +157,27 @@ def shift(pa, pb):
     other = False
     for x, y in zip(va, vb):
         if isinstance(x, (float, complex)) and isinstance(y, (float, complex)):
-            d = abs(x - y)
-            d = math.inf if d != d else d  # NaN on one side
-            big_abs = max(big_abs, d)
-            big_rel = max(big_rel, d / abs(x) if x else
-                          (math.inf if d else 0.0))
+            d, rel = _gap(x, y)
+            big_abs, big_rel = max(big_abs, d), max(big_rel, rel)
         elif x != y:
             other = True
     note = ", a non-numeric value differs" if other else ""
     return f"  max abs {big_abs:.3g}, max rel {big_rel:.3g}{note}"
+
+
+def moved(pa, pb):
+    """One line for each number of a JSON report that moved, naming its
+    key path with the absolute and relative shift; none for other files."""
+    if pa.suffix != ".json":
+        return []
+    ea, eb = (dict(_entries(json.loads(p.read_text()))) for p in (pa, pb))
+    lines = []
+    for key in sorted(ea.keys() & eb.keys()):
+        x, y = _number(ea[key]), _number(eb[key])
+        if isinstance(x, float) and isinstance(y, float) and x != y:
+            d, rel = _gap(x, y)
+            lines.append(f"    {key}: abs {d:.3g}, rel {rel:.3g}")
+    return lines
 
 
 def main(argv):
@@ -175,9 +197,11 @@ def main(argv):
             n_files += sum(1 for p in a.rglob("*") if p.is_file())
             n_diff += len(diff)
             for rel in diff:
-                size = shift(a / rel, b / rel) \
-                    if (a / rel).is_file() and (b / rel).is_file() else ""
+                both = (a / rel).is_file() and (b / rel).is_file()
+                size = shift(a / rel, b / rel) if both else ""
                 print(f"differs: {case}/{rel}{size}")
+                for line in moved(a / rel, b / rel) if both else []:
+                    print(line)
     print(f"{n_diff} of {n_files} files differ")
     return 1 if n_diff else 0
 
