@@ -48,6 +48,23 @@ a C-ordered zero moves downstream sums at roundoff.  NaN and inf count as
 nonzero, and a zero times a non-finite factor takes the full product, so
 non-finite input is never skipped and still propagates.
 
+Real fields.  The lapse equation and its diagnostics transform real
+scalars (s, log Omega, psi, F1, e^{2 psi}, ...), whose coefficients satisfy
+a[l, -m] = (-1)^m conj(a[l, m]).  These take a half-range path, as real data
+do in SHTns (Schaeffer 2013, arXiv:1202.6522).  Analysis takes a real DFT
+against the m >= 0 columns of Einv, viewed as real pairs, then the Legendre
+stage on m >= 0 only, and fills m < 0 by the symmetry.  Synthesis takes the
+m >= 0 half of the Legendre stage and a real DFT (weight 1 at m = 0, 2 above)
+to float64 samples.  Both keep the layouts of the complex path.  Realness is
+decided exactly, never by a tolerance: spin-0 samples are real when they are
+float64 (SpinField.from_samples and constant keep real spin-0 input so), and
+spin-0 coefficients when they satisfy the symmetry bit for bit, as analysis
+of real samples gives and real scalings and sums keep.  Anything else, one
+ulp off included, takes the complex path.  The real DFT is one gemm per
+leaf, the stack looped by np.matmul: in one dgemm over every row of a stack
+OpenBLAS rounds a row by its position in the blocking, so a lone leaf would
+analyse to other bits than inside a stack.
+
 Generators.  Geodesic data is tabulated along each generator on CGL nodes
 in s.  A GeneratorPack holds several such tables in one real layout, and
 interp_generator reads all of them at shared heights with one barycentric
@@ -101,6 +118,7 @@ class Grid:
 _GRIDS: dict = {}
 _LEGENDRE: dict = {}  # (Lmax, band L, spin) -> real table lam[m+L, theta, l]
 _FOURIER: dict = {}  # Lmax -> (E, Einv), E[m+Lmax, k] = exp(i m phi_k)
+_REAL_FOURIER: dict = {}  # Lmax -> (Q, R), the real DFT pair of m >= 0
 
 
 def build_grid(Lmax: int) -> Grid:
@@ -139,19 +157,63 @@ def _plan(grid, L, spin):
     return _LEGENDRE[key], E[band], Einv[:, band]
 
 
+def _real_plan(grid, L):
+    """(lam, Q, R) of a real spin-0 field of band L on grid: the m >= 0 half
+    lam[m, theta, l] of the spin-0 table, and 2L+2 rows of Q and columns of
+    R, the real DFT pair stored once per grid, indexed by (m >= 0, re/im).
+    R is the m >= 0 columns of Einv viewed as real pairs, so samples @ R are
+    the m >= 0 Fourier coefficients; Q holds w_m (Re E[m], -Im E[m]) with
+    w_0 = 1 and w_m = 2, so Fourier coefficients @ Q are real samples."""
+    lam = _plan(grid, L, 0)[0]
+    if grid.Lmax not in _REAL_FOURIER:
+        E, Einv = _FOURIER[grid.Lmax]
+        w = np.where(np.arange(grid.Lmax + 1) == 0, 1.0, 2.0)[:, None]
+        half = E[grid.Lmax:]
+        Q = np.stack([w * half.real, -w * half.imag], axis=1)
+        _REAL_FOURIER[grid.Lmax] = (
+            Q.reshape(-1, grid.nphi),
+            np.ascontiguousarray(Einv[:, grid.Lmax:]).view(np.float64))
+    Q, R = _REAL_FOURIER[grid.Lmax]
+    return lam[L:], Q[:2 * L + 2], R[:, :2 * L + 2]
+
+
+def _is_real(coeffs):
+    """Whether spin-0 coefficients (..., l, m+L) are exactly those of a real
+    field: a[l, -m] = (-1)^m conj(a[l, m]) bit for bit for every m >= 0,
+    which at m = 0 makes a[l, 0] real."""
+    L = coeffs.shape[-1] // 2
+    mirror = np.conj(coeffs[..., L:])
+    mirror[..., 1::2] *= -1.0  # odd m
+    return bool((mirror == coeffs[..., L::-1]).all())
+
+
 def raw_analyze(grid: Grid, samples, spin: int, L=None):
     """Coefficients a[..., l, m+L] up to band L (default grid.Lmax) of a
-    spin-weighted field or a stack of them (samples (..., ntheta, nphi))."""
+    spin-weighted field or a stack of them (samples (..., ntheta, nphi)).
+
+    Real spin-0 samples take the half-range path (see Real fields in the
+    module docstring)."""
     L = grid.Lmax if L is None else L
-    lam, _, Einv = _plan(grid, L, spin)
+    real = spin == 0 and not np.iscomplexobj(samples)
+    lam, _, Einv = _real_plan(grid, L) if real else _plan(grid, L, spin)
     nt = grid.Lmax + 1
-    s = np.asarray(samples, dtype=np.complex128)
+    s = np.asarray(samples, dtype=np.float64 if real else np.complex128)
     if s.shape[-2:] != grid.shape:
         raise ValueError(f"sample shape {s.shape} is not (..., {nt}, "
                          f"{grid.nphi})")
     if not s.any():
         return np.zeros(s.shape[:-2] + (L + 1, 2 * L + 1),
                         dtype=np.complex128, order="F")
+    if real:  # Einv is R: one gemm per leaf, numpy loops the stack
+        F = np.matmul(s, Einv).view(np.complex128)  # (..., theta, m >= 0)
+        F *= (grid.weights / (2.0 * np.pi))[:, None]
+        Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(L + 1, nt, -1)
+        a = np.empty((2 * L + 1, L + 1, Fr.shape[-1] // 2), np.complex128)
+        np.matmul(lam.transpose(0, 2, 1), Fr, out=a[L:].view(np.float64))
+        # a[l, -m] = (-1)^m conj(a[l, m]) for m = L..1
+        np.conj(a[:L:-1], out=a[:L])
+        a[:L][::-2] *= -1.0  # odd m
+        return a.reshape((2 * L + 1, L + 1) + F.shape[-3::-1]).T
     if s.ndim == 2:
         F = s @ Einv  # (theta, m)
         F *= (grid.weights / (2.0 * np.pi))[:, None]
@@ -174,27 +236,39 @@ def raw_synthesize(grid: Grid, coeffs, spin: int):
     from their shape (..., L+1, 2L+1).
 
     Reads the coefficients through their full transpose (m, l, reversed
-    stack), so a Fortran-ordered array is used without a copy.
+    stack), so a Fortran-ordered array is used without a copy.  Spin-0
+    coefficients of a real field give real samples (see Real fields in the
+    module docstring).
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     L = c.shape[-2] - 1 if c.ndim >= 2 else -1
     if c.shape[-1:] != (2 * L + 1,):
         raise ValueError(
             f"coefficient shape {c.shape} is not (..., L+1, 2L+1)")
-    lam, E, _ = _plan(grid, L, spin)
-    if c.any():
+    real = spin == 0 and _is_real(c)
+    lam, E, _ = _real_plan(grid, L) if real else _plan(grid, L, spin)
+    n = c.ndim - 2  # rows of S run over (theta, reversed stack)
+    rows = (grid.Lmax + 1,) + c.shape[:n][::-1]
+    leaves = tuple(range(n, 0, -1)) + (0, n + 1)
+    if not c.any():  # exact zeros in the row order of a computed S
+        S = np.zeros((math.prod(rows), grid.nphi),
+                     dtype=np.float64 if real else np.complex128)
+    elif real:  # E is Q
+        cm = np.ascontiguousarray(c[..., L:].T)  # (m >= 0, l, reversed stack)
+        G = np.matmul(lam, cm.view(np.float64).reshape(L + 1, L + 1, -1))
+        Gl = np.ascontiguousarray(G.view(np.complex128).reshape(
+            (L + 1,) + rows).T).view(np.float64)  # (..., theta, m >= 0)
+        # one gemm per leaf, written in the row order of S
+        S = np.empty((math.prod(rows), grid.nphi))
+        np.matmul(Gl, E, out=S.reshape(rows + (grid.nphi,)).transpose(leaves))
+    else:
         cm = np.ascontiguousarray(c.T)
         G = np.matmul(lam, cm.view(np.float64).reshape(2 * L + 1, L + 1, -1))
         # (theta, m) @ (m, k)
         S = G.view(np.complex128).reshape(2 * L + 1, -1).T @ E
-    else:  # exact zeros in the row order of a computed S
-        S = np.zeros(((grid.Lmax + 1) * math.prod(c.shape[:-2]), grid.nphi),
-                     dtype=np.complex128)
     if c.ndim == 2:
         return S
-    n = c.ndim - 2  # rows of S run over (theta, reversed stack)
-    return S.reshape((grid.Lmax + 1,) + c.shape[:n][::-1] + (grid.nphi,)
-                     ).transpose(tuple(range(n, 0, -1)) + (0, n + 1))
+    return S.reshape(rows + (grid.nphi,)).transpose(leaves)
 
 
 def ladder_raise(coeffs, spin, Lmax):
@@ -240,17 +314,21 @@ class SpinField:
 
     @classmethod
     def from_samples(cls, grid, spin, samples):
-        """Field (or stack of fields) from samples (..., ntheta, nphi)."""
-        s = np.asarray(samples, dtype=np.complex128)
+        """Field (or stack of fields) from samples (..., ntheta, nphi);
+        real spin-0 samples stay real (float64)."""
+        real = spin == 0 and not np.iscomplexobj(samples)
+        s = np.asarray(samples, dtype=np.float64 if real else np.complex128)
         if s.shape[-2:] != (grid.Lmax + 1, 2 * grid.Lmax + 1):
             raise ValueError("sample array has wrong shape")
         return cls(grid, spin, samples=s)
 
     @classmethod
     def constant(cls, grid, value):
-        """Spin-0 constant; an array of values gives a stack of constants."""
-        value = np.asarray(value, dtype=np.complex128)
-        samples = np.empty(value.shape + grid.shape, dtype=np.complex128)
+        """Spin-0 constant; an array of values gives a stack of constants.
+        Real values give real samples."""
+        value = np.asarray(value)
+        samples = np.empty(value.shape + grid.shape, dtype=np.complex128
+                           if np.iscomplexobj(value) else np.float64)
         samples[...] = value[..., None, None]
         return cls.from_samples(grid, 0, samples)
 

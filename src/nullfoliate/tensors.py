@@ -281,10 +281,12 @@ def hessian(f: SpinField, g: MetricRep) -> SymTwoTensor:
 def mean(f: SpinField, g: MetricRep):
     """Average of f against the g-measure; one value per field of a stack."""
     dens = g.sqrt_det()
-    re = g.grid.integrate(np.real(f.samples) * dens)
-    im = g.grid.integrate(np.imag(f.samples) * dens)
-    if np.any(np.abs(im) > 1e-13 * (np.abs(re) + 1.0)):
-        return (re + 1j * im) / g.area
+    x = f.samples
+    re = g.grid.integrate(np.real(x) * dens)
+    if np.iscomplexobj(x):
+        im = g.grid.integrate(np.imag(x) * dens)
+        if np.any(np.abs(im) > 1e-13 * (np.abs(re) + 1.0)):
+            return (re + 1j * im) / g.area
     return re / g.area
 
 

@@ -317,6 +317,38 @@ class TestStackedLapse:
         assert np.all(np.isfinite(solver._lapse_at(data, leaves)))
 
 
+class TestRealLapse:
+    def test_mms_window_makes_no_complex_scalar_transform(self, monkeypatch):
+        """Every spin-0 field of an MMS Picard window is real, so each of its
+        transforms takes the real path, and the lapse is float64."""
+        from nullfoliate import sphere
+
+        spec = geodesic.MmsSpec(epsilon=1e-2, Lmax=8, n_s=24,
+                                profile_l=2, profile_m=2)
+        data, _ = geodesic.gen_manufactured(spec)
+        calls = []
+        analyze, synthesize = sphere.raw_analyze, sphere.raw_synthesize
+
+        def counting_analyze(grid, samples, spin, L=None):
+            calls.append(("analyze", spin, np.iscomplexobj(samples)))
+            return analyze(grid, samples, spin, L)
+
+        def counting_synthesize(grid, coeffs, spin):
+            out = synthesize(grid, coeffs, spin)
+            calls.append(("synthesize", spin, np.iscomplexobj(out)))
+            return out
+
+        monkeypatch.setattr(sphere, "raw_analyze", counting_analyze)
+        monkeypatch.setattr(solver, "raw_analyze", counting_analyze)
+        monkeypatch.setattr(sphere, "raw_synthesize", counting_synthesize)
+        cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0)
+        solver.picard_window(data, 1.0, np.ones(data.grid.shape), cfg)
+        assert {kind for kind, _, _ in calls} == {"analyze", "synthesize"}
+        assert [c for c in calls if c[1] == 0 and c[2]] == []
+        leaves = np.full((2,) + data.grid.shape, 1.2)
+        assert solver._lapse_at(data, leaves).dtype == np.float64
+
+
 class TestFoliationIO:
     def test_save_load_roundtrip(self, mink, tmp_path):
         cfg = solver.SolverConfig(delta=0.5, dv=1.0 / 16.0)

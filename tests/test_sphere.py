@@ -767,3 +767,71 @@ class TestReality:
             for m in range(1, l + 1):
                 assert abs(a[l, L - m]
                            - (-1.0) ** m * np.conj(a[l, L + m])) < 1e-12
+
+    @staticmethod
+    def _off_band(coeffs):
+        """coeffs with 1 at (l, m) = (0, 1): the table is zero there, so the
+        samples are unchanged, but the symmetry breaks and synthesis takes
+        the complex path."""
+        out = np.array(coeffs)
+        out[..., 0, out.shape[-1] // 2 + 1] = 1.0
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(Lmax=st.sampled_from([8, 15, 23]), padded=st.booleans(),
+           stack=st.sampled_from([(), (1,), (3,), (8,), (2, 3)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_real_path_matches_complex_path(self, Lmax, padded, stack, seed):
+        """float64 samples of spin 0 analyse to exactly symmetric
+        coefficients equal to the complex path's to 1e-14 relative; those
+        synthesise to float64 samples equal to the complex path's; a lone
+        leaf analyses to its row of the stack bit for bit."""
+        grid = build_grid(pad_Lmax(Lmax) if padded else Lmax)
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=stack + grid.shape)
+        a = raw_analyze(grid, samples, 0, Lmax)
+        ref = raw_analyze(grid, samples.astype(complex), 0, Lmax)
+        assert a.shape == ref.shape and a.strides == ref.strides
+        assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(a[..., ::-1].conj() * (-1.0) ** np.arange(
+            -Lmax, Lmax + 1), a)
+        x = raw_synthesize(grid, a, 0)
+        ref = raw_synthesize(grid, self._off_band(a), 0)
+        assert x.dtype == np.float64 and ref.dtype == np.complex128
+        assert tuple(2 * k for k in x.strides) == ref.strides  # row order
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for idx in np.ndindex(*stack):
+            assert np.array_equal(raw_analyze(grid, samples[idx], 0, Lmax),
+                                  a[idx])
+
+    def test_only_exactly_real_fields_take_the_real_path(self, grid8,
+                                                         monkeypatch):
+        """One ulp off the symmetry, complex-typed samples and spin != 0
+        take the complex path and give complex samples."""
+        from nullfoliate import sphere
+
+        samples = np.random.default_rng(7).normal(size=(2,) + grid8.shape)
+        a = raw_analyze(grid8, samples, 0)
+        assert SpinField.from_coeffs(grid8, 0, a).samples.dtype == np.float64
+        assert SpinField.constant(grid8, 1.5).samples.dtype == np.float64
+        moved = a.copy()
+        moved[1, 5, 8 - 3] = complex(np.nextafter(moved[1, 5, 5].real, 1.0),
+                                     moved[1, 5, 5].imag)
+
+        def unreachable(*args):
+            raise AssertionError("the real path was taken")
+
+        monkeypatch.setattr(sphere, "_real_plan", unreachable)
+        assert raw_synthesize(grid8, moved, 0).dtype == np.complex128
+        complex_typed = SpinField.from_samples(grid8, 0, samples + 0j)
+        assert complex_typed.samples.dtype == np.complex128
+        assert np.array_equal(complex_typed.coeffs,
+                              raw_analyze(grid8, samples + 0j, 0))
+        assert SpinField.constant(grid8, 1.5 + 0j).samples.dtype \
+            == np.complex128
+        for spin in (-1, 1, 2):
+            f = SpinField.from_samples(grid8, spin, samples)
+            assert f.samples.dtype == np.complex128
+            assert raw_synthesize(grid8, f.coeffs, spin).dtype \
+                == np.complex128
+            assert raw_synthesize(grid8, a, spin).dtype == np.complex128
