@@ -307,17 +307,26 @@ class MmsExact:
         return ec * (1.0 + self.epsilon * self.p(v) * self.G)
 
     def v_of_s(self, s_samples):
-        """Invert the graph map per angular node (Newton, machine precision)."""
+        """Invert the graph map per angular node (Newton, machine precision).
+
+        s_samples is one leaf (ntheta, nphi) or a stack of leaves.  Each
+        leaf stops at its first step below 1e-15 everywhere on it, so it
+        gets the same bits alone and in any stack.
+        """
         s = np.asarray(s_samples, dtype=float)
         v = np.clip(self.v0 + (s - 1.0), self.v0, self.v_ext)
+        sl, vl = (x.reshape((-1,) + s.shape[-2:]) for x in (s, v))
+        live = np.arange(len(vl))  # leaves still iterating
         for _ in range(60):
-            r = (1.0 + self.A(v) + self.epsilon * self.B(v) * self.G) - s
-            dv = self.dvs_exact(v)
-            step = r / dv
-            v = np.clip(v - step, self.v0, self.v_ext)
-            if np.max(np.abs(step)) < 1e-15:
+            vi = vl[live]
+            r = (1.0 + self.A(vi) + self.epsilon * self.B(vi) * self.G) \
+                - sl[live]
+            step = r / self.dvs_exact(vi)
+            vl[live] = np.clip(vi - step, self.v0, self.v_ext)
+            live = live[~(np.max(np.abs(step), axis=(-2, -1)) < 1e-15)]
+            if not live.size:
                 break
-        return v
+        return vl.reshape(s.shape)
 
     def to_meta(self):
         return {
@@ -414,14 +423,11 @@ def gen_manufactured(spec: MmsSpec):
     # background: flat cone; prescribed forcing F'_1(sigma, omega)
     base = gen_minkowski(s_star=spec.s_star, Lmax=spec.Lmax, n_s=spec.n_s)
     s_nodes = base.s_nodes
-    F1 = np.empty((spec.n_s,) + grid.shape)
-    for i, sig in enumerate(s_nodes):
-        v = exact.v_of_s(np.full(grid.shape, sig))
-        xi = eps * p(v) * G
-        lap_log = eps * p(v) / (1.0 + xi) * lapG \
-            - (eps * p(v)) ** 2 / (1.0 + xi) ** 2 * gradG2
-        F1[i] = -lap_log / sig ** 2
-    base.forcing_F1 = F1
+    sig = s_nodes[:, None, None]
+    epv = eps * p(exact.v_of_s(np.broadcast_to(sig, (spec.n_s,) + grid.shape)))
+    xi = epv * G
+    lap_log = epv / (1.0 + xi) * lapG - epv ** 2 / (1.0 + xi) ** 2 * gradG2
+    base.forcing_F1 = -lap_log / sig ** 2
     base.exact = exact
     base.meta.update({"model": "mms", "mms": exact.to_meta()})
     return base, exact

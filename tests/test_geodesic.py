@@ -180,6 +180,23 @@ class TestManufactured:
         s = exact.s_exact(v)
         assert np.max(np.abs(exact.v_of_s(s) - v)) < 1e-13
 
+    def test_stacked_graph_inversion_matches_leaves_bitwise(self):
+        """A stack of leaves inverts as each leaf alone, bit for bit, though
+        the leaves stop after different numbers of Newton steps."""
+        spec = geodesic.MmsSpec(epsilon=1e-2, Lmax=8, n_s=24,
+                                profile_l=2, profile_m=2)
+        _, exact = geodesic.gen_manufactured(spec)
+        shape = exact.G.shape
+        leaves = np.stack([np.ones(shape), exact.s_exact(1.2),
+                           np.full(shape, 1.6), exact.s_exact(1.9),
+                           np.full(shape, 2.5)])
+        stacked = exact.v_of_s(leaves)
+        assert stacked.shape == leaves.shape
+        for leaf, got in zip(leaves, stacked):
+            assert np.array_equal(exact.v_of_s(leaf), got)
+        assert np.array_equal(exact.v_of_s(leaves.reshape((5, 1) + shape)),
+                              stacked.reshape((5, 1) + shape))
+
     def test_non_monotone_graph_rejected(self):
         with pytest.raises(ConfigurationError):
             geodesic.gen_manufactured(
