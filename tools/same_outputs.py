@@ -14,8 +14,10 @@ Each file that differs, or exists on one side only, is printed; the exit
 code is 1 if any does and 0 if none.  For a differing numeric file (a
 container's .bin array, read with the dtype its manifest.json gives, or a
 CSV or JSON report) the largest absolute and relative difference of its
-numbers is printed too, relative to the parent's value, and for a JSON
-report one more line for each key whose number moved, with its shift.
+numbers is printed too.  The relative one is taken over the entries whose
+parent value is nonzero; the entries that left an exact zero are counted
+apart, with their largest absolute value.  For a JSON report one more line
+is printed for each key whose number moved, with its shift.
 Standard library only.
 """
 
@@ -141,27 +143,37 @@ def _values(path):
 
 
 def _gap(x, y):
-    """Absolute and relative (to x) difference of two numbers."""
+    """Absolute difference of two numbers, and the relative one to x, which
+    is None where x is exactly 0."""
     d = abs(x - y)
     d = math.inf if d != d else d  # NaN on one side
-    return d, d / abs(x) if x else (math.inf if d else 0.0)
+    return d, d / abs(x) if x else None
 
 
 def shift(pa, pb):
     """' max abs ..., max rel ...' for two numeric files of the same layout,
-    with a note where a non-numeric value differs; '' otherwise."""
+    the relative maximum over the entries whose parent value is nonzero,
+    with a note of the entries that left an exact zero and one where a
+    non-numeric value differs; '' otherwise."""
     va, vb = _values(pa), _values(pb)
     if va is None or vb is None or len(va) != len(vb):
         return ""
-    big_abs = big_rel = 0.0
+    big_abs = big_rel = zero_abs = 0.0
+    n_zero = 0
     other = False
     for x, y in zip(va, vb):
         if isinstance(x, (float, complex)) and isinstance(y, (float, complex)):
             d, rel = _gap(x, y)
-            big_abs, big_rel = max(big_abs, d), max(big_rel, rel)
+            big_abs = max(big_abs, d)
+            if rel is not None:
+                big_rel = max(big_rel, rel)
+            elif d:
+                n_zero, zero_abs = n_zero + 1, max(zero_abs, d)
         elif x != y:
             other = True
-    note = ", a non-numeric value differs" if other else ""
+    note = f", {n_zero} left exact zero (max abs {zero_abs:.3g})" \
+        if n_zero else ""
+    note += ", a non-numeric value differs" if other else ""
     return f"  max abs {big_abs:.3g}, max rel {big_rel:.3g}{note}"
 
 
@@ -176,7 +188,8 @@ def moved(pa, pb):
         x, y = _number(ea[key]), _number(eb[key])
         if isinstance(x, float) and isinstance(y, float) and x != y:
             d, rel = _gap(x, y)
-            lines.append(f"    {key}: abs {d:.3g}, rel {rel:.3g}")
+            lines.append(f"    {key}: abs {d:.3g}, " + (
+                "left exact zero" if rel is None else f"rel {rel:.3g}"))
     return lines
 
 
