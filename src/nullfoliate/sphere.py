@@ -32,8 +32,9 @@ Stacks.  Samples (..., ntheta, nphi) and coefficients (..., L+1, 2L+1) may
 carry leading stack axes, e.g. the v-levels of a Picard window.  A
 transform folds the stack into the columns of its one Legendre matmul and its
 one Fourier matmul, so a stack costs two matrix products, not one pair per
-field.  SpinField, multiply and Grid.integrate broadcast over the stack; a
-2-D field takes the same arithmetic as before the stack axis existed.
+field (the real path below loops its DFT over the leaves).  SpinField,
+multiply and Grid.integrate broadcast over the stack; a 2-D field takes the
+same arithmetic as before the stack axis existed.
 
 Zeros.  Spherically symmetric data carry identically zero fields (the
 tracefree parts of chi and chib, zeta, alpha, beta, sigma, betab), and the
