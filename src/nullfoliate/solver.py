@@ -5,7 +5,7 @@ On each window [v0, v0+delta] the iteration alternates the transport update
     s_{n+1}(v, w) = s_0(w) + int_{v0}^{v} 1/Omega_n dv'
 
 (4th-order cumulative quadrature on the window's uniform v-nodes) with the
-elliptic update log Omega_{n+1} = Delta^{-1} F(s_{n+1}, grad s, Hess s) at
+elliptic update log Omega_{n+1} = Delta^{-1} F(s_{n+1}, grad s, Delta s) at
 every node, monitoring boundedness (M_n) and contraction (Delta_n) until the
 fixed point is reached.  Accepted windows are concatenated; on
 non-contraction the window is halved, down to two dv steps, before giving up.
@@ -40,9 +40,8 @@ from .errors import (BreakdownError, ConfigurationError, DatasetError,
                      NonFiniteIterateError, OutOfDomainError)
 from .geodesic import GeodesicNullData
 from .reports import _fmt
-from .sphere import SpinField, raw_analyze
-from .tensors import (MetricRep, OneForm, SymTwoTensor, contract2, dot, grad,
-                      hessian, invert_laplacian)
+from .sphere import SpinField, multiply, raw_analyze
+from .tensors import MetricRep, OneForm, dot, grad, invert_laplacian, laplacian
 
 # v-levels per stacked lapse solve: larger blocks amortise per-call overhead,
 # smaller ones bound the memory of the stacked temporaries
@@ -155,21 +154,22 @@ class Foliation:
 # --------------------------------------------------------------------------
 
 def assemble_F(data: GeodesicNullData, s_samples, metric: MetricRep,
-               gradient: OneForm, hess: SymTwoTensor,
-               source=None) -> SpinField:
-    """Elliptic source F = F1(s) + F2(s).grad s + F3(s).grad s.grad s + F4(s).Hess s.
+               gradient: OneForm, lap: SpinField, source=None) -> SpinField:
+    """Elliptic source F = F1(s) + F2(s).grad s + F3(s)|grad s|^2 + F4(s) Delta s.
 
+    F'_3 and F'_4 are multiples of the metric (the slab is shear-free), so
+    they contract grad s grad s and Hess s to |grad s|^2 and lap = Delta s.
     s_samples is one leaf or a stack of leaves.  `source` is
     data.source_at(s_samples) when the caller has it already.  Under
-    prescribed forcing F = F1, and gradient and hess are not read.
+    prescribed forcing F = F1, and gradient and lap are not read.
     """
     if source is None:
         source = data.source_at(np.real(s_samples))
     _, F, F2, F3, F4 = source
     if not data.has_prescribed_forcing:
         F = F + dot(F2, gradient)
-        F = F + contract2(F3, gradient, gradient)
-        F = F + dot(F4, hess)
+        F = F + multiply(F3, dot(gradient, gradient))
+        F = F + multiply(F4, lap)
     return F
 
 
@@ -182,17 +182,17 @@ def _lapse_at(data, s_samples):
     """log Omega samples on one leaf (ntheta, nphi) or a stack of leaves.
 
     The leaves of a stack are independent; they share every transform call
-    and one set of barycentric weights.  grad s and Hess s are only formed
+    and one set of barycentric weights.  grad s and Delta s are only formed
     when the source reads them (not under prescribed forcing).
     """
     s = np.real(s_samples)
     source = data.source_at(s)
     metric = MetricRep(data.grid, psi=source[0])
-    gradient = hess = None
+    gradient = lap = None
     if not data.has_prescribed_forcing:
         sf = SpinField.from_samples(data.grid, 0, s)
-        gradient, hess = grad(sf, metric), hessian(sf, metric)
-    F = assemble_F(data, s, metric, gradient, hess, source)
+        gradient, lap = grad(sf, metric), laplacian(sf, metric)
+    F = assemble_F(data, s, metric, gradient, lap, source)
     return np.real(solve_lapse(metric, F).samples)
 
 

@@ -37,10 +37,10 @@ multiply and Grid.integrate broadcast over the stack; a 2-D field takes the
 same arithmetic as before the stack axis existed.
 
 Zeros.  Spherically symmetric data carry identically zero fields (the
-tracefree parts of chi and chib, zeta, alpha, beta, sigma, betab), and the
-tracefree parts built from them stay zero.  A transform whose input has no
-nonzero entry returns exact zeros without its Legendre and Fourier stages,
-and multiply returns a coefficient-backed zero, synthesising neither factor,
+tracefree part of chib, zeta, beta, sigma, betab), and the tracefree parts
+built from them stay zero.  A transform whose input has no nonzero entry
+returns exact zeros without its Legendre and Fourier stages, and multiply
+returns a coefficient-backed zero, synthesising neither factor,
 when one factor is all zero and the other is finite.  The zeros keep the
 layout of a computed result (Fortran-ordered coefficients; samples in the
 (theta, reversed stack, phi) row order of a synthesis), because later numpy

@@ -172,30 +172,17 @@ class SymTwoTensor(_RealTensor):
 # pointwise tensor algebra
 # --------------------------------------------------------------------------
 
-def _cross(a, b):
-    """a_m conj(b_m) of two 1-forms, or of the tracefree parts of two
-    symmetric 2-tensors: the one product of dot and wedge."""
-    if isinstance(a, OneForm) and isinstance(b, OneForm):
-        return multiply(a.plus, b.minus)
-    if isinstance(a, SymTwoTensor) and isinstance(b, SymTwoTensor):
-        return multiply(a.hat_plus, b.hat_minus)
-    raise TypeError("expected two 1-forms or two symmetric 2-tensors")
-
-
 def dot(a, b) -> SpinField:
     """Full contraction of same-rank tensors (spin-0): 2 Re(a_m conj(b_m)),
-    plus tr(a) tr(b)/2 for symmetric 2-tensors."""
+    plus tr(a) tr(b)/2 for symmetric 2-tensors, whose a_m is T_mm."""
     if isinstance(a, SpinField) and isinstance(b, SpinField):
         return multiply(a, b)
-    out = 2.0 * _cross(a, b).real()
-    if isinstance(a, SymTwoTensor):
-        return 0.5 * multiply(a.trace, b.trace) + out
-    return out
-
-
-def wedge(a, b) -> SpinField:
-    """Antisymmetric contraction -2 Im(a_m conj(b_m)); zero for a == b."""
-    return -2.0 * _cross(a, b).imag()
+    if isinstance(a, OneForm) and isinstance(b, OneForm):
+        return 2.0 * multiply(a.plus, b.minus).real()
+    if isinstance(a, SymTwoTensor) and isinstance(b, SymTwoTensor):
+        return 0.5 * multiply(a.trace, b.trace) \
+            + 2.0 * multiply(a.hat_plus, b.hat_minus).real()
+    raise TypeError("expected two fields, 1-forms or symmetric 2-tensors")
 
 
 def sym_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:
@@ -208,7 +195,7 @@ def dual(x):
     if isinstance(x, OneForm):
         return OneForm(-1j * x.plus)
     if isinstance(x, SymTwoTensor):
-        # defined on the tracefree part (its only use in the structure equations)
+        # defined on the tracefree part
         return SymTwoTensor.tracefree(-1j * x.hat_plus)
     raise TypeError("dual expects a OneForm or SymTwoTensor")
 
@@ -217,12 +204,6 @@ def contract(T: SymTwoTensor, a: OneForm) -> OneForm:
     """(T . a)_A = T_AB a_B, of plus part tr(T) a_m/2 + T_mm conj(a_m)."""
     return OneForm(0.5 * multiply(T.trace, a.plus)
                    + multiply(T.hat_plus, a.minus))
-
-
-def contract2(T: SymTwoTensor, a: OneForm, b: OneForm) -> SpinField:
-    """T_AB a_A b_B = tr(T) a.b/2 + 2 Re(T_mm conj(a_m) conj(b_m))."""
-    return 0.5 * multiply(T.trace, dot(a, b)) \
-        + 2.0 * multiply(T.hat_plus, a.minus, b.minus).real()
 
 
 # --------------------------------------------------------------------------

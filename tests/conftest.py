@@ -2,17 +2,18 @@
 Littlewood-Paley partition, the weak-sphericality split) that the tests
 check on the package's operators; the package itself runs none of them."""
 
+import json
 from functools import reduce
 from operator import add
 
 import numpy as np
 import pytest
 
-from nullfoliate import diagnostics, sphere
+from nullfoliate import diagnostics, geodesic, sphere
 from nullfoliate.reports import ResidualReport
 from nullfoliate.sphere import SpinField, build_grid, eth, ethbar, multiply
-from nullfoliate.tensors import (MetricRep, OneForm, contract, curl, div,
-                                 eth_g, ethbar_g, grad, hessian, laplacian)
+from nullfoliate.tensors import (MetricRep, OneForm, curl, div, eth_g,
+                                 ethbar_g, grad, hessian, laplacian)
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +61,25 @@ def random_spin_field(grid, spin, seed, lmax=None):
         for m in range(-l, l + 1):
             c[l, grid.Lmax + m] = rng.normal() + 1j * rng.normal()
     return SpinField.from_coeffs(grid, spin, c)
+
+
+def plant_shear(path):
+    """A Schwarzschild L=8 dataset under path with a nonzero shear: the
+    saved dataset plus chihat' = 1e-3 2Y20 / s^2 (it solves the transport
+    d_s chihat' + trchi' chihat' = 0) and a zero alpha', in the manifest
+    entries and files of the format that tabulated both."""
+    data = geodesic.gen_schwarzschild(0.1, Lmax=8, n_s=24)
+    geodesic.save(data, path)
+    s = data.s_nodes[:, None, None]
+    chihat = 1e-3 * harmonic(data.grid, 2, 0, spin=2).samples / s ** 2
+    manifest = json.loads((path / "manifest.json").read_text())
+    for name, arr in [("chihat", chihat), ("alpha", 0.0 * chihat)]:
+        arr.astype("<c16").tofile(path / f"{name}.bin")
+        manifest["fields"].append({"name": name, "spin": 2,
+                                   "shape": list(arr.shape),
+                                   "dtype": "c128le", "file": f"{name}.bin"})
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    return path
 
 
 def log_omega_exact(exact, v):
@@ -111,9 +131,9 @@ def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
     dLgrad = OneForm.from_plus(metric.grid,
                                diagnostics._omega(co) * dgp[inner])
     gf = gf[inner]
-    # [nabla_L, grad] f = -trchi grad f / 2 - chihat . grad f
-    #                     + (etab + zeta) L f  with L f = 0 here
-    res = dLgrad + 0.5 * (co.trchi * gf) + contract(co.chi.hat(), gf)
+    # [nabla_L, grad] f = -trchi grad f / 2 + (etab + zeta) L f (chihat = 0)
+    #                   with L f = 0 here
+    res = dLgrad + 0.5 * (co.trchi * gf)
     rep.add_levels(co.v, {"comm_L_grad": diagnostics._sizes(res, co.metric)})
     return rep
 

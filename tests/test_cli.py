@@ -10,6 +10,8 @@ import pytest
 
 from nullfoliate import cli
 
+from conftest import plant_shear
+
 
 def run(argv):
     try:
@@ -130,6 +132,12 @@ class TestSolve:
     def test_missing_dataset_exits_5(self, tmp_path):
         assert run(["solve", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "fol")]) == 5
+
+    def test_planted_shear_exits_5(self, tmp_path, capsys):
+        path = plant_shear(tmp_path / "ds")
+        assert run(["solve", "--data", str(path),
+                    "--out", str(tmp_path / "fol")]) == 5
+        assert "'chihat'" in capsys.readouterr().err
 
 
 class TestVerifyAndNorms:

@@ -7,10 +7,9 @@ import pytest
 
 from nullfoliate import comparison, geodesic, solver
 from nullfoliate.sphere import SpinField
-from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, contract,
-                                 dual, grad)
+from nullfoliate.tensors import MetricRep, OneForm, SymTwoTensor, dual, grad
 
-from conftest import dLUpsilon_fd, random_real_scalar, random_spin_field
+from conftest import dLUpsilon_fd, random_real_scalar
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +125,7 @@ class TestSchwarzschildCanonical:
                                     fol.logOmega_field(i), fol.v_nodes[i])
         assert np.max(np.abs(co.trchib.samples + 0.9)) < 1e-10
         assert co.zeta.max_abs() < 1e-11
-        assert np.max(np.abs(co.rho_check.samples + 0.025)) < 1e-10
+        assert np.max(np.abs(co.rho.samples + 0.025)) < 1e-10
         assert np.max(np.abs(co.mu.samples - 0.025)) < 1e-10
         assert np.max(np.abs(co.sigma.samples)) < 1e-12
 
@@ -139,15 +138,15 @@ class TestCurvatureComparison:
         s = SpinField.from_samples(g, 0, np.full(g.shape, 1.7))
         met, _, curvature = data.geometry_at(np.real(s.samples))
         U = comparison.upsilon(s, met)
-        alpha, beta, rho, sigma, betab = comparison.canonical_curvature(
+        beta, rho, sigma, betab = comparison.canonical_curvature(
             curvature, U, U.norm2())
         assert np.max(np.abs(rho.samples - (-0.2 / 1.7 ** 3))) < 1e-12
         assert beta.max_abs() < 1e-13
         assert betab.max_abs() < 1e-13
 
     def test_synthetic_cubic_substitution(self):
-        """With alpha' = beta' = 0, rho' = 1, sigma' = 0 and a tilted graph,
-        the proposition gives betab = -3 rho' Upsilon and rho = rho'."""
+        """With beta' = 0, rho' = 1, sigma' = 0 and a tilted graph, the
+        proposition gives betab = -3 rho' Upsilon and rho = rho'."""
         data = geodesic.gen_minkowski(Lmax=12, n_s=24)
         data.rho = np.ones_like(data.rho)
         g = data.grid
@@ -155,43 +154,11 @@ class TestCurvatureComparison:
         s = SpinField.from_samples(g, 0, 1.5 + np.real(prof.samples))
         met, _, curvature = data.geometry_at(np.real(s.samples))
         U = comparison.upsilon(s, met)
-        alpha, beta, rho, sigma, betab = comparison.canonical_curvature(
+        beta, rho, sigma, betab = comparison.canonical_curvature(
             curvature, U, U.norm2())
         assert (betab + 3.0 * U).max_abs() < 1e-12
         assert np.max(np.abs(rho.samples - 1.0)) < 1e-12
         assert sigma.max_abs() < 1e-12
-
-
-class TestRenormalised:
-    def test_no_shear_reduces_to_identity(self, grid8):
-        from nullfoliate.tensors import SymTwoTensor
-        rho = random_real_scalar(grid8, 1)
-        sigma = random_real_scalar(grid8, 2)
-        bb = OneForm(random_spin_field(grid8, 1, 3))
-        zero2 = SymTwoTensor.tracefree(
-            SpinField.from_coeffs(grid8, 2, np.zeros(grid8.shape)))
-        ze = OneForm(random_spin_field(grid8, 1, 4))
-        rc, sc, bbc = comparison.renormalized(rho, sigma, bb, zero2, zero2, ze)
-        assert (rc - rho).max_abs() < 1e-14
-        assert (sc - sigma).max_abs() < 1e-14
-        assert (bbc.plus - bb.plus).max_abs() < 1e-14
-
-    def test_brute_force_contraction(self, grid8):
-        """rho_check recomputed from the raw dyad components pointwise."""
-        from nullfoliate.tensors import SymTwoTensor
-        A = random_spin_field(grid8, 2, 21, lmax=3)
-        B = random_spin_field(grid8, 2, 22, lmax=3)
-        zero = SpinField.from_coeffs(grid8, 0, np.zeros(grid8.shape))
-        ch = SymTwoTensor(zero, A)
-        cbh = SymTwoTensor(zero, B)
-        rho = random_real_scalar(grid8, 23, lmax=3)
-        sig = random_real_scalar(grid8, 24, lmax=3)
-        bb = OneForm(random_spin_field(grid8, 1, 25, lmax=3))
-        ze = OneForm(random_spin_field(grid8, 1, 26, lmax=3))
-        rc, sc, bbc = comparison.renormalized(rho, sig, bb, ch, cbh, ze)
-        a, b = A.samples, B.samples
-        expect = rho.samples - 0.5 * (a * np.conj(b) + np.conj(a) * b)
-        assert np.max(np.abs(rc.samples - expect)) < 1e-12
 
 
 class TestMassAspect:
@@ -236,7 +203,7 @@ class TestCrossPaths:
         for i in range(margin, fol.n_levels - margin, 8):
             co = levels[i]
             res = dl[i] + grad(co.logOmega, co.metric) \
-                + contract(co.chi, co.Upsilon)
+                + 0.5 * (co.trchi * co.Upsilon)
             worst = max(worst, res.max_abs())
         assert worst < 5e-9
 
@@ -265,13 +232,12 @@ class TestCrossPaths:
 class TestProjectionIdentities:
     def test_chi_equals_projected_geodesic_chi(self, schw_foliation):
         """The intrinsic second fundamental form projects unchanged: the
-        canonical chi is exactly the geodesic table evaluated at height s."""
+        canonical chi, a trace, is exactly the geodesic table evaluated at
+        height s."""
         data, fol = schw_foliation
         i = fol.n_levels // 3
         co = comparison.reconstruct(data, fol.s_field(i),
                                     fol.logOmega_field(i), fol.v_nodes[i])
         s = np.real(fol.s_field(i).samples)
-        _, (chi_proj, _, _), _ = data.geometry_at(s)
-        assert np.array_equal(co.chi.trace.samples, chi_proj.trace.samples)
-        assert np.array_equal(co.chi.hat_plus.samples,
-                              chi_proj.hat_plus.samples)
+        _, (trchi_proj, _, _), _ = data.geometry_at(s)
+        assert np.array_equal(co.trchi.samples, trchi_proj.samples)

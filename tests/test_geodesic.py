@@ -8,7 +8,7 @@ from nullfoliate.errors import ConfigurationError, DatasetError
 from nullfoliate.sphere import GeneratorPack, SpinField, interp_generator
 from nullfoliate.tensors import MetricRep, laplacian, mean
 
-from conftest import log_omega_exact
+from conftest import log_omega_exact, plant_shear
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ class TestMinkowski:
 
     def test_curvature_vanishes(self, mink):
         assert np.max(np.abs(mink.rho)) == 0.0
-        assert np.max(np.abs(mink.alpha)) == 0.0
+        assert np.max(np.abs(mink.beta)) == 0.0
 
     def test_validates_to_machine_precision(self, mink):
         rep = geodesic.validate(mink)
@@ -106,8 +106,8 @@ class TestSchwarzschild:
 
     def test_mass_zero_reduces_to_minkowski(self, mink):
         d0 = geodesic.gen_schwarzschild(0.0, s_star=2.5, Lmax=8, n_s=24)
-        for name in ["psi", "trchi", "chihat", "zeta", "trchib", "chibhat",
-                     "alpha", "beta", "rho", "sigma", "betab"]:
+        for name in ["psi", "trchi", "zeta", "trchib", "chibhat", "beta",
+                     "rho", "sigma", "betab"]:
             assert np.array_equal(getattr(d0, name), getattr(mink, name))
 
     def test_mass_range_guard(self):
@@ -209,13 +209,22 @@ class TestManufactured:
         assert geodesic.validate(data).worst() < 1e-9
 
 
+class TestShearFreeSlab:
+    def test_planted_shear_is_refused_on_load(self, tmp_path):
+        """The format holds no shear: a dataset that carries a chihat'
+        table, nonzero here, is refused by name."""
+        path = plant_shear(tmp_path / "ds")
+        with pytest.raises(DatasetError, match="'chihat'"):
+            geodesic.load(path)
+
+
 class TestPersistence:
     def test_roundtrip_bit_identical(self, schw, tmp_path):
         path = tmp_path / "ds"
         geodesic.save(schw, path)
         back = geodesic.load(path)
-        for name in ["psi", "trchi", "chihat", "zeta", "trchib", "chibhat",
-                     "alpha", "beta", "rho", "sigma", "betab"]:
+        for name in ["psi", "trchi", "zeta", "trchib", "chibhat", "beta",
+                     "rho", "sigma", "betab"]:
             assert np.array_equal(getattr(schw, name), getattr(back, name))
         assert np.array_equal(schw.s_nodes, back.s_nodes)
 

@@ -1,0 +1,48 @@
+"""tools/same_outputs.py reports what moved between two trees: the lines for
+a differing JSON report and for a file that only one tree holds.  The tool
+is imported by path; no stage runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+_spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def _write(path, payload):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+def test_json_report_names_moved_zero_and_one_sided_keys(tmp_path):
+    a, b = tmp_path / "parent", tmp_path / "change"
+    rel = Path("case") / "reports" / "norms.json"
+    _write(a / rel, {"O": "3.5", "O.N1_chihat": "0", "R.beta": "0",
+                     "R.rho": "2"})
+    _write(b / rel, {"O": "3.5", "R.beta": "1e-20", "R.rho": "2.5",
+                     "R.sigma": "0"})
+    assert same_outputs.differing(a, b) == [rel]
+    assert same_outputs.describe(a, b, rel) == [
+        "differs: case/reports/norms.json  max abs 0.5, max rel 0.25, "
+        "1 left exact zero (max abs 1e-20)",
+        "    O.N1_chihat: only in parent",
+        "    R.beta: abs 1e-20, left exact zero",
+        "    R.rho: abs 0.5, rel 0.25",
+        "    R.sigma: only in change",
+    ]
+
+
+def test_one_sided_file_gives_its_size(tmp_path):
+    a, b = tmp_path / "parent", tmp_path / "change"
+    rel = Path("case") / "dataset" / "chihat.bin"
+    (a / rel).parent.mkdir(parents=True)
+    (a / rel).write_bytes(bytes(48))
+    (b / "case").mkdir(parents=True)
+    assert same_outputs.differing(a, b) == [rel]
+    assert same_outputs.describe(a, b, rel) == [
+        "only in parent: case/dataset/chihat.bin, 48 bytes"]
+    assert same_outputs.describe(b, a, rel) == [
+        "only in change: case/dataset/chihat.bin, 48 bytes"]

@@ -5,10 +5,10 @@ import pytest
 
 from nullfoliate.sphere import SpinField, eth, ethbar, multiply
 from nullfoliate.tensors import (SQRT2, MetricRep, OneForm, SymTwoTensor,
-                                 contract, contract2, curl, div, div2, dot,
-                                 dual, eth_g, ethbar_g, grad, hessian,
-                                 hodge_D1, invert_laplacian, laplacian, mean,
-                                 sym_otimes, wedge)
+                                 contract, curl, div, div2, dot, dual, eth_g,
+                                 ethbar_g, grad, hessian, hodge_D1,
+                                 invert_laplacian, laplacian, mean,
+                                 sym_otimes)
 
 from conftest import (bochner_scalar, harmonic, random_real_scalar,
                       random_spin_field)
@@ -38,10 +38,6 @@ class TestAlgebra:
         a = real_oneform(grid12, 1)
         vals = np.real(dot(a, a).samples)
         assert np.min(vals) > -1e-12
-
-    def test_wedge_antisymmetry(self, grid12):
-        a = real_oneform(grid12, 2)
-        assert wedge(a, a).max_abs() < 1e-12
 
     def test_dual_squares_to_minus_identity(self, grid12):
         a = real_oneform(grid12, 5)
@@ -114,18 +110,9 @@ class TwoComponent:
             + multiply(a[2], b[1])
 
     @staticmethod
-    def wedge(a, b):
-        return 1j * (multiply(a[-2], b[-1]) - multiply(a[-1], b[-2]))
-
-    @staticmethod
     def contract(T, a):
         return (0.5 * multiply(T[0], a[0]) + multiply(T[1], a[1]),
                 0.5 * multiply(T[0], a[1]) + multiply(T[2], a[0]))
-
-    @classmethod
-    def contract2(cls, T, a, b):
-        return 0.5 * multiply(T[0], cls.dot(a, b)) \
-            + multiply(T[1], a[1], b[1]) + multiply(T[2], a[0], b[0])
 
     @classmethod
     def norm2(cls, x):
@@ -209,10 +196,7 @@ class TestOneComponent:
         ra, rb, rT, rS = map(R.of, (a, b, T, S))
         self.close(dot(a, b), R.dot(ra, rb))
         self.close(dot(T, S), R.dot(rT, rS))
-        self.close(wedge(a, b), R.wedge(ra, rb))
-        self.close(wedge(T, S), R.wedge(rT, rS))
         self.close(contract(T, a), R.contract(rT, ra))
-        self.close(contract2(T, a, b), R.contract2(rT, ra, rb))
         self.close(a.norm2(), R.norm2(ra))
         self.close(T.norm2(), R.norm2(rT))
         self.close(sym_otimes(a, b), R.sym_otimes(ra, rb))

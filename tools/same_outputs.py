@@ -10,15 +10,17 @@ once with PARENT_SRC and once with CHANGE_SRC on PYTHONPATH, each stage as
 its own `python -m nullfoliate.cli` process with BLAS and OpenMP at one
 thread.  Every file the stages write is then compared byte for byte, and so
 are each stage's standard output and exit code (kept as `<stage>.out`).
-Each file that differs, or exists on one side only, is printed; the exit
-code is 1 if any does and 0 if none.  For a differing numeric file (a
-container's .bin array, read with the dtype its manifest.json gives, or a
-CSV or JSON report) the largest absolute and relative difference of its
-numbers is printed too.  The relative one is taken over the entries whose
-parent value is nonzero; the entries that left an exact zero are counted
-apart, with their largest absolute value.  For a JSON report one more line
-is printed for each key whose number moved, with its shift.
-Standard library only.
+Each file that differs is printed, and each that exists on one side only
+with its size in bytes; the exit code is 1 if any file differs or is
+one-sided and 0 if none.  For a differing numeric file (a container's .bin
+array, read with the dtype its manifest.json gives, or a CSV or JSON
+report) the largest absolute and relative difference of its numbers is
+printed too; a JSON report compares the key paths both sides hold.  The
+relative one is taken over the entries whose parent value is nonzero; the
+entries that left an exact zero are counted apart, with their largest
+absolute value.  For a JSON report one more line is printed for each key
+whose number moved, with its shift, and for each key path that only one
+side holds.  Standard library only.
 """
 
 import array
@@ -121,8 +123,14 @@ def _entries(x, key=""):
         yield from _entries(v, f"{key}.{k}" if key else str(k))
 
 
+def _report(path):
+    """Key path -> value of every leaf of a JSON report."""
+    return dict(_entries(json.loads(path.read_text())))
+
+
 def _values(path):
-    """The values a numeric file holds, in order; None for another kind."""
+    """The values a .bin or CSV file holds, in order; None for another
+    kind."""
     if path.suffix == ".bin":
         manifest = json.loads((path.parent / "manifest.json").read_text())
         tag = next(f["dtype"] for f in manifest["fields"]
@@ -136,9 +144,6 @@ def _values(path):
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
             return [_number(c) for row in csv.reader(fh) for c in row]
-    if path.suffix == ".json":
-        return [x for key, v in _entries(json.loads(path.read_text()))
-                for x in (key, _number(v))]
     return None
 
 
@@ -150,18 +155,32 @@ def _gap(x, y):
     return d, d / abs(x) if x else None
 
 
+def _pairs(pa, pb):
+    """(parent, change) pairs of the values of two numeric files: of the
+    key paths both hold for JSON reports, else in order; None for another
+    kind of file or for value counts that differ."""
+    if pa.suffix == ".json":
+        ea, eb = _report(pa), _report(pb)
+        return [(_number(ea[k]), _number(eb[k]))
+                for k in sorted(ea.keys() & eb.keys())]
+    va, vb = _values(pa), _values(pb)
+    if va is None or vb is None or len(va) != len(vb):
+        return None
+    return list(zip(va, vb))
+
+
 def shift(pa, pb):
     """' max abs ..., max rel ...' for two numeric files of the same layout,
     the relative maximum over the entries whose parent value is nonzero,
     with a note of the entries that left an exact zero and one where a
     non-numeric value differs; '' otherwise."""
-    va, vb = _values(pa), _values(pb)
-    if va is None or vb is None or len(va) != len(vb):
+    pairs = _pairs(pa, pb)
+    if pairs is None:
         return ""
     big_abs = big_rel = zero_abs = 0.0
     n_zero = 0
     other = False
-    for x, y in zip(va, vb):
+    for x, y in pairs:
         if isinstance(x, (float, complex)) and isinstance(y, (float, complex)):
             d, rel = _gap(x, y)
             big_abs = max(big_abs, d)
@@ -179,18 +198,33 @@ def shift(pa, pb):
 
 def moved(pa, pb):
     """One line for each number of a JSON report that moved, naming its
-    key path with the absolute and relative shift; none for other files."""
+    key path with the absolute and relative shift, and one for each key
+    path that only one side holds; none for other files."""
     if pa.suffix != ".json":
         return []
-    ea, eb = (dict(_entries(json.loads(p.read_text()))) for p in (pa, pb))
+    ea, eb = _report(pa), _report(pb)
     lines = []
-    for key in sorted(ea.keys() & eb.keys()):
+    for key in sorted(ea.keys() | eb.keys()):
+        if key not in eb or key not in ea:
+            side = "parent" if key in ea else "change"
+            lines.append(f"    {key}: only in {side}")
+            continue
         x, y = _number(ea[key]), _number(eb[key])
         if isinstance(x, float) and isinstance(y, float) and x != y:
             d, rel = _gap(x, y)
             lines.append(f"    {key}: abs {d:.3g}, " + (
                 "left exact zero" if rel is None else f"rel {rel:.3g}"))
     return lines
+
+
+def describe(a, b, rel):
+    """The lines that report a file rel that differs under the trees a
+    and b, or that only one of them holds."""
+    pa, pb = a / rel, b / rel
+    if not (pa.is_file() and pb.is_file()):
+        side, p = ("parent", pa) if pa.is_file() else ("change", pb)
+        return [f"only in {side}: {rel}, {p.stat().st_size} bytes"]
+    return [f"differs: {rel}{shift(pa, pb)}", *moved(pa, pb)]
 
 
 def main(argv):
@@ -210,11 +244,7 @@ def main(argv):
             n_files += sum(1 for p in a.rglob("*") if p.is_file())
             n_diff += len(diff)
             for rel in diff:
-                both = (a / rel).is_file() and (b / rel).is_file()
-                size = shift(a / rel, b / rel) if both else ""
-                print(f"differs: {case}/{rel}{size}")
-                for line in moved(a / rel, b / rel) if both else []:
-                    print(line)
+                print("\n".join(describe(a.parent, b.parent, case / rel)))
     print(f"{n_diff} of {n_files} files differ")
     return 1 if n_diff else 0
 
