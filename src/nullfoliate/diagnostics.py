@@ -15,6 +15,11 @@ forms their I_S1 and R entries, and along the generators both integrate a
 stack of leaves with one quadrature, Clenshaw-Curtis on the s-nodes of the
 dataset and Simpson on the v-levels of the reconstruction.
 
+Every size is taken from a pointwise magnitude, tensors.magnitude: |x| =
+sqrt(sum w |c|^2) over the samples of the stored components, with the one
+set of weights of tensors.components.  No product is formed for it, so
+nothing of |x|^2 above the band limit is dropped.
+
 Transport residuals differentiate the reconstructed spin components along the
 generators, nabla_L = Omega d/dv at fixed angle, with centered finite
 differences (8th order when enough levels exist); levels inside the stencil
@@ -29,11 +34,10 @@ from . import _cheb
 from .comparison import reconstruct
 from .errors import ConfigurationError
 from .reports import NormReport, ResidualReport
-from .sphere import SpinField
-from .tensors import (OneForm, SymTwoTensor, contract, div, div2, dot, eth_g,
-                      ethbar_g, grad, hodge_D1, laplacian, mean, multiply)
-
-SQRT2 = np.sqrt(2.0)
+from .sphere import SpinField, eth, ethbar
+from .tensors import (OneForm, SymTwoTensor, components, contract, div, div2,
+                      dot, grad, hodge_D1, laplacian, magnitude, mean,
+                      multiply)
 
 _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
                  4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
@@ -61,30 +65,6 @@ def v_derivative(table, dv, n_levels):
     return out / dv, margin
 
 
-class FieldBundle:
-    """Weighted spin components standing in for a tensor norm; comps()
-    yields the (SpinField, weight) pairs, formed one at a time by norm2.
-    A component whose conjugate also enters the norm comes once, at twice
-    the weight."""
-
-    def __init__(self, comps):
-        self.comps = comps
-
-    def norm2(self):
-        acc = None
-        for f, w in self.comps():
-            term = w * multiply(f, f.conj())
-            acc = term if acc is None else acc + term
-        return acc
-
-
-def _field_abs(x):
-    """Pointwise tensor magnitude |x| as a real sample array."""
-    if isinstance(x, SpinField):
-        return np.abs(x.samples)
-    return np.sqrt(np.abs(np.real(x.norm2().samples)))
-
-
 def _lq_level(a, metric, q):
     """Leafwise L^q_g norm of the magnitudes a, one value per leaf."""
     if np.isinf(q):
@@ -94,7 +74,7 @@ def _lq_level(a, metric, q):
 
 def _sizes(x, metric):
     """(max |x|, L2_g norm of x), one value per leaf of a stack."""
-    a = _field_abs(x)
+    a = magnitude(x)
     return np.max(a, axis=(-2, -1)), _lq_level(a, metric, 2)
 
 
@@ -288,18 +268,6 @@ def lp_phi(t):
     return chi_t - chi_2t
 
 
-def _components(x):
-    """(SpinField, weight) pairs whose weighted L2 squares sum to int |x|^2;
-    a plus component stands for its conjugate minus component too."""
-    if isinstance(x, SpinField):
-        return [(x, 1.0)]
-    if isinstance(x, OneForm):
-        return [(x.plus, 2.0)]
-    if isinstance(x, SymTwoTensor):
-        return [(x.trace, 0.5), (x.hat_plus, 2.0)]
-    raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
-
-
 def _lp_multiplier(grid, k):
     ls = np.arange(grid.Lmax + 1, dtype=float)
     lam = np.sqrt(ls * (ls + 1.0))
@@ -326,7 +294,7 @@ def lp_kmax(grid):
 
 def _l2_round(x):
     total = 0.0
-    for comp, w in _components(x):
+    for comp, w in components(x):
         total += w * comp.l2_round() ** 2
     return np.sqrt(total)
 
@@ -334,7 +302,7 @@ def _l2_round(x):
 def _dyadic(f):
     """(k, P_k f) for k = 'minus' (P_{<0}), then k = 0 .. lp_kmax."""
     yield "minus", lp_project(f, "minus")
-    for k in range(lp_kmax(_components(f)[0][0].grid) + 1):
+    for k in range(lp_kmax(components(f)[0][0].grid) + 1):
         yield k, lp_project(f, k)
 
 
@@ -346,7 +314,7 @@ def besov_B0(f) -> float:
 def Hs_norm(f, s_exp) -> float:
     """H^s norm with the round-reference multiplier (1 + l(l+1))^{s/2}."""
     total = 0.0
-    for comp, w in _components(f):
+    for comp, w in components(f):
         ls = np.arange(comp.grid.Lmax + 1, dtype=float)
         mult = (1.0 + ls * (ls + 1.0)) ** s_exp
         total += w * float(np.sum(mult[:, None] * np.abs(comp.coeffs) ** 2))
@@ -374,7 +342,7 @@ def simpson_weights(v_nodes):
 def mixed_norm(field, metric, w, p, q) -> float:
     """|| F ||_{L^p L^q} of a stack of leaves: leafwise L^q, then L^p along
     the generators with the quadrature weights w at the leaves."""
-    per = _lq_level(_field_abs(field), metric, q)
+    per = _lq_level(magnitude(field), metric, q)
     if np.isinf(p):
         return float(np.max(per))
     return float(np.sum(w * per ** p) ** (1.0 / p))
@@ -383,7 +351,7 @@ def mixed_norm(field, metric, w, p, q) -> float:
 def trace_norm(field, metric, w, q, p) -> float:
     """|| F ||_{L^q L^p}: L^p along each generator (quadrature weights w at
     the leaves of the stack), then L^q on the first leaf."""
-    a = _field_abs(field)
+    a = magnitude(field)
     if np.isinf(p):
         gen = np.max(a, axis=0)
     else:
@@ -420,21 +388,32 @@ def _n1_norm(field, dL_field, metric, w) -> float:
 
 
 def _grad_any(x, g):
-    """Covariant gradient with the full componentwise L2 magnitude."""
-    if isinstance(x, SpinField):
-        return grad(x, g)
-    if not isinstance(x, (OneForm, SymTwoTensor)):
-        raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
-    h = 1.0 / SQRT2
+    """|nabla x| of a field or tensor as (SpinField, weight) pairs, one
+    conformal eth and ethbar of each stored component at half its weight.
 
-    def comps():
-        # the derivatives of the minus component are the conjugates of these
-        c = x.plus if isinstance(x, OneForm) else x.hat_plus
-        yield eth_g(c, g) * h, 2.0
-        yield ethbar_g(c, g) * h, 2.0
-        if isinstance(x, SymTwoTensor):
-            yield grad(x.trace, g).plus, 1.0
-    return FieldBundle(comps)
+    eth_g c = e^{(s-1) psi} eth(e^{-s psi} c) and ethbar_g c = e^{-(s+1)
+    psi} ethbar(e^{s psi} c): the inner factor is a product, because it is
+    differentiated, while the outer one scales the samples.  The pairs are
+    only ever measured (magnitude), never analysed.  The derivatives of a
+    minus component are the conjugates of these, and ethbar of a real
+    scalar has the modulus of its eth, so a scalar takes its eth alone at
+    its full weight.
+    """
+    def outer(f, power):
+        return SpinField.from_samples(
+            g.grid, f.spin, g.conformal_factor(power).samples * f.samples)
+
+    pairs = []
+    for c, w in components(x):
+        s = c.spin
+        if s == 0:
+            pairs.append((outer(eth(c), -1.0), w))
+            continue
+        pairs.append((outer(eth(multiply(g.conformal_factor(-s), c)),
+                            s - 1.0), 0.5 * w))
+        pairs.append((outer(ethbar(multiply(g.conformal_factor(s), c)),
+                            -(s + 1.0)), 0.5 * w))
+    return pairs
 
 
 def _initial_sphere(g, trchi, trchib, mu, zeta, chibhat):

@@ -4,10 +4,11 @@ Tensors are real and stored through spin-weighted components in the
 orthonormal dyad of the metric g = e^{2 psi} gring: a 1-form X by X_m (spin
 +1), a symmetric 2-tensor T by its real g-trace (spin 0) and its tracefree
 component T_mm (spin +2).  The opposite-spin components are derived, not
-stored: X_mbar = conj(X_m) and T_mbmb = conj(T_mm) (the `minus` and
-`hat_minus` properties, which SpinField.conj forms without a transform).  So
-each contraction forms one product and takes its real or imaginary part,
-e.g. a.b = 2 Re(a_m conj(b_m)), and each derivative is one conformal eth.
+stored: X_mbar = conj(X_m) (the `minus` property) and T_mbmb = conj(T_mm),
+which SpinField.conj forms without a transform.  So each contraction forms
+one product and takes its real or imaginary part, e.g. a.b = 2 Re(a_m
+conj(b_m)), and each derivative is one conformal eth.  A size needs no
+product: |x| is taken pointwise from the samples (magnitude).
 
 All covariant operators reduce to the round eth ladder with conformal weights,
 
@@ -107,7 +108,7 @@ class _RealTensor:
         return dot(self, self)
 
     def max_abs(self):
-        return float(np.max(np.sqrt(np.abs(self.norm2().samples))))
+        return float(np.max(magnitude(self)))
 
 
 class OneForm(_RealTensor):
@@ -143,11 +144,6 @@ class SymTwoTensor(_RealTensor):
         self.trace = trace
         self.hat_plus = hat_plus
 
-    @property
-    def hat_minus(self):
-        """The spin -2 component T_mbmb = conj(T_mm)."""
-        return self.hat_plus.conj()
-
     @classmethod
     def tracefree(cls, hat_plus: SpinField):
         """Tracefree tensor: a zero trace with the stack shape of hat_plus."""
@@ -172,17 +168,41 @@ class SymTwoTensor(_RealTensor):
 # pointwise tensor algebra
 # --------------------------------------------------------------------------
 
+def components(x):
+    """(SpinField, weight) pairs with |x|^2 = sum w |c|^2 at every point,
+    so that their weighted L2 squares sum to int |x|^2: weight 1 for a
+    scalar, 2 for X_m, and 1/2 and 2 for the trace and T_mm of a symmetric
+    2-tensor.  A plus component stands for its conjugate minus component
+    too.  A list of such pairs is its own."""
+    if isinstance(x, list):
+        return x
+    if isinstance(x, SpinField):
+        return [(x, 1.0)]
+    if isinstance(x, OneForm):
+        return [(x.plus, 2.0)]
+    if isinstance(x, SymTwoTensor):
+        return [(x.trace, 0.5), (x.hat_plus, 2.0)]
+    raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
+
+
+def magnitude(x):
+    """Pointwise |x| as a real sample array, sqrt(sum w |c|^2) over the
+    samples of components(x): no product is formed, so nothing of |x|^2
+    is truncated."""
+    if isinstance(x, SpinField):
+        return np.abs(x.samples)
+    return np.sqrt(sum(w * np.abs(c.samples) ** 2
+                       for c, w in components(x)))
+
+
 def dot(a, b) -> SpinField:
-    """Full contraction of same-rank tensors (spin-0): 2 Re(a_m conj(b_m)),
-    plus tr(a) tr(b)/2 for symmetric 2-tensors, whose a_m is T_mm."""
+    """Full contraction of two fields or two 1-forms (spin-0); for 1-forms
+    2 Re(a_m conj(b_m))."""
     if isinstance(a, SpinField) and isinstance(b, SpinField):
         return multiply(a, b)
     if isinstance(a, OneForm) and isinstance(b, OneForm):
         return 2.0 * multiply(a.plus, b.minus).real()
-    if isinstance(a, SymTwoTensor) and isinstance(b, SymTwoTensor):
-        return 0.5 * multiply(a.trace, b.trace) \
-            + 2.0 * multiply(a.hat_plus, b.hat_minus).real()
-    raise TypeError("expected two fields, 1-forms or symmetric 2-tensors")
+    raise TypeError("expected two fields or two 1-forms")
 
 
 def sym_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:
@@ -191,13 +211,10 @@ def sym_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:
 
 
 def dual(x):
-    """Left Hodge dual; dual(dual(X)) = -X on 1-forms."""
+    """Left Hodge dual of a 1-form; dual(dual(X)) = -X."""
     if isinstance(x, OneForm):
         return OneForm(-1j * x.plus)
-    if isinstance(x, SymTwoTensor):
-        # defined on the tracefree part
-        return SymTwoTensor.tracefree(-1j * x.hat_plus)
-    raise TypeError("dual expects a OneForm or SymTwoTensor")
+    raise TypeError("dual expects a OneForm")
 
 
 def contract(T: SymTwoTensor, a: OneForm) -> OneForm:

@@ -13,7 +13,8 @@ from nullfoliate import diagnostics, geodesic, sphere
 from nullfoliate.reports import ResidualReport
 from nullfoliate.sphere import SpinField, build_grid, eth, ethbar, multiply
 from nullfoliate.tensors import (MetricRep, OneForm, curl, div, eth_g,
-                                 ethbar_g, grad, hessian, laplacian)
+                                 ethbar_g, grad, hessian, laplacian,
+                                 magnitude)
 
 
 @pytest.fixture(scope="session")
@@ -179,7 +180,7 @@ def bochner_scalar(f: SpinField, metric: MetricRep):
     g = metric
     H = hessian(f, g)
     dens = g.sqrt_det()
-    lhs = g.grid.integrate(np.real(H.norm2().samples) * dens)
+    lhs = g.grid.integrate(magnitude(H) ** 2 * dens)
     lap2 = g.grid.integrate(np.abs(laplacian(f, g).samples) ** 2 * dens)
     K = g.gauss_curvature()
     kg = g.grid.integrate(np.real(
@@ -208,8 +209,7 @@ def bochner_oneform(F: OneForm, grid):
     met = MetricRep.round_sphere(grid, 1.0)
     lapF = rough_laplacian_oneform(F, met)
     rhs = grid.integrate(np.real(lapF.norm2().samples)) \
-        - 2.0 * grid.integrate(
-            np.real(diagnostics._grad_any(F, met).norm2().samples)) \
+        - 2.0 * grid.integrate(magnitude(diagnostics._grad_any(F, met)) ** 2) \
         + grid.integrate(np.abs(div(F, met).samples) ** 2) \
         + grid.integrate(np.abs(curl(F, met).samples) ** 2) \
         + grid.integrate(np.real(F.norm2().samples))

@@ -67,7 +67,7 @@ def _parts(x):
     if isinstance(x, OneForm):
         return [x.plus.samples, x.minus.samples]
     if isinstance(x, SymTwoTensor):
-        return [x.trace.samples, x.hat_plus.samples, x.hat_minus.samples]
+        return [x.trace.samples, x.hat_plus.samples, x.hat_plus.conj().samples]
     if isinstance(x, MetricRep):
         return [x.psi.samples]
     return [np.asarray(x)]

@@ -3,11 +3,13 @@ Bochner, weak sphericality) checked on the reconstructed geometry."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nullfoliate import diagnostics, geodesic, solver
+from nullfoliate import _cheb, diagnostics, geodesic, solver
 from nullfoliate.errors import ConfigurationError
-from nullfoliate.sphere import SpinField
-from nullfoliate.tensors import MetricRep, OneForm, SymTwoTensor, dual, grad
+from nullfoliate.sphere import SpinField, build_grid
+from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, dual, grad,
+                                 magnitude)
 
 from conftest import (bochner_oneform, bochner_scalar, commutation_check,
                       commutation_grad_laplacian, harmonic,
@@ -144,7 +146,8 @@ class TestLittlewoodPaley:
         T = SymTwoTensor(random_real_scalar(grid12, seed=6),
                          random_spin_field(grid12, 2, seed=7))
         cases = ((X, [(X.plus, 1.0), (X.minus, 1.0)]),
-                 (T, [(T.trace, 0.5), (T.hat_plus, 1.0), (T.hat_minus, 1.0)]))
+                 (T, [(T.trace, 0.5), (T.hat_plus, 1.0),
+                      (T.hat_plus.conj(), 1.0)]))
         for x, parts in cases:
             want = np.sqrt(sum(
                 w * diagnostics.Hs_norm(SpinField.from_samples(
@@ -314,3 +317,126 @@ class TestConvergenceStudy:
                                                    [0.25, 0.125], v_end=1.5)
         assert seen == [(0.25, 5), (0.125, 5)]
         assert rows[1][1] < rows[0][1]
+
+
+def _tensor_of_kind(grid, kind, seed, lmax=None):
+    """A random band-limited scalar, 1-form or symmetric 2-tensor."""
+    if kind == "scalar":
+        return random_real_scalar(grid, seed, lmax=lmax)
+    if kind == "oneform":
+        return OneForm(random_spin_field(grid, 1, seed, lmax=lmax))
+    return SymTwoTensor(random_real_scalar(grid, seed, lmax=lmax),
+                        random_spin_field(grid, 2, seed + 1, lmax=lmax))
+
+
+class TestPointwiseMagnitude:
+    @settings(max_examples=30, deadline=None)
+    @given(Lmax=st.sampled_from([8, 15]),
+           kind=st.sampled_from(["scalar", "oneform", "tensor"]),
+           seed=st.integers(0, 2 ** 32 - 2))
+    def test_integral_of_square_is_the_coefficient_norm(self, Lmax, kind,
+                                                        seed):
+        """|x|^2 of a band-L field has band 2L, which the grid integrates
+        exactly, so int |x|^2 dOmega from the pointwise magnitude equals the
+        round L2 norm of the weighted components, and (Parseval) their
+        weighted coefficient sums."""
+        grid = build_grid(Lmax)
+        x = _tensor_of_kind(grid, kind, seed, lmax=Lmax)
+        got = grid.integrate(magnitude(x) ** 2)
+        for want in (diagnostics._l2_round(x) ** 2,
+                     diagnostics.Hs_norm(x, 0.0) ** 2):
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("kind", ["oneform", "tensor"])
+    def test_weighted_l2_against_a_fine_grid(self, kind):
+        """int |x|^2 e^{2 psi} dOmega of a rough band-23 tensor on a
+        non-round metric, against the pointwise integral of the same fields
+        synthesised on an L = 95 grid, which resolves the area weight.
+        Truncating |x|^2 to band 23 loses 2e-2 (1-form) and 6e-3 (2-tensor)
+        of it; the pointwise magnitude is within 2e-4."""
+        L, LF = 23, 95
+        grid, fine = build_grid(L), build_grid(LF)
+
+        def on_fine(f):
+            c = np.zeros((LF + 1, 2 * LF + 1), dtype=complex)
+            c[:L + 1, LF - L:LF + L + 1] = f.coeffs
+            return SpinField.from_coeffs(fine, f.spin, c)
+
+        psi = 0.01 * random_real_scalar(grid, seed=1, lmax=4)
+        x = _tensor_of_kind(grid, kind, seed=2, lmax=L)
+        want = fine.integrate(
+            magnitude([(on_fine(c), w) for c, w in diagnostics.components(x)])
+            ** 2 * np.exp(2.0 * on_fine(psi).samples.real))
+        got = diagnostics._sizes(x, MetricRep(grid, psi=psi))[1] ** 2
+        assert abs(got - want) <= 1e-3 * want
+
+
+@pytest.fixture(scope="module")
+def nonzero_slab():
+    """A round-leaf slab on s in [1, 2] whose zeta', beta', sigma', betab'
+    and chibhat' are smooth and nonzero, with the foliation s = v, log Omega
+    = 0 on 65 levels (dv = 1/64), so Upsilon = 0 and the canonical geometry
+    is the geodesic one.  zeta' is linear in s, so its v-differences are
+    exact.  The tables need not satisfy the structure equations: the norm
+    suite only measures them."""
+    grid = build_grid(8)
+    s_nodes = _cheb.cgl_nodes(24, 1.0, 2.0)
+    s3 = s_nodes[:, None, None]
+    ones = np.ones(grid.shape)
+
+    def profile(spin, seed):
+        if spin == 0:
+            return random_real_scalar(grid, seed, lmax=4).samples
+        return random_spin_field(grid, spin, seed, lmax=4).samples
+
+    data = geodesic.GeodesicNullData(
+        grid=grid, s_nodes=s_nodes, psi=np.log(s3) * ones,
+        trchi=(2.0 / s3) * ones, trchib=(-2.0 / s3) * ones,
+        zeta=(0.3 + 0.2 * s3) * 0.01 * profile(1, 11),
+        chibhat=0.01 * profile(2, 12) / s3,
+        beta=0.01 * profile(1, 13) / s3 ** 2,
+        rho=(-0.2 / s3 ** 3) * ones,
+        sigma=0.01 * profile(0, 14) / s3 ** 3,
+        betab=0.01 * profile(1, 15) * s3)
+    v = np.linspace(1.0, 2.0, 65)
+    s = v[:, None, None] * ones
+    fol = solver.Foliation(data, v, s, np.zeros_like(s))
+    return data, diagnostics.norm_suite(data, diagnostics.canonical(fol))
+
+
+class TestNonzeroTensorNorms:
+    """Every tensor entry of the norm suite on nonzero tensor data: the
+    canonical entries equal the geodesic ones to the Simpson error, and
+    beta' has its closed form."""
+
+    def test_each_R_entry_is_its_Rprime_entry(self, nonzero_slab):
+        _, rep = nonzero_slab
+        for k in ("beta", "rho", "sigma", "betab"):
+            want = rep.get(f"Rprime.{k}")
+            assert want > 1e-3
+            assert abs(rep.get(f"R.{k}") - want) <= 1e-6 * want
+
+    def test_each_O_entry_is_its_Oprime_entry(self, nonzero_slab):
+        _, rep = nonzero_slab
+        for k, kp in (("N1_zeta", "N1_zeta"),
+                      ("zeta_LinfL2v", "zeta_LinfL2s")):
+            want = rep.get(f"Oprime.{kp}")
+            assert want > 1e-3
+            assert abs(rep.get(f"O.{k}") - want) <= 1e-6 * want
+        for k in ("trchi_dev_infinf", "N1_trchi_dev"):
+            assert rep.get(f"O.{k}") <= 1e-12
+            assert rep.get(f"Oprime.{k}") <= 1e-12
+
+    def test_first_sphere_entries_agree(self, nonzero_slab):
+        _, rep = nonzero_slab
+        for k in ("grad_trchib_L2", "mu_B0", "zeta_H12", "chibhat_H12"):
+            want = rep.get(f"Iprime_S1.{k}")
+            assert abs(rep.get(f"I_S1.{k}") - want) <= 1e-10 * max(want, 1.0)
+
+    def test_beta_flux_closed_form(self, nonzero_slab):
+        """beta' = B/s^2 on leaves of area density s^2: || beta' ||^2 =
+        int_1^2 s^-2 ds * int 2 |B|^2 dOmega = sum 2 |b_lm|^2 / 2."""
+        data, rep = nonzero_slab
+        B = SpinField.from_samples(data.grid, 1, data.beta[0])
+        want = np.sqrt(np.sum(np.abs(B.coeffs) ** 2))
+        assert abs(rep.get("Rprime.beta") - want) <= 1e-10 * want

