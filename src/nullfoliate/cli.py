@@ -25,37 +25,23 @@ EXIT_VERIFY = 4
 EXIT_IO = 5
 
 
-def _load_config_section(path, section, known_keys):
+def _load_config_section(path, section):
+    """The raw key = value pairs of one section of the INI file at path
+    ({} with no file or no such section)."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise DatasetError(f"cannot read config file {path!r}")
-    if section not in parser:
-        return {}
-    out = {}
-    for key, value in parser[section].items():
-        norm = key.replace("-", "_")
-        if norm not in known_keys:
-            raise ConfigurationError(
-                f"unknown key {key!r} in config section [{section}]")
-        out[norm] = value
-    return out
+    return dict(parser[section]) if section in parser else {}
 
 
-def _merge(args, config, casts):
-    """Fill argparse Namespace holes from the config section, with casts."""
-    for key, cast in casts.items():
-        if getattr(args, key, None) is None and key in config:
-            raw = config[key]
-            try:
-                setattr(args, key, cast(raw))
-            except ValueError:
-                raise ConfigurationError(
-                    f"config value {key} = {raw!r} is not a valid "
-                    f"{cast.__name__}")
-    return args
+def boolean(raw):
+    """An INI truth value: 1/yes/true/on or 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
 def _deprecated_threads(args):
@@ -64,7 +50,7 @@ def _deprecated_threads(args):
     --threads, NULLFOLIATE_THREADS and the config key `threads` are still
     accepted; a count below 1 or not an integer is a configuration error.
     """
-    threads = getattr(args, "threads", None)
+    threads = args.threads
     if threads is None:
         env = os.environ.get("NULLFOLIATE_THREADS")
         if not env:
@@ -215,6 +201,40 @@ def cmd_convergence(args):
 # argument plumbing
 # --------------------------------------------------------------------------
 
+_SOLVER = solver.SolverConfig
+
+# command -> (handler, help, {option: (type, default[, help])}).  Option
+# n_s is the flag --n-s and the key n_s or n-s of the command's config
+# section; a False default makes a bare flag.
+COMMANDS = {
+    "generate": (cmd_generate, "write a geodesic dataset", {
+        "model": (str, "minkowski", "minkowski, schwarzschild or mms"),
+        "lmax": (int, 15), "n_s": (int, 32),
+        "s_star": (float, 2.5), "mass": (float, 0.1),
+        "epsilon": (float, 1e-2), "out": (str, "dataset")}),
+    "solve": (cmd_solve, "solve the canonical foliation", {
+        "data": (str, "dataset"), "out": (str, "foliation"),
+        "delta": (float, _SOLVER.delta), "dv": (float, _SOLVER.dv),
+        "tol": (float, _SOLVER.tol), "max_iter": (int, _SOLVER.max_iter),
+        "v_end": (float, 2.0),
+        "threads": (int, None, "deprecated; has no effect")}),
+    "verify": (cmd_verify, "run the residual suites", {
+        "data": (str, "dataset"), "foliation": (str, "foliation"),
+        "out": (str, "reports"), "strict": (boolean, False),
+        "tol_constraint": (float, 1e-10), "tol_transport": (float, 1e-8)}),
+    "norms": (cmd_norms, "evaluate the norm hierarchy", {
+        "data": (str, "dataset"), "foliation": (str, "foliation"),
+        "out": (str, "reports")}),
+    "convergence": (cmd_convergence, "manufactured-solution order study", {
+        "levels": (int, 4), "epsilon": (float, 1e-2), "lmax": (int, 23),
+        "n_s": (int, 40), "dv0": (float, 1.0 / 8.0), "delta": (float, 0.5),
+        "tol": (float, 1e-13), "max_iter": (int, _SOLVER.max_iter),
+        "v_end": (float, 2.0),
+        "threads": (int, None, "deprecated; has no effect"),
+        "out": (str, "reports")}),
+}
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="nullfoliate",
@@ -222,100 +242,48 @@ def _build_parser():
     top.add_argument("--config", default=None,
                      help="INI config file with one section per command")
     sub = top.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="write a geodesic dataset")
-    g.add_argument("--model", default=None,
-                   choices=["minkowski", "schwarzschild", "mms"])
-    g.add_argument("--lmax", type=int, default=None)
-    g.add_argument("--n-s", dest="n_s", type=int, default=None)
-    g.add_argument("--s-star", dest="s_star", type=float, default=None)
-    g.add_argument("--mass", type=float, default=None)
-    g.add_argument("--epsilon", type=float, default=None)
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=cmd_generate, casts={
-        "model": str, "lmax": int, "n_s": int, "s_star": float,
-        "mass": float, "epsilon": float, "out": str,
-    }, fallbacks={"model": "minkowski", "lmax": 15, "n_s": 32,
-                  "s_star": 2.5, "mass": 0.1, "epsilon": 1e-2,
-                  "out": "dataset"})
-
-    s = sub.add_parser("solve", help="solve the canonical foliation")
-    s.add_argument("--data", default=None)
-    s.add_argument("--out", default=None)
-    s.add_argument("--delta", type=float, default=None)
-    s.add_argument("--dv", type=float, default=None)
-    s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    s.add_argument("--v-end", dest="v_end", type=float, default=None)
-    s.add_argument("--threads", type=int, default=None,
-                   help="deprecated; has no effect")
-    s.set_defaults(func=cmd_solve, casts={
-        "data": str, "out": str, "delta": float, "dv": float, "tol": float,
-        "max_iter": int, "v_end": float, "threads": int,
-    }, fallbacks={"data": "dataset", "out": "foliation", "delta": 0.25,
-                  "dv": 1.0 / 64.0, "tol": 1e-12, "max_iter": 30,
-                  "v_end": 2.0})
-
-    v = sub.add_parser("verify", help="run the residual suites")
-    v.add_argument("--data", default=None)
-    v.add_argument("--foliation", default=None)
-    v.add_argument("--out", default=None)
-    v.add_argument("--strict", action="store_true", default=None)
-    v.add_argument("--tol-constraint", dest="tol_constraint", type=float,
-                   default=None)
-    v.add_argument("--tol-transport", dest="tol_transport", type=float,
-                   default=None)
-    v.set_defaults(func=cmd_verify, casts={
-        "data": str, "foliation": str, "out": str,
-        "tol_constraint": float, "tol_transport": float,
-        "strict": lambda x: x.lower() in ("1", "true", "yes"),
-    }, fallbacks={"data": "dataset", "foliation": "foliation",
-                  "out": "reports", "tol_constraint": 1e-10,
-                  "tol_transport": 1e-8, "strict": False})
-
-    n = sub.add_parser("norms", help="evaluate the norm hierarchy")
-    n.add_argument("--data", default=None)
-    n.add_argument("--foliation", default=None)
-    n.add_argument("--out", default=None)
-    n.set_defaults(func=cmd_norms, casts={
-        "data": str, "foliation": str, "out": str,
-    }, fallbacks={"data": "dataset", "foliation": "foliation",
-                  "out": "reports"})
-
-    c = sub.add_parser("convergence", help="manufactured-solution order study")
-    c.add_argument("--levels", type=int, default=None)
-    c.add_argument("--epsilon", type=float, default=None)
-    c.add_argument("--lmax", type=int, default=None)
-    c.add_argument("--n-s", dest="n_s", type=int, default=None)
-    c.add_argument("--dv0", type=float, default=None)
-    c.add_argument("--delta", type=float, default=None)
-    c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    c.add_argument("--v-end", dest="v_end", type=float, default=None)
-    c.add_argument("--threads", type=int, default=None,
-                   help="deprecated; has no effect")
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=cmd_convergence, casts={
-        "levels": int, "epsilon": float, "lmax": int, "n_s": int,
-        "dv0": float, "delta": float, "tol": float, "max_iter": int,
-        "v_end": float, "threads": int, "out": str,
-    }, fallbacks={"levels": 4, "epsilon": 1e-2, "lmax": 23, "n_s": 40,
-                  "dv0": 1.0 / 8.0, "delta": 0.5, "tol": 1e-13,
-                  "max_iter": 30, "v_end": 2.0, "out": "reports"})
+    for command, (_, help_, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for key, (cast, default, *option_help) in options.items():
+            flag = "--" + key.replace("_", "-")
+            if default is False:
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=cast, default=None,
+                               help=option_help[0] if option_help else None)
     return top
 
 
+def _resolve(args, config):
+    """Give each option of args.command its value: the flag wins, else the
+    config value cast by the option's type, else the default."""
+    options = COMMANDS[args.command][2]
+    values = {}
+    for name, raw in config.items():
+        key = name.replace("-", "_")
+        if key not in options:
+            raise ConfigurationError(
+                f"unknown key {name!r} in config section [{args.command}]")
+        values[key] = raw
+    for key, (cast, default, *_) in options.items():
+        if getattr(args, key) is not None:
+            continue
+        if key in values:
+            try:
+                default = cast(values[key])
+            except ValueError:
+                raise ConfigurationError(
+                    f"config value {key} = {values[key]!r} is not a valid "
+                    f"{cast.__name__}")
+        setattr(args, key, default)
+    return args
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _load_config_section(args.config, args.command,
-                                      set(args.casts))
-        args = _merge(args, config, args.casts)
-        for key, val in args.fallbacks.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, val)
-        return args.func(args)
+        config = _load_config_section(args.config, args.command)
+        return COMMANDS[args.command][0](_resolve(args, config))
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -215,15 +215,10 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
         np.conj(a[:L:-1], out=a[:L])
         a[:L][::-2] *= -1.0  # odd m
         return a.reshape((2 * L + 1, L + 1) + F.shape[-3::-1]).T
-    if s.ndim == 2:
-        F = s @ Einv  # (theta, m)
-        F *= (grid.weights / (2.0 * np.pi))[:, None]
-        Fr = F.view(np.float64).reshape(nt, 2 * L + 1, 2).transpose(1, 0, 2)
-    else:  # (m, theta, stack re/im pairs in reversed stack order)
-        F = (s.reshape(-1, grid.nphi) @ Einv).reshape(s.shape[:-1] + (-1,))
-        F *= (grid.weights / (2.0 * np.pi))[:, None]
-        Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(
-            2 * L + 1, nt, -1)
+    # (m, theta, stack re/im pairs in reversed stack order)
+    F = (s.reshape(-1, grid.nphi) @ Einv).reshape(s.shape[:-1] + (-1,))
+    F *= (grid.weights / (2.0 * np.pi))[:, None]
+    Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(2 * L + 1, nt, -1)
     a = np.matmul(lam.transpose(0, 2, 1), Fr)  # (m, l, 2 * stack)
     # Fortran-ordered (..., l, m): raw_synthesize takes its transpose without
     # a copy

@@ -196,13 +196,10 @@ def magnitude(x):
 
 
 def dot(a, b) -> SpinField:
-    """Full contraction of two fields or two 1-forms (spin-0); for 1-forms
-    2 Re(a_m conj(b_m))."""
-    if isinstance(a, SpinField) and isinstance(b, SpinField):
-        return multiply(a, b)
+    """Full contraction of two 1-forms (spin-0): 2 Re(a_m conj(b_m))."""
     if isinstance(a, OneForm) and isinstance(b, OneForm):
         return 2.0 * multiply(a.plus, b.minus).real()
-    raise TypeError("expected two fields or two 1-forms")
+    raise TypeError("dot expects two 1-forms")
 
 
 def sym_otimes(a: OneForm, b: OneForm) -> SymTwoTensor:

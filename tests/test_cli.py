@@ -184,6 +184,20 @@ class TestVerifyAndNorms:
         assert run(["verify", "--data", ds, "--foliation", bad,
                     "--out", out]) == 0  # non-strict only reports
 
+    def test_strict_from_config_exits_4(self, workspace, tmp_path):
+        """`strict = yes` in [verify] trips on a corrupted lapse as --strict
+        does."""
+        from nullfoliate import geodesic, solver
+        _, ds, fol = workspace
+        f = solver.Foliation.load(fol, geodesic.load(ds))
+        f.logOmega = f.logOmega + 1e-3
+        bad = str(tmp_path / "belly")
+        f.save(bad)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[verify]\nstrict = yes\n")
+        assert run(["--config", str(cfg), "verify", "--data", ds,
+                    "--foliation", bad, "--out", str(tmp_path / "rep")]) == 4
+
     def test_one_reconstruction_per_run(self, workspace, tmp_path,
                                         monkeypatch):
         """verify and norms each reconstruct every level once and hand
@@ -286,6 +300,43 @@ class TestConfigFile:
         for files, err in runs:
             assert files == plain
             assert len(err) == 1 and "deprecated" in err[0]
+
+
+# per option type: a config value and its cast, a config value the flag must
+# beat, the flag's arguments and its value, and a config value the type
+# refuses (any string is a valid str)
+SAMPLES = {
+    int: ("7", 7, "8", ["9"], 9, "7.5"),
+    float: ("0.375", 0.375, "0.25", ["0.5"], 0.5, "half"),
+    str: ("here", "here", "there", ["elsewhere"], "elsewhere", None),
+    cli.boolean: ("yes", True, "no", [], True, "maybe"),
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, (_, _, options) in cli.COMMANDS.items()
+    for key in options])
+def test_every_option_resolves(command, key, tmp_path, capsys):
+    """With neither flag nor config an option takes its table default; a
+    config value, keyed with dashes, is cast by the option's type; the flag
+    beats the config value; a config value the type refuses exits 2 and
+    names the key."""
+    cast, default, *_ = cli.COMMANDS[command][2][key]
+    raw, value, rival, flag_args, flag_value, bad = SAMPLES[cast]
+    name = key.replace("_", "-")
+
+    def resolve(argv, config):
+        args = cli._build_parser().parse_args([command, *argv])
+        return getattr(cli._resolve(args, config), key)
+
+    assert resolve([], {}) == default
+    assert resolve([], {name: raw}) == value
+    assert resolve(["--" + name, *flag_args], {name: rival}) == flag_value
+    if bad is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{command}]\n{name} = {bad}\n")
+        assert run(["--config", str(cfg), command]) == 2
+        assert f"config value {key} = {bad!r}" in capsys.readouterr().err
 
 
 class TestConvergence:

@@ -90,9 +90,11 @@ def test_every_function_runs_under_a_command(tmp_path, monkeypatch):
             entered.add((frame.f_code.co_filename,
                          frame.f_code.co_firstlineno))
 
+    # every command reads a config file, which sets verify's one boolean
+    (tmp_path / "run.cfg").write_text("[verify]\nstrict = no\n")
     sys.setprofile(profile)
     try:
-        codes = [cli.main(argv) for argv in commands]
+        codes = [cli.main(["--config", "run.cfg", *argv]) for argv in commands]
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(commands)
