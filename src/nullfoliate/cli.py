@@ -264,16 +264,21 @@ def _resolve(args, config):
         if key not in options:
             raise ConfigurationError(
                 f"unknown key {name!r} in config section [{args.command}]")
-        values[key] = raw
+        if key in values:
+            raise ConfigurationError(
+                f"config keys {values[key][0]!r} and {name!r} in section "
+                f"[{args.command}] name the same option")
+        values[key] = name, raw
     for key, (cast, default, *_) in options.items():
         if getattr(args, key) is not None:
             continue
         if key in values:
+            name, raw = values[key]
             try:
-                default = cast(values[key])
+                default = cast(raw)
             except ValueError:
                 raise ConfigurationError(
-                    f"config value {key} = {values[key]!r} is not a valid "
+                    f"config value {name} = {raw!r} is not a valid "
                     f"{cast.__name__}")
         setattr(args, key, default)
     return args

@@ -3,7 +3,11 @@
 The kinds "geodesic_data" and "foliation" share the format.
 read() validates everything and raises DatasetError; write() refuses
 non-finite arrays and is atomic: the old manifest goes first, every file is
-moved into place with os.replace, and the manifest comes last.
+moved into place with os.replace, and the manifest comes last.  Each field
+is checked by a full read, then returned mapped read-only, so only the pages
+a caller reads stay resident.  Files are only ever replaced, never rewritten
+in place, so a mapped field keeps its values; a file that another program
+rewrites in place while it is mapped is outside the contract.
 """
 
 import json
@@ -112,7 +116,8 @@ def _read_field(path, entry, want):
                            f"values, file holds {arr.size}")
     if not _finite(arr):
         raise DatasetError(f"field {name!r} contains non-finite values")
-    return arr.reshape(want)
+    del arr
+    return np.memmap(fpath, dtype=_DTYPES[tag], mode="r", shape=want)
 
 
 def read(path, kind, Lmax=None) -> Contents:

@@ -304,14 +304,16 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
 
     M_trace, Delta_trace = [], []
     for n in range(1, cfg.max_iter + 1):
-        omega_inv = np.exp(-logOm_n)
-        s_next = s0[None, ...] + cumulative_integral(omega_inv, dv)
+        s_next = cumulative_integral(np.exp(-logOm_n), dv)
+        s_next += s0
         _require_finite(s_next, "graph iterate", v0, n)
         if np.min(s_next) < 1.0 - 1e-12:
             raise OutOfDomainError("graph left the slab from below")
 
-        logOm_next = np.concatenate(
-            [logOm0[None]] + [_lapse_at(data, s_next[b]) for b in blocks])
+        logOm_next = np.empty(nshape)
+        logOm_next[0] = logOm0
+        for b in blocks:
+            logOm_next[b] = _lapse_at(data, s_next[b])
         _require_finite(logOm_next, "lapse iterate", v0, n)
 
         if np.max(np.abs(logOm_next)) >= LAPSE_BOUND:

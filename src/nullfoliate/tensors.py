@@ -103,10 +103,6 @@ class _RealTensor:
     def __neg__(self):
         return self * (-1.0)
 
-    def norm2(self):
-        """|x|^2 = dot(x, x) (spin-0)."""
-        return dot(self, self)
-
     def max_abs(self):
         return float(np.max(magnitude(self)))
 
@@ -125,6 +121,10 @@ class OneForm(_RealTensor):
     def minus(self):
         """The spin -1 component X_mbar = conj(X_m)."""
         return self.plus.conj()
+
+    def norm2(self):
+        """|X|^2 = dot(X, X) (spin-0)."""
+        return dot(self, self)
 
     @classmethod
     def from_plus(cls, grid, plus):

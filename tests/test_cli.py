@@ -133,6 +133,20 @@ class TestSolve:
         assert run(["solve", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "fol")]) == 5
 
+    def test_nan_in_an_unread_field_exits_5(self, tmp_path, capsys):
+        """Every field is validated on load, also one the solve never reads:
+        an MMS solve reads psi and forcing_F1, not sigma."""
+        ds = tmp_path / "mms"
+        assert run(["generate", "--model", "mms", "--epsilon", "1e-2",
+                    "--lmax", "8", "--n-s", "24", "--out", str(ds)]) == 0
+        with open(ds / "sigma.bin", "r+b") as fh:
+            fh.seek(8 * 100)
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+        assert run(["solve", "--data", str(ds),
+                    "--out", str(tmp_path / "fol")]) == 5
+        assert "field 'sigma' contains non-finite values" \
+            in capsys.readouterr().err
+
     def test_planted_shear_exits_5(self, tmp_path, capsys):
         path = plant_shear(tmp_path / "ds")
         assert run(["solve", "--data", str(path),
@@ -274,6 +288,18 @@ class TestConfigFile:
         cfg.write_text("[generate]\nwarp_factor = 9\n")
         assert run(["--config", str(cfg), "generate"]) == 2
 
+    def test_option_named_twice_exits_2(self, tmp_path, capsys):
+        """An option keyed once with an underscore and once with a dash in
+        one section is refused, naming both keys; neither value wins."""
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("[generate]\nmodel = minkowski\nlmax = 8\n"
+                       "n_s = 24\nn-s = 30\n")
+        out = tmp_path / "ds"
+        assert run(["--config", str(cfg), "generate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'n_s'" in err and "'n-s'" in err
+        assert not out.exists()
+
     def test_threads_deprecated_and_ignored(self, workspace, tmp_path,
                                             monkeypatch, capsys):
         """--threads, NULLFOLIATE_THREADS and the config key each print one
@@ -336,7 +362,7 @@ def test_every_option_resolves(command, key, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[{command}]\n{name} = {bad}\n")
         assert run(["--config", str(cfg), command]) == 2
-        assert f"config value {key} = {bad!r}" in capsys.readouterr().err
+        assert f"config value {name} = {bad!r}" in capsys.readouterr().err
 
 
 class TestConvergence:

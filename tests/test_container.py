@@ -146,6 +146,37 @@ class TestAtomicWrite:
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
 
+class TestMappedFields:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fields_are_read_only_maps_of_their_files(self, kind, tmp_path):
+        """Every field comes back read-only, bit-equal to its array file."""
+        _write_valid(tmp_path, kind)
+        back = container.read(tmp_path, kind)
+        manifest = json.loads((tmp_path / container.MANIFEST).read_text())
+        for entry in manifest["fields"]:
+            arr = back.fields[entry["name"]]
+            raw = np.fromfile(tmp_path / entry["file"],
+                              dtype=container._DTYPES[entry["dtype"]])
+            assert not arr.flags.writeable
+            assert arr.tobytes() == raw.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0.0
+
+    def test_rewrite_leaves_loaded_tables_alone(self, tmp_path):
+        """save() replaces each file with os.replace, so a table loaded
+        before a rewrite of its directory keeps the old file's values."""
+        geodesic.save(geodesic.gen_schwarzschild(0.1, Lmax=LMAX, n_s=8),
+                      tmp_path)
+        before = geodesic.load(tmp_path).arrays()
+        kept = {name: arr.copy() for name, arr in before.items()}
+        geodesic.save(geodesic.gen_schwarzschild(0.2, Lmax=LMAX, n_s=8),
+                      tmp_path)
+        after = geodesic.load(tmp_path).arrays()
+        assert not np.array_equal(after["rho"], kept["rho"])
+        for name, arr in before.items():
+            assert arr.tobytes() == kept[name].tobytes()
+
+
 def _edit_manifest(path, edit):
     mpath = os.path.join(path, "manifest.json")
     with open(mpath) as fh:

@@ -194,6 +194,7 @@ class TestOneComponent:
         self.close(dot(a, b), R.dot(ra, rb))
         self.close(contract(T, a), R.contract(rT, ra))
         self.close(a.norm2(), R.norm2(ra))
+        assert not hasattr(T, "norm2")  # |T|^2 is magnitude(T) ** 2
         # |x|^2 of band-8 tensors has band 16, so the padded products of
         # the reference drop nothing that the pointwise magnitude keeps
         for x, rx in ((a, ra), (T, rT)):
