@@ -31,7 +31,11 @@ def _load_config_section(path, section):
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as err:  # e.g. one key twice in a section
+        raise ConfigurationError(str(err))
+    if not found:
         raise DatasetError(f"cannot read config file {path!r}")
     return dict(parser[section]) if section in parser else {}
 

@@ -4,10 +4,9 @@ The kinds "geodesic_data" and "foliation" share the format.
 read() validates everything and raises DatasetError; write() refuses
 non-finite arrays and is atomic: the old manifest goes first, every file is
 moved into place with os.replace, and the manifest comes last.  Each field
-is checked by a full read, then returned mapped read-only, so only the pages
-a caller reads stay resident.  Files are only ever replaced, never rewritten
-in place, so a mapped field keeps its values; a file that another program
-rewrites in place while it is mapped is outside the contract.
+is validated by a full read, then mapped read-only.  Files are only ever
+replaced, so a mapped field keeps its values; a file that another program
+rewrites in place while a command runs is outside the contract.
 """
 
 import json
@@ -116,7 +115,6 @@ def _read_field(path, entry, want):
                            f"values, file holds {arr.size}")
     if not _finite(arr):
         raise DatasetError(f"field {name!r} contains non-finite values")
-    del arr
     return np.memmap(fpath, dtype=_DTYPES[tag], mode="r", shape=want)
 
 

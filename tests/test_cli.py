@@ -288,16 +288,17 @@ class TestConfigFile:
         cfg.write_text("[generate]\nwarp_factor = 9\n")
         assert run(["--config", str(cfg), "generate"]) == 2
 
-    def test_option_named_twice_exits_2(self, tmp_path, capsys):
-        """An option keyed once with an underscore and once with a dash in
-        one section is refused, naming both keys; neither value wins."""
+    @pytest.mark.parametrize("second", ["n-s", "n_s"])
+    def test_option_named_twice_exits_2(self, second, tmp_path, capsys):
+        """An option keyed twice in one section, with a dash or as written,
+        is refused, naming both keys; neither value wins."""
         cfg = tmp_path / "twice.cfg"
         cfg.write_text("[generate]\nmodel = minkowski\nlmax = 8\n"
-                       "n_s = 24\nn-s = 30\n")
+                       f"n_s = 24\n{second} = 30\n")
         out = tmp_path / "ds"
         assert run(["--config", str(cfg), "generate", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "'n_s'" in err and "'n-s'" in err
+        assert "'n_s'" in err and f"'{second}'" in err
         assert not out.exists()
 
     def test_threads_deprecated_and_ignored(self, workspace, tmp_path,
