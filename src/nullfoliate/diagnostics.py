@@ -8,7 +8,8 @@ suite takes that reconstruction (and the dataset where it reads it) instead
 of the foliation, so a run builds it once and hands it to all its suites;
 the levels, dv and the lapse come from co.v and co.logOmega.  Residuals are
 stack expressions over the levels (see sphere and tensors), reported one
-row per level.
+row per level; the Gauss and Codazzi rows are geodesic.gauss_codazzi, as
+in geodesic.validate.
 
 The norm suite measures both foliations with one recipe: one function each
 forms their I_S1 and R entries, and along the generators both integrate a
@@ -33,11 +34,11 @@ import numpy as np
 from . import _cheb
 from .comparison import reconstruct
 from .errors import ConfigurationError
+from .geodesic import gauss_codazzi
 from .reports import NormReport, ResidualReport
 from .sphere import SpinField, eth, ethbar
-from .tensors import (OneForm, SymTwoTensor, components, contract, div, div2,
-                      dot, grad, hodge_D1, laplacian, magnitude, mean,
-                      multiply)
+from .tensors import (components, div, dot, grad, hodge_D1, laplacian,
+                      magnitude, mean, multiply, rebuild)
 
 _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
                  4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
@@ -105,7 +106,6 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
     on every level of the reconstruction co of a foliation of data."""
     rep = ResidualReport(tolerance_used=tolerance)
     g = co.metric
-    chibhat = co.chib.hat()
     div_zeta, curl_zeta = hodge_D1(co.zeta, g)
     sizes = {}
 
@@ -121,17 +121,10 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
             lap + div_zeta - co.rho
             + SpinField.constant(g.grid, mean(co.rho, g)), g)
 
-    K = g.gauss_curvature()
-    sizes["gauss"] = _sizes(
-        K + 0.25 * multiply(co.trchi, co.trchib) + co.rho, g)
-
-    sizes["codazzi_chi"] = _sizes(
-        -0.5 * grad(co.trchi, g) - 0.5 * (co.trchi * co.zeta) + co.beta, g)
-
-    sizes["codazzi_chib"] = _sizes(
-        div2(chibhat, g) - 0.5 * grad(co.trchib, g)
-        - contract(chibhat, co.zeta) + 0.5 * (co.trchib * co.zeta)
-        - co.betab, g)
+    for name, residual in gauss_codazzi(
+            g, (co.trchi, co.chib, co.zeta),
+            (co.beta, co.rho, co.sigma, co.betab)).items():
+        sizes[name] = _sizes(residual, g)
 
     sizes["torsion"] = _sizes(curl_zeta - co.sigma, g)
 
@@ -172,7 +165,7 @@ def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
     d_trchib = d_dv(np.real(co.trchib.samples))
     d_mu = d_dv(np.real(co.mu.samples))
     d_rho = d_dv(np.real(co.rho.samples))
-    d_zeta = d_dv(co.zeta.plus.samples)
+    d_zeta = rebuild(co.zeta, d_dv)
     d_fbar = d_dv(fbar)
 
     co = co[inner]
@@ -195,7 +188,7 @@ def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
 
     # zeta transport: nabla_L zeta + trchi zeta/2 = trchi etab/2 - beta
     sizes["zeta_transport"] = _sizes(
-        OneForm.from_plus(grid, d_zeta) * om
+        d_zeta * om
         + 0.5 * (co.trchi * (co.zeta - co.etab)) + co.beta, g)
 
     # trchib transport; canonical right-hand side 2 mean(rho) + 2|etab|^2
@@ -400,8 +393,7 @@ def _grad_any(x, g):
     its full weight.
     """
     def outer(f, power):
-        return SpinField.from_samples(
-            g.grid, f.spin, g.conformal_factor(power).samples * f.samples)
+        return rebuild(f, lambda v: g.conformal_factor(power).samples * v)
 
     pairs = []
     for c, w in components(x):
@@ -442,6 +434,33 @@ def _set_total(rep, prefix, entries):
     rep.set(prefix, sum(entries.values()))
 
 
+def _geodesic_norms(rep, data):
+    """The I'_{S1}, R' and O' entries, over data.slab(); its fields go
+    when this returns, before the canonical side is measured."""
+    wcc = _cheb.cc_weights(data.s_nodes)
+    gs, (trchi, chib, zeta), (beta, rho, sigma, betab) = data.slab()
+
+    # I'_{S1}: the first s-node is the initial sphere
+    g1 = gs[0]
+    _set_total(rep, "Iprime_S1", _initial_sphere(
+        g1, trchi[0], chib.trace[0], -1.0 * rho[0] - div(zeta[0], g1),
+        zeta[0], chib.hat()[0]))
+
+    _set_total(rep, "Rprime", _flux(gs, wcc, beta=beta, rho=rho,
+                                    sigma=sigma, betab=betab))
+
+    # O' over the geodesic slab
+    s3 = data.s_nodes[:, None, None]
+    trchi_dev = rebuild(trchi, lambda x: x - 2.0 / s3)
+    _set_total(rep, "Oprime", {
+        "trchi_dev_infinf": float(np.max(np.abs(trchi_dev.samples))),
+        "zeta_LinfL2s": trace_norm(zeta, gs, wcc, np.inf, 2),
+        "N1_trchi_dev": _n1_norm(trchi_dev, rebuild(
+            trchi, lambda x: data.d_ds(x) + 2.0 / s3 ** 2), gs, wcc),
+        "N1_zeta": _n1_norm(zeta, rebuild(zeta, data.d_ds), gs, wcc),
+    })
+
+
 def norm_suite(data, co) -> NormReport:
     """Every constituent of the I', I, O', O, R', R norm functionals.
 
@@ -451,44 +470,10 @@ def norm_suite(data, co) -> NormReport:
     s-nodes, the other Simpson weights on the v-levels.
     """
     rep = NormReport()
-    grid = data.grid
-
-    # ---- geodesic-side norms (I'_{S1}, O', R') over the s-slab -----------
-    wcc = _cheb.cc_weights(data.s_nodes)
-    gs = data.slab_metric
-
-    # I'_{S1}: the first s-node is the initial sphere
-    g1 = gs[0]
-    zeta1 = OneForm.from_plus(grid, data.zeta[0])
-    mu1 = -1.0 * SpinField.from_samples(grid, 0, data.rho[0]) \
-        - div(zeta1, g1)
-    _set_total(rep, "Iprime_S1", _initial_sphere(
-        g1, SpinField.from_samples(grid, 0, np.real(data.trchi[0])),
-        SpinField.from_samples(grid, 0, np.real(data.trchib[0])),
-        mu1, zeta1, SymTwoTensor.from_parts(grid, None, data.chibhat[0])))
-
-    _set_total(rep, "Rprime", _flux(
-        gs, wcc, beta=OneForm.from_plus(grid, data.beta),
-        rho=SpinField.from_samples(grid, 0, data.rho),
-        sigma=SpinField.from_samples(grid, 0, data.sigma),
-        betab=OneForm.from_plus(grid, data.betab)))
-
-    # O' over the geodesic slab
-    s3 = data.s_nodes[:, None, None]
-    trchi_dev = data.trchi - 2.0 / s3
-    dst_dev = data.d_ds(data.trchi) + 2.0 / s3 ** 2
-    zeta = OneForm.from_plus(grid, data.zeta)
-    _set_total(rep, "Oprime", {
-        "trchi_dev_infinf": float(np.max(np.abs(trchi_dev))),
-        "zeta_LinfL2s": trace_norm(zeta, gs, wcc, np.inf, 2),
-        "N1_trchi_dev": _n1_norm(
-            SpinField.from_samples(grid, 0, trchi_dev),
-            SpinField.from_samples(grid, 0, dst_dev), gs, wcc),
-        "N1_zeta": _n1_norm(zeta, OneForm.from_plus(
-            grid, data.d_ds(data.zeta)), gs, wcc),
-    })
+    _geodesic_norms(rep, data)
 
     # ---- canonical-side norms (I_{S1}, O, R) over the v-levels -----------
+    grid = data.grid
     g = co.metric
     wv = simpson_weights(co.v)
     co1, g1c = co[0], g[0]
@@ -517,28 +502,22 @@ def norm_suite(data, co) -> NormReport:
         d[n - margin:] = d[n - 1 - margin]
         return omega * d
 
-    v3 = co.v[:, None, None]
+    def n1(field):
+        return _n1_norm(field, rebuild(field, dL), g, wv)
+
     trchi_dev_f = co.trchi + SpinField.constant(grid, -2.0 / co.v)
     trchib_dev_f = co.trchib + SpinField.constant(grid, 2.0 / co.v)
-    chibhat_f = co.chib.hat()
-    gradlog_f = grad(co.logOmega, g)
 
     _set_total(rep, "O", {
-        "N1_trchi_dev": _n1_norm(trchi_dev_f, SpinField.from_samples(
-            grid, 0, dL(np.real(co.trchi.samples) - 2.0 / v3)), g, wv),
-        "N1_zeta": _n1_norm(co.zeta, OneForm.from_plus(
-            grid, dL(co.zeta.plus.samples)), g, wv),
-        "N1_etab": _n1_norm(co.etab, OneForm.from_plus(
-            grid, dL(co.etab.plus.samples)), g, wv),
-        "N1_trchib_dev": _n1_norm(trchib_dev_f, SpinField.from_samples(
-            grid, 0, dL(np.real(co.trchib.samples) + 2.0 / v3)), g, wv),
-        "N1_chibhat": _n1_norm(chibhat_f, SymTwoTensor.from_parts(
-            grid, None, dL(co.chib.hat_plus.samples)), g, wv),
+        "N1_trchi_dev": n1(trchi_dev_f),
+        "N1_zeta": n1(co.zeta),
+        "N1_etab": n1(co.etab),
+        "N1_trchib_dev": n1(trchib_dev_f),
+        "N1_chibhat": n1(co.chib.hat()),
         "omega_dev_infinf": float(np.max(np.abs(omega - 1.0))),
-        "L_logOmega_L2L4": mixed_norm(SpinField.from_samples(
-            grid, 0, dL(np.real(co.logOmega.samples))), g, wv, 2, 4),
-        "N1_grad_logOmega": _n1_norm(gradlog_f, OneForm.from_plus(
-            grid, dL(gradlog_f.plus.samples)), g, wv),
+        "L_logOmega_L2L4": mixed_norm(rebuild(co.logOmega, dL),
+                                      g, wv, 2, 4),
+        "N1_grad_logOmega": n1(grad(co.logOmega, g)),
         "trchi_dev_infinf": mixed_norm(trchi_dev_f, g, wv, np.inf, np.inf),
         "zeta_LinfL2v": trace_norm(co.zeta, g, wv, np.inf, 2),
         "etab_LinfL2v": trace_norm(co.etab, g, wv, np.inf, 2),

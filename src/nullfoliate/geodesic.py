@@ -9,6 +9,11 @@ a chart fixed along the generators, so chi' = (trchi'/2) g': its tracefree
 part chihat' vanishes, and with it, in vacuum, alpha' = -(nabla_L chihat'
 + trchi' chihat').  Neither is tabulated, and every term they would feed is
 left out.
+
+The GEOMETRY tables have one typed form, the geometry tuple (metric,
+(trchi', chib', zeta'), (beta', rho', sigma', betab')): geometry_at gives it
+at any heights, slab() on the s-node leaves, and gauss_codazzi states the
+Gauss and Codazzi equations on it (and on a canonical reconstruction).
 """
 
 from dataclasses import dataclass, field as dfield
@@ -22,7 +27,23 @@ from .reports import ResidualReport
 from .sphere import (GeneratorPack, Grid, SpinField, build_grid, eth,
                      interp_generator)
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, curl, div,
-                      div2, dot, grad, multiply)
+                      div2, dot, grad, multiply, rebuild)
+
+# the tables of the geodesic geometry, in the order of their one generator
+# read, with the spin weight of the component each tabulates
+GEOMETRY = {"psi": 0, "trchi": 0, "zeta": 1, "trchib": 0, "chibhat": 2,
+            "beta": 1, "rho": 0, "sigma": 0, "betab": 1}
+
+
+def _geometry(metric, tables):
+    """The geometry tuple (metric, (trchi', chib', zeta'), (beta', rho',
+    sigma', betab')) from samples of the GEOMETRY tables, in that order;
+    metric is that of their psi."""
+    _, trchi, zeta, trchib, chibhat, beta, rho, sigma, betab = (
+        SpinField.from_samples(metric.grid, spin, t)
+        for spin, t in zip(GEOMETRY.values(), tables))
+    return (metric, (trchi, SymTwoTensor(trchib, chibhat), OneForm(zeta)),
+            (OneForm(beta), rho, sigma, OneForm(betab)))
 
 
 # --------------------------------------------------------------------------
@@ -81,7 +102,7 @@ class GeodesicNullData:
             return vals[0], F1, None, None, None
         _, _, F2, F3, F4 = vals
         g = self.grid
-        return (vals[0], F1, OneForm.from_plus(g, F2),
+        return (vals[0], F1, OneForm(SpinField.from_samples(g, 1, F2)),
                 SpinField.from_samples(g, 0, F3),
                 SpinField.from_samples(g, 0, F4))
 
@@ -89,25 +110,16 @@ class GeodesicNullData:
         """The geodesic geometry at heights s_eval, in one read:
         (metric, (trchi', chib', zeta'), (beta', rho', sigma', betab')).
 
-        chi' is its trace (see the module docstring).  The nine tables are
-        packed per call and not kept, so a dataset holds no second copy of
-        them between reconstructions; each field is copied out of the read,
-        which is then freed.
+        chi' is its trace (see the module docstring).  The GEOMETRY tables
+        are packed per call and not kept, so a dataset holds no second copy
+        of them between reconstructions; each field is copied out of the
+        read, which is then freed.
         """
-        pack = GeneratorPack(self.s_nodes, [
-            self.psi, self.trchi, self.zeta, self.trchib, self.chibhat,
-            self.beta, self.rho, self.sigma, self.betab])
-        psi, trchi, zeta, trchib, chibhat, beta, rho, sigma, betab = [
-            r.copy() for r in interp_generator(pack, s_eval)]
-        g = self.grid
-        return (MetricRep(g, psi=np.real(psi)),
-                (SpinField.from_samples(g, 0, trchi),
-                 SymTwoTensor.from_parts(g, trchib, chibhat),
-                 OneForm.from_plus(g, zeta)),
-                (OneForm.from_plus(g, beta),
-                 SpinField.from_samples(g, 0, rho),
-                 SpinField.from_samples(g, 0, sigma),
-                 OneForm.from_plus(g, betab)))
+        pack = GeneratorPack(self.s_nodes,
+                             [getattr(self, name) for name in GEOMETRY])
+        tables = [r.copy() for r in interp_generator(pack, s_eval)]
+        return _geometry(MetricRep(self.grid, psi=np.real(tables[0])),
+                         tables)
 
     # ---- geometry of the s-node leaves and derived tables ----------------
     # every s-node leaf at once, as one stack
@@ -116,6 +128,13 @@ class GeodesicNullData:
     def slab_metric(self) -> MetricRep:
         """Metric of every s-node leaf, stacked along the nodes."""
         return MetricRep(self.grid, psi=np.real(self.psi))
+
+    def slab(self):
+        """The geometry tuple of geometry_at on every s-node leaf, as one
+        stack, over the tables themselves and slab_metric.  Not cached: its
+        fields would keep the coefficients analysed from them alive."""
+        return _geometry(self.slab_metric,
+                         [getattr(self, name) for name in GEOMETRY])
 
     @cached_property
     def _dds(self):
@@ -131,8 +150,8 @@ class GeodesicNullData:
         itself on manufactured data."""
         if self.has_prescribed_forcing:
             return self.forcing_F1
-        return -div(OneForm.from_plus(self.grid, self.zeta),
-                    self.slab_metric).samples + self.rho
+        metric, (_, _, zeta), (_, rho, _, _) = self.slab()
+        return -div(zeta, metric).samples + rho.samples
 
     @cached_property
     def F2_table(self):
@@ -141,10 +160,10 @@ class GeodesicNullData:
         F'_2 = -nabla'_L zeta' - trchi' zeta' + chi'.zeta' - Div'chi' + beta'
              = -nabla'_L zeta' - trchi' zeta'/2 - grad' trchi'/2 + beta'.
         """
-        grad_tr = grad(SpinField.from_samples(self.grid, 0, self.trchi),
-                       self.slab_metric).plus.samples
-        return (-self.d_ds(self.zeta) - 0.5 * self.trchi * self.zeta
-                - 0.5 * grad_tr + self.beta)
+        metric, (trchi, _, zeta), (beta, _, _, _) = self.slab()
+        z = zeta.plus.samples
+        return (-self.d_ds(z) - 0.5 * trchi.samples * z
+                - 0.5 * grad(trchi, metric).plus.samples + beta.plus.samples)
 
     @cached_property
     def F3_table(self):
@@ -417,26 +436,45 @@ def gen_manufactured(spec: MmsSpec):
 # validation
 # --------------------------------------------------------------------------
 
+def gauss_codazzi(metric, connection, curvature):
+    """Residual fields of the Gauss equation and the two Codazzi equations
+    of a geometry tuple (as geometry_at and slab give, or a reconstruction):
+
+        gauss         K + trchi trchib/4 + rho
+        codazzi_chi   -grad trchi/2 - zeta trchi/2 + beta
+        codazzi_chib  Div chibhat - grad trchib/2 - zeta.chibhat
+                      + zeta trchib/2 - betab
+    """
+    trchi, chib, zeta = connection
+    beta, rho, _, betab = curvature
+    chibhat = chib.hat()
+    return {
+        "gauss": metric.gauss_curvature()
+        + 0.25 * multiply(trchi, chib.trace) + rho,
+        "codazzi_chi": -0.5 * grad(trchi, metric) - 0.5 * (trchi * zeta)
+        + beta,
+        "codazzi_chib": div2(chibhat, metric) - 0.5 * grad(chib.trace, metric)
+        - contract(chibhat, zeta) + 0.5 * (chib.trace * zeta) - betab,
+    }
+
+
 def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
     """Residuals of the geodesic null structure equations over the slab.
 
     s-derivatives are spectral (Chebyshev); every s-node leaf is checked at
-    once, as one stack, and each equation is reported per s-node with max
-    and L2(round) norms.
+    once, as one stack (data.slab()), and each equation is reported per
+    s-node with max and L2(round) norms of its plus component.
     """
     rep = ResidualReport(tolerance_used=tolerance)
     g = data.grid
-    met = data.slab_metric
-    chib = SymTwoTensor.from_parts(g, data.trchib, data.chibhat)
-    chibhat = chib.hat()
-    trchi_f, trchib_f = SpinField.from_samples(g, 0, data.trchi), chib.trace
-    ze = OneForm.from_plus(g, data.zeta)
-    be = OneForm.from_plus(g, data.beta)
-    rho = SpinField.from_samples(g, 0, data.rho)
+    geometry = data.slab()
+    met, (trchi, chib, ze), (be, rho, sigma, _) = geometry
+    trchib = chib.trace
 
     sizes = {}
 
     def record(name, f):
+        f = f.plus if isinstance(f, OneForm) else f
         f = np.abs(f.samples if isinstance(f, SpinField) else f)
         sizes[name] = (np.max(f, axis=(-2, -1)),
                        np.sqrt(np.maximum(g.integrate(f ** 2), 0.0)))
@@ -447,29 +485,18 @@ def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
     record("first_variation", data.d_ds(e2psi) - data.trchi * e2psi)
     # Raychaudhuri
     record("raychaudhuri", data.d_ds(data.trchi) + 0.5 * data.trchi ** 2)
-    # Codazzi (chi): -grad trchi/2 - zeta trchi/2 + beta
-    record("codazzi_chi", -0.5 * grad(trchi_f, met).plus
-           - 0.5 * multiply(trchi_f, ze.plus) + be.plus)
-    # Codazzi (chib): Div chibhat - grad trchib/2 - zeta.chibhat
-    #                 + zeta trchib/2 - betab
-    record("codazzi_chib", div2(chibhat, met).plus
-           - 0.5 * grad(trchib_f, met).plus - contract(chibhat, ze).plus
-           + 0.5 * multiply(trchib_f, ze.plus)
-           - SpinField.from_samples(g, 1, data.betab))
-    # Gauss: K + trchi trchib/4 + rho = 0
-    record("gauss", met.gauss_curvature() + 0.25 * multiply(trchi_f, trchib_f)
-           + rho)
+    for name, residual in gauss_codazzi(*geometry).items():
+        record(name, residual)
     # torsion: curl zeta = sigma
-    record("torsion", curl(ze, met) - SpinField.from_samples(g, 0, data.sigma))
+    record("torsion", curl(ze, met) - sigma)
     # Bianchi rho-transport (geodesic, etab' = -zeta'):
     # d_s rho + (3/2) trchi rho = Div beta - zeta.beta
-    record("bianchi_rho", SpinField.from_samples(g, 0, data.d_ds(data.rho))
-           + 1.5 * multiply(trchi_f, rho) - div(be, met) + dot(ze, be))
+    record("bianchi_rho", rebuild(rho, data.d_ds)
+           + 1.5 * multiply(trchi, rho) - div(be, met) + dot(ze, be))
     # trchib transport (geodesic form):
     # d_s trchib + trchi trchib/2 = -2 Div zeta + 2 rho + 2|zeta|^2
-    record("trchib_transport",
-           SpinField.from_samples(g, 0, data.d_ds(data.trchib))
-           + 0.5 * multiply(trchi_f, trchib_f) + 2.0 * div(ze, met)
+    record("trchib_transport", rebuild(trchib, data.d_ds)
+           + 0.5 * multiply(trchi, trchib) + 2.0 * div(ze, met)
            - 2.0 * rho - 2.0 * dot(ze, ze))
 
     rep.add_levels(data.s_nodes, sizes)

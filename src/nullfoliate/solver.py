@@ -19,15 +19,15 @@ whole-window analysis makes full-size temporaries that cost more than its
 arithmetic and set the solve's peak memory, while a stacked analysis gives
 each field the same bits at any stack size of 2 or more.
 
-Stopping rule.  A sweep is accepted when Delta_n <= tol.  The order-p monitor
-weights coefficient roundoff by (l(l+1))^{p/2}, so Delta_n cannot fall below
-roundoff_floor(p, Lmax, sup|iterate|); when that floor lies above tol the
-sweep is also accepted once Delta_{n-1} and Delta_n are both at or below the
-floor and Delta_n >= KAPPA_MAX Delta_{n-1}, i.e. the iteration has stopped
-contracting because only roundoff is left.  The observed contraction kappa
-ignores ratios whose denominator is at or below max(10 tol, floor).  Every
-iterate must be finite: the first non-finite seed, graph or lapse raises
-NonFiniteIterateError.
+Stopping rule.  A sweep is accepted when Delta_n <= tol.  The monitor tracks
+two derivatives, so it weights coefficient roundoff by up to l(l+1) and
+Delta_n cannot fall below roundoff_floor(Lmax, sup|iterate|); when that floor
+lies above tol the sweep is also accepted once Delta_{n-1} and Delta_n are
+both at or below the floor and Delta_n >= KAPPA_MAX Delta_{n-1}, i.e. the
+iteration has stopped contracting because only roundoff is left.  The
+observed contraction kappa ignores ratios whose denominator is at or below
+max(10 tol, floor).  Every iterate must be finite: the first non-finite
+seed, graph or lapse raises NonFiniteIterateError.
 """
 
 from dataclasses import dataclass
@@ -63,8 +63,6 @@ class SolverConfig:
                                  # monitor's roundoff floor a stalled Delta_n
                                  # is accepted instead (see roundoff_floor)
     max_iter: int = 30
-    monitor_order: int = 2       # derivatives tracked by M_n / Delta_n
-                                 # (5 is the full diagnostic monitoring)
 
     def __post_init__(self):
         if not (0.0 < self.delta <= 1.0):
@@ -153,18 +151,15 @@ class Foliation:
 # building blocks
 # --------------------------------------------------------------------------
 
-def assemble_F(data: GeodesicNullData, s_samples, metric: MetricRep,
-               gradient: OneForm, lap: SpinField, source=None) -> SpinField:
+def assemble_F(data: GeodesicNullData, source, gradient: OneForm,
+               lap: SpinField) -> SpinField:
     """Elliptic source F = F1(s) + F2(s).grad s + F3(s)|grad s|^2 + F4(s) Delta s.
 
     F'_3 and F'_4 are multiples of the metric (the slab is shear-free), so
     they contract grad s grad s and Hess s to |grad s|^2 and lap = Delta s.
-    s_samples is one leaf or a stack of leaves.  `source` is
-    data.source_at(s_samples) when the caller has it already.  Under
+    source is data.source_at(s) on one leaf or a stack of leaves s.  Under
     prescribed forcing F = F1, and gradient and lap are not read.
     """
-    if source is None:
-        source = data.source_at(np.real(s_samples))
     _, F, F2, F3, F4 = source
     if not data.has_prescribed_forcing:
         F = F + dot(F2, gradient)
@@ -192,7 +187,7 @@ def _lapse_at(data, s_samples):
     if not data.has_prescribed_forcing:
         sf = SpinField.from_samples(data.grid, 0, s)
         gradient, lap = grad(sf, metric), laplacian(sf, metric)
-    F = assemble_F(data, s, metric, gradient, lap, source)
+    F = assemble_F(data, source, gradient, lap)
     return np.real(solve_lapse(metric, F).samples)
 
 
@@ -231,24 +226,24 @@ def cumulative_integral(values, dv):
     return out
 
 
-def _sobolev_sum(coeffs, order):
-    """sum_{p <= order} ||grad_ring^p f||_{L2(round)} per field of a stack of
+def _sobolev_sum(coeffs):
+    """sum_{p <= 2} ||grad_ring^p f||_{L2(round)} per field of a stack of
     spin-0 coefficients (..., l, m)."""
     lam = np.arange(coeffs.shape[-2], dtype=float)
     lam = lam * (lam + 1.0)
     power = np.abs(coeffs) ** 2
     return sum(np.sqrt(np.sum(lam[:, None] ** p * power, axis=(-2, -1)))
-               for p in range(order + 1))
+               for p in range(3))
 
 
-def roundoff_floor(order, Lmax, sup):
-    """Level below which the order-p monitor sees only roundoff.
+def roundoff_floor(Lmax, sup):
+    """Level below which the monitor sees only roundoff.
 
-    _sobolev_sum weights each coefficient by up to (Lmax(Lmax+1))^{p/2}, so
-    rounding errors of relative size eps in an iterate of sup-norm `sup` keep
-    Delta_n near eps (Lmax(Lmax+1))^{p/2} sup however close the fixed point is.
+    _sobolev_sum weights each coefficient by up to Lmax(Lmax+1), so rounding
+    errors of relative size eps in an iterate of sup-norm `sup` keep Delta_n
+    near eps Lmax(Lmax+1) sup however close the fixed point is.
     """
-    return np.finfo(float).eps * (Lmax * (Lmax + 1.0)) ** (order / 2.0) * sup
+    return np.finfo(float).eps * (Lmax * (Lmax + 1.0)) * sup
 
 
 def _require_finite(arr, what, v0, n):
@@ -266,8 +261,7 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
     dv = delta / steps
     v_nodes = v0 + dv * np.arange(steps + 1)
 
-    s0 = np.real(np.asarray(s0)) if not isinstance(s0, SpinField) \
-        else np.real(s0.samples)
+    s0 = np.real(np.asarray(s0))
     _require_finite(s0, "seed leaf", v0, 0)
     if np.max(s0) > data.s_star - MARGIN:
         raise OutOfDomainError(
@@ -279,7 +273,6 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
         raise LapseBoundError(
             f"seed lapse violates |log Omega_0| <= {SEED_BOUND}")
 
-    order = cfg.monitor_order
     nshape = (steps + 1,) + grid.shape
     s_n = np.broadcast_to(s0, nshape).copy()
     logOm_n = np.broadcast_to(logOm0, nshape).copy()
@@ -289,14 +282,14 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
               for j in range(1, steps + 1, LAPSE_BLOCK)]
 
     def monitor(s, logOm, s_prev, logOm_prev):
-        """(M_n, Delta_n): largest per-level order-p Sobolev sum plus sup of
+        """(M_n, Delta_n): largest per-level order-2 Sobolev sum plus sup of
         the differences of (s, logOm) from (s0, 0) and from the last sweep."""
         per_block = []
         for j in range(0, steps + 1, LAPSE_BLOCK):
             b = slice(j, j + LAPSE_BLOCK)
             d = np.stack([s[b] - s0, logOm[b], s[b] - s_prev[b],
                           logOm[b] - logOm_prev[b]])  # (4, levels, ...)
-            sob = _sobolev_sum(raw_analyze(grid, d, 0), order)
+            sob = _sobolev_sum(raw_analyze(grid, d, 0))
             sup = np.max(np.abs(d), axis=(-2, -1))
             per_block.append([np.max(sob[k] + sob[k + 1] + sup[k]
                                      + sup[k + 1]) for k in (0, 2)])
@@ -327,7 +320,7 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
         s_n, logOm_n = s_next, logOm_next
 
         # s >= 1 > |log Omega| here, so max(s) is the iterate's sup-norm
-        floor = roundoff_floor(order, grid.Lmax, np.max(s_n))
+        floor = roundoff_floor(grid.Lmax, np.max(s_n))
         if _stopped(Delta_trace, cfg.tol, floor):
             kappa = _observed_kappa(Delta_trace, max(10.0 * cfg.tol, floor))
             if kappa < KAPPA_MAX:

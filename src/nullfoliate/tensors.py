@@ -8,7 +8,9 @@ stored: X_mbar = conj(X_m) (the `minus` property) and T_mbmb = conj(T_mm),
 which SpinField.conj forms without a transform.  So each contraction forms
 one product and takes its real or imaginary part, e.g. a.b = 2 Re(a_m
 conj(b_m)), and each derivative is one conformal eth.  A size needs no
-product: |x| is taken pointwise from the samples (magnitude).
+product: |x| is taken pointwise from the samples (magnitude).  rebuild
+makes a field or tensor of the same kind from new samples of each stored
+component, as a derivative along a stack gives them.
 
 All covariant operators reduce to the round eth ladder with conformal weights,
 
@@ -126,11 +128,6 @@ class OneForm(_RealTensor):
         """|X|^2 = dot(X, X) (spin-0)."""
         return dot(self, self)
 
-    @classmethod
-    def from_plus(cls, grid, plus):
-        """1-form from samples (..., ntheta, nphi) of its plus part."""
-        return cls(SpinField.from_samples(grid, 1, plus))
-
 
 class SymTwoTensor(_RealTensor):
     """Real symmetric 2-tensor: its g-trace and its spin +2 tracefree
@@ -150,15 +147,6 @@ class SymTwoTensor(_RealTensor):
         grid = hat_plus.grid
         zero = np.zeros(hat_plus.stack_shape + grid.shape)
         return cls(SpinField.from_coeffs(grid, 0, zero), hat_plus)
-
-    @classmethod
-    def from_parts(cls, grid, trace, hat_plus):
-        """Tensor from samples of its trace and hat_plus component
-        (..., ntheta, nphi); trace None is a zero trace of the same shape."""
-        hp = SpinField.from_samples(grid, 2, hat_plus)
-        if trace is None:
-            return cls.tracefree(hp)
-        return cls(SpinField.from_samples(grid, 0, trace), hp)
 
     def hat(self):
         return SymTwoTensor.tracefree(self.hat_plus)
@@ -183,6 +171,15 @@ def components(x):
     if isinstance(x, SymTwoTensor):
         return [(x.trace, 0.5), (x.hat_plus, 2.0)]
     raise TypeError("expected a SpinField, OneForm or SymTwoTensor")
+
+
+def rebuild(x, fn):
+    """A field, 1-form or 2-tensor of the kind of x whose every stored
+    component has the samples fn(samples of that component of x), at the
+    component's spin: fn may differentiate along the stack or restack it."""
+    if isinstance(x, SpinField):
+        return SpinField.from_samples(x.grid, x.spin, fn(x.samples))
+    return x._map(lambda c: rebuild(c, fn))
 
 
 def magnitude(x):

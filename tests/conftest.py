@@ -14,7 +14,7 @@ from nullfoliate.reports import ResidualReport
 from nullfoliate.sphere import SpinField, build_grid, eth, ethbar, multiply
 from nullfoliate.tensors import (MetricRep, OneForm, curl, div, eth_g,
                                  ethbar_g, grad, hessian, laplacian,
-                                 magnitude)
+                                 magnitude, rebuild)
 
 
 @pytest.fixture(scope="session")
@@ -129,8 +129,8 @@ def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
                                            diagnostics._dv(co), n)
     inner = slice(margin, n - margin)
     co = co[inner]
-    dLgrad = OneForm.from_plus(metric.grid,
-                               diagnostics._omega(co) * dgp[inner])
+    dLgrad = OneForm(SpinField.from_samples(
+        metric.grid, 1, diagnostics._omega(co) * dgp[inner]))
     gf = gf[inner]
     # [nabla_L, grad] f = -trchi grad f / 2 + (etab + zeta) L f (chihat = 0)
     #                   with L f = 0 here
@@ -144,9 +144,10 @@ def dLUpsilon_fd(co):
 
     co is the reconstruction of every level of a foliation, as one stack.
     """
-    dups, _ = diagnostics.v_derivative(co.Upsilon.plus.samples,
-                                       diagnostics._dv(co), len(co.v))
-    return OneForm.from_plus(co.metric.grid, diagnostics._omega(co) * dups)
+    def dL(x):
+        return diagnostics._omega(co) * diagnostics.v_derivative(
+            x, diagnostics._dv(co), len(co.v))[0]
+    return rebuild(co.Upsilon, dL)
 
 
 def lp_partition_residual(f) -> float:

@@ -298,24 +298,24 @@ class TestSphericalityScaling:
 
 class TestConvergenceStudy:
     def test_every_solve_keeps_the_base_config(self, monkeypatch):
-        """Each solve of a study runs with the base config (here order-5
-        monitoring) at its own dv."""
+        """Each solve of a study runs with the base config (here its
+        max_iter) at its own dv."""
         spec = geodesic.MmsSpec(epsilon=1e-2, Lmax=8, n_s=24,
                                 profile_l=2, profile_m=2)
         data, exact = geodesic.gen_manufactured(spec)
         base = solver.SolverConfig(delta=0.5, dv=0.25, tol=1e-13,
-                                   monitor_order=5)
+                                   max_iter=25)
         real = solver.continue_foliation
         seen = []
 
         def recording(data, cfg, **kwargs):
-            seen.append((cfg.dv, cfg.monitor_order))
+            seen.append((cfg.dv, cfg.max_iter))
             return real(data, cfg, **kwargs)
 
         monkeypatch.setattr(solver, "continue_foliation", recording)
         rows, _, _ = diagnostics.convergence_study(data, exact, base,
                                                    [0.25, 0.125], v_end=1.5)
-        assert seen == [(0.25, 5), (0.125, 5)]
+        assert seen == [(0.25, 25), (0.125, 25)]
         assert rows[1][1] < rows[0][1]
 
 

@@ -126,6 +126,48 @@ class TestSchwarzschild:
         assert rep.worst() < 1e-9
 
 
+def _with_random_tables(data, seed):
+    """data with every table of the geometry but psi replaced by random
+    values of its dtype, so that no component is identically zero."""
+    rng = np.random.default_rng(seed)
+    for name in list(geodesic.GEOMETRY)[1:]:
+        t = getattr(data, name)
+        r = rng.standard_normal(t.shape)
+        if np.iscomplexobj(t):
+            r = r + 1j * rng.standard_normal(t.shape)
+        setattr(data, name, r)
+    return data
+
+
+class TestSlab:
+    @pytest.mark.parametrize("model", ["schwarzschild", "mms", "random"])
+    def test_slab_is_geometry_at_the_nodes(self, model):
+        """slab() equals geometry_at on the s-node heights bit for bit in
+        all nine components: the barycentric read hits every node exactly."""
+        if model == "mms":
+            data, _ = geodesic.gen_manufactured(geodesic.MmsSpec(
+                epsilon=1e-2, Lmax=8, n_s=24, profile_l=2, profile_m=2))
+        else:
+            data = geodesic.gen_schwarzschild(0.1, Lmax=8, n_s=24)
+        if model == "random":
+            data = _with_random_tables(data, 7)
+        heights = np.broadcast_to(data.s_nodes[:, None, None],
+                                  data.psi.shape)
+
+        def parts(geometry):
+            metric, (trchi, chib, zeta), (beta, rho, sigma, betab) = geometry
+            return [metric.psi, trchi, zeta.plus, chib.trace, chib.hat_plus,
+                    beta.plus, rho, sigma, betab.plus]
+
+        for (name, spin), a, b in zip(
+                geodesic.GEOMETRY.items(), parts(data.slab()),
+                parts(data.geometry_at(heights)), strict=True):
+            assert a.spin == b.spin == spin
+            assert a.samples.dtype == b.samples.dtype
+            assert np.array_equal(a.samples, b.samples), name
+            assert np.array_equal(a.samples, getattr(data, name)), name
+
+
 class TestValidateDetector:
     def test_corrupted_expansion_detected(self):
         data = geodesic.gen_minkowski(Lmax=8, n_s=24)

@@ -108,6 +108,46 @@ def test_every_function_runs_under_a_command(tmp_path, monkeypatch):
     assert never == []
 
 
+def _unread_parameters(modules):
+    """qualname(parameter) of every parameter of a function or method that
+    its body never reads; self, cls and underscore names are exempt."""
+    unread = []
+    for mod, tree in modules.items():
+        for qual, node in _definitions(tree, mod):
+            if isinstance(node, ast.ClassDef):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            read |= {n.target.id for stmt in node.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.AugAssign)
+                     and isinstance(n.target, ast.Name)}
+            unread += [f"{qual}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")
+                       and not p.startswith("_")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """A parameter that the body never reads asks callers for something the
+    function does not use."""
+    assert _unread_parameters(MODULES) == []
+
+
+def test_unread_parameter_guard_sees_one():
+    """The guard reports the one parameter nothing reads; a read in a
+    nested function or an augmented assignment counts."""
+    tree = ast.parse("def f(a, b, _c, *args, d=1, **kw):\n"
+                     "    def g():\n"
+                     "        return a\n"
+                     "    d += 1\n"
+                     "    return g(args, kw)\n")
+    assert _unread_parameters({"m": tree}) == ["m.f(b)"]
+
+
 def test_every_import_is_used():
     """__init__ only re-exports, so its imports are exempt."""
     unused = []

@@ -5,10 +5,10 @@ import pytest
 
 from nullfoliate.sphere import SpinField, eth, ethbar, multiply
 from nullfoliate.tensors import (SQRT2, MetricRep, OneForm, SymTwoTensor,
-                                 contract, curl, div, div2, dot, dual, eth_g,
-                                 ethbar_g, grad, hessian, hodge_D1,
-                                 invert_laplacian, laplacian, magnitude, mean,
-                                 sym_otimes)
+                                 components, contract, curl, div, div2, dot,
+                                 dual, eth_g, ethbar_g, grad, hessian,
+                                 hodge_D1, invert_laplacian, laplacian,
+                                 magnitude, mean, rebuild, sym_otimes)
 
 from conftest import (bochner_scalar, harmonic, random_real_scalar,
                       random_spin_field)
@@ -48,6 +48,20 @@ class TestAlgebra:
         with pytest.raises(TypeError):
             dual(harmonic(grid12, 2, 0))
 
+    def test_rebuild_keeps_kind_and_spins(self, grid12):
+        """rebuild applies fn to the samples of every stored component, may
+        restack them, and keeps the kind, the spins and the weights."""
+        for x in (random_real_scalar(grid12, 3), real_oneform(grid12, 4),
+                  SymTwoTensor(random_real_scalar(grid12, 5),
+                               random_spin_field(grid12, 2, 6))):
+            y = rebuild(x, lambda s: np.stack([2.0 * s, s]))
+            assert type(y) is type(x)
+            for (c, w), (d, v) in zip(components(x), components(y),
+                                      strict=True):
+                assert (d.spin, v, d.stack_shape) == (c.spin, w, (2,))
+                assert np.array_equal(d.samples[0], 2.0 * c.samples)
+                assert np.array_equal(d.samples[1], c.samples)
+
 
 class TestStackedTracefree:
     """Tracefree tensors of a stack carry a zero trace of the stack's shape,
@@ -80,7 +94,8 @@ class TestStackedTracefree:
         hp = multiply(a.plus, a.plus)
         assert SymTwoTensor.tracefree(hp).trace.stack_shape == (3,)
         assert sym_otimes(a, a).hat().trace.stack_shape == (3,)
-        T = SymTwoTensor.from_parts(grid12, None, a.plus.samples[:, None])
+        T = SymTwoTensor.tracefree(
+            SpinField.from_samples(grid12, 2, a.plus.samples[:, None]))
         assert T.trace.stack_shape == (3, 1)
         assert T[2, 0].trace.coeffs.shape == grid12.shape
 
@@ -166,10 +181,10 @@ class TestOneComponent:
         g = MetricRep(grid16, psi=0.05 * _stacked(grid16, 0, 60, lmax=3))
         f = _stacked(grid16, 0, 70)
         a = OneForm(_stacked(grid16, 1, 80))
-        b = OneForm.from_plus(grid16, _stacked(grid16, 1, 90).samples)
+        b = rebuild(OneForm(_stacked(grid16, 1, 90)), lambda x: x)
         T = SymTwoTensor(_stacked(grid16, 0, 100), _stacked(grid16, 2, 110))
-        S = SymTwoTensor.from_parts(grid16, _stacked(grid16, 0, 120).samples,
-                                    _stacked(grid16, 2, 130).samples)
+        S = rebuild(SymTwoTensor(_stacked(grid16, 0, 120),
+                                 _stacked(grid16, 2, 130)), lambda x: x)
         return g, f, a, b, T, S
 
     @staticmethod
