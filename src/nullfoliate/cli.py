@@ -95,7 +95,7 @@ def cmd_generate(args):
     else:
         raise ConfigurationError(f"unknown model {model!r}")
     report = geodesic.validate(data)
-    if not report.all_pass(1e-8):
+    if not report.all_pass():
         raise ConfigurationError(
             f"generated dataset fails validation: worst {report.worst():.3e}")
     geodesic.save(data, args.out)
@@ -144,8 +144,7 @@ def cmd_verify(args):
     co = diagnostics.canonical(fol)
     crep = diagnostics.constraint_residuals(data, co,
                                             tolerance=args.tol_constraint)
-    trep = diagnostics.transport_residuals(data, co,
-                                           tolerance=args.tol_transport)
+    trep = diagnostics.transport_residuals(co, tolerance=args.tol_transport)
     crep.to_csv(os.path.join(args.out, "constraint_residuals.csv"))
     trep.to_csv(os.path.join(args.out, "transport_residuals.csv"))
     merged = {

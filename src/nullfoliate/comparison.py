@@ -33,7 +33,6 @@ class CanonicalCoefficients:
     logOmega: SpinField
     metric: MetricRep
     Upsilon: OneForm
-    dLUpsilon: OneForm
     trchi: SpinField
     chib: SymTwoTensor
     zeta: OneForm
@@ -74,7 +73,7 @@ def canonical_connection(geodesic_connection, s: SpinField,
     GeodesicNullData.geometry_at reads them.  Ups = upsilon(s, metric) and
     ups2 = |Upsilon|^2.  nabla_L Upsilon = -grad log Omega - chi . Upsilon
     is the exact algebraic transport identity.  Returns (trchi, chib, zeta,
-    etab, nabla_L Upsilon).
+    etab).
     """
     trchi, chib_g, zeta_g = geodesic_connection
     chi_ups = OneForm(0.5 * multiply(trchi, Ups.plus))
@@ -83,7 +82,7 @@ def canonical_connection(geodesic_connection, s: SpinField,
     etab = -1.0 * zeta_g + dLUps
     chib = chib_g - 2.0 * sym_otimes(Ups, zeta_g) + 2.0 * hessian(s, metric)
     chib = SymTwoTensor(chib.trace - multiply(ups2, trchi), chib.hat_plus)
-    return trchi, chib, zeta, etab, dLUps
+    return trchi, chib, zeta, etab
 
 
 def canonical_curvature(geodesic_curvature, Ups: OneForm, ups2: SpinField):
@@ -125,11 +124,11 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
     metric, connection_g, curvature_g = data.geometry_at(np.real(s.samples))
     Ups = upsilon(s, metric)
     ups2 = Ups.norm2()
-    trchi, chib, zeta, etab, dLUps = canonical_connection(
+    trchi, chib, zeta, etab = canonical_connection(
         connection_g, s, logOmega, metric, Ups, ups2)
     beta, rho, sigma, betab = canonical_curvature(curvature_g, Ups, ups2)
     return CanonicalCoefficients(
         v=np.asarray(v, dtype=float), s=s, logOmega=logOmega, metric=metric,
-        Upsilon=Ups, dLUpsilon=dLUps, trchi=trchi, chib=chib, zeta=zeta,
+        Upsilon=Ups, trchi=trchi, chib=chib, zeta=zeta,
         etab=etab, beta=beta, rho=rho, sigma=sigma, betab=betab,
         mu=mass_aspect(rho, zeta, metric))

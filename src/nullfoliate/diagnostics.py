@@ -8,8 +8,12 @@ suite takes that reconstruction (and the dataset where it reads it) instead
 of the foliation, so a run builds it once and hands it to all its suites;
 the levels, dv and the lapse come from co.v and co.logOmega.  Residuals are
 stack expressions over the levels (see sphere and tensors), reported one
-row per level; the Gauss and Codazzi rows are geodesic.gauss_codazzi, as
-in geodesic.validate.
+row per level.  The equations are those geodesic.validate checks, stated
+once in geodesic: the Gauss and Codazzi rows are gauss_codazzi, and the
+transport rows null_transport in its general form, at the canonical etab
+and mu.  The one condition that makes the foliation canonical, the lapse
+equation, is measured once, by the constraint suite: lapse_equation and
+div_etab share its prescribed Delta log Omega.
 
 The norm suite measures both foliations with one recipe: one function each
 forms their I_S1 and R entries, and along the generators both integrate a
@@ -34,11 +38,11 @@ import numpy as np
 from . import _cheb
 from .comparison import reconstruct
 from .errors import ConfigurationError
-from .geodesic import gauss_codazzi
+from .geodesic import gauss_codazzi, null_transport
 from .reports import NormReport, ResidualReport
 from .sphere import SpinField, eth, ethbar
-from .tensors import (components, div, dot, grad, hodge_D1, laplacian,
-                      magnitude, mean, multiply, rebuild)
+from .tensors import (components, div, grad, hodge_D1, laplacian, magnitude,
+                      mean, multiply, rebuild)
 
 _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
                  4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
@@ -107,19 +111,15 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
     rep = ResidualReport(tolerance_used=tolerance)
     g = co.metric
     div_zeta, curl_zeta = hodge_D1(co.zeta, g)
-    sizes = {}
 
-    # canonical lapse equation; manufactured datasets satisfy their
-    # prescribed forcing instead of the geometric right-hand side
-    lap = laplacian(co.logOmega, g)
+    # the prescribed Delta log Omega: the forcing F - mean F of manufactured
+    # data, else the canonical lapse equation's rho - mean rho - Div zeta
     if data.has_prescribed_forcing:
         F = data.source_at(np.real(co.s.samples))[1]
-        forcing = F - SpinField.constant(g.grid, mean(F, g))
-        sizes["lapse_equation"] = _sizes(lap - forcing, g)
+        rhs = F - SpinField.constant(g.grid, mean(F, g))
     else:
-        sizes["lapse_equation"] = _sizes(
-            lap + div_zeta - co.rho
-            + SpinField.constant(g.grid, mean(co.rho, g)), g)
+        rhs = co.rho - SpinField.constant(g.grid, mean(co.rho, g)) - div_zeta
+    sizes = {"lapse_equation": _sizes(laplacian(co.logOmega, g) - rhs, g)}
 
     for name, residual in gauss_codazzi(
             g, (co.trchi, co.chib, co.zeta),
@@ -127,15 +127,8 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
         sizes[name] = _sizes(residual, g)
 
     sizes["torsion"] = _sizes(curl_zeta - co.sigma, g)
-
-    if data.has_prescribed_forcing:
-        sizes["div_etab"] = _sizes(
-            div(co.etab, g) + div_zeta + forcing, g)
-    else:
-        sizes["div_etab"] = _sizes(
-            div(co.etab, g) + co.rho
-            - SpinField.constant(g.grid, mean(co.rho, g)), g)
-
+    # Div etab = -Div zeta - Delta log Omega, with the prescribed value
+    sizes["div_etab"] = _sizes(div(co.etab, g) + div_zeta + rhs, g)
     sizes["etab_relation"] = _sizes(
         co.etab + co.zeta + grad(co.logOmega, g), g)
     rep.add_levels(co.v, sizes)
@@ -146,9 +139,16 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
 # transport residuals
 # --------------------------------------------------------------------------
 
-def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
-    """Residuals of the null transport equations on the reconstruction co
-    of every level of a foliation of data."""
+# the rows of the transport report, in order
+TRANSPORT_ROWS = ("raychaudhuri", "chihat_transport", "zeta_transport",
+                  "trchib_transport", "mu_transport", "loverline",
+                  "rho_bianchi")
+
+
+def transport_residuals(co, tolerance=1e-8) -> ResidualReport:
+    """Residuals of the null transport equations (geodesic.null_transport)
+    on the reconstruction co of every level of a foliation, with nabla_L =
+    Omega d/dv; the lapse condition is the constraint suite's."""
     rep = ResidualReport(tolerance_used=tolerance)
     grid = co.metric.grid
     n = len(co.v)
@@ -161,82 +161,33 @@ def transport_residuals(data, co, tolerance=1e-8) -> ResidualReport:
         """v-derivative on the reported (interior) levels."""
         return v_derivative(table, dv, n)[0][inner]
 
-    d_trchi = d_dv(np.real(co.trchi.samples))
-    d_trchib = d_dv(np.real(co.trchib.samples))
-    d_mu = d_dv(np.real(co.mu.samples))
-    d_rho = d_dv(np.real(co.rho.samples))
-    d_zeta = rebuild(co.zeta, d_dv)
+    d = {name: rebuild(getattr(co, name), d_dv)
+         for name in ("trchi", "zeta", "trchib", "mu", "rho")}
     d_fbar = d_dv(fbar)
 
     co = co[inner]
     g = co.metric
     omega = _omega(co)
     om = SpinField.from_samples(grid, 0, omega)
-    mean_rho = mean(co.rho, g)
-    div_etab = div(co.etab, g)
-
-    def dL_scalar(darr):
-        return multiply(om, SpinField.from_samples(grid, 0, darr))
-
-    sizes = {}
-    # Raychaudhuri: nabla_L trchi + trchi^2/2 = 0
-    sizes["raychaudhuri"] = _sizes(
-        dL_scalar(d_trchi) + 0.5 * multiply(co.trchi, co.trchi), g)
+    dL = {name: om * x for name, x in d.items()}
+    sizes = {name: _sizes(residual, g) for name, residual in null_transport(
+        g, (co.trchi, co.chib, co.zeta),
+        (co.beta, co.rho, co.sigma, co.betab), co.etab, co.mu, dL).items()}
 
     zeros = np.zeros(len(co.v))  # chihat = 0; the benchmark reads this key
     sizes["chihat_transport"] = (zeros, zeros)
-
-    # zeta transport: nabla_L zeta + trchi zeta/2 = trchi etab/2 - beta
-    sizes["zeta_transport"] = _sizes(
-        d_zeta * om
-        + 0.5 * (co.trchi * (co.zeta - co.etab)) + co.beta, g)
-
-    # trchib transport; canonical right-hand side 2 mean(rho) + 2|etab|^2
-    # (general Div etab + rho form for manufactured data)
-    lhs = dL_scalar(d_trchib) + 0.5 * multiply(co.trchi, co.trchib)
-    if data.has_prescribed_forcing:
-        rhs = 2.0 * div_etab + 2.0 * co.rho + 2.0 * dot(co.etab, co.etab)
-    else:
-        rhs = SpinField.constant(grid, 2.0 * mean_rho) \
-            + 2.0 * dot(co.etab, co.etab)
-    sizes["trchib_transport"] = _sizes(lhs - rhs, g)
-
-    # mass-aspect transport: the common nonlinear block plus the linear
-    # terms, which read trchi rho - trchi mean(rho)/2 in a canonical
-    # foliation and trchi rho/2 - trchi Div etab/2 in general (the
-    # manufactured foliations are not canonical)
-    lhs = dL_scalar(d_mu) + multiply(co.trchi, co.mu)
-    rhs = -2.0 * dot(co.zeta, co.beta) \
-        + dot(co.zeta - co.etab, grad(co.trchi, g)) \
-        + multiply(co.trchi, dot(co.zeta, co.zeta)
-                   - dot(co.zeta, co.etab)
-                   - 0.5 * dot(co.etab, co.etab))
-    if data.has_prescribed_forcing:
-        rhs = rhs + 0.5 * multiply(co.trchi, co.rho) \
-            - 0.5 * multiply(co.trchi, div_etab)
-    else:
-        rhs = rhs + multiply(co.trchi, co.rho) \
-            - SpinField.from_samples(
-                grid, 0, co.trchi.samples * (0.5 * mean_rho)[:, None, None])
-    sizes["mu_transport"] = _sizes(lhs - rhs, g)
 
     # L-of-average identity for f = trchi, in the v-parametrisation:
     # d_v mean(f) = mean(Omega^{-1} L f) + mean(Omega^{-1} trchi f)
     #               - mean(Omega^{-1} trchi) mean(f)
     om_inv = SpinField.from_samples(grid, 0, 1.0 / omega)
-    t1 = mean(SpinField.from_samples(grid, 0, d_trchi), g)
+    t1 = mean(d["trchi"], g)
     t2 = mean(multiply(om_inv, co.trchi, co.trchi), g)
     t3 = mean(multiply(om_inv, co.trchi), g) * fbar[inner]
     err = np.abs(d_fbar - (t1 + t2 - t3))
     sizes["loverline"] = (err, err * np.sqrt(g.area))
 
-    # Bianchi rho transport:
-    # nabla_L rho + (3/2) trchi rho = Div beta + zeta.beta + 2 etab.beta
-    sizes["rho_bianchi"] = _sizes(
-        dL_scalar(d_rho) + 1.5 * multiply(co.trchi, co.rho)
-        - div(co.beta, g) - dot(co.zeta, co.beta)
-        - 2.0 * dot(co.etab, co.beta), g)
-    rep.add_levels(co.v, sizes)
+    rep.add_levels(co.v, {name: sizes[name] for name in TRANSPORT_ROWS})
     return rep
 
 

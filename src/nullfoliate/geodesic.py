@@ -12,8 +12,12 @@ left out.
 
 The GEOMETRY tables have one typed form, the geometry tuple (metric,
 (trchi', chib', zeta'), (beta', rho', sigma', betab')): geometry_at gives it
-at any heights, slab() on the s-node leaves, and gauss_codazzi states the
-Gauss and Codazzi equations on it (and on a canonical reconstruction).
+at any heights and slab() on the s-node leaves.  The null structure
+equations are stated once, on that tuple, in the form that holds on every
+foliation of the cone: gauss_codazzi the Gauss and Codazzi equations, and
+null_transport the transport equations at any lapse and torsion etab.
+validate applies both to the slab, and the residual suites of diagnostics
+to a canonical reconstruction.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -26,8 +30,8 @@ from .errors import ConfigurationError
 from .reports import ResidualReport
 from .sphere import (GeneratorPack, Grid, SpinField, build_grid, eth,
                      interp_generator)
-from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, curl, div,
-                      div2, dot, grad, multiply, rebuild)
+from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, div, div2,
+                      dot, grad, hodge_D1, multiply, rebuild)
 
 # the tables of the geodesic geometry, in the order of their one generator
 # read, with the spin weight of the component each tabulates
@@ -246,6 +250,17 @@ def gen_schwarzschild(M, s_star=2.5, Lmax=15, n_s=32,
 # manufactured solutions
 # --------------------------------------------------------------------------
 
+# the first level of the manufactured graph: the v = 1 at which
+# solver.continue_foliation starts
+MMS_V0 = 1.0
+# p'(v) as polynomial coefficients in t = v - MMS_V0; the (t^2 - t)^2-shaped
+# quartic part keeps max|p'| small on [0,1] (so |log Omega*| stays well
+# under the 1/100 window-seed bound at epsilon = 1e-2) while its large
+# fourth derivative drives a clean fourth-order quadrature signal
+MMS_P_COEFFS = (1.01, 0.64, -3.04, 5.44, -4.05)
+# Chebyshev nodes in v of the mean correction c(v)
+MMS_N_CHEB = 48
+
 @dataclass
 class MmsSpec:
     """Parameters of the manufactured graph s*(v, omega).
@@ -259,15 +274,8 @@ class MmsSpec:
     Lmax: int = 23
     n_s: int = 40
     s_star: float = 2.5
-    v0: float = 1.0
     profile_l: int = 6
     profile_m: int = 4
-    # p'(v) as polynomial coefficients in t = v - v0; the (t^2 - t)^2-shaped
-    # quartic part keeps max|p'| small on [0,1] (so |log Omega*| stays well
-    # under the 1/100 window-seed bound at epsilon = 1e-2) while its large
-    # fourth derivative drives a clean fourth-order quadrature signal
-    p_coeffs: tuple = (1.01, 0.64, -3.04, 5.44, -4.05)
-    n_cheb: int = 48
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -376,44 +384,45 @@ def gen_manufactured(spec: MmsSpec):
 
     # p'(v) as a Chebyshev object; v_ext generous enough that the inverse
     # graph map covers the whole slab [1, s_star]
-    v_ext = spec.v0 + (spec.s_star - 1.0) + 0.12
-    dom = [spec.v0, v_ext]
-    nodes = _cheb.cgl_nodes(spec.n_cheb, spec.v0, v_ext)
-    t = nodes - spec.v0
-    p_vals = np.polynomial.polynomial.polyval(t, np.asarray(spec.p_coeffs))
+    v_ext = MMS_V0 + (spec.s_star - 1.0) + 0.12
+    dom = [MMS_V0, v_ext]
+    nodes = _cheb.cgl_nodes(MMS_N_CHEB, MMS_V0, v_ext)
+    t = nodes - MMS_V0
+    p_vals = np.polynomial.polynomial.polyval(t, np.asarray(MMS_P_COEFFS))
     p = Ch(np.polynomial.chebyshev.Chebyshev.fit(
-        nodes, p_vals, deg=len(spec.p_coeffs) - 1, domain=dom).coef, domain=dom)
+        nodes, p_vals, deg=len(MMS_P_COEFFS) - 1, domain=dom).coef, domain=dom)
 
     if np.min(1.0 + eps * p(nodes)[:, None, None] * G) <= 0.0:
         raise ConfigurationError("manufactured graph is not monotone in v")
 
-    # mean-correction c(v): iterate c -> -mean_{g(s*)} log(1 + eps p' G)
+    # mean-correction c(v): iterate c -> -mean_{g(s*)} log(1 + eps p' G),
+    # at every node at once (node axis first)
     hgrid = build_grid(max(2 * spec.profile_l + 3, 31))
     Gh = _real_harmonic_samples(hgrid, spec.profile_l, spec.profile_m)
     w = hgrid.weights[:, None] / hgrid.nphi
+    val = np.log1p(eps * p(nodes)[:, None, None] * Gh)
     c = Ch(np.zeros(1), domain=dom)
     for _ in range(40):
         ec = np.exp(c(nodes))
-        A = Ch(_cheb.values_to_cheb(ec, *dom).coef, domain=dom).integ(lbnd=spec.v0)
+        A = Ch(_cheb.values_to_cheb(ec, *dom).coef,
+               domain=dom).integ(lbnd=MMS_V0)
         B = Ch(_cheb.values_to_cheb(p_vals * ec, *dom).coef,
-               domain=dom).integ(lbnd=spec.v0)
-        cv = np.empty(spec.n_cheb)
-        for i, v in enumerate(nodes):
-            s = 1.0 + A(v) + eps * B(v) * Gh
-            wgt = w * s ** 2
-            val = np.log1p(eps * p(v) * Gh)
-            cv[i] = -np.sum(val * wgt) / np.sum(wgt)
+               domain=dom).integ(lbnd=MMS_V0)
+        s = 1.0 + A(nodes)[:, None, None] + eps * B(nodes)[:, None, None] * Gh
+        wgt = w * s ** 2
+        cv = -np.sum(val * wgt, axis=(1, 2)) / np.sum(wgt, axis=(1, 2))
         cnew = Ch(_cheb.values_to_cheb(cv, *dom).coef, domain=dom)
         delta = np.max(np.abs(cnew(nodes) - c(nodes)))
         c = cnew
         if delta < 1e-15:
             break
     ec = np.exp(c(nodes))
-    A = Ch(_cheb.values_to_cheb(ec, *dom).coef, domain=dom).integ(lbnd=spec.v0)
+    A = Ch(_cheb.values_to_cheb(ec, *dom).coef,
+           domain=dom).integ(lbnd=MMS_V0)
     B = Ch(_cheb.values_to_cheb(p_vals * ec, *dom).coef,
-           domain=dom).integ(lbnd=spec.v0)
+           domain=dom).integ(lbnd=MMS_V0)
 
-    exact = MmsExact(grid, eps, spec.v0, v_ext, A, B, c, p, G,
+    exact = MmsExact(grid, eps, MMS_V0, v_ext, A, B, c, p, G,
                      spec.profile_l, spec.profile_m)
 
     if exact.s_exact(v_ext).min() < spec.s_star - 1e-9:
@@ -458,18 +467,62 @@ def gauss_codazzi(metric, connection, curvature):
     }
 
 
-def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
+def null_transport(metric, connection, curvature, etab, mu, dL):
+    """Residual fields of the null transport equations of a geometry tuple
+    with torsion etab and mass aspect mu, in the form that holds at any
+    lapse (nabla_L along the generators of the foliation):
+
+        raychaudhuri      nabla_L trchi + trchi^2/2
+        zeta_transport    nabla_L zeta + trchi (zeta - etab)/2 + beta
+        trchib_transport  nabla_L trchib + trchi trchib/2
+                          - (2 Div etab + 2 rho + 2|etab|^2)
+        mu_transport      nabla_L mu + trchi mu - (-2 zeta.beta
+                          + (zeta - etab).grad trchi
+                          + trchi (|zeta|^2 - zeta.etab - |etab|^2/2)
+                          + trchi rho/2 - trchi Div etab/2)
+        rho_bianchi       nabla_L rho + (3/2) trchi rho - Div beta
+                          - zeta.beta - 2 etab.beta
+
+    dL maps "trchi", "zeta", "trchib", "mu" and "rho" to the
+    L-derivatives of those fields.  The geodesic foliation has etab' =
+    -zeta' and nabla_L = d_s; a canonical one fixes Div etab = -Div zeta -
+    Delta log Omega by its lapse equation, which the constraint suite
+    measures apart.
+    """
+    trchi, chib, zeta = connection
+    beta, rho, _, _ = curvature
+    div_etab = div(etab, metric)
+    return {
+        "raychaudhuri": dL["trchi"] + 0.5 * multiply(trchi, trchi),
+        "zeta_transport": dL["zeta"] + 0.5 * (trchi * (zeta - etab)) + beta,
+        "trchib_transport": dL["trchib"] + 0.5 * multiply(trchi, chib.trace)
+        - (2.0 * div_etab + 2.0 * rho + 2.0 * dot(etab, etab)),
+        "mu_transport": dL["mu"] + multiply(trchi, mu)
+        - (-2.0 * dot(zeta, beta) + dot(zeta - etab, grad(trchi, metric))
+           + multiply(trchi, dot(zeta, zeta) - dot(zeta, etab)
+                      - 0.5 * dot(etab, etab))
+           + 0.5 * multiply(trchi, rho) - 0.5 * multiply(trchi, div_etab)),
+        "rho_bianchi": dL["rho"] + 1.5 * multiply(trchi, rho)
+        - div(beta, metric) - dot(zeta, beta) - 2.0 * dot(etab, beta),
+    }
+
+
+def validate(data: GeodesicNullData) -> ResidualReport:
     """Residuals of the geodesic null structure equations over the slab.
 
     s-derivatives are spectral (Chebyshev); every s-node leaf is checked at
     once, as one stack (data.slab()), and each equation is reported per
-    s-node with max and L2(round) norms of its plus component.
+    s-node with max and L2(round) norms of its plus component.  The
+    transport equations are null_transport at etab' = -zeta', mu' = -rho'
+    - Div zeta' and nabla_L = d_s.  The report's tolerance is the one a
+    generated dataset must meet.
     """
-    rep = ResidualReport(tolerance_used=tolerance)
+    rep = ResidualReport(tolerance_used=1e-8)
     g = data.grid
     geometry = data.slab()
-    met, (trchi, chib, ze), (be, rho, sigma, _) = geometry
-    trchib = chib.trace
+    met, (trchi, chib, ze), (_, rho, sigma, _) = geometry
+    div_ze, curl_ze = hodge_D1(ze, met)
+    mu = -1.0 * rho - div_ze
 
     sizes = {}
 
@@ -483,21 +536,16 @@ def validate(data: GeodesicNullData, tolerance=1e-9) -> ResidualReport:
     # shear-free chi' = (trchi'/2) g' (module docstring), the whole equation
     e2psi = np.exp(2.0 * data.psi)
     record("first_variation", data.d_ds(e2psi) - data.trchi * e2psi)
-    # Raychaudhuri
-    record("raychaudhuri", data.d_ds(data.trchi) + 0.5 * data.trchi ** 2)
     for name, residual in gauss_codazzi(*geometry).items():
         record(name, residual)
     # torsion: curl zeta = sigma
-    record("torsion", curl(ze, met) - sigma)
-    # Bianchi rho-transport (geodesic, etab' = -zeta'):
-    # d_s rho + (3/2) trchi rho = Div beta - zeta.beta
-    record("bianchi_rho", rebuild(rho, data.d_ds)
-           + 1.5 * multiply(trchi, rho) - div(be, met) + dot(ze, be))
-    # trchib transport (geodesic form):
-    # d_s trchib + trchi trchib/2 = -2 Div zeta + 2 rho + 2|zeta|^2
-    record("trchib_transport", rebuild(trchib, data.d_ds)
-           + 0.5 * multiply(trchi, trchib) + 2.0 * div(ze, met)
-           - 2.0 * rho - 2.0 * dot(ze, ze))
+    record("torsion", curl_ze - sigma)
+    dL = {name: rebuild(x, data.d_ds) for name, x in (
+        ("trchi", trchi), ("zeta", ze), ("trchib", chib.trace), ("mu", mu),
+        ("rho", rho))}
+    for name, residual in null_transport(*geometry, -1.0 * ze, mu,
+                                         dL).items():
+        record(name, residual)
 
     rep.add_levels(data.s_nodes, sizes)
     return rep

@@ -362,22 +362,12 @@ class SpinField:
                          coeffs=coeffs, samples=samples)
 
     def __add__(self, other):
-        if isinstance(other, SpinField):
-            if other.spin != self.spin:
-                raise UnsupportedSpinError("cannot add different spin weights")
-            return self._like(samples=self.samples + other.samples)
-        return self._like(samples=self.samples + other)
-
-    __radd__ = __add__
+        if other.spin != self.spin:
+            raise UnsupportedSpinError("cannot add different spin weights")
+        return self._like(samples=self.samples + other.samples)
 
     def __sub__(self, other):
         return self + (-1.0) * other
-
-    def __rsub__(self, other):
-        return (-1.0) * self + other
-
-    def __neg__(self):
-        return (-1.0) * self
 
     def __mul__(self, other):
         if isinstance(other, SpinField):
@@ -482,8 +472,6 @@ def multiply(*fields: SpinField) -> SpinField:
     other.  An all-zero factor times a finite one is a coefficient-backed
     zero, made without a transform (see Zeros in the module docstring).
     """
-    if len(fields) < 2:
-        return fields[0]
     f, g = fields[0], fields[1]
     grid = f.grid
     if g.grid is not grid:

@@ -102,9 +102,6 @@ class _RealTensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * (-1.0)
-
     def max_abs(self):
         return float(np.max(magnitude(self)))
 
@@ -244,11 +241,6 @@ def grad(f: SpinField, g: MetricRep) -> OneForm:
 def div(X: OneForm, g: MetricRep) -> SpinField:
     """Div X = sqrt(2) Re ethbar_g X_m."""
     return SQRT2 * ethbar_g(X.plus, g).real()
-
-
-def curl(X: OneForm, g: MetricRep) -> SpinField:
-    """Curl X = sqrt(2) Im ethbar_g X_m."""
-    return SQRT2 * ethbar_g(X.plus, g).imag()
 
 
 def div2(T: SymTwoTensor, g: MetricRep) -> OneForm:

@@ -12,8 +12,8 @@ import pytest
 from nullfoliate import diagnostics, geodesic, sphere
 from nullfoliate.reports import ResidualReport
 from nullfoliate.sphere import SpinField, build_grid, eth, ethbar, multiply
-from nullfoliate.tensors import (MetricRep, OneForm, curl, div, eth_g,
-                                 ethbar_g, grad, hessian, laplacian,
+from nullfoliate.tensors import (MetricRep, OneForm, div, eth_g, ethbar_g,
+                                 grad, hessian, hodge_D1, laplacian,
                                  magnitude, rebuild)
 
 
@@ -212,6 +212,6 @@ def bochner_oneform(F: OneForm, grid):
     rhs = grid.integrate(np.real(lapF.norm2().samples)) \
         - 2.0 * grid.integrate(magnitude(diagnostics._grad_any(F, met)) ** 2) \
         + grid.integrate(np.abs(div(F, met).samples) ** 2) \
-        + grid.integrate(np.abs(curl(F, met).samples) ** 2) \
+        + grid.integrate(np.abs(hodge_D1(F, met)[1].samples) ** 2) \
         + grid.integrate(np.real(F.norm2().samples))
     return float(lhs), float(rhs)

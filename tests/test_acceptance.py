@@ -52,7 +52,7 @@ def test_criterion_1_minkowski_end_to_end():
     s_dev = np.max(np.abs(fol.s - fol.v_nodes[:, None, None]))
     co = diagnostics.canonical(fol)
     crep = diagnostics.constraint_residuals(data, co)
-    trep = diagnostics.transport_residuals(data, co)
+    trep = diagnostics.transport_residuals(co)
     comm = commutation_check(
         co, SpinField.from_coeffs(data.grid, 0, _unit_coeff(data.grid, 3, 1)))
     runtime = time.time() - t0
@@ -81,7 +81,7 @@ def test_criterion_2_schwarzschild():
     om_dev = fol.max_omega_dev()
     crep = diagnostics.constraint_residuals(
         data, diagnostics.canonical(fol, slice(0, None, 4)))
-    trep = diagnostics.transport_residuals(data, diagnostics.canonical(fol))
+    trep = diagnostics.transport_residuals(diagnostics.canonical(fol))
     gauss = crep.worst("gauss")
     trchib = trep.worst("trchib_transport")
     mu_rel = 0.0

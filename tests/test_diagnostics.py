@@ -63,14 +63,14 @@ class TestConstraintResiduals:
 
 class TestTransportResiduals:
     def test_minkowski(self, mink_foliation):
-        data, fol = mink_foliation
-        rep = diagnostics.transport_residuals(data, diagnostics.canonical(fol))
+        _, fol = mink_foliation
+        rep = diagnostics.transport_residuals(diagnostics.canonical(fol))
         assert rep.worst() < 1e-10
 
     def test_schwarzschild_trchib_transport(self, schw_foliation):
         """Closed form: d_s[-(2/s)(1-2M/s)] + (1/s) trchib = 2 rho_check."""
-        data, fol = schw_foliation
-        rep = diagnostics.transport_residuals(data, diagnostics.canonical(fol))
+        _, fol = schw_foliation
+        rep = diagnostics.transport_residuals(diagnostics.canonical(fol))
         assert rep.worst("trchib_transport") < 1e-8
         assert rep.worst() < 1e-8
 
@@ -79,8 +79,7 @@ class TestTransportResiduals:
         short = solver.Foliation(data, fol.v_nodes[:3], fol.s[:3],
                                  fol.logOmega[:3])
         with pytest.raises(ConfigurationError):
-            diagnostics.transport_residuals(data,
-                                            diagnostics.canonical(short))
+            diagnostics.transport_residuals(diagnostics.canonical(short))
 
 
 class TestCommutation:
@@ -257,8 +256,7 @@ class TestMmsResiduals:
             fol = solver.continue_foliation(
                 data, solver.SolverConfig(delta=0.5, dv=dv, tol=1e-13),
                 v_end=2.0)
-            rep = diagnostics.transport_residuals(
-                data, diagnostics.canonical(fol))
+            rep = diagnostics.transport_residuals(diagnostics.canonical(fol))
             worst.append(rep.worst("trchib_transport"))
         factor = worst[0] / worst[1]
         assert factor > 8.0

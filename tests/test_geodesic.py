@@ -1,5 +1,7 @@
 """Generator, validation, manufactured-solution and persistence tests."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from nullfoliate.errors import ConfigurationError, DatasetError
 from nullfoliate.sphere import GeneratorPack, SpinField, interp_generator
 from nullfoliate.tensors import MetricRep, laplacian, mean
 
-from conftest import log_omega_exact, plant_shear
+from conftest import harmonic, log_omega_exact, plant_shear
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +121,7 @@ class TestSchwarzschild:
     def test_bianchi_residual(self, schw):
         """d_s rho' + (3/s) rho' = 0 holds exactly for rho' = -2M/s^3."""
         rep = geodesic.validate(schw)
-        assert rep.worst("bianchi_rho") < 1e-10
+        assert rep.worst("rho_bianchi") < 1e-10
 
     def test_validates(self, schw):
         rep = geodesic.validate(schw)
@@ -168,12 +170,47 @@ class TestSlab:
             assert np.array_equal(a.samples, getattr(data, name)), name
 
 
+def _bump(data, field):
+    """1e-3 times a smooth bump in s (centred in the slab) times the samples
+    of field on every s-node leaf."""
+    s = data.s_nodes[:, None, None]
+    return 1e-3 * np.exp(-((s - 1.75) / 0.3) ** 2) * field.samples
+
+
 class TestValidateDetector:
     def test_corrupted_expansion_detected(self):
         data = geodesic.gen_minkowski(Lmax=8, n_s=24)
         data.trchi = data.trchi + 0.01
         rep = geodesic.validate(data)
         assert rep.worst("raychaudhuri") >= 1e-3
+
+    def test_planted_torsion_lifts_zeta_transport(self, schw):
+        """A smooth spin-1 bump in zeta' breaks d_s zeta' + trchi' zeta' =
+        -beta'."""
+        data = copy.copy(schw)
+        data.zeta = schw.zeta + _bump(schw, harmonic(schw.grid, 2, 1, 1))
+        rep = geodesic.validate(data)
+        assert rep.worst("zeta_transport") >= 1e-5
+
+    def test_planted_rho_lifts_mu_and_bianchi(self, schw):
+        """A smooth bump in rho' breaks its Bianchi equation and, through
+        mu' = -rho' - Div zeta', the mass-aspect transport."""
+        data = copy.copy(schw)
+        data.rho = schw.rho + np.real(_bump(schw, harmonic(schw.grid, 2, 0)))
+        rep = geodesic.validate(data)
+        assert rep.worst("mu_transport") >= 1e-5
+        assert rep.worst("rho_bianchi") >= 1e-5
+
+    @pytest.mark.parametrize("model", ["minkowski", "schwarzschild", "mms"])
+    def test_new_rows_vanish_on_the_generators(self, model, mink, schw):
+        if model == "mms":
+            data, _ = geodesic.gen_manufactured(geodesic.MmsSpec(
+                epsilon=1e-2, Lmax=8, n_s=24, profile_l=2, profile_m=2))
+        else:
+            data = {"minkowski": mink, "schwarzschild": schw}[model]
+        rep = geodesic.validate(data)
+        assert rep.worst("zeta_transport") <= 1e-12
+        assert rep.worst("mu_transport") <= 1e-12
 
 
 class TestManufactured:

@@ -108,6 +108,36 @@ def test_every_function_runs_under_a_command(tmp_path, monkeypatch):
     assert never == []
 
 
+def _parameters(args):
+    """The name of every parameter in an ast.arguments node, in order."""
+    return [p.arg for p in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            args.vararg, args.kwarg) if p is not None]
+
+
+def _reads(nodes):
+    """Names that the nodes read, the target of an augmented assignment
+    included.  A nested function or lambda reads its own parameters, not
+    the enclosing function's of the same name; its defaults and decorators
+    are read in the enclosing scope."""
+    read = set()
+    for node in nodes:
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.AugAssign) \
+                and isinstance(node.target, ast.Name):
+            read.add(node.target.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read |= _reads([*a.defaults, *filter(None, a.kw_defaults),
+                            *getattr(node, "decorator_list", [])])
+            read |= _reads(body) - set(_parameters(a))
+        else:
+            read |= _reads(ast.iter_child_nodes(node))
+    return read
+
+
 def _unread_parameters(modules):
     """qualname(parameter) of every parameter of a function or method that
     its body never reads; self, cls and underscore names are exempt."""
@@ -116,16 +146,8 @@ def _unread_parameters(modules):
         for qual, node in _definitions(tree, mod):
             if isinstance(node, ast.ClassDef):
                 continue
-            a = node.args
-            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
-                                      a.vararg, a.kwarg) if p is not None]
-            read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                    if isinstance(n, ast.Name)
-                    and not isinstance(n.ctx, ast.Store)}
-            read |= {n.target.id for stmt in node.body for n in ast.walk(stmt)
-                     if isinstance(n, ast.AugAssign)
-                     and isinstance(n.target, ast.Name)}
-            unread += [f"{qual}({p})" for p in params
+            read = _reads(node.body)
+            unread += [f"{qual}({p})" for p in _parameters(node.args)
                        if p not in read and p not in ("self", "cls")
                        and not p.startswith("_")]
     return unread
@@ -139,12 +161,15 @@ def test_every_parameter_is_read():
 
 def test_unread_parameter_guard_sees_one():
     """The guard reports the one parameter nothing reads; a read in a
-    nested function or an augmented assignment counts."""
+    nested function or an augmented assignment counts, but a nested
+    function's read of its own parameter b is no read of f's b."""
     tree = ast.parse("def f(a, b, _c, *args, d=1, **kw):\n"
                      "    def g():\n"
                      "        return a\n"
+                     "    def h(b):\n"
+                     "        return b\n"
                      "    d += 1\n"
-                     "    return g(args, kw)\n")
+                     "    return g(args, kw), h\n")
     assert _unread_parameters({"m": tree}) == ["m.f(b)"]
 
 

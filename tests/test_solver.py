@@ -426,7 +426,7 @@ class TestBuildingBlocks:
         # source assembly is lapse-independent
         logom = SpinField.from_coeffs(g, 0, np.zeros(g.shape))
         ups = comparison.upsilon(sf, met)
-        _, _, zeta, _, _ = comparison.canonical_connection(
+        _, _, zeta, _ = comparison.canonical_connection(
             connection, sf, logom, met, ups, ups.norm2())
         _, rho, _, _ = comparison.canonical_curvature(
             curvature, ups, ups.norm2())
