@@ -8,7 +8,6 @@ breakdown, 4 verification failure, 5 I/O error.
 
 import argparse
 import configparser
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ from . import container, diagnostics, geodesic, solver
 from .errors import (BreakdownError, ConfigurationError, DatasetError,
                      NonConvergenceError, NonFiniteIterateError,
                      NullfoliateError)
-from .reports import _fmt
+from .reports import _fmt, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,12 +116,10 @@ def cmd_solve(args):
     try:
         fol = solver.continue_foliation(data, cfg, v_end=args.v_end)
     except BreakdownError as err:
-        payload = {"status": "breakdown",
-                   "last_good_v": _fmt(err.last_good_v),
-                   "reason": str(err)}
-        with open(os.path.join(args.out, "breakdown.json"), "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "breakdown.json"),
+                   {"status": "breakdown",
+                    "last_good_v": _fmt(err.last_good_v),
+                    "reason": str(err)})
         print(f"solver breakdown: last good v = {err.last_good_v:.6f}",
               file=sys.stderr)
         return EXIT_BREAKDOWN
@@ -147,15 +144,8 @@ def cmd_verify(args):
     trep = diagnostics.transport_residuals(co, tolerance=args.tol_transport)
     crep.to_csv(os.path.join(args.out, "constraint_residuals.csv"))
     trep.to_csv(os.path.join(args.out, "transport_residuals.csv"))
-    merged = {
-        "constraint": {"worst": {k: _fmt(v) for k, v in crep.summary().items()},
-                       "pass": crep.pass_flags()},
-        "transport": {"worst": {k: _fmt(v) for k, v in trep.summary().items()},
-                      "pass": trep.pass_flags()},
-    }
-    with open(os.path.join(args.out, "verify_summary.json"), "w") as fh:
-        json.dump(merged, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "verify_summary.json"),
+               {"constraint": crep.summary(), "transport": trep.summary()})
     ok = crep.all_pass() and trep.all_pass()
     print(f"verification {'PASS' if ok else 'FAIL'}: "
           f"constraint worst {crep.worst():.3e}, "

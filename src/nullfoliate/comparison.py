@@ -9,48 +9,35 @@ is shear-free (see geodesic), so the canonical chi = chi' is its trace, the
 canonical chihat and alpha vanish, and the renormalised rho and sigma are
 rho and sigma themselves.
 
-A leaf may be one leaf or a stack of them: reconstruct takes a whole
-foliation, or any set of its levels, as one stack and returns stacked
-coefficients; indexing them takes one level or a slice.
+Both foliations have one type of geometry, geodesic.Geometry: the geodesic
+one at the heights s goes in, and the canonical one, CanonicalCoefficients,
+comes out with the graph state, the tilt, etab and mu added.  A leaf may be
+one leaf or a stack of them: reconstruct takes a whole foliation, or any
+set of its levels, as one stack and returns stacked coefficients; indexing
+them takes one level or a slice.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesic import GeodesicNullData
+from .geodesic import GeodesicNullData, Geometry
 from .sphere import SpinField, multiply
 from .tensors import (MetricRep, OneForm, SymTwoTensor, div, dot, dual, grad,
                       hessian, sym_otimes)
 
 
 @dataclass
-class CanonicalCoefficients:
-    """Canonical-foliation geometry of one leaf or of a stack of leaves."""
+class CanonicalCoefficients(Geometry):
+    """Canonical-foliation geometry of one leaf or of a stack of leaves,
+    with the graph state it was reconstructed from."""
 
     v: np.ndarray  # the level (0-d), or the levels of a stack
     s: SpinField
     logOmega: SpinField
-    metric: MetricRep
     Upsilon: OneForm
-    trchi: SpinField
-    chib: SymTwoTensor
-    zeta: OneForm
     etab: OneForm
-    beta: OneForm
-    rho: SpinField
-    sigma: SpinField
-    betab: OneForm
     mu: SpinField
-
-    @property
-    def trchib(self):
-        return self.chib.trace
-
-    def __getitem__(self, idx):
-        """Level(s) idx of a stack."""
-        return CanonicalCoefficients(**{f.name: getattr(self, f.name)[idx]
-                                        for f in fields(self)})
 
 
 def upsilon(s: SpinField, metric: MetricRep) -> OneForm:
@@ -58,8 +45,7 @@ def upsilon(s: SpinField, metric: MetricRep) -> OneForm:
     return grad(s, metric)
 
 
-def canonical_connection(geodesic_connection, s: SpinField,
-                         logOmega: SpinField, metric: MetricRep,
+def canonical_connection(geo: Geometry, s: SpinField, logOmega: SpinField,
                          Ups: OneForm, ups2: SpinField):
     """Connection coefficients of the canonical foliation at one leaf.
 
@@ -69,23 +55,24 @@ def canonical_connection(geodesic_connection, s: SpinField,
         chib = chib' - 2 (Upsilon zeta' + zeta' Upsilon) + 2 Hess s
                - |Upsilon|^2 chi'
 
-    geodesic_connection is (trchi', chib', zeta') at the heights s, as
-    GeodesicNullData.geometry_at reads them.  Ups = upsilon(s, metric) and
-    ups2 = |Upsilon|^2.  nabla_L Upsilon = -grad log Omega - chi . Upsilon
-    is the exact algebraic transport identity.  Returns (trchi, chib, zeta,
-    etab).
+    geo is the geodesic Geometry at the heights s, as
+    GeodesicNullData.geometry_at reads it; its metric is that of the leaf.
+    Ups = upsilon(s, geo.metric) and ups2 = |Upsilon|^2.  nabla_L Upsilon
+    = -grad log Omega - chi . Upsilon is the exact algebraic transport
+    identity.  Returns (trchi, chib, zeta, etab).
     """
-    trchi, chib_g, zeta_g = geodesic_connection
+    metric, trchi, zeta_g = geo.metric, geo.trchi, geo.zeta
     chi_ups = OneForm(0.5 * multiply(trchi, Ups.plus))
     zeta = zeta_g + chi_ups
     dLUps = -1.0 * grad(logOmega, metric) - chi_ups
     etab = -1.0 * zeta_g + dLUps
-    chib = chib_g - 2.0 * sym_otimes(Ups, zeta_g) + 2.0 * hessian(s, metric)
+    chib = geo.chib - 2.0 * sym_otimes(Ups, zeta_g) \
+        + 2.0 * hessian(s, metric)
     chib = SymTwoTensor(chib.trace - multiply(ups2, trchi), chib.hat_plus)
     return trchi, chib, zeta, etab
 
 
-def canonical_curvature(geodesic_curvature, Ups: OneForm, ups2: SpinField):
+def canonical_curvature(geo: Geometry, Ups: OneForm, ups2: SpinField):
     """Null curvature components of the canonical frame, exact through cubic
     order (alpha' = 0):
 
@@ -95,16 +82,17 @@ def canonical_curvature(geodesic_curvature, Ups: OneForm, ups2: SpinField):
         betab = betab' - 3 rho' Upsilon + 3 sigma' (*Upsilon)
                 - 2 ((*beta') . Upsilon) (*Upsilon) + |Upsilon|^2 beta'
 
-    geodesic_curvature is (beta', rho', sigma', betab') at the heights of
-    the leaf, as GeodesicNullData.geometry_at reads them; Ups is the tilt of
-    the leaf and ups2 = |Upsilon|^2.
+    geo is the geodesic Geometry at the heights of the leaf, as
+    GeodesicNullData.geometry_at reads it; Ups is the tilt of the leaf and
+    ups2 = |Upsilon|^2.  Returns (beta, rho, sigma, betab).
     """
-    beta_g, rho_g, sigma_g, betab_g = geodesic_curvature
-    rho = rho_g + dot(beta_g, Ups)
+    beta_g = geo.beta
+    rho = geo.rho + dot(beta_g, Ups)
     dbeta_ups = dot(dual(beta_g), Ups)
-    sigma = sigma_g - dbeta_ups
-    betab = betab_g - 3.0 * (rho_g * Ups) + 3.0 * (sigma_g * dual(Ups)) \
-        - 2.0 * (dbeta_ups * dual(Ups)) + ups2 * beta_g
+    sigma = geo.sigma - dbeta_ups
+    betab = geo.betab - 3.0 * (geo.rho * Ups) \
+        + 3.0 * (geo.sigma * dual(Ups)) - 2.0 * (dbeta_ups * dual(Ups)) \
+        + ups2 * beta_g
     return beta_g, rho, sigma, betab
 
 
@@ -121,14 +109,14 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
     s and logOmega may be stacks of leaves, with v the array of their levels.
     The geodesic tables are read once, at the heights s.
     """
-    metric, connection_g, curvature_g = data.geometry_at(np.real(s.samples))
-    Ups = upsilon(s, metric)
+    geo = data.geometry_at(np.real(s.samples))
+    Ups = upsilon(s, geo.metric)
     ups2 = Ups.norm2()
-    trchi, chib, zeta, etab = canonical_connection(
-        connection_g, s, logOmega, metric, Ups, ups2)
-    beta, rho, sigma, betab = canonical_curvature(curvature_g, Ups, ups2)
+    trchi, chib, zeta, etab = canonical_connection(geo, s, logOmega, Ups,
+                                                   ups2)
+    beta, rho, sigma, betab = canonical_curvature(geo, Ups, ups2)
     return CanonicalCoefficients(
-        v=np.asarray(v, dtype=float), s=s, logOmega=logOmega, metric=metric,
-        Upsilon=Ups, trchi=trchi, chib=chib, zeta=zeta,
-        etab=etab, beta=beta, rho=rho, sigma=sigma, betab=betab,
-        mu=mass_aspect(rho, zeta, metric))
+        metric=geo.metric, trchi=trchi, chib=chib, zeta=zeta, beta=beta,
+        rho=rho, sigma=sigma, betab=betab, v=np.asarray(v, dtype=float),
+        s=s, logOmega=logOmega, Upsilon=Ups, etab=etab,
+        mu=mass_aspect(rho, zeta, geo.metric))

@@ -9,21 +9,24 @@ of the foliation, so a run builds it once and hands it to all its suites;
 the levels, dv and the lapse come from co.v and co.logOmega.  Residuals are
 stack expressions over the levels (see sphere and tensors), reported one
 row per level.  The equations are those geodesic.validate checks, stated
-once in geodesic: the Gauss and Codazzi rows are gauss_codazzi, and the
-transport rows null_transport in its general form, at the canonical etab
-and mu.  The one condition that makes the foliation canonical, the lapse
-equation, is measured once, by the constraint suite: lapse_equation and
-div_etab share its prescribed Delta log Omega.
+once in geodesic on a geodesic.Geometry, which a reconstruction is: the
+Gauss and Codazzi rows are gauss_codazzi(co), and the transport rows
+null_transport in its general form, at the canonical etab and mu.  The one
+condition that makes the foliation canonical, the lapse equation, is
+measured once, by the constraint suite: lapse_equation and div_etab share
+its prescribed Delta log Omega.
 
 The norm suite measures both foliations with one recipe: one function each
-forms their I_S1 and R entries, and along the generators both integrate a
-stack of leaves with one quadrature, Clenshaw-Curtis on the s-nodes of the
-dataset and Simpson on the v-levels of the reconstruction.
+forms their I_S1 and R entries from a Geometry (the geodesic slab or the
+reconstruction), and along the generators both integrate a stack of leaves
+with one quadrature, Clenshaw-Curtis on the s-nodes of the dataset and
+Simpson on the v-levels of the reconstruction.
 
 Every size is taken from a pointwise magnitude, tensors.magnitude: |x| =
 sqrt(sum w |c|^2) over the samples of the stored components, with the one
 set of weights of tensors.components.  No product is formed for it, so
-nothing of |x|^2 above the band limit is dropped.
+nothing of |x|^2 above the band limit is dropped.  A residual row is
+tensors.sizes of its field, as in geodesic.validate.
 
 Transport residuals differentiate the reconstructed spin components along the
 generators, nabla_L = Omega d/dv at fixed angle, with centered finite
@@ -36,13 +39,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import _cheb
-from .comparison import reconstruct
+from .comparison import mass_aspect, reconstruct
 from .errors import ConfigurationError
 from .geodesic import gauss_codazzi, null_transport
 from .reports import NormReport, ResidualReport
 from .sphere import SpinField, eth, ethbar
-from .tensors import (components, div, grad, hodge_D1, laplacian, magnitude,
-                      mean, multiply, rebuild)
+from .tensors import (components, div, grad, hodge_D1, laplacian, lq_level,
+                      magnitude, mean, multiply, rebuild, sizes)
 
 _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
                  4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
@@ -68,19 +71,6 @@ def v_derivative(table, dv, n_levels):
         out[margin:n_levels - margin] += c * table[margin + off:
                                                    n_levels - margin + off]
     return out / dv, margin
-
-
-def _lq_level(a, metric, q):
-    """Leafwise L^q_g norm of the magnitudes a, one value per leaf."""
-    if np.isinf(q):
-        return np.max(a, axis=(-2, -1))
-    return metric.grid.integrate(a ** q * metric.sqrt_det()) ** (1.0 / q)
-
-
-def _sizes(x, metric):
-    """(max |x|, L2_g norm of x), one value per leaf of a stack."""
-    a = magnitude(x)
-    return np.max(a, axis=(-2, -1)), _lq_level(a, metric, 2)
 
 
 def canonical(foliation, levels=slice(None)):
@@ -119,19 +109,17 @@ def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
         rhs = F - SpinField.constant(g.grid, mean(F, g))
     else:
         rhs = co.rho - SpinField.constant(g.grid, mean(co.rho, g)) - div_zeta
-    sizes = {"lapse_equation": _sizes(laplacian(co.logOmega, g) - rhs, g)}
+    sized = {"lapse_equation": sizes(laplacian(co.logOmega, g) - rhs, g)}
 
-    for name, residual in gauss_codazzi(
-            g, (co.trchi, co.chib, co.zeta),
-            (co.beta, co.rho, co.sigma, co.betab)).items():
-        sizes[name] = _sizes(residual, g)
+    for name, residual in gauss_codazzi(co).items():
+        sized[name] = sizes(residual, g)
 
-    sizes["torsion"] = _sizes(curl_zeta - co.sigma, g)
+    sized["torsion"] = sizes(curl_zeta - co.sigma, g)
     # Div etab = -Div zeta - Delta log Omega, with the prescribed value
-    sizes["div_etab"] = _sizes(div(co.etab, g) + div_zeta + rhs, g)
-    sizes["etab_relation"] = _sizes(
+    sized["div_etab"] = sizes(div(co.etab, g) + div_zeta + rhs, g)
+    sized["etab_relation"] = sizes(
         co.etab + co.zeta + grad(co.logOmega, g), g)
-    rep.add_levels(co.v, sizes)
+    rep.add_levels(co.v, sized)
     return rep
 
 
@@ -170,12 +158,11 @@ def transport_residuals(co, tolerance=1e-8) -> ResidualReport:
     omega = _omega(co)
     om = SpinField.from_samples(grid, 0, omega)
     dL = {name: om * x for name, x in d.items()}
-    sizes = {name: _sizes(residual, g) for name, residual in null_transport(
-        g, (co.trchi, co.chib, co.zeta),
-        (co.beta, co.rho, co.sigma, co.betab), co.etab, co.mu, dL).items()}
+    sized = {name: sizes(residual, g) for name, residual in null_transport(
+        co, co.etab, co.mu, dL).items()}
 
     zeros = np.zeros(len(co.v))  # chihat = 0; the benchmark reads this key
-    sizes["chihat_transport"] = (zeros, zeros)
+    sized["chihat_transport"] = (zeros, zeros)
 
     # L-of-average identity for f = trchi, in the v-parametrisation:
     # d_v mean(f) = mean(Omega^{-1} L f) + mean(Omega^{-1} trchi f)
@@ -185,9 +172,9 @@ def transport_residuals(co, tolerance=1e-8) -> ResidualReport:
     t2 = mean(multiply(om_inv, co.trchi, co.trchi), g)
     t3 = mean(multiply(om_inv, co.trchi), g) * fbar[inner]
     err = np.abs(d_fbar - (t1 + t2 - t3))
-    sizes["loverline"] = (err, err * np.sqrt(g.area))
+    sized["loverline"] = (err, err * np.sqrt(g.area))
 
-    rep.add_levels(co.v, {name: sizes[name] for name in TRANSPORT_ROWS})
+    rep.add_levels(co.v, {name: sized[name] for name in TRANSPORT_ROWS})
     return rep
 
 
@@ -286,7 +273,7 @@ def simpson_weights(v_nodes):
 def mixed_norm(field, metric, w, p, q) -> float:
     """|| F ||_{L^p L^q} of a stack of leaves: leafwise L^q, then L^p along
     the generators with the quadrature weights w at the leaves."""
-    per = _lq_level(magnitude(field), metric, q)
+    per = lq_level(magnitude(field), metric, q)
     if np.isinf(p):
         return float(np.max(per))
     return float(np.sum(w * per ** p) ** (1.0 / p))
@@ -300,7 +287,7 @@ def trace_norm(field, metric, w, q, p) -> float:
         gen = np.max(a, axis=0)
     else:
         gen = np.tensordot(w, a ** p, axes=(0, 0)) ** (1.0 / p)
-    return float(_lq_level(gen, metric[0], q))
+    return float(lq_level(gen, metric[0], q))
 
 
 def P0v_norm(field, metric, w) -> float:
@@ -359,23 +346,27 @@ def _grad_any(x, g):
     return pairs
 
 
-def _initial_sphere(g, trchi, trchib, mu, zeta, chibhat):
-    """The I_S1 entries both foliations share, on their first leaf g."""
+def _initial_sphere(geo, mu):
+    """The I_S1 entries both foliations share, on their first leaf geo (a
+    Geometry) with mass aspect mu."""
+    g, trchi, trchib = geo.metric, geo.trchi, geo.trchib
     return {
         "trchi_dev_inf": float(np.max(np.abs(np.real(trchi.samples) - 2.0))),
         "grad_trchi_B0": besov_B0(grad(trchi, g)),
         "trchib_dev_inf": float(np.max(np.abs(
             np.real(trchib.samples) + 2.0))),
-        "grad_trchib_L2": _sizes(grad(trchib, g), g)[1],
+        "grad_trchib_L2": sizes(grad(trchib, g), g)[1],
         "mu_B0": besov_B0(mu),
-        "zeta_H12": Hs_norm(zeta, 0.5),
-        "chibhat_H12": Hs_norm(chibhat, 0.5),
+        "zeta_H12": Hs_norm(geo.zeta, 0.5),
+        "chibhat_H12": Hs_norm(geo.chib.hat(), 0.5),
     }
 
 
-def _flux(metric, w, **curvature):
-    """The R entries: the L^2 over the stack of each curvature component."""
-    return {k: mixed_norm(x, metric, w, 2, 2) for k, x in curvature.items()}
+def _flux(geo, w):
+    """The R entries: the L^2 over the stack of leaves of a Geometry of
+    each curvature component."""
+    return {k: mixed_norm(getattr(geo, k), geo.metric, w, 2, 2)
+            for k in ("beta", "rho", "sigma", "betab")}
 
 
 def _set_total(rep, prefix, entries):
@@ -389,16 +380,15 @@ def _geodesic_norms(rep, data):
     """The I'_{S1}, R' and O' entries, over data.slab(); its fields go
     when this returns, before the canonical side is measured."""
     wcc = _cheb.cc_weights(data.s_nodes)
-    gs, (trchi, chib, zeta), (beta, rho, sigma, betab) = data.slab()
+    geo = data.slab()
+    gs, trchi, zeta = geo.metric, geo.trchi, geo.zeta
 
     # I'_{S1}: the first s-node is the initial sphere
-    g1 = gs[0]
+    geo1 = geo[0]
     _set_total(rep, "Iprime_S1", _initial_sphere(
-        g1, trchi[0], chib.trace[0], -1.0 * rho[0] - div(zeta[0], g1),
-        zeta[0], chib.hat()[0]))
+        geo1, mass_aspect(geo1.rho, geo1.zeta, geo1.metric)))
 
-    _set_total(rep, "Rprime", _flux(gs, wcc, beta=beta, rho=rho,
-                                    sigma=sigma, betab=betab))
+    _set_total(rep, "Rprime", _flux(geo, wcc))
 
     # O' over the geodesic slab
     s3 = data.s_nodes[:, None, None]
@@ -427,20 +417,19 @@ def norm_suite(data, co) -> NormReport:
     grid = data.grid
     g = co.metric
     wv = simpson_weights(co.v)
-    co1, g1c = co[0], g[0]
+    co1 = co[0]
+    g1c = co1.metric
     omega = _omega(co)
     _set_total(rep, "I_S1", {
-        **_initial_sphere(g1c, co1.trchi, co1.trchib, co1.mu, co1.zeta,
-                          co1.chib.hat()),
+        **_initial_sphere(co1, co1.mu),
         "grad_logOmega_H12": Hs_norm(grad(co1.logOmega, g1c), 0.5),
         "etab_H12": Hs_norm(co1.etab, 0.5),
-        "logOmega_L2": _sizes(co1.logOmega, g1c)[1],
+        "logOmega_L2": sizes(co1.logOmega, g1c)[1],
         "omega_dev_inf": float(np.max(np.abs(omega[0] - 1.0))),
-        "mu_L2": _sizes(co1.mu, g1c)[1],
+        "mu_L2": sizes(co1.mu, g1c)[1],
     })
 
-    _set_total(rep, "R", _flux(g, wv, beta=co.beta, rho=co.rho,
-                               sigma=co.sigma, betab=co.betab))
+    _set_total(rep, "R", _flux(co, wv))
 
     # O over the canonical foliation
     n = len(co.v)

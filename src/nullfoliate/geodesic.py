@@ -10,17 +10,17 @@ part chihat' vanishes, and with it, in vacuum, alpha' = -(nabla_L chihat'
 + trchi' chihat').  Neither is tabulated, and every term they would feed is
 left out.
 
-The GEOMETRY tables have one typed form, the geometry tuple (metric,
-(trchi', chib', zeta'), (beta', rho', sigma', betab')): geometry_at gives it
-at any heights and slab() on the s-node leaves.  The null structure
-equations are stated once, on that tuple, in the form that holds on every
-foliation of the cone: gauss_codazzi the Gauss and Codazzi equations, and
+The GEOMETRY tables have one typed form, a Geometry of a leaf or a stack of
+leaves: geometry_at gives it at any heights, slab() on the s-node leaves,
+and a canonical reconstruction is one too.  The null structure equations
+are stated once, on a Geometry, in the form that holds on every foliation
+of the cone: gauss_codazzi the Gauss and Codazzi equations, and
 null_transport the transport equations at any lapse and torsion etab.
 validate applies both to the slab, and the residual suites of diagnostics
 to a canonical reconstruction.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,7 @@ from .reports import ResidualReport
 from .sphere import (GeneratorPack, Grid, SpinField, build_grid, eth,
                      interp_generator)
 from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, div, div2,
-                      dot, grad, hodge_D1, multiply, rebuild)
+                      dot, grad, hodge_D1, multiply, rebuild, sizes)
 
 # the tables of the geodesic geometry, in the order of their one generator
 # read, with the spin weight of the component each tabulates
@@ -39,15 +39,39 @@ GEOMETRY = {"psi": 0, "trchi": 0, "zeta": 1, "trchib": 0, "chibhat": 2,
             "beta": 1, "rho": 0, "sigma": 0, "betab": 1}
 
 
+@dataclass
+class Geometry:
+    """The geometry of one leaf or of a stack of leaves: the metric, the
+    connection coefficients trchi, chib, zeta and the null curvature
+    components beta, rho, sigma, betab."""
+
+    metric: MetricRep
+    trchi: SpinField
+    chib: SymTwoTensor
+    zeta: OneForm
+    beta: OneForm
+    rho: SpinField
+    sigma: SpinField
+    betab: OneForm
+
+    @property
+    def trchib(self):
+        return self.chib.trace
+
+    def __getitem__(self, idx):
+        """Leaf or leaves idx of a stack, with every field of the type."""
+        return type(self)(**{f.name: getattr(self, f.name)[idx]
+                             for f in fields(self)})
+
+
 def _geometry(metric, tables):
-    """The geometry tuple (metric, (trchi', chib', zeta'), (beta', rho',
-    sigma', betab')) from samples of the GEOMETRY tables, in that order;
+    """The Geometry of samples of the GEOMETRY tables, in that order;
     metric is that of their psi."""
     _, trchi, zeta, trchib, chibhat, beta, rho, sigma, betab = (
         SpinField.from_samples(metric.grid, spin, t)
         for spin, t in zip(GEOMETRY.values(), tables))
-    return (metric, (trchi, SymTwoTensor(trchib, chibhat), OneForm(zeta)),
-            (OneForm(beta), rho, sigma, OneForm(betab)))
+    return Geometry(metric, trchi, SymTwoTensor(trchib, chibhat),
+                    OneForm(zeta), OneForm(beta), rho, sigma, OneForm(betab))
 
 
 # --------------------------------------------------------------------------
@@ -110,9 +134,8 @@ class GeodesicNullData:
                 SpinField.from_samples(g, 0, F3),
                 SpinField.from_samples(g, 0, F4))
 
-    def geometry_at(self, s_eval):
-        """The geodesic geometry at heights s_eval, in one read:
-        (metric, (trchi', chib', zeta'), (beta', rho', sigma', betab')).
+    def geometry_at(self, s_eval) -> Geometry:
+        """The geodesic Geometry at heights s_eval, in one read.
 
         chi' is its trace (see the module docstring).  The GEOMETRY tables
         are packed per call and not kept, so a dataset holds no second copy
@@ -133,10 +156,10 @@ class GeodesicNullData:
         """Metric of every s-node leaf, stacked along the nodes."""
         return MetricRep(self.grid, psi=np.real(self.psi))
 
-    def slab(self):
-        """The geometry tuple of geometry_at on every s-node leaf, as one
-        stack, over the tables themselves and slab_metric.  Not cached: its
-        fields would keep the coefficients analysed from them alive."""
+    def slab(self) -> Geometry:
+        """The Geometry of geometry_at on every s-node leaf, as one stack,
+        over the tables themselves and slab_metric.  Not cached: its fields
+        would keep the coefficients analysed from them alive."""
         return _geometry(self.slab_metric,
                          [getattr(self, name) for name in GEOMETRY])
 
@@ -154,8 +177,8 @@ class GeodesicNullData:
         itself on manufactured data."""
         if self.has_prescribed_forcing:
             return self.forcing_F1
-        metric, (_, _, zeta), (_, rho, _, _) = self.slab()
-        return -div(zeta, metric).samples + rho.samples
+        geo = self.slab()
+        return -div(geo.zeta, geo.metric).samples + geo.rho.samples
 
     @cached_property
     def F2_table(self):
@@ -164,10 +187,11 @@ class GeodesicNullData:
         F'_2 = -nabla'_L zeta' - trchi' zeta' + chi'.zeta' - Div'chi' + beta'
              = -nabla'_L zeta' - trchi' zeta'/2 - grad' trchi'/2 + beta'.
         """
-        metric, (trchi, _, zeta), (beta, _, _, _) = self.slab()
-        z = zeta.plus.samples
-        return (-self.d_ds(z) - 0.5 * trchi.samples * z
-                - 0.5 * grad(trchi, metric).plus.samples + beta.plus.samples)
+        geo = self.slab()
+        z = geo.zeta.plus.samples
+        return (-self.d_ds(z) - 0.5 * geo.trchi.samples * z
+                - 0.5 * grad(geo.trchi, geo.metric).plus.samples
+                + geo.beta.plus.samples)
 
     @cached_property
     def F3_table(self):
@@ -185,11 +209,7 @@ class GeodesicNullData:
     # ---- summary ---------------------------------------------------------
 
     def arrays(self):
-        out = {
-            "psi": self.psi, "trchi": self.trchi, "zeta": self.zeta,
-            "trchib": self.trchib, "chibhat": self.chibhat, "beta": self.beta,
-            "rho": self.rho, "sigma": self.sigma, "betab": self.betab,
-        }
+        out = {name: getattr(self, name) for name in GEOMETRY}
         if self.forcing_F1 is not None:
             out["forcing_F1"] = self.forcing_F1
         if self.exact is not None:
@@ -445,32 +465,31 @@ def gen_manufactured(spec: MmsSpec):
 # validation
 # --------------------------------------------------------------------------
 
-def gauss_codazzi(metric, connection, curvature):
+def gauss_codazzi(geo: Geometry):
     """Residual fields of the Gauss equation and the two Codazzi equations
-    of a geometry tuple (as geometry_at and slab give, or a reconstruction):
+    of a Geometry (as geometry_at and slab give, or a reconstruction):
 
         gauss         K + trchi trchib/4 + rho
         codazzi_chi   -grad trchi/2 - zeta trchi/2 + beta
         codazzi_chib  Div chibhat - grad trchib/2 - zeta.chibhat
                       + zeta trchib/2 - betab
     """
-    trchi, chib, zeta = connection
-    beta, rho, _, betab = curvature
-    chibhat = chib.hat()
+    metric, trchi, trchib, zeta = geo.metric, geo.trchi, geo.trchib, geo.zeta
+    chibhat = geo.chib.hat()
     return {
         "gauss": metric.gauss_curvature()
-        + 0.25 * multiply(trchi, chib.trace) + rho,
+        + 0.25 * multiply(trchi, trchib) + geo.rho,
         "codazzi_chi": -0.5 * grad(trchi, metric) - 0.5 * (trchi * zeta)
-        + beta,
-        "codazzi_chib": div2(chibhat, metric) - 0.5 * grad(chib.trace, metric)
-        - contract(chibhat, zeta) + 0.5 * (chib.trace * zeta) - betab,
+        + geo.beta,
+        "codazzi_chib": div2(chibhat, metric) - 0.5 * grad(trchib, metric)
+        - contract(chibhat, zeta) + 0.5 * (trchib * zeta) - geo.betab,
     }
 
 
-def null_transport(metric, connection, curvature, etab, mu, dL):
-    """Residual fields of the null transport equations of a geometry tuple
-    with torsion etab and mass aspect mu, in the form that holds at any
-    lapse (nabla_L along the generators of the foliation):
+def null_transport(geo: Geometry, etab, mu, dL):
+    """Residual fields of the null transport equations of a Geometry with
+    torsion etab and mass aspect mu, in the form that holds at any lapse
+    (nabla_L along the generators of the foliation):
 
         raychaudhuri      nabla_L trchi + trchi^2/2
         zeta_transport    nabla_L zeta + trchi (zeta - etab)/2 + beta
@@ -489,13 +508,13 @@ def null_transport(metric, connection, curvature, etab, mu, dL):
     Delta log Omega by its lapse equation, which the constraint suite
     measures apart.
     """
-    trchi, chib, zeta = connection
-    beta, rho, _, _ = curvature
+    metric, trchi, zeta, beta, rho = (geo.metric, geo.trchi, geo.zeta,
+                                      geo.beta, geo.rho)
     div_etab = div(etab, metric)
     return {
         "raychaudhuri": dL["trchi"] + 0.5 * multiply(trchi, trchi),
         "zeta_transport": dL["zeta"] + 0.5 * (trchi * (zeta - etab)) + beta,
-        "trchib_transport": dL["trchib"] + 0.5 * multiply(trchi, chib.trace)
+        "trchib_transport": dL["trchib"] + 0.5 * multiply(trchi, geo.trchib)
         - (2.0 * div_etab + 2.0 * rho + 2.0 * dot(etab, etab)),
         "mu_transport": dL["mu"] + multiply(trchi, mu)
         - (-2.0 * dot(zeta, beta) + dot(zeta - etab, grad(trchi, metric))
@@ -512,42 +531,33 @@ def validate(data: GeodesicNullData) -> ResidualReport:
 
     s-derivatives are spectral (Chebyshev); every s-node leaf is checked at
     once, as one stack (data.slab()), and each equation is reported per
-    s-node with max and L2(round) norms of its plus component.  The
-    transport equations are null_transport at etab' = -zeta', mu' = -rho'
-    - Div zeta' and nabla_L = d_s.  The report's tolerance is the one a
-    generated dataset must meet.
+    s-node with the max and L2 norms of tensors.sizes, the sizes the
+    residual suites report.  The transport equations are null_transport at
+    etab' = -zeta', mu' = -rho' - Div zeta' and nabla_L = d_s.  The
+    report's tolerance is the one a generated dataset must meet.
     """
     rep = ResidualReport(tolerance_used=1e-8)
-    g = data.grid
-    geometry = data.slab()
-    met, (trchi, chib, ze), (_, rho, sigma, _) = geometry
+    geo = data.slab()
+    met, ze = geo.metric, geo.zeta
     div_ze, curl_ze = hodge_D1(ze, met)
-    mu = -1.0 * rho - div_ze
-
-    sizes = {}
-
-    def record(name, f):
-        f = f.plus if isinstance(f, OneForm) else f
-        f = np.abs(f.samples if isinstance(f, SpinField) else f)
-        sizes[name] = (np.max(f, axis=(-2, -1)),
-                       np.sqrt(np.maximum(g.integrate(f ** 2), 0.0)))
+    mu = -1.0 * geo.rho - div_ze
 
     # first variation d_s g' = 2 chi': with g' = e^{2 psi} gring and the
     # shear-free chi' = (trchi'/2) g' (module docstring), the whole equation
     e2psi = np.exp(2.0 * data.psi)
-    record("first_variation", data.d_ds(e2psi) - data.trchi * e2psi)
-    for name, residual in gauss_codazzi(*geometry).items():
-        record(name, residual)
+    sized = {"first_variation": sizes(SpinField.from_samples(
+        data.grid, 0, data.d_ds(e2psi) - data.trchi * e2psi), met)}
+    sized.update((name, sizes(x, met))
+                 for name, x in gauss_codazzi(geo).items())
     # torsion: curl zeta = sigma
-    record("torsion", curl_ze - sigma)
+    sized["torsion"] = sizes(curl_ze - geo.sigma, met)
     dL = {name: rebuild(x, data.d_ds) for name, x in (
-        ("trchi", trchi), ("zeta", ze), ("trchib", chib.trace), ("mu", mu),
-        ("rho", rho))}
-    for name, residual in null_transport(*geometry, -1.0 * ze, mu,
-                                         dL).items():
-        record(name, residual)
+        ("trchi", geo.trchi), ("zeta", ze), ("trchib", geo.trchib),
+        ("mu", mu), ("rho", geo.rho))}
+    sized.update((name, sizes(x, met)) for name, x in null_transport(
+        geo, -1.0 * ze, mu, dL).items())
 
-    rep.add_levels(data.s_nodes, sizes)
+    rep.add_levels(data.s_nodes, sized)
     return rep
 
 

@@ -10,6 +10,13 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def write_json(path, payload):
+    """Write payload as JSON: sorted keys, indent 1, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 class ResidualReport:
     """Named residual magnitudes, one row per equation per level."""
 
@@ -60,17 +67,17 @@ class ResidualReport:
                 fh.write(f"{name},{_fmt(v)},{_fmt(mx)},{_fmt(l2)},{ok}\n")
 
     def summary(self):
-        return {name: self.worst(name) for name in self.equations()}
+        """Worst residual (formatted) and pass flag of each equation."""
+        return {
+            "worst": {name: _fmt(self.worst(name))
+                      for name in self.equations()},
+            "pass": self.pass_flags() if self.tolerance_used is not None
+            else None,
+        }
 
     def to_json(self, path):
-        payload = {
-            "tolerance_used": self.tolerance_used,
-            "worst": {k: _fmt(v) for k, v in self.summary().items()},
-            "pass": self.pass_flags() if self.tolerance_used is not None else None,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {**self.summary(),
+                          "tolerance_used": self.tolerance_used})
 
 
 class NormReport:
@@ -95,7 +102,4 @@ class NormReport:
                 fh.write(f"{name},{_fmt(self.values[name])}\n")
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({k: _fmt(v) for k, v in sorted(self.values.items())},
-                      fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {k: _fmt(v) for k, v in self.values.items()})

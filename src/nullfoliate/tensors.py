@@ -8,9 +8,10 @@ stored: X_mbar = conj(X_m) (the `minus` property) and T_mbmb = conj(T_mm),
 which SpinField.conj forms without a transform.  So each contraction forms
 one product and takes its real or imaginary part, e.g. a.b = 2 Re(a_m
 conj(b_m)), and each derivative is one conformal eth.  A size needs no
-product: |x| is taken pointwise from the samples (magnitude).  rebuild
-makes a field or tensor of the same kind from new samples of each stored
-component, as a derivative along a stack gives them.
+product: |x| is taken pointwise from the samples (magnitude), and every
+residual is sized from it, by its max and its L2 norm on the g-measure
+(sizes).  rebuild makes a field or tensor of the same kind from new samples
+of each stored component, as a derivative along a stack gives them.
 
 All covariant operators reduce to the round eth ladder with conformal weights,
 
@@ -187,6 +188,20 @@ def magnitude(x):
         return np.abs(x.samples)
     return np.sqrt(sum(w * np.abs(c.samples) ** 2
                        for c, w in components(x)))
+
+
+def lq_level(a, metric, q):
+    """Leafwise L^q_g norm of the magnitudes a, one value per leaf."""
+    if np.isinf(q):
+        return np.max(a, axis=(-2, -1))
+    return metric.grid.integrate(a ** q * metric.sqrt_det()) ** (1.0 / q)
+
+
+def sizes(x, metric):
+    """(max |x|, L2_g norm of x), one value per leaf of a stack: the size
+    of a residual."""
+    a = magnitude(x)
+    return np.max(a, axis=(-2, -1)), lq_level(a, metric, 2)
 
 
 def dot(a, b) -> SpinField:

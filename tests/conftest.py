@@ -14,7 +14,7 @@ from nullfoliate.reports import ResidualReport
 from nullfoliate.sphere import SpinField, build_grid, eth, ethbar, multiply
 from nullfoliate.tensors import (MetricRep, OneForm, div, eth_g, ethbar_g,
                                  grad, hessian, hodge_D1, laplacian,
-                                 magnitude, rebuild)
+                                 magnitude, rebuild, sizes)
 
 
 @pytest.fixture(scope="session")
@@ -121,7 +121,7 @@ def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
     rep = ResidualReport(tolerance_used=tolerance)
     n = len(co.v)
     metric = co.metric
-    rep.add_levels(co.v, {"comm_grad_laplacian": diagnostics._sizes(
+    rep.add_levels(co.v, {"comm_grad_laplacian": sizes(
         commutation_grad_laplacian(f, metric), metric)})
 
     gf = grad(f, metric)
@@ -135,7 +135,7 @@ def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
     # [nabla_L, grad] f = -trchi grad f / 2 + (etab + zeta) L f (chihat = 0)
     #                   with L f = 0 here
     res = dLgrad + 0.5 * (co.trchi * gf)
-    rep.add_levels(co.v, {"comm_L_grad": diagnostics._sizes(res, co.metric)})
+    rep.add_levels(co.v, {"comm_L_grad": sizes(res, co.metric)})
     return rep
 
 
@@ -170,9 +170,9 @@ def sphericality_report(co):
     Theta = -0.25 * multiply(co.trchi, co.trchib) + inv_v2 + co.mu
     Psi = co.zeta
     resid = g.gauss_curvature() + inv_v2 - div(Psi, g) - Theta
-    rep.add_levels(co.v, {"sphericality_split": diagnostics._sizes(resid, g)})
+    rep.add_levels(co.v, {"sphericality_split": sizes(resid, g)})
     rows = [{"psi_H12": diagnostics.Hs_norm(Psi[i], 0.5), "theta_L2": t}
-            for i, t in enumerate(diagnostics._sizes(Theta, g)[1])]
+            for i, t in enumerate(sizes(Theta, g)[1])]
     return rows, rep
 
 

@@ -136,10 +136,10 @@ class TestCurvatureComparison:
         data, fol = schw_foliation
         g = data.grid
         s = SpinField.from_samples(g, 0, np.full(g.shape, 1.7))
-        met, _, curvature = data.geometry_at(np.real(s.samples))
-        U = comparison.upsilon(s, met)
+        geo = data.geometry_at(np.real(s.samples))
+        U = comparison.upsilon(s, geo.metric)
         beta, rho, sigma, betab = comparison.canonical_curvature(
-            curvature, U, U.norm2())
+            geo, U, U.norm2())
         assert np.max(np.abs(rho.samples - (-0.2 / 1.7 ** 3))) < 1e-12
         assert beta.max_abs() < 1e-13
         assert betab.max_abs() < 1e-13
@@ -152,10 +152,10 @@ class TestCurvatureComparison:
         g = data.grid
         prof = 0.03 * random_real_scalar(g, seed=11, lmax=2)
         s = SpinField.from_samples(g, 0, 1.5 + np.real(prof.samples))
-        met, _, curvature = data.geometry_at(np.real(s.samples))
-        U = comparison.upsilon(s, met)
+        geo = data.geometry_at(np.real(s.samples))
+        U = comparison.upsilon(s, geo.metric)
         beta, rho, sigma, betab = comparison.canonical_curvature(
-            curvature, U, U.norm2())
+            geo, U, U.norm2())
         assert (betab + 3.0 * U).max_abs() < 1e-12
         assert np.max(np.abs(rho.samples - 1.0)) < 1e-12
         assert sigma.max_abs() < 1e-12
@@ -185,7 +185,7 @@ class TestCrossPaths:
         worst = 0.0
         for i in range(margin, fol.n_levels - margin, 8):
             co = levels[i]
-            _, (_, _, zg), _ = data.geometry_at(np.real(co.s.samples))
+            zg = data.geometry_at(np.real(co.s.samples)).zeta
             path_a = -1.0 * zg + dl[i]
             path_b = -1.0 * co.zeta - grad(co.logOmega, co.metric)
             worst = max(worst, (path_a - path_b).max_abs())
@@ -239,5 +239,5 @@ class TestProjectionIdentities:
         co = comparison.reconstruct(data, fol.s_field(i),
                                     fol.logOmega_field(i), fol.v_nodes[i])
         s = np.real(fol.s_field(i).samples)
-        _, (trchi_proj, _, _), _ = data.geometry_at(s)
+        trchi_proj = data.geometry_at(s).trchi
         assert np.array_equal(co.trchi.samples, trchi_proj.samples)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullfoliate import _cheb, diagnostics, geodesic, solver
+from nullfoliate import _cheb, diagnostics, geodesic, solver, tensors
 from nullfoliate.errors import ConfigurationError
 from nullfoliate.sphere import SpinField, build_grid
 from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, dual, grad,
@@ -365,7 +365,7 @@ class TestPointwiseMagnitude:
         want = fine.integrate(
             magnitude([(on_fine(c), w) for c, w in diagnostics.components(x)])
             ** 2 * np.exp(2.0 * on_fine(psi).samples.real))
-        got = diagnostics._sizes(x, MetricRep(grid, psi=psi))[1] ** 2
+        got = tensors.sizes(x, MetricRep(grid, psi=psi))[1] ** 2
         assert abs(got - want) <= 1e-3 * want
 
 

@@ -1,6 +1,7 @@
 """Generator, validation, manufactured-solution and persistence tests."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from nullfoliate import geodesic
 from nullfoliate.errors import ConfigurationError, DatasetError
 from nullfoliate.sphere import GeneratorPack, SpinField, interp_generator
-from nullfoliate.tensors import MetricRep, laplacian, mean
+from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, laplacian,
+                                 mean)
 
 from conftest import harmonic, log_omega_exact, plant_shear
 
@@ -157,13 +159,23 @@ class TestSlab:
                                   data.psi.shape)
 
         def parts(geometry):
-            metric, (trchi, chib, zeta), (beta, rho, sigma, betab) = geometry
-            return [metric.psi, trchi, zeta.plus, chib.trace, chib.hat_plus,
-                    beta.plus, rho, sigma, betab.plus]
+            """Table name -> stored component, over every field of the
+            Geometry type, so that no field goes unchecked."""
+            out = {}
+            for f in dataclasses.fields(geodesic.Geometry):
+                x = getattr(geometry, f.name)
+                if isinstance(x, MetricRep):
+                    out["psi"] = x.psi
+                elif isinstance(x, SymTwoTensor):
+                    out["trchib"], out["chibhat"] = x.trace, x.hat_plus
+                else:
+                    out[f.name] = x.plus if isinstance(x, OneForm) else x
+            return out
 
-        for (name, spin), a, b in zip(
-                geodesic.GEOMETRY.items(), parts(data.slab()),
-                parts(data.geometry_at(heights)), strict=True):
+        slab, at = parts(data.slab()), parts(data.geometry_at(heights))
+        assert set(slab) == set(at) == set(geodesic.GEOMETRY)
+        for name, spin in geodesic.GEOMETRY.items():
+            a, b = slab[name], at[name]
             assert a.spin == b.spin == spin
             assert a.samples.dtype == b.samples.dtype
             assert np.array_equal(a.samples, b.samples), name
@@ -200,6 +212,16 @@ class TestValidateDetector:
         rep = geodesic.validate(data)
         assert rep.worst("mu_transport") >= 1e-5
         assert rep.worst("rho_bianchi") >= 1e-5
+
+    def test_oneform_row_is_sized_by_its_magnitude(self, schw):
+        """A smooth spin-1 bump in beta' is the whole codazzi_chi residual
+        (trchi' is constant on each leaf and zeta' = 0), and validate sizes
+        it as the residual suites do: |X| = sqrt(2) |X_m|."""
+        data = copy.copy(schw)
+        data.beta = schw.beta + _bump(schw, harmonic(schw.grid, 2, 1, 1))
+        rep = geodesic.validate(data)
+        want = np.sqrt(2.0) * np.max(np.abs(data.beta))
+        assert rep.worst("codazzi_chi") == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("model", ["minkowski", "schwarzschild", "mms"])
     def test_new_rows_vanish_on_the_generators(self, model, mink, schw):

@@ -168,7 +168,7 @@ class TestContinueFoliation:
         fol = solver.continue_foliation(data, cfg, v_end=2.0)
         worst = 0.0
         for i in range(0, fol.n_levels, 7):
-            metric = data.geometry_at(fol.s[i])[0]
+            metric = data.geometry_at(fol.s[i]).metric
             sf = fol.s_field(i)
             F = solver.assemble_F(data, data.source_at(fol.s[i]),
                                   grad(sf, metric), laplacian(sf, metric))
@@ -182,7 +182,7 @@ class TestContinueFoliation:
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0)
         fol = solver.continue_foliation(data, cfg, v_end=2.0)
         for i in range(0, fol.n_levels, 9):
-            met = data.geometry_at(fol.s[i])[0]
+            met = data.geometry_at(fol.s[i]).metric
             assert abs(mean(fol.logOmega_field(i), met)) < 1e-11
 
     def test_v_end_off_the_grid_rejected(self):
@@ -373,20 +373,20 @@ class TestBuildingBlocks:
     def test_induced_metric_composition(self, mink):
         """psi(w) = psi'(s(w), w) = log s(w) pointwise on the flat cone."""
         g = mink.grid
-        met = mink.geometry_at(np.full(g.shape, 1.5))[0]
+        met = mink.geometry_at(np.full(g.shape, 1.5)).metric
         assert np.max(np.abs(np.real(met.psi.samples) - np.log(1.5))) < 1e-12
         y20 = np.zeros((9, 17), dtype=complex)
         y20[2, 8] = 1.0
         prof = np.real(SpinField.from_coeffs(g, 0, y20).samples)
         s = 1.5 + 0.01 * prof
-        met2 = mink.geometry_at(s)[0]
+        met2 = mink.geometry_at(s).metric
         assert np.max(np.abs(np.real(met2.psi.samples) - np.log(s))) < 1e-12
 
     def test_assemble_F_minkowski_flat_graph(self, mink):
         """Angularly constant graphs feed zero gradients: F vanishes."""
         g = mink.grid
         s = np.full(g.shape, 1.3)
-        met = mink.geometry_at(s)[0]
+        met = mink.geometry_at(s).metric
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(mink, mink.source_at(s), grad(sf, met),
                               laplacian(sf, met))
@@ -396,7 +396,7 @@ class TestBuildingBlocks:
         """At s = 1.5 with no tilt, F reduces to rho'(1.5) = -2M/1.5^3."""
         g = schw.grid
         s = np.full(g.shape, 1.5)
-        met = schw.geometry_at(s)[0]
+        met = schw.geometry_at(s).metric
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(schw, schw.source_at(s), grad(sf, met),
                               laplacian(sf, met))
@@ -418,7 +418,8 @@ class TestBuildingBlocks:
         y21[2, 8 - 1] = -np.conj(0.04)
         prof = np.real(SpinField.from_coeffs(g, 0, y21).samples)
         s = 1.6 + prof
-        met, connection, curvature = schw.geometry_at(s)
+        geo = schw.geometry_at(s)
+        met = geo.metric
         sf = SpinField.from_samples(g, 0, s)
         F = solver.assemble_F(schw, schw.source_at(s), grad(sf, met),
                               laplacian(sf, met))
@@ -427,9 +428,8 @@ class TestBuildingBlocks:
         logom = SpinField.from_coeffs(g, 0, np.zeros(g.shape))
         ups = comparison.upsilon(sf, met)
         _, _, zeta, _ = comparison.canonical_connection(
-            connection, sf, logom, met, ups, ups.norm2())
-        _, rho, _, _ = comparison.canonical_curvature(
-            curvature, ups, ups.norm2())
+            geo, sf, logom, ups, ups.norm2())
+        _, rho, _, _ = comparison.canonical_curvature(geo, ups, ups.norm2())
         direct = -1.0 * div(zeta, met) + rho
         assert (F - direct).max_abs() < 1e-9
 
