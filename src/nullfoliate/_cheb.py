@@ -4,10 +4,15 @@ Geodesic data is tabulated on CGL nodes; barycentric interpolation and the
 spectral differentiation matrix give machine-accurate evaluation and
 s-derivatives for analytic generators.  barycentric_interp is the one
 interpolation kernel: it reads many tables, packed point-major, at shared
-heights (Berrut & Trefethen, SIAM Review 46, 2004).
+heights (Berrut & Trefethen, SIAM Review 46, 2004), one block of points at
+a time, so its weights take at most _BLOCK_BYTES (one point's, if those
+take more).
 """
 
 import numpy as np
+
+# bytes of barycentric weights that barycentric_interp holds at once, 1 MB
+_BLOCK_BYTES = 1 << 20
 
 
 def cgl_nodes(n, a, b):
@@ -19,32 +24,43 @@ def cgl_nodes(n, a, b):
     return a + (b - a) * (x + 1.0) / 2.0
 
 
-def barycentric_weights(n):
-    """Barycentric weights for CGL nodes in the ascending order of cgl_nodes."""
-    w = np.ones(n)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def barycentric_interp(nodes, packed, x):
     """Barycentric interpolation of packed tables at heights x.
 
     packed is (points, n_nodes, columns): at each point the node values of
     every column, the last column all ones; x is (points, stack).  The
-    weights of the heights are formed once, stored node-major as (n_nodes,
-    points, stack) for long inner loops, and one batched matmul (points x
-    stack x n_nodes against points x n_nodes x columns) reads every column;
-    the column of ones gives the weight sums.  An exact node hit has an
-    infinite weight sum and reads that node's row.  Returns the values,
+    points are read in blocks of _BLOCK_BYTES // (8 n_nodes stack): the
+    weights w_k / (x - node_k) of a block, with the CGL weights w_k = 1/2,
+    -1, 1, ..., +-1/2, are formed in one reused buffer, stored node-major
+    as (n_nodes, block, stack) for long inner loops, and one batched matmul
+    (block x stack x n_nodes against block x n_nodes x columns) reads every
+    column; the column of ones gives the weight sums.  Each point has its
+    own gemm, so the blocking does not change a bit.  An exact node hit has
+    an infinite weight sum and reads that node's row.  Returns the values,
     (points, stack, columns).
     """
-    diff = x - nodes[:, None, None]
+    points, stack = x.shape
+    n = nodes.size
+    block = max(1, _BLOCK_BYTES // (8 * n * stack))
+    buf = np.empty(n * min(block, points) * stack)
+    vals = np.empty((points, stack, packed.shape[-1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.divide(barycentric_weights(nodes.size)[:, None, None], diff,
-                      out=diff)
-        vals = np.matmul(c.transpose(1, 2, 0), packed)
+        for p in range(0, points, block):
+            q = min(p + block, points)
+            c = buf[:n * (q - p) * stack].reshape(n, q - p, stack)
+            # each weight as a reciprocal with the bits of w_k / (x - node_k):
+            # odd k take node_k - x for the sign, and halving the end rows is
+            # exact, as no reciprocal of a height difference is near underflow
+            # (a node hit's row, replaced below, may get the other infinity).
+            # One scalar divide over the block runs at full speed where numpy
+            # slows a divide that broadcasts w_k over rows of 4096 values or
+            # fewer.
+            np.subtract(x[p:q], nodes[0::2, None, None], out=c[0::2])
+            np.subtract(nodes[1::2, None, None], x[p:q], out=c[1::2])
+            np.divide(1.0, c, out=c)
+            c[0] *= 0.5
+            c[-1] *= 0.5
+            np.matmul(c.transpose(1, 2, 0), packed[p:q], out=vals[p:q])
     hit = np.isinf(vals[..., -1])
     if hit.any():
         node = np.argmax(x[hit][:, None] == nodes, axis=-1)

@@ -69,9 +69,11 @@ analyse to other bits than inside a stack.
 Generators.  Geodesic data is tabulated along each generator on CGL nodes
 in s.  A GeneratorPack holds several such tables in one real layout, and
 interp_generator reads all of them at shared heights with one barycentric
-read (_cheb.barycentric_interp): the weights of the heights are formed once
-for every table.  The solver's lapse source and the reconstruction's
-geometry each take one read per stack of leaves.
+read (_cheb.barycentric_interp): the weights of the heights serve every
+table, and they are formed for one block of points at a time in a buffer of
+at most 1 MB, so a read holds its output and not every weight of a stack.
+The solver's lapse source and the reconstruction's geometry each take one
+read per stack of leaves.
 """
 
 import math

@@ -25,6 +25,7 @@ stacked field, tensor or metric takes one leaf or a slice of them.
 """
 
 import operator
+from functools import cached_property
 
 import numpy as np
 
@@ -65,8 +66,9 @@ class MetricRep:
         """Area density relative to the round measure dOmega."""
         return np.real(self.conformal_factor(2.0).samples)
 
-    @property
+    @cached_property
     def area(self):
+        """Area of each leaf, integrated once per metric."""
         return self.grid.integrate(self.sqrt_det())
 
     def gauss_curvature(self):

@@ -1,9 +1,11 @@
 """tools/same_outputs.py reports what moved between two trees: the lines for
-a differing JSON report and for a file that only one tree holds.  The tool
-is imported by path; no stage runs."""
+a differing JSON report and for a file that only one tree holds, and the
+cost of each stage.  The tool is imported by path; only the CLI's help
+runs."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
@@ -46,3 +48,12 @@ def test_one_sided_file_gives_its_size(tmp_path):
         "only in parent: case/dataset/chihat.bin, 48 bytes"]
     assert same_outputs.describe(b, a, rel) == [
         "only in change: case/dataset/chihat.bin, 48 bytes"]
+
+
+def test_stage_keeps_its_output_and_exit_code_and_reports_its_cost(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(TOOL.parents[1] / "src"))
+    out = tmp_path / "help.out"
+    wall, rss_mb = same_outputs.run_stage(["--help"], tmp_path, env, out)
+    text = out.read_bytes()
+    assert text.startswith(b"usage:") and text.endswith(b"\nexit 0\n")
+    assert wall > 0.0 and rss_mb > 1.0

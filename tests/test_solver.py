@@ -63,6 +63,24 @@ class TestQuadrature:
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(abs(o - 4.0) < 0.02 for o in orders)
 
+    @pytest.mark.parametrize("k", [4, 6, 8, 64, 128])
+    def test_interior_rule_equals_the_loop_bitwise(self, k):
+        """The interior subintervals, taken as one slice expression, keep
+        the bits of the rule applied one subinterval at a time."""
+        v = np.random.default_rng(k).normal(size=(k + 1, 24, 47))
+        dv = 1.0 / 64.0
+        inc = np.empty_like(v[:k])
+        inc[0] = dv * (8.0 * v[0] + 23.0 * v[1] - 11.0 * v[2] + 5.0 * v[3]
+                       - v[4]) / 24.0
+        inc[k - 1] = dv * (8.0 * v[k] + 23.0 * v[k - 1] - 11.0 * v[k - 2]
+                           + 5.0 * v[k - 3] - v[k - 4]) / 24.0
+        for j in range(1, k - 1):
+            inc[j] = dv * (-v[j - 1] + 13.0 * v[j] + 13.0 * v[j + 1]
+                           - v[j + 2]) / 24.0
+        out = solver.cumulative_integral(v, dv)
+        assert not out[0].any()
+        assert np.array_equal(out[1:], np.cumsum(inc, axis=0))
+
 
 class TestConfig:
     def test_invalid_delta(self):

@@ -1,13 +1,15 @@
 """Grid, transform and eth-operator tests for the spectral layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nullfoliate._cheb import barycentric_weights, cgl_nodes
+from nullfoliate import _cheb
+from nullfoliate._cheb import cgl_nodes
 from nullfoliate._wigner import spin_lambda_tables
 from nullfoliate.errors import (ConfigurationError, OutOfDomainError,
                                 UnsupportedSpinError)
@@ -603,6 +605,14 @@ class TestZeros:
                 assert not np.isfinite(p.coeffs).all()
 
 
+def cgl_weights(n):
+    """Barycentric weights of n CGL nodes (Berrut & Trefethen 2004):
+    1/2, -1, 1, ..., +-1/2."""
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] *= 0.5
+    return w
+
+
 def reference_interp(s_nodes, table, heights):
     """The barycentric formula (Berrut & Trefethen 2004) read one table at a
     time: table (n_s, ntheta, nphi) at heights (..., ntheta, nphi), an exact
@@ -613,7 +623,7 @@ def reference_interp(s_nodes, table, heights):
     diff = heights[None] - s_nodes.reshape((n,) + lead)
     exact = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = barycentric_weights(n).reshape((n,) + lead) / diff
+        c = cgl_weights(n).reshape((n,) + lead) / diff
         out = np.sum(c * t, axis=0) / np.sum(c, axis=0)
     picked = np.take_along_axis(np.broadcast_to(t, diff.shape),
                                 np.argmax(exact, axis=0)[None], axis=0)[0]
@@ -684,6 +694,106 @@ class TestGeneratorPack:
         for j in range(depth):
             alone = interp_generator(pack, heights[j])
             assert all(np.array_equal(a, s[j]) for a, s in zip(alone, stacked))
+
+
+def whole_array_read(pack, heights):
+    """The generator read with every weight formed at once: interp_generator
+    and barycentric_interp as they were before the points went in blocks,
+    so the oracle of the blocked read."""
+    x = heights.reshape(-1, pack.packed.shape[0]).T
+    lone = x.shape[1] == 1
+    x = np.ascontiguousarray(np.repeat(x, 2, axis=1) if lone else x)
+    nodes, packed = pack.s_nodes, pack.packed
+    diff = x - nodes[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.divide(cgl_weights(nodes.size)[:, None, None], diff,
+                      out=diff)
+        vals = np.matmul(c.transpose(1, 2, 0), packed)
+    hit = np.isinf(vals[..., -1])
+    if hit.any():
+        node = np.argmax(x[hit][:, None] == nodes, axis=-1)
+        vals[hit] = packed[np.nonzero(hit)[0], node]
+    vals /= vals[..., -1:]
+    if lone:
+        vals = vals[:, :1]
+    return [(vals[..., k:k + 2].view(np.complex128)[..., 0] if cplx
+             else vals[..., k]).T.reshape(heights.shape)
+            for k, cplx in pack.slots]
+
+
+class TestBlockedReads:
+    """At L = 23 and n_s = 40 a stack of 8 or 65 leaves is read in many
+    blocks of points, the last one partial; every read keeps the bits of
+    the whole-array read."""
+
+    n_s = 40
+
+    @pytest.fixture(scope="class")
+    def grid23(self):
+        return build_grid(23)
+
+    def _pack(self, grid, n_tables):
+        s_nodes = cgl_nodes(self.n_s, 1.0, 2.5)
+        rng = np.random.default_rng(n_tables)
+        shape = (self.n_s,) + grid.shape
+        tables = [rng.normal(size=shape),
+                  rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                  np.cos(s_nodes)[:, None, None] * rng.normal(size=shape)]
+        return GeneratorPack(s_nodes, tables[:n_tables])
+
+    def _heights(self, pack, grid, depth):
+        """Random heights with node hits at both ends of the first block,
+        at the start of the partial last block and at the last point, and
+        for a stack one whole leaf on a node."""
+        nodes = pack.s_nodes
+        heights = np.random.default_rng(depth).uniform(
+            1.0, 2.5, size=(depth,) + grid.shape)
+        points = pack.packed.shape[0]
+        if depth > 1:
+            heights[depth // 2] = nodes[17]
+        block = _cheb._BLOCK_BYTES // (8 * self.n_s * max(depth, 2))
+        for j, p in enumerate([0, block - 1, block, points - points % block]):
+            if p < points:
+                heights[j % depth].flat[p] = nodes[3 * j]
+        heights[-1].flat[points - 1] = nodes[-1]
+        return heights
+
+    @pytest.mark.parametrize("n_tables", [2, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 8, 65])
+    def test_equals_whole_array_read_bitwise(self, grid23, depth, n_tables):
+        pack = self._pack(grid23, n_tables)
+        heights = self._heights(pack, grid23, depth)
+        points = pack.packed.shape[0]
+        if depth >= 8:
+            assert _cheb._BLOCK_BYTES // (8 * self.n_s * depth) < points // 2
+        got = interp_generator(pack, heights)
+        want = whole_array_read(pack, heights)
+        assert [g.dtype for g in got] == [w.dtype for w in want]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # a node hit in the partial last block reads the tabulated value
+        assert got[0][-1, -1, -1] == pack.packed[-1, -1, 0]
+
+    def test_lone_leaf_reads_as_in_the_long_stack(self, grid23):
+        pack = self._pack(grid23, 3)
+        heights = self._heights(pack, grid23, 65)
+        stacked = interp_generator(pack, heights)
+        for j in (0, 1, 32, 64):
+            alone = interp_generator(pack, heights[j])
+            assert all(np.array_equal(a, s[j]) for a, s in zip(alone, stacked))
+
+    @pytest.mark.parametrize("n_tables", [2, 3])
+    def test_long_stack_read_peaks_below_10_mb(self, grid23, n_tables):
+        """The weights of the whole 65-leaf stack alone are 23.5 MB; in
+        blocks the read holds its output and one block of weights."""
+        pack = self._pack(grid23, n_tables)
+        heights = self._heights(pack, grid23, 65)
+        tracemalloc.start()
+        try:
+            interp_generator(pack, heights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
 
 class TestGeneratorInterpolation:

@@ -343,6 +343,26 @@ class TestMean:
     def test_mean_orthogonality(self, grid12, round1):
         assert abs(mean(harmonic(grid12, 2, 0), round1)) < 1e-13
 
+    def test_area_is_integrated_once_per_metric(self, grid12, monkeypatch):
+        """mean integrates f on every call and the area once per metric; a
+        metric taken from a stack integrates its own area, to the bits of
+        the stack's."""
+        from nullfoliate import sphere
+        psi = np.stack([0.05 * random_real_scalar(grid12, seed=s, lmax=3)
+                        .samples for s in (42, 43, 44)])
+        g = MetricRep(grid12, psi=psi)
+        f = SpinField.from_samples(grid12, 0, np.cos(psi))
+        calls = []
+        real_integrate = sphere.Grid.integrate
+        monkeypatch.setattr(sphere.Grid, "integrate", lambda grid, x: (
+            calls.append(x.shape), real_integrate(grid, x))[1])
+        first = mean(f, g)
+        assert np.array_equal(mean(f, g), first)
+        assert len(calls) == 3
+        sub = g[1]
+        assert "area" not in vars(sub)
+        assert sub.area == g.area[1] and len(calls) == 4
+
     def test_mean_against_refined_grid(self, grid12):
         """Conformal mean agrees with the same quadrature at doubled band."""
         from nullfoliate.sphere import build_grid

@@ -20,7 +20,10 @@ relative one is taken over the entries whose parent value is nonzero; the
 entries that left an exact zero are counted apart, with their largest
 absolute value.  For a JSON report one more line is printed for each key
 whose number moved, with its shift, and for each key path that only one
-side holds.  Standard library only.
+side holds.  Before a case's differing files, one line per stage gives
+its wall time and peak RSS (`ru_maxrss`) on both trees; these single runs
+are for reading, not for a verdict, and do not change the exit code.
+Standard library only.
 """
 
 import array
@@ -31,6 +34,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
@@ -59,9 +63,33 @@ CASES = {
 }
 
 
+def run_stage(argv, workdir, env, out_path):
+    """Run one CLI stage, its standard output into out_path and its exit
+    code after it; returns the wall time in s and the peak RSS in MB."""
+    t0 = time.perf_counter()
+    with open(out_path, "wb") as out:
+        proc = subprocess.Popen([sys.executable, "-m", "nullfoliate.cli",
+                                 *argv], cwd=workdir, env=env, stdout=out,
+                                stderr=subprocess.DEVNULL)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        wall = time.perf_counter() - t0
+        out.write(f"exit {proc.returncode}\n".encode())
+    if proc.returncode != 0:
+        print(f"{workdir}: {argv[0]} exited {proc.returncode}",
+              file=sys.stderr)
+    return wall, usage.ru_maxrss / 1024.0
+
+
 def run_case(src, workdir, gen_args, solve_args):
     """Run the four stages in workdir, with relative paths so that the
-    standard output of both trees can be compared."""
+    standard output of both trees can be compared; returns each stage's
+    wall time and peak RSS."""
     env = dict(os.environ)
     env.pop("NULLFOLIATE_THREADS", None)
     env.update(THREAD_ENV)
@@ -76,14 +104,8 @@ def run_case(src, workdir, gen_args, solve_args):
                   "--out", "reports"],
     }
     workdir.mkdir(parents=True)
-    for stage, argv in stages.items():
-        proc = subprocess.run([sys.executable, "-m", "nullfoliate.cli", *argv],
-                              cwd=workdir, env=env, capture_output=True)
-        (workdir / f"{stage}.out").write_bytes(
-            proc.stdout + f"exit {proc.returncode}\n".encode())
-        if proc.returncode != 0:
-            print(f"{workdir}: {stage} exited {proc.returncode}",
-                  file=sys.stderr)
+    return {stage: run_stage(argv, workdir, env, workdir / f"{stage}.out")
+            for stage, argv in stages.items()}
 
 
 def differing(a, b):
@@ -238,8 +260,12 @@ def main(argv):
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for case, (gen_args, solve_args) in CASES.items():
             a, b = Path(tmp) / "parent" / case, Path(tmp) / "change" / case
-            run_case(parent, a, gen_args, solve_args)
-            run_case(change, b, gen_args, solve_args)
+            cost_a = run_case(parent, a, gen_args, solve_args)
+            cost_b = run_case(change, b, gen_args, solve_args)
+            for stage, (wall_a, rss_a) in cost_a.items():
+                wall_b, rss_b = cost_b[stage]
+                print(f"{case} {stage}: parent {wall_a:.2f} s {rss_a:.1f} MB"
+                      f", change {wall_b:.2f} s {rss_b:.1f} MB")
             diff = differing(a, b)
             n_files += sum(1 for p in a.rglob("*") if p.is_file())
             n_diff += len(diff)
