@@ -15,7 +15,7 @@ from . import container, diagnostics, geodesic, solver
 from .errors import (BreakdownError, ConfigurationError, DatasetError,
                      NonConvergenceError, NonFiniteIterateError,
                      NullfoliateError)
-from .reports import _fmt, write_json
+from .reports import _fmt, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,11 +177,9 @@ def cmd_convergence(args):
     rows, orders, slope = diagnostics.convergence_study(
         data, exact, base, dvs, v_end=args.v_end)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "convergence.csv"), "w") as fh:
-        fh.write("dv,error,order\n")
-        for i, (dv, err) in enumerate(rows):
-            order = "" if i == 0 else _fmt(orders[i - 1])
-            fh.write(f"{_fmt(dv)},{_fmt(err)},{order}\n")
+    write_csv(os.path.join(args.out, "convergence.csv"),
+              ("dv", "error", "order"),
+              [(*row, order) for row, order in zip(rows, ["", *orders])])
     print("convergence study (dv, error, observed order):")
     for i, (dv, err) in enumerate(rows):
         extra = "" if i == 0 else f"  order {orders[i - 1]:.3f}"

@@ -40,11 +40,6 @@ class CanonicalCoefficients(Geometry):
     mu: SpinField
 
 
-def upsilon(s: SpinField, metric: MetricRep) -> OneForm:
-    """Tilt 1-form between the foliations: the graph-metric gradient of s."""
-    return grad(s, metric)
-
-
 def canonical_connection(geo: Geometry, s: SpinField, logOmega: SpinField,
                          Ups: OneForm, ups2: SpinField):
     """Connection coefficients of the canonical foliation at one leaf.
@@ -57,9 +52,9 @@ def canonical_connection(geo: Geometry, s: SpinField, logOmega: SpinField,
 
     geo is the geodesic Geometry at the heights s, as
     GeodesicNullData.geometry_at reads it; its metric is that of the leaf.
-    Ups = upsilon(s, geo.metric) and ups2 = |Upsilon|^2.  nabla_L Upsilon
-    = -grad log Omega - chi . Upsilon is the exact algebraic transport
-    identity.  Returns (trchi, chib, zeta, etab).
+    Ups = grad(s, geo.metric) is the tilt and ups2 = |Upsilon|^2.  nabla_L
+    Upsilon = -grad log Omega - chi . Upsilon is the exact algebraic
+    transport identity.  Returns (trchi, chib, zeta, etab).
     """
     metric, trchi, zeta_g = geo.metric, geo.trchi, geo.zeta
     chi_ups = OneForm(0.5 * multiply(trchi, Ups.plus))
@@ -110,7 +105,7 @@ def reconstruct(data: GeodesicNullData, s: SpinField, logOmega: SpinField,
     The geodesic tables are read once, at the heights s.
     """
     geo = data.geometry_at(np.real(s.samples))
-    Ups = upsilon(s, geo.metric)
+    Ups = grad(s, geo.metric)  # the tilt between the foliations
     ups2 = Ups.norm2()
     trchi, chib, zeta, etab = canonical_connection(geo, s, logOmega, Ups,
                                                    ups2)

@@ -22,11 +22,17 @@ reconstruction), and along the generators both integrate a stack of leaves
 with one quadrature, Clenshaw-Curtis on the s-nodes of the dataset and
 Simpson on the v-levels of the reconstruction.
 
-Every size is taken from a pointwise magnitude, tensors.magnitude: |x| =
-sqrt(sum w |c|^2) over the samples of the stored components, with the one
-set of weights of tensors.components.  No product is formed for it, so
-nothing of |x|^2 above the band limit is dropped.  A residual row is
-tensors.sizes of its field, as in geodesic.validate.
+Every size on a leaf's own measure is taken from a pointwise magnitude,
+tensors.magnitude: |x| = sqrt(sum w |c|^2) over the samples of the stored
+components, with the one set of weights of tensors.components.  No product
+is formed for it, so nothing of |x|^2 above the band limit is dropped.  A
+residual row is tensors.sizes of its field, as in geodesic.validate.  A
+norm on the round reference (H^s, B^0) is tensors.spectral_l2, a weighted
+sum of |a_lm|^2 over the same components (Parseval), so no piece is
+synthesised for it.  The dyadic partition is stated once, lp_partition: B^0
+weights the coefficients by its squared multipliers, and P^0_v and
+Q^{1/2}_v, which measure the pieces on the leaf metrics, project and
+synthesise each piece once for both.
 
 Transport residuals differentiate the reconstructed spin components along the
 generators, nabla_L = Omega d/dv at fixed angle, with centered finite
@@ -45,7 +51,7 @@ from .geodesic import gauss_codazzi, null_transport
 from .reports import NormReport, ResidualReport
 from .sphere import SpinField, eth, ethbar
 from .tensors import (components, div, grad, hodge_D1, laplacian, lq_level,
-                      magnitude, mean, multiply, rebuild, sizes)
+                      magnitude, mean, multiply, rebuild, sizes, spectral_l2)
 
 _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
                  4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
@@ -199,57 +205,43 @@ def lp_phi(t):
     return chi_t - chi_2t
 
 
-def _lp_multiplier(grid, k):
-    ls = np.arange(grid.Lmax + 1, dtype=float)
-    lam = np.sqrt(ls * (ls + 1.0))
-    if k == "minus":
-        m = np.zeros_like(lam)
-        m[0] = 1.0
-        return m
-    return lp_phi(2.0 ** (-float(k)) * lam)
-
-
-def lp_project(f, k):
-    """P_k f (spectral multiplier in sqrt(l(l+1))); k='minus' gives P_{<0}."""
-    def proj(comp):
-        m = _lp_multiplier(comp.grid, k)
-        return SpinField.from_coeffs(comp.grid, comp.spin,
-                                     comp.coeffs * m[:, None])
-    return proj(f) if isinstance(f, SpinField) else f._map(proj)
-
-
-def lp_kmax(grid):
-    lam_max = np.sqrt(grid.Lmax * (grid.Lmax + 1.0))
-    return int(np.ceil(np.log2(2.0 * lam_max))) + 1
-
-
-def _l2_round(x):
-    total = 0.0
-    for comp, w in components(x):
-        total += w * comp.l2_round() ** 2
-    return np.sqrt(total)
+def lp_partition(grid):
+    """The dyadic partition of unity in sqrt(l(l+1)) on the degrees of
+    grid, stated once: (k, multiplier per degree l) for k = 'minus'
+    (P_{<0}, the l = 0 mode), then k = 0 .. kmax, the last k whose bump
+    reaches the grid's top degree."""
+    lam = np.sqrt(grid.eigenvalues)
+    minus = np.zeros_like(lam)
+    minus[0] = 1.0
+    kmax = int(np.ceil(np.log2(2.0 * lam[-1]))) + 1
+    return [("minus", minus)] + [(k, lp_phi(2.0 ** (-float(k)) * lam))
+                                 for k in range(kmax + 1)]
 
 
 def _dyadic(f):
-    """(k, P_k f) for k = 'minus' (P_{<0}), then k = 0 .. lp_kmax."""
-    yield "minus", lp_project(f, "minus")
-    for k in range(lp_kmax(components(f)[0][0].grid) + 1):
-        yield k, lp_project(f, k)
+    """(k, P_k f) over lp_partition, each multiplier applied to the
+    coefficients of every stored component of f."""
+    for k, mult in lp_partition(components(f)[0][0].grid):
+        def proj(c):
+            return SpinField.from_coeffs(c.grid, c.spin,
+                                         c.coeffs * mult[:, None])
+        yield k, proj(f) if isinstance(f, SpinField) else f._map(proj)
 
 
-def besov_B0(f) -> float:
-    """B^0 norm: sum_k ||P_k f||_{L2} + ||P_{<0} f||_{L2} (round reference)."""
-    return float(sum(_l2_round(p) for _, p in _dyadic(f)))
+def besov_B0(f):
+    """B^0 norm: sum_k ||P_k f||_{L2} + ||P_{<0} f||_{L2} (round reference),
+    one value per field of a stack.  By Parseval ||P_k f||^2 sums
+    multiplier^2 |a_lm|^2, which the grid's quadrature of |P_k f|^2 (band
+    2 Lmax) gives exactly, so no piece is synthesised."""
+    return sum(spectral_l2(
+        f, [mult ** 2 for _, mult in lp_partition(components(f)[0][0].grid)]))
 
 
-def Hs_norm(f, s_exp) -> float:
-    """H^s norm with the round-reference multiplier (1 + l(l+1))^{s/2}."""
-    total = 0.0
-    for comp, w in components(f):
-        ls = np.arange(comp.grid.Lmax + 1, dtype=float)
-        mult = (1.0 + ls * (ls + 1.0)) ** s_exp
-        total += w * float(np.sum(mult[:, None] * np.abs(comp.coeffs) ** 2))
-    return float(np.sqrt(total))
+def Hs_norm(f, s_exp):
+    """H^s norm with the round-reference multiplier (1 + l(l+1))^{s/2}, one
+    value per field of a stack."""
+    lam = components(f)[0][0].grid.eigenvalues
+    return spectral_l2(f, [(1.0 + lam) ** s_exp])[0]
 
 
 # --------------------------------------------------------------------------
@@ -270,13 +262,18 @@ def simpson_weights(v_nodes):
     return w
 
 
-def mixed_norm(field, metric, w, p, q) -> float:
-    """|| F ||_{L^p L^q} of a stack of leaves: leafwise L^q, then L^p along
-    the generators with the quadrature weights w at the leaves."""
-    per = lq_level(magnitude(field), metric, q)
+def _along(per, w, p) -> float:
+    """L^p along the generators of per-leaf values, with the quadrature
+    weights w at the leaves."""
     if np.isinf(p):
         return float(np.max(per))
     return float(np.sum(w * per ** p) ** (1.0 / p))
+
+
+def mixed_norm(field, metric, w, p, q) -> float:
+    """|| F ||_{L^p L^q} of a stack of leaves: leafwise L^q, then L^p along
+    the generators with the quadrature weights w at the leaves."""
+    return _along(lq_level(magnitude(field), metric, q), w, p)
 
 
 def trace_norm(field, metric, w, q, p) -> float:
@@ -290,18 +287,18 @@ def trace_norm(field, metric, w, q, p) -> float:
     return float(lq_level(gen, metric[0], q))
 
 
-def P0v_norm(field, metric, w) -> float:
-    """P^0_v norm: sum_k ||P_k F||_{L^2_v L^2} + ||P_{<0} F||_{L^2_v L^2}."""
-    return float(sum(mixed_norm(p, metric, w, 2, 2)
-                     for _, p in _dyadic(field)))
-
-
-def Q12v_norm(field, metric, w) -> float:
-    """Q^{1/2}_v norm: (sum_k 2^k ||P_k F||^2_{Linf_v L2} + ||P_<0 F||^2)^{1/2}."""
-    total = sum((1.0 if k == "minus" else 2.0 ** k)
-                * mixed_norm(p, metric, w, np.inf, 2) ** 2
-                for k, p in _dyadic(field))
-    return float(np.sqrt(total))
+def besov_v_norms(field, metric, w):
+    """(P^0_v, Q^{1/2}_v) of a stack of leaves, each dyadic piece projected
+    and measured once (leafwise L^2_g, weights w along the generators):
+    P^0_v = sum_k ||P_k F||_{L^2_v L^2} + ||P_{<0} F||_{L^2_v L^2} and
+    Q^{1/2}_v = (sum_k 2^k ||P_k F||^2_{Linf_v L2} + ||P_<0 F||^2)^{1/2}."""
+    p0v = q12v = 0.0
+    for k, piece in _dyadic(field):
+        per = lq_level(magnitude(piece), metric, 2)
+        p0v += _along(per, w, 2)
+        q12v += ((1.0 if k == "minus" else 2.0 ** k)
+                 * _along(per, w, np.inf) ** 2)
+    return p0v, float(np.sqrt(q12v))
 
 
 # --------------------------------------------------------------------------
@@ -469,8 +466,9 @@ def norm_suite(data, co) -> NormReport:
     })
 
     # representative v-integrated Besov constituents
-    rep.set("O.P0v_zeta", P0v_norm(co.zeta, g, wv))
-    rep.set("O.Q12v_zeta", Q12v_norm(co.zeta, g, wv))
+    p0v, q12v = besov_v_norms(co.zeta, g, wv)
+    rep.set("O.P0v_zeta", p0v)
+    rep.set("O.Q12v_zeta", q12v)
     return rep
 
 

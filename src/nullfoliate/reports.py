@@ -10,6 +10,15 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def write_csv(path, header, rows):
+    """Write a CSV report: the header, then one line per row, each str or
+    int cell written by str and every other cell, a number, by _fmt."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c)
+                              for c in row) + "\n")
+
+
 def write_json(path, payload):
     """Write payload as JSON: sorted keys, indent 1, a final newline."""
     with open(path, "w") as fh:
@@ -58,13 +67,10 @@ class ResidualReport:
         return all(flags.values()) if flags else True
 
     def to_csv(self, path):
-        tol = self.tolerance_used
-        flags = self.pass_flags() if tol is not None else {}
-        with open(path, "w") as fh:
-            fh.write("name,v,max_norm,L2_norm,pass\n")
-            for name, v, mx, l2 in self.rows:
-                ok = "" if tol is None else str(bool(flags[name])).lower()
-                fh.write(f"{name},{_fmt(v)},{_fmt(mx)},{_fmt(l2)},{ok}\n")
+        flags = {} if self.tolerance_used is None else {
+            name: str(ok).lower() for name, ok in self.pass_flags().items()}
+        write_csv(path, ("name", "v", "max_norm", "L2_norm", "pass"),
+                  [(*row, flags.get(row[0], "")) for row in self.rows])
 
     def summary(self):
         """Worst residual (formatted) and pass flag of each equation."""
@@ -96,10 +102,7 @@ class NormReport:
         return self.values[name]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("name,value\n")
-            for name in sorted(self.values):
-                fh.write(f"{name},{_fmt(self.values[name])}\n")
+        write_csv(path, ("name", "value"), sorted(self.values.items()))
 
     def to_json(self, path):
         write_json(path, {k: _fmt(v) for k, v in self.values.items()})

@@ -17,7 +17,10 @@ transform and one generator read per block.  M_n and Delta_n are formed per
 LAPSE_BLOCK levels too, one analysis of four differences each: a
 whole-window analysis makes full-size temporaries that cost more than its
 arithmetic and set the solve's peak memory, while a stacked analysis gives
-each field the same bits at any stack size of 2 or more.
+each field the same bits at any stack size of 2 or more.  The Sobolev sums
+are tensors.spectral_l2 of the analysed block with the weights
+(l(l+1))^p, the round-sphere norm the norm suite takes too; the block's
+coefficients live only for that call.
 
 Stopping rule.  A sweep is accepted when Delta_n <= tol.  The monitor tracks
 two derivatives, so it weights coefficient roundoff by up to l(l+1) and
@@ -39,9 +42,10 @@ from .errors import (BreakdownError, ConfigurationError, DatasetError,
                      LapseBoundError, NonConvergenceError,
                      NonFiniteIterateError, OutOfDomainError)
 from .geodesic import GeodesicNullData
-from .reports import _fmt
+from .reports import write_csv
 from .sphere import SpinField, multiply, raw_analyze
-from .tensors import MetricRep, OneForm, dot, grad, invert_laplacian, laplacian
+from .tensors import (MetricRep, OneForm, dot, grad, invert_laplacian,
+                      laplacian, spectral_l2)
 
 # v-levels per stacked lapse solve: larger blocks amortise per-call overhead,
 # smaller ones bound the memory of the stacked temporaries
@@ -114,19 +118,12 @@ class Foliation:
     def max_omega_dev(self):
         return float(np.max(np.abs(np.exp(self.logOmega) - 1.0)))
 
-    def trace_rows(self):
-        rows = []
-        for w, win in enumerate(self.windows):
-            for n in range(win.iterations):
-                rows.append((w, n + 1, win.M_trace[n], win.Delta_trace[n],
-                             win.kappa))
-        return rows
-
     def write_trace_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("window,n,M_n,Delta_n,kappa\n")
-            for w, n, M, D, k in self.trace_rows():
-                fh.write(f"{w},{n},{_fmt(M)},{_fmt(D)},{_fmt(k)}\n")
+        """One row per Picard sweep of every accepted window."""
+        write_csv(path, ("window", "n", "M_n", "Delta_n", "kappa"),
+                  [(w, n + 1, win.M_trace[n], win.Delta_trace[n], win.kappa)
+                   for w, win in enumerate(self.windows)
+                   for n in range(win.iterations)])
 
     def save(self, path):
         """Write the foliation as a "foliation" container (see container)."""
@@ -232,14 +229,11 @@ def cumulative_integral(values, dv):
     return out
 
 
-def _sobolev_sum(coeffs):
-    """sum_{p <= 2} ||grad_ring^p f||_{L2(round)} per field of a stack of
-    spin-0 coefficients (..., l, m)."""
-    lam = np.arange(coeffs.shape[-2], dtype=float)
-    lam = lam * (lam + 1.0)
-    power = np.abs(coeffs) ** 2
-    return sum(np.sqrt(np.sum(lam[:, None] ** p * power, axis=(-2, -1)))
-               for p in range(3))
+def _sobolev_sum(f):
+    """sum_{p <= 2} ||grad_ring^p f||_{L2(round)} per field of a stack f of
+    spin-0 fields: spectral_l2 with the weights (l(l+1))^p."""
+    lam = f.grid.eigenvalues
+    return sum(spectral_l2(f, [lam ** p for p in range(3)]))
 
 
 def roundoff_floor(Lmax, sup):
@@ -295,7 +289,9 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
             b = slice(j, j + LAPSE_BLOCK)
             d = np.stack([s[b] - s0, logOm[b], s[b] - s_prev[b],
                           logOm[b] - logOm_prev[b]])  # (4, levels, ...)
-            sob = _sobolev_sum(raw_analyze(grid, d, 0))
+            # the coefficients live only inside _sobolev_sum
+            sob = _sobolev_sum(SpinField.from_coeffs(
+                grid, 0, raw_analyze(grid, d, 0)))
             sup = np.max(np.abs(d), axis=(-2, -1))
             per_block.append([np.max(sob[k] + sob[k + 1] + sup[k]
                                      + sup[k + 1]) for k in (0, 2)])

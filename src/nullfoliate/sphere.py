@@ -34,7 +34,9 @@ transform folds the stack into the columns of its one Legendre matmul and its
 one Fourier matmul, so a stack costs two matrix products, not one pair per
 field (the real path below loops its DFT over the leaves).  SpinField,
 multiply and Grid.integrate broadcast over the stack; a 2-D field takes the
-same arithmetic as before the stack axis existed.
+same arithmetic as before the stack axis existed.  Grid.integrate is the
+grid's one quadrature; a round-sphere L2 norm needs none, since
+tensors.spectral_l2 reads it from the coefficients (Parseval).
 
 Zeros.  Spherically symmetric data carry identically zero fields (the
 tracefree part of chib, zeta, beta, sigma, betab), and the tracefree parts
@@ -103,19 +105,19 @@ class Grid:
     def nphi(self):
         return 2 * self.Lmax + 1
 
+    @property
+    def eigenvalues(self):
+        """l(l+1) for l = 0 .. Lmax: -Delta_ring on the degree-l harmonics."""
+        ls = np.arange(self.Lmax + 1, dtype=float)
+        return ls * (ls + 1.0)
+
     def integrate(self, samples):
         """Quadrature of samples against the round measure dOmega.
 
         A stack (..., ntheta, nphi) gives an array, one value per field.
         """
-        samples = np.asarray(samples)
-        val = np.sum(self.weights * samples.mean(axis=-1), axis=-1)
-        if samples.ndim > 2:
-            return val
-        if np.iscomplexobj(samples):
-            return complex(val) if abs(val.imag) > 1e-13 * (abs(val.real) + 1.0) \
-                else float(val.real)
-        return float(val)
+        return np.sum(self.weights * np.asarray(samples).mean(axis=-1),
+                      axis=-1)
 
 
 _GRIDS: dict = {}
@@ -424,11 +426,6 @@ class SpinField:
 
     # ---- measurements ------------------------------------------------------
 
-    def l2_round(self):
-        """L2 norm against the round measure."""
-        return float(np.sqrt(max(self.grid.integrate(
-            np.abs(self.samples) ** 2), 0.0)))
-
     def max_abs(self):
         return float(np.max(np.abs(self.samples)))
 
@@ -445,13 +442,12 @@ def ethbar(f: SpinField) -> SpinField:
                      coeffs=ladder_lower(f.coeffs, f.spin, f.grid.Lmax))
 
 
-def laplacian_round(f: SpinField, R: float = 1.0) -> SpinField:
-    """Round-sphere Laplacian of radius R: multiplies (l,m) by -l(l+1)/R^2."""
+def laplacian_round(f: SpinField) -> SpinField:
+    """Unit round-sphere Laplacian: multiplies (l,m) by -l(l+1)."""
     if f.spin != 0:
         raise UnsupportedSpinError("laplacian_round acts on spin-0 fields")
-    ls = np.arange(f.grid.Lmax + 1)
     return SpinField(f.grid, 0,
-                     coeffs=f.coeffs * (-(ls * (ls + 1.0)) / R ** 2)[:, None])
+                     coeffs=f.coeffs * (-f.grid.eigenvalues)[:, None])
 
 
 def pad_Lmax(Lmax: int) -> int:

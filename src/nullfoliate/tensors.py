@@ -10,8 +10,10 @@ one product and takes its real or imaginary part, e.g. a.b = 2 Re(a_m
 conj(b_m)), and each derivative is one conformal eth.  A size needs no
 product: |x| is taken pointwise from the samples (magnitude), and every
 residual is sized from it, by its max and its L2 norm on the g-measure
-(sizes).  rebuild makes a field or tensor of the same kind from new samples
-of each stored component, as a derivative along a stack gives them.
+(sizes).  A norm on the round reference sphere is read from the
+coefficients instead, by Parseval (spectral_l2).  rebuild makes a field or
+tensor of the same kind from new samples of each stored component, as a
+derivative along a stack gives them.
 
 All covariant operators reduce to the round eth ladder with conformal weights,
 
@@ -206,6 +208,20 @@ def sizes(x, metric):
     return np.max(a, axis=(-2, -1)), lq_level(a, metric, 2)
 
 
+def spectral_l2(x, weights):
+    """[sqrt(sum w sum_lm weight[l] |a_lm|^2) over components(x) for each
+    weight of weights], one value per field of a stack in each: the
+    round-sphere L2 norms of the degree multipliers sqrt(weight) applied to
+    x, read from the coefficients (Parseval) with no synthesis.  |a_lm|^2
+    is formed once per component for all the weights."""
+    totals = [0.0] * len(weights)
+    for c, w in components(x):
+        power = np.abs(c.coeffs) ** 2
+        for i, weight in enumerate(weights):
+            totals[i] += w * np.sum(weight[:, None] * power, axis=(-2, -1))
+    return [np.sqrt(t) for t in totals]
+
+
 def dot(a, b) -> SpinField:
     """Full contraction of two 1-forms (spin-0): 2 Re(a_m conj(b_m))."""
     if isinstance(a, OneForm) and isinstance(b, OneForm):
@@ -281,14 +297,7 @@ def hessian(f: SpinField, g: MetricRep) -> SymTwoTensor:
 
 def mean(f: SpinField, g: MetricRep):
     """Average of f against the g-measure; one value per field of a stack."""
-    dens = g.sqrt_det()
-    x = f.samples
-    re = g.grid.integrate(np.real(x) * dens)
-    if np.iscomplexobj(x):
-        im = g.grid.integrate(np.imag(x) * dens)
-        if np.any(np.abs(im) > 1e-13 * (np.abs(re) + 1.0)):
-            return (re + 1j * im) / g.area
-    return re / g.area
+    return g.grid.integrate(f.samples * g.sqrt_det()) / g.area
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +318,7 @@ def invert_laplacian(f: SpinField, g: MetricRep) -> SpinField:
     """
     fm = mean(f, g)
     rhs = multiply(g.conformal_factor(2.0), f - SpinField.constant(g.grid, fm))
-    ls = np.arange(g.grid.Lmax + 1, dtype=float)
-    inv = np.zeros_like(ls)
-    inv[1:] = -1.0 / (ls[1:] * (ls[1:] + 1.0))
+    inv = np.zeros(g.grid.Lmax + 1)
+    inv[1:] = -1.0 / g.grid.eigenvalues[1:]
     u = SpinField.from_coeffs(g.grid, 0, rhs.coeffs * inv[:, None])
     return u - SpinField.constant(g.grid, mean(u, g))

@@ -151,9 +151,10 @@ def dLUpsilon_fd(co):
 
 
 def lp_partition_residual(f) -> float:
-    """|| (P_{<0} + sum_k P_k) f - f || on a band-limited field."""
-    return diagnostics._l2_round(
-        reduce(add, (p for _, p in diagnostics._dyadic(f))) - f)
+    """|| (P_{<0} + sum_k P_k) f - f ||_{L2(round)} on a band-limited
+    field."""
+    return diagnostics.Hs_norm(
+        reduce(add, (p for _, p in diagnostics._dyadic(f))) - f, 0.0)
 
 
 def sphericality_report(co):

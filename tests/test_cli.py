@@ -183,6 +183,20 @@ class TestVerifyAndNorms:
             (tmp_path / "rep" / "verify_summary.json").read_text())
         assert all(summary["constraint"]["pass"].values())
 
+    def test_csv_writes_every_number_by_fmt(self, tmp_path):
+        """A number of any type is written with 17 significant digits; str
+        and int cells are written as they are."""
+        from nullfoliate.reports import _fmt, write_csv
+        x = 0.1 + 0.2
+        path = tmp_path / "cells.csv"
+        write_csv(path, ("a", "b"), [(x, np.float64(x)),
+                                     (np.array(x), np.float32(x)),
+                                     ("", 7)])
+        lines = path.read_text().splitlines()
+        assert lines == ["a,b", f"{_fmt(x)},{_fmt(x)}",
+                         f"{_fmt(x)},{_fmt(np.float32(x))}", ",7"]
+        assert _fmt(x) == "0.30000000000000004"
+
     def test_strict_failure_exits_4(self, workspace, tmp_path):
         """Corrupting the stored lapse must trip --strict verification."""
         from nullfoliate import geodesic, solver

@@ -137,7 +137,7 @@ class TestCurvatureComparison:
         g = data.grid
         s = SpinField.from_samples(g, 0, np.full(g.shape, 1.7))
         geo = data.geometry_at(np.real(s.samples))
-        U = comparison.upsilon(s, geo.metric)
+        U = grad(s, geo.metric)
         beta, rho, sigma, betab = comparison.canonical_curvature(
             geo, U, U.norm2())
         assert np.max(np.abs(rho.samples - (-0.2 / 1.7 ** 3))) < 1e-12
@@ -153,7 +153,7 @@ class TestCurvatureComparison:
         prof = 0.03 * random_real_scalar(g, seed=11, lmax=2)
         s = SpinField.from_samples(g, 0, 1.5 + np.real(prof.samples))
         geo = data.geometry_at(np.real(s.samples))
-        U = comparison.upsilon(s, geo.metric)
+        U = grad(s, geo.metric)
         beta, rho, sigma, betab = comparison.canonical_curvature(
             geo, U, U.norm2())
         assert (betab + 3.0 * U).max_abs() < 1e-12

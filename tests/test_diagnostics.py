@@ -128,8 +128,8 @@ class TestLittlewoodPaley:
     def test_besov_of_y40_matches_multiplier(self, grid12):
         """B0(Y40) = sum_k phi(2^-k sqrt(20)), with at most two nonzero
         terms of the dyadic partition."""
-        vals = [diagnostics.lp_phi(2.0 ** (-k) * np.sqrt(20.0))
-                for k in range(diagnostics.lp_kmax(grid12) + 1)]
+        ks = [k for k, _ in diagnostics.lp_partition(grid12)][1:]
+        vals = [diagnostics.lp_phi(2.0 ** (-k) * np.sqrt(20.0)) for k in ks]
         nonzero = [v for v in vals if v > 1e-14]
         assert len(nonzero) <= 2
         expect = sum(vals)
@@ -341,7 +341,8 @@ class TestPointwiseMagnitude:
         grid = build_grid(Lmax)
         x = _tensor_of_kind(grid, kind, seed, lmax=Lmax)
         got = grid.integrate(magnitude(x) ** 2)
-        for want in (diagnostics._l2_round(x) ** 2,
+        for want in (sum(w * grid.integrate(np.abs(c.samples) ** 2)
+                         for c, w in diagnostics.components(x)),
                      diagnostics.Hs_norm(x, 0.0) ** 2):
             assert abs(got - want) <= 1e-13 * want
 
@@ -367,6 +368,87 @@ class TestPointwiseMagnitude:
             ** 2 * np.exp(2.0 * on_fine(psi).samples.real))
         got = tensors.sizes(x, MetricRep(grid, psi=psi))[1] ** 2
         assert abs(got - want) <= 1e-3 * want
+
+
+def _stack(xs):
+    """One stack of the fields, 1-forms or 2-tensors xs, all of one kind."""
+    def stacked(*cs):
+        return SpinField.from_coeffs(cs[0].grid, cs[0].spin,
+                                     np.stack([c.coeffs for c in cs]))
+    if isinstance(xs[0], SpinField):
+        return stacked(*xs)
+    return xs[0]._map(stacked, *xs[1:])
+
+
+def _besov_B0_synthesised(x):
+    """B^0 by the recipe that Parseval replaced: project each stored
+    component by each multiplier of the partition, synthesise the piece,
+    and integrate its weighted |.|^2 on the grid, one value per field."""
+    grid = diagnostics.components(x)[0][0].grid
+    total = 0.0
+    for _, mult in diagnostics.lp_partition(grid):
+        square = sum(w * grid.integrate(np.abs(SpinField.from_coeffs(
+            grid, c.spin, c.coeffs * mult[:, None]).samples) ** 2)
+            for c, w in diagnostics.components(x))
+        total = total + np.sqrt(square)
+    return total
+
+
+class TestBesovByParseval:
+    @settings(max_examples=24, deadline=None)
+    @given(Lmax=st.sampled_from([8, 15, 23]),
+           kind=st.sampled_from(["scalar", "oneform", "tensor"]),
+           n=st.integers(2, 4), seed=st.integers(0, 2 ** 30))
+    def test_parseval_equals_the_synthesised_pieces(self, Lmax, kind, n,
+                                                    seed):
+        """|P_k x|^2 has band 2 Lmax, which the grid integrates exactly, so
+        the coefficient sums give every field of a stack its B^0 norm."""
+        grid = build_grid(Lmax)
+        x = _stack([_tensor_of_kind(grid, kind, seed + 2 * i, lmax=Lmax)
+                    for i in range(n)])
+        got = diagnostics.besov_B0(x)
+        want = _besov_B0_synthesised(x)
+        assert got.shape == want.shape == (n,)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_several_weights_have_the_bits_of_one_weight_each(self):
+        """spectral_l2 forms |a_lm|^2 once for all its weights; each norm
+        keeps the bits of a call with that weight alone."""
+        grid = build_grid(15)
+        x = _stack([_tensor_of_kind(grid, "tensor", seed, lmax=15)
+                    for seed in range(3)])
+        weights = [grid.eigenvalues ** p for p in range(3)]
+        together = tensors.spectral_l2(x, weights)
+        for weight, got in zip(weights, together):
+            assert np.array_equal(got, tensors.spectral_l2(x, [weight])[0])
+
+    def test_hs_norm_of_a_stack_is_one_value_per_field(self):
+        """H^s, like B^0, gives a stack one value per field."""
+        grid = build_grid(8)
+        xs = [OneForm(random_spin_field(grid, 1, seed)) for seed in range(3)]
+        got = diagnostics.Hs_norm(_stack(xs), 0.5)
+        want = np.array([diagnostics.Hs_norm(x, 0.5) for x in xs])
+        assert got.shape == (3,)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_one_pass_equals_the_two_mixed_norm_passes(self):
+        """P^0_v and Q^{1/2}_v from one projection of each piece have the
+        bits of the two separate sums of mixed_norm over the pieces."""
+        grid = build_grid(8)
+        zeta = _stack([OneForm(random_spin_field(grid, 1, seed))
+                       for seed in range(5)])
+        metric = MetricRep(grid, psi=_stack(
+            [0.01 * random_real_scalar(grid, seed, lmax=4)
+             for seed in range(5, 10)]))
+        w = diagnostics.simpson_weights(np.linspace(1.0, 2.0, 5))
+        pieces = list(diagnostics._dyadic(zeta))
+        p0v = float(sum(diagnostics.mixed_norm(p, metric, w, 2, 2)
+                        for _, p in pieces))
+        q12v = float(np.sqrt(sum(
+            (1.0 if k == "minus" else 2.0 ** k)
+            * diagnostics.mixed_norm(p, metric, w, np.inf, 2) ** 2
+            for k, p in pieces)))
+        assert diagnostics.besov_v_norms(zeta, metric, w) == (p0v, q12v)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,8 @@ import pytest
 
 from nullfoliate import geodesic
 from nullfoliate.errors import ConfigurationError, DatasetError
-from nullfoliate.sphere import GeneratorPack, SpinField, interp_generator
+from nullfoliate.sphere import (GeneratorPack, SpinField, build_grid,
+                               interp_generator)
 from nullfoliate.tensors import (MetricRep, OneForm, SymTwoTensor, laplacian,
                                  mean)
 
@@ -236,6 +237,18 @@ class TestValidateDetector:
 
 
 class TestManufactured:
+    def test_zonal_profile_is_y_l0(self):
+        """profile_m = 0 takes the zonal harmonic Y_l0 itself: unit L2 on
+        the round sphere and constant along every circle of latitude."""
+        spec = geodesic.MmsSpec(Lmax=8, n_s=24, profile_l=2, profile_m=0)
+        grid = build_grid(spec.Lmax)
+        G = geodesic._real_harmonic_samples(grid, spec.profile_l,
+                                            spec.profile_m)
+        assert abs(grid.integrate(G ** 2) - 1.0) < 1e-13
+        assert np.max(np.ptp(G, axis=-1)) < 1e-14
+        data, _ = geodesic.gen_manufactured(spec)
+        assert geodesic.validate(data).all_pass()
+
     def test_zero_amplitude_degenerates(self):
         spec = geodesic.MmsSpec(epsilon=0.0, Lmax=8, n_s=24,
                                 profile_l=2, profile_m=2)

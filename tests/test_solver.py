@@ -444,7 +444,7 @@ class TestBuildingBlocks:
 
         # source assembly is lapse-independent
         logom = SpinField.from_coeffs(g, 0, np.zeros(g.shape))
-        ups = comparison.upsilon(sf, met)
+        ups = grad(sf, met)
         _, _, zeta, _ = comparison.canonical_connection(
             geo, sf, logom, ups, ups.norm2())
         _, rho, _, _ = comparison.canonical_curvature(geo, ups, ups.norm2())
@@ -472,9 +472,15 @@ class TestBuildingBlocks:
 def whole_window_monitor(grid, sa, la, sb, lb):
     """Largest per-level order-2 Sobolev sum plus sup of the differences, in
     one analysis of the whole window: the reference for picard_window's
-    per-block monitor."""
+    per-block monitor.  The Sobolev sum is written out on the coefficients,
+    sum_p sqrt(sum (l(l+1))^p |a_lm|^2), apart from tensors.spectral_l2."""
     d = np.stack([sa - sb, la - lb])  # (2, levels, ntheta, nphi)
-    sob = solver._sobolev_sum(raw_analyze(grid, d, 0))
+    coeffs = raw_analyze(grid, d, 0)
+    lam = np.arange(coeffs.shape[-2], dtype=float)
+    lam = lam * (lam + 1.0)
+    power = np.abs(coeffs) ** 2
+    sob = sum(np.sqrt(np.sum(lam[:, None] ** p * power, axis=(-2, -1)))
+              for p in range(3))
     sup = np.max(np.abs(d), axis=(-2, -1))
     return float(np.max(sob[0] + sob[1] + sup[0] + sup[1]))
 
