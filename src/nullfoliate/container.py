@@ -4,12 +4,15 @@ The kinds "geodesic_data" and "foliation" share the format.
 read() validates everything and raises DatasetError; write() refuses
 non-finite arrays and is atomic: the old manifest goes first, every file is
 moved into place with os.replace, and the manifest comes last.  Each field
-is validated by a full read, then mapped read-only.  Files are only ever
-replaced, so a mapped field keeps its values; a file that another program
-rewrites in place while a command runs is outside the contract.
+is validated by a full read, in blocks of at most _CHECK_BYTES, then mapped
+read-only.  Files are only ever replaced, so a mapped field keeps its
+values; a file that another program rewrites in place while a command runs
+is outside the contract.  release() hands a mapped field's resident pages
+back once a caller holds its own copy of what it reads.
 """
 
 import json
+import mmap
 import os
 from collections import namedtuple
 
@@ -34,6 +37,9 @@ _KINDS = {
 
 # fields tabulated on one sphere; all others are (n_nodes, ntheta, nphi)
 _SPHERE_FIELDS = {"mms_G"}
+
+# bytes of a field that the finiteness check of read() holds at once
+_CHECK_BYTES = 1 << 16
 
 
 Contents = namedtuple("Contents", "grid nodes fields meta")
@@ -109,13 +115,32 @@ def _read_field(path, entry, want):
     fpath = os.path.join(path, fname)
     if not os.path.exists(fpath):
         raise DatasetError(f"missing array file for field {name!r}")
-    arr = np.fromfile(fpath, dtype=_DTYPES[tag])
-    if arr.size != int(np.prod(want)):
-        raise DatasetError(f"field {name!r}: expected {int(np.prod(want))} "
-                           f"values, file holds {arr.size}")
-    if not _finite(arr):
-        raise DatasetError(f"field {name!r} contains non-finite values")
-    return np.memmap(fpath, dtype=_DTYPES[tag], mode="r", shape=want)
+    dtype, count = _DTYPES[tag], int(np.prod(want))
+    holds = os.path.getsize(fpath) // dtype.itemsize
+    if holds != count:
+        raise DatasetError(f"field {name!r}: expected {count} "
+                           f"values, file holds {holds}")
+    with open(fpath, "rb") as fh:
+        buf = np.empty(min(count, _CHECK_BYTES // dtype.itemsize), dtype)
+        for start in range(0, count, buf.size):
+            block = buf[:min(buf.size, count - start)]
+            fh.readinto(block)
+            if not _finite(block):
+                raise DatasetError(
+                    f"field {name!r} contains non-finite values")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.ndarray(want, dtype, buffer=mapped)
+
+
+def release(*arrays):
+    """Hand back the resident pages of each array mapped by read(); its
+    values stay readable and are read from its file again when next
+    touched.  Any other array is left as it is."""
+    for arr in arrays:
+        while isinstance(arr, np.ndarray):
+            arr = arr.base
+        if isinstance(arr, mmap.mmap):
+            arr.madvise(mmap.MADV_DONTNEED)
 
 
 def read(path, kind, Lmax=None) -> Contents:

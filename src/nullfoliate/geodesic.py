@@ -111,10 +111,15 @@ class GeodesicNullData:
 
     @cached_property
     def _source_pack(self):
+        """The lapse source tables, packed once per dataset.  The pack is
+        their one copy in memory: the F tables are formed for it and not
+        kept, and the pages of a table mapped from a file are released."""
         tables = [self.psi, self.F1_table]
         if not self.has_prescribed_forcing:
             tables += [self.F2_table, self.F3_table, self.F4_table]
-        return GeneratorPack(self.s_nodes, tables)
+        pack = GeneratorPack(self.s_nodes, tables)
+        container.release(*tables)
+        return pack
 
     def source_at(self, s_eval):
         """(psi, F1, F2, F3, F4) of the lapse equation at heights s_eval.
@@ -171,7 +176,7 @@ class GeodesicNullData:
         """Spectral s-derivative of a tabulated field along the generators."""
         return np.tensordot(self._dds, table, axes=(1, 0))
 
-    @cached_property
+    @property
     def F1_table(self):
         """F'_1 = -Div' zeta' + rho' per node, or the real prescribed forcing
         itself on manufactured data."""
@@ -180,7 +185,7 @@ class GeodesicNullData:
         geo = self.slab()
         return -div(geo.zeta, geo.metric).samples + geo.rho.samples
 
-    @cached_property
+    @property
     def F2_table(self):
         """Plus component of the 1-form coefficient of Upsilon in the source.
 
@@ -193,14 +198,14 @@ class GeodesicNullData:
                 - 0.5 * grad(geo.trchi, geo.metric).plus.samples
                 + geo.beta.plus.samples)
 
-    @cached_property
+    @property
     def F3_table(self):
         """Coefficient of g' in the Upsilon.Upsilon source coefficient
         F'_3 = (trchi'^2/4) g', from the projection calculus with the
         geodesic transport equations substituted."""
         return 0.25 * self.trchi ** 2
 
-    @cached_property
+    @property
     def F4_table(self):
         """Coefficient of g' in the coefficient F'_4 = -(trchi'/2) g' that
         contracts Hess s, so that it multiplies Delta s."""

@@ -7,20 +7,27 @@ On each window [v0, v0+delta] the iteration alternates the transport update
 (4th-order cumulative quadrature on the window's uniform v-nodes) with the
 elliptic update log Omega_{n+1} = Delta^{-1} F(s_{n+1}, grad s, Delta s) at
 every node, monitoring boundedness (M_n) and contraction (Delta_n) until the
-fixed point is reached.  Accepted windows are concatenated; on
-non-contraction the window is halved, down to two dv steps, before giving up.
+fixed point is reached.  Each window is solved in the foliation's own
+arrays; on non-contraction it is halved, down to two dv steps, before
+giving up.
 
 The elliptic updates of one sweep are independent.  They are solved one after
 another in fixed blocks of LAPSE_BLOCK v-levels, each block as one stack of
 leaves (leading axis of every sample array, see sphere): one call per
-transform and one generator read per block.  M_n and Delta_n are formed per
-LAPSE_BLOCK levels too, one analysis of four differences each: a
-whole-window analysis makes full-size temporaries that cost more than its
-arithmetic and set the solve's peak memory, while a stacked analysis gives
-each field the same bits at any stack size of 2 or more.  The Sobolev sums
-are tensors.spectral_l2 of the analysed block with the weights
-(l(l+1))^p, the round-sphere norm the norm suite takes too; the block's
-coefficients live only for that call.
+transform and one generator read per block.
+
+Memory.  A sweep holds three window-sized arrays: the last graph, the lapse
+and the next graph.  exp(-log Omega) is formed in the next graph's array,
+and cumulative_integral turns it into the quadrature in place.  Each block's
+new lapse is monitored against the lapse it replaces and then written over
+it.  M_n and Delta_n are formed per block, one analysis of four differences
+each, and the seed level's terms once per window: a whole-window analysis
+makes full-size temporaries that cost more than its arithmetic and set the
+solve's peak memory, while a stacked analysis gives each field the same
+bits at any stack size of 2 or more.  The Sobolev sums are
+tensors.spectral_l2 of the analysed block with the weights (l(l+1))^p, the
+round-sphere norm the norm suite takes too; the block's coefficients live
+only for that call.
 
 Stopping rule.  A sweep is accepted when Delta_n <= tol.  The monitor tracks
 two derivatives, so it weights coefficient roundoff by up to l(l+1) and
@@ -80,7 +87,9 @@ class SolverConfig:
 @dataclass
 class WindowSolution:
     """Accepted Picard window with its iteration trace; s and logOmega are
-    (steps+1, ntheta, nphi) sample stacks on v_nodes."""
+    (steps+1, ntheta, nphi) sample stacks on v_nodes.  In a march they are
+    views of the foliation's arrays, whose level 0 is the last level of the
+    window before."""
 
     v_nodes: np.ndarray
     s: np.ndarray
@@ -116,7 +125,18 @@ class Foliation:
         return SpinField.from_samples(self.grid, 0, self.logOmega[i])
 
     def max_omega_dev(self):
-        return float(np.max(np.abs(np.exp(self.logOmega) - 1.0)))
+        """max |Omega - 1| over every level, formed LAPSE_BLOCK levels at a
+        time in one reused buffer."""
+        buf = np.empty((LAPSE_BLOCK,) + self.grid.shape)
+        dev = 0.0
+        for j in range(0, self.n_levels, LAPSE_BLOCK):
+            block = self.logOmega[j:j + LAPSE_BLOCK]
+            b = buf[:len(block)]
+            np.exp(block, out=b)
+            b -= 1.0
+            np.abs(b, out=b)
+            dev = np.maximum(dev, np.max(b))
+        return float(dev)
 
     def write_trace_csv(self, path):
         """One row per Picard sweep of every accepted window."""
@@ -195,38 +215,50 @@ def cumulative_integral(values, dv):
 
     Integrates the local cubic through the four nearest nodes over each
     subinterval (Simpson's pairwise rule is only 3rd-order at odd nodes).
+    Works in place: values (float64, nodes on axis 0) is overwritten with
+    the integral from the first node and returned.  Beside it the rule
+    holds the increments of LAPSE_BLOCK subintervals and a few leaves.
     """
-    values = np.asarray(values)
     k = values.shape[0] - 1
     if k < 2 or k % 2:
         raise ValueError(f"need an even number of steps >= 2, got {k}")
-    out = np.zeros_like(values, dtype=float)
     if k == 2:
-        out[1] = dv * (5.0 * values[0] + 8.0 * values[1] - values[2]) / 12.0
-        out[2] = out[1] + dv * (-values[0] + 8.0 * values[1]
-                                + 5.0 * values[2]) / 12.0
-        return out
-    inc = np.empty_like(values, dtype=float)[:k]
+        first = dv * (5.0 * values[0] + 8.0 * values[1] - values[2]) / 12.0
+        second = dv * (-values[0] + 8.0 * values[1] + 5.0 * values[2]) / 12.0
+        values[0] = 0.0
+        values[1] = first
+        np.add(first, second, out=values[2])
+        return values
     # 5-point end rules tuned so the one-sided intervals carry the same
     # one-signed 11/720 h^5 f'''' error as the interior rule; the composite
     # error is then a clean C h^4 with no O(h^5) boundary pollution
-    inc[0] = dv * (8.0 * values[0] + 23.0 * values[1]
-                   - 11.0 * values[2] + 5.0 * values[3]
-                   - values[4]) / 24.0
-    inc[k - 1] = dv * (8.0 * values[k] + 23.0 * values[k - 1]
-                       - 11.0 * values[k - 2] + 5.0 * values[k - 3]
-                       - values[k - 4]) / 24.0
-    # the interior rule dv (-f0 + 13 f1 + 13 f2 - f3) / 24 on every interior
-    # subinterval at once, in place: 13 f1 - f0 is -f0 + 13 f1 bit for bit
-    mid = inc[1:k - 1]
-    np.multiply(13.0, values[1:k - 1], out=mid)
-    mid -= values[:k - 2]
-    mid += 13.0 * values[2:k]
-    mid -= values[3:]
-    mid *= dv
-    mid /= 24.0
-    out[1:] = np.cumsum(inc, axis=0)
-    return out
+    head = dv * (8.0 * values[0] + 23.0 * values[1]
+                 - 11.0 * values[2] + 5.0 * values[3]
+                 - values[4]) / 24.0
+    tail = dv * (8.0 * values[k] + 23.0 * values[k - 1]
+                 - 11.0 * values[k - 2] + 5.0 * values[k - 3]
+                 - values[k - 4]) / 24.0
+    # the interior rule dv (-f0 + 13 f1 + 13 f2 - f3) / 24 of subinterval j
+    # (1 <= j <= k-2) replaces node j+2.  Blocks of subintervals go from the
+    # top down, so a block reads nodes j-1 .. j+2 below every node that the
+    # blocks above it replaced.  13 f1 - f0 is -f0 + 13 f1 bit for bit
+    for top in range(k - 1, 1, -LAPSE_BLOCK):
+        lo = max(1, top - LAPSE_BLOCK)
+        mid = np.multiply(13.0, values[lo:top])
+        mid -= values[lo - 1:top - 1]
+        mid += 13.0 * values[lo + 1:top + 1]
+        mid -= values[lo + 2:top + 2]
+        mid *= dv
+        mid /= 24.0
+        values[lo + 2:top + 2] = mid
+    # the running sum, node by node in the order of np.cumsum: node j is
+    # node j-1 plus the increment of subinterval j-1, which sits at node j+1
+    values[1] = head
+    for j in range(2, k):
+        np.add(values[j - 1], values[j + 1], out=values[j])
+    np.add(values[k - 1], tail, out=values[k])
+    values[0] = 0.0
+    return values
 
 
 def _sobolev_sum(f):
@@ -246,6 +278,26 @@ def roundoff_floor(Lmax, sup):
     return np.finfo(float).eps * (Lmax * (Lmax + 1.0)) * sup
 
 
+def _monitor_terms(grid, s, s_prev, lapse, lapse_prev, s0):
+    """[M, Delta] terms of a block of levels: the largest per-level order-2
+    Sobolev sum plus sup of the differences of (s, log Omega) from (s0, 0)
+    and from the last sweep.  The four differences are stacked into one
+    array for one analysis; a stacked analysis gives each field the same
+    bits in any block.  Their sups are taken first, so the stack is freed
+    before the coefficients are summed."""
+    d = np.empty((4,) + s.shape)
+    np.subtract(s, s0, out=d[0])
+    d[1] = lapse
+    np.subtract(s, s_prev, out=d[2])
+    np.subtract(lapse, lapse_prev, out=d[3])
+    sup = np.max(np.abs(d), axis=(-2, -1))
+    coeffs = raw_analyze(grid, d, 0)
+    del d
+    sob = _sobolev_sum(SpinField.from_coeffs(grid, 0, coeffs))
+    return [np.max(sob[k] + sob[k + 1] + sup[k] + sup[k + 1])
+            for k in (0, 2)]
+
+
 def _require_finite(arr, what, v0, n):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteIterateError(
@@ -253,15 +305,20 @@ def _require_finite(arr, what, v0, n):
 
 
 def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
-                  delta=None) -> WindowSolution:
-    """One Picard window starting from the leaf s0 at level v0."""
+                  delta=None, out=None) -> WindowSolution:
+    """One Picard window starting from the leaf s0 at level v0.
+
+    The window is solved in out, a pair (s, logOmega) of arrays of its
+    steps+1 levels (continue_foliation passes the foliation's own), or in
+    new ones; the WindowSolution returns them.
+    """
     grid = data.grid
     delta = cfg.delta if delta is None else delta
     steps = _even_steps(delta, cfg.dv)
     dv = delta / steps
     v_nodes = v0 + dv * np.arange(steps + 1)
 
-    s0 = np.real(np.asarray(s0))
+    s0 = np.array(np.real(s0), dtype=float)  # not a view of out
     _require_finite(s0, "seed leaf", v0, 0)
     if np.max(s0) > data.s_star - MARGIN:
         raise OutOfDomainError(
@@ -274,59 +331,63 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
             f"seed lapse violates |log Omega_0| <= {SEED_BOUND}")
 
     nshape = (steps + 1,) + grid.shape
-    s_n = np.broadcast_to(s0, nshape).copy()
-    logOm_n = np.broadcast_to(logOm0, nshape).copy()
+    # the three window arrays of a sweep: the last graph s_n, the lapse
+    # logOm, which each block's new lapse overwrites in place, and the next
+    # graph s_next, which holds exp(-log Omega) until its quadrature lands
+    # there in place.  s_n and s_next trade places after each sweep, and
+    # the accepted graph is left in the graph array of out
+    s_out, logOm = out or (np.empty(nshape), np.empty(nshape))
+    s_n, s_next = s_out, np.empty(nshape)
+    s_n[...] = s0
+    logOm[...] = logOm0
     # level 0 is the seed leaf in every sweep (the quadrature starts at 0
     # there), so its lapse is logOm0; the other levels go in fixed blocks
     blocks = [slice(j, min(j + LAPSE_BLOCK, steps + 1))
               for j in range(1, steps + 1, LAPSE_BLOCK)]
-
-    def monitor(s, logOm, s_prev, logOm_prev):
-        """(M_n, Delta_n): largest per-level order-2 Sobolev sum plus sup of
-        the differences of (s, logOm) from (s0, 0) and from the last sweep."""
-        per_block = []
-        for j in range(0, steps + 1, LAPSE_BLOCK):
-            b = slice(j, j + LAPSE_BLOCK)
-            d = np.stack([s[b] - s0, logOm[b], s[b] - s_prev[b],
-                          logOm[b] - logOm_prev[b]])  # (4, levels, ...)
-            # the coefficients live only inside _sobolev_sum
-            sob = _sobolev_sum(SpinField.from_coeffs(
-                grid, 0, raw_analyze(grid, d, 0)))
-            sup = np.max(np.abs(d), axis=(-2, -1))
-            per_block.append([np.max(sob[k] + sob[k + 1] + sup[k]
-                                     + sup[k + 1]) for k in (0, 2)])
-        return np.max(per_block, axis=0).tolist()
+    # the seed level differs from (s0, 0) by (0, logOm0) and from the last
+    # sweep by nothing, in every sweep; its monitor terms are taken once
+    seed_terms = _monitor_terms(grid, s0[None], s0[None], logOm0[None],
+                                logOm0[None], s0)
 
     M_trace, Delta_trace = [], []
     for n in range(1, cfg.max_iter + 1):
-        s_next = cumulative_integral(np.exp(-logOm_n), dv)
+        np.negative(logOm, out=s_next)
+        np.exp(s_next, out=s_next)
+        cumulative_integral(s_next, dv)
         s_next += s0
         _require_finite(s_next, "graph iterate", v0, n)
         if np.min(s_next) < 1.0 - 1e-12:
             raise OutOfDomainError("graph left the slab from below")
 
-        logOm_next = np.empty(nshape)
-        logOm_next[0] = logOm0
+        # each block's lapse is checked, monitored against the lapse it
+        # replaces and written over it as it lands; past the lapse bound
+        # the sweep only solves on, to report the window's largest |log
+        # Omega|
+        terms, top = [seed_terms], 0.0
         for b in blocks:
-            logOm_next[b] = _lapse_at(data, s_next[b])
-        _require_finite(logOm_next, "lapse iterate", v0, n)
-
-        if np.max(np.abs(logOm_next)) >= LAPSE_BOUND:
+            lapse = _lapse_at(data, s_next[b])
+            _require_finite(lapse, "lapse iterate", v0, n)
+            top = max(top, np.max(np.abs(lapse)))
+            if top < LAPSE_BOUND:
+                terms.append(_monitor_terms(grid, s_next[b], s_n[b], lapse,
+                                            logOm[b], s0))
+            logOm[b] = lapse
+        if top >= LAPSE_BOUND:
             raise LapseBoundError(
-                f"|log Omega| reached {np.max(np.abs(logOm_next)):.3e} "
-                f">= {LAPSE_BOUND}")
+                f"|log Omega| reached {top:.3e} >= {LAPSE_BOUND}")
 
-        M, Delta = monitor(s_next, logOm_next, s_n, logOm_n)
+        M, Delta = np.max(terms, axis=0).tolist()
         M_trace.append(M)
         Delta_trace.append(Delta)
-        s_n, logOm_n = s_next, logOm_next
+        s_n, s_next = s_next, s_n
 
         # s >= 1 > |log Omega| here, so max(s) is the iterate's sup-norm
         floor = roundoff_floor(grid.Lmax, np.max(s_n))
         if _stopped(Delta_trace, cfg.tol, floor):
             kappa = _observed_kappa(Delta_trace, max(10.0 * cfg.tol, floor))
             if kappa < KAPPA_MAX:
-                return WindowSolution(v_nodes, s_n, logOm_n, M_trace,
+                np.copyto(s_out, s_n)
+                return WindowSolution(v_nodes, s_out, logOm, M_trace,
                                       Delta_trace, kappa, n)
             raise NonConvergenceError(
                 f"window converged but contraction kappa = {kappa:.3f} "
@@ -374,14 +435,20 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
     grid = data.grid
     v0 = 1.0
     s0 = np.ones(grid.shape)
-    all_v, all_s, all_log, windows = [], [], [], []
+    # the foliation's own arrays, in which each window is solved
+    v_all = np.empty(n_total + 1)
+    s_all = np.empty((n_total + 1,) + grid.shape)
+    log_all = np.empty_like(s_all)
+    windows, seam = [], None
     steps = _even_steps(cfg.delta, cfg.dv)
     done = 0
 
     while done < n_total:
         n = min(steps, n_total - done)
+        levels = slice(done, done + n + 1)
         try:
-            win = picard_window(data, v0, s0, cfg, delta=n * cfg.dv)
+            win = picard_window(data, v0, s0, cfg, delta=n * cfg.dv,
+                                out=(s_all[levels], log_all[levels]))
         except (NonConvergenceError, LapseBoundError, OutOfDomainError) as err:
             shrunk = 2 * int(n * SHRINK_FACTOR / 2 + 1e-9)
             if shrunk >= 2:
@@ -389,15 +456,16 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
                 continue
             raise BreakdownError(
                 f"foliation breaks down at v = {v0:.6f}: {err}", v0) from err
-        # level 0 of a later window is the last level of the one before
-        head = 1 if windows else 0
+        if seam is not None:
+            log_all[done] = seam
+        v_all[levels] = win.v_nodes
         windows.append(win)
-        all_v.append(win.v_nodes[head:])
-        all_s.append(win.s[head:])
-        all_log.append(win.logOmega[head:])
+        # level 0 of the next window is this window's last level.  That
+        # window overwrites the lapse there with its seed lapse, solved
+        # alone, which may differ in the last bits, so the lapse is put back
+        seam = win.logOmega[-1].copy()
         s0 = win.s[-1]
         v0 = float(win.v_nodes[-1])
         done += n
 
-    return Foliation(data, np.concatenate(all_v), np.concatenate(all_s),
-                     np.concatenate(all_log), windows)
+    return Foliation(data, v_all, s_all, log_all, windows)

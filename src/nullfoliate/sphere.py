@@ -514,7 +514,8 @@ class GeneratorPack:
     The tables, each (n_s, ntheta, nphi) on the CGL nodes s_nodes and real or
     complex, are stored once in a real point-major layout
     (ntheta*nphi, n_s, columns): one column per real table, a (re, im) pair
-    per complex one, and a last column of ones.
+    per complex one, and a last column of ones.  The layout is one
+    allocation, and each column is copied into it straight from its table.
     """
 
     def __init__(self, s_nodes, tables):
@@ -524,9 +525,10 @@ class GeneratorPack:
         for t in tables:
             self.slots.append((len(cols), np.iscomplexobj(t)))
             cols += [t.real, t.imag] if np.iscomplexobj(t) else [t]
-        cols.append(np.ones_like(cols[0]))
-        self.packed = np.stack([c.reshape(n, -1) for c in cols],
-                               axis=-1).transpose(1, 0, 2).copy()
+        self.packed = np.empty((cols[0][0].size, n, len(cols) + 1))
+        for k, c in enumerate(cols):
+            self.packed[..., k] = c.reshape(n, -1).T
+        self.packed[..., -1] = 1.0
 
 
 def interp_generator(pack, s_eval):

@@ -213,12 +213,18 @@ def spectral_l2(x, weights):
     weight of weights], one value per field of a stack in each: the
     round-sphere L2 norms of the degree multipliers sqrt(weight) applied to
     x, read from the coefficients (Parseval) with no synthesis.  |a_lm|^2
-    is formed once per component for all the weights."""
+    is formed in place once per component for all the weights, and each
+    weighted table goes into one buffer that every weight reuses; both
+    keep the layout of the coefficients, which sets the order of the
+    sums."""
     totals = [0.0] * len(weights)
     for c, w in components(x):
-        power = np.abs(c.coeffs) ** 2
+        power = np.abs(c.coeffs)
+        np.square(power, out=power)
+        weighted = np.empty_like(power)
         for i, weight in enumerate(weights):
-            totals[i] += w * np.sum(weight[:, None] * power, axis=(-2, -1))
+            np.multiply(weight[:, None], power, out=weighted)
+            totals[i] += w * np.sum(weighted, axis=(-2, -1))
     return [np.sqrt(t) for t in totals]
 
 

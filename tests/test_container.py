@@ -162,6 +162,19 @@ class TestMappedFields:
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0.0
 
+    def test_released_fields_keep_their_values(self, tmp_path):
+        """release() hands back a mapped field's pages; the field reads the
+        same bytes afterwards, and an array not mapped is left alone."""
+        _write_valid(tmp_path, "foliation")
+        back = container.read(tmp_path, "foliation")
+        kept = {name: arr.copy() for name, arr in back.fields.items()}
+        plain = np.ones(3)
+        container.release(*back.fields.values(), back.fields["s"][1:],
+                          plain)
+        for name, arr in back.fields.items():
+            assert arr.tobytes() == kept[name].tobytes()
+        assert np.array_equal(plain, np.ones(3))
+
     def test_rewrite_leaves_loaded_tables_alone(self, tmp_path):
         """save() replaces each file with os.replace, so a table loaded
         before a rewrite of its directory keeps the old file's values."""
@@ -247,6 +260,32 @@ class TestChecksOnLoad:
         _edit_manifest(tmp_path / "c", escape)
         with pytest.raises(DatasetError, match="file name"):
             container.read(tmp_path / "c", "foliation")
+
+    @pytest.mark.parametrize("name", ["rho", "chibhat"])
+    @pytest.mark.parametrize("where", ["first", "block edge", "last"])
+    def test_finiteness_is_checked_in_every_block(self, name, where,
+                                                  tmp_path, monkeypatch):
+        """With blocks of 64 bytes a field spans many blocks; one NaN in
+        the first block, at the start of the second, or in the last value
+        (the real part of rho, the imaginary part of the complex chibhat)
+        is found, and the untouched container loads."""
+        monkeypatch.setattr(container, "_CHECK_BYTES", 64)
+        rng = np.random.default_rng(3)
+        fields = {n: rng.standard_normal(_field_shape(n, 3))
+                  for n in _layout("geodesic_data")[1]}
+        fields["chibhat"] = fields["chibhat"] + 1j * fields["rho"]
+        container.write(tmp_path, "geodesic_data", LMAX, [1.0, 1.5, 2.0],
+                        fields)
+        container.read(tmp_path, "geodesic_data")
+        size = fields[name].itemsize
+        index = {"first": 0, "block edge": 64 // size,
+                 "last": fields[name].size - 1}[where]
+        with open(tmp_path / f"{name}.bin", "r+b") as fh:
+            fh.seek(index * size + size - 8)
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+        with pytest.raises(DatasetError,
+                           match=f"field '{name}' contains non-finite"):
+            container.read(tmp_path, "geodesic_data")
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 """Picard-window and foliation-marching tests."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullfoliate import geodesic, solver
 from nullfoliate.errors import (BreakdownError, ConfigurationError,
@@ -30,7 +33,52 @@ def mms_small():
     return geodesic.gen_manufactured(spec)
 
 
+def whole_array_quadrature(values, dv):
+    """The cumulative quadrature as whole-array expressions into a new
+    array, the form cumulative_integral had before it worked in place."""
+    k = values.shape[0] - 1
+    out = np.zeros_like(values)
+    if k == 2:
+        out[1] = dv * (5.0 * values[0] + 8.0 * values[1] - values[2]) / 12.0
+        out[2] = out[1] + dv * (-values[0] + 8.0 * values[1]
+                                + 5.0 * values[2]) / 12.0
+        return out
+    inc = np.empty_like(values)[:k]
+    inc[0] = dv * (8.0 * values[0] + 23.0 * values[1]
+                   - 11.0 * values[2] + 5.0 * values[3]
+                   - values[4]) / 24.0
+    inc[k - 1] = dv * (8.0 * values[k] + 23.0 * values[k - 1]
+                       - 11.0 * values[k - 2] + 5.0 * values[k - 3]
+                       - values[k - 4]) / 24.0
+    mid = inc[1:k - 1]
+    np.multiply(13.0, values[1:k - 1], out=mid)
+    mid -= values[:k - 2]
+    mid += 13.0 * values[2:k]
+    mid -= values[3:]
+    mid *= dv
+    mid /= 24.0
+    out[1:] = np.cumsum(inc, axis=0)
+    return out
+
+
 class TestQuadrature:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 33).map(lambda h: 2 * h),
+           leaves=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           dv=st.floats(1e-3, 1.0))
+    def test_in_place_rule_keeps_the_whole_array_bits(self, k, leaves, seed,
+                                                      dv):
+        """Every even step count 2..66 on stacks of 1-3 leaves: the in-place
+        rule, in blocks of LAPSE_BLOCK subintervals and a running sum node
+        by node, equals the whole-array rule bit for bit."""
+        rng = np.random.default_rng(seed)
+        values = np.exp(rng.normal(scale=0.1, size=(k + 1, leaves, 3, 5)))
+        expected = whole_array_quadrature(values, dv)
+        out = solver.cumulative_integral(values, dv)
+        assert out is values
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
     def test_exact_on_cubics(self):
         k = 12
         v = np.arange(k + 1) / k
@@ -228,11 +276,11 @@ class TestContinueFoliation:
         real = solver.picard_window
         attempts = []
 
-        def flaky(data, v0, s0, cfg, delta=None):
+        def flaky(data, v0, s0, cfg, delta=None, out=None):
             attempts.append(delta)
             if len(attempts) == 1:
                 raise NonConvergenceError("forced rejection")
-            return real(data, v0, s0, cfg, delta=delta)
+            return real(data, v0, s0, cfg, delta=delta, out=out)
 
         monkeypatch.setattr(solver, "picard_window", flaky)
         cfg = solver.SolverConfig(delta=0.3, dv=0.05)
@@ -246,7 +294,7 @@ class TestContinueFoliation:
         breaks down at its start."""
         attempts = []
 
-        def rejecting(data, v0, s0, cfg, delta=None):
+        def rejecting(data, v0, s0, cfg, delta=None, out=None):
             attempts.append(delta)
             raise NonConvergenceError("forced rejection")
 
@@ -296,6 +344,15 @@ class TestContinueFoliation:
             == (steps + 1,) + data.grid.shape
         assert np.array_equal(fol.s, win.s)
         assert np.array_equal(fol.logOmega, win.logOmega)
+
+    def test_a_window_is_solved_in_the_foliation(self, mms_small):
+        """A one-window march solves its window in the foliation's own
+        arrays: no copy of the window is made or kept."""
+        fol = solver.continue_foliation(mms_small[0], solver.SolverConfig(
+            delta=0.25, dv=1.0 / 32.0), v_end=1.25)
+        (win,) = fol.windows
+        assert np.shares_memory(fol.s, win.s)
+        assert np.shares_memory(fol.logOmega, win.logOmega)
 
 
 class TestStackedLapse:
@@ -491,6 +548,24 @@ class TestMonitors:
         """A 32-step window: levels 0..32, four lapse blocks."""
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 128.0)
         return solver.picard_window(data, 1.0, np.ones(data.grid.shape), cfg)
+
+    def test_a_window_holds_three_window_arrays(self, mms_small):
+        """A sweep holds three window-sized arrays (last graph, lapse, next
+        graph) and block-sized temporaries.  The traced peak of a 33-level
+        window, grid and transform tables built beforehand, was 13.84
+        window arrays when the window came to hold three (tracemalloc,
+        numpy 2.4), and 14.55 before, when a sweep held four.  The bound
+        lets no fourth window array or whole-window temporary in."""
+        data, _ = mms_small
+        self._window(data)
+        tracemalloc.start()
+        try:
+            win = self._window(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert win.s.shape[0] == 33
+        assert peak <= 14.3 * win.s.nbytes
 
     def test_monitor_analyses_one_block_at_a_time(self, mms_small,
                                                   monkeypatch):
