@@ -54,8 +54,10 @@ from .sphere import SpinField, multiply, raw_analyze
 from .tensors import (MetricRep, OneForm, dot, grad, invert_laplacian,
                       laplacian, spectral_l2)
 
-# v-levels per stacked lapse solve: larger blocks amortise per-call overhead,
-# smaller ones bound the memory of the stacked temporaries
+# v-levels per stacked lapse solve, and per block of the other block-wise
+# work of a foliation (monitor, quadrature increments, max_omega_dev):
+# larger blocks amortise per-call overhead, smaller ones bound the memory of
+# the stacked temporaries
 LAPSE_BLOCK = 8
 KAPPA_MAX = 0.9       # acceptance bound on the observed contraction
 LAPSE_BOUND = 0.1     # |log Omega| < 1/10 on accepted windows
@@ -125,18 +127,10 @@ class Foliation:
         return SpinField.from_samples(self.grid, 0, self.logOmega[i])
 
     def max_omega_dev(self):
-        """max |Omega - 1| over every level, formed LAPSE_BLOCK levels at a
-        time in one reused buffer."""
-        buf = np.empty((LAPSE_BLOCK,) + self.grid.shape)
-        dev = 0.0
-        for j in range(0, self.n_levels, LAPSE_BLOCK):
-            block = self.logOmega[j:j + LAPSE_BLOCK]
-            b = buf[:len(block)]
-            np.exp(block, out=b)
-            b -= 1.0
-            np.abs(b, out=b)
-            dev = np.maximum(dev, np.max(b))
-        return float(dev)
+        """max |Omega - 1| over every level, LAPSE_BLOCK levels at a time."""
+        return float(max(
+            np.max(np.abs(np.exp(self.logOmega[j:j + LAPSE_BLOCK]) - 1.0))
+            for j in range(0, self.n_levels, LAPSE_BLOCK)))
 
     def write_trace_csv(self, path):
         """One row per Picard sweep of every accepted window."""
