@@ -165,7 +165,7 @@ def gauss_legendre(n):
     # p_n / p_n' with p_n' = n (r p_{n-1} - x p_n) / (1 - x^2)
     r = math.sqrt((2.0 * n + 1.0) / (2.0 * n - 1.0))
     for _ in range(20):
-        p_prev, p, _ = _legendre(n, x)
+        p_prev, p = _legendre(n, x)[:2]
         step = p * (1.0 - x * x) / (n * (r * p_prev - x * p))
         x -= step
         if np.max(np.abs(step)) <= np.finfo(float).eps:
@@ -179,8 +179,9 @@ def build_grid(Lmax: int) -> Grid:
     """Grid exact for products of harmonics up to degree Lmax.
 
     The colatitudes are the arccosines of the gauss_legendre nodes, those
-    south of the equator taken as pi minus their northern mirror images,
-    and the theta-row weights are 2 pi times the rule's weights.
+    south of the equator taken as pi minus their northern mirror images so
+    that they mirror about pi/2 bit for bit, as the nodes do about 0; the
+    theta-row weights are 2 pi times the rule's weights.
 
     Raises ConfigurationError for Lmax < 4 (too coarse for any of the
     implemented geometry).
@@ -190,8 +191,6 @@ def build_grid(Lmax: int) -> Grid:
     if Lmax not in _GRIDS:
         x, w = gauss_legendre(Lmax + 1)
         theta = np.arccos(x)
-        # the colatitudes south of the equator mirror the northern ones
-        # about pi/2 bit for bit, as the nodes mirror about 0
         south = (Lmax + 2) // 2
         theta[south:] = np.pi - theta[Lmax - south::-1]
         weights = w * 2.0 * np.pi
