@@ -40,12 +40,27 @@ class CanonicalCoefficients(Geometry):
     mu: SpinField
 
 
+def canonical_zeta(trchi: SpinField, zeta: OneForm, Ups: OneForm):
+    """(zeta, chi' . Upsilon) of the canonical leaf of tilt Upsilon, zeta =
+    zeta' + chi' . Upsilon with chi' . Upsilon = (trchi'/2) Upsilon, from
+    the geodesic trchi' and zeta' at the heights of the leaf."""
+    chi_ups = OneForm(0.5 * multiply(trchi, Ups.plus))
+    return zeta + chi_ups, chi_ups
+
+
+def canonical_rho(rho: SpinField, beta: OneForm, Ups: OneForm) -> SpinField:
+    """rho = rho' + beta' . Upsilon of the canonical leaf of tilt Upsilon,
+    from the geodesic rho' and beta' at the heights of the leaf.  The lapse
+    source rho - Div zeta (solver.assemble_F) reads it and canonical_zeta."""
+    return rho + dot(beta, Ups)
+
+
 def canonical_connection(geo: Geometry, s: SpinField, logOmega: SpinField,
                          Ups: OneForm, ups2: SpinField):
     """Connection coefficients of the canonical foliation at one leaf.
 
         chi  = chi' = (trchi'/2) g
-        zeta = zeta' + chi' . Upsilon
+        zeta                                      (canonical_zeta)
         etab = etab' + nabla_L Upsilon            (etab' = -zeta')
         chib = chib' - 2 (Upsilon zeta' + zeta' Upsilon) + 2 Hess s
                - |Upsilon|^2 chi'
@@ -57,8 +72,7 @@ def canonical_connection(geo: Geometry, s: SpinField, logOmega: SpinField,
     transport identity.  Returns (trchi, chib, zeta, etab).
     """
     metric, trchi, zeta_g = geo.metric, geo.trchi, geo.zeta
-    chi_ups = OneForm(0.5 * multiply(trchi, Ups.plus))
-    zeta = zeta_g + chi_ups
+    zeta, chi_ups = canonical_zeta(trchi, zeta_g, Ups)
     dLUps = -1.0 * grad(logOmega, metric) - chi_ups
     etab = -1.0 * zeta_g + dLUps
     chib = geo.chib - 2.0 * sym_otimes(Ups, zeta_g) \
@@ -72,7 +86,7 @@ def canonical_curvature(geo: Geometry, Ups: OneForm, ups2: SpinField):
     order (alpha' = 0):
 
         beta  = beta'
-        rho   = rho' + beta' . Upsilon
+        rho                                        (canonical_rho)
         sigma = sigma' - (*beta') . Upsilon
         betab = betab' - 3 rho' Upsilon + 3 sigma' (*Upsilon)
                 - 2 ((*beta') . Upsilon) (*Upsilon) + |Upsilon|^2 beta'
@@ -82,7 +96,7 @@ def canonical_curvature(geo: Geometry, Ups: OneForm, ups2: SpinField):
     ups2 = |Upsilon|^2.  Returns (beta, rho, sigma, betab).
     """
     beta_g = geo.beta
-    rho = geo.rho + dot(beta_g, Ups)
+    rho = canonical_rho(geo.rho, beta_g, Ups)
     dbeta_ups = dot(dual(beta_g), Ups)
     sigma = geo.sigma - dbeta_ups
     betab = geo.betab - 3.0 * (geo.rho * Ups) \

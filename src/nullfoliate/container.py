@@ -116,10 +116,10 @@ def _read_field(path, entry, want):
     if not os.path.exists(fpath):
         raise DatasetError(f"missing array file for field {name!r}")
     dtype, count = _DTYPES[tag], int(np.prod(want))
-    holds = os.path.getsize(fpath) // dtype.itemsize
-    if holds != count:
-        raise DatasetError(f"field {name!r}: expected {count} "
-                           f"values, file holds {holds}")
+    size = os.path.getsize(fpath)
+    if size != count * dtype.itemsize:
+        raise DatasetError(f"field {name!r}: expected {count} values of "
+                           f"{dtype.itemsize} bytes, file holds {size} bytes")
     with open(fpath, "rb") as fh:
         buf = np.empty(min(count, _CHECK_BYTES // dtype.itemsize), dtype)
         for start in range(0, count, buf.size):

@@ -104,7 +104,7 @@ def _omega(co):
 def constraint_residuals(data, co, tolerance=1e-10) -> ResidualReport:
     """Residuals of the elliptic/Hodge-type canonical structure equations
     on every level of the reconstruction co of a foliation of data."""
-    rep = ResidualReport(tolerance_used=tolerance)
+    rep = ResidualReport(tolerance)
     g = co.metric
     div_zeta, curl_zeta = hodge_D1(co.zeta, g)
 
@@ -143,7 +143,7 @@ def transport_residuals(co, tolerance=1e-8) -> ResidualReport:
     """Residuals of the null transport equations (geodesic.null_transport)
     on the reconstruction co of every level of a foliation, with nabla_L =
     Omega d/dv; the lapse condition is the constraint suite's."""
-    rep = ResidualReport(tolerance_used=tolerance)
+    rep = ResidualReport(tolerance)
     grid = co.metric.grid
     n = len(co.v)
     _, margin = _fd_stencil(n)
@@ -477,9 +477,12 @@ def norm_suite(data, co) -> NormReport:
 # --------------------------------------------------------------------------
 
 def convergence_study(data, exact, base_cfg, dvs, v_end=2.0):
-    """Solve at several v-resolutions and report errors and observed orders."""
+    """Solve at v-resolutions dvs, two or more; errors and observed orders."""
     from .solver import continue_foliation
 
+    if len(dvs) < 2:
+        raise ConfigurationError("a convergence study needs at least 2 "
+                                 f"levels, got {len(dvs)}")
     rows = []
     for dv in dvs:
         fol = continue_foliation(data, replace(base_cfg, dv=dv), v_end=v_end)

@@ -37,6 +37,8 @@ from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, div, div2,
 # read, with the spin weight of the component each tabulates
 GEOMETRY = {"psi": 0, "trchi": 0, "zeta": 1, "trchib": 0, "chibhat": 2,
             "beta": 1, "rho": 0, "sigma": 0, "betab": 1}
+# the tables of the lapse source without prescribed forcing (source_at)
+LAPSE_SOURCE = ("psi", "trchi", "zeta", "beta", "rho")
 
 
 @dataclass
@@ -111,33 +113,27 @@ class GeodesicNullData:
 
     @cached_property
     def _source_pack(self):
-        """The lapse source tables, packed once per dataset.  The pack is
-        their one copy in memory: the F tables are formed for it and not
-        kept, and the pages of a table mapped from a file are released."""
-        tables = [self.psi, self.F1_table]
-        if not self.has_prescribed_forcing:
-            tables += [self.F2_table, self.F3_table, self.F4_table]
+        """The tables of source_at, packed once per dataset.  The pack is
+        their one copy in memory: the pages of a table mapped from a file
+        are released."""
+        tables = [self.psi, self.forcing_F1] if self.has_prescribed_forcing \
+            else [getattr(self, name) for name in LAPSE_SOURCE]
         pack = GeneratorPack(self.s_nodes, tables)
         container.release(*tables)
         return pack
 
     def source_at(self, s_eval):
-        """(psi, F1, F2, F3, F4) of the lapse equation at heights s_eval.
-
-        One read of the tables packed once per dataset.  psi is returned as
-        real samples, F1 as a spin-0 field, F2 as a 1-form and F3, F4, the
-        coefficients of g in F'_3 and F'_4, as spin-0 fields; F2..F4 are
-        None under prescribed forcing, where the source is F1 alone.
-        """
-        vals = interp_generator(self._source_pack, s_eval)
-        F1 = SpinField.from_samples(self.grid, 0, vals[1])
+        """psi' as real samples, then the prescribed forcing as a spin-0
+        field, or else trchi', zeta', beta', rho' at their GEOMETRY spins
+        (zeta' and beta' as 1-forms), at heights s_eval: what the lapse
+        source of solver.assemble_F reads, in one read of the tables."""
+        psi, *vals = interp_generator(self._source_pack, s_eval)
         if self.has_prescribed_forcing:
-            return vals[0], F1, None, None, None
-        _, _, F2, F3, F4 = vals
-        g = self.grid
-        return (vals[0], F1, OneForm(SpinField.from_samples(g, 1, F2)),
-                SpinField.from_samples(g, 0, F3),
-                SpinField.from_samples(g, 0, F4))
+            return psi, SpinField.from_samples(self.grid, 0, vals[0])
+        trchi, zeta, beta, rho = (
+            SpinField.from_samples(self.grid, GEOMETRY[name], v)
+            for name, v in zip(LAPSE_SOURCE[1:], vals))
+        return psi, trchi, OneForm(zeta), OneForm(beta), rho
 
     def geometry_at(self, s_eval) -> Geometry:
         """The geodesic Geometry at heights s_eval, in one read.
@@ -153,19 +149,14 @@ class GeodesicNullData:
         return _geometry(MetricRep(self.grid, psi=np.real(tables[0])),
                          tables)
 
-    # ---- geometry of the s-node leaves and derived tables ----------------
+    # ---- geometry of the s-node leaves ----------------------------------
     # every s-node leaf at once, as one stack
-
-    @cached_property
-    def slab_metric(self) -> MetricRep:
-        """Metric of every s-node leaf, stacked along the nodes."""
-        return MetricRep(self.grid, psi=np.real(self.psi))
 
     def slab(self) -> Geometry:
         """The Geometry of geometry_at on every s-node leaf, as one stack,
-        over the tables themselves and slab_metric.  Not cached: its fields
-        would keep the coefficients analysed from them alive."""
-        return _geometry(self.slab_metric,
+        over the tables themselves.  Not cached: its fields would keep the
+        coefficients analysed from them alive."""
+        return _geometry(MetricRep(self.grid, psi=np.real(self.psi)),
                          [getattr(self, name) for name in GEOMETRY])
 
     @cached_property
@@ -175,41 +166,6 @@ class GeodesicNullData:
     def d_ds(self, table):
         """Spectral s-derivative of a tabulated field along the generators."""
         return np.tensordot(self._dds, table, axes=(1, 0))
-
-    @property
-    def F1_table(self):
-        """F'_1 = -Div' zeta' + rho' per node, or the real prescribed forcing
-        itself on manufactured data."""
-        if self.has_prescribed_forcing:
-            return self.forcing_F1
-        geo = self.slab()
-        return -div(geo.zeta, geo.metric).samples + geo.rho.samples
-
-    @property
-    def F2_table(self):
-        """Plus component of the 1-form coefficient of Upsilon in the source.
-
-        F'_2 = -nabla'_L zeta' - trchi' zeta' + chi'.zeta' - Div'chi' + beta'
-             = -nabla'_L zeta' - trchi' zeta'/2 - grad' trchi'/2 + beta'.
-        """
-        geo = self.slab()
-        z = geo.zeta.plus.samples
-        return (-self.d_ds(z) - 0.5 * geo.trchi.samples * z
-                - 0.5 * grad(geo.trchi, geo.metric).plus.samples
-                + geo.beta.plus.samples)
-
-    @property
-    def F3_table(self):
-        """Coefficient of g' in the Upsilon.Upsilon source coefficient
-        F'_3 = (trchi'^2/4) g', from the projection calculus with the
-        geodesic transport equations substituted."""
-        return 0.25 * self.trchi ** 2
-
-    @property
-    def F4_table(self):
-        """Coefficient of g' in the coefficient F'_4 = -(trchi'/2) g' that
-        contracts Hess s, so that it multiplies Delta s."""
-        return -0.5 * self.trchi
 
     # ---- summary ---------------------------------------------------------
 
@@ -250,6 +206,8 @@ def gen_schwarzschild(M, s_star=2.5, Lmax=15, n_s=32,
         raise ConfigurationError(f"mass M must satisfy 0 <= M < 0.25, got {M}")
     if not (1.0 < s_star <= 2.5):
         raise ConfigurationError(f"s_star must lie in (1, 2.5], got {s_star}")
+    if n_s < 2:
+        raise ConfigurationError(f"n_s must be at least 2, got {n_s}")
     grid = build_grid(Lmax)
     s_nodes = _cheb.cgl_nodes(n_s, 1.0, s_star)
     real, cplx = _empty_tables(grid, s_nodes)
@@ -541,7 +499,7 @@ def validate(data: GeodesicNullData) -> ResidualReport:
     etab' = -zeta', mu' = -rho' - Div zeta' and nabla_L = d_s.  The
     report's tolerance is the one a generated dataset must meet.
     """
-    rep = ResidualReport(tolerance_used=1e-8)
+    rep = ResidualReport(1e-8)
     geo = data.slab()
     met, ze = geo.metric, geo.zeta
     div_ze, curl_ze = hodge_D1(ze, met)

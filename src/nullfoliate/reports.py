@@ -29,9 +29,9 @@ def write_json(path, payload):
 class ResidualReport:
     """Named residual magnitudes, one row per equation per level."""
 
-    def __init__(self, tolerance_used=None):
+    def __init__(self, tolerance):
         self.rows = []  # (name, level, max_norm, l2_norm)
-        self.tolerance_used = tolerance_used
+        self.tolerance = tolerance
 
     def add(self, name, level, max_norm, l2_norm):
         max_norm = float(max_norm)
@@ -48,42 +48,37 @@ class ResidualReport:
                 self.add(name, level, max_norm[i], l2_norm[i])
 
     def equations(self):
-        seen = []
-        for name, *_ in self.rows:
-            if name not in seen:
-                seen.append(name)
-        return seen
+        """The equation names, in the order of their first rows."""
+        return list(dict.fromkeys(row[0] for row in self.rows))
 
     def worst(self, name=None):
         vals = [r[2] for r in self.rows if name is None or r[0] == name]
         return max(vals) if vals else 0.0
 
-    def pass_flags(self, tol=None):
-        tol = self.tolerance_used if tol is None else tol
-        return {name: self.worst(name) <= tol for name in self.equations()}
+    def pass_flags(self):
+        return {name: self.worst(name) <= self.tolerance
+                for name in self.equations()}
 
-    def all_pass(self, tol=None):
-        flags = self.pass_flags(tol)
-        return all(flags.values()) if flags else True
+    def all_pass(self):
+        return all(self.pass_flags().values())
 
     def to_csv(self, path):
-        flags = {} if self.tolerance_used is None else {
-            name: str(ok).lower() for name, ok in self.pass_flags().items()}
+        flags = {name: str(ok).lower()
+                 for name, ok in self.pass_flags().items()}
         write_csv(path, ("name", "v", "max_norm", "L2_norm", "pass"),
-                  [(*row, flags.get(row[0], "")) for row in self.rows])
+                  [(*row, flags[row[0]]) for row in self.rows])
 
     def summary(self):
         """Worst residual (formatted) and pass flag of each equation."""
         return {
             "worst": {name: _fmt(self.worst(name))
                       for name in self.equations()},
-            "pass": self.pass_flags() if self.tolerance_used is not None
-            else None,
+            "pass": self.pass_flags(),
         }
 
     def to_json(self, path):
         write_json(path, {**self.summary(),
-                          "tolerance_used": self.tolerance_used})
+                          "tolerance_used": self.tolerance})
 
 
 class NormReport:

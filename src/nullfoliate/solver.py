@@ -5,11 +5,11 @@ On each window [v0, v0+delta] the iteration alternates the transport update
     s_{n+1}(v, w) = s_0(w) + int_{v0}^{v} 1/Omega_n dv'
 
 (4th-order cumulative quadrature on the window's uniform v-nodes) with the
-elliptic update log Omega_{n+1} = Delta^{-1} F(s_{n+1}, grad s, Delta s) at
-every node, monitoring boundedness (M_n) and contraction (Delta_n) until the
-fixed point is reached.  Each window is solved in the foliation's own
-arrays; on non-contraction it is halved, down to two dv steps, before
-giving up.
+elliptic update log Omega_{n+1} = Delta^{-1} (F - mean F) at every node,
+F = rho - Div zeta of the canonical leaf s_{n+1} (assemble_F), monitoring
+boundedness (M_n) and contraction (Delta_n) until the fixed point is
+reached.  Each window is solved in the foliation's own arrays; on
+non-contraction it is halved, down to two dv steps, before giving up.
 
 The elliptic updates of one sweep are independent.  They are solved one after
 another in fixed blocks of LAPSE_BLOCK v-levels, each block as one stack of
@@ -48,11 +48,11 @@ from . import container
 from .errors import (BreakdownError, ConfigurationError, DatasetError,
                      LapseBoundError, NonConvergenceError,
                      NonFiniteIterateError, OutOfDomainError)
+from .comparison import canonical_rho, canonical_zeta
 from .geodesic import GeodesicNullData
 from .reports import write_csv
-from .sphere import SpinField, multiply, raw_analyze
-from .tensors import (MetricRep, OneForm, dot, grad, invert_laplacian,
-                      laplacian, spectral_l2)
+from .sphere import SpinField, raw_analyze
+from .tensors import MetricRep, div, grad, invert_laplacian, spectral_l2
 
 # v-levels per stacked lapse solve, and per block of the other block-wise
 # work of a foliation (monitor, quadrature increments, max_omega_dev):
@@ -84,6 +84,8 @@ class SolverConfig:
             raise ConfigurationError("tolerance must be positive")
         if self.dv <= 0.0:
             raise ConfigurationError("dv must be positive")
+        if self.max_iter < 1:
+            raise ConfigurationError("max_iter must be at least 1")
 
 
 @dataclass
@@ -162,21 +164,20 @@ class Foliation:
 # building blocks
 # --------------------------------------------------------------------------
 
-def assemble_F(data: GeodesicNullData, source, gradient: OneForm,
-               lap: SpinField) -> SpinField:
-    """Elliptic source F = F1(s) + F2(s).grad s + F3(s)|grad s|^2 + F4(s) Delta s.
-
-    F'_3 and F'_4 are multiples of the metric (the slab is shear-free), so
-    they contract grad s grad s and Hess s to |grad s|^2 and lap = Delta s.
-    source is data.source_at(s) on one leaf or a stack of leaves s.  Under
-    prescribed forcing F = F1, and gradient and lap are not read.
+def assemble_F(data: GeodesicNullData, source, metric: MetricRep,
+               s: SpinField) -> SpinField:
+    """Source F = rho - Div zeta of the canonical lapse equation Delta log
+    Omega = F - mean F on a leaf or a stack of leaves s, from source =
+    data.source_at(s) and the metric of its psi: canonical_rho and
+    canonical_zeta at the tilt grad s.  Under prescribed forcing F is the
+    forcing, and metric and s are not read.
     """
-    _, F, F2, F3, F4 = source
-    if not data.has_prescribed_forcing:
-        F = F + dot(F2, gradient)
-        F = F + multiply(F3, dot(gradient, gradient))
-        F = F + multiply(F4, lap)
-    return F
+    if data.has_prescribed_forcing:
+        return source[1]
+    _, trchi, zeta, beta, rho = source
+    Ups = grad(s, metric)
+    zeta, _ = canonical_zeta(trchi, zeta, Ups)
+    return canonical_rho(rho, beta, Ups) - div(zeta, metric)
 
 
 def solve_lapse(metric: MetricRep, F: SpinField) -> SpinField:
@@ -188,17 +189,13 @@ def _lapse_at(data, s_samples):
     """log Omega samples on one leaf (ntheta, nphi) or a stack of leaves.
 
     The leaves of a stack are independent; they share every transform call
-    and one generator read.  grad s and Delta s are only formed when the
-    source reads them (not under prescribed forcing).
+    and one generator read.
     """
     s = np.real(s_samples)
     source = data.source_at(s)
     metric = MetricRep(data.grid, psi=source[0])
-    gradient = lap = None
-    if not data.has_prescribed_forcing:
-        sf = SpinField.from_samples(data.grid, 0, s)
-        gradient, lap = grad(sf, metric), laplacian(sf, metric)
-    F = assemble_F(data, source, gradient, lap)
+    F = assemble_F(data, source, metric,
+                   SpinField.from_samples(data.grid, 0, s))
     return np.real(solve_lapse(metric, F).samples)
 
 

@@ -118,7 +118,7 @@ def commutation_check(co, f: SpinField, tolerance=1e-10) -> ResidualReport:
     -K grad f per level (spectral) and the [nabla_L, grad] f identity by
     v-differencing the gradient of a v-independent test profile.
     """
-    rep = ResidualReport(tolerance_used=tolerance)
+    rep = ResidualReport(tolerance)
     n = len(co.v)
     metric = co.metric
     rep.add_levels(co.v, {"comm_grad_laplacian": sizes(
@@ -165,7 +165,7 @@ def sphericality_report(co):
     the mass-aspect definition.  Returns (rows, identity_report), one row
     {psi_H12, theta_L2} per level.
     """
-    rep = ResidualReport(tolerance_used=1e-9)
+    rep = ResidualReport(1e-9)
     g = co.metric
     inv_v2 = SpinField.constant(g.grid, -1.0 / co.v ** 2)
     Theta = -0.25 * multiply(co.trchi, co.trchib) + inv_v2 + co.mu

@@ -82,6 +82,14 @@ class TestGenerate:
         assert run(["generate", "--model", "schwarzschild", "--mass", "0.4",
                     "--lmax", "8", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("model", ["minkowski", "schwarzschild"])
+    def test_one_s_node_exits_2(self, model, tmp_path, capsys):
+        """The generators need two CGL nodes at least."""
+        assert run(["generate", "--model", model, "--lmax", "8", "--n-s",
+                    "1", "--out", str(tmp_path / "x")]) == 2
+        assert "n_s must be at least 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestSolve:
     def test_breakdown_exit_code_and_finite_files(self, tmp_path):
@@ -152,6 +160,26 @@ class TestSolve:
         monkeypatch.setenv("NULLFOLIATE_THREADS", threads)
         assert run(["solve", "--data", ds, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_no_iterations_exits_2(self, workspace, tmp_path, capsys):
+        _, ds, _ = workspace
+        out = tmp_path / "fol"
+        assert run(["solve", "--data", ds, "--out", str(out),
+                    "--max-iter", "0"]) == 2
+        assert "max_iter must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trailing_bytes_in_a_field_exit_5(self, tmp_path, capsys):
+        """A partial value after the last one is a malformed file, not
+        padding to ignore."""
+        ds = tmp_path / "schw"
+        assert run(["generate", "--model", "schwarzschild", "--lmax", "8",
+                    "--n-s", "24", "--out", str(ds)]) == 0
+        with open(ds / "psi.bin", "ab") as fh:
+            fh.write(b"abc")
+        assert run(["solve", "--data", str(ds),
+                    "--out", str(tmp_path / "fol")]) == 5
+        assert "field 'psi': expected" in capsys.readouterr().err
 
     def test_missing_dataset_exits_5(self, tmp_path):
         assert run(["solve", "--data", str(tmp_path / "nope"),
@@ -414,6 +442,16 @@ class TestConvergence:
         assert lines[0] == "dv,error,order"
         order = float(lines[2].split(",")[2])
         assert 3.0 < order < 5.0
+
+    @pytest.mark.parametrize("levels", ["0", "1"])
+    def test_fewer_than_two_levels_exit_2(self, levels, tmp_path, capsys):
+        """An order needs two resolutions; one fits a line through a
+        single point."""
+        assert run(["convergence", "--levels", levels, "--lmax", "8",
+                    "--n-s", "24", "--out", str(tmp_path / "conv")]) == 2
+        assert f"needs at least 2 levels, got {levels}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "conv").exists()
 
     def test_threads_deprecated_and_ignored(self, tmp_path, capsys):
         """--threads on convergence warns once and changes no number; a

@@ -252,6 +252,20 @@ class TestChecksOnLoad:
         with pytest.raises(DatasetError, match="mms_G"):
             container.read(tmp_path, "geodesic_data")
 
+    @pytest.mark.parametrize("change", ["one value short", "one value long",
+                                        "3 bytes long"])
+    def test_file_size_is_exact(self, change, tmp_path):
+        """A field file holds exactly the bytes of its values: a missing or
+        extra value is refused, and so is a partial one at the end."""
+        _write_valid(tmp_path, "geodesic_data")
+        path = tmp_path / "psi.bin"
+        raw = path.read_bytes()
+        path.write_bytes({"one value short": raw[:-8],
+                          "one value long": raw + raw[:8],
+                          "3 bytes long": raw + b"abc"}[change])
+        with pytest.raises(DatasetError, match="field 'psi': expected"):
+            container.read(tmp_path, "geodesic_data")
+
     def test_file_outside_the_directory_rejected(self, tmp_path):
         _write_valid(tmp_path / "c", "foliation")
 

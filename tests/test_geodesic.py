@@ -261,7 +261,7 @@ class TestManufactured:
         spec = geodesic.MmsSpec(epsilon=0.0, Lmax=8, n_s=24,
                                 profile_l=2, profile_m=2)
         data, exact = geodesic.gen_manufactured(spec)
-        assert np.max(np.abs(data.F1_table)) == 0.0
+        assert np.max(np.abs(data.forcing_F1)) == 0.0
         assert np.max(np.abs(log_omega_exact(exact, 1.5))) == 0.0
         assert np.max(np.abs(exact.s_exact(1.5) - 1.5)) < 1e-14
 

@@ -68,8 +68,9 @@ def _commands():
     model they run the branches a user reaches: no config file, a
     breakdown (halving, breakdown.json, exit 3), a 2-step last window, a
     5-level foliation (the FD4 stencil) under verify --strict (FAIL, exit
-    4), the deprecated thread count from the environment, and a second
-    solve into the same directory."""
+    4), the deprecated thread count from the environment, a second solve
+    into the same directory, and three inputs refused with exit 2: one
+    s-node, no Picard sweep and a one-level convergence study."""
     cfg = ["--config", "run.cfg"]
     sizes = ["--lmax", "8", "--n-s", "32"]
     solve = ["--dv", "0.0625", "--v-end", "1.5"]
@@ -99,6 +100,12 @@ def _commands():
         (["verify", "--strict", "--data", "mms", "--foliation", "short",
           "--out", "short_verify"], {}, 4),
         (["solve", "--data", "mms", "--out", "broken", *solve], {}, 0),
+        (["generate", "--model", "minkowski", "--lmax", "8", "--n-s", "1",
+          "--out", "one_node"], {}, 2),
+        (["solve", "--data", "schw", "--out", "no_sweep", "--max-iter", "0",
+          *solve], {}, 2),
+        (["convergence", "--levels", "1", *sizes, "--out", "one_level"], {},
+         2),
     ]
 
 

@@ -12,8 +12,9 @@ from nullfoliate import geodesic, solver
 from nullfoliate.errors import (BreakdownError, ConfigurationError,
                                 LapseBoundError, NonConvergenceError,
                                 NonFiniteIterateError, OutOfDomainError)
-from nullfoliate.sphere import SpinField, raw_analyze
-from nullfoliate.tensors import grad, laplacian, mean
+from nullfoliate.sphere import (GeneratorPack, SpinField, interp_generator,
+                                multiply, raw_analyze)
+from nullfoliate.tensors import OneForm, div, dot, grad, laplacian, mean
 
 
 @pytest.fixture(scope="module")
@@ -236,8 +237,7 @@ class TestContinueFoliation:
         for i in range(0, fol.n_levels, 7):
             metric = data.geometry_at(fol.s[i]).metric
             sf = fol.s_field(i)
-            F = solver.assemble_F(data, data.source_at(fol.s[i]),
-                                  grad(sf, metric), laplacian(sf, metric))
+            F = solver.assemble_F(data, data.source_at(fol.s[i]), metric, sf)
             logom = solver.solve_lapse(metric, F)
             worst = max(worst, np.max(np.abs(np.real(logom.samples)
                                              - fol.logOmega[i])))
@@ -384,10 +384,9 @@ class TestStackedLapse:
         data, _ = mms_small
 
         def unused(*args):
-            raise AssertionError("grad s / Delta s formed for a prescribed F")
+            raise AssertionError("grad s formed for a prescribed F")
 
         monkeypatch.setattr(solver, "grad", unused)
-        monkeypatch.setattr(solver, "laplacian", unused)
         leaves = self._leaves(data.grid, [1.1, 1.3], seed=2)
         assert np.all(np.isfinite(solver._lapse_at(data, leaves)))
 
@@ -463,8 +462,7 @@ class TestBuildingBlocks:
         s = np.full(g.shape, 1.3)
         met = mink.geometry_at(s).metric
         sf = SpinField.from_samples(g, 0, s)
-        F = solver.assemble_F(mink, mink.source_at(s), grad(sf, met),
-                              laplacian(sf, met))
+        F = solver.assemble_F(mink, mink.source_at(s), met, sf)
         assert F.max_abs() < 1e-12
 
     def test_assemble_F_schwarzschild_constant_height(self, schw):
@@ -473,40 +471,48 @@ class TestBuildingBlocks:
         s = np.full(g.shape, 1.5)
         met = schw.geometry_at(s).metric
         sf = SpinField.from_samples(g, 0, s)
-        F = solver.assemble_F(schw, schw.source_at(s), grad(sf, met),
-                              laplacian(sf, met))
+        F = solver.assemble_F(schw, schw.source_at(s), met, sf)
         expect = -2.0 * 0.1 / 1.5 ** 3
         assert np.max(np.abs(np.real(F.samples) - expect)) < 1e-12
 
     def test_assemble_F_matches_direct_source(self, schw):
-        """Decisive check of the derived F'_3, F'_4 coefficients:
+        """The canonical rho - Div zeta of assemble_F against the graph form
+        of the same source,
 
-        on a tilted graph over curved data, the tabulated assembly must match
-        the directly reconstructed source -Div zeta + rho computed through
-        the comparison formulas (rho_check = rho on the shear-free slab).
+            F'_1 + F'_2 . grad s + F'_3 |grad s|^2 + F'_4 Delta s,
+
+        on a tilted graph over curved data.  The coefficients are derived
+        from the dataset on the s-nodes and read at the heights s:
+        F'_1 = rho' - Div' zeta', F'_2 = -nabla'_L zeta' - trchi' zeta'/2
+        - grad' trchi'/2 + beta', and the metric coefficients trchi'^2/4 of
+        F'_3 and -trchi'/2 of F'_4 (the slab is shear-free).
         """
-        from nullfoliate import comparison
-        from nullfoliate.tensors import div
         g = schw.grid
         y21 = np.zeros((9, 17), dtype=complex)
         y21[2, 8 + 1] = 0.04
         y21[2, 8 - 1] = -np.conj(0.04)
         prof = np.real(SpinField.from_coeffs(g, 0, y21).samples)
         s = 1.6 + prof
-        geo = schw.geometry_at(s)
-        met = geo.metric
+        met = schw.geometry_at(s).metric
         sf = SpinField.from_samples(g, 0, s)
-        F = solver.assemble_F(schw, schw.source_at(s), grad(sf, met),
-                              laplacian(sf, met))
+        F = solver.assemble_F(schw, schw.source_at(s), met, sf)
 
-        # source assembly is lapse-independent
-        logom = SpinField.from_coeffs(g, 0, np.zeros(g.shape))
+        slab = schw.slab()
+        z = slab.zeta.plus.samples
+        tables = [
+            -div(slab.zeta, slab.metric).samples + slab.rho.samples,
+            -schw.d_ds(z) - 0.5 * slab.trchi.samples * z
+            - 0.5 * grad(slab.trchi, slab.metric).plus.samples
+            + slab.beta.plus.samples,
+            0.25 * schw.trchi ** 2, -0.5 * schw.trchi]
+        F1, F2, F3, F4 = (
+            SpinField.from_samples(g, spin, t) for spin, t in zip(
+                (0, 1, 0, 0),
+                interp_generator(GeneratorPack(schw.s_nodes, tables), s)))
         ups = grad(sf, met)
-        _, _, zeta, _ = comparison.canonical_connection(
-            geo, sf, logom, ups, ups.norm2())
-        _, rho, _, _ = comparison.canonical_curvature(geo, ups, ups.norm2())
-        direct = -1.0 * div(zeta, met) + rho
-        assert (F - direct).max_abs() < 1e-9
+        graph = F1 + dot(OneForm(F2), ups) + multiply(F3, dot(ups, ups)) \
+            + multiply(F4, laplacian(sf, met))
+        assert (F - graph).max_abs() < 1e-9
 
     def test_solve_lapse_examples(self, mink):
         """Constant F gives log Omega = 0; eigenfunction sources invert on
