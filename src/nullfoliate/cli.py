@@ -135,6 +135,11 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
+    for key in ("tol_constraint", "tol_transport"):
+        tol = getattr(args, key)
+        if not 0.0 < tol < float("inf"):  # NaN fails it too
+            raise ConfigurationError(
+                f"{key} must be positive and finite, got {tol}")
     data = geodesic.load(args.data)
     fol = solver.Foliation.load(args.foliation, data)
     os.makedirs(args.out, exist_ok=True)

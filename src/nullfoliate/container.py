@@ -26,7 +26,9 @@ MANIFEST = "manifest.json"
 
 _DTYPES = {"f64le": np.dtype("<f8"), "c128le": np.dtype("<c16")}
 
-# kind -> (manifest key of the node list, {field: spin}, optional fields)
+# kind -> (manifest key of the node list, {field: spin}, optional fields).
+# The required fields of "geodesic_data", in this order, are the tables of
+# geodesic.GEOMETRY
 _KINDS = {
     "geodesic_data": ("s_nodes", {
         "psi": 0, "trchi": 0, "zeta": 1, "trchib": 0, "chibhat": 2,

@@ -34,9 +34,11 @@ from .tensors import (MetricRep, OneForm, SymTwoTensor, contract, div, div2,
                       dot, grad, hodge_D1, multiply, rebuild, sizes)
 
 # the tables of the geodesic geometry, in the order of their one generator
-# read, with the spin weight of the component each tabulates
-GEOMETRY = {"psi": 0, "trchi": 0, "zeta": 1, "trchib": 0, "chibhat": 2,
-            "beta": 1, "rho": 0, "sigma": 0, "betab": 1}
+# read, with the spin weight of the component each tabulates: the required
+# fields of a "geodesic_data" container
+GEOMETRY = {name: spin for name, spin
+            in container._KINDS["geodesic_data"][1].items()
+            if name not in container._KINDS["geodesic_data"][2]}
 # the tables of the lapse source without prescribed forcing (source_at)
 LAPSE_SOURCE = ("psi", "trchi", "zeta", "beta", "rho")
 
@@ -261,8 +263,9 @@ class MmsSpec:
     profile_m: int = 4
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ConfigurationError("epsilon must be non-negative")
+        if not 0.0 <= self.epsilon < np.inf:  # NaN fails it too
+            raise ConfigurationError(
+                f"epsilon must be non-negative and finite, got {self.epsilon}")
         if self.profile_l > self.Lmax:
             raise ConfigurationError("profile degree exceeds the band limit")
 

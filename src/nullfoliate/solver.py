@@ -8,8 +8,10 @@ On each window [v0, v0+delta] the iteration alternates the transport update
 elliptic update log Omega_{n+1} = Delta^{-1} (F - mean F) at every node,
 F = rho - Div zeta of the canonical leaf s_{n+1} (assemble_F), monitoring
 boundedness (M_n) and contraction (Delta_n) until the fixed point is
-reached.  Each window is solved in the foliation's own arrays; on
-non-contraction it is halved, down to two dv steps, before giving up.
+reached.  A window is a range of levels of the foliation's arrays, solved
+in place from its level 0, the seed: the leaf v = 1, or the last level the
+window before accepted.  Each seed's lapse is solved once; a window that
+does not contract is halved, down to two dv steps, and retried from it.
 
 The elliptic updates of one sweep are independent.  They are solved one after
 another in fixed blocks of LAPSE_BLOCK v-levels, each block as one stack of
@@ -80,24 +82,19 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.delta <= 1.0):
             raise ConfigurationError("window length delta must lie in (0, 1]")
-        if self.tol <= 0.0:
-            raise ConfigurationError("tolerance must be positive")
-        if self.dv <= 0.0:
-            raise ConfigurationError("dv must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigurationError("tol must be positive and finite")
+        if not 0.0 < self.dv < np.inf:
+            raise ConfigurationError("dv must be positive and finite")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
 
 
 @dataclass
 class WindowSolution:
-    """Accepted Picard window with its iteration trace; s and logOmega are
-    (steps+1, ntheta, nphi) sample stacks on v_nodes.  In a march they are
-    views of the foliation's arrays, whose level 0 is the last level of the
-    window before."""
+    """The iteration trace of an accepted Picard window; its graph and lapse
+    are in the levels of the arrays it was solved in."""
 
-    v_nodes: np.ndarray
-    s: np.ndarray
-    logOmega: np.ndarray
     M_trace: list
     Delta_trace: list
     kappa: float
@@ -295,46 +292,40 @@ def _require_finite(arr, what, v0, n):
             f"non-finite {what} in the window at v0 = {v0:.6f}, sweep {n}")
 
 
-def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
-                  delta=None, out=None) -> WindowSolution:
-    """One Picard window starting from the leaf s0 at level v0.
+def picard_window(data: GeodesicNullData, v, s, logOmega,
+                  cfg: SolverConfig) -> WindowSolution:
+    """One Picard window on the levels v, solved in place in s and logOmega.
 
-    The window is solved in out, a pair (s, logOmega) of arrays of its
-    steps+1 levels (continue_foliation passes the foliation's own), or in
-    new ones; the WindowSolution returns them.
+    The three are views of one window's levels of the foliation's arrays
+    (continue_foliation passes them).  Level 0 holds the seed leaf and its
+    lapse, which the window reads and never writes; the window is solved
+    into the other levels, an even number >= 2 of cfg.dv steps.
     """
     grid = data.grid
-    delta = cfg.delta if delta is None else delta
-    steps = _even_steps(delta, cfg.dv)
-    dv = delta / steps
-    v_nodes = v0 + dv * np.arange(steps + 1)
-
-    s0 = np.array(np.real(s0), dtype=float)  # not a view of out
+    v0 = float(v[0])
+    s0 = s[0].copy()  # the quadrature of a sweep writes over s's level 0
+    logOm0 = logOmega[0]
     _require_finite(s0, "seed leaf", v0, 0)
     if np.max(s0) > data.s_star - MARGIN:
         raise OutOfDomainError(
             f"initial leaf within {MARGIN} of the slab end s* = {data.s_star}")
-
-    logOm0 = _lapse_at(data, s0)
     _require_finite(logOm0, "seed lapse", v0, 0)
     if np.max(np.abs(logOm0)) > SEED_BOUND:
         raise LapseBoundError(
             f"seed lapse violates |log Omega_0| <= {SEED_BOUND}")
 
-    nshape = (steps + 1,) + grid.shape
     # the three window arrays of a sweep: the last graph s_n, the lapse
-    # logOm, which each block's new lapse overwrites in place, and the next
-    # graph s_next, which holds exp(-log Omega) until its quadrature lands
-    # there in place.  s_n and s_next trade places after each sweep, and
-    # the accepted graph is left in the graph array of out
-    s_out, logOm = out or (np.empty(nshape), np.empty(nshape))
-    s_n, s_next = s_out, np.empty(nshape)
-    s_n[...] = s0
-    logOm[...] = logOm0
+    # logOmega, which each block's new lapse overwrites in place, and the
+    # next graph s_next, which holds exp(-log Omega) until its quadrature
+    # lands there in place.  s_n and s_next trade places after each sweep,
+    # and the accepted graph is left in s
+    s_n, s_next = s, np.empty_like(s)
+    s_n[1:] = s0
+    logOmega[1:] = logOm0
     # level 0 is the seed leaf in every sweep (the quadrature starts at 0
     # there), so its lapse is logOm0; the other levels go in fixed blocks
-    blocks = [slice(j, min(j + LAPSE_BLOCK, steps + 1))
-              for j in range(1, steps + 1, LAPSE_BLOCK)]
+    blocks = [slice(j, min(j + LAPSE_BLOCK, len(s)))
+              for j in range(1, len(s), LAPSE_BLOCK)]
     # the seed level differs from (s0, 0) by (0, logOm0) and from the last
     # sweep by nothing, in every sweep; its monitor terms are taken once
     seed_terms = _monitor_terms(grid, s0[None], s0[None], logOm0[None],
@@ -342,9 +333,9 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
 
     M_trace, Delta_trace = [], []
     for n in range(1, cfg.max_iter + 1):
-        np.negative(logOm, out=s_next)
+        np.negative(logOmega, out=s_next)
         np.exp(s_next, out=s_next)
-        cumulative_integral(s_next, dv)
+        cumulative_integral(s_next, cfg.dv)
         s_next += s0
         _require_finite(s_next, "graph iterate", v0, n)
         if np.min(s_next) < 1.0 - 1e-12:
@@ -361,8 +352,8 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
             top = max(top, np.max(np.abs(lapse)))
             if top < LAPSE_BOUND:
                 terms.append(_monitor_terms(grid, s_next[b], s_n[b], lapse,
-                                            logOm[b], s0))
-            logOm[b] = lapse
+                                            logOmega[b], s0))
+            logOmega[b] = lapse
         if top >= LAPSE_BOUND:
             raise LapseBoundError(
                 f"|log Omega| reached {top:.3e} >= {LAPSE_BOUND}")
@@ -377,9 +368,8 @@ def picard_window(data: GeodesicNullData, v0, s0, cfg: SolverConfig,
         if _stopped(Delta_trace, cfg.tol, floor):
             kappa = _observed_kappa(Delta_trace, max(10.0 * cfg.tol, floor))
             if kappa < KAPPA_MAX:
-                np.copyto(s_out, s_n)
-                return WindowSolution(v_nodes, s_out, logOm, M_trace,
-                                      Delta_trace, kappa, n)
+                np.copyto(s, s_n)
+                return WindowSolution(M_trace, Delta_trace, kappa, n)
             raise NonConvergenceError(
                 f"window converged but contraction kappa = {kappa:.3f} "
                 f"exceeds {KAPPA_MAX}", Delta_trace)
@@ -404,59 +394,47 @@ def _observed_kappa(deltas, floor):
     return max(ratios) if ratios else 0.0
 
 
-def _even_steps(delta, dv):
-    """Whole even number (>= 2) of dv steps nearest delta; odd counts round up."""
-    steps = max(2, int(round(delta / dv)))
-    return steps + steps % 2
-
-
 def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
                        v_end=2.0) -> Foliation:
     """March accepted windows from v = 1 to v_end; halve on non-contraction.
 
-    The v-grid is uniform by construction: v_end - 1 must be a whole even
-    number of dv steps, and every window, halved or not, spans a whole even
-    number of them.
+    The v-grid 1 + dv k is uniform by construction: v_end - 1 must be a
+    whole even number of dv steps, and every window, halved or not, is a
+    range of a whole even number of them.  The lapse of the leaf v = 1 is
+    solved once; every other window starts from the last level that the
+    window before it accepted, and a halved retry from the same level.
     """
     total = (v_end - 1.0) / cfg.dv
-    n_total = int(round(total))
+    n_total = int(round(total)) if np.isfinite(total) else 0
     if n_total < 2 or n_total % 2 or abs(total - n_total) > 1e-9 * n_total:
         raise ConfigurationError(f"v_end - 1 = {v_end - 1.0:g} is not a "
                                  f"whole even number of dv = {cfg.dv:g}")
-    grid = data.grid
-    v0 = 1.0
-    s0 = np.ones(grid.shape)
     # the foliation's own arrays, in which each window is solved
-    v_all = np.empty(n_total + 1)
-    s_all = np.empty((n_total + 1,) + grid.shape)
+    v_all = 1.0 + cfg.dv * np.arange(n_total + 1)
+    s_all = np.empty((n_total + 1,) + data.grid.shape)
     log_all = np.empty_like(s_all)
-    windows, seam = [], None
-    steps = _even_steps(cfg.delta, cfg.dv)
-    done = 0
+    s_all[0] = 1.0
+    log_all[0] = _lapse_at(data, s_all[0])
+    # the whole even number (>= 2) of dv steps nearest delta, odd rounded up
+    steps = max(2, int(round(cfg.delta / cfg.dv)))
+    steps += steps % 2
+    windows, done = [], 0
 
     while done < n_total:
         n = min(steps, n_total - done)
         levels = slice(done, done + n + 1)
         try:
-            win = picard_window(data, v0, s0, cfg, delta=n * cfg.dv,
-                                out=(s_all[levels], log_all[levels]))
+            win = picard_window(data, v_all[levels], s_all[levels],
+                                log_all[levels], cfg)
         except (NonConvergenceError, LapseBoundError, OutOfDomainError) as err:
             shrunk = 2 * int(n * SHRINK_FACTOR / 2 + 1e-9)
             if shrunk >= 2:
                 steps = shrunk
                 continue
+            v0 = float(v_all[done])
             raise BreakdownError(
                 f"foliation breaks down at v = {v0:.6f}: {err}", v0) from err
-        if seam is not None:
-            log_all[done] = seam
-        v_all[levels] = win.v_nodes
         windows.append(win)
-        # level 0 of the next window is this window's last level.  That
-        # window overwrites the lapse there with its seed lapse, solved
-        # alone, which may differ in the last bits, so the lapse is put back
-        seam = win.logOmega[-1].copy()
-        s0 = win.s[-1]
-        v0 = float(win.v_nodes[-1])
         done += n
 
     return Foliation(data, v_all, s_all, log_all, windows)

@@ -2,6 +2,7 @@
 Littlewood-Paley partition, the weak-sphericality split) that the tests
 check on the package's operators; the package itself runs none of them."""
 
+import dataclasses
 import json
 from functools import reduce
 from operator import add
@@ -9,7 +10,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from nullfoliate import diagnostics, geodesic, sphere
+from nullfoliate import diagnostics, geodesic, solver, sphere
 from nullfoliate.reports import ResidualReport
 from nullfoliate.sphere import SpinField, build_grid, eth, ethbar, multiply
 from nullfoliate.tensors import (MetricRep, OneForm, div, eth_g, ethbar_g,
@@ -30,6 +31,23 @@ def grid12():
 @pytest.fixture(scope="session")
 def grid16():
     return build_grid(16)
+
+
+def solve_window(data, cfg, s0=1.0):
+    """One Picard window of length cfg.delta from the leaf s0 at v = 1, in
+    new arrays of its levels: the whole even number of steps nearest
+    cfg.delta / cfg.dv, each of cfg.delta / steps.  The seed lapse is solved
+    here, once, as continue_foliation solves it at v = 1.  Returns the
+    WindowSolution and the window's v, s and logOmega."""
+    steps = max(2, round(cfg.delta / cfg.dv))
+    steps += steps % 2
+    cfg = dataclasses.replace(cfg, dv=cfg.delta / steps)
+    v = 1.0 + cfg.dv * np.arange(steps + 1)
+    s = np.empty((steps + 1,) + data.grid.shape)
+    logOmega = np.empty_like(s)
+    s[0] = s0
+    logOmega[0] = solver._lapse_at(data, s[0])
+    return solver.picard_window(data, v, s, logOmega, cfg), v, s, logOmega
 
 
 def harmonic(grid, l, m, spin=0):

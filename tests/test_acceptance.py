@@ -15,7 +15,8 @@ from nullfoliate.sphere import SpinField, build_grid
 from nullfoliate.tensors import (MetricRep, dual, grad, hessian, hodge_D1,
                                  laplacian, magnitude)
 
-from conftest import commutation_check, dLUpsilon_fd, lp_partition_residual
+from conftest import (commutation_check, dLUpsilon_fd, lp_partition_residual,
+                      solve_window)
 
 
 def _report(name, ok, detail):
@@ -128,8 +129,7 @@ def test_criterion_4_picard_contraction(mms23):
     and convergence to 1e-11 within 20 iterations."""
     data, _ = mms23
     cfg = solver.SolverConfig(delta=0.1, dv=1.0 / 64.0, tol=1e-11)
-    win = solver.picard_window(data, 1.0, np.ones(data.grid.shape), cfg,
-                               delta=0.1)
+    win, *_ = solve_window(data, cfg)
     ratios = [win.Delta_trace[i + 1] / win.Delta_trace[i]
               for i in range(len(win.Delta_trace) - 1)]
     ok = all(r <= 0.5 for r in ratios) and win.iterations <= 20 \

@@ -432,6 +432,53 @@ def test_every_option_resolves(command, key, tmp_path, capsys):
         assert f"config value {name} = {bad!r}" in capsys.readouterr().err
 
 
+# a numeric option set to NaN, infinity or a value out of its range: each
+# exits 2 with a message that names the option
+REFUSED = {
+    "solve --dv nan": (["solve", "--dv", "nan"], "dv must be positive"),
+    "solve --v-end nan": (["solve", "--v-end", "nan"], "v_end - 1 = nan"),
+    "solve --v-end inf": (["solve", "--v-end", "inf"], "v_end - 1 = inf"),
+    "solve --tol nan": (["solve", "--tol", "nan"], "tol must be positive"),
+    "solve --tol inf": (["solve", "--tol", "inf"], "tol must be positive"),
+    "generate --epsilon nan": (["generate", "--model", "mms", "--epsilon",
+                                "nan"], "epsilon must be non-negative"),
+    "convergence --dv0 nan": (["convergence", "--dv0", "nan"],
+                              "dv must be positive"),
+    "verify --tol-constraint nan": (["verify", "--tol-constraint", "nan"],
+                                    "tol_constraint must be positive"),
+    "verify --tol-constraint -1": (["verify", "--tol-constraint", "-1"],
+                                   "tol_constraint must be positive"),
+    "verify --tol-transport nan": (["verify", "--tol-transport", "nan"],
+                                   "tol_transport must be positive"),
+}
+# refused the same way before NaN was checked for everywhere
+REFUSED_BEFORE = {
+    "generate --mass nan": (["generate", "--model", "schwarzschild",
+                             "--mass", "nan"], "mass M must satisfy"),
+    "generate --s-star nan": (["generate", "--s-star", "nan"],
+                              "s_star must lie in"),
+    "solve --delta nan": (["solve", "--delta", "nan"], "delta must lie in"),
+    "solve --delta inf": (["solve", "--delta", "inf"], "delta must lie in"),
+}
+
+
+@pytest.mark.parametrize("argv,message",
+                         [*REFUSED.values(), *REFUSED_BEFORE.values()],
+                         ids=[*REFUSED, *REFUSED_BEFORE])
+def test_bad_number_exits_2(argv, message, workspace, tmp_path, capsys):
+    """Every comparison that checks a number is written so that NaN fails
+    it; the commands run at L = 8."""
+    _, ds, fol = workspace
+    command, *options = argv
+    common = {"generate": ["--lmax", "8", "--n-s", "24"],
+              "convergence": ["--levels", "2", "--lmax", "8", "--n-s", "24"],
+              "solve": ["--data", ds],
+              "verify": ["--data", ds, "--foliation", fol]}[command]
+    assert run([command, *common, "--out", str(tmp_path / "out"),
+                *options]) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestConvergence:
     def test_small_study(self, tmp_path):
         out = str(tmp_path / "conv")

@@ -69,8 +69,9 @@ def _commands():
     breakdown (halving, breakdown.json, exit 3), a 2-step last window, a
     5-level foliation (the FD4 stencil) under verify --strict (FAIL, exit
     4), the deprecated thread count from the environment, a second solve
-    into the same directory, and three inputs refused with exit 2: one
-    s-node, no Picard sweep and a one-level convergence study."""
+    into the same directory, and four inputs refused with exit 2: one
+    s-node, no Picard sweep, a one-level convergence study and a NaN
+    verify tolerance."""
     cfg = ["--config", "run.cfg"]
     sizes = ["--lmax", "8", "--n-s", "32"]
     solve = ["--dv", "0.0625", "--v-end", "1.5"]
@@ -106,6 +107,8 @@ def _commands():
           *solve], {}, 2),
         (["convergence", "--levels", "1", *sizes, "--out", "one_level"], {},
          2),
+        (["verify", "--data", "schw", "--foliation", "schw_fol",
+          "--tol-transport", "nan", "--out", "nan_tol"], {}, 2),
     ]
 
 

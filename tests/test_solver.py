@@ -16,6 +16,8 @@ from nullfoliate.sphere import (GeneratorPack, SpinField, interp_generator,
                                 multiply, raw_analyze)
 from nullfoliate.tensors import OneForm, div, dot, grad, laplacian, mean
 
+from conftest import solve_window
+
 
 @pytest.fixture(scope="module")
 def mink():
@@ -151,25 +153,24 @@ class TestPicardWindow:
     def test_minkowski_exact_fixed_point(self, mink):
         """The flat cone converges at the first corrected iterate."""
         cfg = solver.SolverConfig(delta=0.5, dv=1.0 / 32.0, tol=1e-12)
-        win = solver.picard_window(mink, 1.0, np.ones(mink.grid.shape), cfg)
+        win, v, s, logOmega = solve_window(mink, cfg)
         assert win.iterations <= 2
         assert win.Delta_trace[-1] <= 1e-13
-        assert np.max(np.abs(win.s - win.v_nodes[:, None, None])) < 1e-13
-        assert np.max(np.abs(win.logOmega)) < 1e-13
+        assert np.max(np.abs(s - v[:, None, None])) < 1e-13
+        assert np.max(np.abs(logOmega)) < 1e-13
 
     def test_schwarzschild_symmetry(self, schw):
         """Spherical symmetry keeps the mean-free source zero: Omega = 1,
         s = v through the window."""
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0, tol=1e-12)
-        win = solver.picard_window(schw, 1.0, np.ones(schw.grid.shape), cfg)
-        assert np.max(np.abs(win.s - win.v_nodes[:, None, None])) < 1e-10
-        assert np.max(np.abs(win.logOmega)) < 1e-10
+        _, v, s, logOmega = solve_window(schw, cfg)
+        assert np.max(np.abs(s - v[:, None, None])) < 1e-10
+        assert np.max(np.abs(logOmega)) < 1e-10
 
     def test_margin_refusal(self, mink):
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
         with pytest.raises(OutOfDomainError):
-            solver.picard_window(mink, 1.0,
-                                 np.full(mink.grid.shape, 2.48), cfg)
+            solve_window(mink, cfg, s0=2.48)
 
     def test_seed_lapse_bound_enforced(self):
         """A manufactured amplitude breaking |log Omega_0| <= 1/100 refuses
@@ -179,13 +180,12 @@ class TestPicardWindow:
         data, _ = geodesic.gen_manufactured(spec)
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
         with pytest.raises(LapseBoundError):
-            solver.picard_window(data, 1.0, np.ones(data.grid.shape), cfg)
+            solve_window(data, cfg)
 
     def test_mms_window_contracts(self, mms_small):
         data, exact = mms_small
         cfg = solver.SolverConfig(delta=0.1, dv=1.0 / 64.0, tol=1e-11)
-        win = solver.picard_window(data, 1.0, np.ones(data.grid.shape), cfg,
-                                   delta=0.1)
+        win, *_ = solve_window(data, cfg)
         assert win.kappa < 0.5
         assert win.iterations <= 20
         # Delta strictly decreases once under way
@@ -276,11 +276,11 @@ class TestContinueFoliation:
         real = solver.picard_window
         attempts = []
 
-        def flaky(data, v0, s0, cfg, delta=None, out=None):
-            attempts.append(delta)
+        def flaky(data, v, s, logOmega, cfg):
+            attempts.append((len(v) - 1) * cfg.dv)
             if len(attempts) == 1:
                 raise NonConvergenceError("forced rejection")
-            return real(data, v0, s0, cfg, delta=delta, out=out)
+            return real(data, v, s, logOmega, cfg)
 
         monkeypatch.setattr(solver, "picard_window", flaky)
         cfg = solver.SolverConfig(delta=0.3, dv=0.05)
@@ -294,8 +294,8 @@ class TestContinueFoliation:
         breaks down at its start."""
         attempts = []
 
-        def rejecting(data, v0, s0, cfg, delta=None, out=None):
-            attempts.append(delta)
+        def rejecting(data, v, s, logOmega, cfg):
+            attempts.append((len(v) - 1) * cfg.dv)
             raise NonConvergenceError("forced rejection")
 
         monkeypatch.setattr(solver, "picard_window", rejecting)
@@ -304,6 +304,40 @@ class TestContinueFoliation:
             solver.continue_foliation(schw, cfg, v_end=1.5)
         assert attempts == [6 * 0.05, 2 * 0.05]
         assert err.value.last_good_v == 1.0
+
+    def test_each_seed_lapse_is_solved_once(self, mms_small, monkeypatch):
+        """A march of five windows, the second one halved, solves one lapse
+        alone, that of the leaf v = 1.  Every other window, and the halved
+        retry, starts from the lapse that the window before it accepted at
+        their shared level, and the foliation keeps that lapse, bit for
+        bit."""
+        data, _ = mms_small
+        lapse_at, real = solver._lapse_at, solver.picard_window
+        lone, seeds = [], []
+
+        def recording(data, s_samples):
+            if np.ndim(s_samples) == 2:
+                lone.append(np.array(s_samples))
+            return lapse_at(data, s_samples)
+
+        def flaky(data, v, s, logOmega, cfg):
+            seeds.append((v[0], logOmega[0].copy()))
+            if len(seeds) == 2:
+                raise NonConvergenceError("forced rejection")
+            return real(data, v, s, logOmega, cfg)
+
+        monkeypatch.setattr(solver, "_lapse_at", recording)
+        monkeypatch.setattr(solver, "picard_window", flaky)
+        fol = solver.continue_foliation(
+            data, solver.SolverConfig(delta=0.25, dv=1.0 / 32.0), v_end=1.75)
+        assert len(fol.windows) == 5 and len(seeds) == 6
+        assert len(lone) == 1 and np.all(lone[0] == 1.0)
+        assert seeds[1][0] == seeds[2][0]
+        assert np.array_equal(seeds[1][1], seeds[2][1])
+        for v0, logOm0 in seeds[:1] + seeds[2:]:
+            (i,) = np.flatnonzero(fol.v_nodes == v0)
+            assert np.max(np.abs(logOm0)) > 0.0
+            assert np.array_equal(fol.logOmega[i], logOm0)
 
     def test_breakdown_on_short_slab(self):
         data = geodesic.gen_minkowski(s_star=1.2, Lmax=8, n_s=24)
@@ -316,8 +350,8 @@ class TestContinueFoliation:
                                                      monkeypatch):
         """A window of several lapse blocks: every sweep solves levels
         1..steps as the LAPSE_BLOCK partition, one block after another, the
-        lone seed leaf is solved once, and the window and the foliation hold
-        the stacks of the last sweep."""
+        lone seed leaf is solved once, and the foliation holds the stacks of
+        the last sweep."""
         data, _ = mms_small
         lapse_at = solver._lapse_at
         blocks, lone = [], []
@@ -332,27 +366,33 @@ class TestContinueFoliation:
             data, solver.SolverConfig(delta=0.25, dv=1.0 / 128.0), v_end=1.25)
         assert fol.n_levels == 33
         (win,) = fol.windows
-        steps = len(win.v_nodes) - 1
+        steps = fol.n_levels - 1
         assert steps >= 2 * solver.LAPSE_BLOCK
         partition = [len(range(j, min(j + solver.LAPSE_BLOCK, steps + 1)))
                      for j in range(1, steps + 1, solver.LAPSE_BLOCK)]
         assert [len(b) for b in blocks] == partition * win.iterations
         assert len(lone) == 1  # the seed leaf v = 1, solved once
         last = np.concatenate(blocks[-len(partition):])
-        assert np.array_equal(last, win.s[1:])
-        assert win.s.shape == win.logOmega.shape \
+        assert np.array_equal(last, fol.s[1:])
+        assert fol.s.shape == fol.logOmega.shape \
             == (steps + 1,) + data.grid.shape
-        assert np.array_equal(fol.s, win.s)
-        assert np.array_equal(fol.logOmega, win.logOmega)
 
-    def test_a_window_is_solved_in_the_foliation(self, mms_small):
+    def test_a_window_is_solved_in_the_foliation(self, mms_small,
+                                                  monkeypatch):
         """A one-window march solves its window in the foliation's own
         arrays: no copy of the window is made or kept."""
+        real, got = solver.picard_window, []
+
+        def recording(data, v, s, logOmega, cfg):
+            got.append((s, logOmega))
+            return real(data, v, s, logOmega, cfg)
+
+        monkeypatch.setattr(solver, "picard_window", recording)
         fol = solver.continue_foliation(mms_small[0], solver.SolverConfig(
             delta=0.25, dv=1.0 / 32.0), v_end=1.25)
-        (win,) = fol.windows
-        assert np.shares_memory(fol.s, win.s)
-        assert np.shares_memory(fol.logOmega, win.logOmega)
+        ((s, logOmega),) = got
+        assert np.shares_memory(fol.s, s)
+        assert np.shares_memory(fol.logOmega, logOmega)
 
 
 class TestStackedLapse:
@@ -416,7 +456,7 @@ class TestRealLapse:
         monkeypatch.setattr(solver, "raw_analyze", counting_analyze)
         monkeypatch.setattr(sphere, "raw_synthesize", counting_synthesize)
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0)
-        solver.picard_window(data, 1.0, np.ones(data.grid.shape), cfg)
+        solve_window(data, cfg)
         assert {kind for kind, _, _ in calls} == {"analyze", "synthesize"}
         assert [c for c in calls if c[1] == 0 and c[2]] == []
         leaves = np.full((2,) + data.grid.shape, 1.2)
@@ -553,7 +593,7 @@ class TestMonitors:
     def _window(data):
         """A 32-step window: levels 0..32, four lapse blocks."""
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 128.0)
-        return solver.picard_window(data, 1.0, np.ones(data.grid.shape), cfg)
+        return solve_window(data, cfg)
 
     def test_a_window_holds_three_window_arrays(self, mms_small):
         """A sweep holds three window-sized arrays (last graph, lapse, next
@@ -566,12 +606,12 @@ class TestMonitors:
         self._window(data)
         tracemalloc.start()
         try:
-            win = self._window(data)
+            _, _, s, _ = self._window(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert win.s.shape[0] == 33
-        assert peak <= 14.3 * win.s.nbytes
+        assert s.shape[0] == 33
+        assert peak <= 14.3 * s.nbytes
 
     def test_monitor_analyses_one_block_at_a_time(self, mms_small,
                                                   monkeypatch):
@@ -583,8 +623,8 @@ class TestMonitors:
             return raw_analyze(grid, samples, spin, L)
 
         monkeypatch.setattr(solver, "raw_analyze", recording)
-        win = self._window(data)
-        assert len(win.v_nodes) == 33
+        _, v, _, _ = self._window(data)
+        assert len(v) == 33
         assert fields and max(fields) <= 4 * solver.LAPSE_BLOCK
 
     def test_monitor_equals_the_whole_window_formula(self, mms_small,
@@ -601,13 +641,13 @@ class TestMonitors:
             return out
 
         monkeypatch.setattr(solver, "_lapse_at", recording)
-        win = self._window(data)
+        win, v, win_s, _ = self._window(data)
         (s0, logOm0), sweeps = calls[0], calls[1:]
-        steps = len(win.v_nodes) - 1
+        steps = len(v) - 1
         per_sweep = -(-steps // solver.LAPSE_BLOCK)
         assert len(sweeps) == per_sweep * win.iterations
-        s_prev = np.broadcast_to(s0, win.s.shape)
-        logOm_prev = np.broadcast_to(logOm0, win.s.shape)
+        s_prev = np.broadcast_to(s0, win_s.shape)
+        logOm_prev = np.broadcast_to(logOm0, win_s.shape)
         M_ref, Delta_ref = [], []
         for n in range(win.iterations):
             sweep = sweeps[n * per_sweep:(n + 1) * per_sweep]
@@ -619,7 +659,7 @@ class TestMonitors:
             Delta_ref.append(whole_window_monitor(
                 data.grid, s, logOm, s_prev, logOm_prev))
             s_prev, logOm_prev = s, logOm
-        assert np.array_equal(s_prev, win.s)
+        assert np.array_equal(s_prev, win_s)
         assert win.M_trace == M_ref
         assert win.Delta_trace == Delta_ref
 
@@ -629,16 +669,15 @@ class TestMonitors:
         window is accepted once Delta_n stalls at or below the floor, at the
         fixed point that a reachable tol gives."""
         mink15 = geodesic.gen_minkowski(Lmax=15, n_s=32)
-        s0 = np.ones(mink15.grid.shape)
         reach = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, tol=1e-12)
         below = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, tol=1e-15)
-        w1 = solver.picard_window(mink15, 1.0, s0, reach)
-        w2 = solver.picard_window(mink15, 1.0, s0, below)
-        floor = solver.roundoff_floor(mink15.grid.Lmax, np.max(w2.s))
+        _, _, s1, _ = solve_window(mink15, reach)
+        w2, _, s2, _ = solve_window(mink15, below)
+        floor = solver.roundoff_floor(mink15.grid.Lmax, np.max(s2))
         *_, last2, last = w2.Delta_trace
         assert below.tol < last <= floor and last2 <= floor
         assert last >= solver.KAPPA_MAX * last2
-        assert np.max(np.abs(w1.s - w2.s)) < 1e-12
+        assert np.max(np.abs(s1 - s2)) < 1e-12
 
     def test_kappa_ignores_ratios_at_the_roundoff_floor(self):
         """Ratios between iterates at the roundoff floor are noise: with tol
@@ -646,21 +685,22 @@ class TestMonitors:
         window, which keeps the contraction seen above the floor."""
         schw15 = geodesic.gen_schwarzschild(0.1, Lmax=15, n_s=32)
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, tol=1e-15)
-        win = solver.picard_window(schw15, 1.0, np.ones(schw15.grid.shape),
-                                   cfg)
+        win, v, s, _ = solve_window(schw15, cfg)
         d = win.Delta_trace
         assert max(b / a for a, b in zip(d[1:], d[2:])) >= solver.KAPPA_MAX
         assert win.kappa < solver.KAPPA_MAX
-        assert np.max(np.abs(win.s - win.v_nodes[:, None, None])) < 1e-10
+        assert np.max(np.abs(s - v[:, None, None])) < 1e-10
 
 
 class TestFiniteIterates:
     def test_nan_seed_leaf_raises(self, mink):
-        s0 = np.ones(mink.grid.shape)
-        s0[3, 4] = np.nan
         cfg = solver.SolverConfig(delta=0.5, dv=1.0 / 16.0)
+        v = 1.0 + cfg.dv * np.arange(9)
+        s = np.ones((9,) + mink.grid.shape)
+        s[0, 3, 4] = np.nan
+        logOmega = np.zeros_like(s)
         with pytest.raises(NonFiniteIterateError):
-            solver.picard_window(mink, 1.0, s0, cfg)
+            solver.picard_window(mink, v, s, logOmega, cfg)
 
     def test_nan_data_stops_the_march(self):
         """One NaN in rho poisons the lapse; the march stops at once instead
