@@ -3,7 +3,8 @@
 Configuration comes from an INI-style file (one section per command, flat
 key = value pairs) with every key overridable on the command line.  Exit
 codes are a stable contract: 0 success, 2 configuration error, 3 solver
-breakdown, 4 verification failure, 5 I/O error.
+breakdown (solve writes breakdown.json), 4 verification failure, 5 I/O
+error.
 """
 
 import argparse
@@ -13,7 +14,6 @@ import sys
 
 from . import container, diagnostics, geodesic, solver
 from .errors import (BreakdownError, ConfigurationError, DatasetError,
-                     NonConvergenceError, NonFiniteIterateError,
                      NullfoliateError)
 from .reports import _fmt, write_csv, write_json
 
@@ -288,8 +288,7 @@ def main(argv=None):
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergenceError, NonFiniteIterateError,
-            BreakdownError) as err:
+    except BreakdownError as err:  # a convergence study's march
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except (DatasetError, OSError) as err:

@@ -28,30 +28,27 @@ class DatasetError(NullfoliateError):
 
 
 class NonConvergenceError(NullfoliateError):
-    """The Picard iteration did not reach its fixed point.
-
-    Raised when max_iter sweeps pass without Delta_n <= tol or a stall of
-    Delta_n at or below the monitor's roundoff floor, or when a window
-    converges with an observed contraction kappa >= solver.KAPPA_MAX.
-    """
-
-    def __init__(self, message, delta_trace=None):
-        super().__init__(message)
-        self.delta_trace = list(delta_trace) if delta_trace is not None else []
+    """A Picard window did not reach its fixed point: max_iter sweeps pass
+    without Delta_n <= tol or a stall of Delta_n at or below the monitor's
+    roundoff floor, or it converges with an observed contraction kappa >=
+    solver.KAPPA_MAX.  The march halves the window and retries it."""
 
 
 class NonFiniteIterateError(NullfoliateError):
-    """A Picard seed or iterate holds NaN or infinity; no window is accepted."""
+    """A Picard graph or lapse iterate holds NaN or infinity.  The march
+    does not halve: it breaks down at once, from this error."""
 
 
 class LapseBoundError(NullfoliateError):
-    """|log Omega| exceeded the 1/10 bound that accepted solutions must satisfy."""
+    """A lapse iterate reached the bound |log Omega| < 1/10 of accepted
+    windows (solver.LAPSE_BOUND), in the block of levels the message names.
+    The march halves the window and retries it."""
 
 
 class BreakdownError(NullfoliateError):
-    """Window halving underflowed; the foliation could not be continued.
-
-    Carries the last v-level that was successfully covered.
+    """The march could not continue the foliation: a seed failed its
+    bounds, a window was rejected at two steps, or an iterate was not
+    finite.  Every way a march stops; carries the last v-level it reached.
     """
 
     def __init__(self, message, last_good_v):

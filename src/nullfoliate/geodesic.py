@@ -173,7 +173,7 @@ class GeodesicNullData:
 
     def arrays(self):
         out = {name: getattr(self, name) for name in GEOMETRY}
-        if self.forcing_F1 is not None:
+        if self.has_prescribed_forcing:
             out["forcing_F1"] = self.forcing_F1
         if self.exact is not None:
             out["mms_G"] = self.exact.G
@@ -183,13 +183,6 @@ class GeodesicNullData:
 # --------------------------------------------------------------------------
 # exact-spacetime generators
 # --------------------------------------------------------------------------
-
-def _empty_tables(grid, s_nodes):
-    shape = (len(s_nodes),) + grid.shape
-    real = lambda: np.zeros(shape)
-    cplx = lambda: np.zeros(shape, dtype=np.complex128)
-    return real, cplx
-
 
 def gen_minkowski(s_star=2.5, Lmax=15, n_s=32) -> GeodesicNullData:
     """Flat outgoing cone: psi' = log s, trchi' = 2/s, trchib' = -2/s."""
@@ -212,7 +205,8 @@ def gen_schwarzschild(M, s_star=2.5, Lmax=15, n_s=32,
         raise ConfigurationError(f"n_s must be at least 2, got {n_s}")
     grid = build_grid(Lmax)
     s_nodes = _cheb.cgl_nodes(n_s, 1.0, s_star)
-    real, cplx = _empty_tables(grid, s_nodes)
+    shape = (len(s_nodes),) + grid.shape
+    cplx = lambda: np.zeros(shape, dtype=np.complex128)
     ones = np.ones(grid.shape)
     s3 = s_nodes[:, None, None]
     data = GeodesicNullData(
@@ -224,7 +218,7 @@ def gen_schwarzschild(M, s_star=2.5, Lmax=15, n_s=32,
         chibhat=cplx(),
         beta=cplx(),
         rho=(-2.0 * M / s3 ** 3) * ones,
-        sigma=real(), betab=cplx(),
+        sigma=np.zeros(shape), betab=cplx(),
         meta={"model": _model, "M": M, "s_star": s_star, "Lmax": Lmax,
               "n_s": n_s},
     )
@@ -387,13 +381,17 @@ def gen_manufactured(spec: MmsSpec):
     Gh = _real_harmonic_samples(hgrid, spec.profile_l, spec.profile_m)
     w = hgrid.weights[:, None] / hgrid.nphi
     val = np.log1p(eps * p(nodes)[:, None, None] * Gh)
+
+    def primitives(c):
+        """A and B of the graph 1 + A(v) + eps B(v) G under the mean
+        correction c: the integrals from MMS_V0 of e^c and p' e^c."""
+        ec = np.exp(c(nodes))
+        return [Ch(_cheb.values_to_cheb(f, *dom).coef,
+                   domain=dom).integ(lbnd=MMS_V0) for f in (ec, p_vals * ec)]
+
     c = Ch(np.zeros(1), domain=dom)
     for _ in range(40):
-        ec = np.exp(c(nodes))
-        A = Ch(_cheb.values_to_cheb(ec, *dom).coef,
-               domain=dom).integ(lbnd=MMS_V0)
-        B = Ch(_cheb.values_to_cheb(p_vals * ec, *dom).coef,
-               domain=dom).integ(lbnd=MMS_V0)
+        A, B = primitives(c)
         s = 1.0 + A(nodes)[:, None, None] + eps * B(nodes)[:, None, None] * Gh
         wgt = w * s ** 2
         cv = -np.sum(val * wgt, axis=(1, 2)) / np.sum(wgt, axis=(1, 2))
@@ -402,11 +400,7 @@ def gen_manufactured(spec: MmsSpec):
         c = cnew
         if delta < 1e-15:
             break
-    ec = np.exp(c(nodes))
-    A = Ch(_cheb.values_to_cheb(ec, *dom).coef,
-           domain=dom).integ(lbnd=MMS_V0)
-    B = Ch(_cheb.values_to_cheb(p_vals * ec, *dom).coef,
-           domain=dom).integ(lbnd=MMS_V0)
+    A, B = primitives(c)
 
     exact = MmsExact(grid, eps, MMS_V0, v_ext, A, B, c, p, G,
                      spec.profile_l, spec.profile_m)

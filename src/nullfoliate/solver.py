@@ -10,8 +10,9 @@ F = rho - Div zeta of the canonical leaf s_{n+1} (assemble_F), monitoring
 boundedness (M_n) and contraction (Delta_n) until the fixed point is
 reached.  A window is a range of levels of the foliation's arrays, solved
 in place from its level 0, the seed: the leaf v = 1, or the last level the
-window before accepted.  Each seed's lapse is solved once; a window that
-does not contract is halved, down to two dv steps, and retried from it.
+window before accepted.  Each seed's lapse is solved once and checked
+once; a rejected window is halved, down to two dv steps, and retried from
+it, and every way a march stops is a BreakdownError (continue_foliation).
 
 The elliptic updates of one sweep are independent.  They are solved one after
 another in fixed blocks of LAPSE_BLOCK v-levels, each block as one stack of
@@ -39,7 +40,7 @@ both at or below the floor and Delta_n >= KAPPA_MAX Delta_{n-1}, i.e. the
 iteration has stopped contracting because only roundoff is left.  The
 observed contraction kappa ignores ratios whose denominator is at or below
 max(10 tol, floor).  Every iterate must be finite: the first non-finite
-seed, graph or lapse raises NonFiniteIterateError.
+graph or lapse raises NonFiniteIterateError.
 """
 
 from dataclasses import dataclass
@@ -65,7 +66,6 @@ KAPPA_MAX = 0.9       # acceptance bound on the observed contraction
 LAPSE_BOUND = 0.1     # |log Omega| < 1/10 on accepted windows
 SEED_BOUND = 0.01     # |log Omega_0| <= 1/100 at the window start
 MARGIN = 0.05         # refuse to start this close to s*
-SHRINK_FACTOR = 0.5   # a rejected window is retried this much shorter
 
 
 @dataclass
@@ -298,21 +298,14 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
 
     The three are views of one window's levels of the foliation's arrays
     (continue_foliation passes them).  Level 0 holds the seed leaf and its
-    lapse, which the window reads and never writes; the window is solved
-    into the other levels, an even number >= 2 of cfg.dv steps.
+    lapse, which the window reads and never writes (continue_foliation
+    checks them); the window is solved into the other levels, an even number
+    >= 2 of cfg.dv steps.
     """
     grid = data.grid
     v0 = float(v[0])
     s0 = s[0].copy()  # the quadrature of a sweep writes over s's level 0
     logOm0 = logOmega[0]
-    _require_finite(s0, "seed leaf", v0, 0)
-    if np.max(s0) > data.s_star - MARGIN:
-        raise OutOfDomainError(
-            f"initial leaf within {MARGIN} of the slab end s* = {data.s_star}")
-    _require_finite(logOm0, "seed lapse", v0, 0)
-    if np.max(np.abs(logOm0)) > SEED_BOUND:
-        raise LapseBoundError(
-            f"seed lapse violates |log Omega_0| <= {SEED_BOUND}")
 
     # the three window arrays of a sweep: the last graph s_n, the lapse
     # logOmega, which each block's new lapse overwrites in place, and the
@@ -342,21 +335,19 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
             raise OutOfDomainError("graph left the slab from below")
 
         # each block's lapse is checked, monitored against the lapse it
-        # replaces and written over it as it lands; past the lapse bound
-        # the sweep only solves on, to report the window's largest |log
-        # Omega|
-        terms, top = [seed_terms], 0.0
+        # replaces and written over it as it lands
+        terms = [seed_terms]
         for b in blocks:
             lapse = _lapse_at(data, s_next[b])
             _require_finite(lapse, "lapse iterate", v0, n)
-            top = max(top, np.max(np.abs(lapse)))
-            if top < LAPSE_BOUND:
-                terms.append(_monitor_terms(grid, s_next[b], s_n[b], lapse,
-                                            logOmega[b], s0))
+            top = np.max(np.abs(lapse))
+            if top >= LAPSE_BOUND:
+                raise LapseBoundError(
+                    f"|log Omega| reached {top:.3e} >= {LAPSE_BOUND} in the "
+                    f"lapse block from v = {v[b.start]:.6f}, sweep {n}")
+            terms.append(_monitor_terms(grid, s_next[b], s_n[b], lapse,
+                                        logOmega[b], s0))
             logOmega[b] = lapse
-        if top >= LAPSE_BOUND:
-            raise LapseBoundError(
-                f"|log Omega| reached {top:.3e} >= {LAPSE_BOUND}")
 
         M, Delta = np.max(terms, axis=0).tolist()
         M_trace.append(M)
@@ -372,10 +363,10 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
                 return WindowSolution(M_trace, Delta_trace, kappa, n)
             raise NonConvergenceError(
                 f"window converged but contraction kappa = {kappa:.3f} "
-                f"exceeds {KAPPA_MAX}", Delta_trace)
+                f"exceeds {KAPPA_MAX}")
     raise NonConvergenceError(
         f"no fixed point within {cfg.max_iter} iterations "
-        f"(Delta_n = {Delta_trace[-1]:.3e})", Delta_trace)
+        f"(Delta_n = {Delta_trace[-1]:.3e})")
 
 
 def _stopped(deltas, tol, floor):
@@ -396,13 +387,16 @@ def _observed_kappa(deltas, floor):
 
 def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
                        v_end=2.0) -> Foliation:
-    """March accepted windows from v = 1 to v_end; halve on non-contraction.
+    """March accepted windows from v = 1 to v_end.
 
     The v-grid 1 + dv k is uniform by construction: v_end - 1 must be a
     whole even number of dv steps, and every window, halved or not, is a
     range of a whole even number of them.  The lapse of the leaf v = 1 is
     solved once; every other window starts from the last level that the
     window before it accepted, and a halved retry from the same level.
+    Every way the march stops is a BreakdownError at its last level: a seed
+    past s* - MARGIN or SEED_BOUND (checked once; NaN fails both), a
+    non-finite iterate, or a window still rejected at two dv steps.
     """
     total = (v_end - 1.0) / cfg.dv
     n_total = int(round(total)) if np.isfinite(total) else 0
@@ -420,20 +414,33 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
     steps += steps % 2
     windows, done = [], 0
 
+    def breakdown(reason):
+        v0 = float(v_all[done])
+        return BreakdownError(
+            f"foliation breaks down at v = {v0:.6f}: {reason}", v0)
+
     while done < n_total:
-        n = min(steps, n_total - done)
-        levels = slice(done, done + n + 1)
-        try:
-            win = picard_window(data, v_all[levels], s_all[levels],
-                                log_all[levels], cfg)
-        except (NonConvergenceError, LapseBoundError, OutOfDomainError) as err:
-            shrunk = 2 * int(n * SHRINK_FACTOR / 2 + 1e-9)
-            if shrunk >= 2:
-                steps = shrunk
-                continue
-            v0 = float(v_all[done])
-            raise BreakdownError(
-                f"foliation breaks down at v = {v0:.6f}: {err}", v0) from err
+        top, lapse = np.max(s_all[done]), np.max(np.abs(log_all[done]))
+        if not top <= data.s_star - MARGIN:
+            raise breakdown(f"seed leaf reaches s = {top:.6f}, within MARGIN "
+                            f"= {MARGIN} of the slab end s* = {data.s_star}")
+        if not lapse <= SEED_BOUND:
+            raise breakdown(f"seed lapse |log Omega_0| = {lapse:.3e} "
+                            f"exceeds SEED_BOUND = {SEED_BOUND}")
+        win = None
+        while win is None:  # halve a rejected window, down to two steps
+            n = min(steps, n_total - done)
+            levels = slice(done, done + n + 1)
+            try:
+                win = picard_window(data, v_all[levels], s_all[levels],
+                                    log_all[levels], cfg)
+            except NonFiniteIterateError as err:
+                raise breakdown(err) from err
+            except (NonConvergenceError, LapseBoundError,
+                    OutOfDomainError) as err:
+                if n < 4:
+                    raise breakdown(err) from err
+                steps = 2 * (n // 4)
         windows.append(win)
         done += n
 

@@ -33,8 +33,8 @@ def grid16():
     return build_grid(16)
 
 
-def solve_window(data, cfg, s0=1.0):
-    """One Picard window of length cfg.delta from the leaf s0 at v = 1, in
+def solve_window(data, cfg):
+    """One Picard window of length cfg.delta from the leaf s = 1 at v = 1, in
     new arrays of its levels: the whole even number of steps nearest
     cfg.delta / cfg.dv, each of cfg.delta / steps.  The seed lapse is solved
     here, once, as continue_foliation solves it at v = 1.  Returns the
@@ -45,7 +45,7 @@ def solve_window(data, cfg, s0=1.0):
     v = 1.0 + cfg.dv * np.arange(steps + 1)
     s = np.empty((steps + 1,) + data.grid.shape)
     logOmega = np.empty_like(s)
-    s[0] = s0
+    s[0] = 1.0
     logOmega[0] = solver._lapse_at(data, s[0])
     return solver.picard_window(data, v, s, logOmega, cfg), v, s, logOmega
 

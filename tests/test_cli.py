@@ -142,6 +142,24 @@ class TestSolve:
                     "--dv", str(1.0 / 16.0)]) == 3
         assert not (out / "manifest.json").exists()
 
+    def test_non_finite_lapse_writes_breakdown_json(self, tmp_path, capsys):
+        """A finite dataset whose lapse overflows (rho' = 1e307 at one point)
+        breaks down like any other solve: exit 3 and a breakdown.json that
+        names the non-finite lapse."""
+        from nullfoliate import geodesic
+        data = geodesic.gen_schwarzschild(0.1, Lmax=8, n_s=24)
+        data.rho[5, 3, 4] = 1e307
+        geodesic.save(data, str(tmp_path / "ds"))
+        out = tmp_path / "fol"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["solve", "--data", str(tmp_path / "ds"), "--out",
+                        str(out), "--dv", "0.0625", "--v-end", "1.5"]) == 3
+        report = json.loads((out / "breakdown.json").read_text())
+        assert "non-finite lapse iterate" in report["reason"]
+        assert report["last_good_v"] == "1"
+        assert "solver breakdown: last good v = 1.000000" \
+            in capsys.readouterr().err
+
     def test_v_end_off_the_grid_exits_2(self, tmp_path, monkeypatch):
         from nullfoliate import geodesic
         data = geodesic.gen_schwarzschild(0.1, Lmax=6, n_s=24)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nullfoliate import geodesic, solver
 from nullfoliate.errors import (BreakdownError, ConfigurationError,
                                 LapseBoundError, NonConvergenceError,
-                                NonFiniteIterateError, OutOfDomainError)
+                                NonFiniteIterateError)
 from nullfoliate.sphere import (GeneratorPack, SpinField, interp_generator,
                                 multiply, raw_analyze)
 from nullfoliate.tensors import OneForm, div, dot, grad, laplacian, mean
@@ -167,20 +167,24 @@ class TestPicardWindow:
         assert np.max(np.abs(s - v[:, None, None])) < 1e-10
         assert np.max(np.abs(logOmega)) < 1e-10
 
-    def test_margin_refusal(self, mink):
-        cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
-        with pytest.raises(OutOfDomainError):
-            solve_window(mink, cfg, s0=2.48)
+    def test_lapse_bound_stops_the_sweep_at_its_block(self, mink,
+                                                      monkeypatch):
+        """A sweep stops at the first lapse block past LAPSE_BOUND, names
+        that block's first level and solves no block after it."""
+        lapse_at, blocks = solver._lapse_at, []
 
-    def test_seed_lapse_bound_enforced(self):
-        """A manufactured amplitude breaking |log Omega_0| <= 1/100 refuses
-        to start."""
-        spec = geodesic.MmsSpec(epsilon=0.05, Lmax=8, n_s=24,
-                                profile_l=2, profile_m=2)
-        data, _ = geodesic.gen_manufactured(spec)
-        cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
-        with pytest.raises(LapseBoundError):
-            solve_window(data, cfg)
+        def raised(data, s_samples):
+            blocks.append(len(s_samples))
+            return lapse_at(data, s_samples) + 0.2 * (len(blocks) == 2)
+
+        cfg = solver.SolverConfig(delta=0.75, dv=1.0 / 32.0)
+        v = 1.0 + cfg.dv * np.arange(25)
+        s = np.ones((25,) + mink.grid.shape)
+        logOmega = np.zeros_like(s)
+        monkeypatch.setattr(solver, "_lapse_at", raised)
+        with pytest.raises(LapseBoundError, match=f"v = {v[9]:.6f}"):
+            solver.picard_window(mink, v, s, logOmega, cfg)
+        assert blocks == [8, 8]
 
     def test_mms_window_contracts(self, mms_small):
         data, exact = mms_small
@@ -338,6 +342,60 @@ class TestContinueFoliation:
             (i,) = np.flatnonzero(fol.v_nodes == v0)
             assert np.max(np.abs(logOm0)) > 0.0
             assert np.array_equal(fol.logOmega[i], logOm0)
+
+    def test_margin_refusal(self):
+        """A slab that ends within MARGIN of the leaf v = 1 refuses to
+        start: the march breaks down there, naming the margin."""
+        data = geodesic.gen_minkowski(s_star=1.04, Lmax=8, n_s=24)
+        cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
+        with pytest.raises(BreakdownError, match="MARGIN") as err:
+            solver.continue_foliation(data, cfg, v_end=1.5)
+        assert err.value.last_good_v == 1.0
+
+    def test_seed_lapse_bound_enforced(self):
+        """A manufactured amplitude breaking |log Omega_0| <= 1/100 refuses
+        to start."""
+        spec = geodesic.MmsSpec(epsilon=0.05, Lmax=8, n_s=24,
+                                profile_l=2, profile_m=2)
+        data, _ = geodesic.gen_manufactured(spec)
+        cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
+        with pytest.raises(BreakdownError, match="SEED_BOUND") as err:
+            solver.continue_foliation(data, cfg, v_end=1.5)
+        assert err.value.last_good_v == 1.0
+
+    @staticmethod
+    def _attempt_starts(monkeypatch):
+        """Wrap picard_window; the list of every attempt's first v."""
+        real, starts = solver.picard_window, []
+
+        def recording(data, v, s, logOmega, cfg):
+            starts.append(float(v[0]))
+            return real(data, v, s, logOmega, cfg)
+
+        monkeypatch.setattr(solver, "picard_window", recording)
+        return starts
+
+    def test_seed_past_the_bound_starts_no_window(self, monkeypatch):
+        """A seed lapse past SEED_BOUND is refused once, before any window
+        is tried from it: no halving can change the seed."""
+        spec = geodesic.MmsSpec(epsilon=0.03, Lmax=15, n_s=32)
+        data, _ = geodesic.gen_manufactured(spec)
+        starts = self._attempt_starts(monkeypatch)
+        with pytest.raises(BreakdownError, match="SEED_BOUND") as err:
+            solver.continue_foliation(data, solver.SolverConfig(delta=1.0),
+                                      v_end=2.0)
+        assert err.value.last_good_v == 1.0 and err.value.__cause__ is None
+        assert starts == []
+
+    def test_seed_within_the_margin_starts_no_window(self, monkeypatch):
+        """A march reaching v = s* = 1.5 accepts the windows up to there
+        and tries none from the leaf v = 1.5, within MARGIN of s*."""
+        data = geodesic.gen_minkowski(s_star=1.5, Lmax=8, n_s=24)
+        starts = self._attempt_starts(monkeypatch)
+        with pytest.raises(BreakdownError, match="MARGIN") as err:
+            solver.continue_foliation(data, solver.SolverConfig(), v_end=2.0)
+        assert err.value.last_good_v == 1.5
+        assert starts == [1.0, 1.25]
 
     def test_breakdown_on_short_slab(self):
         data = geodesic.gen_minkowski(s_star=1.2, Lmax=8, n_s=24)
@@ -702,11 +760,15 @@ class TestFiniteIterates:
         with pytest.raises(NonFiniteIterateError):
             solver.picard_window(mink, v, s, logOmega, cfg)
 
-    def test_nan_data_stops_the_march(self):
-        """One NaN in rho poisons the lapse; the march stops at once instead
-        of halving or returning a NaN foliation."""
+    def test_nan_data_stops_the_march(self, monkeypatch):
+        """One NaN in rho poisons the lapse; the march breaks down at once,
+        from the NonFiniteIterateError, instead of halving or returning a
+        NaN foliation."""
         data = geodesic.gen_schwarzschild(0.1, Lmax=8, n_s=24)
         data.rho[5, 3, 4] = np.nan
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
-        with pytest.raises(NonFiniteIterateError):
+        starts = TestContinueFoliation._attempt_starts(monkeypatch)
+        with pytest.raises(BreakdownError) as err:
             solver.continue_foliation(data, cfg, v_end=1.5)
+        assert isinstance(err.value.__cause__, NonFiniteIterateError)
+        assert starts == [1.0]
