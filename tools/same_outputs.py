@@ -5,11 +5,12 @@
 Each SRC is a directory holding the `nullfoliate` package (the `src/` of a
 checkout).  Every reference case (the four dv = 1/64 cases below, and the
 MMS solve of the benchmark's `mms-L23-march`: eps = 0.01, L = 23, n_s = 40,
-dv = 1/256, v in [1, 1.25]) runs generate -> solve -> verify -> norms
-once with PARENT_SRC and once with CHANGE_SRC on PYTHONPATH, each stage as
-its own `python -m nullfoliate.cli` process with BLAS and OpenMP at one
-thread.  Every file the stages write is then compared byte for byte, and so
-are each stage's standard output and exit code (kept as `<stage>.out`).
+dv = 1/256, v in [1, 1.25]) runs generate -> solve -> verify -> norms, and
+the README's `convergence` study runs at its defaults, once with
+PARENT_SRC and once with CHANGE_SRC on PYTHONPATH, each stage as its own
+`python -m nullfoliate.cli` process with BLAS and OpenMP at one thread.
+Every file the stages write is then compared byte for byte, and so are
+each stage's standard output and exit code (kept as `<stage>.out`).
 Each file that differs is printed, and each that exists on one side only
 with its size in bytes; the exit code is 1 if any file differs or is
 one-sided and 0 if none.  For a differing numeric file (a container's .bin
@@ -43,23 +44,41 @@ THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
 
 DV = str(1.0 / 64.0)
 
-# case -> (generate arguments, solve arguments)
+
+def pipeline(gen_args, solve_args):
+    """The four stages of a reference case, as {stage: CLI arguments}."""
+    return {
+        "generate": ["generate", *gen_args, "--out", "dataset"],
+        "solve": ["solve", "--data", "dataset", "--out", "foliation",
+                  *solve_args],
+        "verify": ["verify", "--data", "dataset", "--foliation", "foliation",
+                   "--out", "reports"],
+        "norms": ["norms", "--data", "dataset", "--foliation", "foliation",
+                  "--out", "reports"],
+    }
+
+
+# case -> {stage: CLI arguments}
 CASES = {
-    "minkowski-L15": (["--model", "minkowski", "--lmax", "15"],
-                      ["--dv", DV, "--v-end", "2"]),
-    "schwarzschild-L15-short": (
+    "minkowski-L15": pipeline(["--model", "minkowski", "--lmax", "15"],
+                              ["--dv", DV, "--v-end", "2"]),
+    "schwarzschild-L15-short": pipeline(
         ["--model", "schwarzschild", "--mass", "0.1", "--lmax", "15"],
         ["--dv", DV, "--v-end", "1.125"]),
-    "schwarzschild-L15": (
+    "schwarzschild-L15": pipeline(
         ["--model", "schwarzschild", "--mass", "0.1", "--lmax", "15"],
         ["--dv", DV, "--v-end", "2"]),
-    "mms-L23": (["--model", "mms", "--lmax", "23", "--n-s", "40"],
-                ["--dv", DV, "--v-end", "2"]),
+    "mms-L23": pipeline(["--model", "mms", "--lmax", "23", "--n-s", "40"],
+                        ["--dv", DV, "--v-end", "2"]),
     # the benchmark's solve: one 64-step window, so 9 blocks of LAPSE_BLOCK
     # levels per sweep, where the other cases have at most 2
-    "mms-L23-march": (["--model", "mms", "--epsilon", "0.01", "--lmax", "23",
-                       "--n-s", "40"],
-                      ["--dv", str(1.0 / 256.0), "--v-end", "1.25"]),
+    "mms-L23-march": pipeline(["--model", "mms", "--epsilon", "0.01",
+                               "--lmax", "23", "--n-s", "40"],
+                              ["--dv", str(1.0 / 256.0), "--v-end", "1.25"]),
+    # the README's study at its defaults (L = 23, tol = 1e-13): the one
+    # documented run whose tol lies below the Picard monitor's roundoff
+    # floor (about 2.5e-13), so its windows are accepted against the floor
+    "convergence-L23": {"convergence": ["convergence", "--out", "reports"]},
 }
 
 
@@ -86,23 +105,14 @@ def run_stage(argv, workdir, env, out_path):
     return wall, usage.ru_maxrss / 1024.0
 
 
-def run_case(src, workdir, gen_args, solve_args):
-    """Run the four stages in workdir, with relative paths so that the
+def run_case(src, workdir, stages):
+    """Run the stages of a case in workdir, with relative paths so that the
     standard output of both trees can be compared; returns each stage's
     wall time and peak RSS."""
     env = dict(os.environ)
     env.pop("NULLFOLIATE_THREADS", None)
     env.update(THREAD_ENV)
     env["PYTHONPATH"] = str(Path(src).resolve())
-    stages = {
-        "generate": ["generate", *gen_args, "--out", "dataset"],
-        "solve": ["solve", "--data", "dataset", "--out", "foliation",
-                  *solve_args],
-        "verify": ["verify", "--data", "dataset", "--foliation", "foliation",
-                   "--out", "reports"],
-        "norms": ["norms", "--data", "dataset", "--foliation", "foliation",
-                  "--out", "reports"],
-    }
     workdir.mkdir(parents=True)
     return {stage: run_stage(argv, workdir, env, workdir / f"{stage}.out")
             for stage, argv in stages.items()}
@@ -258,10 +268,10 @@ def main(argv):
             sys.exit(f"{src}: no nullfoliate package there")
     n_diff = n_files = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for case, (gen_args, solve_args) in CASES.items():
+        for case, stages in CASES.items():
             a, b = Path(tmp) / "parent" / case, Path(tmp) / "change" / case
-            cost_a = run_case(parent, a, gen_args, solve_args)
-            cost_b = run_case(change, b, gen_args, solve_args)
+            cost_a = run_case(parent, a, stages)
+            cost_b = run_case(change, b, stages)
             for stage, (wall_a, rss_a) in cost_a.items():
                 wall_b, rss_b = cost_b[stage]
                 print(f"{case} {stage}: parent {wall_a:.2f} s {rss_a:.1f} MB"
