@@ -1,8 +1,8 @@
 """Pseudospectral solver and verification suite for canonical null foliations."""
 
 from .errors import (BreakdownError, ConfigurationError, DatasetError,
-                     LapseBoundError, NonConvergenceError, NullfoliateError,
-                     OutOfDomainError, UnsupportedSpinError)
+                     NonConvergenceError, NullfoliateError, OutOfDomainError,
+                     UnsupportedSpinError)
 from .geodesic import (GeodesicNullData, MmsSpec, gen_manufactured,
                        gen_minkowski, gen_schwarzschild, load, save, validate)
 from .reports import NormReport, ResidualReport

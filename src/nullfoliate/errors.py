@@ -29,20 +29,16 @@ class DatasetError(NullfoliateError):
 
 class NonConvergenceError(NullfoliateError):
     """A Picard window did not reach its fixed point: max_iter sweeps pass
-    without Delta_n <= tol or a stall of Delta_n at or below the monitor's
-    roundoff floor, or it converges with an observed contraction kappa >=
-    solver.KAPPA_MAX.  The march halves the window and retries it."""
+    without Delta_n <= max(tol, the monitor's roundoff floor), it converges
+    with an observed contraction kappa >= solver.KAPPA_MAX, or a lapse
+    iterate reaches the bound |log Omega| < 1/10 of accepted windows
+    (solver.LAPSE_BOUND), in the block of levels and the sweep the message
+    names.  The march halves the window and retries it."""
 
 
 class NonFiniteIterateError(NullfoliateError):
     """A Picard graph or lapse iterate holds NaN or infinity.  The march
     does not halve: it breaks down at once, from this error."""
-
-
-class LapseBoundError(NullfoliateError):
-    """A lapse iterate reached the bound |log Omega| < 1/10 of accepted
-    windows (solver.LAPSE_BOUND), in the block of levels the message names.
-    The march halves the window and retries it."""
 
 
 class BreakdownError(NullfoliateError):

@@ -32,15 +32,18 @@ tensors.spectral_l2 of the analysed block with the weights (l(l+1))^p, the
 round-sphere norm the norm suite takes too; the block's coefficients live
 only for that call.
 
-Stopping rule.  A sweep is accepted when Delta_n <= tol.  The monitor tracks
-two derivatives, so it weights coefficient roundoff by up to l(l+1) and
-Delta_n cannot fall below roundoff_floor(Lmax, sup|iterate|); when that floor
-lies above tol the sweep is also accepted once Delta_{n-1} and Delta_n are
-both at or below the floor and Delta_n >= KAPPA_MAX Delta_{n-1}, i.e. the
-iteration has stopped contracting because only roundoff is left.  The
-observed contraction kappa ignores ratios whose denominator is at or below
-max(10 tol, floor).  Every iterate must be finite: the first non-finite
-graph or lapse raises NonFiniteIterateError.
+Stopping rule.  A sweep is accepted when Delta_n <= max(tol,
+roundoff_floor(Lmax, sup|iterate|)).  The monitor tracks two derivatives,
+so it weights coefficient roundoff by up to l(l+1) and Delta_n need not
+fall below that floor however close the fixed point is; a tol below it is
+read as the floor.  The accepted window must also have contracted: its
+observed kappa, which ignores ratios whose denominator is at or below
+max(10 tol, floor), must stay below KAPPA_MAX.  A window that does not
+converge in max_iter sweeps, converges with too large a kappa, or meets a
+lapse iterate at or past LAPSE_BOUND raises NonConvergenceError; a leaf
+that leaves the data slab raises OutOfDomainError from its generator read.
+Every iterate must be finite: the first non-finite graph or lapse raises
+NonFiniteIterateError.
 """
 
 from dataclasses import dataclass
@@ -49,8 +52,8 @@ import numpy as np
 
 from . import container
 from .errors import (BreakdownError, ConfigurationError, DatasetError,
-                     LapseBoundError, NonConvergenceError,
-                     NonFiniteIterateError, OutOfDomainError)
+                     NonConvergenceError, NonFiniteIterateError,
+                     OutOfDomainError)
 from .comparison import canonical_rho, canonical_zeta
 from .geodesic import GeodesicNullData
 from .reports import write_csv
@@ -74,9 +77,9 @@ class SolverConfig:
 
     delta: float = 0.25          # window length
     dv: float = 1.0 / 64.0       # v-grid spacing (quadrature resolution)
-    tol: float = 1e-12           # absolute tolerance on Delta_n; below the
-                                 # monitor's roundoff floor a stalled Delta_n
-                                 # is accepted instead (see roundoff_floor)
+    tol: float = 1e-12           # absolute tolerance on Delta_n; a tol below
+                                 # the monitor's roundoff floor is read as
+                                 # the floor (see roundoff_floor)
     max_iter: int = 30
 
     def __post_init__(self):
@@ -331,8 +334,6 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
         cumulative_integral(s_next, cfg.dv)
         s_next += s0
         _require_finite(s_next, "graph iterate", v0, n)
-        if np.min(s_next) < 1.0 - 1e-12:
-            raise OutOfDomainError("graph left the slab from below")
 
         # each block's lapse is checked, monitored against the lapse it
         # replaces and written over it as it lands
@@ -342,7 +343,7 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
             _require_finite(lapse, "lapse iterate", v0, n)
             top = np.max(np.abs(lapse))
             if top >= LAPSE_BOUND:
-                raise LapseBoundError(
+                raise NonConvergenceError(
                     f"|log Omega| reached {top:.3e} >= {LAPSE_BOUND} in the "
                     f"lapse block from v = {v[b.start]:.6f}, sweep {n}")
             terms.append(_monitor_terms(grid, s_next[b], s_n[b], lapse,
@@ -356,7 +357,7 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
 
         # s >= 1 > |log Omega| here, so max(s) is the iterate's sup-norm
         floor = roundoff_floor(grid.Lmax, np.max(s_n))
-        if _stopped(Delta_trace, cfg.tol, floor):
+        if Delta <= max(cfg.tol, floor):
             kappa = _observed_kappa(Delta_trace, max(10.0 * cfg.tol, floor))
             if kappa < KAPPA_MAX:
                 np.copyto(s, s_n)
@@ -367,14 +368,6 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
     raise NonConvergenceError(
         f"no fixed point within {cfg.max_iter} iterations "
         f"(Delta_n = {Delta_trace[-1]:.3e})")
-
-
-def _stopped(deltas, tol, floor):
-    """Delta_n <= tol, or Delta_n has stalled at or below the roundoff floor."""
-    if deltas[-1] <= tol:
-        return True
-    return (len(deltas) >= 2 and max(deltas[-2:]) <= floor
-            and deltas[-1] >= KAPPA_MAX * deltas[-2])
 
 
 def _observed_kappa(deltas, floor):
@@ -436,8 +429,7 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
                                     log_all[levels], cfg)
             except NonFiniteIterateError as err:
                 raise breakdown(err) from err
-            except (NonConvergenceError, LapseBoundError,
-                    OutOfDomainError) as err:
+            except (NonConvergenceError, OutOfDomainError) as err:
                 if n < 4:
                     raise breakdown(err) from err
                 steps = 2 * (n // 4)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from nullfoliate import geodesic, solver
 from nullfoliate.errors import (BreakdownError, ConfigurationError,
-                                LapseBoundError, NonConvergenceError,
-                                NonFiniteIterateError)
+                                NonConvergenceError, NonFiniteIterateError)
 from nullfoliate.sphere import (GeneratorPack, SpinField, interp_generator,
                                 multiply, raw_analyze)
 from nullfoliate.tensors import OneForm, div, dot, grad, laplacian, mean
@@ -182,7 +181,7 @@ class TestPicardWindow:
         s = np.ones((25,) + mink.grid.shape)
         logOmega = np.zeros_like(s)
         monkeypatch.setattr(solver, "_lapse_at", raised)
-        with pytest.raises(LapseBoundError, match=f"v = {v[9]:.6f}"):
+        with pytest.raises(NonConvergenceError, match=f"v = {v[9]:.6f}"):
             solver.picard_window(mink, v, s, logOmega, cfg)
         assert blocks == [8, 8]
 
@@ -721,33 +720,35 @@ class TestMonitors:
         assert win.M_trace == M_ref
         assert win.Delta_trace == Delta_ref
 
-    def test_stall_at_the_roundoff_floor_is_accepted(self):
-        """tol = 1e-15 lies below the monitor's roundoff floor (eps
-        Lmax(Lmax+1) sup|s|, 6.7e-14 here), so Delta_n never reaches it: the
-        window is accepted once Delta_n stalls at or below the floor, at the
-        fixed point that a reachable tol gives."""
-        mink15 = geodesic.gen_minkowski(Lmax=15, n_s=32)
+    def test_tol_below_the_roundoff_floor_is_read_as_the_floor(self,
+                                                              mms_small):
+        """A tol below the monitor's roundoff floor (eps Lmax(Lmax+1)
+        sup|s|, 4.3e-14 here) cannot be reached, so the window is accepted
+        at the first sweep with Delta_n at or below the floor: any such tol
+        gives the same window, at the fixed point a reachable tol gives."""
+        data, _ = mms_small
         reach = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, tol=1e-12)
-        below = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, tol=1e-15)
-        _, _, s1, _ = solve_window(mink15, reach)
-        w2, _, s2, _ = solve_window(mink15, below)
-        floor = solver.roundoff_floor(mink15.grid.Lmax, np.max(s2))
+        _, _, s1, _ = solve_window(data, reach)
+        below = [solve_window(data, dataclasses.replace(reach, tol=tol))
+                 for tol in (1e-15, 1e-16)]
+        (w2, _, s2, _), (w3, _, s3, _) = below
+        floor = solver.roundoff_floor(data.grid.Lmax, np.max(s2))
         *_, last2, last = w2.Delta_trace
-        assert below.tol < last <= floor and last2 <= floor
-        assert last >= solver.KAPPA_MAX * last2
+        assert 1e-15 < last <= floor < last2
+        assert w3.Delta_trace == w2.Delta_trace and np.array_equal(s3, s2)
         assert np.max(np.abs(s1 - s2)) < 1e-12
 
     def test_kappa_ignores_ratios_at_the_roundoff_floor(self):
-        """Ratios between iterates at the roundoff floor are noise: with tol
-        below the floor, a ratio there above KAPPA_MAX does not reject the
-        window, which keeps the contraction seen above the floor."""
-        schw15 = geodesic.gen_schwarzschild(0.1, Lmax=15, n_s=32)
-        cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0, tol=1e-15)
-        win, v, s, _ = solve_window(schw15, cfg)
-        d = win.Delta_trace
-        assert max(b / a for a, b in zip(d[1:], d[2:])) >= solver.KAPPA_MAX
-        assert win.kappa < solver.KAPPA_MAX
-        assert np.max(np.abs(s - v[:, None, None])) < 1e-10
+        """kappa is the largest ratio Delta_{n+1}/Delta_n for n >= 2 whose
+        Delta_n lies above the floor it is given: a ratio at the floor is
+        roundoff noise, and one above the floor counts however large."""
+        floor = 1e-13
+        d = [1.0, 0.99, 1e-3, 1e-5, 5e-14, 4.9e-14]
+        assert d[-1] / d[-2] >= solver.KAPPA_MAX
+        assert solver._observed_kappa(d, floor) == pytest.approx(1e-2)
+        assert solver._observed_kappa(d[:4] + [0.95 * d[3]], floor) \
+            == pytest.approx(0.95)
+        assert solver._observed_kappa(d[:2], floor) == 0.0
 
 
 class TestFiniteIterates:
