@@ -52,12 +52,21 @@ def _finite(arr):
                                    else arr)))
 
 
-def _replace_into(path, name, write):
-    """Create `name` under `path` by write(file) on a temporary file."""
-    tmp = os.path.join(path, name + ".tmp")
-    with open(tmp, "wb") as fh:
-        write(fh)
-    os.replace(tmp, os.path.join(path, name))
+def replace_file(path, write):
+    """Create or replace the file `path` atomically: write(file) fills a
+    temporary file beside it in binary mode, which os.replace then moves
+    into place.  A write that fails leaves the previous file as it was and
+    removes the temporary one.  Every file the package writes goes through
+    here."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def discard(path):
@@ -89,8 +98,8 @@ def write(path, kind, Lmax, nodes, arrays, meta=None):
     fields = []
     for name, arr in arrays.items():
         tag = "c128le" if np.iscomplexobj(arr) else "f64le"
-        _replace_into(path, f"{name}.bin",
-                      arr.astype(_DTYPES[tag], copy=False).tofile)
+        replace_file(os.path.join(path, f"{name}.bin"),
+                     arr.astype(_DTYPES[tag], copy=False).tofile)
         fields.append({"name": name, "spin": spins[name],
                        "shape": list(arr.shape), "dtype": tag,
                        "file": f"{name}.bin"})
@@ -100,7 +109,8 @@ def write(path, kind, Lmax, nodes, arrays, meta=None):
     if meta is not None:
         manifest["meta"] = meta
     text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-    _replace_into(path, MANIFEST, lambda fh: fh.write(text.encode()))
+    replace_file(os.path.join(path, MANIFEST),
+                 lambda fh: fh.write(text.encode()))
 
 
 def _read_field(path, entry, want):

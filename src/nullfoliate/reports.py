@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 
+from .container import replace_file
+
 
 def _fmt(x):
     """Fixed 17-significant-digit float formatting (byte-stable reports)."""
@@ -11,19 +13,19 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
-    """Write a CSV report: the header, then one line per row, each str or
-    int cell written by str and every other cell, a number, by _fmt."""
-    with open(path, "w") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c)
-                              for c in row) + "\n")
+    """Write a CSV report atomically (container.replace_file): the header,
+    then one line per row, each str or int cell written by str and every
+    other cell, a number, by _fmt."""
+    text = "".join(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c)
+                            for c in row) + "\n" for row in [header, *rows])
+    replace_file(path, lambda fh: fh.write(text.encode()))
 
 
 def write_json(path, payload):
-    """Write payload as JSON: sorted keys, indent 1, a final newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    """Write payload as JSON atomically (container.replace_file): sorted
+    keys, indent 1, a final newline."""
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    replace_file(path, lambda fh: fh.write(text.encode()))
 
 
 class ResidualReport:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nullfoliate import cli, container, geodesic, solver
+from nullfoliate import cli, container, geodesic, reports, solver
 from nullfoliate.errors import DatasetError
 from nullfoliate.sphere import build_grid
 
@@ -107,6 +107,11 @@ class _Interrupted(BaseException):
     """Stands in for a kill or KeyboardInterrupt in the middle of a write."""
 
 
+def _half_then_interrupted(fh):
+    fh.write(b"half")
+    raise _Interrupted()
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("overwrite", [False, True])
@@ -144,6 +149,25 @@ class TestAtomicWrite:
         _write_valid(tmp_path, "foliation", seed=2)
         assert (tmp_path / "trace.csv").exists()
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+
+
+    @pytest.mark.parametrize("write", [
+        lambda p: reports.write_csv(p, ("name", "value"),
+                                    [("a", 1.0), ("b", 2.0), ("c", None)]),
+        lambda p: reports.write_json(p, {"a": "1", "b": object()}),
+        lambda p: container.replace_file(p, _half_then_interrupted),
+    ], ids=["csv", "json", "interrupted"])
+    def test_failed_write_keeps_the_previous_file(self, write, tmp_path):
+        """A report write that fails midway, on a value it cannot format or
+        interrupted after some bytes, leaves the file it would replace as
+        it was and no temporary file."""
+        path = tmp_path / "report"
+        reports.write_json(path, {"O": "1.5"})
+        before = path.read_bytes()
+        with pytest.raises((TypeError, _Interrupted)):
+            write(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report"]
 
 
 class TestMappedFields:
