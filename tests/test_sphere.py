@@ -413,6 +413,32 @@ class TestStacks:
         assert a.shape == (depth,) + c.shape[1:]
         assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("Lmax", [8, 12, 15, 23])
+    @pytest.mark.parametrize("kind", ["real spin 0", "spin 0", "spin 1"])
+    def test_leaves_keep_their_bits_in_a_stack(self, Lmax, kind):
+        """Analysis gives each leaf of a stack the bits it has alone, on the
+        grid and on the padded grid, at every L here; synthesis does so at
+        L = 8 and 12 only, because it folds the stack into the columns of
+        its per-m Legendre gemm, whose rounding depends on the column count
+        from L = 15 on."""
+        spin = 1 if kind == "spin 1" else 0
+        rng = np.random.default_rng(Lmax)
+        for grid in (build_grid(Lmax), build_grid(pad_Lmax(Lmax))):
+            for depth in (2, 5, 9):
+                samples = rng.normal(size=(depth,) + grid.shape)
+                if kind != "real spin 0":
+                    samples = samples + 1j * rng.normal(size=samples.shape)
+                a = raw_analyze(grid, samples, spin, Lmax)
+                for j in range(depth):
+                    assert np.array_equal(
+                        raw_analyze(grid, samples[j], spin, Lmax), a[j])
+                if Lmax >= 15:
+                    continue
+                x = raw_synthesize(grid, a, spin)
+                for j in range(depth):
+                    assert np.array_equal(raw_synthesize(grid, a[j], spin),
+                                          x[j])
+
     def test_two_stack_axes(self, grid8):
         rng = np.random.default_rng(5)
         c = np.stack([[_band_limited(rng, 8, 1) for _ in range(3)]
