@@ -51,6 +51,15 @@ a C-ordered zero moves downstream sums at roundoff.  NaN and inf count as
 nonzero, and a zero times a non-finite factor takes the full product, so
 non-finite input is never skipped and still propagates.
 
+Leaf constants.  Spin-0 analysis takes one sample per leaf, c, off the
+samples before the DFT and adds c sqrt(4 pi) to a_00 after the Legendre
+stage, on the real and the complex path alike.  A field constant on a leaf
+(s, psi = log s, trchi' and trchib' on round data) then analyses to exact
+zeros at l >= 1, through the zero exit above when every leaf is constant,
+and every derivative of it is exactly zero: otherwise each l >= 1
+coefficient keeps about 4e-15 of roundoff, which derivatives multiply by
+up to l(l+1), a floor that grows with L.
+
 Real fields.  The lapse equation and its diagnostics transform real
 scalars (s, log Omega, psi, F1, e^{2 psi}, ...), whose coefficients satisfy
 a[l, -m] = (-1)^m conj(a[l, m]).  These take a half-range path, as real data
@@ -200,6 +209,10 @@ def build_grid(Lmax: int) -> Grid:
     return _GRIDS[Lmax]
 
 
+# a_00 of the constant 1: the integral of Y_00 = 1/sqrt(4 pi)
+_SQRT_4PI = math.sqrt(4.0 * math.pi)
+
+
 def _plan(grid, L, spin):
     """(lam, E, Einv) of band L on grid: the cached table lam[m+L, theta, l],
     and the 2L+1 rows E[m+L, k] = exp(i m phi_k) and columns of
@@ -253,7 +266,8 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
     spin-weighted field or a stack of them (samples (..., ntheta, nphi)).
 
     Real spin-0 samples take the half-range path (see Real fields in the
-    module docstring)."""
+    module docstring); spin-0 leaf constants are analysed exactly (see Leaf
+    constants)."""
     L = grid.Lmax if L is None else L
     real = spin == 0 and not np.iscomplexobj(samples)
     lam, _, Einv = _real_plan(grid, L) if real else _plan(grid, L, spin)
@@ -262,10 +276,13 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
     if s.shape[-2:] != grid.shape:
         raise ValueError(f"sample shape {s.shape} is not (..., {nt}, "
                          f"{grid.nphi})")
+    if spin == 0:
+        c = s[..., 0, 0]
+        s = s - c[..., None, None]
     if not s.any():
-        return np.zeros(s.shape[:-2] + (L + 1, 2 * L + 1),
-                        dtype=np.complex128, order="F")
-    if real:  # Einv is R: one gemm per leaf, numpy loops the stack
+        a = np.zeros(s.shape[:-2] + (L + 1, 2 * L + 1),
+                     dtype=np.complex128, order="F")
+    elif real:  # Einv is R: one gemm per leaf, numpy loops the stack
         F = np.matmul(s, Einv).view(np.complex128)  # (..., theta, m >= 0)
         F *= (grid.weights / (2.0 * np.pi))[:, None]
         Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(L + 1, nt, -1)
@@ -274,16 +291,21 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
         # a[l, -m] = (-1)^m conj(a[l, m]) for m = L..1
         np.conj(a[:L:-1], out=a[:L])
         a[:L][::-2] *= -1.0  # odd m
-        return a.reshape((2 * L + 1, L + 1) + F.shape[-3::-1]).T
-    # (m, theta, stack re/im pairs in reversed stack order)
-    F = (s.reshape(-1, grid.nphi) @ Einv).reshape(s.shape[:-1] + (-1,))
-    F *= (grid.weights / (2.0 * np.pi))[:, None]
-    Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(2 * L + 1, nt, -1)
-    a = np.matmul(lam.transpose(0, 2, 1), Fr)  # (m, l, 2 * stack)
-    # Fortran-ordered (..., l, m): raw_synthesize takes its transpose without
-    # a copy
-    return a.view(np.complex128).reshape(
-        (2 * L + 1, L + 1) + F.shape[-3::-1]).T
+        a = a.reshape((2 * L + 1, L + 1) + F.shape[-3::-1]).T
+    else:
+        # (m, theta, stack re/im pairs in reversed stack order)
+        F = (s.reshape(-1, grid.nphi) @ Einv).reshape(s.shape[:-1] + (-1,))
+        F *= (grid.weights / (2.0 * np.pi))[:, None]
+        Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(
+            2 * L + 1, nt, -1)
+        a = np.matmul(lam.transpose(0, 2, 1), Fr)  # (m, l, 2 * stack)
+        # Fortran-ordered (..., l, m): raw_synthesize takes its transpose
+        # without a copy
+        a = a.view(np.complex128).reshape(
+            (2 * L + 1, L + 1) + F.shape[-3::-1]).T
+    if spin == 0:
+        a[..., 0, L] += _SQRT_4PI * c
+    return a
 
 
 def raw_synthesize(grid: Grid, coeffs, spin: int):

@@ -701,6 +701,40 @@ def read_one(table, s_nodes, heights):
     return interp_generator(GeneratorPack(s_nodes, [table]), heights)[0]
 
 
+class TestLeafConstants:
+    @settings(max_examples=40, deadline=None)
+    @given(Lmax=st.sampled_from([8, 23, 63]), real=st.booleans(),
+           stack=st.sampled_from([(), (1,), (3,), (2, 3)]),
+           mixed=st.booleans(), data=st.data())
+    def test_constant_leaves_analyse_exactly(self, Lmax, real, stack, mixed,
+                                             data):
+        """A spin-0 field constant on each leaf, of any value, analyses on
+        the real and the complex path to exact zeros at every (l, m) but
+        (0, 0), and to a_00 = c sqrt(4 pi) within 1 ulp; also beside a leaf
+        that is not constant (mixed), in one stack."""
+        value = st.floats(-1e300, 1e300)
+        n = math.prod(stack)
+        c = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        if not real:
+            c = c + 1j * np.array(data.draw(
+                st.lists(value, min_size=n, max_size=n)))
+        grid = build_grid(Lmax)
+        leaves = np.broadcast_to(c[:, None, None], (n,) + grid.shape)
+        if mixed:  # one leaf that is not constant joins the stack
+            noise = np.random.default_rng(n).normal(size=(1,) + grid.shape)
+            a = raw_analyze(grid, np.concatenate(
+                [leaves, noise.astype(c.dtype)]), 0)[:n]
+        else:
+            a = raw_analyze(grid, leaves.reshape(stack + grid.shape),
+                            0).reshape((n, Lmax + 1, 2 * Lmax + 1))
+        a00 = a[:, 0, Lmax].copy()
+        a[:, 0, Lmax] = 0.0
+        assert not a.any()
+        want = np.sqrt(4.0 * np.pi) * c
+        for got, ref in [(a00.real, want.real), (a00.imag, np.imag(want))]:
+            assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+
+
 class TestGeneratorPack:
     """Reads of packed tables equal the per-table reference formula."""
 
