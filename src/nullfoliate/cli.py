@@ -164,7 +164,7 @@ def cmd_norms(args):
     data = geodesic.load(args.data)
     fol = solver.Foliation.load(args.foliation, data)
     os.makedirs(args.out, exist_ok=True)
-    rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
+    rep = diagnostics.norm_suite(fol)
     rep.to_csv(os.path.join(args.out, "norms.csv"))
     rep.to_json(os.path.join(args.out, "norms.json"))
     print(f"norm suite written: O = {rep.get('O'):.6e}, "

@@ -3,18 +3,20 @@ suites, the Littlewood-Paley/Besov/Sobolev norms of the norm suite, and the
 v-convergence study.
 
 canonical() is the one place that turns a foliation into its canonical
-geometry: one reconstruct call on the chosen levels, as one stack.  Every
-suite takes that reconstruction (and the dataset where it reads it) instead
-of the foliation, so a run builds it once and hands it to all its suites;
-the levels, dv and the lapse come from co.v and co.logOmega.  Residuals are
-stack expressions over the levels (see sphere and tensors), reported one
-row per level.  The equations are those geodesic.validate checks, stated
-once in geodesic on a geodesic.Geometry, which a reconstruction is: the
-Gauss and Codazzi rows are gauss_codazzi(co), and the transport rows
-null_transport in its general form, at the canonical etab and mu.  The one
-condition that makes the foliation canonical, the lapse equation, is
-measured once, by the constraint suite: lapse_equation and div_etab share
-its prescribed Delta log Omega.
+geometry: one reconstruct call on the chosen levels, as one stack.  The
+residual suites take that reconstruction (and the dataset where it reads
+it) instead of the foliation, so verify builds it once and hands it to both;
+the levels, dv and the lapse come from co.v and co.logOmega.  The norm
+suite takes the foliation and builds the reconstruction after its geodesic
+side.  Residuals are stack expressions over the levels (see sphere and
+tensors), reported one row per level.  The equations are those
+geodesic.validate checks, stated once in geodesic on a geodesic.Geometry,
+which a reconstruction is: the Gauss and Codazzi rows are
+gauss_codazzi(co), and the transport rows null_transport in its general
+form, at the canonical etab and mu.  The one condition that makes the
+foliation canonical, the lapse equation, is measured once, by the
+constraint suite: lapse_equation and div_etab share its prescribed Delta
+log Omega.
 
 The norm suite measures both foliations with one recipe: one function each
 forms their I_S1 and R entries from a Geometry (the geodesic slab or the
@@ -375,7 +377,8 @@ def _set_total(rep, prefix, entries):
 
 def _geodesic_norms(rep, data):
     """The I'_{S1}, R' and O' entries, over data.slab(); its fields go
-    when this returns, before the canonical side is measured."""
+    when this returns, and norm_suite builds the reconstruction of the
+    canonical side only then, so the two are never resident together."""
     wcc = _cheb.cc_weights(data.s_nodes)
     geo = data.slab()
     gs, trchi, zeta = geo.metric, geo.trchi, geo.zeta
@@ -399,19 +402,23 @@ def _geodesic_norms(rep, data):
     })
 
 
-def norm_suite(data, co) -> NormReport:
-    """Every constituent of the I', I, O', O, R', R norm functionals.
+def norm_suite(fol) -> NormReport:
+    """Every constituent of the I', I, O', O, R', R norm functionals of a
+    foliation fol and its dataset fol.data.
 
     The geodesic side reads the dataset's s-node leaves as one stack, the
-    canonical side the reconstruction co of every v-level of a foliation;
+    canonical side canonical(fol), the reconstruction of every v-level;
     along the generators the one takes Clenshaw-Curtis weights on the
-    s-nodes, the other Simpson weights on the v-levels.
+    s-nodes, the other Simpson weights on the v-levels.  The geodesic side
+    is measured first and its fields freed before the reconstruction is
+    built, so a run holds one side at a time.
     """
     rep = NormReport()
-    _geodesic_norms(rep, data)
+    _geodesic_norms(rep, fol.data)
 
     # ---- canonical-side norms (I_{S1}, O, R) over the v-levels -----------
-    grid = data.grid
+    co = canonical(fol)
+    grid = fol.grid
     g = co.metric
     wv = simpson_weights(co.v)
     co1 = co[0]

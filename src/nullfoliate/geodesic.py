@@ -142,11 +142,14 @@ class GeodesicNullData:
 
         chi' is its trace (see the module docstring).  The GEOMETRY tables
         are packed per call and not kept, so a dataset holds no second copy
-        of them between reconstructions; each field is copied out of the
-        read, which is then freed.
+        of them between reconstructions.  Once packed, the pages of a table
+        mapped from a file are released, so while the read runs the pack is
+        their one resident copy; each field is copied out of the read,
+        which is then freed.
         """
-        pack = GeneratorPack(self.s_nodes,
-                             [getattr(self, name) for name in GEOMETRY])
+        tables = [getattr(self, name) for name in GEOMETRY]
+        pack = GeneratorPack(self.s_nodes, tables)
+        container.release(*tables)
         tables = [r.copy() for r in interp_generator(pack, s_eval)]
         return _geometry(MetricRep(self.grid, psi=np.real(tables[0])),
                          tables)

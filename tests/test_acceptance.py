@@ -209,7 +209,7 @@ def test_criterion_7_smallness_propagation():
         data, exact = geodesic.gen_manufactured(spec)
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 32.0, tol=1e-13)
         fol = solver.continue_foliation(data, cfg, v_end=2.0)
-        rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
+        rep = diagnostics.norm_suite(fol)
         o_norms[eps] = rep.get("O")
         om_ratios[eps] = fol.max_omega_dev() / eps
     eps_arr = np.array([1e-2, 1e-3, 1e-4])

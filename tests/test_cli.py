@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -315,6 +316,33 @@ class TestVerifyAndNorms:
             assert run([command, "--data", ds, "--foliation", fol,
                         "--out", str(tmp_path / command)]) == 0
             assert levels == [33], command  # dv = 1/32 over v in [1, 2]
+
+    def test_norms_reconstructs_after_the_geodesic_side(
+            self, workspace, tmp_path, monkeypatch):
+        """norms measures the geodesic slab first and reconstructs only
+        once the slab is gone, so the two are never resident together."""
+        from nullfoliate import diagnostics, geodesic
+        _, ds, fol = workspace
+        real_slab, real_reconstruct = (geodesic.GeodesicNullData.slab,
+                                       diagnostics.reconstruct)
+        events, slabs = [], []
+
+        def slab(data):
+            geo = real_slab(data)
+            events.append("slab")
+            slabs.append(weakref.ref(geo))
+            return geo
+
+        def reconstruct(*args):
+            events.append("reconstruct")
+            assert all(ref() is None for ref in slabs), "slab still held"
+            return real_reconstruct(*args)
+
+        monkeypatch.setattr(geodesic.GeodesicNullData, "slab", slab)
+        monkeypatch.setattr(diagnostics, "reconstruct", reconstruct)
+        assert run(["norms", "--data", ds, "--foliation", fol,
+                    "--out", str(tmp_path / "norms")]) == 0
+        assert events == ["slab", "reconstruct"]
 
     @pytest.mark.parametrize("bend", ["one_level", "two_levels",
                                       "moved_node", "descending"])

@@ -47,6 +47,20 @@ class TestConstraintResiduals:
         assert rep.worst("gauss") < 1e-9
         assert rep.worst() < 1e-9
 
+    @pytest.mark.parametrize("Lmax", [31, 47])
+    def test_mms_passes_the_default_tolerance_at_large_L(self, Lmax):
+        """With exact leaf constants the constraint floor does not grow
+        with L: on the manufactured slab (eps = 0.01, n_s = 40, dv = 1/64,
+        v in [1, 1.125]) the worst row was 3.4e-13 at L = 31 and 1.4e-13
+        at L = 47, under the default tolerance 1e-10."""
+        data, _ = geodesic.gen_manufactured(
+            geodesic.MmsSpec(epsilon=0.01, Lmax=Lmax, n_s=40))
+        fol = solver.continue_foliation(
+            data, solver.SolverConfig(dv=1.0 / 64.0), v_end=1.125)
+        rep = diagnostics.constraint_residuals(data,
+                                               diagnostics.canonical(fol))
+        assert rep.all_pass(), rep.worst()
+
     def test_lapse_detector_sensitivity(self, mink_foliation):
         """Injecting 1e-3 Y20 into log Omega lifts the lapse residual to the
         eigenvalue-6 scale (L2 norm >= 5e-3)."""
@@ -181,15 +195,15 @@ class TestBochner:
 class TestNormSuite:
     def test_minkowski_all_vanish(self, mink_foliation):
         """Every deviation-from-flat norm entry vanishes on the exact cone."""
-        data, fol = mink_foliation
-        rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
+        _, fol = mink_foliation
+        rep = diagnostics.norm_suite(fol)
         assert all(v < 1e-10 for v in rep.values.values())
 
     def test_schwarzschild_rho_oracle(self, schw_foliation):
         """|| rho ||_{L2(H)}^2 = int_1^2 4 pi s^2 (2M/s^3)^2 ds in closed
         form; Simpson at dv = 1/64 resolves it to ~1e-6 relative."""
-        data, fol = schw_foliation
-        rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
+        _, fol = schw_foliation
+        rep = diagnostics.norm_suite(fol)
         M = 0.1
         oracle = np.sqrt(16.0 * np.pi * M ** 2 * (1.0 - 1.0 / 8.0) / 3.0)
         assert abs(rep.get("R.rho") - oracle) < 1e-5 * oracle
@@ -200,10 +214,73 @@ class TestNormSuite:
         half = solver.Foliation(data, fol.v_nodes[:fol.n_levels // 2 + 1],
                                 fol.s[:fol.n_levels // 2 + 1],
                                 fol.logOmega[:fol.n_levels // 2 + 1])
-        full_rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
-        half_rep = diagnostics.norm_suite(data, diagnostics.canonical(half))
+        full_rep = diagnostics.norm_suite(fol)
+        half_rep = diagnostics.norm_suite(half)
         for key in ["R.rho", "R", "O.trchi_dev_infinf"]:
             assert half_rep.get(key) <= full_rep.get(key) + 1e-12
+
+
+class TestSchwarzschildClosedForms:
+    """Schwarzschild M = 0.1, L = 15, dv = 1/64, v in [1, 2], s* = 2.5.
+    Every canonical leaf is round (s = v, log Omega = 0), so each nonzero
+    entry checked here is a one-dimensional integral of a closed-form
+    integrand, and every entry that spherical symmetry makes zero is
+    exactly 0."""
+
+    M = 0.1
+    ZERO = (
+        [f"I_S1.{k}" for k in (
+            "chibhat_H12", "etab_H12", "grad_logOmega_H12", "grad_trchi_B0",
+            "grad_trchib_L2", "logOmega_L2", "omega_dev_inf",
+            "trchi_dev_inf", "zeta_H12")]
+        + [f"Iprime_S1.{k}" for k in (
+            "chibhat_H12", "grad_trchi_B0", "grad_trchib_L2",
+            "trchi_dev_inf", "zeta_H12")]
+        + [f"O.{k}" for k in (
+            "L_logOmega_L2L4", "N1_chibhat", "N1_etab", "N1_grad_logOmega",
+            "N1_zeta", "P0v_zeta", "Q12v_zeta", "etab_LinfL2v",
+            "grad_trchib_L2Linfv", "omega_dev_infinf", "zeta_LinfL2v")]
+        + [f"Oprime.{k}" for k in (
+            "N1_zeta", "trchi_dev_infinf", "zeta_LinfL2s")]
+        + [f"{side}.{k}" for side in ("R", "Rprime")
+           for k in ("beta", "betab", "sigma")])
+
+    @pytest.fixture(scope="class")
+    def norms(self):
+        data = geodesic.gen_schwarzschild(self.M, Lmax=15)
+        fol = solver.continue_foliation(
+            data, solver.SolverConfig(dv=1.0 / 64.0), v_end=2.0)
+        return fol, diagnostics.norm_suite(fol)
+
+    def test_symmetry_zeros_are_exact(self, norms):
+        _, rep = norms
+        assert len(self.ZERO) == 34
+        for key in self.ZERO:
+            assert rep.get(key) == 0.0, key
+
+    def test_rho_flux_is_simpson_of_its_integrand(self, norms):
+        """|| rho ||_{L2(H)}^2 = int 16 pi M^2 v^-4 dv under Simpson on the
+        65 levels: 0.3828938194236311."""
+        fol, rep = norms
+        v = fol.v_nodes
+        want = np.sqrt(np.sum(diagnostics.simpson_weights(v)
+                              * 16.0 * np.pi * self.M ** 2 * v ** -4))
+        assert abs(want - 0.3828938194236311) <= 1e-15
+        assert abs(rep.get("R.rho") - want) <= 1e-12 * want
+
+    def test_geodesic_rho_flux_closed_form(self, norms):
+        """|| rho' ||^2 over s in [1, 2.5] = 16 pi M^2 (1 - 2.5^-3) / 3;
+        Clenshaw-Curtis on the 32 s-nodes is exact to roundoff."""
+        _, rep = norms
+        want = np.sqrt(16.0 * np.pi * self.M ** 2 * (1.0 - 2.5 ** -3) / 3.0)
+        assert abs(rep.get("Rprime.rho") - want) <= 1e-12 * want
+
+    def test_initial_mass_aspect_closed_form(self, norms):
+        """mu = -rho = 2M on the unit first leaf: || mu ||_{L2} =
+        2M sqrt(4 pi)."""
+        _, rep = norms
+        want = 2.0 * self.M * np.sqrt(4.0 * np.pi)
+        assert abs(rep.get("I_S1.mu_L2") - want) <= 1e-12 * want
 
 
 class TestGeneratorQuadrature:
@@ -270,7 +347,7 @@ class TestNormOracle:
         fol = solver.continue_foliation(
             data, solver.SolverConfig(delta=0.25, dv=1.0 / 128.0, tol=1e-13),
             v_end=2.0)
-        rep = diagnostics.norm_suite(data, diagnostics.canonical(fol))
+        rep = diagnostics.norm_suite(fol)
         M = 0.1
         oracle = np.sqrt(16.0 * np.pi * M ** 2 * (1.0 - 1.0 / 8.0) / 3.0)
         assert abs(rep.get("R.rho") - oracle) / oracle < 1e-8
@@ -481,7 +558,7 @@ def nonzero_slab():
     v = np.linspace(1.0, 2.0, 65)
     s = v[:, None, None] * ones
     fol = solver.Foliation(data, v, s, np.zeros_like(s))
-    return data, diagnostics.norm_suite(data, diagnostics.canonical(fol))
+    return data, diagnostics.norm_suite(fol)
 
 
 class TestNonzeroTensorNorms:

@@ -1,12 +1,14 @@
 """tools/same_outputs.py reports what moved between two trees: the lines for
 a differing JSON report and for a file that only one tree holds, and the
-cost of each stage.  The tool is imported by path; only the CLI's help
-runs."""
+cost of each stage, and the byte-compilation of a tree.  The tool is
+imported by path; only the CLI's help and compileall run."""
 
 import importlib.util
 import json
 import os
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
 _spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
@@ -57,3 +59,16 @@ def test_stage_keeps_its_output_and_exit_code_and_reports_its_cost(tmp_path):
     text = out.read_bytes()
     assert text.startswith(b"usage:") and text.endswith(b"\nexit 0\n")
     assert wall > 0.0 and rss_mb > 1.0
+
+
+def test_build_byte_compiles_the_tree(tmp_path):
+    """Both trees are compiled before their stages run, so neither pays
+    for a stale __pycache__; a tree that does not compile stops the tool."""
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("X = 1\n")
+    same_outputs.build(tmp_path / "src")
+    assert Path(importlib.util.cache_from_source(str(module))).is_file()
+    (module.parent / "bad.py").write_text("X = (1,\n")
+    with pytest.raises(SystemExit):
+        same_outputs.build(tmp_path / "src")

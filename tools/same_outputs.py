@@ -3,7 +3,11 @@
     python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory holding the `nullfoliate` package (the `src/` of a
-checkout).  Every reference case (the four dv = 1/64 cases below, and the
+checkout).  Both trees are byte-compiled first (`python -m compileall`),
+as perfbench/run.py does before its timings: where PYTHONDONTWRITEBYTECODE
+is set, a tree with a stale `__pycache__` would compile its modules anew in
+every stage, and that cost and memory would read as a difference of the
+trees.  Every reference case (the four dv = 1/64 cases below, and the
 MMS solve of the benchmark's `mms-L23-march`: eps = 0.01, L = 23, n_s = 40,
 dv = 1/256, v in [1, 1.25]) runs generate -> solve -> verify -> norms, and
 the README's `convergence` study runs at its defaults, once with
@@ -80,6 +84,15 @@ CASES = {
     # floor (about 2.5e-13), so its windows are accepted against the floor
     "convergence-L23": {"convergence": ["convergence", "--out", "reports"]},
 }
+
+
+def build(src):
+    """Byte-compile the tree src, as an install would; exits if that
+    fails."""
+    res = subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)],
+                         capture_output=True, text=True)
+    if res.returncode != 0:
+        sys.exit(f"{src}: compileall failed\n{res.stdout}{res.stderr}")
 
 
 def run_stage(argv, workdir, env, out_path):
@@ -266,6 +279,7 @@ def main(argv):
     for src in (parent, change):
         if not (Path(src) / "nullfoliate").is_dir():
             sys.exit(f"{src}: no nullfoliate package there")
+        build(src)
     n_diff = n_files = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for case, stages in CASES.items():
