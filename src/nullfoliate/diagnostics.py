@@ -30,11 +30,11 @@ components, with the one set of weights of tensors.components.  No product
 is formed for it, so nothing of |x|^2 above the band limit is dropped.  A
 residual row is tensors.sizes of its field, as in geodesic.validate.  A
 norm on the round reference (H^s, B^0) is tensors.spectral_l2, a weighted
-sum of |a_lm|^2 over the same components (Parseval), so no piece is
-synthesised for it.  The dyadic partition is stated once, lp_partition: B^0
-weights the coefficients by its squared multipliers, and P^0_v and
-Q^{1/2}_v, which measure the pieces on the leaf metrics, project and
-synthesise each piece once for both.
+sum over l of the per-degree power spectrum of the same components
+(Parseval), so no piece is synthesised for it.  The dyadic partition is
+stated once, lp_partition: B^0 weights the spectrum by its squared
+multipliers, and P^0_v and Q^{1/2}_v, which measure the pieces on the leaf
+metrics, project and synthesise each piece once for both.
 
 Transport residuals differentiate the reconstructed spin components along the
 generators, nabla_L = Omega d/dv at fixed angle, with centered finite
@@ -232,16 +232,16 @@ def _dyadic(f):
 
 def besov_B0(f):
     """B^0 norm: sum_k ||P_k f||_{L2} + ||P_{<0} f||_{L2} (round reference),
-    one value per field of a stack.  By Parseval ||P_k f||^2 sums
-    multiplier^2 |a_lm|^2, which the grid's quadrature of |P_k f|^2 (band
-    2 Lmax) gives exactly, so no piece is synthesised."""
+    one value per field of a stack.  By Parseval ||P_k f||^2 is the power
+    spectrum summed over l with the weights multiplier^2, which the grid's
+    quadrature of |P_k f|^2 (band 2 Lmax) gives exactly."""
     return sum(spectral_l2(
         f, [mult ** 2 for _, mult in lp_partition(components(f)[0][0].grid)]))
 
 
 def Hs_norm(f, s_exp):
-    """H^s norm with the round-reference multiplier (1 + l(l+1))^{s/2}, one
-    value per field of a stack."""
+    """H^s norm, the power spectrum weighted by (1 + l(l+1))^s: the
+    round-reference multiplier (1 + l(l+1))^{s/2}, one value per field."""
     lam = components(f)[0][0].grid.eigenvalues
     return spectral_l2(f, [(1.0 + lam) ** s_exp])[0]
 

@@ -27,9 +27,9 @@ it.  M_n and Delta_n are formed per block, one analysis of four differences
 each, and the seed level's terms once per window: a whole-window analysis
 makes full-size temporaries that cost more than its arithmetic and set the
 solve's peak memory, while a stacked analysis gives each field the same
-bits at any stack size of 2 or more.  The Sobolev sums are
-tensors.spectral_l2 of the analysed block with the weights (l(l+1))^p, the
-round-sphere norm the norm suite takes too; the block's coefficients live
+bits at any stack size of 2 or more.  The Sobolev sums weight the
+block's per-degree power spectrum by (l(l+1))^p (tensors.spectral_l2, the
+round-sphere norm the norm suite takes too); the block's coefficients live
 only for that call.
 
 Stopping rule.  A sweep is accepted when Delta_n <= max(tol,
@@ -254,7 +254,7 @@ def cumulative_integral(values, dv):
 
 def _sobolev_sum(f):
     """sum_{p <= 2} ||grad_ring^p f||_{L2(round)} per field of a stack f of
-    spin-0 fields: spectral_l2 with the weights (l(l+1))^p."""
+    spin-0 fields: its power spectrum weighted by (l(l+1))^p."""
     lam = f.grid.eigenvalues
     return sum(spectral_l2(f, [lam ** p for p in range(3)]))
 

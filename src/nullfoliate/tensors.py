@@ -11,7 +11,8 @@ conj(b_m)), and each derivative is one conformal eth.  A size needs no
 product: |x| is taken pointwise from the samples (magnitude), and every
 residual is sized from it, by its max and its L2 norm on the g-measure
 (sizes).  A norm on the round reference sphere is read from the
-coefficients instead, by Parseval (spectral_l2).  rebuild makes a field or
+coefficients instead, by Parseval, as a weighted sum over the degrees of
+the per-degree power spectrum (spectral_l2).  rebuild makes a field or
 tensor of the same kind from new samples of each stored component, as a
 derivative along a stack gives them.
 
@@ -209,23 +210,18 @@ def sizes(x, metric):
 
 
 def spectral_l2(x, weights):
-    """[sqrt(sum w sum_lm weight[l] |a_lm|^2) over components(x) for each
-    weight of weights], one value per field of a stack in each: the
-    round-sphere L2 norms of the degree multipliers sqrt(weight) applied to
-    x, read from the coefficients (Parseval) with no synthesis.  |a_lm|^2
-    is formed in place once per component for all the weights, and each
-    weighted table goes into one buffer that every weight reuses; both
-    keep the layout of the coefficients, which sets the order of the
-    sums."""
-    totals = [0.0] * len(weights)
+    """[sqrt(sum_l weight[l] P_l) for each weight of weights], one value per
+    field of a stack in each: the round-sphere L2 norms of the degree
+    multipliers sqrt(weight) applied to x, by Parseval from the per-degree
+    power spectrum P_l = sum w sum_m |a_lm|^2 over components(x), formed
+    once.  |a_lm|^2 is C-ordered and each sum runs along a contiguous last
+    axis, so a field has the same bits alone and in any stack or layout."""
+    power = 0.0
     for c, w in components(x):
-        power = np.abs(c.coeffs)
-        np.square(power, out=power)
-        weighted = np.empty_like(power)
-        for i, weight in enumerate(weights):
-            np.multiply(weight[:, None], power, out=weighted)
-            totals[i] += w * np.sum(weighted, axis=(-2, -1))
-    return [np.sqrt(t) for t in totals]
+        a2 = np.abs(c.coeffs, order="C")
+        np.square(a2, out=a2)
+        power = power + w * np.sum(a2, axis=-1)
+    return [np.sqrt(np.sum(weight * power, axis=-1)) for weight in weights]
 
 
 def dot(a, b) -> SpinField:
@@ -322,9 +318,11 @@ def invert_laplacian(f: SpinField, g: MetricRep) -> SpinField:
     Exact by conformal covariance: Delta_ring u = e^{2 psi}(f - mean f).
     A stack of fields over a stack of metrics is solved field by field.
     """
-    fm = mean(f, g)
-    rhs = multiply(g.conformal_factor(2.0), f - SpinField.constant(g.grid, fm))
+    fm = mean(f, g)[..., None, None]
+    rhs = multiply(g.conformal_factor(2.0),
+                   SpinField.from_samples(g.grid, 0, f.samples - fm))
     inv = np.zeros(g.grid.Lmax + 1)
     inv[1:] = -1.0 / g.grid.eigenvalues[1:]
     u = SpinField.from_coeffs(g.grid, 0, rhs.coeffs * inv[:, None])
-    return u - SpinField.constant(g.grid, mean(u, g))
+    um = mean(u, g)[..., None, None]
+    return SpinField.from_samples(g.grid, 0, u.samples - um)

@@ -130,18 +130,13 @@ class TestSchwarzschild:
         rep = geodesic.validate(schw)
         assert rep.worst() < 1e-9
 
-    def test_validates_at_roundoff_at_l47(self):
-        """At L=47 the residuals stay at roundoff: the worst was 9.41e-12
-        on the grid of gauss_legendre, and 1.18e-10 with the eigenvalue
-        weights of np.polynomial.legendre.leggauss, whose l >= 1 leakage of
-        a constant the eth ladder amplifies."""
-        data = geodesic.gen_schwarzschild(0.1, Lmax=47, n_s=32)
-        assert geodesic.validate(data).worst() <= 1.5e-11
-
-    def test_validates_at_roundoff_at_l63(self):
+    @pytest.mark.parametrize("Lmax", [47, 63])
+    def test_validates_at_roundoff_at_large_L(self, Lmax):
         """With exact leaf constants the residual floor does not grow with
-        L: the worst was 2.03e-13 at L = 23, 47 and 63."""
-        data = geodesic.gen_schwarzschild(0.1, Lmax=63, n_s=32)
+        L: the worst was 2.03e-13 at L = 23, 47 and 63.  Before them it was
+        9.41e-12 at L = 47 on the grid of gauss_legendre, and 1.18e-10 with
+        the eigenvalue weights of np.polynomial.legendre.leggauss."""
+        data = geodesic.gen_schwarzschild(0.1, Lmax=Lmax, n_s=32)
         assert geodesic.validate(data).worst() <= 5e-13
 
 

@@ -633,14 +633,15 @@ def whole_window_monitor(grid, sa, la, sb, lb):
     """Largest per-level order-2 Sobolev sum plus sup of the differences, in
     one analysis of the whole window: the reference for picard_window's
     per-block monitor.  The Sobolev sum is written out on the coefficients,
-    sum_p sqrt(sum (l(l+1))^p |a_lm|^2), apart from tensors.spectral_l2."""
+    apart from tensors.spectral_l2: the per-degree power spectrum P_l =
+    sum_m |a_lm|^2, each sum along a contiguous axis, then
+    sum_p sqrt(sum_l (l(l+1))^p P_l)."""
     d = np.stack([sa - sb, la - lb])  # (2, levels, ntheta, nphi)
     coeffs = raw_analyze(grid, d, 0)
     lam = np.arange(coeffs.shape[-2], dtype=float)
     lam = lam * (lam + 1.0)
-    power = np.abs(coeffs) ** 2
-    sob = sum(np.sqrt(np.sum(lam[:, None] ** p * power, axis=(-2, -1)))
-              for p in range(3))
+    power = np.sum(np.ascontiguousarray(np.abs(coeffs)) ** 2, axis=-1)
+    sob = sum(np.sqrt(np.sum(lam ** p * power, axis=-1)) for p in range(3))
     sup = np.max(np.abs(d), axis=(-2, -1))
     return float(np.max(sob[0] + sob[1] + sup[0] + sup[1]))
 
