@@ -158,9 +158,9 @@ def release(*arrays):
 def read(path, kind, Lmax=None) -> Contents:
     """Load a container of `kind`, and of band limit `Lmax` if given.
 
-    Checks format_version, kind, Lmax, the node list, that every required
-    field is present and no unknown one is, each field's shape against the
-    node count and the grid, and finiteness; DatasetError otherwise.
+    Checks format_version, kind, Lmax, the node list, that each required
+    field is present once and no unknown one is, each field's shape against
+    the node count and the grid, and finiteness; DatasetError otherwise.
     """
     node_key, spins, optional = _KINDS[kind]
     try:
@@ -203,6 +203,8 @@ def read(path, kind, Lmax=None) -> Contents:
         if not isinstance(name, str) or name not in spins:
             raise DatasetError(f"field {name!r} does not belong in a {kind} "
                                "container")
+        if name in fields:
+            raise DatasetError(f"field {name!r} is listed twice")
         want = grid.shape if name in _SPHERE_FIELDS \
             else (len(nodes),) + grid.shape
         fields[name] = _read_field(path, entry, want)

@@ -20,7 +20,7 @@ validate applies both to the slab, and the residual suites of diagnostics
 to a canonical reconstruction.
 """
 
-from dataclasses import dataclass, field as dfield, fields
+from dataclasses import dataclass, field as dfield, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -82,9 +82,10 @@ def _geometry(metric, tables):
 # dataset
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GeodesicNullData:
-    """Tabulated geodesic-foliation data; fields are (n_s, ntheta, nphi) arrays."""
+    """Geodesic-foliation data, tables (n_s, ntheta, nphi); frozen, as
+    source_at packs the tables once: dataclasses.replace swaps a table."""
 
     grid: Grid
     s_nodes: np.ndarray
@@ -418,10 +419,8 @@ def gen_manufactured(spec: MmsSpec):
     epv = eps * p(exact.v_of_s(np.broadcast_to(sig, (spec.n_s,) + grid.shape)))
     xi = epv * G
     lap_log = epv / (1.0 + xi) * lapG - epv ** 2 / (1.0 + xi) ** 2 * gradG2
-    base.forcing_F1 = -lap_log / sig ** 2
-    base.exact = exact
-    base.meta.update({"model": "mms", "mms": exact.to_meta()})
-    return base, exact
+    return replace(base, forcing_F1=-lap_log / sig ** 2, exact=exact, meta={
+        **base.meta, "model": "mms", "mms": exact.to_meta()}), exact
 
 
 # --------------------------------------------------------------------------
@@ -538,8 +537,7 @@ def load(path) -> GeodesicNullData:
     """Read a dataset written by save(); validated, bit-exact roundtrip."""
     c = container.read(path, "geodesic_data")
     G = c.fields.pop("mms_G", None)
-    data = GeodesicNullData(grid=c.grid, s_nodes=c.nodes, meta=c.meta,
-                            **c.fields)
-    if "mms" in data.meta and G is not None:
-        data.exact = MmsExact.from_meta(c.grid, data.meta["mms"], G)
-    return data
+    exact = None if "mms" not in c.meta or G is None \
+        else MmsExact.from_meta(c.grid, c.meta["mms"], G)
+    return GeodesicNullData(grid=c.grid, s_nodes=c.nodes, meta=c.meta,
+                            exact=exact, **c.fields)

@@ -11,32 +11,38 @@ realises the covariant derivative components (grad f)_m = eth f / sqrt(2) on
 the unit round sphere.  Pointwise products are formed on a 3/2-padded grid and
 truncated back to Lmax, so quadratic nonlinearities never alias.
 
-A transform is two dense stages.  The Legendre stage contracts the real
-Wigner table lam[m, theta, l] with the coefficients, one real matrix per m,
-all m in one batched np.matmul on the (real, imaginary) pairs of a real view;
-complex data never meets the real table in one product.  The Fourier stage is
-a complex matrix product with E[m, k] = exp(i m phi_k), or with its scaled
-conjugate for analysis.  nphi = 2 Lmax + 1 is odd and often prime (31, 47,
-71 at Lmax = 15, 23, 35), where an FFT falls back to Bluestein's algorithm;
-at these sizes the dense product is faster.
+A transform is two dense stages, each a real matrix product on the
+(real, imaginary) pairs of a real view.  The Legendre stage contracts the
+real Wigner table lam[m, theta, l] with the coefficients, one matrix per
+m, all m in one batched np.matmul.  The Fourier stage multiplies by E[m, k]
+= exp(i m phi_k), or by its scaled conjugate for analysis, as a real matrix
+on the pairs.  nphi = 2 Lmax + 1 is odd and often prime (31, 47, 71 at
+Lmax = 15, 23, 35), where an FFT falls back to Bluestein's algorithm; at
+these sizes the dense product is faster.
 
-Bands.  Coefficients (..., L+1, 2L+1) may have a band L up to the grid's
-Lmax: synthesis reads L from their shape, analysis takes it as an argument.
-A band-L transform works on 2L+1 m-matrices of (ntheta x (L+1)) and on the
-2L+1 rows of E, never on coefficients known to be zero.  The table is
-cached once per (grid Lmax, band, spin); a band reads a slice of the DFT
-pair stored once per grid.  A padded product synthesises band-Lmax factors
-onto the grid of pad_Lmax(Lmax) and analyses their product back to Lmax.
+Plans and bands.  Real and complex fields run the same code on a plan per
+(grid, band, spin, real): the m range (m >= 0 for a real field, -L..L
+otherwise), the table in two C-ordered orientations, (m, theta, l) for
+analysis and (m, l, theta) for synthesis, cached per (grid Lmax, band,
+spin), and a real DFT pair cached per (grid Lmax, band, real).
+Coefficients (..., L+1, 2L+1) may have a band L up to the grid's Lmax:
+synthesis reads L from their shape, analysis takes it as an argument, and
+neither works on coefficients known to be zero.  A padded product
+synthesises band-Lmax factors onto the grid of pad_Lmax(Lmax) and analyses
+their product back to Lmax.
 
 Stacks.  Samples (..., ntheta, nphi) and coefficients (..., L+1, 2L+1) may
-carry leading stack axes, e.g. the v-levels of a Picard window.  A
-transform folds the stack into the columns of its one Legendre matmul and its
-one Fourier matmul, so a stack costs two matrix products, not one pair per
-field (the real path below loops its DFT over the leaves).  SpinField,
-multiply and Grid.integrate broadcast over the stack; a 2-D field takes the
-same arithmetic as before the stack axis existed.  Grid.integrate is the
-grid's one quadrature; a round-sphere L2 norm needs none, since
-tensors.spectral_l2 reads it from the coefficients (Parseval).
+carry leading stack axes, e.g. the v-levels of a Picard window.  The
+Legendre stage folds the stack into the columns of its one batched matmul,
+with the table as the transposed operand of each gemm: as the other
+operand, OpenBLAS rounds a column by the column count (seen in synthesis
+from L = 15 on).  The DFT is one gemm per leaf, the stack looped by
+np.matmul: in one dgemm over every row of a stack OpenBLAS rounds a row by
+its position in the blocking.  So every leaf keeps the bits it has alone,
+in a stack of any size.  SpinField, multiply and Grid.integrate broadcast
+over the stack.  Grid.integrate is the grid's one quadrature; a
+round-sphere L2 norm needs none, since tensors.spectral_l2 reads it from
+the coefficients (Parseval).
 
 Zeros.  Spherically symmetric data carry identically zero fields (the
 tracefree part of chib, zeta, beta, sigma, betab), and the tracefree parts
@@ -53,7 +59,7 @@ non-finite input is never skipped and still propagates.
 
 Leaf constants.  Spin-0 analysis takes one sample per leaf, c, off the
 samples before the DFT and adds c sqrt(4 pi) to a_00 after the Legendre
-stage, on the real and the complex path alike.  A field constant on a leaf
+stage, for real and complex fields alike.  A field constant on a leaf
 (s, psi = log s, trchi' and trchib' on round data) then analyses to exact
 zeros at l >= 1, through the zero exit above when every leaf is constant,
 and every derivative of it is exactly zero: otherwise each l >= 1
@@ -62,20 +68,16 @@ up to l(l+1), a floor that grows with L.
 
 Real fields.  The lapse equation and its diagnostics transform real
 scalars (s, log Omega, psi, F1, e^{2 psi}, ...), whose coefficients satisfy
-a[l, -m] = (-1)^m conj(a[l, m]).  These take a half-range path, as real data
-do in SHTns (Schaeffer 2013, arXiv:1202.6522).  Analysis takes a real DFT
-against the m >= 0 columns of Einv, viewed as real pairs, then the Legendre
-stage on m >= 0 only, and fills m < 0 by the symmetry.  Synthesis takes the
-m >= 0 half of the Legendre stage and a real DFT (weight 1 at m = 0, 2 above)
-to float64 samples.  Both keep the layouts of the complex path.  Realness is
-decided exactly, never by a tolerance: spin-0 samples are real when they are
-float64 (SpinField.from_samples and constant keep real spin-0 input so), and
-spin-0 coefficients when they satisfy the symmetry bit for bit, as analysis
-of real samples gives and real scalings and sums keep.  Anything else, one
-ulp off included, takes the complex path.  The real DFT is one gemm per
-leaf, the stack looped by np.matmul: in one dgemm over every row of a stack
-OpenBLAS rounds a row by its position in the blocking, so a lone leaf would
-analyse to other bits than inside a stack.
+a[l, -m] = (-1)^m conj(a[l, m]).  Their plan covers m >= 0 only, as real
+data do in SHTns (Schaeffer 2013, arXiv:1202.6522): the m >= 0 rows of the
+spin-0 table, and a DFT pair that reads float64 samples and writes them
+(weight 1 at m = 0, 2 above, for the m < 0 half).  Analysis fills m < 0 by
+the symmetry.  Both keep the layouts of a complex field.  Realness is
+decided exactly, never by a tolerance: spin-0 samples are real when they
+are float64 (SpinField.from_samples and constant keep real spin-0 input
+so), and spin-0 coefficients when they satisfy the symmetry bit for bit, as
+analysis of real samples gives and real scalings and sums keep.  Anything
+else, one ulp off included, takes the complex plan.
 
 Generators.  Geodesic data is tabulated along each generator on CGL nodes
 in s.  A GeneratorPack holds several such tables in one real layout, and
@@ -124,15 +126,17 @@ class Grid:
         """Quadrature of samples against the round measure dOmega.
 
         A stack (..., ntheta, nphi) gives an array, one value per field.
+        The phi-mean and the theta-sum run along C-ordered rows, so a field
+        has the same bits alone and in any stack or layout.
         """
-        return np.sum(self.weights * np.asarray(samples).mean(axis=-1),
-                      axis=-1)
+        return np.sum(self.weights * np.ascontiguousarray(samples).mean(
+            axis=-1), axis=-1)
 
 
 _GRIDS: dict = {}
-_LEGENDRE: dict = {}  # (Lmax, band L, spin) -> real table lam[m+L, theta, l]
-_FOURIER: dict = {}  # Lmax -> (E, Einv), E[m+Lmax, k] = exp(i m phi_k)
-_REAL_FOURIER: dict = {}  # Lmax -> (Q, R), the real DFT pair of m >= 0
+# (Lmax, band L, spin) -> lam[m+L, theta, l] and lam[m+L, l, theta]
+_LEGENDRE: dict = {}
+_FOURIER: dict = {}  # (Lmax, band L, real) -> the real DFT pair (R, Q)
 
 
 def _legendre(n, x):
@@ -213,42 +217,41 @@ def build_grid(Lmax: int) -> Grid:
 _SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
-def _plan(grid, L, spin):
-    """(lam, E, Einv) of band L on grid: the cached table lam[m+L, theta, l],
-    and the 2L+1 rows E[m+L, k] = exp(i m phi_k) and columns of
-    Einv = conj(E).T 2pi/nphi, slices of the one DFT pair stored per grid."""
+def _pairs(C):
+    """C (n, p) as the real array P (n, 2, p, 2) that takes the (re, im)
+    pairs of a row vector x to those of x @ C."""
+    P = np.empty(C.shape[:1] + (2,) + C.shape[1:] + (2,))
+    P[:, 0, :, 0] = P[:, 1, :, 1] = C.real
+    P[:, 0, :, 1] = C.imag
+    P[:, 1, :, 0] = -C.imag
+    return P
+
+
+def _plan(grid, L, spin, real):
+    """(lam_a, lam_s, R, Q) of band L on grid, over the m range of its plan
+    (see Plans in the module docstring): the table as lam_a[m, theta, l] and
+    lam_s[m, l, theta], and the real DFT pair.  On (re, im) pairs, samples @
+    R are samples @ Einv, Einv = conj(E).T 2pi/nphi, and F @ Q is F @ E; for
+    a real field R reads and Q writes real samples, m > 0 weighted by 2."""
     if not 0 <= L <= grid.Lmax:
         raise ValueError(f"band {L} outside 0..{grid.Lmax} of the grid")
-    key = (grid.Lmax, L, spin)
-    if key not in _LEGENDRE:
-        _LEGENDRE[key] = spin_lambda_tables(L, spin, grid.theta_nodes)
-    if grid.Lmax not in _FOURIER:
-        ms = np.arange(-grid.Lmax, grid.Lmax + 1)
+    table = (grid.Lmax, L, spin)
+    if table not in _LEGENDRE:
+        lam = spin_lambda_tables(L, spin, grid.theta_nodes)
+        _LEGENDRE[table] = lam, np.ascontiguousarray(lam.transpose(0, 2, 1))
+    dft = (grid.Lmax, L, real)
+    if dft not in _FOURIER:
+        ms = np.arange(0 if real else -L, L + 1)
         E = np.exp(1j * np.outer(ms, grid.phi_nodes))
-        _FOURIER[grid.Lmax] = (E, E.conj().T * (2.0 * np.pi / grid.nphi))
-    E, Einv = _FOURIER[grid.Lmax]
-    band = slice(grid.Lmax - L, grid.Lmax + L + 1)
-    return _LEGENDRE[key], E[band], Einv[:, band]
-
-
-def _real_plan(grid, L):
-    """(lam, Q, R) of a real spin-0 field of band L on grid: the m >= 0 half
-    lam[m, theta, l] of the spin-0 table, and 2L+2 rows of Q and columns of
-    R, the real DFT pair stored once per grid, indexed by (m >= 0, re/im).
-    R is the m >= 0 columns of Einv viewed as real pairs, so samples @ R are
-    the m >= 0 Fourier coefficients; Q holds w_m (Re E[m], -Im E[m]) with
-    w_0 = 1 and w_m = 2, so Fourier coefficients @ Q are real samples."""
-    lam = _plan(grid, L, 0)[0]
-    if grid.Lmax not in _REAL_FOURIER:
-        E, Einv = _FOURIER[grid.Lmax]
-        w = np.where(np.arange(grid.Lmax + 1) == 0, 1.0, 2.0)[:, None]
-        half = E[grid.Lmax:]
-        Q = np.stack([w * half.real, -w * half.imag], axis=1)
-        _REAL_FOURIER[grid.Lmax] = (
-            Q.reshape(-1, grid.nphi),
-            np.ascontiguousarray(Einv[:, grid.Lmax:]).view(np.float64))
-    Q, R = _REAL_FOURIER[grid.Lmax]
-    return lam[L:], Q[:2 * L + 2], R[:, :2 * L + 2]
+        R = _pairs(E.conj().T * (2.0 * np.pi / grid.nphi))
+        Q = _pairs(E)
+        if real:
+            R = R[:, 0]
+            Q = Q[..., 0] * np.where(ms == 0, 1.0, 2.0)[:, None, None]
+        _FOURIER[dft] = (np.ascontiguousarray(R).reshape(-1, 2 * ms.size),
+                         np.ascontiguousarray(Q).reshape(2 * ms.size, -1))
+    m0 = L if real else 0
+    return tuple(lam[m0:] for lam in _LEGENDRE[table]) + _FOURIER[dft]
 
 
 def _is_real(coeffs):
@@ -265,13 +268,13 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
     """Coefficients a[..., l, m+L] up to band L (default grid.Lmax) of a
     spin-weighted field or a stack of them (samples (..., ntheta, nphi)).
 
-    Real spin-0 samples take the half-range path (see Real fields in the
+    Real spin-0 samples take the plan of m >= 0 (see Real fields in the
     module docstring); spin-0 leaf constants are analysed exactly (see Leaf
     constants)."""
     L = grid.Lmax if L is None else L
     real = spin == 0 and not np.iscomplexobj(samples)
-    lam, _, Einv = _real_plan(grid, L) if real else _plan(grid, L, spin)
-    nt = grid.Lmax + 1
+    lam, _, R, _ = _plan(grid, L, spin, real)
+    M, nt = lam.shape[0], grid.Lmax + 1
     s = np.asarray(samples, dtype=np.float64 if real else np.complex128)
     if s.shape[-2:] != grid.shape:
         raise ValueError(f"sample shape {s.shape} is not (..., {nt}, "
@@ -279,30 +282,21 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
     if spin == 0:
         c = s[..., 0, 0]
         s = s - c[..., None, None]
-    if not s.any():
-        a = np.zeros(s.shape[:-2] + (L + 1, 2 * L + 1),
-                     dtype=np.complex128, order="F")
-    elif real:  # Einv is R: one gemm per leaf, numpy loops the stack
-        F = np.matmul(s, Einv).view(np.complex128)  # (..., theta, m >= 0)
-        F *= (grid.weights / (2.0 * np.pi))[:, None]
-        Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(L + 1, nt, -1)
-        a = np.empty((2 * L + 1, L + 1, Fr.shape[-1] // 2), np.complex128)
-        np.matmul(lam.transpose(0, 2, 1), Fr, out=a[L:].view(np.float64))
-        # a[l, -m] = (-1)^m conj(a[l, m]) for m = L..1
-        np.conj(a[:L:-1], out=a[:L])
-        a[:L][::-2] *= -1.0  # odd m
-        a = a.reshape((2 * L + 1, L + 1) + F.shape[-3::-1]).T
-    else:
-        # (m, theta, stack re/im pairs in reversed stack order)
-        F = (s.reshape(-1, grid.nphi) @ Einv).reshape(s.shape[:-1] + (-1,))
-        F *= (grid.weights / (2.0 * np.pi))[:, None]
-        Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(
-            2 * L + 1, nt, -1)
-        a = np.matmul(lam.transpose(0, 2, 1), Fr)  # (m, l, 2 * stack)
-        # Fortran-ordered (..., l, m): raw_synthesize takes its transpose
-        # without a copy
-        a = a.view(np.complex128).reshape(
-            (2 * L + 1, L + 1) + F.shape[-3::-1]).T
+    # (m, l, reversed stack), whose transpose is the Fortran-ordered
+    # (..., l, m) that raw_synthesize reads without a copy
+    a = np.zeros((2 * L + 1, L + 1) + s.shape[-3::-1], np.complex128)
+    if s.any():
+        if s.strides[-1] != s.itemsize:  # the real view needs a unit stride
+            s = np.ascontiguousarray(s)
+        F = np.matmul(s.view(np.float64), R).view(np.complex128)
+        F *= (grid.weights / (2.0 * np.pi))[:, None]  # (..., theta, m)
+        Fr = np.ascontiguousarray(F.T).view(np.float64).reshape(M, nt, -1)
+        np.matmul(lam.transpose(0, 2, 1), Fr,
+                  out=a[2 * L + 1 - M:].reshape(M, L + 1, -1).view(np.float64))
+        if real:  # a[l, -m] = (-1)^m conj(a[l, m]) for m = L..1
+            np.conj(a[:L:-1], out=a[:L])
+            a[:L][::-2] *= -1.0  # odd m
+    a = a.T
     if spin == 0:
         a[..., 0, L] += _SQRT_4PI * c
     return a
@@ -324,28 +318,20 @@ def raw_synthesize(grid: Grid, coeffs, spin: int):
         raise ValueError(
             f"coefficient shape {c.shape} is not (..., L+1, 2L+1)")
     real = spin == 0 and _is_real(c)
-    lam, E, _ = _real_plan(grid, L) if real else _plan(grid, L, spin)
-    n = c.ndim - 2  # rows of S run over (theta, reversed stack)
-    rows = (grid.Lmax + 1,) + c.shape[:n][::-1]
+    _, lam, _, Q = _plan(grid, L, spin, real)
+    M, n = lam.shape[0], c.ndim - 2
+    rows = (grid.Lmax + 1,) + c.shape[:n][::-1]  # rows of S
     leaves = tuple(range(n, 0, -1)) + (0, n + 1)
-    if not c.any():  # exact zeros in the row order of a computed S
-        S = np.zeros((math.prod(rows), grid.nphi),
-                     dtype=np.float64 if real else np.complex128)
-    elif real:  # E is Q
-        cm = np.ascontiguousarray(c[..., L:].T)  # (m >= 0, l, reversed stack)
-        G = np.matmul(lam, cm.view(np.float64).reshape(L + 1, L + 1, -1))
+    S = np.zeros((math.prod(rows), grid.nphi),
+                 np.float64 if real else np.complex128)
+    if c.any():
+        cm = np.ascontiguousarray(c[..., 2 * L + 1 - M:].T)
+        G = np.matmul(lam.transpose(0, 2, 1),
+                      cm.view(np.float64).reshape(M, L + 1, -1))
         Gl = np.ascontiguousarray(G.view(np.complex128).reshape(
-            (L + 1,) + rows).T).view(np.float64)  # (..., theta, m >= 0)
-        # one gemm per leaf, written in the row order of S
-        S = np.empty((math.prod(rows), grid.nphi))
-        np.matmul(Gl, E, out=S.reshape(rows + (grid.nphi,)).transpose(leaves))
-    else:
-        cm = np.ascontiguousarray(c.T)
-        G = np.matmul(lam, cm.view(np.float64).reshape(2 * L + 1, L + 1, -1))
-        # (theta, m) @ (m, k)
-        S = G.view(np.complex128).reshape(2 * L + 1, -1).T @ E
-    if c.ndim == 2:
-        return S
+            (M,) + rows).T).view(np.float64)  # (..., theta, m)
+        np.matmul(Gl, Q, out=S.view(np.float64).reshape(
+            rows + (-1,)).transpose(leaves))
     return S.reshape(rows + (grid.nphi,)).transpose(leaves)
 
 

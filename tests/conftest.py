@@ -108,7 +108,8 @@ def log_omega_exact(exact, v):
 
 def sphere_tables(Lmax, spin):
     """lam[l, m+Lmax, theta]: a view of the cached full-band table."""
-    return sphere._plan(build_grid(Lmax), Lmax, spin)[0].transpose(2, 0, 1)
+    return sphere._plan(build_grid(Lmax), Lmax, spin, False)[0].transpose(
+        2, 0, 1)
 
 
 # --------------------------------------------------------------------------

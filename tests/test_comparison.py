@@ -1,5 +1,6 @@
 """Foliation-comparison (reconstruction) tests."""
 
+import dataclasses
 from dataclasses import fields
 
 import numpy as np
@@ -73,11 +74,31 @@ def _parts(x):
     return [np.asarray(x)]
 
 
+def _mms_stack(Lmax):
+    """MMS eps = 0.01, n_s = 24 and its foliation of 9 levels at dv = 1/64."""
+    data, exact = geodesic.gen_manufactured(
+        geodesic.MmsSpec(epsilon=0.01, Lmax=Lmax, n_s=24))
+    fol = solver.continue_foliation(
+        data, solver.SolverConfig(dv=1.0 / 64.0), v_end=1.125)
+    return data, exact, fol
+
+
+@pytest.fixture(scope="module")
+def mms_stack_L15():
+    return _mms_stack(15)
+
+
+@pytest.fixture(scope="module")
+def mms_stack_L23():
+    return _mms_stack(23)
+
+
 class TestStackedReconstruct:
-    @pytest.mark.parametrize("case", ["schw_foliation", "mms_foliation"])
+    @pytest.mark.parametrize("case", ["schw_foliation", "mms_foliation",
+                                      "mms_stack_L15", "mms_stack_L23"])
     def test_stack_equals_per_level_calls(self, case, request):
-        """One stacked call on every level gives each coefficient of the
-        per-level calls, to 1e-13 of that coefficient's largest value."""
+        """One stacked call on every level gives each field of the
+        per-level calls bit for bit (L = 8, 12, 15 and 23)."""
         value = request.getfixturevalue(case)
         data, fol = value[0], value[-1]
         stacked = comparison.reconstruct(data, fol.s_field(),
@@ -92,9 +113,7 @@ class TestStackedReconstruct:
                 ref = np.stack([_parts(getattr(co, f.name))[k]
                                 for co in per_level])
                 assert part.shape == ref.shape, f.name
-                scale = np.max(np.abs(ref))
-                assert np.max(np.abs(part - ref)) <= 1e-13 * scale, \
-                    (f.name, k, np.max(np.abs(part - ref)), scale)
+                assert np.array_equal(part, ref), (f.name, k)
         one = stacked[fol.n_levels // 2]
         assert float(one.v) == fol.v_nodes[fol.n_levels // 2]
         assert one.mu.samples.shape == data.grid.shape
@@ -148,7 +167,7 @@ class TestCurvatureComparison:
         """With beta' = 0, rho' = 1, sigma' = 0 and a tilted graph, the
         proposition gives betab = -3 rho' Upsilon and rho = rho'."""
         data = geodesic.gen_minkowski(Lmax=12, n_s=24)
-        data.rho = np.ones_like(data.rho)
+        data = dataclasses.replace(data, rho=np.ones_like(data.rho))
         g = data.grid
         prof = 0.03 * random_real_scalar(g, seed=11, lmax=2)
         s = SpinField.from_samples(g, 0, 1.5 + np.real(prof.samples))

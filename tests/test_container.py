@@ -255,6 +255,21 @@ class TestChecksOnLoad:
             with pytest.raises(DatasetError, match=name):
                 container.read(path, kind)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_field_listed_twice_is_refused(self, kind, tmp_path):
+        """A second entry for a field, here naming the file of another field
+        of its shape, is refused by name; the last entry used to win."""
+        _write_valid(tmp_path, kind)
+
+        first, other = [e for e in json.loads(
+            (tmp_path / "manifest.json").read_text())["fields"]
+            if len(e["shape"]) == 3][:2]
+        _edit_manifest(tmp_path, lambda m: m["fields"].append(
+            dict(first, file=other["file"])))
+        with pytest.raises(DatasetError,
+                           match=f"'{first['name']}' is listed twice"):
+            container.read(tmp_path, kind)
+
     def test_band_limit_checked_against_the_grid(self, tmp_path):
         _write_valid(tmp_path, "foliation")
         with pytest.raises(DatasetError, match="band limit"):

@@ -278,6 +278,26 @@ class TestSchwarzschildClosedForms:
         want = np.sqrt(16.0 * np.pi * self.M ** 2 * (1.0 - 2.5 ** -3) / 3.0)
         assert abs(rep.get("Rprime.rho") - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("key", ["I_S1.trchib_dev_inf",
+                                     "Iprime_S1.trchib_dev_inf",
+                                     "O.trchib_dev_infinf"])
+    def test_trchib_deviation_closed_form(self, norms, key):
+        """trchib = -(2/v)(1 - 2M/v) deviates from -2/v by 4M/v^2, largest
+        on the unit first leaf: 4M."""
+        _, rep = norms
+        assert abs(rep.get(key) - 4.0 * self.M) <= 1e-12 * 4.0 * self.M
+
+    @pytest.mark.parametrize("key", ["I_S1.mu_B0", "Iprime_S1.mu_B0",
+                                     "O.mu_L2Linfv"])
+    def test_mass_aspect_closed_forms(self, norms, key):
+        """mu = 2M/v^3 is constant on each leaf of area 4 pi v^2: B0 is its
+        L2 norm on the unit first leaf, and the L2 norm 2M sqrt(4 pi)/v^2
+        is largest there: 2M sqrt(4 pi) = 0.7089815403622064."""
+        _, rep = norms
+        want = 2.0 * self.M * np.sqrt(4.0 * np.pi)
+        assert abs(want - 0.7089815403622064) <= 1e-15
+        assert abs(rep.get(key) - want) <= 1e-12 * want
+
     def test_initial_mass_aspect_closed_form(self, norms):
         """mu = -rho = 2M on the unit first leaf: || mu ||_{L2} =
         2M sqrt(4 pi)."""

@@ -1,12 +1,11 @@
 """Generator, validation, manufactured-solution and persistence tests."""
 
-import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from nullfoliate import container, geodesic
+from nullfoliate import container, geodesic, solver
 from nullfoliate.errors import ConfigurationError, DatasetError
 from nullfoliate.sphere import (GeneratorPack, SpinField, build_grid,
                                interp_generator)
@@ -144,13 +143,14 @@ def _with_random_tables(data, seed):
     """data with every table of the geometry but psi replaced by random
     values of its dtype, so that no component is identically zero."""
     rng = np.random.default_rng(seed)
+    tables = {}
     for name in list(geodesic.GEOMETRY)[1:]:
         t = getattr(data, name)
         r = rng.standard_normal(t.shape)
         if np.iscomplexobj(t):
             r = r + 1j * rng.standard_normal(t.shape)
-        setattr(data, name, r)
-    return data
+        tables[name] = r
+    return dataclasses.replace(data, **tables)
 
 
 class TestSlab:
@@ -202,23 +202,23 @@ def _bump(data, field):
 class TestValidateDetector:
     def test_corrupted_expansion_detected(self):
         data = geodesic.gen_minkowski(Lmax=8, n_s=24)
-        data.trchi = data.trchi + 0.01
+        data = dataclasses.replace(data, trchi=data.trchi + 0.01)
         rep = geodesic.validate(data)
         assert rep.worst("raychaudhuri") >= 1e-3
 
     def test_planted_torsion_lifts_zeta_transport(self, schw):
         """A smooth spin-1 bump in zeta' breaks d_s zeta' + trchi' zeta' =
         -beta'."""
-        data = copy.copy(schw)
-        data.zeta = schw.zeta + _bump(schw, harmonic(schw.grid, 2, 1, 1))
+        data = dataclasses.replace(schw, zeta=schw.zeta + _bump(
+            schw, harmonic(schw.grid, 2, 1, 1)))
         rep = geodesic.validate(data)
         assert rep.worst("zeta_transport") >= 1e-5
 
     def test_planted_rho_lifts_mu_and_bianchi(self, schw):
         """A smooth bump in rho' breaks its Bianchi equation and, through
         mu' = -rho' - Div zeta', the mass-aspect transport."""
-        data = copy.copy(schw)
-        data.rho = schw.rho + np.real(_bump(schw, harmonic(schw.grid, 2, 0)))
+        data = dataclasses.replace(schw, rho=schw.rho + np.real(_bump(
+            schw, harmonic(schw.grid, 2, 0))))
         rep = geodesic.validate(data)
         assert rep.worst("mu_transport") >= 1e-5
         assert rep.worst("rho_bianchi") >= 1e-5
@@ -227,8 +227,8 @@ class TestValidateDetector:
         """A smooth spin-1 bump in beta' is the whole codazzi_chi residual
         (trchi' is constant on each leaf and zeta' = 0), and validate sizes
         it as the residual suites do: |X| = sqrt(2) |X_m|."""
-        data = copy.copy(schw)
-        data.beta = schw.beta + _bump(schw, harmonic(schw.grid, 2, 1, 1))
+        data = dataclasses.replace(schw, beta=schw.beta + _bump(
+            schw, harmonic(schw.grid, 2, 1, 1)))
         rep = geodesic.validate(data)
         want = np.sqrt(2.0) * np.max(np.abs(data.beta))
         assert rep.worst("codazzi_chi") == pytest.approx(want, rel=1e-9)
@@ -330,6 +330,26 @@ class TestManufactured:
                                 profile_l=2, profile_m=2)
         data, _ = geodesic.gen_manufactured(spec)
         assert geodesic.validate(data).worst() < 1e-9
+
+
+class TestFrozenDataset:
+    def test_tables_cannot_be_reassigned(self, mink):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mink.rho = np.ones_like(mink.rho)
+
+    def test_a_replaced_dataset_solves_from_its_own_tables(self):
+        """After the original's lapse source is packed, a replaced dataset
+        with its forcing rolled by 3 phi-steps (a rotation about the polar
+        axis) solves to the rolled foliation, not to the original's."""
+        data, _ = geodesic.gen_manufactured(geodesic.MmsSpec(
+            epsilon=0.01, Lmax=8, n_s=24))
+        cfg = solver.SolverConfig(dv=1.0 / 64.0)
+        fol = solver.continue_foliation(data, cfg, v_end=1.125)
+        rolled = dataclasses.replace(
+            data, forcing_F1=np.roll(data.forcing_F1, 3, axis=-1))
+        fol_k = solver.continue_foliation(rolled, cfg, v_end=1.125)
+        assert np.max(np.abs(fol.s - np.roll(fol.s, 3, axis=-1))) > 1e-4
+        assert np.max(np.abs(fol_k.s - np.roll(fol.s, 3, axis=-1))) <= 1e-15
 
 
 class TestShearFreeSlab:

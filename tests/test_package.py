@@ -135,7 +135,7 @@ def command_trace(tmp_path_factory):
     codes, expected = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path_factory.mktemp("commands"))
-        for cache in ("_GRIDS", "_LEGENDRE", "_FOURIER", "_REAL_FOURIER"):
+        for cache in ("_GRIDS", "_LEGENDRE", "_FOURIER"):
             mp.setattr(sphere, cache, {})
         mp.delenv("NULLFOLIATE_THREADS", raising=False)
         # the config file sets verify's one boolean

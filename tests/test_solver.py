@@ -476,6 +476,23 @@ class TestStackedLapse:
             assert np.max(np.abs(ref)) > 1e-6  # a non-trivial lapse
             assert np.max(np.abs(got - ref)) <= 1e-13
 
+    def test_foliation_keeps_its_bits_at_any_lapse_block(self,
+                                                         monkeypatch):
+        """MMS at L = 15 solves to the same bits whatever LAPSE_BLOCK
+        stacks its levels into: every level's transforms and quadratures
+        give it the bits it has alone, in any stack."""
+        data, _ = geodesic.gen_manufactured(
+            geodesic.MmsSpec(epsilon=0.01, Lmax=15))
+        cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 64.0)
+        runs = []
+        for block in (3, 5, 8, 16):
+            monkeypatch.setattr(solver, "LAPSE_BLOCK", block)
+            fol = solver.continue_foliation(data, cfg, v_end=1.5)
+            runs.append((fol.s, fol.logOmega))
+        for s, logOmega in runs[1:]:
+            assert np.array_equal(s, runs[0][0])
+            assert np.array_equal(logOmega, runs[0][1])
+
     def test_prescribed_forcing_forms_no_derivatives(self, mms_small,
                                                      monkeypatch):
         data, _ = mms_small

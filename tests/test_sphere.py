@@ -276,37 +276,61 @@ class TestTransformKernels:
         assert np.max(np.abs(p.samples - exact)) \
             <= 1e-12 * max(np.max(np.abs(exact)), 1.0)
 
-    def test_one_table_per_band_and_one_dft_pair_per_lmax(self, grid8,
-                                                           monkeypatch):
-        """Tables are stored once per (grid Lmax, band, spin); a product on
+    def test_one_table_per_band_and_one_dft_pair_per_band(self, grid8,
+                                                          monkeypatch):
+        """Tables are stored once per (grid Lmax, band, spin), C-ordered in
+        the two orientations (m, theta, l) and (m, l, theta); a product on
         grid8 stores band-8 tables of the padded grid, never a full padded
-        one, and its DFT matrices are slices of the one stored pair."""
+        one.  A real plan reads the m >= 0 rows of the spin-0 table without
+        a copy.  DFT pairs are stored once per (grid Lmax, band, real) and
+        take (re, im) pairs of samples to those of samples @ Einv, and of
+        Fourier coefficients F to those of F @ E."""
         from nullfoliate import sphere
 
         monkeypatch.setattr(sphere, "_LEGENDRE", {})
         monkeypatch.setattr(sphere, "_FOURIER", {})
-        Lp = pad_Lmax(8)
+        Lp, L = pad_Lmax(8), 8
         f = random_spin_field(grid8, 1, seed=1)
         g = random_spin_field(grid8, -2, seed=2)
         multiply(f, g)
         multiply(f, g)
-        assert set(sphere._LEGENDRE) == {(Lp, 8, 1), (Lp, 8, -2), (Lp, 8, -1)}
+        assert set(sphere._LEGENDRE) == {(Lp, L, 1), (Lp, L, -2), (Lp, L, -1)}
+        assert set(sphere._FOURIER) == {(Lp, L, False)}
+        grid = build_grid(Lp)
+        real, cplx = sphere._plan(grid, L, 0, True), sphere._plan(grid, L, 0,
+                                                                 False)
+        assert len(sphere._LEGENDRE) == 4
+        assert set(sphere._FOURIER) == {(Lp, L, False), (Lp, L, True)}
         for spin in range(-3, 4):
             raw_synthesize(grid8, _band_limited(
-                np.random.default_rng(spin + 3), 8, spin), spin)
-            assert np.shares_memory(sphere_tables(8, spin),
-                                    sphere._LEGENDRE[(8, 8, spin)])
-        for (Lg, L, spin), lam in sphere._LEGENDRE.items():
-            assert lam.shape == (2 * L + 1, Lg + 1, L + 1)
-            assert lam.flags.c_contiguous and lam.base is None
-        assert set(sphere._FOURIER) == {8, Lp}
-        for Lg, (E, Einv) in sphere._FOURIER.items():
-            assert E.shape == Einv.shape == (2 * Lg + 1, 2 * Lg + 1)
-        _, E, Einv = sphere._plan(build_grid(Lp), 8, 0)
-        assert E.shape == (17, 2 * Lp + 1) and Einv.shape == (2 * Lp + 1, 17)
-        assert np.shares_memory(E, sphere._FOURIER[Lp][0])
-        assert np.shares_memory(Einv, sphere._FOURIER[Lp][1])
-        assert np.array_equal(E, sphere._FOURIER[Lp][0][Lp - 8:Lp + 9])
+                np.random.default_rng(spin + 3), L, spin), spin)
+            assert np.shares_memory(sphere_tables(L, spin),
+                                    sphere._LEGENDRE[(L, L, spin)][0])
+        for (Lg, band, spin), (lam_a, lam_s) in sphere._LEGENDRE.items():
+            assert lam_a.shape == (2 * band + 1, Lg + 1, band + 1)
+            assert lam_a.flags.c_contiguous and lam_a.base is None
+            assert lam_s.flags.c_contiguous and lam_s.base is None
+            assert np.array_equal(lam_s, lam_a.transpose(0, 2, 1))
+        for r, c in zip(real[:2], cplx[:2]):
+            assert np.shares_memory(r, c) and np.array_equal(r, c[L:])
+        E = np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi_nodes))
+        Einv = E.conj().T * (2.0 * np.pi / grid.nphi)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        R, Q = cplx[2:]
+        assert R.shape == Q.T.shape == (2 * grid.nphi, 2 * (2 * L + 1))
+        F = (x.view(np.float64) @ R).view(np.complex128)
+        assert np.max(np.abs(F - x @ Einv)) <= 1e-14 * np.max(np.abs(F))
+        y = (F.view(np.float64) @ Q).view(np.complex128)
+        assert np.max(np.abs(y - F @ E)) <= 1e-14 * np.max(np.abs(y))
+        # a real field: real samples in, real samples out, m >= 0 only
+        R, Q = real[2:]
+        assert R.shape == Q.T.shape == (grid.nphi, 2 * (L + 1))
+        F = (x.real @ R).view(np.complex128)
+        ref = x.real @ Einv
+        assert np.max(np.abs(F - ref[:, L:])) <= 1e-14 * np.max(np.abs(F))
+        y = F.view(np.float64) @ Q
+        assert np.max(np.abs(y - (ref @ E).real)) <= 1e-14 * np.max(np.abs(y))
 
     def test_band_is_read_from_the_coefficient_shape(self, grid8):
         """A band-L field synthesised on a finer grid is the zero-padded
@@ -416,11 +440,8 @@ class TestStacks:
     @pytest.mark.parametrize("Lmax", [8, 12, 15, 23])
     @pytest.mark.parametrize("kind", ["real spin 0", "spin 0", "spin 1"])
     def test_leaves_keep_their_bits_in_a_stack(self, Lmax, kind):
-        """Analysis gives each leaf of a stack the bits it has alone, on the
-        grid and on the padded grid, at every L here; synthesis does so at
-        L = 8 and 12 only, because it folds the stack into the columns of
-        its per-m Legendre gemm, whose rounding depends on the column count
-        from L = 15 on."""
+        """Synthesis and analysis give each leaf of a stack the bits it has
+        alone, on the grid and on the padded grid."""
         spin = 1 if kind == "spin 1" else 0
         rng = np.random.default_rng(Lmax)
         for grid in (build_grid(Lmax), build_grid(pad_Lmax(Lmax))):
@@ -429,15 +450,58 @@ class TestStacks:
                 if kind != "real spin 0":
                     samples = samples + 1j * rng.normal(size=samples.shape)
                 a = raw_analyze(grid, samples, spin, Lmax)
+                x = raw_synthesize(grid, a, spin)
                 for j in range(depth):
                     assert np.array_equal(
                         raw_analyze(grid, samples[j], spin, Lmax), a[j])
-                if Lmax >= 15:
-                    continue
-                x = raw_synthesize(grid, a, spin)
-                for j in range(depth):
                     assert np.array_equal(raw_synthesize(grid, a[j], spin),
                                           x[j])
+
+    @settings(max_examples=40, deadline=None)
+    @given(Lmax=st.sampled_from([8, 15, 23]), padded=st.booleans(),
+           kind=st.sampled_from(["real 0", 0, 1, -1, 2]),
+           depth=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 33]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_stack_keeps_each_leafs_bits(self, Lmax, padded, kind, depth,
+                                            seed):
+        """Every leaf of a stack synthesises and analyses to the bits it has
+        alone, at any depth, on the grid and the padded grid, for real and
+        complex spin 0 and for spins +-1 and 2."""
+        grid = build_grid(pad_Lmax(Lmax) if padded else Lmax)
+        spin = 0 if kind == "real 0" else kind
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=(depth,) + grid.shape)
+        if kind == "real 0":
+            c = raw_analyze(grid, samples, 0, Lmax)
+        else:
+            c = np.stack([_band_limited(rng, Lmax, spin)
+                          for _ in range(depth)])
+            samples = samples + 1j * rng.normal(size=samples.shape)
+        x = raw_synthesize(grid, c, spin)
+        a = raw_analyze(grid, samples, spin, Lmax)
+        assert x.dtype == (np.float64 if kind == "real 0" else np.complex128)
+        for j in range(depth):
+            assert np.array_equal(raw_synthesize(grid, c[j], spin), x[j])
+            assert np.array_equal(raw_analyze(grid, samples[j], spin, Lmax),
+                                  a[j])
+
+    @pytest.mark.parametrize("spin", [0, 1])
+    def test_any_sample_layout_analyses_to_the_c_ordered_bits(self, spin):
+        """Complex samples in Fortran order, with a reversed phi axis or in
+        the row order of a synthesis analyse to the bits of their C-ordered
+        copy, alone and in a stack."""
+        grid = build_grid(15)
+        rng = np.random.default_rng(spin)
+        shape = (3,) + grid.shape
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        flipped = np.ascontiguousarray(x[..., ::-1])[..., ::-1]
+        synthesised = raw_synthesize(grid, raw_analyze(grid, x, spin), spin)
+        for samples in (np.asfortranarray(x), flipped, synthesised,
+                        np.asfortranarray(x[0]), flipped[1]):
+            assert not samples.flags.c_contiguous
+            assert np.array_equal(
+                raw_analyze(grid, samples, spin),
+                raw_analyze(grid, np.ascontiguousarray(samples), spin))
 
     def test_two_stack_axes(self, grid8):
         rng = np.random.default_rng(5)
@@ -1017,7 +1081,7 @@ class TestReality:
     def test_only_exactly_real_fields_take_the_real_path(self, grid8,
                                                          monkeypatch):
         """One ulp off the symmetry, complex-typed samples and spin != 0
-        take the complex path and give complex samples."""
+        take the complex plan and give complex samples."""
         from nullfoliate import sphere
 
         samples = np.random.default_rng(7).normal(size=(2,) + grid8.shape)
@@ -1027,11 +1091,14 @@ class TestReality:
         moved = a.copy()
         moved[1, 5, 8 - 3] = complex(np.nextafter(moved[1, 5, 5].real, 1.0),
                                      moved[1, 5, 5].imag)
+        plan = sphere._plan
 
-        def unreachable(*args):
-            raise AssertionError("the real path was taken")
+        def complex_plan(grid, L, spin, real):
+            if real:
+                raise AssertionError("the real plan was taken")
+            return plan(grid, L, spin, real)
 
-        monkeypatch.setattr(sphere, "_real_plan", unreachable)
+        monkeypatch.setattr(sphere, "_plan", complex_plan)
         assert raw_synthesize(grid8, moved, 0).dtype == np.complex128
         complex_typed = SpinField.from_samples(grid8, 0, samples + 0j)
         assert complex_typed.samples.dtype == np.complex128
