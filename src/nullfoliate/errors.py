@@ -28,12 +28,11 @@ class DatasetError(NullfoliateError):
 
 
 class NonConvergenceError(NullfoliateError):
-    """A Picard window did not reach its fixed point: max_iter sweeps pass
-    without Delta_n <= max(tol, the monitor's roundoff floor), it converges
-    with an observed contraction kappa >= solver.KAPPA_MAX, or a lapse
-    iterate reaches the bound |log Omega| < 1/10 of accepted windows
-    (solver.LAPSE_BOUND), in the block of levels and the sweep the message
-    names.  The march halves the window and retries it."""
+    """A Picard window was refused by the one contraction rule, its
+    observed kappa reaching solver.KAPPA_MAX after the sweep the message
+    names, or found no fixed point in max_iter sweeps.  The march halves
+    the window and retries it.  A seed is refused only within solver.MARGIN
+    of s* or by a non-finite first sweep, each a BreakdownError."""
 
 
 class NonFiniteIterateError(NullfoliateError):
@@ -42,9 +41,9 @@ class NonFiniteIterateError(NullfoliateError):
 
 
 class BreakdownError(NullfoliateError):
-    """The march could not continue the foliation: a seed failed its
-    bounds, a window was rejected at two steps, or an iterate was not
-    finite.  Every way a march stops; carries the last v-level it reached.
+    """The march could not continue the foliation: a seed leaf within
+    solver.MARGIN of s*, a non-finite iterate, or a window rejected at two
+    steps.  Every way a march stops; carries the last v-level it reached.
     """
 
     def __init__(self, message, last_good_v):

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _cheb, container
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DatasetError
 from .reports import ResidualReport
 from .sphere import (GeneratorPack, Grid, SpinField, build_grid, eth,
                      interp_generator)
@@ -237,9 +237,9 @@ def gen_schwarzschild(M, s_star=2.5, Lmax=15, n_s=32,
 # solver.continue_foliation starts
 MMS_V0 = 1.0
 # p'(v) as polynomial coefficients in t = v - MMS_V0; the (t^2 - t)^2-shaped
-# quartic part keeps max|p'| small on [0,1] (so |log Omega*| stays well
-# under the 1/100 window-seed bound at epsilon = 1e-2) while its large
-# fourth derivative drives a clean fourth-order quadrature signal
+# quartic part keeps max|p'| small on [0,1] (so |log Omega*| stays below
+# epsilon) while its large fourth derivative drives a clean fourth-order
+# quadrature signal
 MMS_P_COEFFS = (1.01, 0.64, -3.04, 5.44, -4.05)
 # Chebyshev nodes in v of the mean correction c(v)
 MMS_N_CHEB = 48
@@ -329,6 +329,22 @@ class MmsExact:
 
     @classmethod
     def from_meta(cls, grid, meta, G_samples):
+        """The sidecar that to_meta wrote.  A key that does not hold what
+        gen_manufactured writes, a finite number or a list of finite
+        numbers of the written length, is a DatasetError that names it."""
+        n = MMS_N_CHEB
+        shapes = {"epsilon": (), "v0": (), "v_ext": (), "profile_l": (),
+                  "profile_m": (), "A_coef": (n + 1,), "B_coef": (n + 1,),
+                  "c_coef": (n,), "p_coef": (len(MMS_P_COEFFS),)}
+        for key, shape in shapes.items():
+            try:
+                x = np.asarray(meta[key], dtype=float)
+            except (KeyError, TypeError, ValueError):
+                x = None
+            if x is None or x.shape != shape or not np.all(np.isfinite(x)):
+                raise DatasetError(f"meta.mms.{key} is not " + (
+                    f"a list of {shape[0]} finite numbers" if shape
+                    else "a finite number"))
         Ch = np.polynomial.chebyshev.Chebyshev
         dom = [meta["v0"], meta["v_ext"]]
         return cls(grid, meta["epsilon"], meta["v0"], meta["v_ext"],
@@ -537,7 +553,9 @@ def load(path) -> GeodesicNullData:
     """Read a dataset written by save(); validated, bit-exact roundtrip."""
     c = container.read(path, "geodesic_data")
     G = c.fields.pop("mms_G", None)
-    exact = None if "mms" not in c.meta or G is None \
+    if (G is None) != ("mms" not in c.meta):
+        raise DatasetError("the field mms_G and meta.mms come only together")
+    exact = None if G is None \
         else MmsExact.from_meta(c.grid, c.meta["mms"], G)
     return GeodesicNullData(grid=c.grid, s_nodes=c.nodes, meta=c.meta,
                             exact=exact, **c.fields)

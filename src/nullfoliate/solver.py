@@ -10,9 +10,10 @@ F = rho - Div zeta of the canonical leaf s_{n+1} (assemble_F), monitoring
 boundedness (M_n) and contraction (Delta_n) until the fixed point is
 reached.  A window is a range of levels of the foliation's arrays, solved
 in place from its level 0, the seed: the leaf v = 1, or the last level the
-window before accepted.  Each seed's lapse is solved once and checked
-once; a rejected window is halved, down to two dv steps, and retried from
-it, and every way a march stops is a BreakdownError (continue_foliation).
+window before accepted.  Each seed's lapse is solved once, and a seed
+leaf within MARGIN of s* is refused; a rejected window is halved, down to
+two dv steps, and retried from it, and every way a march stops is a
+BreakdownError (continue_foliation).
 
 The elliptic updates of one sweep are independent.  They are solved one after
 another in fixed blocks of LAPSE_BLOCK v-levels, each block as one stack of
@@ -36,14 +37,14 @@ Stopping rule.  A sweep is accepted when Delta_n <= max(tol,
 roundoff_floor(Lmax, sup|iterate|)).  The monitor tracks two derivatives,
 so it weights coefficient roundoff by up to l(l+1) and Delta_n need not
 fall below that floor however close the fixed point is; a tol below it is
-read as the floor.  The accepted window must also have contracted: its
-observed kappa, which ignores ratios whose denominator is at or below
-max(10 tol, floor), must stay below KAPPA_MAX.  A window that does not
-converge in max_iter sweeps, converges with too large a kappa, or meets a
-lapse iterate at or past LAPSE_BOUND raises NonConvergenceError; a leaf
-that leaves the data slab raises OutOfDomainError from its generator read.
-Every iterate must be finite: the first non-finite graph or lapse raises
-NonFiniteIterateError.
+read as the floor.  One contraction rule refuses a window: after every
+sweep its observed kappa, which ignores ratios whose denominator is at or
+below max(10 tol, floor), must stay below KAPPA_MAX, so a diverging window
+is refused from sweep 3 on.  It and a window without a fixed point in
+max_iter sweeps raise NonConvergenceError; a leaf that leaves the data
+slab raises OutOfDomainError from its generator read.  The first
+non-finite graph or lapse iterate raises NonFiniteIterateError; so does
+a seed lapse that is not finite or overflows exp(-log Omega).
 """
 
 from dataclasses import dataclass
@@ -66,8 +67,6 @@ from .tensors import MetricRep, div, grad, invert_laplacian, spectral_l2
 # the stacked temporaries
 LAPSE_BLOCK = 8
 KAPPA_MAX = 0.9       # acceptance bound on the observed contraction
-LAPSE_BOUND = 0.1     # |log Omega| < 1/10 on accepted windows
-SEED_BOUND = 0.01     # |log Omega_0| <= 1/100 at the window start
 MARGIN = 0.05         # refuse to start this close to s*
 
 
@@ -149,14 +148,15 @@ class Foliation:
     @classmethod
     def load(cls, path, data: GeodesicNullData):
         """Read a foliation of `data` written by save(); validated, and its
-        v-grid must be uniform: at least 3 strictly ascending nodes whose
-        steps agree to 1e-9 relative."""
+        v-grid must be the march's: at least 3 strictly ascending nodes from
+        v = 1 whose steps agree to 1e-9 relative."""
         c = container.read(path, "foliation", Lmax=data.grid.Lmax)
         steps = np.diff(c.nodes)
-        if len(c.nodes) < 3 or np.min(steps) <= 0.0 \
+        if len(c.nodes) < 3 or c.nodes[0] != 1.0 or np.min(steps) <= 0.0 \
                 or np.ptp(steps) > 1e-9 * steps[0]:
-            raise DatasetError(f"{path}: the foliation's v-nodes are not a "
-                               "uniform ascending grid of at least 3 nodes")
+            raise DatasetError(f"{path}: the foliation's v_nodes are not a "
+                               "uniform ascending grid of at least 3 nodes "
+                               "from v = 1")
         return cls(data, c.nodes, c.fields["s"], c.fields["logOmega"])
 
 
@@ -302,19 +302,16 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
     The three are views of one window's levels of the foliation's arrays
     (continue_foliation passes them).  Level 0 holds the seed leaf and its
     lapse, which the window reads and never writes (continue_foliation
-    checks them); the window is solved into the other levels, an even number
-    >= 2 of cfg.dv steps.
+    checks the leaf); the window is solved into the other levels, an even
+    number >= 2 of cfg.dv steps.
     """
     grid = data.grid
     v0 = float(v[0])
     s0 = s[0].copy()  # the quadrature of a sweep writes over s's level 0
     logOm0 = logOmega[0]
 
-    # the three window arrays of a sweep: the last graph s_n, the lapse
-    # logOmega, which each block's new lapse overwrites in place, and the
-    # next graph s_next, which holds exp(-log Omega) until its quadrature
-    # lands there in place.  s_n and s_next trade places after each sweep,
-    # and the accepted graph is left in s
+    # the three window arrays of a sweep (see Memory): s_n and s_next trade
+    # places after each sweep, and the accepted graph is left in s
     s_n, s_next = s, np.empty_like(s)
     s_n[1:] = s0
     logOmega[1:] = logOm0
@@ -329,23 +326,18 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
 
     M_trace, Delta_trace = [], []
     for n in range(1, cfg.max_iter + 1):
-        np.negative(logOmega, out=s_next)
-        np.exp(s_next, out=s_next)
-        cumulative_integral(s_next, cfg.dv)
-        s_next += s0
+        # an overflowing exp or its quadrature is caught as non-finite below
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.negative(logOmega, out=s_next)
+            np.exp(s_next, out=s_next)
+            cumulative_integral(s_next, cfg.dv)
+            s_next += s0
         _require_finite(s_next, "graph iterate", v0, n)
 
-        # each block's lapse is checked, monitored against the lapse it
-        # replaces and written over it as it lands
         terms = [seed_terms]
         for b in blocks:
             lapse = _lapse_at(data, s_next[b])
             _require_finite(lapse, "lapse iterate", v0, n)
-            top = np.max(np.abs(lapse))
-            if top >= LAPSE_BOUND:
-                raise NonConvergenceError(
-                    f"|log Omega| reached {top:.3e} >= {LAPSE_BOUND} in the "
-                    f"lapse block from v = {v[b.start]:.6f}, sweep {n}")
             terms.append(_monitor_terms(grid, s_next[b], s_n[b], lapse,
                                         logOmega[b], s0))
             logOmega[b] = lapse
@@ -355,16 +347,17 @@ def picard_window(data: GeodesicNullData, v, s, logOmega,
         Delta_trace.append(Delta)
         s_n, s_next = s_next, s_n
 
-        # s >= 1 > |log Omega| here, so max(s) is the iterate's sup-norm
-        floor = roundoff_floor(grid.Lmax, np.max(s_n))
-        if Delta <= max(cfg.tol, floor):
-            kappa = _observed_kappa(Delta_trace, max(10.0 * cfg.tol, floor))
-            if kappa < KAPPA_MAX:
-                np.copyto(s, s_n)
-                return WindowSolution(M_trace, Delta_trace, kappa, n)
+        # s >= 1: the sup-norm is max(s) unless |log Omega| is larger
+        floor = roundoff_floor(grid.Lmax, max(np.max(s_n),
+                                              np.max(np.abs(logOmega))))
+        kappa = _observed_kappa(Delta_trace, max(10.0 * cfg.tol, floor))
+        if kappa >= KAPPA_MAX:
             raise NonConvergenceError(
-                f"window converged but contraction kappa = {kappa:.3f} "
-                f"exceeds {KAPPA_MAX}")
+                f"contraction kappa = {kappa:.3f} reached {KAPPA_MAX} at "
+                f"sweep {n}")
+        if Delta <= max(cfg.tol, floor):
+            np.copyto(s, s_n)
+            return WindowSolution(M_trace, Delta_trace, kappa, n)
     raise NonConvergenceError(
         f"no fixed point within {cfg.max_iter} iterations "
         f"(Delta_n = {Delta_trace[-1]:.3e})")
@@ -388,8 +381,10 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
     solved once; every other window starts from the last level that the
     window before it accepted, and a halved retry from the same level.
     Every way the march stops is a BreakdownError at its last level: a seed
-    past s* - MARGIN or SEED_BOUND (checked once; NaN fails both), a
-    non-finite iterate, or a window still rejected at two dv steps.
+    leaf past s* - MARGIN (checked once; NaN fails it), a non-finite
+    iterate (a seed lapse that is not finite or overflows fails the first
+    sweep so), or a window still rejected at two dv steps by the contraction
+    rule of picard_window, by max_iter or by leaving the slab.
     """
     total = (v_end - 1.0) / cfg.dv
     n_total = int(round(total)) if np.isfinite(total) else 0
@@ -413,13 +408,10 @@ def continue_foliation(data: GeodesicNullData, cfg: SolverConfig,
             f"foliation breaks down at v = {v0:.6f}: {reason}", v0)
 
     while done < n_total:
-        top, lapse = np.max(s_all[done]), np.max(np.abs(log_all[done]))
+        top = np.max(s_all[done])
         if not top <= data.s_star - MARGIN:
             raise breakdown(f"seed leaf reaches s = {top:.6f}, within MARGIN "
                             f"= {MARGIN} of the slab end s* = {data.s_star}")
-        if not lapse <= SEED_BOUND:
-            raise breakdown(f"seed lapse |log Omega_0| = {lapse:.3e} "
-                            f"exceeds SEED_BOUND = {SEED_BOUND}")
         win = None
         while win is None:  # halve a rejected window, down to two steps
             n = min(steps, n_total - done)

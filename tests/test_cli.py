@@ -2,8 +2,10 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -160,6 +162,38 @@ class TestSolve:
         assert report["last_good_v"] == "1"
         assert "solver breakdown: last good v = 1.000000" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_lapse", [-800.0, np.nan])
+    def test_overflowing_or_nan_seed_lapse_exits_3(
+            self, workspace, tmp_path, monkeypatch, seed_lapse):
+        """A finite seed lapse of -800 overflows exp(-log Omega) in the
+        first sweep and a NaN one carries into it: either is a non-finite
+        graph iterate, exit 3 with breakdown.json, with numpy's
+        RuntimeWarning an error as in CI."""
+        from nullfoliate import geodesic, solver
+        from nullfoliate.errors import BreakdownError, NonFiniteIterateError
+        _, ds, _ = workspace
+        lapse_at = solver._lapse_at
+
+        def seeded(data, s_samples):
+            if np.ndim(s_samples) == 2:  # the seed leaf v = 1
+                return np.full(np.shape(s_samples), seed_lapse)
+            return lapse_at(data, s_samples)
+
+        monkeypatch.setattr(solver, "_lapse_at", seeded)
+        out = tmp_path / "fol"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["solve", "--data", ds, "--out", str(out),
+                        "--v-end", "1.5"]) == 3
+            with pytest.raises(BreakdownError) as err:
+                solver.continue_foliation(geodesic.load(ds),
+                                          solver.SolverConfig(), v_end=1.5)
+        assert isinstance(err.value.__cause__, NonFiniteIterateError)
+        report = json.loads((out / "breakdown.json").read_text())
+        assert report["reason"] == (
+            "foliation breaks down at v = 1.000000: non-finite graph "
+            "iterate in the window at v0 = 1.000000, sweep 1")
 
     def test_v_end_off_the_grid_exits_2(self, tmp_path, monkeypatch):
         from nullfoliate import geodesic
@@ -345,10 +379,12 @@ class TestVerifyAndNorms:
         assert events == ["slab", "reconstruct"]
 
     @pytest.mark.parametrize("bend", ["one_level", "two_levels",
-                                      "moved_node", "descending"])
-    def test_bad_v_grid_exits_5(self, workspace, tmp_path, bend):
-        """A foliation whose v-grid is not uniform and ascending with at
-        least 3 nodes is refused at load by verify and norms (exit 5)."""
+                                      "moved_node", "descending",
+                                      "shifted_down", "shifted_up"])
+    def test_bad_v_grid_exits_5(self, workspace, tmp_path, capsys, bend):
+        """A foliation whose v-grid is not the march's, uniform and
+        ascending from v = 1 with at least 3 nodes, is refused at load by
+        verify and norms (exit 5), naming its v_nodes."""
         from nullfoliate import geodesic, solver
         _, ds, fol = workspace
         f = solver.Foliation.load(fol, geodesic.load(ds))
@@ -359,13 +395,16 @@ class TestVerifyAndNorms:
             v, s, logom = v[:2], s[:2], logom[:2]
         elif bend == "moved_node":
             v[5] += 0.004
-        else:
+        elif bend == "descending":
             v, s, logom = v[::-1], s[::-1], logom[::-1]
+        else:
+            v += -0.5 if bend == "shifted_down" else 5.0
         bad = str(tmp_path / "bad")
         solver.Foliation(f.data, v, s, logom).save(bad)
         for command in ("verify", "norms"):
             assert run([command, "--data", ds, "--foliation", bad,
                         "--out", str(tmp_path / command)]) == 5
+            assert "v_nodes" in capsys.readouterr().err
 
     def test_norms_deterministic(self, workspace, tmp_path):
         root, ds, fol = workspace
@@ -380,6 +419,58 @@ class TestVerifyAndNorms:
         assert b1 == b2
         j1 = (tmp_path / "n1" / "norms.json").read_bytes()
         assert j1 == (tmp_path / "n2" / "norms.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def mms_dataset(tmp_path_factory):
+    ds = tmp_path_factory.mktemp("mms") / "ds"
+    assert run(["generate", "--model", "mms", "--lmax", "8", "--n-s", "24",
+                "--out", str(ds)]) == 0
+    return ds
+
+
+def _sidecar(edit):
+    """An edit of a dataset manifest's meta.mms."""
+    return lambda manifest: edit(manifest["meta"]["mms"])
+
+
+# each probe: an edit of the manifest, and the key the refusal names
+MMS_PROBES = {
+    "string_A_coef": (_sidecar(lambda m: m.update(A_coef="abc")),
+                      "meta.mms.A_coef"),
+    "string_in_c_coef": (_sidecar(lambda m: m["c_coef"].__setitem__(2, "x")),
+                         "meta.mms.c_coef"),
+    "nan_in_B_coef": (_sidecar(lambda m: m["B_coef"].__setitem__(0, np.nan)),
+                      "meta.mms.B_coef"),
+    "truncated_A_coef": (_sidecar(lambda m: m.update(A_coef=m["A_coef"][:3])),
+                         "meta.mms.A_coef"),
+    "long_p_coef": (_sidecar(lambda m: m["p_coef"].append(0.0)),
+                    "meta.mms.p_coef"),
+    "nan_epsilon": (_sidecar(lambda m: m.update(epsilon=np.nan)),
+                    "meta.mms.epsilon"),
+    "infinite_v_ext": (_sidecar(lambda m: m.update(v_ext=np.inf)),
+                       "meta.mms.v_ext"),
+    "missing_v0": (_sidecar(lambda m: m.pop("v0")), "meta.mms.v0"),
+    "no_meta_mms": (lambda manifest: manifest["meta"].pop("mms"), "mms_G"),
+    "no_mms_G": (lambda manifest: manifest.update(fields=[
+        e for e in manifest["fields"] if e["name"] != "mms_G"]), "mms_G"),
+}
+
+
+@pytest.mark.parametrize("probe", MMS_PROBES)
+def test_bad_mms_sidecar_exits_5(probe, mms_dataset, tmp_path, capsys):
+    """A manufactured dataset's sidecar must hold what gen_manufactured
+    writes, and its mms_G field and meta.mms come together: anything else
+    is refused on load (exit 5), naming the key."""
+    edit, key = MMS_PROBES[probe]
+    ds = tmp_path / "ds"
+    shutil.copytree(mms_dataset, ds)
+    manifest = json.loads((ds / "manifest.json").read_text())
+    edit(manifest)
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    assert run(["solve", "--data", str(ds),
+                "--out", str(tmp_path / "fol")]) == 5
+    assert key in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -1,6 +1,7 @@
 """Picard-window and foliation-marching tests."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -166,24 +167,48 @@ class TestPicardWindow:
         assert np.max(np.abs(s - v[:, None, None])) < 1e-10
         assert np.max(np.abs(logOmega)) < 1e-10
 
-    def test_lapse_bound_stops_the_sweep_at_its_block(self, mink,
-                                                      monkeypatch):
-        """A sweep stops at the first lapse block past LAPSE_BOUND, names
-        that block's first level and solves no block after it."""
-        lapse_at, blocks = solver._lapse_at, []
+    def test_diverging_window_is_rejected_within_four_sweeps(
+            self, mink, monkeypatch, tmp_path):
+        """A window whose lapse doubles each sweep (1e-3 2^n added to every
+        lapse block in sweep n) is refused by the contraction rule at sweep
+        3, naming kappa and the sweep; the march halves it down to two
+        steps and breaks down: exit 3, with the reason in breakdown.json."""
+        from nullfoliate import cli
+        lapse_at, real = solver._lapse_at, solver.picard_window
+        sweeps = []  # per attempted window: [lapse blocks per sweep, solved]
 
-        def raised(data, s_samples):
-            blocks.append(len(s_samples))
-            return lapse_at(data, s_samples) + 0.2 * (len(blocks) == 2)
+        def window(data, v, s, logOmega, cfg):
+            sweeps.append([-(-(len(v) - 1) // solver.LAPSE_BLOCK), 0])
+            return real(data, v, s, logOmega, cfg)
 
-        cfg = solver.SolverConfig(delta=0.75, dv=1.0 / 32.0)
-        v = 1.0 + cfg.dv * np.arange(25)
-        s = np.ones((25,) + mink.grid.shape)
-        logOmega = np.zeros_like(s)
-        monkeypatch.setattr(solver, "_lapse_at", raised)
-        with pytest.raises(NonConvergenceError, match=f"v = {v[9]:.6f}"):
-            solver.picard_window(mink, v, s, logOmega, cfg)
-        assert blocks == [8, 8]
+        def doubling(data, s_samples):
+            lapse = lapse_at(data, s_samples)
+            if np.ndim(s_samples) == 3:  # a block of a sweep, not the seed
+                sweeps[-1][1] += 1
+                lapse += 1e-3 * 2.0 ** -(-sweeps[-1][1] // sweeps[-1][0])
+            return lapse
+
+        def reached():
+            return [-(-solved // blocks) for blocks, solved in sweeps]
+
+        monkeypatch.setattr(solver, "picard_window", window)
+        monkeypatch.setattr(solver, "_lapse_at", doubling)
+        cfg = solver.SolverConfig(delta=0.5, dv=1.0 / 32.0)
+        with pytest.raises(NonConvergenceError,
+                           match=r"kappa = \S+ reached 0.9 at sweep 3$"):
+            solve_window(mink, cfg)
+        assert reached() == [3]
+
+        monkeypatch.setattr(cli.geodesic, "load", lambda path: mink)
+        out = tmp_path / "fol"
+        assert cli.main(["solve", "--data", "unused", "--out", str(out),
+                         "--delta", "0.5", "--dv", "0.03125",
+                         "--v-end", "1.5"]) == 3
+        reason = json.loads((out / "breakdown.json").read_text())["reason"]
+        assert reason.startswith("foliation breaks down at v = 1.000000: "
+                                 "contraction kappa = ")
+        assert reason.endswith("at sweep 3")
+        assert reached() == [3] * 5  # the window above, then 16 to 2 steps
 
     def test_mms_window_contracts(self, mms_small):
         data, exact = mms_small
@@ -351,16 +376,19 @@ class TestContinueFoliation:
             solver.continue_foliation(data, cfg, v_end=1.5)
         assert err.value.last_good_v == 1.0
 
-    def test_seed_lapse_bound_enforced(self):
-        """A manufactured amplitude breaking |log Omega_0| <= 1/100 refuses
-        to start."""
+    def test_seed_lapse_past_one_percent_solves(self):
+        """A manufactured amplitude whose seed lapse |log Omega_0| = 0.027
+        is far past 1/100 solves to its exact sidecar: the seed is refused
+        only within MARGIN of s* or for a non-finite first sweep."""
         spec = geodesic.MmsSpec(epsilon=0.05, Lmax=8, n_s=24,
                                 profile_l=2, profile_m=2)
-        data, _ = geodesic.gen_manufactured(spec)
+        data, exact = geodesic.gen_manufactured(spec)
         cfg = solver.SolverConfig(delta=0.25, dv=1.0 / 16.0)
-        with pytest.raises(BreakdownError, match="SEED_BOUND") as err:
-            solver.continue_foliation(data, cfg, v_end=1.5)
-        assert err.value.last_good_v == 1.0
+        fol = solver.continue_foliation(data, cfg, v_end=1.5)
+        assert np.max(np.abs(fol.logOmega[0])) > 0.02
+        # measured 3.12e-7, the l=2 profile at dv = 1/16
+        assert exact.max_error(fol.v_nodes, fol.s) < 4e-7
+        assert max(win.kappa for win in fol.windows) < 0.01
 
     @staticmethod
     def _attempt_starts(monkeypatch):
@@ -374,17 +402,19 @@ class TestContinueFoliation:
         monkeypatch.setattr(solver, "picard_window", recording)
         return starts
 
-    def test_seed_past_the_bound_starts_no_window(self, monkeypatch):
-        """A seed lapse past SEED_BOUND is refused once, before any window
-        is tried from it: no halving can change the seed."""
+    def test_seed_lapse_past_one_percent_solves_in_one_window(
+            self, monkeypatch):
+        """A seed lapse of 0.019 starts its window at v = 1, and the one
+        window of 64 steps is accepted and solves to the exact sidecar."""
         spec = geodesic.MmsSpec(epsilon=0.03, Lmax=15, n_s=32)
-        data, _ = geodesic.gen_manufactured(spec)
+        data, exact = geodesic.gen_manufactured(spec)
         starts = self._attempt_starts(monkeypatch)
-        with pytest.raises(BreakdownError, match="SEED_BOUND") as err:
-            solver.continue_foliation(data, solver.SolverConfig(delta=1.0),
-                                      v_end=2.0)
-        assert err.value.last_good_v == 1.0 and err.value.__cause__ is None
-        assert starts == []
+        fol = solver.continue_foliation(data, solver.SolverConfig(delta=1.0),
+                                        v_end=2.0)
+        assert starts == [1.0] and len(fol.windows) == 1
+        assert np.max(np.abs(fol.logOmega[0])) > 0.015
+        # measured 3.59e-7, angular truncation of the l=6 profile at L=15
+        assert exact.max_error(fol.v_nodes, fol.s) < 4.5e-7
 
     def test_seed_within_the_margin_starts_no_window(self, monkeypatch):
         """A march reaching v = s* = 1.5 accepts the windows up to there
