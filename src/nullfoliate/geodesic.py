@@ -552,6 +552,10 @@ def save(data: GeodesicNullData, path):
 def load(path) -> GeodesicNullData:
     """Read a dataset written by save(); validated, bit-exact roundtrip."""
     c = container.read(path, "geodesic_data")
+    s = c.nodes  # the generator reads assume the nodes every generator writes
+    if not (s.size > 1 and s[-1] > 1.0 and np.array_equal(
+            s, _cheb.cgl_nodes(s.size, 1.0, s[-1]))):
+        raise DatasetError("s_nodes are not the CGL nodes on [1, s*], s* > 1")
     G = c.fields.pop("mms_G", None)
     if (G is None) != ("mms" not in c.meta):
         raise DatasetError("the field mms_G and meta.mms come only together")

@@ -189,14 +189,16 @@ def _lapse_at(data, s_samples):
     """log Omega samples on one leaf (ntheta, nphi) or a stack of leaves.
 
     The leaves of a stack are independent; they share every transform call
-    and one generator read.
+    and one generator read.  An overflow leaves a non-finite lapse, for
+    _require_finite to report as in the graph update.
     """
     s = np.real(s_samples)
-    source = data.source_at(s)
-    metric = MetricRep(data.grid, psi=source[0])
-    F = assemble_F(data, source, metric,
-                   SpinField.from_samples(data.grid, 0, s))
-    return np.real(solve_lapse(metric, F).samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = data.source_at(s)
+        metric = MetricRep(data.grid, psi=source[0])
+        F = assemble_F(data, source, metric,
+                       SpinField.from_samples(data.grid, 0, s))
+        return np.real(solve_lapse(metric, F).samples)
 
 
 def cumulative_integral(values, dv):

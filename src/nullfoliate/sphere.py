@@ -22,9 +22,9 @@ these sizes the dense product is faster.
 
 Plans and bands.  Real and complex fields run the same code on a plan per
 (grid, band, spin, real): the m range (m >= 0 for a real field, -L..L
-otherwise), the table in two C-ordered orientations, (m, theta, l) for
-analysis and (m, l, theta) for synthesis, cached per (grid Lmax, band,
-spin), and a real DFT pair cached per (grid Lmax, band, real).
+otherwise), the table lam[m, theta, l], C-ordered and cached once per (grid
+Lmax, band, spin), which analysis and synthesis both read, and a real DFT
+pair cached per (grid Lmax, band, real).
 Coefficients (..., L+1, 2L+1) may have a band L up to the grid's Lmax:
 synthesis reads L from their shape, analysis takes it as an argument, and
 neither works on coefficients known to be zero.  A padded product
@@ -33,16 +33,18 @@ their product back to Lmax.
 
 Stacks.  Samples (..., ntheta, nphi) and coefficients (..., L+1, 2L+1) may
 carry leading stack axes, e.g. the v-levels of a Picard window.  The
-Legendre stage folds the stack into the columns of its one batched matmul,
-with the table as the transposed operand of each gemm: as the other
-operand, OpenBLAS rounds a column by the column count (seen in synthesis
-from L = 15 on).  The DFT is one gemm per leaf, the stack looped by
-np.matmul: in one dgemm over every row of a stack OpenBLAS rounds a row by
-its position in the blocking.  So every leaf keeps the bits it has alone,
-in a stack of any size.  SpinField, multiply and Grid.integrate broadcast
-over the stack.  Grid.integrate is the grid's one quadrature; a
-round-sphere L2 norm needs none, since tensors.spectral_l2 reads it from
-the coefficients (Parseval).
+Legendre stage folds the stack into one batched matmul, in its columns for
+analysis (lam^T F) and in its rows for synthesis (c^T lam^T, on the real
+and imaginary planes of c), with the table as the transposed operand of
+each gemm: as the other operand, OpenBLAS rounds a column by the column
+count (seen in synthesis from L = 15 on).  The DFT is one gemm per leaf,
+the stack looped by np.matmul, and synthesis reads each leaf in place: in
+one dgemm over every row of a stack OpenBLAS rounds a row by its position
+in the blocking.  So every leaf keeps the bits it has alone, in a stack of
+any size.  SpinField, multiply and Grid.integrate broadcast over the
+stack.  Grid.integrate is the grid's one quadrature; a round-sphere L2
+norm needs none, since tensors.spectral_l2 reads it from the coefficients
+(Parseval).
 
 Zeros.  Spherically symmetric data carry identically zero fields (the
 tracefree part of chib, zeta, beta, sigma, betab), and the tracefree parts
@@ -134,8 +136,7 @@ class Grid:
 
 
 _GRIDS: dict = {}
-# (Lmax, band L, spin) -> lam[m+L, theta, l] and lam[m+L, l, theta]
-_LEGENDRE: dict = {}
+_LEGENDRE: dict = {}  # (Lmax, band L, spin) -> lam[m+L, theta, l]
 _FOURIER: dict = {}  # (Lmax, band L, real) -> the real DFT pair (R, Q)
 
 
@@ -228,17 +229,16 @@ def _pairs(C):
 
 
 def _plan(grid, L, spin, real):
-    """(lam_a, lam_s, R, Q) of band L on grid, over the m range of its plan
-    (see Plans in the module docstring): the table as lam_a[m, theta, l] and
-    lam_s[m, l, theta], and the real DFT pair.  On (re, im) pairs, samples @
-    R are samples @ Einv, Einv = conj(E).T 2pi/nphi, and F @ Q is F @ E; for
-    a real field R reads and Q writes real samples, m > 0 weighted by 2."""
+    """(lam, R, Q) of band L on grid over the m range of its plan (see Plans
+    in the module docstring): the table lam[m, theta, l] and the real DFT
+    pair.  On (re, im) pairs, samples @ R are samples @ Einv, Einv =
+    conj(E).T 2pi/nphi, and F @ Q is F @ E; a real field's R reads and Q
+    writes real samples, m > 0 weighted by 2."""
     if not 0 <= L <= grid.Lmax:
         raise ValueError(f"band {L} outside 0..{grid.Lmax} of the grid")
     table = (grid.Lmax, L, spin)
     if table not in _LEGENDRE:
-        lam = spin_lambda_tables(L, spin, grid.theta_nodes)
-        _LEGENDRE[table] = lam, np.ascontiguousarray(lam.transpose(0, 2, 1))
+        _LEGENDRE[table] = spin_lambda_tables(L, spin, grid.theta_nodes)
     dft = (grid.Lmax, L, real)
     if dft not in _FOURIER:
         ms = np.arange(0 if real else -L, L + 1)
@@ -250,8 +250,7 @@ def _plan(grid, L, spin, real):
             Q = Q[..., 0] * np.where(ms == 0, 1.0, 2.0)[:, None, None]
         _FOURIER[dft] = (np.ascontiguousarray(R).reshape(-1, 2 * ms.size),
                          np.ascontiguousarray(Q).reshape(2 * ms.size, -1))
-    m0 = L if real else 0
-    return tuple(lam[m0:] for lam in _LEGENDRE[table]) + _FOURIER[dft]
+    return (_LEGENDRE[table][L if real else 0:],) + _FOURIER[dft]
 
 
 def _is_real(coeffs):
@@ -273,7 +272,7 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
     constants)."""
     L = grid.Lmax if L is None else L
     real = spin == 0 and not np.iscomplexobj(samples)
-    lam, _, R, _ = _plan(grid, L, spin, real)
+    lam, R, _ = _plan(grid, L, spin, real)
     M, nt = lam.shape[0], grid.Lmax + 1
     s = np.asarray(samples, dtype=np.float64 if real else np.complex128)
     if s.shape[-2:] != grid.shape:
@@ -282,8 +281,7 @@ def raw_analyze(grid: Grid, samples, spin: int, L=None):
     if spin == 0:
         c = s[..., 0, 0]
         s = s - c[..., None, None]
-    # (m, l, reversed stack), whose transpose is the Fortran-ordered
-    # (..., l, m) that raw_synthesize reads without a copy
+    # (m, l, reversed stack): its transpose is Fortran-ordered (..., l, m)
     a = np.zeros((2 * L + 1, L + 1) + s.shape[-3::-1], np.complex128)
     if s.any():
         if s.strides[-1] != s.itemsize:  # the real view needs a unit stride
@@ -308,9 +306,9 @@ def raw_synthesize(grid: Grid, coeffs, spin: int):
     from their shape (..., L+1, 2L+1).
 
     Reads the coefficients through their full transpose (m, l, reversed
-    stack), so a Fortran-ordered array is used without a copy.  Spin-0
-    coefficients of a real field give real samples (see Real fields in the
-    module docstring).
+    stack), contiguous for a Fortran-ordered array.  Spin-0 coefficients
+    of a real field give real samples (see Real fields in the module
+    docstring).
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     L = c.shape[-2] - 1 if c.ndim >= 2 else -1
@@ -318,35 +316,25 @@ def raw_synthesize(grid: Grid, coeffs, spin: int):
         raise ValueError(
             f"coefficient shape {c.shape} is not (..., L+1, 2L+1)")
     real = spin == 0 and _is_real(c)
-    _, lam, _, Q = _plan(grid, L, spin, real)
+    lam, _, Q = _plan(grid, L, spin, real)
     M, n = lam.shape[0], c.ndim - 2
     rows = (grid.Lmax + 1,) + c.shape[:n][::-1]  # rows of S
     leaves = tuple(range(n, 0, -1)) + (0, n + 1)
     S = np.zeros((math.prod(rows), grid.nphi),
                  np.float64 if real else np.complex128)
     if c.any():
-        cm = np.ascontiguousarray(c[..., 2 * L + 1 - M:].T)
-        G = np.matmul(lam.transpose(0, 2, 1),
-                      cm.view(np.float64).reshape(M, L + 1, -1))
-        Gl = np.ascontiguousarray(G.view(np.complex128).reshape(
-            (M,) + rows).T).view(np.float64)  # (..., theta, m)
+        cT = c[..., 2 * L + 1 - M:].T  # (m, l, reversed stack)
+        cm = np.empty((M, L + 1, 2) + rows[1:])
+        cm[:, :, 0] = cT.real
+        cm[:, :, 1] = cT.imag
+        G = np.matmul(cm.reshape(M, L + 1, -1).transpose(0, 2, 1),
+                      lam.transpose(0, 2, 1))
+        # (m, re/im, reversed stack, theta) read as (..., theta, m re/im)
+        Gl = G.reshape((2 * M,) + rows[1:] + rows[:1]).transpose(
+            leaves[:n] + (n + 1, 0))
         np.matmul(Gl, Q, out=S.view(np.float64).reshape(
             rows + (-1,)).transpose(leaves))
     return S.reshape(rows + (grid.nphi,)).transpose(leaves)
-
-
-def ladder_raise(coeffs, spin, Lmax):
-    """eth on raw coefficients: spin s -> s+1 with factor +sqrt((l-s)(l+s+1))."""
-    ls = np.arange(Lmax + 1)
-    fac = np.sqrt(np.maximum((ls - spin) * (ls + spin + 1.0), 0.0))
-    return coeffs * fac[:, None]
-
-
-def ladder_lower(coeffs, spin, Lmax):
-    """ethbar on raw coefficients: spin s -> s-1 with factor -sqrt((l+s)(l-s+1))."""
-    ls = np.arange(Lmax + 1)
-    fac = -np.sqrt(np.maximum((ls + spin) * (ls - spin + 1.0), 0.0))
-    return coeffs * fac[:, None]
 
 
 def _conj_coeffs(coeffs, spin):
@@ -494,16 +482,22 @@ class SpinField:
         return float(np.max(np.abs(self.samples)))
 
 
+def _ladder(f, step):
+    """The ladder of the module docstring, spin s -> s + step: eth at step
+    1, ethbar at -1, each (l, m) times step sqrt(l(l+1) - s(s + step))."""
+    fac = np.maximum(f.grid.eigenvalues - f.spin * (f.spin + step), 0.0)
+    fac = step * np.sqrt(fac)
+    return SpinField(f.grid, f.spin + step, coeffs=f.coeffs * fac[:, None])
+
+
 def eth(f: SpinField) -> SpinField:
     """Spin-raising derivative on the unit round sphere."""
-    return SpinField(f.grid, f.spin + 1,
-                     coeffs=ladder_raise(f.coeffs, f.spin, f.grid.Lmax))
+    return _ladder(f, 1)
 
 
 def ethbar(f: SpinField) -> SpinField:
     """Spin-lowering derivative on the unit round sphere."""
-    return SpinField(f.grid, f.spin - 1,
-                     coeffs=ladder_lower(f.coeffs, f.spin, f.grid.Lmax))
+    return _ladder(f, -1)
 
 
 def laplacian_round(f: SpinField) -> SpinField:

@@ -148,13 +148,15 @@ class TestSolve:
     def test_non_finite_lapse_writes_breakdown_json(self, tmp_path, capsys):
         """A finite dataset whose lapse overflows (rho' = 1e307 at one point)
         breaks down like any other solve: exit 3 and a breakdown.json that
-        names the non-finite lapse."""
+        names the non-finite lapse, with numpy's RuntimeWarning an error as
+        in CI."""
         from nullfoliate import geodesic
         data = geodesic.gen_schwarzschild(0.1, Lmax=8, n_s=24)
         data.rho[5, 3, 4] = 1e307
         geodesic.save(data, str(tmp_path / "ds"))
         out = tmp_path / "fol"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert run(["solve", "--data", str(tmp_path / "ds"), "--out",
                         str(out), "--dv", "0.0625", "--v-end", "1.5"]) == 3
         report = json.loads((out / "breakdown.json").read_text())
@@ -251,6 +253,27 @@ class TestSolve:
                     "--out", str(tmp_path / "fol")]) == 5
         assert "field 'sigma' contains non-finite values" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bend", ["equispaced", "shifted", "descending",
+                                      "all_ones"])
+    def test_non_cgl_s_nodes_exit_5(self, workspace, tmp_path, capsys,
+                                    bend):
+        """The generator reads take the s-nodes to be the CGL nodes on
+        [1, s*]: a dataset with any other nodes is refused at load (exit 5),
+        naming its s_nodes."""
+        _, ds, _ = workspace
+        bad = tmp_path / "ds"
+        shutil.copytree(ds, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        nodes = np.array(manifest["s_nodes"])
+        nodes = {"equispaced": np.linspace(1.0, nodes[-1], nodes.size),
+                 "shifted": nodes + 0.5, "descending": nodes[::-1],
+                 "all_ones": np.ones(nodes.size)}[bend]
+        manifest["s_nodes"] = nodes.tolist()
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        assert run(["solve", "--data", str(bad),
+                    "--out", str(tmp_path / "fol")]) == 5
+        assert "s_nodes" in capsys.readouterr().err
 
     def test_planted_shear_exits_5(self, tmp_path, capsys):
         path = plant_shear(tmp_path / "ds")

@@ -305,6 +305,40 @@ class TestSchwarzschildClosedForms:
         want = 2.0 * self.M * np.sqrt(4.0 * np.pi)
         assert abs(rep.get("I_S1.mu_L2") - want) <= 1e-12 * want
 
+    def test_trchib_deviation_n1_closed_form(self, norms):
+        """N_1 of trchib + 2/v = 4M/v^2, constant on each leaf of area
+        4 pi v^2: the H^{1/2} norm of 4M on the first leaf, 4M sqrt(4 pi),
+        plus the Simpson L2 of 4M/v^2 on the v^2-measure, plus a gradient
+        that is exactly zero, plus the L2 of the FD stencil of 4M/v^2, whose
+        margin levels take the nearest interior value."""
+        fol, rep = norms
+        v = fol.v_nodes
+        n, f = len(v), 4.0 * self.M / v ** 2
+        d, margin = diagnostics.v_derivative(f, float(v[1] - v[0]), n)
+        d[:margin] = d[margin]
+        d[n - margin:] = d[n - 1 - margin]
+        w = diagnostics.simpson_weights(v) * 4.0 * np.pi * v ** 2
+        want = (4.0 * self.M * np.sqrt(4.0 * np.pi)
+                + np.sqrt(np.sum(w * f ** 2)) + np.sqrt(np.sum(w * d ** 2)))
+        assert abs(rep.get("O.N1_trchib_dev") - want) <= 1e-12 * want
+
+    def test_totals_are_sums_of_the_pinned_entries(self, norms):
+        """Every other entry of I_S1, I'_S1, R and R' is an exact zero, so
+        each total is the sum of the closed forms pinned above."""
+        fol, rep = norms
+        v = fol.v_nodes
+        mu = 2.0 * self.M * np.sqrt(4.0 * np.pi)
+        want = {
+            "I_S1": 4.0 * self.M + 2.0 * mu,  # trchib_dev_inf, mu_B0, mu_L2
+            "Iprime_S1": 4.0 * self.M + mu,   # trchib_dev_inf, mu_B0
+            "R": np.sqrt(np.sum(diagnostics.simpson_weights(v) * 16.0
+                                * np.pi * self.M ** 2 * v ** -4)),
+            "Rprime": np.sqrt(16.0 * np.pi * self.M ** 2
+                              * (1.0 - 2.5 ** -3) / 3.0),
+        }
+        for key, val in want.items():
+            assert abs(rep.get(key) - val) <= 1e-12 * val, key
+
 
 class TestGeneratorQuadrature:
     def test_odd_interval_count_one_rule(self, grid8):
