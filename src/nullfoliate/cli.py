@@ -69,10 +69,10 @@ def _deprecated_threads(args):
           "no effect; the solver runs on one thread", file=sys.stderr)
 
 
-def _solver_config(args):
+def _solver_config(args, dv):
     _deprecated_threads(args)
     return solver.SolverConfig(
-        delta=args.delta, dv=args.dv, tol=args.tol, max_iter=args.max_iter)
+        delta=args.delta, dv=dv, tol=args.tol, max_iter=args.max_iter)
 
 
 # --------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     data = geodesic.load(args.data)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, args.dv)
     os.makedirs(args.out, exist_ok=True)
     # whatever this solve ends in, no earlier run's foliation, trace or
     # breakdown report may stay behind to be read as its result
@@ -173,14 +173,11 @@ def cmd_norms(args):
 
 
 def cmd_convergence(args):
-    _deprecated_threads(args)
-    spec = geodesic.MmsSpec(epsilon=args.epsilon, Lmax=args.lmax, n_s=args.n_s)
-    data, exact = geodesic.gen_manufactured(spec)
-    base = solver.SolverConfig(delta=args.delta, dv=args.dv0, tol=args.tol,
-                               max_iter=args.max_iter)
+    data = geodesic.load(args.data)
+    base = _solver_config(args, args.dv0)
     dvs = [args.dv0 / 2 ** i for i in range(args.levels)]
     rows, orders, slope = diagnostics.convergence_study(
-        data, exact, base, dvs, v_end=args.v_end)
+        data, base, dvs, v_end=args.v_end)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "convergence.csv"),
               ("dv", "error", "order"),
@@ -222,8 +219,8 @@ COMMANDS = {
         "data": (str, "dataset"), "foliation": (str, "foliation"),
         "out": (str, "reports")}),
     "convergence": (cmd_convergence, "manufactured-solution order study", {
-        "levels": (int, 4), "epsilon": (float, 1e-2), "lmax": (int, 23),
-        "n_s": (int, 40), "dv0": (float, 1.0 / 8.0), "delta": (float, 0.5),
+        "data": (str, "dataset"), "levels": (int, 4),
+        "dv0": (float, 1.0 / 8.0), "delta": (float, 0.5),
         "tol": (float, 1e-13), "max_iter": (int, _SOLVER.max_iter),
         "v_end": (float, 2.0),
         "threads": (int, None, "deprecated; has no effect"),

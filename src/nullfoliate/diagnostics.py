@@ -483,17 +483,20 @@ def norm_suite(fol) -> NormReport:
 # convergence studies
 # --------------------------------------------------------------------------
 
-def convergence_study(data, exact, base_cfg, dvs, v_end=2.0):
+def convergence_study(data, base_cfg, dvs, v_end=2.0):
     """Solve at v-resolutions dvs, two or more; errors and observed orders."""
     from .solver import continue_foliation
 
+    if data.exact is None:
+        raise ConfigurationError("a convergence study needs a dataset with "
+                                 "an exact solution (generate --model mms)")
     if len(dvs) < 2:
         raise ConfigurationError("a convergence study needs at least 2 "
                                  f"levels, got {len(dvs)}")
     rows = []
     for dv in dvs:
         fol = continue_foliation(data, replace(base_cfg, dv=dv), v_end=v_end)
-        rows.append((dv, exact.max_error(fol.v_nodes, fol.s)))
+        rows.append((dv, data.exact.max_error(fol.v_nodes, fol.s)))
     orders = [float(np.log2(rows[i][1] / rows[i + 1][1])
                     / np.log2(rows[i][0] / rows[i + 1][0]))
               for i in range(len(rows) - 1)]

@@ -259,8 +259,8 @@ class TestSolve:
     def test_non_cgl_s_nodes_exit_5(self, workspace, tmp_path, capsys,
                                     bend):
         """The generator reads take the s-nodes to be the CGL nodes on
-        [1, s*]: a dataset with any other nodes is refused at load (exit 5),
-        naming its s_nodes."""
+        [1, s*]: a dataset with any other nodes is refused at load by solve
+        and convergence (exit 5), naming its s_nodes."""
         _, ds, _ = workspace
         bad = tmp_path / "ds"
         shutil.copytree(ds, bad)
@@ -271,9 +271,10 @@ class TestSolve:
                  "all_ones": np.ones(nodes.size)}[bend]
         manifest["s_nodes"] = nodes.tolist()
         (bad / "manifest.json").write_text(json.dumps(manifest))
-        assert run(["solve", "--data", str(bad),
-                    "--out", str(tmp_path / "fol")]) == 5
-        assert "s_nodes" in capsys.readouterr().err
+        for command in ("solve", "convergence"):
+            assert run([command, "--data", str(bad),
+                        "--out", str(tmp_path / command)]) == 5
+            assert "s_nodes" in capsys.readouterr().err
 
     def test_planted_shear_exits_5(self, tmp_path, capsys):
         path = plant_shear(tmp_path / "ds")
@@ -484,16 +485,17 @@ MMS_PROBES = {
 def test_bad_mms_sidecar_exits_5(probe, mms_dataset, tmp_path, capsys):
     """A manufactured dataset's sidecar must hold what gen_manufactured
     writes, and its mms_G field and meta.mms come together: anything else
-    is refused on load (exit 5), naming the key."""
+    is refused on load by solve and convergence (exit 5), naming the key."""
     edit, key = MMS_PROBES[probe]
     ds = tmp_path / "ds"
     shutil.copytree(mms_dataset, ds)
     manifest = json.loads((ds / "manifest.json").read_text())
     edit(manifest)
     (ds / "manifest.json").write_text(json.dumps(manifest))
-    assert run(["solve", "--data", str(ds),
-                "--out", str(tmp_path / "fol")]) == 5
-    assert key in capsys.readouterr().err
+    for command in ("solve", "convergence"):
+        assert run([command, "--data", str(ds),
+                    "--out", str(tmp_path / command)]) == 5
+        assert key in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -625,13 +627,14 @@ REFUSED_BEFORE = {
 @pytest.mark.parametrize("argv,message",
                          [*REFUSED.values(), *REFUSED_BEFORE.values()],
                          ids=[*REFUSED, *REFUSED_BEFORE])
-def test_bad_number_exits_2(argv, message, workspace, tmp_path, capsys):
+def test_bad_number_exits_2(argv, message, workspace, mms_dataset, tmp_path,
+                           capsys):
     """Every comparison that checks a number is written so that NaN fails
     it; the commands run at L = 8."""
     _, ds, fol = workspace
     command, *options = argv
     common = {"generate": ["--lmax", "8", "--n-s", "24"],
-              "convergence": ["--levels", "2", "--lmax", "8", "--n-s", "24"],
+              "convergence": ["--data", str(mms_dataset), "--levels", "2"],
               "solve": ["--data", ds],
               "verify": ["--data", ds, "--foliation", fol]}[command]
     assert run([command, *common, "--out", str(tmp_path / "out"),
@@ -641,29 +644,43 @@ def test_bad_number_exits_2(argv, message, workspace, tmp_path, capsys):
 
 class TestConvergence:
     def test_small_study(self, tmp_path):
+        ds = str(tmp_path / "ds")
         out = str(tmp_path / "conv")
-        assert run(["convergence", "--levels", "2", "--lmax", "12",
-                    "--n-s", "32", "--dv0", str(1.0 / 8.0),
-                    "--out", out]) == 0
+        assert run(["generate", "--model", "mms", "--lmax", "12",
+                    "--n-s", "32", "--out", ds]) == 0
+        assert run(["convergence", "--data", ds, "--levels", "2",
+                    "--dv0", str(1.0 / 8.0), "--out", out]) == 0
         lines = (tmp_path / "conv" / "convergence.csv").read_text().splitlines()
         assert lines[0] == "dv,error,order"
         order = float(lines[2].split(",")[2])
         assert 3.0 < order < 5.0
 
     @pytest.mark.parametrize("levels", ["0", "1"])
-    def test_fewer_than_two_levels_exit_2(self, levels, tmp_path, capsys):
+    def test_fewer_than_two_levels_exit_2(self, levels, mms_dataset,
+                                          tmp_path, capsys):
         """An order needs two resolutions; one fits a line through a
         single point."""
-        assert run(["convergence", "--levels", levels, "--lmax", "8",
-                    "--n-s", "24", "--out", str(tmp_path / "conv")]) == 2
+        assert run(["convergence", "--data", str(mms_dataset), "--levels",
+                    levels, "--out", str(tmp_path / "conv")]) == 2
         assert f"needs at least 2 levels, got {levels}" \
             in capsys.readouterr().err
         assert not (tmp_path / "conv").exists()
 
-    def test_threads_deprecated_and_ignored(self, tmp_path, capsys):
+    def test_no_exact_solution_exits_2(self, workspace, tmp_path, capsys):
+        """A study measures its error against the dataset's exact solution:
+        a Minkowski dataset has none and is refused (exit 2) before any
+        solve, with no --out directory written."""
+        _, ds, _ = workspace
+        assert run(["convergence", "--data", ds, "--levels", "2",
+                    "--out", str(tmp_path / "conv")]) == 2
+        assert "exact solution" in capsys.readouterr().err
+        assert not (tmp_path / "conv").exists()
+
+    def test_threads_deprecated_and_ignored(self, mms_dataset, tmp_path,
+                                            capsys):
         """--threads on convergence warns once and changes no number; a
         count below 1 still exits 2."""
-        study = ["convergence", "--levels", "2", "--lmax", "8", "--n-s", "24",
+        study = ["convergence", "--data", str(mms_dataset), "--levels", "2",
                  "--dv0", "0.25", "--v-end", "1.5"]
         assert run(study + ["--threads", "0",
                             "--out", str(tmp_path / "bad")]) == 2

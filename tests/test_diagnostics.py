@@ -305,22 +305,56 @@ class TestSchwarzschildClosedForms:
         want = 2.0 * self.M * np.sqrt(4.0 * np.pi)
         assert abs(rep.get("I_S1.mu_L2") - want) <= 1e-12 * want
 
-    def test_trchib_deviation_n1_closed_form(self, norms):
+    def n1_trchib_dev(self, v):
         """N_1 of trchib + 2/v = 4M/v^2, constant on each leaf of area
         4 pi v^2: the H^{1/2} norm of 4M on the first leaf, 4M sqrt(4 pi),
         plus the Simpson L2 of 4M/v^2 on the v^2-measure, plus a gradient
         that is exactly zero, plus the L2 of the FD stencil of 4M/v^2, whose
         margin levels take the nearest interior value."""
-        fol, rep = norms
-        v = fol.v_nodes
         n, f = len(v), 4.0 * self.M / v ** 2
         d, margin = diagnostics.v_derivative(f, float(v[1] - v[0]), n)
         d[:margin] = d[margin]
         d[n - margin:] = d[n - 1 - margin]
         w = diagnostics.simpson_weights(v) * 4.0 * np.pi * v ** 2
-        want = (4.0 * self.M * np.sqrt(4.0 * np.pi)
+        return (4.0 * self.M * np.sqrt(4.0 * np.pi)
                 + np.sqrt(np.sum(w * f ** 2)) + np.sqrt(np.sum(w * d ** 2)))
+
+    def test_trchib_deviation_n1_closed_form(self, norms):
+        """O.N1_trchib_dev is the closed form of n1_trchib_dev."""
+        fol, rep = norms
+        want = self.n1_trchib_dev(fol.v_nodes)
         assert abs(rep.get("O.N1_trchib_dev") - want) <= 1e-12 * want
+
+    def test_o_total_is_the_sum_of_its_closed_forms(self, norms):
+        """O sums its entries: the three closed forms pinned above, N_1 and
+        the sup of trchib + 2/v and the mass aspect's L2-Linf, which give
+        5.037884615836432, and the trchi roundoff of
+        test_trchi_deviation_is_roundoff, 1.6e-13; O measures
+        5.0378846158366155."""
+        fol, rep = norms
+        want = (self.n1_trchib_dev(fol.v_nodes) + 4.0 * self.M
+                + 2.0 * self.M * np.sqrt(4.0 * np.pi))
+        assert abs(want - 5.037884615836432) <= 1e-15 * want
+        assert abs(rep.get("O") - want) <= 1e-12 * want
+
+    def test_trchi_deviation_is_roundoff(self, norms):
+        """trchi = 2/s is a dataset table, which the reconstruction reads at
+        s = v by barycentric interpolation of the s-nodes: the largest
+        misread of 2/v, 1.11e-15, is O.trchi_dev_infinf, and that misread
+        under the FD v-derivative (a stencil over dv = 1/64) gives
+        O.N1_trchi_dev, 1.61e-13.  Each is bounded at about 10x."""
+        _, rep = norms
+        assert 0.0 <= rep.get("O.trchi_dev_infinf") <= 1e-14
+        assert 0.0 <= rep.get("O.N1_trchi_dev") <= 2e-12
+
+    def test_geodesic_trchi_deviation_is_roundoff(self, norms):
+        """O'.N1_trchi_dev, and so O', 3.36e-14, come from the Chebyshev
+        d_ds of the tabulated 2/s, which misses -2/s^2 by 4.95e-14 at
+        worst; 2/s itself is exact on the s-nodes (O'.trchi_dev_infinf is
+        0).  Each is bounded at about 10x."""
+        _, rep = norms
+        assert rep.get("Oprime") == rep.get("Oprime.N1_trchi_dev")
+        assert 0.0 <= rep.get("Oprime.N1_trchi_dev") <= 4e-13
 
     def test_totals_are_sums_of_the_pinned_entries(self, norms):
         """Every other entry of I_S1, I'_S1, R and R' is an exact zero, so
@@ -338,6 +372,34 @@ class TestSchwarzschildClosedForms:
         }
         for key, val in want.items():
             assert abs(rep.get(key) - val) <= 1e-12 * val, key
+
+
+class TestMinkowskiClosedForms:
+    """Minkowski L = 15, dv = 1/64, v in [1, 2], s* = 2.5: every leaf is the
+    round sphere s = v, so every norm entry is exactly 0 but the seven that
+    read 2/s and -2/s off the dataset tables, which are roundoff (see
+    TestSchwarzschildClosedForms for their causes)."""
+
+    # entry -> bound, about 10x the value it measures
+    ROUNDOFF = {
+        # 1.11e-15: the barycentric read of +-2/s at s = v
+        "O.trchi_dev_infinf": 1e-14, "O.trchib_dev_infinf": 1e-14,
+        # 1.61e-13: that misread under the FD v-derivative
+        "O.N1_trchi_dev": 2e-12, "O.N1_trchib_dev": 2e-12,
+        # 3.23e-13: the sum of the four entries above
+        "O": 3e-12,
+        # 3.36e-14: the Chebyshev d_ds of 2/s
+        "Oprime": 4e-13, "Oprime.N1_trchi_dev": 4e-13,
+    }
+
+    def test_every_entry_zero_but_roundoff(self):
+        data = geodesic.gen_minkowski(Lmax=15)
+        fol = solver.continue_foliation(
+            data, solver.SolverConfig(dv=1.0 / 64.0), v_end=2.0)
+        rep = diagnostics.norm_suite(fol)
+        assert set(self.ROUNDOFF) <= set(rep.values)
+        for key, val in rep.values.items():
+            assert 0.0 <= val <= self.ROUNDOFF.get(key, 0.0), key
 
 
 class TestGeneratorQuadrature:
@@ -434,7 +496,7 @@ class TestConvergenceStudy:
         max_iter) at its own dv."""
         spec = geodesic.MmsSpec(epsilon=1e-2, Lmax=8, n_s=24,
                                 profile_l=2, profile_m=2)
-        data, exact = geodesic.gen_manufactured(spec)
+        data, _ = geodesic.gen_manufactured(spec)
         base = solver.SolverConfig(delta=0.5, dv=0.25, tol=1e-13,
                                    max_iter=25)
         real = solver.continue_foliation
@@ -445,10 +507,22 @@ class TestConvergenceStudy:
             return real(data, cfg, **kwargs)
 
         monkeypatch.setattr(solver, "continue_foliation", recording)
-        rows, _, _ = diagnostics.convergence_study(data, exact, base,
-                                                   [0.25, 0.125], v_end=1.5)
+        rows, _, _ = diagnostics.convergence_study(data, base, [0.25, 0.125],
+                                                   v_end=1.5)
         assert seen == [(0.25, 25), (0.125, 25)]
         assert rows[1][1] < rows[0][1]
+
+    def test_saved_dataset_gives_the_in_memory_study(self, tmp_path):
+        """The study reads the exact solution off the dataset: an MMS
+        dataset saved and loaded gives the in-memory dataset's errors,
+        orders and slope bit for bit."""
+        data, _ = geodesic.gen_manufactured(
+            geodesic.MmsSpec(epsilon=1e-2, Lmax=12, n_s=32))
+        geodesic.save(data, tmp_path / "ds")
+        base = solver.SolverConfig(delta=0.5, dv=0.25, tol=1e-13)
+        studies = [diagnostics.convergence_study(d, base, [0.25, 0.125])
+                   for d in (data, geodesic.load(tmp_path / "ds"))]
+        assert studies[0] == studies[1]
 
 
 def _tensor_of_kind(grid, kind, seed, lmax=None):

@@ -87,8 +87,8 @@ def _commands():
         for stage in ("verify", "norms"):
             commands.append([*cfg, stage, "--data", case, "--foliation",
                              f"{case}_fol", "--out", f"{case}_{stage}"])
-    commands.append([*cfg, "convergence", "--levels", "2", *sizes, "--dv0",
-                     "0.125", "--v-end", "1.5", "--out", "conv"])
+    commands.append([*cfg, "convergence", "--data", "mms", "--levels", "2",
+                     "--dv0", "0.125", "--v-end", "1.5", "--out", "conv"])
     return [(argv, {}, 0) for argv in commands] + [
         (["generate", "--model", "minkowski", *sizes, "--out", "mink"], {},
          0),
@@ -105,8 +105,8 @@ def _commands():
           "--out", "one_node"], {}, 2),
         (["solve", "--data", "schw", "--out", "no_sweep", "--max-iter", "0",
           *solve], {}, 2),
-        (["convergence", "--levels", "1", *sizes, "--out", "one_level"], {},
-         2),
+        (["convergence", "--data", "mms", "--levels", "1", "--out",
+          "one_level"], {}, 2),
         (["verify", "--data", "schw", "--foliation", "schw_fol",
           "--tol-transport", "nan", "--out", "nan_tol"], {}, 2),
     ]

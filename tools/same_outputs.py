@@ -10,7 +10,8 @@ every stage, and that cost and memory would read as a difference of the
 trees.  Every reference case (the four dv = 1/64 cases below, and the
 MMS solve of the benchmark's `mms-L23-march`: eps = 0.01, L = 23, n_s = 40,
 dv = 1/256, v in [1, 1.25]) runs generate -> solve -> verify -> norms, and
-the README's `convergence` study runs at its defaults, once with
+the README's `convergence` study runs at its defaults on the MMS dataset
+that `generate --model mms --lmax 23 --n-s 40` writes, once with
 PARENT_SRC and once with CHANGE_SRC on PYTHONPATH, each stage as its own
 `python -m nullfoliate.cli` process with BLAS and OpenMP at one thread.
 Every file the stages write is then compared byte for byte, and so are
@@ -79,10 +80,13 @@ CASES = {
     "mms-L23-march": pipeline(["--model", "mms", "--epsilon", "0.01",
                                "--lmax", "23", "--n-s", "40"],
                               ["--dv", str(1.0 / 256.0), "--v-end", "1.25"]),
-    # the README's study at its defaults (L = 23, tol = 1e-13): the one
-    # documented run whose tol lies below the Picard monitor's roundoff
+    # the README's study at its defaults (tol = 1e-13) on MMS L = 23: the
+    # one documented run whose tol lies below the Picard monitor's roundoff
     # floor (about 2.5e-13), so its windows are accepted against the floor
-    "convergence-L23": {"convergence": ["convergence", "--out", "reports"]},
+    "convergence-L23": {
+        "generate": ["generate", "--model", "mms", "--lmax", "23",
+                     "--n-s", "40", "--out", "dataset"],
+        "convergence": ["convergence", "--out", "reports"]},
 }
 
 
